@@ -21,8 +21,7 @@ from .asymptotics import (LayerConstants, LayerKind, LayerProfile,
                           VelocityProfile, abel_layer_solve,
                           composite_velocity, layer_constants,
                           layer_ode_residual, layer_profile_airy,
-                          shifted_boundary, sqrt_linear_crossover,
-                          validity_check)
+                          shifted_boundary, sqrt_linear_crossover)
 from .hjb import (ContinuityReport, ExtractedBand, SolverConfig, ValueGrid,
                   VelocitySlice, c2_continuity_check, extract_band,
                   solve_hjb, velocity_slice)

@@ -27,11 +27,12 @@ from typing import Optional, NamedTuple
 
 import numpy as np
 from scipy.integrate import solve_ivp
+from scipy.special import airy
 
 from .errors import BracketError, ConfigError, ConvergenceError, DomainError, RegimeError
 from .model import CostKind, ModelParams, drift
 from .band_zero import Band, GreensDecomposition, third_derivative_at_band
-from .special import airy_ai, airy_first_max, airy_log_derivative
+from .special import airy_first_max, airy_log_derivative
 
 __all__ = [
     "Regime",
@@ -40,7 +41,6 @@ __all__ = [
     "LayerProfile",
     "VelocityProfile",
     "PowerScaling",
-    "ValidityResult",
     "layer_constants",
     "layer_profile_airy",
     "layer_ode_residual",
@@ -50,7 +50,6 @@ __all__ = [
     "composite_velocity",
     "abel_layer_solve",
     "power_cost_scaling",
-    "validity_check",
 ]
 
 
@@ -153,12 +152,6 @@ class PowerScaling(NamedTuple):
     expansion_exp: float
 
 
-class ValidityResult(NamedTuple):
-    lhs: float
-    rhs: float
-    ok: bool
-
-
 def layer_constants(params: ModelParams, band: Band, x: float) -> LayerConstants:
     """Evaluate the layer coefficients at ``x`` on the upper boundary.
 
@@ -190,16 +183,6 @@ def layer_constants(params: ModelParams, band: Band, x: float) -> LayerConstants
         arg_scale=arg_scale, wall_offset=_WALL_ROOT / arg_scale)
 
 
-def _airy_slope_ratio(u: np.ndarray) -> np.ndarray:
-    # airy_log_derivative is scalar; profile grids are small enough to loop.
-    out = np.empty(u.shape, dtype=float)
-    flat_u = u.ravel()
-    flat_o = out.ravel()
-    for i, ui in enumerate(flat_u):
-        flat_o[i] = airy_log_derivative(float(ui))
-    return out
-
-
 def _layer_values(c: LayerConstants, y: np.ndarray):
     """Profile value and analytic derivative at the given y samples."""
     y = np.asarray(y, dtype=float)
@@ -209,7 +192,7 @@ def _layer_values(c: LayerConstants, y: np.ndarray):
         # constants are corrupted (u >= -wall root > -2 for y >= 0).
         raise DomainError("Airy argument reached the oscillatory region; "
                           "layer constants are inconsistent.")
-    r = _airy_slope_ratio(u)
+    r = airy_log_derivative(u)
     f = -c.diffusivity * c.arg_scale * r
     f_y = -c.diffusivity * c.arg_scale ** 2 * (u - r ** 2)
     f = np.where(y == 0.0, 0.0, f)  # wall pinned exactly
@@ -228,7 +211,7 @@ def layer_profile_airy(c: LayerConstants, y_max: float, n: int = 2001) -> LayerP
     if n < 9:
         raise ConfigError(f"need at least 9 samples, got {n}")
     y = np.linspace(0.0, float(y_max), int(n))
-    if np.any(airy_ai(c.arg_scale * (y - c.wall_offset)) <= 0.0):
+    if np.any(airy(c.arg_scale * (y - c.wall_offset))[0] <= 0.0):
         raise DomainError("Ai changed sign inside the layer window; "
                           "constants are inconsistent.")
     f, f_y = _layer_values(c, y)
@@ -503,26 +486,3 @@ def power_cost_scaling(kind: CostKind) -> PowerScaling:
         return PowerScaling(0.8, 0.4, 2.0 / 3.0)
     raise ConfigError(f"unsupported cost kind: {kind!r}")
 
-
-def validity_check(params: ModelParams, band: Band, gamma_coeff: float,
-                   phi: float, margin_decades: float = 1.0) -> ValidityResult:
-    """Dimensionless capacity bound for the quadratic-cost expansion.
-
-    Compares gamma_coeff * phi (cost number times risk-to-volume fraction)
-    against (gamma_lin/(sigma*sqrt(T)))^{4/3} * (omega*T)^{-5/6} with
-    T = 1 day, the threshold beyond which the layer stops being a small
-    correction to the band.  "Much less than" is operationalized as
-    margin_decades decades below the threshold.
-    """
-    if gamma_coeff <= 0.0 or phi <= 0.0:
-        raise ConfigError("gamma_coeff and phi must be > 0")
-    if params.omega <= 0.0:
-        raise RegimeError("validity threshold needs a mean-reverting signal "
-                          "(omega > 0); the flat-band limit has no finite "
-                          "reversion time.")
-    horizon = 1.0  # parameters are quoted per day
-    lhs = gamma_coeff * phi
-    rhs = ((band.gamma_lin / (params.sigma * math.sqrt(horizon))) ** (4.0 / 3.0)
-           * (params.omega * horizon) ** (-5.0 / 6.0))
-    return ValidityResult(lhs=float(lhs), rhs=float(rhs),
-                          ok=bool(lhs <= rhs * 10.0 ** (-margin_decades)))

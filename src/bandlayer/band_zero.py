@@ -37,7 +37,7 @@ from scipy.integrate import cumulative_simpson, cumulative_trapezoid
 from scipy.interpolate import CubicSpline
 
 from .errors import ConfigError, ConvergenceError, DomainError, RegimeError
-from .model import ModelParams, default_x_domain
+from .model import ModelParams, default_x_domain, small_cost_half_width
 from .special import fd_weights, integrate_ode
 
 __all__ = [
@@ -500,18 +500,10 @@ def flat_band_level(params: ModelParams, gamma_lin: float) -> float:
     return params.rho * gamma_lin / (2.0 * params.lam)
 
 
-def _width_estimate(params: ModelParams, gamma_lin: float) -> float:
-    """Small-cost half-width scale used only for seeding and step sizing."""
-    p = params
-    if p.omega == 0:
-        return flat_band_level(p, gamma_lin)
-    return (p.omega / (2 * p.lam)) * (1.5 * gamma_lin * p.sigma ** 2 / p.omega) ** (1.0 / 3.0)
-
-
 def _seed_level_zero(comp, gamma_lin):
     """Solve the theta=0 level from the small-cost symmetric seed."""
     p = comp.params
-    w = _width_estimate(p, gamma_lin)
+    w = small_cost_half_width(p, gamma_lin)
     x0 = 2.0 * p.lam * w / p.omega
     try:
         return _newton_level(comp, gamma_lin, 0.0, x0, -x0)
@@ -569,7 +561,7 @@ def find_band_zero(params: ModelParams, gamma_lin: float, x_nodes=None,
     guard = 0.02 * (comp.pair.x_hi - comp.pair.x_lo)
     lo_lim, hi_lim = comp.pair.x_lo + guard, comp.pair.x_hi - guard
 
-    w = _width_estimate(params, gamma_lin)
+    w = small_cost_half_width(params, gamma_lin)
     dtheta = level_step_frac * w
     st0 = _seed_level_zero(comp, gamma_lin)
 

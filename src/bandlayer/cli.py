@@ -262,9 +262,9 @@ def _check_rows(cfg: RunConfig):
     def add(name, ok, detail):
         rows.append((name, bool(ok), detail))
 
-    band = band_zero.find_band_zero(params, costs.gamma_lin)
     comp = band_zero.greens_particular(
         params, band_zero.solve_homogeneous(params))
+    band = band_zero.find_band_zero(params, costs.gamma_lin, comp=comp)
     x_lo, x_hi = band.x_nodes[0], band.x_nodes[-1]
     xs = np.linspace(0.6 * x_lo, 0.6 * x_hi, 5)
 

@@ -208,7 +208,7 @@ def parse_config(raw: dict) -> RunConfig:
     if "solver" in raw:
         sec = _require_table(raw["solver"], "solver")
         allowed = ("max_iters", "pseudo_time_step", "convergence_tol",
-                   "eta_floor", "scheme", "damping", "velocity_cap_factor",
+                   "eta_floor", "scheme", "velocity_cap_factor",
                    "band_threshold")
         _check_keys(sec, allowed, "solver")
         kwargs = {}

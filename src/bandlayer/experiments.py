@@ -207,7 +207,7 @@ def eta_shift_sweep(params: ModelParams, gamma_lin: float, eta_list,
     # the reported prefactor comparison, never for the measurement)
     comp = band_zero.greens_particular(
         params, band_zero.solve_homogeneous(params))
-    band = band_zero.find_band_zero(params, gamma_lin)
+    band = band_zero.find_band_zero(params, gamma_lin, comp=comp)
     theta0 = float(band.theta_plus_at(x))
     width = float(band.width(x))
     c = asymptotics.layer_constants(params, band, x)
@@ -463,7 +463,8 @@ def regime_map(params: ModelParams, costs: CostParams, x: float,
 
     comp = band_zero.greens_particular(
         params, band_zero.solve_homogeneous(params))
-    band = band_zero.find_band_zero(params, gamma_lin=costs.gamma_lin)
+    band = band_zero.find_band_zero(params, gamma_lin=costs.gamma_lin,
+                                    comp=comp)
     c = asymptotics.layer_constants(params, band, x)
     v3 = band_zero.third_derivative_at_band(comp, band, x)
     shift = (c.wall_slope / v3) * eta ** (1.0 / 3.0)

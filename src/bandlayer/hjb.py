@@ -19,17 +19,16 @@ factor banded and cheap even for very fine theta grids.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from scipy.linalg import solve_banded
-
 from .errors import ConfigError, ConvergenceError, DomainError
 from .model import (CostKind, CostParams, Grid2D, ModelParams, ScalarField,
-                    drift, markowitz_position, markowitz_slope, nt_rhs)
+                    drift, markowitz_position, nt_rhs,
+                    small_cost_half_width)
 from .special import fd_weights
 
 __all__ = [
@@ -39,8 +38,6 @@ __all__ = [
     "VelocitySlice",
     "ContinuityReport",
     "solve_hjb",
-    "solve_hjb_aligned",
-    "aligned_grid",
     "extract_band",
     "velocity_slice",
     "c2_continuity_check",
@@ -70,7 +67,6 @@ class SolverConfig:
     convergence_tol: float = 1e-9
     eta_floor: float = 1e-8
     scheme: str = "policy"
-    damping: float = 1.0
     velocity_cap_factor: float = 10.0
     band_threshold: float = 1e-4
 
@@ -85,8 +81,6 @@ class SolverConfig:
             raise ConfigError("eta_floor must be > 0")
         if self.scheme not in ("policy", "explicit"):
             raise ConfigError(f"unknown scheme {self.scheme!r}")
-        if not (0.0 < self.damping <= 1.0):
-            raise ConfigError("damping must be in (0, 1]")
         if not (self.velocity_cap_factor > 0):
             raise ConfigError("velocity_cap_factor must be > 0")
         if not (0.0 < self.band_threshold < 1.0):
@@ -221,12 +215,7 @@ def _edge_slopes(params: ModelParams, costs: CostParams, grid: Grid2D):
     """
     x = grid.x_nodes
     star = markowitz_position(params, x)
-    if params.omega > 0:
-        w_est = (params.omega / (2.0 * params.lam)) * (
-            3.0 * costs.gamma_lin * params.sigma ** 2
-            / (2.0 * params.omega)) ** (1.0 / 3.0)
-    else:
-        w_est = 0.0
+    w_est = small_cost_half_width(params, costs.gamma_lin)
     out = {}
     for side, theta_e in (("bot", float(grid.theta_nodes[0])),
                           ("top", float(grid.theta_nodes[-1]))):
@@ -418,7 +407,7 @@ def _solve_policy(params, costs, grid, cfg, V):
         V_new = np.reshape(flat, V.shape, order="F")
         delta = float(np.max(np.abs(V_new - V)))
         history.append(delta)
-        V = V + cfg.damping * (V_new - V)
+        V = V_new
         # a small update alone can still flip isolated nodes between
         # trading and quiet (see SolverConfig), so the policy must settle
         if settled and delta <= cfg.convergence_tol * float(np.max(np.abs(V))):
@@ -601,359 +590,6 @@ def velocity_slice(vg: ValueGrid, x: float) -> VelocitySlice:
                          theta=grid.theta_nodes.copy(),
                          v=vg.v.values[i].copy(),
                          band_plus=bp, band_minus=bm)
-
-
-# ------------------------------------------------------ tilted-frame scheme
-#
-# On a plain (x, theta) grid the no-trade boundary runs obliquely: one x
-# step moves it by |slope| * hx in theta, and once that exceeds the width
-# of the boundary region the centered x-stencil straddles structurally
-# different theta-profiles and averages the boundary away.  Restoring it
-# by refining x is quadratically expensive.  Solving in the tilted frame
-#
-#     U(x, psi) = V(x, psi + m x),      m = markowitz_slope(params)
-#
-# makes the boundary nearly flat in psi, so no x-resolution of the
-# boundary is needed at all.  The signal noise moves x at fixed theta,
-# i.e. along the in-grid diagonals (i +- 1, j -+ k) with k = m hx/hpsi,
-# which must be an integer (enforced); both the diffusion and the
-# mean-reversion drift act along those diagonals and are discretized on
-# them exactly as the flat solver does along x rows.  Each diagonal is a
-# tridiagonal chain; the trading advection couples a chain to its
-# neighbours one-sidedly (buying reads the chain above, selling the one
-# below, edge-slope rows read inward).  A descending chain sweep hands
-# every buy-side row a fresh upstream value and an ascending sweep does
-# the same for the sell side, so one down-up cycle of banded solves is
-# a strong block Gauss-Seidel step: O(N) time and memory, no LU.  The
-# residual left by a cycle must cross the no-trade belt through in-chain
-# diffusion to feed back, so cycles contract geometrically; the outer
-# policy loop iterates them to tolerance.
-#
-# Chains that hit a psi edge mid-domain are clipped there, and their end
-# rows would lose the along-chain operator.  Both psi edges are required
-# to lie in the active trading region (where the analytic slope of U is
-# known), so the missing off-grid neighbour is reconstructed by slope
-# extrapolation from the psi-edge node one x column over; that closure
-# is exact in the far field and keeps the rows monotone.
-
-
-def aligned_grid(params: ModelParams, x_half: float, psi_half: float,
-                 hpsi: float, hx_target: float) -> Grid2D:
-    """Build a tilted-frame grid whose x step is alignment-compliant.
-
-    The x spacing is snapped to the nearest integer multiple of
-    hpsi / |markowitz_slope|, never below one multiple, and the x count
-    is made odd so x = 0 is a node.
-    """
-    m = markowitz_slope(params)
-    if m == 0.0:
-        raise ConfigError("tilted frame needs omega > 0 (nonzero slope)")
-    unit = hpsi / abs(m)
-    k = max(1, int(round(hx_target / unit)))
-    hx = k * unit
-    half_steps = max(1, int(round(x_half / hx)))
-    nx = 2 * half_steps + 1
-    npsi = 2 * max(1, int(round(psi_half / hpsi))) + 1
-    return Grid2D.regular(-half_steps * hx, half_steps * hx, nx,
-                          -(npsi // 2) * hpsi, (npsi // 2) * hpsi, npsi)
-
-
-class _AlignedOps:
-    """Per-grid constants for the tilted-frame sweep.
-
-    Nodes are re-ordered chain-major (chains sorted by the theta value
-    they carry, nodes within a chain by x); all arrays below live in
-    that ordering.  ``flat`` maps back to C-order (i * ntheta + j).
-    """
-
-    def __init__(self, params: ModelParams, grid: Grid2D):
-        m = markowitz_slope(params)
-        if m == 0.0:
-            raise ConfigError(
-                "tilted frame needs omega > 0; use solve_hjb instead")
-        hx, hp = grid.hx, grid.htheta
-        kf = m * hx / hp
-        K = int(round(kf))
-        if K == 0 or abs(kf - K) > 1e-8 * max(1.0, abs(kf)):
-            raise ConfigError(
-                f"x step {hx:g} is not an integer number of offset cells "
-                f"(slope {m:g}, offset step {hp:g}); build the grid with "
-                "aligned_grid()")
-        self.m, self.K = m, K
-        nx, nt = grid.nx, grid.ntheta
-        ii, jj = np.meshgrid(np.arange(nx), np.arange(nt), indexing="ij")
-        c = (jj + K * ii).ravel()
-        c -= c.min()
-        ncl = int(c.max()) + 1
-        order = np.lexsort((ii.ravel(), c))
-        self.c_sorted = c[order]
-        self.flat = (ii.ravel() * nt + jj.ravel())[order]
-        self.ptr = np.searchsorted(self.c_sorted, np.arange(ncl + 1))
-        self.nchains = ncl
-
-        pos = np.arange(order.size) - self.ptr[self.c_sorted]
-        length = self.ptr[self.c_sorted + 1] - self.ptr[self.c_sorted]
-        has_prev = pos > 0
-        has_next = pos < length - 1
-
-        i_s = ii.ravel()[order]
-        j_s = jj.ravel()[order]
-        # chain ends that are not true x edges were clipped by the psi
-        # window; their missing neighbour is reconstructed from the psi
-        # edge one x column over (see the note above)
-        start_clip = ~has_prev & (i_s > 0)
-        end_clip = ~has_next & (i_s < nx - 1)
-        if np.any(start_clip & end_clip):
-            raise ConfigError(
-                "offset window narrower than one tilt step; widen the "
-                "psi domain or coarsen x")
-        avail = (has_prev | start_clip) & (has_next | end_clip)
-
-        x_s = grid.x_nodes[i_s]
-        b = drift(params, x_s)
-        half_sig2 = 0.5 * params.sigma ** 2
-        D = np.where(avail, half_sig2 / hx ** 2, 0.0)
-        centered = (np.abs(b) * hx <= params.sigma ** 2) & avail
-        half = np.where(centered, 0.5 * b / hx, 0.0)
-        a_fwd = np.where(~centered & (has_next | end_clip),
-                         np.maximum(b, 0.0) / hx, 0.0)
-        a_bwd = np.where(~centered & (has_prev | start_clip),
-                         np.maximum(-b, 0.0) / hx, 0.0)
-
-        coeff_next = D + half + a_fwd
-        coeff_prev = D - half + a_bwd
-        self.diag0 = params.rho + 2.0 * D + a_fwd + a_bwd
-        self.upper = np.where(has_next, -coeff_next, 0.0)
-        self.lower = np.where(has_prev, -coeff_prev, 0.0)
-
-        # clip closure: weight, gather index, distance past the edge and
-        # which edge's slope to extrapolate with
-        self.w2 = np.where(end_clip, coeff_next, 0.0) \
-            + np.where(start_clip, coeff_prev, 0.0)
-        j_miss = np.where(end_clip, j_s - K, np.where(start_clip, j_s + K, 0))
-        miss_bot = j_miss < 0
-        dist = np.where(miss_bot, -j_miss, j_miss - (nt - 1))
-        any_clip = start_clip | end_clip
-        self.clip_dist = np.where(any_clip, dist, 0) * hp
-        self.clip_bot = miss_bot & any_clip
-        i_nb = np.where(end_clip, i_s + 1, np.where(start_clip, i_s - 1, i_s))
-        self.nb2 = np.clip(i_nb, 0, nx - 1) * nt \
-            + np.where(self.clip_bot, 0, nt - 1)
-
-        self.i_s, self.j_s = i_s, j_s
-        self.top_row = j_s == nt - 1
-        self.bot_row = j_s == 0
-        # cross-chain neighbour in psi (clipped; weight is zero when the
-        # neighbour does not exist, so the clipped index is never used)
-        self.nb_up = i_s * nt + np.minimum(j_s + 1, nt - 1)
-        self.nb_dn = i_s * nt + np.maximum(j_s - 1, 0)
-        th = grid.theta_nodes[j_s] + m * x_s
-        self.run = -nt_rhs(params, x_s, th)
-        self.hp, self.hx = hp, hx
-        self.grid = grid
-
-    def edge_conditions(self, params: ModelParams, costs: CostParams):
-        """x-uniform slope magnitudes at the psi edges (offset frame
-        keeps theta - theta* constant along each edge)."""
-        grid = self.grid
-        if params.omega > 0:
-            w_est = (params.omega / (2.0 * params.lam)) * (
-                3.0 * costs.gamma_lin * params.sigma ** 2
-                / (2.0 * params.omega)) ** (1.0 / 3.0)
-        else:
-            w_est = 0.0
-        out = []
-        for psi_e in (float(grid.theta_nodes[0]),
-                      float(grid.theta_nodes[-1])):
-            rad = params.lam * psi_e ** 2 - params.lam * w_est ** 2
-            usable = rad > 0.0
-            if costs.kind is CostKind.QUADRATIC:
-                extra = 2.0 * math.sqrt(costs.eta * max(rad, 0.0))
-            else:
-                extra = (27.0 / 4.0) ** (1.0 / 3.0) \
-                    * costs.zeta ** (2.0 / 3.0) * max(rad, 0.0) ** (1.0 / 3.0)
-            out.append((usable, costs.gamma_lin + extra))
-        return out[0], out[1]
-
-
-def _aligned_terms(ops: _AlignedOps, costs: CostParams, v_s, slope_top,
-                   slope_bot, g_top, g_bot, rhs_clip):
-    """Per-node system pieces for one policy evaluation.
-
-    Returns (diag, w_cross, nb, rhs): the diagonal, the weight and
-    C-order index of the cross-chain value each row reads, and the
-    right-hand side without that term (but with the constant part of
-    the clip closure folded in).
-    """
-    hp = ops.hp
-    av = np.abs(v_s) / hp
-    if costs.kind is CostKind.QUADRATIC:
-        cost = costs.gamma_lin * np.abs(v_s) + costs.eta * v_s ** 2
-    else:
-        cost = costs.gamma_lin * np.abs(v_s) + costs.zeta * np.abs(v_s) ** 1.5
-    diag = ops.diag0 + av
-    rhs = ops.run - cost + rhs_clip
-    w_cross = av.copy()
-    nb = np.where(v_s > 0.0, ops.nb_up, ops.nb_dn)
-
-    # slope rows replace the optimality row: (U_edge - U_inward)/hp = -g,
-    # since the value falls off away from the band on both sides
-    for mask, g, nbr in ((slope_top, g_top, ops.nb_dn),
-                         (slope_bot, g_bot, ops.nb_up)):
-        if np.any(mask):
-            diag[mask] = 1.0 / hp
-            w_cross[mask] = 1.0 / hp
-            nb[mask] = nbr[mask]
-            rhs[mask] = -g
-
-    return diag, w_cross, nb, rhs
-
-
-def _aligned_cycle(ops: _AlignedOps, upper, lower, w2, diag, w_cross, nb,
-                   rhs, U_flat):
-    """One symmetric block Gauss-Seidel cycle over the chains.
-
-    Solves every chain's tridiagonal system twice, first in descending
-    then in ascending chain order, reading neighbour chains' freshest
-    values in place.  The descending pass resolves all buy-side
-    couplings exactly (each reads a chain already solved in the pass),
-    the ascending pass the sell-side ones.  Returns the updated copy.
-    """
-    W = U_flat.copy()
-    ptr, flat = ops.ptr, ops.flat
-    nb2 = ops.nb2
-
-    def solve_chain(c):
-        s0, s1 = ptr[c], ptr[c + 1]
-        L = s1 - s0
-        if L == 0:
-            return
-        sl = slice(s0, s1)
-        r = rhs[sl] + w_cross[sl] * W[nb[sl]] + w2[sl] * W[nb2[sl]]
-        if L == 1:
-            W[flat[s0]] = r[0] / diag[s0]
-            return
-        ab = np.empty((3, L))
-        ab[0, 0] = 0.0
-        ab[0, 1:] = upper[s0:s1 - 1]
-        ab[1] = diag[sl]
-        ab[2, :-1] = lower[s0 + 1:s1]
-        ab[2, -1] = 0.0
-        W[flat[sl]] = solve_banded((1, 1), ab, r,
-                                   overwrite_ab=True, overwrite_b=True,
-                                   check_finite=False)
-
-    for c in range(ops.nchains - 1, -1, -1):
-        solve_chain(c)
-    for c in range(ops.nchains):
-        solve_chain(c)
-    return W
-
-
-def _aligned_residual(ops: _AlignedOps, upper, lower, diag, w_cross, nb,
-                      rhs, slope_rows, U_flat):
-    """Max |A U - rhs| over optimality rows, in the sweep's own algebra."""
-    U_s = U_flat[ops.flat]
-    nxt = np.zeros_like(U_s)
-    prv = np.zeros_like(U_s)
-    nxt[:-1] = U_s[1:]
-    prv[1:] = U_s[:-1]
-    res = (diag * U_s + upper * nxt + lower * prv
-           - w_cross * U_flat[nb] - rhs)
-    return float(np.max(np.abs(res[~slope_rows])))
-
-
-def _solve_aligned(params, costs, grid, cfg, U):
-    ops = _AlignedOps(params, grid)
-    cap = _velocity_cap(params, costs, grid, cfg.velocity_cap_factor)
-    (bot_usable, g_bot), (top_usable, g_top) = \
-        ops.edge_conditions(params, costs)
-    slope_top = ops.top_row & top_usable
-    slope_bot = ops.bot_row & bot_usable
-    slope_rows = slope_top | slope_bot
-    upper = np.where(slope_rows, 0.0, ops.upper)
-    lower = np.where(slope_rows, 0.0, ops.lower)
-
-    history = []
-    U_flat = U.ravel().copy()
-    nt = grid.ntheta
-
-    def stage(U_flat):
-        Um = U_flat.reshape(grid.nx, nt)
-        d_plus, d_minus = _one_sided_diffs(Um, ops.hp)
-        _, v = _hamiltonian(costs, d_plus, d_minus, cap)
-        v_s = v.ravel()[ops.flat]
-        terms = _aligned_terms(ops, costs, v_s, slope_top, slope_bot,
-                               g_top, g_bot)
-        return v, terms
-
-    for it in range(1, cfg.max_iters + 1):
-        _, (diag, w_cross, nb, rhs) = stage(U_flat)
-        W = _aligned_cycle(ops, upper, lower, diag, w_cross, nb, rhs,
-                           U_flat)
-        delta = float(np.max(np.abs(W - U_flat)))
-        history.append(delta)
-        U_flat = U_flat + cfg.damping * (W - U_flat)
-        if delta <= cfg.convergence_tol * max(1.0, float(np.max(np.abs(U_flat)))):
-            v, (diag, w_cross, nb, rhs) = stage(U_flat)
-            residual = _aligned_residual(ops, upper, lower, diag, w_cross,
-                                         nb, rhs, slope_rows, U_flat)
-            return U_flat.reshape(grid.nx, nt), v, residual, it, \
-                tuple(history)
-    raise ConvergenceError(
-        f"tilted-frame iteration did not converge in {cfg.max_iters} "
-        f"iterations (last update {history[-1]:.3e})", history=history)
-
-
-def solve_hjb_aligned(params: ModelParams, costs: CostParams, grid: Grid2D,
-                      cfg: SolverConfig | None = None,
-                      initial: np.ndarray | None = None) -> ValueGrid:
-    """Solve the optimality equation in the tilted (offset) frame.
-
-    ``grid.theta_nodes`` are offsets psi from the cost-free position
-    line: the physical position at node (i, j) is psi_j + slope * x_i.
-    The x spacing must be an integer multiple of hpsi/|slope| (see
-    :func:`aligned_grid`).  The returned ValueGrid, including its band
-    arrays, lives in the offset frame; at x = 0 offsets and positions
-    coincide.  Use this variant when the boundary structure must be
-    resolved much below |slope| * hx, e.g. for small-eta boundary-shift
-    measurements; use :func:`solve_hjb` for plain-frame fields.
-    """
-    cfg = cfg or SolverConfig()
-    if not (grid.x_uniform and grid.theta_uniform):
-        raise ConfigError("solver requires uniform grid spacings")
-    if costs.kind is CostKind.QUADRATIC:
-        if costs.eta < cfg.eta_floor:
-            raise ConfigError(
-                f"eta={costs.eta:g} below eta_floor={cfg.eta_floor:g}; "
-                "the discrete control is not trustworthy there")
-    elif costs.zeta <= 0.0:
-        raise ConfigError("three-halves cost needs zeta > 0")
-
-    if initial is not None:
-        U = np.array(initial, dtype=float)
-        if U.shape != (grid.nx, grid.ntheta):
-            raise ConfigError("initial guess shape does not match grid")
-    else:
-        m = markowitz_slope(params)
-        th = grid.theta_nodes[None, :] + m * grid.x_nodes[:, None]
-        x = grid.x_nodes[:, None]
-        U = (-(params.lam / params.rho) * th ** 2
-             - params.omega / (params.rho + params.omega) * x * th)
-
-    U, v, residual, iters, hist = _solve_aligned(params, costs, grid, cfg, U)
-    vg = ValueGrid(V=ScalarField(U, grid), v=ScalarField(v, grid),
-                   band_plus=np.array([]), band_minus=np.array([]),
-                   plus_mask=np.array([], dtype=bool),
-                   minus_mask=np.array([], dtype=bool),
-                   residual=residual, iterations=iters,
-                   eta=costs.eta if costs.kind is CostKind.QUADRATIC else 0.0)
-    eb = extract_band(vg, cfg.band_threshold)
-    return ValueGrid(V=vg.V, v=vg.v,
-                     band_plus=eb.theta_plus, band_minus=eb.theta_minus,
-                     plus_mask=eb.plus_mask, minus_mask=eb.minus_mask,
-                     residual=residual, iterations=iters, eta=vg.eta,
-                     history=hist)
 
 
 # ---------------------------------------------------------------- continuity

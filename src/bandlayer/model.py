@@ -28,6 +28,7 @@ __all__ = [
     "apply_generator",
     "nt_rhs",
     "markowitz_position",
+    "small_cost_half_width",
     "stationary_std",
     "default_x_domain",
 ]
@@ -184,6 +185,18 @@ def markowitz_position(params: ModelParams, x):
 def markowitz_slope(params: ModelParams) -> float:
     """Slope of the cost-free position in the signal, d theta*/dx."""
     return -params.omega / (2.0 * params.lam)
+
+
+def small_cost_half_width(params: ModelParams, gamma_lin: float) -> float:
+    """Small-cost half-width of the linear-cost band around theta*.
+
+    (omega / 2 lam) * (3 gamma_lin sigma^2 / (2 omega))^{1/3}, the leading
+    term as gamma_lin -> 0; 0 when omega = 0, where it has no meaning.
+    """
+    p = params
+    if p.omega == 0:
+        return 0.0
+    return (p.omega / (2 * p.lam)) * (1.5 * gamma_lin * p.sigma ** 2 / p.omega) ** (1.0 / 3.0)
 
 
 def stationary_std(params: ModelParams) -> float:

@@ -1,188 +1,56 @@
-"""Numerical substrate: Airy functions, ODE integration, root finding.
+"""Numerical substrate: Airy log-derivative, ODE integration, root finding.
 
-The Airy pair Ai / Ai' is evaluated from scratch (power series plus
-asymptotic expansions) rather than imported, so the boundary-layer
-profile rests on code whose accuracy is verified inside this package.
-Target: absolute error <= 1e-10 on [-15, 8].
-
-Branch layout
--------------
-* ``-7.5 <= u <= 5``  : Maclaurin series, accumulated in extended
-  precision (numpy longdouble) because the series alternates with terms
-  up to ~5e4 near the negative end of the range.
-* ``u > 5``           : decaying asymptotic expansion.
-* ``u < -7.5``        : oscillatory asymptotic expansion.  The classical
-  switch at |u| = 5 is not accurate enough in double precision (only
-  ~1e-8 there), hence the wider series range.
-
-Both switch points carry an overlap band where the two branches are
-cross-checked in the test suite.
+The boundary-layer profile needs only the Airy logarithmic derivative
+Ai'/Ai and the first maximum of Ai; both come from ``scipy.special``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
+from scipy.special import ai_zeros, airy, airye
 
 from .errors import BracketError, ConfigError, ConvergenceError
 
 __all__ = [
-    "airy_ai",
-    "airy_ai_prime",
     "airy_first_max",
     "airy_log_derivative",
     "RootBracket",
     "find_root",
     "integrate_ode",
     "fd_weights",
-    "SERIES_MAX",
-    "SERIES_MIN",
 ]
 
-# series/asymptotic switch points (see module docstring)
-SERIES_MAX = 5.0
-SERIES_MIN = -7.5
 
-# Ai(0) = 3**(-2/3) / Gamma(2/3), Ai'(0) = -3**(-1/3) / Gamma(1/3)
-_C1 = 3.0 ** (-2.0 / 3.0) / math.gamma(2.0 / 3.0)
-_C2 = 3.0 ** (-1.0 / 3.0) / math.gamma(1.0 / 3.0)
+# airye returns NaN beyond u ~ 1e6; there the asymptote -sqrt(u) - 1/(4u)
+# is exact in double precision (the next term, 5/(32 u^{5/2}), is below
+# 2e-19 of it)
+_AIRYE_MAX = 1e6
 
 
-def _ai_series(u: float):
-    """Maclaurin series for (Ai, Ai') in longdouble arithmetic.
+def airy_log_derivative(u):
+    """Ai'(u)/Ai(u); scalar or array argument.
 
-    Ai(u) = c1*f(u) - c2*g(u) with
-    f = sum u^{3k} * prod, g = sum u^{3k+1} * prod; term recurrences
-    t_{k+1} = t_k u^3 / ((3k+2)(3k+3)) for f and / ((3k+3)(3k+4)) for g.
-    Derivatives are accumulated alongside.
+    For u > 0 the ratio is taken from the exponentially scaled pair of
+    ``airye``, which does not underflow where Ai itself does (u > ~105),
+    and from the two-term asymptote beyond u = 1e6; for u <= 0 from the
+    plain pair of ``airy``.  Raises ConfigError on a non-finite
+    argument or where Ai vanishes.
     """
-    x = np.longdouble(u)
-    x3 = x * x * x
-    tf = np.longdouble(1.0)   # current f term, u^{3k} coefficient chain
-    tg = x                    # current g term
-    f = tf
-    g = tg
-    fp = np.longdouble(0.0)   # d/du of f-series
-    gp = np.longdouble(1.0)   # d/du of g-series
-    k = 0
-    while True:
-        k += 1
-        tf = tf * x3 / np.longdouble((3 * k - 1) * (3 * k))
-        tg = tg * x3 / np.longdouble((3 * k) * (3 * k + 1))
-        f += tf
-        g += tg
-        # term derivatives: d/du u^{3k} = 3k u^{3k-1}; factor out via tf/x
-        if x != 0:
-            fp += tf * np.longdouble(3 * k) / x
-            gp += tg * np.longdouble(3 * k + 1) / x
-        if abs(tf) < np.longdouble(1e-25) * (abs(f) + 1) and \
-           abs(tg) < np.longdouble(1e-25) * (abs(g) + 1):
-            break
-        if k > 200:
-            break
-    ai = _C1 * float(f) - _C2 * float(g)
-    aip = _C1 * float(fp) - _C2 * float(gp)
-    return ai, aip
-
-
-def _asymptotic_coeffs(n: int):
-    """Coefficients u_k, v_k of the Airy asymptotic expansions."""
-    us = [1.0]
-    vs = [1.0]
-    for k in range(1, n):
-        uk = us[-1] * (6 * k - 5) * (6 * k - 3) * (6 * k - 1) / (216.0 * k * (2 * k - 1))
-        us.append(uk)
-        vs.append(uk * (6 * k + 1) / (1 - 6 * k))
-    return us, vs
-
-
-_UK, _VK = _asymptotic_coeffs(40)
-
-
-def _sum_adaptive(terms):
-    """Sum an asymptotic series, truncating at its smallest term."""
-    total = 0.0
-    prev = math.inf
-    for t in terms:
-        if abs(t) >= prev:
-            break
-        total += t
-        prev = abs(t)
-    return total
-
-
-def _ai_asymptotic_pos(u: float):
-    # DLMF 9.7.5/9.7.6 (decaying branch)
-    xi = (2.0 / 3.0) * u ** 1.5
-    pre = math.exp(-xi) / (2.0 * math.sqrt(math.pi) * u ** 0.25)
-    ai = pre * _sum_adaptive(((-1) ** k * _UK[k] / xi ** k) for k in range(len(_UK)))
-    prep = -(u ** 0.25) * math.exp(-xi) / (2.0 * math.sqrt(math.pi))
-    aip = prep * _sum_adaptive(((-1) ** k * _VK[k] / xi ** k) for k in range(len(_VK)))
-    return ai, aip
-
-
-def _ai_asymptotic_neg(u: float):
-    # DLMF 9.7.9/9.7.10 (oscillatory branch), u = -t with t > 0
-    t = -u
-    xi = (2.0 / 3.0) * t ** 1.5
-    ph = xi - 0.25 * math.pi
-    ceven = _sum_adaptive(((-1) ** k * _UK[2 * k] / xi ** (2 * k))
-                          for k in range(len(_UK) // 2))
-    codd = _sum_adaptive(((-1) ** k * _UK[2 * k + 1] / xi ** (2 * k + 1))
-                         for k in range((len(_UK) - 1) // 2))
-    ai = (math.cos(ph) * ceven + math.sin(ph) * codd) / (math.sqrt(math.pi) * t ** 0.25)
-    deven = _sum_adaptive(((-1) ** k * _VK[2 * k] / xi ** (2 * k))
-                          for k in range(len(_VK) // 2))
-    dodd = _sum_adaptive(((-1) ** k * _VK[2 * k + 1] / xi ** (2 * k + 1))
-                         for k in range((len(_VK) - 1) // 2))
-    aip = (t ** 0.25) * (math.sin(ph) * deven - math.cos(ph) * dodd) / math.sqrt(math.pi)
-    return ai, aip
-
-
-def _ai_pair(u: float):
-    if not math.isfinite(u):
-        raise ConfigError(f"airy argument must be finite, got {u}")
-    if u > SERIES_MAX:
-        return _ai_asymptotic_pos(u)
-    if u < SERIES_MIN:
-        return _ai_asymptotic_neg(u)
-    return _ai_series(u)
-
-
-def airy_ai(u):
-    """Airy function Ai(u); scalar or array argument."""
-    if np.ndim(u):
-        return np.array([_ai_pair(float(x))[0] for x in np.ravel(u)]).reshape(np.shape(u))
-    return _ai_pair(float(u))[0]
-
-
-def airy_ai_prime(u):
-    """Derivative Ai'(u); scalar or array argument."""
-    if np.ndim(u):
-        return np.array([_ai_pair(float(x))[1] for x in np.ravel(u)]).reshape(np.shape(u))
-    return _ai_pair(float(u))[1]
-
-
-def airy_log_derivative(u: float) -> float:
-    """Ai'(u)/Ai(u), safe for large positive u where Ai underflows.
-
-    For u >= 40 uses the asymptotic log-derivative whose coefficients
-    solve the Riccati recursion r' + r^2 = u order by order:
-    -sqrt(u) - 1/(4u) + 5/(32 u^{5/2}) - 15/(64 u^4) + 1105/(2048 u^{11/2}).
-    Error ~ u^{-7}, i.e. ~1e-11 relative at the switch.
-    """
-    if u < 40.0:
-        ai, aip = _ai_pair(float(u))
-        if ai == 0.0:
-            raise ConfigError(f"Ai({u}) vanishes; log-derivative undefined")
-        return aip / ai
-    s = math.sqrt(u)
-    return (-s - 1.0 / (4.0 * u) + 5.0 / (32.0 * u ** 2 * s)
-            - 15.0 / (64.0 * u ** 4) + 1105.0 / (2048.0 * u ** 5 * s))
+    u = np.asarray(u, dtype=float)
+    if not np.all(np.isfinite(u)):
+        bad = u[~np.isfinite(u)][0]
+        raise ConfigError(f"airy argument must be finite, got {bad}")
+    ai, aip, _, _ = np.where(u > 0.0, airye(np.clip(u, 0.0, _AIRYE_MAX)),
+                             airy(np.minimum(u, 0.0)))
+    if np.any(ai == 0.0):
+        raise ConfigError("Ai vanishes at the argument; log-derivative undefined")
+    far = np.maximum(u, _AIRYE_MAX)
+    r = np.where(u > _AIRYE_MAX, -np.sqrt(far) - 0.25 / far, aip / ai)
+    return float(r) if r.ndim == 0 else r
 
 
 def airy_first_max() -> float:
@@ -190,7 +58,7 @@ def airy_first_max() -> float:
 
     Largest root of Ai'(u) = 0, approximately -1.0187929716.
     """
-    return find_root(airy_ai_prime, RootBracket(-2.0, 0.0, 1e-14))
+    return float(ai_zeros(1)[1][0])
 
 
 @dataclass(frozen=True)

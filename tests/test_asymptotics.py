@@ -20,6 +20,7 @@ from bandlayer.model import CostKind, ModelParams
 from bandlayer.band_zero import find_band_zero, third_derivative_at_band
 from bandlayer.special import fd_weights
 from bandlayer import asymptotics as asy
+from bandlayer.experiments import ValidityParams, validity_report
 
 WALL_ROOT_LITERAL = 1.0187929716  # |u| at the first Airy maximum, 10 digits
 
@@ -399,39 +400,47 @@ class TestPowerScaling:
 
 
 # ---------------------------------------------------------------- validity
+# The expansion's validity domain, as evaluated by experiments.validity_report.
+
+def _validity(params, gamma_lin, phi, gamma_coeff=1.0):
+    # daily_volume and risk_target only enter the restated forms, not the
+    # headline inequality tested here
+    vp = ValidityParams(gamma_coeff=gamma_coeff, phi=phi, daily_volume=1e6,
+                        risk_target=1e-4)
+    return validity_report(params, gamma_lin, vp)
+
 
 class TestValidityCheck:
     def test_worked_desk_example(self, desk_model, desk_band):
-        res = asy.validity_check(desk_model, desk_band, gamma_coeff=1.0,
-                                 phi=1e-4)
+        res = _validity(desk_model, desk_band.gamma_lin, phi=1e-4)
         # (2e-4/0.02)^{4/3} * 0.1^{-5/6} = 10^{-11/6} exactly
-        assert res.rhs == pytest.approx(10.0 ** (-11.0 / 6.0), rel=1e-12)
-        assert abs(math.log10(res.rhs) - (-2.0)) <= 0.4  # order 1e-2
+        assert res.threshold == pytest.approx(10.0 ** (-11.0 / 6.0), rel=1e-12)
+        assert abs(math.log10(res.threshold) - (-2.0)) <= 0.4  # order 1e-2
         assert res.ok  # 1e-4 is a decade below the threshold
 
     def test_threshold_power_laws(self, desk_model, desk_band):
-        base = asy.validity_check(desk_model, desk_band, 1.0, 1e-4).rhs
-        doubled = dataclasses.replace(desk_band, gamma_lin=2 * desk_band.gamma_lin)
-        assert asy.validity_check(desk_model, doubled, 1.0, 1e-4).rhs / base == \
+        g = desk_band.gamma_lin
+        base = _validity(desk_model, g, 1e-4).threshold
+        assert _validity(desk_model, 2 * g, 1e-4).threshold / base == \
             pytest.approx(2.0 ** (4.0 / 3.0), rel=1e-12)
         p10 = ModelParams(sigma=desk_model.sigma, omega=10 * desk_model.omega,
                           lam=desk_model.lam, rho=desk_model.rho)
-        assert asy.validity_check(p10, desk_band, 1.0, 1e-4).rhs / base == \
+        assert _validity(p10, g, 1e-4).threshold / base == \
             pytest.approx(10.0 ** (-5.0 / 6.0), rel=1e-12)
 
     def test_margin_semantics(self, desk_model, desk_band):
-        rhs = asy.validity_check(desk_model, desk_band, 1.0, 1e-8).rhs
-        at_tenth = asy.validity_check(desk_model, desk_band, 1.0, 0.099 * rhs)
-        assert at_tenth.ok
-        just_over = asy.validity_check(desk_model, desk_band, 1.0, 0.101 * rhs)
-        assert not just_over.ok
-        no_margin = asy.validity_check(desk_model, desk_band, 1.0, 0.9 * rhs,
-                                       margin_decades=0.0)
-        assert no_margin.ok
+        # "much less than" is one decade of margin
+        g = desk_band.gamma_lin
+        rhs = _validity(desk_model, g, 1e-8).threshold
+        assert _validity(desk_model, g, 0.099 * rhs).ok
+        assert not _validity(desk_model, g, 0.101 * rhs).ok
 
     def test_input_validation(self, desk_model, desk_band, flat_band):
+        g = desk_band.gamma_lin
         with pytest.raises(ConfigError):
-            asy.validity_check(desk_model, desk_band, 0.0, 1e-4)
-        p0, band0 = flat_band
+            _validity(desk_model, g, 1e-4, gamma_coeff=0.0)
+        with pytest.raises(ConfigError):
+            _validity(desk_model, 0.0, 1e-4)
+        p0, _ = flat_band
         with pytest.raises(RegimeError):
-            asy.validity_check(p0, band0, 1.0, 1e-4)
+            _validity(p0, g, 1e-4)

@@ -1,8 +1,8 @@
 """End-to-end command tests: exit codes, files written, failure paths.
 
-Solver-backed commands run on a coarse, fast parameter point; the desk
-point appears only in the check-suite test, which is also what the
-acceptance suite exercises.
+The dynamic-programming command (hjb) runs on a coarse, fast parameter
+point; the exact-band commands (band, layer, sweep, validate, check) run
+at the desk point.
 """
 
 import json
@@ -11,6 +11,7 @@ import os
 import numpy as np
 import pytest
 
+from bandlayer import band_zero
 from bandlayer.cli import main
 
 DESK = {"sigma": 0.02, "omega": 0.1, "lam": 1.0, "rho": 1e-3}
@@ -212,6 +213,21 @@ class TestCheck:
         report = open(os.path.join(out, "check_report.txt")).read()
         assert "FAIL" not in report
         assert report.count("PASS") == 5
+
+    def test_solves_homogeneous_pair_once(self, tmp_path, monkeypatch):
+        # the band reuses the Green's data the check builds for itself
+        calls = []
+        solve = band_zero.solve_homogeneous
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(band_zero, "solve_homogeneous", counting)
+        cfg = write_cfg(tmp_path, self.desk_doc())
+        assert main(["check", "--config", cfg, "--out", str(tmp_path),
+                     "--quiet"]) == 0
+        assert len(calls) == 1
 
     def test_gamma_zero_is_config_error(self, tmp_path):
         doc = self.desk_doc()

@@ -66,8 +66,6 @@ class TestConfigValidation:
             {"convergence_tol": 0.0},
             {"eta_floor": 0.0},
             {"scheme": "magic"},
-            {"damping": 0.0},
-            {"damping": 1.2},
             {"velocity_cap_factor": 0.0},
             {"band_threshold": 0.0},
             {"band_threshold": 1.0},

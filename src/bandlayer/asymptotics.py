@@ -27,7 +27,6 @@ from typing import Optional, NamedTuple
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.special import airy
 
 from .errors import BracketError, ConfigError, ConvergenceError, DomainError, RegimeError
 from .model import CostKind, ModelParams, drift
@@ -211,9 +210,6 @@ def layer_profile_airy(c: LayerConstants, y_max: float, n: int = 2001) -> LayerP
     if n < 9:
         raise ConfigError(f"need at least 9 samples, got {n}")
     y = np.linspace(0.0, float(y_max), int(n))
-    if np.any(airy(c.arg_scale * (y - c.wall_offset))[0] <= 0.0):
-        raise DomainError("Ai changed sign inside the layer window; "
-                          "constants are inconsistent.")
     f, f_y = _layer_values(c, y)
     return LayerProfile(
         kind=LayerKind.AIRY_QUADRATIC, y=y, f=f, f_slope=f_y,

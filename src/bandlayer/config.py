@@ -207,17 +207,14 @@ def parse_config(raw: dict) -> RunConfig:
         grid.to_grid()  # validate node counts/ordering now, not at use time
     if "solver" in raw:
         sec = _require_table(raw["solver"], "solver")
-        allowed = ("max_iters", "pseudo_time_step", "convergence_tol",
-                   "eta_floor", "scheme", "velocity_cap_factor",
-                   "band_threshold")
+        allowed = ("max_iters", "convergence_tol", "eta_floor",
+                   "velocity_cap_factor", "band_threshold")
         _check_keys(sec, allowed, "solver")
         kwargs = {}
         for key in allowed:
             if key not in sec:
                 continue
-            if key == "scheme":
-                kwargs[key] = _str(sec, key, "solver")
-            elif key == "max_iters":
+            if key == "max_iters":
                 kwargs[key] = _int(sec, key, "solver")
             else:
                 kwargs[key] = _num(sec, key, "solver")

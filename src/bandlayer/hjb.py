@@ -8,8 +8,11 @@ equation
 
 with H the maximized trading Hamiltonian (linear cost gamma_lin plus a
 quadratic eta v^2 or power zeta |v|^{3/2} term) is discretized with a
-monotone upwind scheme and solved either by policy iteration (default,
-one sparse LU per policy) or by explicit pseudo-time marching.
+monotone upwind scheme (monotonicity is what makes it converge; Barles &
+Souganidis, 1991) and solved by policy iteration, one sparse LU per
+policy.  The x-part of the operator does not depend on the policy; it is
+built once per solve by ``_x_stencil`` and ``_assemble`` adds the
+theta-advection of each policy to it.
 
 Grid layout note: fields are (nx, ntheta) arrays; the sparse system is
 ordered x-fastest so the matrix bandwidth is nx, which keeps the LU
@@ -48,39 +51,30 @@ __all__ = [
 class SolverConfig:
     """Iteration controls for :func:`solve_hjb`.
 
-    ``pseudo_time_step`` is a CFL safety factor in (0, 1], applied to the
-    stability bound of the explicit scheme (and ignored by the policy
-    scheme).  ``eta_floor`` is the smallest quadratic coefficient the
-    solver accepts; below it the discrete control is too stiff to trust.
+    ``eta_floor`` is the smallest quadratic coefficient the solver
+    accepts; below it the discrete control is too stiff to trust.
 
     ``convergence_tol`` is relative to the value scale, with no floor:
     policy iteration stops once max|Delta V| <= convergence_tol * max|V|
     *and* the policy's sign pattern (buy, hold, sell per node) is the
     same as in the previous iteration.  The update bound alone does not
     settle the policy, because the control reads V through one-sided
-    differences and an update delta moves a slope by delta / htheta.  The
-    explicit scheme instead stops once max|update| <= convergence_tol * dt.
+    differences and an update delta moves a slope by delta / htheta.
     """
 
     max_iters: int = 400
-    pseudo_time_step: float = 0.8
     convergence_tol: float = 1e-9
     eta_floor: float = 1e-8
-    scheme: str = "policy"
     velocity_cap_factor: float = 10.0
     band_threshold: float = 1e-4
 
     def __post_init__(self):
         if self.max_iters < 1:
             raise ConfigError("max_iters must be >= 1")
-        if not (0.0 < self.pseudo_time_step <= 1.0):
-            raise ConfigError("pseudo_time_step (CFL factor) must be in (0, 1]")
         if not (self.convergence_tol > 0):
             raise ConfigError("convergence_tol must be > 0")
         if not (self.eta_floor > 0):
             raise ConfigError("eta_floor must be > 0")
-        if self.scheme not in ("policy", "explicit"):
-            raise ConfigError(f"unknown scheme {self.scheme!r}")
         if not (self.velocity_cap_factor > 0):
             raise ConfigError("velocity_cap_factor must be > 0")
         if not (0.0 < self.band_threshold < 1.0):
@@ -234,106 +228,82 @@ def _edge_slopes(params: ModelParams, costs: CostParams, grid: Grid2D):
 
 # ------------------------------------------------------------- policy scheme
 
-def _assemble(params: ModelParams, grid: Grid2D, v, bc_bot, bc_top):
+def _x_stencil(params: ModelParams, grid: Grid2D):
+    """The x-operator L_x as (lower, diag, upper) coefficients per x node.
+
+    (L_x V)_i = lower_i V_{i-1} + diag_i V_i + upper_i V_{i+1}, with
+    lower, upper >= 0 and diag = -(lower + upper), so the scheme is
+    monotone.  Diffusion acts at interior x only (zero curvature at the x
+    edges).  Advection is centered where the diffusion dominates
+    (|mu| hx <= sigma^2 keeps the weights >= 0, and is second order) and
+    upwind by drift sign otherwise.  Mean reversion points inward on
+    domains straddling 0, so the upwind neighbour normally exists at the
+    edges; outward drift at an edge (off-center domain) is dropped, which
+    leaves lower_0 = upper_{nx-1} = 0.
+    """
+    hx = grid.hx
+    mu = drift(params, grid.x_nodes)
+    mu[0] = max(mu[0], 0.0)
+    mu[-1] = min(mu[-1], 0.0)
+    w = np.full(grid.nx, 0.5 * params.sigma ** 2 / hx ** 2)
+    w[[0, -1]] = 0.0
+    centered = (np.abs(mu) * hx <= params.sigma ** 2) & (w > 0)
+    half = np.where(centered, 0.5 * mu / hx, 0.0)
+    a_fwd = np.where(centered, 0.0, np.maximum(mu, 0.0) / hx)
+    a_bwd = np.where(centered, 0.0, np.maximum(-mu, 0.0) / hx)
+    return w - half + a_bwd, -(2.0 * w + (a_fwd + a_bwd)), w + half + a_fwd
+
+
+def _assemble(params: ModelParams, grid: Grid2D, xop, v, bc_bot, bc_top):
     """Sparse operator rho I - v d/dtheta - L_x with upwind advection.
 
-    Unknowns are ordered x-fastest (k = i + j*nx).  Rows at theta edges
-    where the bc mask is set enforce the one-sided slope instead of the
-    optimality equation; the returned callback patches the rhs.
+    ``xop`` is the :func:`_x_stencil` of the grid.  Unknowns are ordered
+    x-fastest (k = i + j*nx), so the matrix has five diagonals, at
+    offsets 0, +-1 (x) and +-nx (theta).  Rows at theta edges where the
+    bc mask is set enforce the one-sided slope instead of the optimality
+    equation; the returned callback maps the reward field to the rhs.
     """
     nx, nt = grid.nx, grid.ntheta
-    hx, ht = grid.hx, grid.htheta
-    n = nx * nt
-    mu = drift(params, grid.x_nodes)
-    half_sig2 = 0.5 * params.sigma ** 2
-
-    ii = np.arange(nx)
-    jj = np.arange(nt)
-    K = ii[:, None] + nx * jj[None, :]
-
-    rows, cols, vals = [], [], []
-
-    def add(r, c, a):
-        rows.append(np.ravel(r))
-        cols.append(np.ravel(c))
-        vals.append(np.ravel(a))
-
+    ht = grid.htheta
+    lower, x_diag, upper = (c[:, None] for c in xop)
     bot_mask, _ = bc_bot
     top_mask, _ = bc_top
     is_bc = np.zeros((nx, nt), dtype=bool)
     is_bc[:, 0] = bot_mask
     is_bc[:, -1] = top_mask
-    free = ~is_bc
-
-    diag = np.full((nx, nt), params.rho)
-
-    # x-diffusion, interior x only (zero curvature at x edges)
-    w = np.full((nx, nt), half_sig2 / hx ** 2)
-    w[0, :] = 0.0
-    w[-1, :] = 0.0
-    diag += 2.0 * w
-    m = free & (K % nx > 0)
-    add(K[m], K[m] - 1, -w[m])
-    m = free & (K % nx < nx - 1)
-    add(K[m], K[m] + 1, -w[m])
-
-    # x-advection: centered where the diffusion dominates (keeps the
-    # M-matrix property when |mu| hx <= sigma^2, and second order), upwind
-    # by drift sign otherwise.  Mean reversion points inward on domains
-    # straddling 0 so the upwind neighbour normally exists at the edges;
-    # outward drift at an edge (off-center domain) is dropped.
-    mu2 = np.broadcast_to(mu[:, None], (nx, nt)).copy()
-    mu2[-1, :] = np.minimum(mu2[-1, :], 0.0)
-    mu2[0, :] = np.maximum(mu2[0, :], 0.0)
-    centered = (np.abs(mu2) * hx <= params.sigma ** 2) & (w > 0)
-    half = np.where(centered, 0.5 * mu2 / hx, 0.0)
-    m = free & centered
-    add(K[m], K[m] + 1, -half[m])
-    add(K[m], K[m] - 1, half[m])
-    a_fwd = np.where(centered, 0.0, np.maximum(mu2, 0.0) / hx)
-    a_bwd = np.where(centered, 0.0, np.maximum(-mu2, 0.0) / hx)
-    diag += a_fwd + a_bwd
-    m = free & (a_fwd > 0)
-    add(K[m], K[m] + 1, -a_fwd[m])
-    m = free & (a_bwd > 0)
-    add(K[m], K[m] - 1, -a_bwd[m])
 
     # theta-advection, upwind by velocity sign
     t_fwd = np.maximum(v, 0.0) / ht
     t_bwd = np.maximum(-v, 0.0) / ht
     t_fwd[:, -1] = 0.0   # no forward neighbour; control never buys here
     t_bwd[:, 0] = 0.0
-    diag += t_fwd + t_bwd
-    m = free & (t_fwd > 0)
-    add(K[m], K[m] + nx, -t_fwd[m])
-    m = free & (t_bwd > 0)
-    add(K[m], K[m] - nx, -t_bwd[m])
 
-    add(K[free], K[free], diag[free])
+    # coefficients of V at (i, j) and at its four neighbours, per row;
+    # slope rows (V_edge - V_inner)/ht = g are written with +1 diagonal
+    free = ~is_bc
+    diag = np.where(free, (params.rho - x_diag) + (t_fwd + t_bwd), 1.0 / ht)
+    west = np.where(free, -lower, 0.0)
+    east = np.where(free, -upper, 0.0)
+    south = np.where(free, -t_bwd, 0.0)
+    north = np.where(free, -t_fwd, 0.0)
+    north[bot_mask, 0] = -1.0 / ht
+    south[top_mask, -1] = -1.0 / ht
 
-    # slope rows: (V_edge - V_inner)/ht = g, written with +1 diagonal
-    if np.any(bot_mask):
-        kb = K[:, 0][bot_mask]
-        add(kb, kb, np.full(kb.size, 1.0 / ht))
-        add(kb, kb + nx, np.full(kb.size, -1.0 / ht))
-    if np.any(top_mask):
-        kt = K[:, -1][top_mask]
-        add(kt, kt, np.full(kt.size, 1.0 / ht))
-        add(kt, kt - nx, np.full(kt.size, -1.0 / ht))
+    def flat(c):
+        return np.ravel(c, order="F")
 
-    A = sp.csc_matrix((np.concatenate(vals),
-                       (np.concatenate(rows), np.concatenate(cols))),
-                      shape=(n, n))
+    A = sp.diags([flat(south)[nx:], flat(west)[1:], flat(diag),
+                  flat(east)[:-1], flat(north)[:-nx]],
+                 [-nx, -1, 0, 1, nx], format="csc")
 
-    def patch_rhs(b):
+    def rhs(r):
         # bottom row reads (V[0]-V[1])/ht = -g_bot, top (V[J]-V[J-1])/ht = g_top
-        if np.any(bot_mask):
-            b[K[:, 0][bot_mask]] = -bc_bot[1][bot_mask]
-        if np.any(top_mask):
-            b[K[:, -1][top_mask]] = bc_top[1][top_mask]
-        return b
+        b = r.copy()
+        b[bot_mask, 0] = -bc_bot[1][bot_mask]
+        b[top_mask, -1] = bc_top[1][top_mask]
+        return flat(b)
 
-    return A, patch_rhs, is_bc
+    return A, rhs, is_bc
 
 
 def _one_sided_diffs(V, ht):
@@ -359,14 +329,12 @@ def _nt_initial(params: ModelParams, grid: Grid2D):
             - params.omega / (params.rho + params.omega) * x * th)
 
 
-def _bellman_residual(params, costs, grid, V, cap, bc_bot, bc_top):
+def _bellman_residual(params, costs, grid, xop, V, cap, bc_bot, bc_top):
     """Max |rho V - r - H - L_x V| over optimality rows, from the final V."""
     d_plus, d_minus = _one_sided_diffs(V, grid.htheta)
-    h, v = _hamiltonian(costs, d_plus, d_minus, cap)
-    A, patch, is_bc = _assemble(params, grid, v, bc_bot, bc_top)
-    r = _reward(params, costs, grid, v)
-    b = patch(np.ravel(r, order="F").copy())
-    res = A @ np.ravel(V, order="F") - b
+    _, v = _hamiltonian(costs, d_plus, d_minus, cap)
+    A, rhs, is_bc = _assemble(params, grid, xop, v, bc_bot, bc_top)
+    res = A @ np.ravel(V, order="F") - rhs(_reward(params, costs, grid, v))
     res = np.reshape(res, V.shape, order="F")
     return float(np.max(np.abs(res[~is_bc]))), v
 
@@ -385,6 +353,7 @@ def _reward(params: ModelParams, costs: CostParams, grid: Grid2D, v):
 def _solve_policy(params, costs, grid, cfg, V):
     cap = _velocity_cap(params, costs, grid, cfg.velocity_cap_factor)
     bc_bot, bc_top = _edge_slopes(params, costs, grid)
+    xop = _x_stencil(params, grid)
     history = []
     # the cold seed is the all-no-trade value, so the policy before the
     # first iteration is "trade nowhere"
@@ -395,8 +364,8 @@ def _solve_policy(params, costs, grid, cfg, V):
         sign = np.sign(v).astype(np.int8)
         settled = np.array_equal(sign, sign_prev)
         sign_prev = sign
-        A, patch, _ = _assemble(params, grid, v, bc_bot, bc_top)
-        b = patch(np.ravel(_reward(params, costs, grid, v), order="F").copy())
+        A, rhs, _ = _assemble(params, grid, xop, v, bc_bot, bc_top)
+        b = rhs(_reward(params, costs, grid, v))
         # keep the x-fastest order so the factor stays in the band of
         # width nx; a fill-reducing column order (COLAMD) factors slower
         lu = splu(A, permc_spec="NATURAL")
@@ -411,64 +380,11 @@ def _solve_policy(params, costs, grid, cfg, V):
         # a small update alone can still flip isolated nodes between
         # trading and quiet (see SolverConfig), so the policy must settle
         if settled and delta <= cfg.convergence_tol * float(np.max(np.abs(V))):
-            residual, v = _bellman_residual(params, costs, grid, V, cap,
+            residual, v = _bellman_residual(params, costs, grid, xop, V, cap,
                                             bc_bot, bc_top)
             return V, v, residual, it, tuple(history)
     raise ConvergenceError(
         f"policy iteration did not converge in {cfg.max_iters} iterations "
-        f"(last update {history[-1]:.3e})", history=history)
-
-
-def _solve_explicit(params, costs, grid, cfg, V):
-    cap = _velocity_cap(params, costs, grid, cfg.velocity_cap_factor)
-    bc_bot, bc_top = _edge_slopes(params, costs, grid)
-    (bot_mask, g_bot), (top_mask, g_top) = bc_bot, bc_top
-    hx, ht = grid.hx, grid.htheta
-    mu = drift(params, grid.x_nodes)[:, None]
-    mu_max = float(np.max(np.abs(mu)))
-    half_sig2 = 0.5 * params.sigma ** 2
-    th = grid.theta_nodes[None, :]
-    x = grid.x_nodes[:, None]
-    run = -nt_rhs(params, x, th)
-    history = []
-    for it in range(1, cfg.max_iters + 1):
-        d_plus, d_minus = _one_sided_diffs(V, ht)
-        h, v = _hamiltonian(costs, d_plus, d_minus, cap)
-        # x operator: centered diffusion inside, zero curvature at edges,
-        # inward upwind advection (exists at both edges)
-        lx = np.zeros_like(V)
-        lx[1:-1, :] = half_sig2 * (V[2:, :] - 2 * V[1:-1, :] + V[:-2, :]) / hx ** 2
-        fwd = (np.vstack([V[1:, :], V[-1:, :]]) - V) / hx
-        bwd = (V - np.vstack([V[:1, :], V[:-1, :]])) / hx
-        interior = np.zeros((V.shape[0], 1), dtype=bool)
-        interior[1:-1] = True
-        use_ctr = (np.abs(mu) * hx <= params.sigma ** 2) & interior
-        lx += np.where(use_ctr, mu * 0.5 * (fwd + bwd),
-                       np.where(mu >= 0, mu * fwd, mu * bwd))
-        rate = (2 * half_sig2 / hx ** 2 + mu_max / hx
-                + float(np.max(np.abs(v))) / ht + params.rho)
-        dt = cfg.pseudo_time_step / rate
-        upd = dt * (run + h + lx - params.rho * V)
-        # edge cells pinned by the slope condition take their value from
-        # the assignment below; their raw update is phantom and would keep
-        # the convergence measure from ever reaching zero
-        if np.any(bot_mask):
-            upd[bot_mask, 0] = 0.0
-        if np.any(top_mask):
-            upd[top_mask, -1] = 0.0
-        V = V + upd
-        if np.any(bot_mask):
-            V[bot_mask, 0] = V[bot_mask, 1] - ht * g_bot[bot_mask]
-        if np.any(top_mask):
-            V[top_mask, -1] = V[top_mask, -2] + ht * g_top[top_mask]
-        delta = float(np.max(np.abs(upd)))
-        history.append(delta)
-        if delta <= cfg.convergence_tol * dt:
-            residual, v = _bellman_residual(params, costs, grid, V, cap,
-                                            bc_bot, bc_top)
-            return V, v, residual, it, tuple(history)
-    raise ConvergenceError(
-        f"explicit marching did not converge in {cfg.max_iters} steps "
         f"(last update {history[-1]:.3e})", history=history)
 
 
@@ -500,10 +416,7 @@ def solve_hjb(params: ModelParams, costs: CostParams, grid: Grid2D,
     else:
         V = _nt_initial(params, grid)
 
-    if cfg.scheme == "policy":
-        V, v, residual, iters, hist = _solve_policy(params, costs, grid, cfg, V)
-    else:
-        V, v, residual, iters, hist = _solve_explicit(params, costs, grid, cfg, V)
+    V, v, residual, iters, hist = _solve_policy(params, costs, grid, cfg, V)
 
     vg = ValueGrid(V=ScalarField(V, grid), v=ScalarField(v, grid),
                    band_plus=np.array([]), band_minus=np.array([]),

@@ -1,4 +1,4 @@
-"""Problem definition: signal dynamics, cost structure, grids, generator.
+"""Problem definition: signal dynamics, cost structure, grids.
 
 The state is a pair (position theta, signal x).  The signal is mean
 reverting with rate ``omega`` and volatility ``sigma`` (time unit: one
@@ -25,7 +25,6 @@ __all__ = [
     "Grid2D",
     "ScalarField",
     "drift",
-    "apply_generator",
     "nt_rhs",
     "markowitz_position",
     "small_cost_half_width",
@@ -182,11 +181,6 @@ def markowitz_position(params: ModelParams, x):
     return drift(params, x) / (2.0 * params.lam)
 
 
-def markowitz_slope(params: ModelParams) -> float:
-    """Slope of the cost-free position in the signal, d theta*/dx."""
-    return -params.omega / (2.0 * params.lam)
-
-
 def small_cost_half_width(params: ModelParams, gamma_lin: float) -> float:
     """Small-cost half-width of the linear-cost band around theta*.
 
@@ -215,34 +209,3 @@ def default_x_domain(params: ModelParams, n_std: float = 6.0):
 def nt_rhs(params: ModelParams, x, theta):
     """Source term -mu(x)*theta + lam*theta**2 of the no-trade equation."""
     return -drift(params, x) * theta + params.lam * theta ** 2
-
-
-def apply_generator(params: ModelParams, f: ScalarField) -> ScalarField:
-    """Apply the discounted generator mu(x) d/dx + sigma^2/2 d2/dx2 - rho.
-
-    Second-order centered differences at interior x nodes, second-order
-    one-sided stencils at the two x edges.  Requires a uniform x grid.
-    """
-    g = f.grid
-    if g.nx < 3:
-        raise ConfigError("generator needs >= 3 x nodes")
-    if not g.x_uniform:
-        raise ConfigError("generator requires a uniform x grid")
-    v = f.values
-    h = g.hx
-    fx = np.empty_like(v)
-    fxx = np.empty_like(v)
-    fx[1:-1] = (v[2:] - v[:-2]) / (2 * h)
-    fxx[1:-1] = (v[2:] - 2 * v[1:-1] + v[:-2]) / h ** 2
-    # one-sided, both second order
-    fx[0] = (-1.5 * v[0] + 2.0 * v[1] - 0.5 * v[2]) / h
-    fx[-1] = (1.5 * v[-1] - 2.0 * v[-2] + 0.5 * v[-3]) / h
-    if g.nx >= 4:
-        fxx[0] = (2 * v[0] - 5 * v[1] + 4 * v[2] - v[3]) / h ** 2
-        fxx[-1] = (2 * v[-1] - 5 * v[-2] + 4 * v[-3] - v[-4]) / h ** 2
-    else:
-        fxx[0] = (v[0] - 2 * v[1] + v[2]) / h ** 2
-        fxx[-1] = fxx[0]
-    mu = drift(params, g.x_nodes)[:, None]
-    out = mu * fx + 0.5 * params.sigma ** 2 * fxx - params.rho * v
-    return ScalarField(out, g)

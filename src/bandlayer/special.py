@@ -1,4 +1,4 @@
-"""Numerical substrate: Airy log-derivative, ODE integration, root finding.
+"""Numerical substrate: Airy log-derivative, ODE integration, stencil weights.
 
 The boundary-layer profile needs only the Airy logarithmic derivative
 Ai'/Ai and the first maximum of Ai; both come from ``scipy.special``.
@@ -6,20 +6,15 @@ Ai'/Ai and the first maximum of Ai; both come from ``scipy.special``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.optimize import brentq
 from scipy.special import ai_zeros, airy, airye
 
-from .errors import BracketError, ConfigError, ConvergenceError
+from .errors import ConfigError, ConvergenceError
 
 __all__ = [
     "airy_first_max",
     "airy_log_derivative",
-    "RootBracket",
-    "find_root",
     "integrate_ode",
     "fd_weights",
 ]
@@ -59,35 +54,6 @@ def airy_first_max() -> float:
     Largest root of Ai'(u) = 0, approximately -1.0187929716.
     """
     return float(ai_zeros(1)[1][0])
-
-
-@dataclass(frozen=True)
-class RootBracket:
-    lo: float
-    hi: float
-    tol: float = 1e-12
-
-    def __post_init__(self):
-        if not (self.lo < self.hi):
-            raise ConfigError(f"bracket requires lo < hi, got ({self.lo}, {self.hi})")
-        if not (self.tol > 0):
-            raise ConfigError("bracket tol must be > 0")
-
-
-def find_root(f, bracket: RootBracket) -> float:
-    """Bracketed root of a scalar function (Brent's method)."""
-    flo = f(bracket.lo)
-    fhi = f(bracket.hi)
-    if flo == 0.0:
-        return bracket.lo
-    if fhi == 0.0:
-        return bracket.hi
-    if flo * fhi > 0:
-        raise BracketError(
-            f"no sign change on [{bracket.lo}, {bracket.hi}]: "
-            f"f(lo)={flo:.3e}, f(hi)={fhi:.3e}")
-    return float(brentq(f, bracket.lo, bracket.hi,
-                        xtol=bracket.tol, rtol=4 * np.finfo(float).eps))
 
 
 class _Trajectory:

@@ -142,6 +142,14 @@ class TestOdeResidual:
         bad = dataclasses.replace(prof, f=1.01 * prof.f)
         assert asy.layer_ode_residual(bad) > 1e-3
 
+    @pytest.mark.parametrize("offsets", [110, 1000])
+    def test_wide_window(self, desk_constants, offsets):
+        # beyond ~105 wall offsets Ai itself underflows to 0.0; the profile
+        # reads only Ai'/Ai, which stays finite there
+        c = desk_constants
+        prof = asy.layer_profile_airy(c, y_max=offsets * c.wall_offset)
+        assert asy.layer_ode_residual(prof) <= 1e-8
+
     def test_balance_vanishes_at_offset(self, desk_constants):
         # grid chosen so the offset itself is a sample; rhs vanishes there
         c = desk_constants

@@ -7,6 +7,7 @@ at the desk point.
 
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -182,7 +183,7 @@ class TestSweep:
         t = read_csv(os.path.join(out, "gamma_width.csv"))
         assert t.shape[0] == 4
         assert np.all(np.diff(t["width"]) > 0)
-        summary = open(os.path.join(out, "gamma_width_summary.txt")).read()
+        summary = Path(os.path.join(out, "gamma_width_summary.txt")).read_text()
         assert "slope" in summary
         assert os.path.exists(os.path.join(out, "gamma_width.gp"))
 
@@ -196,7 +197,7 @@ class TestValidate:
         out = str(tmp_path / "o")
         assert main(["validate", "--config", cfg, "--out", out,
                      "--quiet"]) == 0
-        text = open(os.path.join(out, "validity.txt")).read()
+        text = Path(os.path.join(out, "validity.txt")).read_text()
         assert "threshold" in text and "margin_decades" in text
 
 
@@ -210,7 +211,7 @@ class TestCheck:
         cfg = write_cfg(tmp_path, self.desk_doc())
         out = str(tmp_path / "o")
         assert main(["check", "--config", cfg, "--out", out, "--quiet"]) == 0
-        report = open(os.path.join(out, "check_report.txt")).read()
+        report = Path(os.path.join(out, "check_report.txt")).read_text()
         assert "FAIL" not in report
         assert report.count("PASS") == 5
 
@@ -254,5 +255,5 @@ class TestCheck:
         cfg2 = write_cfg(tmp_path, doc, "check.json")
         rc = main(["check", "--config", cfg2, "--out", out, "--quiet"])
         assert rc == 1
-        report = open(os.path.join(out, "check_report.txt")).read()
+        report = Path(os.path.join(out, "check_report.txt")).read_text()
         assert "FAIL" in report and "residual" in report

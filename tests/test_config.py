@@ -51,6 +51,9 @@ class TestParse:
     @pytest.mark.parametrize("section,key", [
         ("model", "sigmas"), ("costs", "eta2"), ("grid", "nx_fine"),
         ("solver", "tol"), ("sweep", "etas"), ("validity", "vol"),
+        # knobs of the removed explicit scheme: an old config must fail
+        # loudly rather than have them ignored
+        ("solver", "scheme"), ("solver", "pseudo_time_step"),
     ])
     def test_unknown_nested_key_rejected(self, section, key):
         raw = full_raw()

@@ -7,9 +7,12 @@ Oracle strategy, by class:
   (quadratic in position, bilinear in signal).  The solver must reproduce
   it to near machine precision, since the discrete operator is exact on
   that polynomial.
-* TestSchemeCrossCheck: the implicit policy scheme and the explicit
-  pseudo-time scheme discretize the same equations; on a small grid both
-  must land on the same fixed point.  Neither route sees the other's code.
+* TestDiscreteResidual: the policy solution must satisfy the discrete
+  equation rho V - r - H - L_x V = 0, evaluated by a slice-based numpy
+  residual written here from scratch (its own x-stencil and closed-form
+  Hamiltonian; nothing of the solver's sparse operator).  One grid runs
+  both the centered and the upwind x-advection branch; on it the
+  assembled matrix must also have the sign pattern of a monotone scheme.
 * TestControlFormula: the reported speed must maximize the pointwise
   Hamiltonian; the test recomputes the maximizer from the final value
   surface using the closed-form first-order condition.
@@ -54,21 +57,21 @@ def desk_solve(desk_params, coarse_grid):
 
 class TestConfigValidation:
     def test_defaults_accepted(self):
-        cfg = hjb.SolverConfig()
-        assert cfg.scheme == "policy"
+        hjb.SolverConfig()
 
     @pytest.mark.parametrize(
         "kwargs",
         [
             {"max_iters": 0},
-            {"pseudo_time_step": 0.0},
-            {"pseudo_time_step": 1.5},
             {"convergence_tol": 0.0},
             {"eta_floor": 0.0},
-            {"scheme": "magic"},
             {"velocity_cap_factor": 0.0},
             {"band_threshold": 0.0},
             {"band_threshold": 1.0},
+            # a JSON config can carry NaN; the range checks must reject it
+            {"convergence_tol": float("nan")},
+            {"eta_floor": float("nan")},
+            {"band_threshold": float("nan")},
         ],
     )
     def test_bad_config_rejected(self, kwargs):
@@ -326,49 +329,107 @@ class TestVelocitySlice:
             hjb.velocity_slice(desk_solve, 5.0)
 
 
-# ------------------------------------------------- explicit scheme cross-check
+# ------------------------------------------------ discrete residual oracle
 
 
-@pytest.mark.slow
-class TestSchemeCrossCheck:
-    """Scaled-up parameters make the explicit scheme affordable; both
-    schemes must agree on the fixed point of the shared discretization."""
+def _discrete_residual(p, costs, grid, V):
+    """rho V - r - H - L_x V of the upwind scheme at every node of V.
+
+    L_x: zero curvature and inward drift only at the x edges; inside,
+    centered advection where |mu| hx <= sigma^2, upwind by drift sign
+    elsewhere.  H is the closed-form sup over v of v * slope - cost(v),
+    with buying priced on the forward theta-difference and selling on the
+    backward one (no buying at the top edge, no selling at the bottom).
+    The solver's velocity cap is not modelled, so it must not bind.
+    """
+    sig2 = p.sigma ** 2
+    hx, ht = grid.hx, grid.htheta
+    x = grid.x_nodes[:, None]
+    th = grid.theta_nodes[None, :]
+    mu = -p.omega * x
+    lx = np.zeros_like(V)
+    m = mu[1:-1]
+    fwd = (V[2:] - V[1:-1]) / hx
+    bwd = (V[1:-1] - V[:-2]) / hx
+    adv = np.where(np.abs(m) * hx <= sig2, 0.5 * m * (fwd + bwd),
+                   np.where(m > 0, m * fwd, m * bwd))
+    lx[1:-1] = 0.5 * sig2 * (fwd - bwd) / hx + adv
+    lx[0] = max(mu[0, 0], 0.0) * (V[1] - V[0]) / hx
+    lx[-1] = min(mu[-1, 0], 0.0) * (V[-1] - V[-2]) / hx
+    slack_buy = np.full_like(V, -np.inf)
+    slack_sell = np.full_like(V, -np.inf)
+    slack_buy[:, :-1] = (V[:, 1:] - V[:, :-1]) / ht - costs.gamma_lin
+    slack_sell[:, 1:] = -(V[:, 1:] - V[:, :-1]) / ht - costs.gamma_lin
+    s = np.maximum(np.maximum(slack_buy, slack_sell), 0.0)
+    if costs.kind is CostKind.QUADRATIC:
+        h = s ** 2 / (4.0 * costs.eta)
+    else:
+        h = 4.0 * s ** 3 / (27.0 * costs.zeta ** 2)
+    return p.rho * V - (mu * th - p.lam * th ** 2) - h - lx
+
+
+def _slope_rows(params, costs, grid):
+    """Nodes whose row is the theta-edge slope condition, not the equation."""
+    (bot, _), (top, _) = hjb._edge_slopes(params, costs, grid)
+    rows = np.zeros((grid.nx, grid.ntheta), dtype=bool)
+    rows[:, 0] = bot
+    rows[:, -1] = top
+    return rows
+
+
+class TestDiscreteResidual:
+    """Scaled-up parameters, so that trading is fast and the band narrow
+    on small grids."""
 
     PARAMS = ModelParams(sigma=0.5, omega=0.3, lam=1.0, rho=1.0)
     GRID = Grid2D.regular(-1.29, 1.29, 21, -0.6, 0.6, 121)
-    COSTS = CostParams(gamma_lin=0.05, eta=0.05)
+    # hx = 0.75: centered for |x| <= 0.75, upwind at |x| = 1.5 and 2.25
+    MIXED = Grid2D.regular(-3.0, 3.0, 9, -0.6, 0.6, 121)
+    QUADRATIC = CostParams(gamma_lin=0.05, eta=0.05)
+    THREE_HALVES = CostParams(gamma_lin=0.05, zeta=0.05,
+                              kind=CostKind.THREE_HALVES)
 
-    def test_same_fixed_point(self):
-        pol = hjb.solve_hjb(
-            self.PARAMS, self.COSTS, self.GRID,
-            hjb.SolverConfig(max_iters=200, convergence_tol=1e-11),
-        )
-        exp = hjb.solve_hjb(
-            self.PARAMS, self.COSTS, self.GRID,
-            hjb.SolverConfig(
-                scheme="explicit", max_iters=200000, convergence_tol=1e-9,
-                pseudo_time_step=0.8,
-            ),
-        )
-        scale = np.abs(pol.V.values).max()
-        assert np.abs(pol.V.values - exp.V.values).max() <= 1e-5 * scale
-        i0 = self.GRID.nx // 2
-        assert abs(pol.band_plus[i0] - exp.band_plus[i0]) <= self.GRID.htheta
+    def _solve(self, costs, grid):
+        return hjb.solve_hjb(
+            self.PARAMS, costs, grid,
+            hjb.SolverConfig(max_iters=200, convergence_tol=1e-11))
 
-    def test_three_halves_schemes_agree(self):
-        costs = CostParams(gamma_lin=0.05, zeta=0.05, kind=CostKind.THREE_HALVES)
-        pol = hjb.solve_hjb(
-            self.PARAMS, costs, self.GRID,
-            hjb.SolverConfig(max_iters=200, convergence_tol=1e-11),
-        )
-        exp = hjb.solve_hjb(
-            self.PARAMS, costs, self.GRID,
-            hjb.SolverConfig(
-                scheme="explicit", max_iters=200000, convergence_tol=1e-9,
-            ),
-        )
-        scale = np.abs(pol.V.values).max()
-        assert np.abs(pol.V.values - exp.V.values).max() <= 1e-5 * scale
+    def _assert_solves_discrete_equation(self, costs, grid):
+        vg = self._solve(costs, grid)
+        V = vg.V.values
+        res = _discrete_residual(self.PARAMS, costs, grid, V)
+        rows = ~_slope_rows(self.PARAMS, costs, grid)
+        assert np.abs(res[rows]).max() <= 1e-10 * np.abs(V).max()
+
+    def test_quadratic(self):
+        self._assert_solves_discrete_equation(self.QUADRATIC, self.GRID)
+
+    def test_three_halves(self):
+        self._assert_solves_discrete_equation(self.THREE_HALVES, self.GRID)
+
+    def test_mixed_branches(self):
+        mu = -self.PARAMS.omega * self.MIXED.x_nodes[1:-1]
+        centered = np.abs(mu) * self.MIXED.hx <= self.PARAMS.sigma ** 2
+        assert centered.any() and not centered.all()
+        self._assert_solves_discrete_equation(self.QUADRATIC, self.MIXED)
+
+    @pytest.mark.parametrize("grid_name", ["GRID", "MIXED"])
+    def test_assembled_matrix_is_monotone(self, grid_name):
+        # Barles-Souganidis: non-positive off-diagonals, and rows that sum
+        # to rho (equation) or to 0 (edge slope condition)
+        grid = getattr(self, grid_name)
+        p, costs = self.PARAMS, self.QUADRATIC
+        vg = self._solve(costs, grid)
+        A, _, is_bc = hjb._assemble(
+            p, grid, hjb._x_stencil(p, grid), vg.v.values,
+            *hjb._edge_slopes(p, costs, grid))
+        coo = A.tocoo()
+        assert np.all(coo.data[coo.row != coo.col] <= 0.0)
+        rows = np.ravel(is_bc, order="F")
+        sums = np.asarray(A.sum(axis=1)).ravel()
+        scale = np.abs(A.diagonal())
+        assert np.all(np.abs(sums[~rows] - p.rho) <= 1e-12 * scale[~rows])
+        assert np.all(np.abs(sums[rows]) <= 1e-12 * scale[rows])
 
 
 # ------------------------------------------------------------ 3/2-power cost

@@ -1,4 +1,4 @@
-"""Parameter containers, grids, and the discounted generator stencil."""
+"""Parameter containers, grids, and the signal formulas."""
 
 import math
 
@@ -7,7 +7,7 @@ import pytest
 
 from bandlayer.errors import ConfigError, RegimeError
 from bandlayer.model import (CostKind, CostParams, Grid2D, ModelParams,
-                             ScalarField, apply_generator, default_x_domain,
+                             ScalarField, default_x_domain,
                              drift, markowitz_position, nt_rhs,
                              stationary_std)
 
@@ -112,40 +112,3 @@ class TestGrid2D:
         ScalarField(np.zeros((5, 7)), g)
         with pytest.raises(ConfigError):
             ScalarField(np.zeros((7, 5)), g)
-
-
-class TestApplyGenerator:
-    """(sigma^2/2) d^2/dx^2 + mu(x) d/dx - rho on tabulated fields."""
-
-    def test_quadratic_exact(self, desk_model):
-        # second-order stencils are exact on quadratics, including edges
-        g = Grid2D.regular(-0.2, 0.2, 41, -1.0, 1.0, 3)
-        fvals = g.x_nodes ** 2 + 2 * g.x_nodes + 3
-        f = np.tile(fvals[:, None], (1, 3))
-        got = apply_generator(desk_model, ScalarField(f, g)).values
-        mu = -0.1 * g.x_nodes
-        want = (0.5 * 0.02 ** 2 * 2 + mu * (2 * g.x_nodes + 2)
-                - desk_model.rho * fvals)[:, None]
-        np.testing.assert_allclose(got, np.tile(want, (1, 3)), atol=1e-12)
-
-    def test_converges_on_smooth(self, desk_model):
-        errs = []
-        for nx in (101, 201):
-            g = Grid2D.regular(-0.2, 0.2, nx, 0.0, 1.0, 3)
-            fvals = np.sin(10 * g.x_nodes)
-            f = np.tile(fvals[:, None], (1, 3))
-            got = apply_generator(desk_model, ScalarField(f, g)).values[:, 0]
-            mu = -0.1 * g.x_nodes
-            want = (-0.5 * 0.02 ** 2 * 100 * np.sin(10 * g.x_nodes)
-                    + mu * 10 * np.cos(10 * g.x_nodes)
-                    - desk_model.rho * fvals)
-            errs.append(np.max(np.abs(got - want)))
-        # halving h cuts the error by ~4
-        assert errs[0] / errs[1] > 3.0
-
-    def test_requires_uniform_x(self, desk_model):
-        x = np.array([0.0, 0.1, 0.3, 0.6])
-        th = np.array([0.0, 1.0, 2.0])
-        g = Grid2D(x, th)
-        with pytest.raises(ConfigError):
-            apply_generator(desk_model, ScalarField(np.zeros((4, 3)), g))

@@ -2,6 +2,7 @@
 
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,26 +25,26 @@ class TestCsv:
     def test_header_and_shape(self, tmp_path):
         p = str(tmp_path / "t.csv")
         write_csv(p, ["a", "b"], [np.arange(3.0), np.arange(3.0) * 2])
-        lines = open(p).read().split("\n")
+        lines = Path(p).read_text().split("\n")
         assert lines[0] == "a,b"
         assert len(lines) == 5 and lines[-1] == ""  # trailing LF
 
     def test_lf_line_endings(self, tmp_path):
         p = str(tmp_path / "t.csv")
         write_csv(p, ["a"], [np.arange(4.0)])
-        raw = open(p, "rb").read()
+        raw = Path(p).read_bytes()
         assert b"\r" not in raw
 
     def test_nan_and_inf_render(self, tmp_path):
         p = str(tmp_path / "t.csv")
         write_csv(p, ["a"], [np.array([np.nan, np.inf, -np.inf])])
-        body = open(p).read().splitlines()[1:]
+        body = Path(p).read_text().splitlines()[1:]
         assert body == ["nan", "inf", "-inf"]
 
     def test_string_column(self, tmp_path):
         p = str(tmp_path / "t.csv")
         write_csv(p, ["z", "w"], [np.array([1.5, 2.5]), ["NT", "LAYER"]])
-        body = open(p).read().splitlines()[1:]
+        body = Path(p).read_text().splitlines()[1:]
         assert body[0] == "1.5,NT"
 
     def test_mismatched_header_rejected(self, tmp_path):
@@ -60,7 +61,7 @@ class TestCsv:
         vals = np.linspace(0, 1, 17) ** 3
         write_csv(p1, ["v"], [vals])
         write_csv(p2, ["v"], [vals])
-        assert open(p1, "rb").read() == open(p2, "rb").read()
+        assert Path(p1).read_bytes() == Path(p2).read_bytes()
 
 
 class TestAtomicity:
@@ -87,14 +88,14 @@ class TestAtomicity:
         p = str(tmp_path / "z.txt")
         atomic_write_text(p, "long first version\n" * 10)
         atomic_write_text(p, "short\n")
-        assert open(p).read() == "short\n"
+        assert Path(p).read_text() == "short\n"
 
 
 class TestReports:
     def test_text_report_joins_lines(self, tmp_path):
         p = str(tmp_path / "r.txt")
         write_text_report(p, ["one", "two"])
-        assert open(p).read() == "one\ntwo\n"
+        assert Path(p).read_text() == "one\ntwo\n"
 
     def test_loglog_script_references_csv(self):
         s = gnuplot_loglog_script("shift.csv", 1, 2, "eta", "shift",

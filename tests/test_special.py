@@ -1,4 +1,4 @@
-"""Airy log-derivative, root bracketing, ODE integration, stencil weights.
+"""Airy log-derivative, ODE integration, stencil weights.
 
 The library takes the Airy functions from scipy.special; the oracle for
 them here is mpmath at 40 significant digits, so the tests do not share
@@ -11,10 +11,9 @@ import mpmath
 import numpy as np
 import pytest
 
-from bandlayer.errors import BracketError, ConfigError
-from bandlayer.special import (RootBracket, airy_first_max,
-                               airy_log_derivative, fd_weights, find_root,
-                               integrate_ode)
+from bandlayer.errors import ConfigError
+from bandlayer.special import (airy_first_max, airy_log_derivative,
+                               fd_weights, integrate_ode)
 
 # Ai(0) and Ai'(0) in closed form, through the gamma function
 AI0 = 3 ** (-2.0 / 3.0) / math.gamma(2.0 / 3.0)
@@ -90,26 +89,6 @@ class TestAiryLogDerivative:
         r = airy_log_derivative(u)
         assert r.shape == u.shape
         assert r[0, 1] == airy_log_derivative(0.0)
-
-
-class TestFindRoot:
-    def test_cosine_root(self):
-        r = find_root(math.cos, RootBracket(1.0, 2.0, 1e-13))
-        assert r == pytest.approx(math.pi / 2, abs=1e-12)
-
-    def test_endpoint_root(self):
-        r = find_root(lambda t: t - 1.0, RootBracket(1.0, 2.0, 1e-13))
-        assert r == 1.0
-
-    def test_no_sign_change(self):
-        with pytest.raises(BracketError):
-            find_root(lambda t: 1.0 + t * t, RootBracket(-1.0, 1.0, 1e-13))
-
-    def test_bad_bracket(self):
-        with pytest.raises(ConfigError):
-            RootBracket(2.0, 1.0, 1e-13)
-        with pytest.raises(ConfigError):
-            RootBracket(1.0, 2.0, 0.0)
 
 
 class TestIntegrateOde:

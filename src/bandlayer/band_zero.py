@@ -16,11 +16,15 @@ value continues with slope -+gamma_lin in theta.  The construction:
    homogeneous pair are pinned by the slope conditions dV/dtheta = -+gamma
    at the two x-endpoints (h_plus, h_minus) of the level's no-trade
    interval; the endpoints themselves are pinned by boundary optimality,
-   which is equivalent to d(dV/dtheta)/dx = 0 at both endpoints.
-4. A Newton sweep over levels maps out the band; a per-grid-node polish
-   (holding the node abscissa fixed) places the boundary exactly on the
-   requested x nodes together with its exact slope from implicit
-   differentiation.
+   which is equivalent to d(dV/dtheta)/dx = 0 at both endpoints.  One
+   state evaluation per point z = (theta, h+, h-) reads the stacked pair
+   and Green's splines once at [h+, h-] and returns the coefficients, the
+   optimality residuals R+- and their exact 2x3 Jacobian in z.
+4. One damped Newton solves R+- = 0 in two of the three coordinates of z
+   with the third pinned: theta pinned, it sweeps over levels to map out
+   the band; a grid node pinned as h+ or h-, it polishes the boundary
+   exactly onto the requested x nodes, whose exact slope then follows
+   from implicit differentiation.
 
 All evaluation points, including the level endpoints that step slightly
 past the nominal x range near the domain ends, stay inside the padded
@@ -68,8 +72,10 @@ class HomogeneousPair:
     ``psi1`` decays toward the left edge, ``psi2`` toward the right edge.
     Both are rescaled so the Wronskian psi1*psi2' - psi2*psi1' equals -1
     at the domain center (it is negative throughout with this
-    orientation).  Splines are built on the dense quadrature grid
-    ``x_quad`` covering the padded domain [x_lo, x_hi].
+    orientation).  ``spline`` is one cubic spline on the dense quadrature
+    grid ``x_quad`` covering the padded domain [x_lo, x_hi]; its columns
+    are (psi1, psi2, psi1', psi2').  Second derivatives come from the
+    defining equation, not from the spline.
     """
 
     params: ModelParams
@@ -80,29 +86,24 @@ class HomogeneousPair:
     psi2_s: np.ndarray
     psi1_d_s: np.ndarray
     psi2_d_s: np.ndarray
-    psi1: CubicSpline = field(repr=False)
-    psi2: CubicSpline = field(repr=False)
-    psi1_d: CubicSpline = field(repr=False)
-    psi2_d: CubicSpline = field(repr=False)
+    spline: CubicSpline = field(repr=False)
 
     def wronskian(self, x):
-        return self.psi1(x) * self.psi2_d(x) - self.psi2(x) * self.psi1_d(x)
+        p1, p2, d1, d2 = _columns(self.spline, x)
+        return p1 * d2 - p2 * d1
 
     @property
     def wronskian_samples(self):
         return self.psi1_s * self.psi2_d_s - self.psi2_s * self.psi1_d_s
 
-    def psi_dd(self, which: int, x):
-        """Second derivative from the defining equation (exact given psi, psi')."""
-        p = self.params
-        psi = self.psi1 if which == 1 else self.psi2
-        psi_d = self.psi1_d if which == 1 else self.psi2_d
-        return (2.0 / p.sigma ** 2) * (p.omega * np.asarray(x) * psi_d(x)
-                                       + p.rho * psi(x))
-
     def contains(self, x) -> bool:
         return bool(np.all(np.asarray(x) >= self.x_lo)
                     and np.all(np.asarray(x) <= self.x_hi))
+
+
+def _columns(spline: CubicSpline, x):
+    """The columns of a stacked spline at x, leading axis first."""
+    return np.moveaxis(spline(x), -1, 0)
 
 
 def _recessive_slope(params: ModelParams, x: float, inward: float) -> float:
@@ -167,8 +168,8 @@ def solve_homogeneous(params: ModelParams, x_domain=None, pad_frac: float = 0.15
     return HomogeneousPair(
         params=p, x_lo=x_lo, x_hi=x_hi, x_quad=xq,
         psi1_s=psi1_s, psi2_s=psi2_s, psi1_d_s=psi1_d_s, psi2_d_s=psi2_d_s,
-        psi1=CubicSpline(xq, psi1_s), psi2=CubicSpline(xq, psi2_s),
-        psi1_d=CubicSpline(xq, psi1_d_s), psi2_d=CubicSpline(xq, psi2_d_s))
+        spline=CubicSpline(
+            xq, np.column_stack([psi1_s, psi2_s, psi1_d_s, psi2_d_s])))
 
 
 # ---------------------------------------------------------------------------
@@ -180,52 +181,35 @@ class GreensDecomposition:
     """Particular solution data: I(x, theta) = drift_part + theta * risk_part.
 
     ``drift_part`` is the resolvent applied to the signal drift,
-    ``risk_part`` the resolvent applied to the constant -2*lam.  Their
-    first derivatives come from the quadrature representation (the
-    integrand cross-terms cancel), second derivatives from the defining
-    equations.  ``greens_kernel`` exposes the kernel itself.
+    ``risk_part`` the resolvent applied to the constant -2*lam.  ``spline``
+    is one cubic spline on the pair's quadrature grid with columns
+    (drift_part, risk_part, drift_part', risk_part'); the first
+    derivatives come from the quadrature representation (the integrand
+    cross-terms cancel), second derivatives from the defining equations.
+    ``greens_kernel`` exposes the kernel itself.
     """
 
     params: ModelParams
     pair: HomogeneousPair
-    drift_part: CubicSpline = field(repr=False)
-    drift_part_d: CubicSpline = field(repr=False)
-    risk_part: CubicSpline = field(repr=False)
-    risk_part_d: CubicSpline = field(repr=False)
+    spline: CubicSpline = field(repr=False)
 
-    # -- particular-solution derivative, affine in theta ------------------
     def i_value(self, x, theta):
-        return self.drift_part(x) + theta * self.risk_part(x)
-
-    def i_x(self, x, theta):
-        return self.drift_part_d(x) + theta * self.risk_part_d(x)
-
-    def i_xx(self, x, theta):
-        """From the defining equations of the two parts (exact)."""
-        p = self.params
-        mu = -p.omega * np.asarray(x)
-        ddp = (2.0 / p.sigma ** 2) * (-mu * self.drift_part_d(x)
-                                      + p.rho * self.drift_part(x) - mu)
-        ddq = (2.0 / p.sigma ** 2) * (-mu * self.risk_part_d(x)
-                                      + p.rho * self.risk_part(x) + 2.0 * p.lam)
-        return ddp + theta * ddq
+        """Particular-solution theta-derivative, affine in theta."""
+        drift_part, risk_part, _, _ = _columns(self.spline, x)
+        return drift_part + theta * risk_part
 
     def particular_value(self, x, theta):
         """V-particular = theta*drift_part + theta^2/2 * risk_part."""
-        return theta * self.drift_part(x) + 0.5 * theta ** 2 * self.risk_part(x)
+        drift_part, risk_part, _, _ = _columns(self.spline, x)
+        return theta * drift_part + 0.5 * theta ** 2 * risk_part
 
     def greens_kernel(self, x, xi):
         """Resolvent kernel G(x, xi) of (generator - rho); symmetric role split."""
         pr = self.pair
         lo, hi = (xi, x) if xi <= x else (x, xi)
         w = pr.wronskian(xi)
-        return -2.0 / self.params.sigma ** 2 * pr.psi1(lo) * pr.psi2(hi) / w
-
-    # -- level system ------------------------------------------------------
-    def detD(self, h_plus, h_minus):
-        pr = self.pair
-        return (pr.psi1(h_plus) * pr.psi2(h_minus)
-                - pr.psi1(h_minus) * pr.psi2(h_plus))
+        return (-2.0 / self.params.sigma ** 2 * pr.spline(lo)[..., 0]
+                * pr.spline(hi)[..., 1] / w)
 
     def alpha_coefficients(self, h_plus, h_minus, gamma_lin, theta):
         """Homogeneous coefficients (per level) from the slope conditions.
@@ -265,8 +249,7 @@ def greens_particular(params: ModelParams, pair: HomogeneousPair) -> GreensDecom
 
     return GreensDecomposition(
         params=params, pair=pair,
-        drift_part=CubicSpline(xq, p_s), drift_part_d=CubicSpline(xq, p_d),
-        risk_part=CubicSpline(xq, q_s), risk_part_d=CubicSpline(xq, q_d))
+        spline=CubicSpline(xq, np.column_stack([p_s, q_s, p_d, q_d])))
 
 
 # ---------------------------------------------------------------------------
@@ -276,155 +259,149 @@ _DET_FLOOR = 1e-13
 
 
 def _level_state(comp: GreensDecomposition, gamma_lin, theta, hp, hm):
-    """Everything the Newton steps need at one (theta, h+, h-) point."""
-    pr = comp.pair
-    p1p, p2p = float(pr.psi1(hp)), float(pr.psi2(hp))
-    p1m, p2m = float(pr.psi1(hm)), float(pr.psi2(hm))
-    d1p, d2p = float(pr.psi1_d(hp)), float(pr.psi2_d(hp))
-    d1m, d2m = float(pr.psi1_d(hm)), float(pr.psi2_d(hm))
+    """Everything the Newton step needs at one (theta, h+, h-) point.
+
+    Reads each stacked spline once at [h+, h-]; psi'' and I_xx there come
+    from the defining equations.  ``a1``/``a2`` solve the slope
+    conditions, ``rp``/``rm`` are the optimality residuals R+-,
+    ``scale`` the size of their cancelling pieces, ``sp``/``sm`` the
+    x-curvatures S+- = I_xx + a . psi'' of dV/dtheta at the endpoints and
+    ``jac`` the exact Jacobian [dR/dtheta, dR/dh+, dR/dh-] of (R+, R-).
+    """
+    p = comp.params
+    psi = comp.pair.spline([hp, hm]).tolist()   # one row per endpoint
+    grn = comp.spline([hp, hm]).tolist()
+    (p1p, p2p, d1p, d2p), (p1m, p2m, d1m, d2m) = psi
+    (fp, qp, fdp, qdp), (fm, qm, fdm, qdm) = grn
     det = p1p * p2m - p1m * p2p
     scale = max(abs(p1p * p2m), abs(p1m * p2p), 1e-300)
     if abs(det) < _DET_FLOOR * scale:
         raise RegimeError(
             f"degenerate boundary pair: determinant {det:.3e} at "
             f"(h+={hp:.6g}, h-={hm:.6g})")
-    b1 = -gamma_lin - comp.i_value(hp, theta)
-    b2 = gamma_lin - comp.i_value(hm, theta)
+    b1 = -gamma_lin - (fp + theta * qp)
+    b2 = gamma_lin - (fm + theta * qm)
     a1 = (b1 * p2m - b2 * p2p) / det
     a2 = (b2 * p1p - b1 * p1m) / det
-    rp = comp.i_x(hp, theta) + a1 * d1p + a2 * d2p
-    rm = comp.i_x(hm, theta) + a1 * d1m + a2 * d2m
+    ixp = fdp + theta * qdp                 # I_x at each endpoint
+    ixm = fdm + theta * qdm
+    rp = ixp + a1 * d1p + a2 * d2p
+    rm = ixm + a1 * d1m + a2 * d2m
+
+    c = 2.0 / p.sigma ** 2
+    curv = []
+    for x, (s1, s2, t1, t2), (f, q, fd, qd) in zip((hp, hm), psi, grn):
+        mu = -p.omega * x
+        i_xx = (c * (-mu * fd + p.rho * f - mu)
+                + theta * (c * (-mu * qd + p.rho * q + 2.0 * p.lam)))
+        curv.append(i_xx + a1 * (c * (p.omega * x * t1 + p.rho * s1))
+                    + a2 * (c * (p.omega * x * t2 + p.rho * s2)))
+    sp, sm = curv
+
+    # columns of M^-1, M the boundary matrix of the slope conditions:
+    # da/dh+ = -R+ M^-1 e1, da/dh- = -R- M^-1 e2, da/dtheta = (w1, w2)
+    m11, m21 = p2m / det, -p1m / det
+    m12, m22 = -p2p / det, p1p / det
+    w1 = -(qp * m11 + qm * m12)
+    w2 = -(qp * m21 + qm * m22)
+    jac = np.array([
+        [qdp + w1 * d1p + w2 * d2p, sp - rp * (m11 * d1p + m21 * d2p),
+         -rm * (m12 * d1p + m22 * d2p)],
+        [qdm + w1 * d1m + w2 * d2m, -rp * (m11 * d1m + m21 * d2m),
+         sm - rm * (m12 * d1m + m22 * d2m)]])
     return {
-        "p1p": p1p, "p2p": p2p, "p1m": p1m, "p2m": p2m,
-        "d1p": d1p, "d2p": d2p, "d1m": d1m, "d2m": d2m,
-        "det": det, "a1": a1, "a2": a2, "rp": rp, "rm": rm,
         "theta": float(theta), "hp": float(hp), "hm": float(hm),
+        "a1": a1, "a2": a2, "rp": rp, "rm": rm, "sp": sp, "sm": sm,
+        "jac": jac,
+        "scale": max(abs(ixp), abs(a1 * d1p), abs(a2 * d2p),
+                     abs(ixm), abs(a1 * d1m), abs(a2 * d2m), 1e-300),
     }
 
 
-def _minv_cols(st):
-    """Columns of the inverse boundary matrix."""
-    det = st["det"]
-    col1 = (st["p2m"] / det, -st["p1m"] / det)   # M^-1 e1
-    col2 = (-st["p2p"] / det, st["p1p"] / det)   # M^-1 e2
-    return col1, col2
+def _newton(comp, gamma_lin, z, free, what, tol=1e-12, max_iter=60):
+    """Damped Newton on R+ = R- = 0 in two coordinates of z = (theta, h+, h-).
 
-
-def _base_curvatures(comp, st):
-    """S+- = I_xx + a . psi'' at each endpoint (curvature of dV/dtheta in x)."""
-    pdd1p = float(comp.pair.psi_dd(1, st["hp"]))
-    pdd2p = float(comp.pair.psi_dd(2, st["hp"]))
-    pdd1m = float(comp.pair.psi_dd(1, st["hm"]))
-    pdd2m = float(comp.pair.psi_dd(2, st["hm"]))
-    sp = comp.i_xx(st["hp"], st["theta"]) + st["a1"] * pdd1p + st["a2"] * pdd2p
-    sm = comp.i_xx(st["hm"], st["theta"]) + st["a1"] * pdd1m + st["a2"] * pdd2m
-    return float(sp), float(sm)
-
-
-def _jacobian_h(comp, st):
-    """Exact Jacobian of (R+, R-) with respect to (h+, h-)."""
-    sp, sm = _base_curvatures(comp, st)
-    col1, col2 = _minv_cols(st)
-    # d a / d h+ = -R+ * M^-1 e1 ; d a / d h- = -R- * M^-1 e2
-    j11 = sp - st["rp"] * (col1[0] * st["d1p"] + col1[1] * st["d2p"])
-    j12 = -st["rm"] * (col2[0] * st["d1p"] + col2[1] * st["d2p"])
-    j21 = -st["rp"] * (col1[0] * st["d1m"] + col1[1] * st["d2m"])
-    j22 = sm - st["rm"] * (col2[0] * st["d1m"] + col2[1] * st["d2m"])
-    return np.array([[j11, j12], [j21, j22]]), sp, sm
-
-
-def _theta_partials(comp, st):
-    """d(R+-)/dtheta at fixed endpoints, via the envelope of the 2x2 solve."""
-    qp = float(comp.risk_part(st["hp"]))
-    qm = float(comp.risk_part(st["hm"]))
-    col1, col2 = _minv_cols(st)
-    w1 = -(qp * col1[0] + qm * col2[0])
-    w2 = -(qp * col1[1] + qm * col2[1])
-    qdp = float(comp.risk_part_d(st["hp"]))
-    qdm = float(comp.risk_part_d(st["hm"]))
-    drp = qdp + w1 * st["d1p"] + w2 * st["d2p"]
-    drm = qdm + w1 * st["d1m"] + w2 * st["d2m"]
-    return drp, drm, (w1, w2)
-
-
-def _resid_scale(comp, st):
-    pieces = (abs(comp.i_x(st["hp"], st["theta"])),
-              abs(st["a1"] * st["d1p"]), abs(st["a2"] * st["d2p"]),
-              abs(comp.i_x(st["hm"], st["theta"])),
-              abs(st["a1"] * st["d1m"]), abs(st["a2"] * st["d2m"]))
-    return max(max(pieces), 1e-300)
-
-
-def _newton_level(comp, gamma_lin, theta, hp0, hm0, tol=1e-12, max_iter=60):
-    """Solve R+(h)=R-(h)=0 at a fixed level; damped Newton, exact Jacobian.
-
-    Converged when either the residual is tiny relative to its cancelling
-    pieces or the Newton step itself has shrunk below placement accuracy
-    (the residual pieces cancel to the double-precision floor near the
-    solution, so the step is the sharper measure).
+    ``free`` holds the indices of the two unknowns; the third coordinate
+    stays pinned.  Converged when either the residual is tiny relative to
+    its cancelling pieces or the Newton step itself has shrunk below
+    placement accuracy (the residual pieces cancel to the double-precision
+    floor near the solution, so the step is the sharper measure).  The
+    step is halved until |R| drops at a point with h+ > h- and the free
+    endpoints inside the pair's domain; when no halving does, a residual
+    already at the 1e-8 cancellation floor is accepted.
     """
-    hp, hm = float(hp0), float(hm0)
     pr = comp.pair
     span = pr.x_hi - pr.x_lo
-    st = _level_state(comp, gamma_lin, theta, hp, hm)
+    step_floor = (1e-12 * (abs(z[0]) + 1e-3 * span), 1e-12 * span, 1e-12 * span)
+    st = _level_state(comp, gamma_lin, *z)
     for _ in range(max_iter):
-        scale = _resid_scale(comp, st)
         rn = math.hypot(st["rp"], st["rm"])
-        if rn <= tol * scale:
+        if rn <= tol * st["scale"]:
             return st
-        jac, _, _ = _jacobian_h(comp, st)
         try:
-            step = np.linalg.solve(jac, [-st["rp"], -st["rm"]])
+            step = np.linalg.solve(st["jac"][:, free], [-st["rp"], -st["rm"]])
         except np.linalg.LinAlgError as exc:
             raise ConvergenceError(
-                f"singular boundary Jacobian at level {theta:.6g}") from exc
-        if max(abs(step[0]), abs(step[1])) <= 1e-12 * span:
+                f"singular {what} Jacobian at theta={z[0]:.6g}, "
+                f"h+={z[1]:.6g}, h-={z[2]:.6g}") from exc
+        if all(abs(s) <= step_floor[k] for k, s in zip(free, step)):
             return st
         lam_step = 1.0
         for _ in range(12):
-            hp_n = hp + lam_step * step[0]
-            hm_n = hm + lam_step * step[1]
-            if (hp_n > hm_n and pr.contains(hp_n) and pr.contains(hm_n)):
-                st_n = _level_state(comp, gamma_lin, theta, hp_n, hm_n)
+            zn = list(z)
+            for k, s in zip(free, step):
+                zn[k] = z[k] + lam_step * s
+            if zn[1] > zn[2] and all(pr.contains(zn[k]) for k in free if k):
+                st_n = _level_state(comp, gamma_lin, *zn)
                 if math.hypot(st_n["rp"], st_n["rm"]) < rn:
-                    hp, hm, st = hp_n, hm_n, st_n
+                    z, st = zn, st_n
                     break
             lam_step *= 0.5
         else:
-            if rn <= 1e-8 * scale:
+            if rn <= 1e-8 * st["scale"]:
                 # line search cannot reduce a residual already at the
                 # cancellation floor; the point is converged
                 return st
             raise ConvergenceError(
-                f"level Newton stalled at theta={theta:.6g} "
-                f"(h+={hp:.6g}, h-={hm:.6g}, |R|={rn:.3e})")
-    raise ConvergenceError(f"level Newton did not converge at theta={theta:.6g}")
+                f"{what} stalled at theta={z[0]:.6g}, h+={z[1]:.6g}, "
+                f"h-={z[2]:.6g} (|R|={rn:.3e})")
+    raise ConvergenceError(
+        f"{what} did not converge at theta={z[0]:.6g}, h+={z[1]:.6g}, "
+        f"h-={z[2]:.6g}")
 
 
-def _third_derivative_from_state(comp, st, side="+"):
-    """V_theta3 at a solved boundary point: (dR/dtheta)^2 / S on that side.
+def _newton_level(comp, gamma_lin, theta, hp0, hm0):
+    """Solve R+(h)=R-(h)=0 for (h+, h-) at a fixed level theta."""
+    return _newton(comp, gamma_lin, (theta, float(hp0), float(hm0)), (1, 2),
+                   "level Newton")
+
+
+def _polish_node(comp, gamma_lin, x, rec, fixed="plus"):
+    """Newton in (theta, other endpoint) with one endpoint pinned to a node."""
+    if fixed == "plus":
+        z, free = (rec["theta"], x, rec["hm"]), (0, 2)
+    else:
+        z, free = (rec["theta"], rec["hp"], x), (0, 1)
+    return _newton(comp, gamma_lin, z, free, f"node polish ({fixed} pinned)")
+
+
+def _third_derivative_from_state(st):
+    """V_theta3 at a solved upper boundary point: (dR+/dtheta)^2 / S+.
 
     Follows from implicit differentiation of the optimality conditions;
-    S is the x-curvature of dV/dtheta at the endpoint.
+    S+ is the x-curvature of dV/dtheta at the endpoint.
     """
-    drp, drm, _ = _theta_partials(comp, st)
-    sp, sm = _base_curvatures(comp, st)
-    if side == "+":
-        if sp == 0.0:
-            raise RegimeError("flat x-curvature at upper boundary")
-        return drp * drp / sp
-    if sm == 0.0:
-        raise RegimeError("flat x-curvature at lower boundary")
-    return drm * drm / sm
+    if st["sp"] == 0.0:
+        raise RegimeError("flat x-curvature at upper boundary")
+    dr = st["jac"][0, 0]
+    return dr * dr / st["sp"]
 
 
-def _boundary_slopes(comp, st):
+def _boundary_slopes(st):
     """(h+'(theta), h-'(theta)) by implicit differentiation at a solved point."""
-    drp, drm, _ = _theta_partials(comp, st)
-    sp, sm = _base_curvatures(comp, st)
-    if sp == 0.0 or sm == 0.0:
+    if st["sp"] == 0.0 or st["sm"] == 0.0:
         raise RegimeError("degenerate boundary curvature; cannot differentiate")
-    return -drp / sp, -drm / sm
+    return -st["jac"][0, 0] / st["sp"], -st["jac"][1, 0] / st["sm"]
 
 
 # ---------------------------------------------------------------------------
@@ -437,7 +414,13 @@ class Band:
 
     ``theta_plus``/``theta_minus`` are the upper/lower half-band values
     (the no-trade interval at x is [-theta_minus(x), theta_plus(x)]).
-    Level tables from the sweep are retained for derivative diagnostics.
+    ``spline`` interpolates (theta_plus, theta_minus, theta_plus_deriv,
+    theta_minus_deriv) over ``x_nodes`` as the columns of one cubic
+    spline; on the flat band the columns are constant, and so is the
+    spline, extrapolation included.  Level tables from the sweep are
+    retained for derivative diagnostics, with ``alpha_integrals``, the
+    cumulative integrals of (alpha1_prime, alpha2_prime) over the levels
+    anchored at level 0, as one 2-column spline (None on the flat band).
     """
 
     x_nodes: np.ndarray
@@ -455,33 +438,22 @@ class Band:
     h_minus: np.ndarray
     alpha1_prime: np.ndarray
     alpha2_prime: np.ndarray
+    spline: CubicSpline = field(repr=False, compare=False)
     flat: bool = False
-    _tp_spline: CubicSpline | None = field(default=None, repr=False, compare=False)
-    _tm_spline: CubicSpline | None = field(default=None, repr=False, compare=False)
-    _tpd_spline: CubicSpline | None = field(default=None, repr=False, compare=False)
-    _tmd_spline: CubicSpline | None = field(default=None, repr=False, compare=False)
+    alpha_integrals: CubicSpline | None = field(default=None, repr=False,
+                                                compare=False)
 
     def theta_plus_at(self, x):
-        if self.flat:
-            return np.full_like(np.asarray(x, dtype=float), self.theta_plus[0]) \
-                if np.ndim(x) else float(self.theta_plus[0])
-        return self._tp_spline(x)
+        return self.spline(x)[..., 0]
 
     def theta_minus_at(self, x):
-        if self.flat:
-            return np.full_like(np.asarray(x, dtype=float), self.theta_minus[0]) \
-                if np.ndim(x) else float(self.theta_minus[0])
-        return self._tm_spline(x)
+        return self.spline(x)[..., 1]
 
     def theta_plus_deriv_at(self, x):
-        if self.flat:
-            return 0.0 * np.asarray(x, dtype=float) if np.ndim(x) else 0.0
-        return self._tpd_spline(x)
+        return self.spline(x)[..., 2]
 
     def theta_minus_deriv_at(self, x):
-        if self.flat:
-            return 0.0 * np.asarray(x, dtype=float) if np.ndim(x) else 0.0
-        return self._tmd_spline(x)
+        return self.spline(x)[..., 3]
 
     def width(self, x):
         return self.theta_plus_at(x) + self.theta_minus_at(x)
@@ -551,7 +523,10 @@ def find_band_zero(params: ModelParams, gamma_lin: float, x_nodes=None,
                     pair_minus_of_plus=z.copy(), pair_plus_of_minus=z.copy(),
                     levels=np.array([]), h_plus=np.array([]),
                     h_minus=np.array([]), alpha1_prime=np.array([]),
-                    alpha2_prime=np.array([]), flat=True)
+                    alpha2_prime=np.array([]),
+                    spline=CubicSpline(x_nodes, np.column_stack(
+                        [np.full(n, level), np.full(n, level), z, z])),
+                    flat=True)
 
     if comp is None:
         pair = solve_homogeneous(params, (x_nodes[0], x_nodes[-1]),
@@ -642,7 +617,7 @@ def find_band_zero(params: ModelParams, gamma_lin: float, x_nodes=None,
         st = _polish_node(comp, gamma_lin, x, rec, fixed="plus")
         tp[i] = st["theta"]
         pair_m[i] = st["hm"]
-        hp_slope, _ = _boundary_slopes(comp, st)
+        hp_slope, _ = _boundary_slopes(st)
         tpd[i] = 1.0 / hp_slope
 
         j = np.searchsorted(hms[order_m], x)
@@ -651,72 +626,25 @@ def find_band_zero(params: ModelParams, gamma_lin: float, x_nodes=None,
         st = _polish_node(comp, gamma_lin, x, rec, fixed="minus")
         tm[i] = -st["theta"]
         pair_p[i] = st["hp"]
-        _, hm_slope = _boundary_slopes(comp, st)
+        _, hm_slope = _boundary_slopes(st)
         tmd[i] = -1.0 / hm_slope
 
+    # the sweep always contains the exact level theta = 0 (its seed), so
+    # anchoring the coefficient integrals there is a plain subtraction
+    a_int = cumulative_trapezoid(np.column_stack([a1s, a2s]), levels,
+                                 axis=0, initial=0.0)
+    a_int -= a_int[int(np.argmin(np.abs(levels)))]
     band = Band(x_nodes=x_nodes, theta_plus=tp, theta_minus=tm,
                 theta_plus_deriv=tpd, theta_minus_deriv=tmd,
                 gamma_lin=gamma_lin,
                 pair_minus_of_plus=pair_m, pair_plus_of_minus=pair_p,
                 levels=levels, h_plus=hps, h_minus=hms,
                 alpha1_prime=a1s, alpha2_prime=a2s,
-                _tp_spline=CubicSpline(x_nodes, tp),
-                _tm_spline=CubicSpline(x_nodes, tm),
-                _tpd_spline=CubicSpline(x_nodes, tpd),
-                _tmd_spline=CubicSpline(x_nodes, tmd))
+                spline=CubicSpline(x_nodes, np.column_stack([tp, tm, tpd, tmd])),
+                alpha_integrals=CubicSpline(levels, a_int))
     if np.any(band.theta_plus + band.theta_minus <= 0):
         raise RegimeError("band has nonpositive width somewhere on the grid")
     return band
-
-
-def _polish_node(comp, gamma_lin, x, rec, fixed="plus", tol=1e-12, max_iter=60):
-    """Newton in (theta, other endpoint) with one endpoint pinned to a node."""
-    pr = comp.pair
-    if fixed == "plus":
-        theta, other = rec["theta"], rec["hm"]
-    else:
-        theta, other = rec["theta"], rec["hp"]
-    span = pr.x_hi - pr.x_lo
-    theta_scale = abs(rec["theta"]) + 1e-3 * span
-    for _ in range(max_iter):
-        hp, hm = (x, other) if fixed == "plus" else (other, x)
-        st = _level_state(comp, gamma_lin, theta, hp, hm)
-        scale = _resid_scale(comp, st)
-        rn = math.hypot(st["rp"], st["rm"])
-        if rn <= tol * scale:
-            return st
-        drp, drm, _ = _theta_partials(comp, st)
-        jac, sp, sm = _jacobian_h(comp, st)
-        if fixed == "plus":
-            # unknowns (theta, hm): columns are d/dtheta and d/dhm
-            jj = np.array([[drp, jac[0, 1]], [drm, jac[1, 1]]])
-        else:
-            jj = np.array([[drp, jac[0, 0]], [drm, jac[1, 0]]])
-        try:
-            step = np.linalg.solve(jj, [-st["rp"], -st["rm"]])
-        except np.linalg.LinAlgError as exc:
-            raise ConvergenceError(f"singular polish Jacobian at x={x:.6g}") from exc
-        if abs(step[0]) <= 1e-12 * theta_scale and abs(step[1]) <= 1e-12 * span:
-            return st
-        lam_step = 1.0
-        ok = False
-        for _ in range(12):
-            theta_n = theta + lam_step * step[0]
-            other_n = other + lam_step * step[1]
-            hp_n, hm_n = (x, other_n) if fixed == "plus" else (other_n, x)
-            if hp_n > hm_n and pr.contains(other_n):
-                st_n = _level_state(comp, gamma_lin, theta_n, hp_n, hm_n)
-                if math.hypot(st_n["rp"], st_n["rm"]) < rn:
-                    theta, other = theta_n, other_n
-                    ok = True
-                    break
-            lam_step *= 0.5
-        if not ok:
-            if rn <= 1e-8 * scale:
-                return st
-            raise ConvergenceError(
-                f"node polish stalled at x={x:.6g} (fixed={fixed})")
-    raise ConvergenceError(f"node polish did not converge at x={x:.6g}")
 
 
 def _state_at_upper(comp, band: Band, x):
@@ -756,8 +684,8 @@ def second_derivative_at_band(comp: GreensDecomposition, band: Band, x,
     wts = fd_weights(theta, band.levels[idx], 1)
     da1 = float(wts @ band.alpha1_prime[idx])
     da2 = float(wts @ band.alpha2_prime[idx])
-    pr = comp.pair
-    return float(comp.risk_part(x) + da1 * pr.psi1(x) + da2 * pr.psi2(x))
+    p1, p2, _, _ = comp.pair.spline(x)
+    return float(comp.spline(x)[1] + da1 * p1 + da2 * p2)
 
 
 def third_derivative_at_band(comp: GreensDecomposition, band: Band, x) -> float:
@@ -768,7 +696,7 @@ def third_derivative_at_band(comp: GreensDecomposition, band: Band, x) -> float:
     :class:`RegimeError` rather than passing silently.
     """
     st = _state_at_upper(comp, band, x)
-    v3 = _third_derivative_from_state(comp, st, side="+")
+    v3 = _third_derivative_from_state(st)
     if not (v3 > 0):
         raise RegimeError(
             f"third derivative at the band is {v3:.3e} <= 0 at x={x:.6g}; "
@@ -790,24 +718,12 @@ def third_derivative_stencil(comp: GreensDecomposition, band: Band, x,
     wts = fd_weights(theta, band.levels[idx], 2)
     dda1 = float(wts @ band.alpha1_prime[idx])
     dda2 = float(wts @ band.alpha2_prime[idx])
-    pr = comp.pair
-    return float(dda1 * pr.psi1(x) + dda2 * pr.psi2(x))
+    p1, p2, _, _ = comp.pair.spline(x)
+    return float(dda1 * p1 + dda2 * p2)
 
 
 # ---------------------------------------------------------------------------
 # values
-
-
-def _alpha_integrals(band: Band):
-    """Cumulative integrals of the coefficient tables, anchored at level 0.
-
-    The sweep always contains the exact level theta = 0 (its seed), so
-    anchoring is a plain subtraction.
-    """
-    a1 = cumulative_trapezoid(band.alpha1_prime, band.levels, initial=0.0)
-    a2 = cumulative_trapezoid(band.alpha2_prime, band.levels, initial=0.0)
-    j0 = int(np.argmin(np.abs(band.levels)))
-    return a1 - a1[j0], a2 - a2[j0]
 
 
 def value_nt_zero(comp: GreensDecomposition, band: Band, x, theta) -> float:
@@ -823,12 +739,9 @@ def value_nt_zero(comp: GreensDecomposition, band: Band, x, theta) -> float:
     if not band.contains(x, theta, slack=slack):
         raise DomainError(
             f"({x:.6g}, {theta:.6g}) is outside the no-trade region")
-    a1c, a2c = _alpha_integrals(band)
-    sp1 = CubicSpline(band.levels, a1c)
-    sp2 = CubicSpline(band.levels, a2c)
-    pr = comp.pair
-    return float(comp.particular_value(x, theta)
-                 + sp1(theta) * pr.psi1(x) + sp2(theta) * pr.psi2(x))
+    a1, a2 = band.alpha_integrals(theta)
+    p1, p2, _, _ = comp.pair.spline(x)
+    return float(comp.particular_value(x, theta) + a1 * p1 + a2 * p2)
 
 
 def value_rb_zero(comp: GreensDecomposition, band: Band, x, theta) -> float:
@@ -892,8 +805,7 @@ def check_displacement_identity(comp: GreensDecomposition, band: Band, x,
     if delta is None:
         delta = 0.02 * (band.theta_plus_at(x) + band.theta_minus_at(x))
 
-    pr = comp.pair
-    p1x, p2x = float(pr.psi1(x)), float(pr.psi2(x))
+    p1x, p2x, _, _ = comp.pair.spline(x).tolist()
 
     def gprime(d):
         st0 = _level_at(comp, band, theta_b)
@@ -931,6 +843,5 @@ def displacement_value_shift(comp: GreensDecomposition, band: Band, x, theta,
         d1[k] = a1d - st0["a1"]
         d2[k] = a2d - st0["a2"]
     from scipy.integrate import simpson
-    pr = comp.pair
-    return abs(simpson(d1, x=thetas) * float(pr.psi1(x))
-               + simpson(d2, x=thetas) * float(pr.psi2(x)))
+    p1, p2, _, _ = comp.pair.spline(x).tolist()
+    return abs(simpson(d1, x=thetas) * p1 + simpson(d2, x=thetas) * p2)

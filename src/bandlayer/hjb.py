@@ -22,6 +22,7 @@ factor banded and cheap even for very fine theta grids.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,8 +70,10 @@ class SolverConfig:
     band_threshold: float = 1e-4
 
     def __post_init__(self):
-        if self.max_iters < 1:
-            raise ConfigError("max_iters must be >= 1")
+        if (not isinstance(self.max_iters, numbers.Integral)
+                or isinstance(self.max_iters, bool) or self.max_iters < 1):
+            raise ConfigError(
+                f"max_iters must be an integer >= 1, got {self.max_iters!r}")
         if not (self.convergence_tol > 0):
             raise ConfigError("convergence_tol must be > 0")
         if not (self.eta_floor > 0):

@@ -65,9 +65,10 @@ class TestHomogeneousPair:
         # differentiating the spline twice must reproduce the equation
         xs = np.linspace(-0.25, 0.25, 401)
         p = desk_model
-        d2 = desk_pair.psi1.derivative(2)(xs)
+        psi1, _, psi1_d, _ = desk_pair.spline(xs).T
+        d2 = desk_pair.spline.derivative(2)(xs)[:, 0]
         lhs = 0.5 * p.sigma ** 2 * d2
-        rhs = p.omega * xs * desk_pair.psi1_d(xs) + p.rho * desk_pair.psi1(xs)
+        rhs = p.omega * xs * psi1_d + p.rho * psi1
         scale = np.abs(rhs) + np.max(np.abs(rhs)) * 1e-3
         assert np.max(np.abs(lhs - rhs) / scale) < 1e-5
 
@@ -79,7 +80,8 @@ class TestHomogeneousPair:
         for rho in (1e-2, 1e-4):
             p = ModelParams(sigma=0.02, omega=0.1, lam=1.0, rho=rho)
             pr = solve_homogeneous(p, dom)
-            slope[rho] = abs(float(pr.psi1_d(0.0) / pr.psi1(0.0)))
+            psi1, _, psi1_d, _ = pr.spline(0.0)
+            slope[rho] = abs(float(psi1_d / psi1))
         assert slope[1e-4] < 0.05 * slope[1e-2]
 
     def test_no_reversion_exponentials(self):
@@ -106,14 +108,16 @@ class TestGreensParticular:
         p = desk_model
         xs = np.linspace(-0.26, 0.26, 53)
         want = -p.omega * xs / (p.rho + p.omega)
-        assert np.max(np.abs(desk_comp.drift_part(xs) - want)) < 1e-7
+        drift_part = desk_comp.spline(xs)[:, 0]
+        assert np.max(np.abs(drift_part - want)) < 1e-7
 
     def test_risk_part_closed_form(self, desk_model, desk_comp):
         # resolvent of a constant is that constant over the discount rate
         p = desk_model
         xs = np.linspace(-0.26, 0.26, 53)
         want = -2 * p.lam / p.rho
-        assert np.max(np.abs(desk_comp.risk_part(xs) / want - 1)) < 1e-6
+        risk_part = desk_comp.spline(xs)[:, 1]
+        assert np.max(np.abs(risk_part / want - 1)) < 1e-6
 
     def test_equation_residual_from_samples(self, desk_model, desk_comp):
         # second differences of the tabulated parts must satisfy the
@@ -124,10 +128,9 @@ class TestGreensParticular:
         xq = desk_comp.pair.x_quad[::8]
         keep = (xq >= -0.26) & (xq <= 0.26)
         h = xq[1] - xq[0]
-        for part, source in ((desk_comp.drift_part, -p.omega * xq),
-                             (desk_comp.risk_part,
-                              np.full_like(xq, -2 * p.lam))):
-            f = part(xq)
+        drift_part, risk_part, _, _ = desk_comp.spline(xq).T
+        for f, source in ((drift_part, -p.omega * xq),
+                          (risk_part, np.full_like(xq, -2 * p.lam))):
             fxx = (f[2:] - 2 * f[1:-1] + f[:-2]) / h ** 2
             fx = (f[2:] - f[:-2]) / (2 * h)
             mu = -p.omega * xq[1:-1]
@@ -147,8 +150,9 @@ class TestGreensParticular:
         for j in (3, len(b.levels) // 2, len(b.levels) - 4):
             th, hp, hm = b.levels[j], b.h_plus[j], b.h_minus[j]
             a1, a2 = b.alpha1_prime[j], b.alpha2_prime[j]
-            up = desk_comp.i_value(hp, th) + a1 * pr.psi1(hp) + a2 * pr.psi2(hp)
-            dn = desk_comp.i_value(hm, th) + a1 * pr.psi1(hm) + a2 * pr.psi2(hm)
+            (p1p, p2p, _, _), (p1m, p2m, _, _) = pr.spline([hp, hm])
+            up = desk_comp.i_value(hp, th) + a1 * p1p + a2 * p2p
+            dn = desk_comp.i_value(hm, th) + a1 * p1m + a2 * p2m
             assert up == pytest.approx(-DESK_GAMMA, abs=1e-12)
             assert dn == pytest.approx(+DESK_GAMMA, abs=1e-12)
 
@@ -248,6 +252,16 @@ class TestBandGeometry:
         np.testing.assert_allclose(b.theta_minus, want, rtol=1e-12)
         assert b.flat
         assert float(b.theta_plus_deriv_at(0.3)) == 0.0
+        # the four interpolants and the width on an array reaching past
+        # the nodes on both sides: exactly constant, exactly flat
+        xs = np.array([-1.7, 0.0, 0.3, 2.5])
+        for got in (b.theta_plus_at(xs), b.theta_minus_at(xs)):
+            assert got.shape == xs.shape
+            assert np.all(got == want)
+        for got in (b.theta_plus_deriv_at(xs), b.theta_minus_deriv_at(xs)):
+            assert got.shape == xs.shape
+            assert np.all(got == 0.0)
+        assert np.all(b.width(xs) == 2 * want)
 
 
 class TestBandDerivatives:

@@ -72,6 +72,10 @@ class TestConfigValidation:
             {"convergence_tol": float("nan")},
             {"eta_floor": float("nan")},
             {"band_threshold": float("nan")},
+            # an iteration count must be an integer, and a bool is not one
+            {"max_iters": float("nan")},
+            {"max_iters": 2.5},
+            {"max_iters": True},
         ],
     )
     def test_bad_config_rejected(self, kwargs):
@@ -385,6 +389,9 @@ class TestDiscreteResidual:
     GRID = Grid2D.regular(-1.29, 1.29, 21, -0.6, 0.6, 121)
     # hx = 0.75: centered for |x| <= 0.75, upwind at |x| = 1.5 and 2.25
     MIXED = Grid2D.regular(-3.0, 3.0, 9, -0.6, 0.6, 121)
+    # theta edges close enough to the band that some edge rows are
+    # one-sided optimality rows, and some of those trade
+    EDGE = Grid2D.regular(-0.3, 0.3, 9, -0.055, 0.055, 121)
     QUADRATIC = CostParams(gamma_lin=0.05, eta=0.05)
     THREE_HALVES = CostParams(gamma_lin=0.05, zeta=0.05,
                               kind=CostKind.THREE_HALVES)
@@ -400,6 +407,7 @@ class TestDiscreteResidual:
         res = _discrete_residual(self.PARAMS, costs, grid, V)
         rows = ~_slope_rows(self.PARAMS, costs, grid)
         assert np.abs(res[rows]).max() <= 1e-10 * np.abs(V).max()
+        return vg
 
     def test_quadratic(self):
         self._assert_solves_discrete_equation(self.QUADRATIC, self.GRID)
@@ -413,7 +421,16 @@ class TestDiscreteResidual:
         assert centered.any() and not centered.all()
         self._assert_solves_discrete_equation(self.QUADRATIC, self.MIXED)
 
-    @pytest.mark.parametrize("grid_name", ["GRID", "MIXED"])
+    @pytest.mark.parametrize("costs_name", ["QUADRATIC", "THREE_HALVES"])
+    def test_trades_on_edge_optimality_rows(self, costs_name):
+        costs = getattr(self, costs_name)
+        vg = self._assert_solves_discrete_equation(costs, self.EDGE)
+        edge = np.zeros((self.EDGE.nx, self.EDGE.ntheta), dtype=bool)
+        edge[:, [0, -1]] = True
+        optimality = edge & ~_slope_rows(self.PARAMS, costs, self.EDGE)
+        assert np.any(vg.v.values[optimality] != 0.0)
+
+    @pytest.mark.parametrize("grid_name", ["GRID", "MIXED", "EDGE"])
     def test_assembled_matrix_is_monotone(self, grid_name):
         # Barles-Souganidis: non-positive off-diagonals, and rows that sum
         # to rho (equation) or to 0 (edge slope condition)

@@ -6,8 +6,8 @@ power-law costs via matched asymptotics, and validates both against a
 finite-difference solve of the full control problem.
 """
 
-from .errors import (BandLayerError, BracketError, ConfigError,
-                     ConvergenceError, DomainError, RegimeError)
+from .errors import (BandLayerError, ConfigError, ConvergenceError,
+                     DomainError, RegimeError)
 from .model import (CostKind, CostParams, Grid2D, ModelParams, ScalarField,
                     default_x_domain, drift, markowitz_position,
                     stationary_std)

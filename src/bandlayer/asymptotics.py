@@ -12,7 +12,9 @@ whose solution is an Airy logarithmic derivative.  This module builds
 that profile, the shifted band level, and a composite speed curve that
 splices the strip onto the square-root/linear outer behaviour.  The
 3/2-power cost analog replaces the quadratic balance by a cubic one
-(an Abel equation) solved here by shooting.
+(an Abel equation), solved here by one backward integration along its
+cube-root asymptote that stops at the profile's zero, which fixes the
+wall offset.
 
 Everything operates on the zero-eta band produced by band_zero; the
 nonlinear cost enters only through closed-form corrections.
@@ -28,7 +30,7 @@ from typing import Optional, NamedTuple
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .errors import BracketError, ConfigError, ConvergenceError, DomainError, RegimeError
+from .errors import ConfigError, ConvergenceError, DomainError, RegimeError
 from .model import CostKind, ModelParams, drift
 from .band_zero import Band, GreensDecomposition, third_derivative_at_band
 from .special import airy_first_max, airy_log_derivative
@@ -224,7 +226,10 @@ def layer_ode_residual(profile: LayerProfile) -> float:
     Three-halves kind: |f^3 - D f_y - A^2 (y - y0)| / (A^2 (1+y))
 
     Small on authentic profiles; order 1e-2 already for a 1% corruption
-    of f, which is what makes it a useful detector.
+    of f, which is what makes it a useful detector of wrong constants or
+    sampling.  It does not check the orbit: for the three-halves kind
+    f_slope is computed from f through this same balance, so any solution
+    of it (not only the one on the cube-root asymptote) passes.
     """
     power = 2 if profile.kind is LayerKind.AIRY_QUADRATIC else 3
     lhs = profile.f ** power - profile.diffusivity * profile.f_slope
@@ -341,50 +346,27 @@ def composite_velocity(params: ModelParams, comp: GreensDecomposition,
         gauge=float(gauge), gauge_warning=bool(gauge > 0.2))
 
 
-def _abel_rhs(aprime: float, bprime: float, offset: float):
-    a2 = aprime * aprime
-
-    def rhs(t, g):
-        return (g[0] ** 3 - a2 * (t - offset)) / bprime
-
-    return rhs
-
-
-def _abel_forward_class(aprime: float, bprime: float, offset: float,
-                        y_stop: float, g_big: float, g_low: float) -> int:
-    """Forward-shoot from the wall; +1 means blowup (offset too large),
-    -1 means the solution dove below the separatrix (offset too small),
-    0 means it survived to y_stop."""
-    hit_hi = lambda t, g: g[0] - g_big
-    hit_hi.terminal = True
-    hit_lo = lambda t, g: g[0] - g_low
-    hit_lo.terminal = True
-    sol = solve_ivp(_abel_rhs(aprime, bprime, offset), (0.0, y_stop), [0.0],
-                    method="RK45", rtol=1e-11, atol=1e-13 * g_big,
-                    events=[hit_hi, hit_lo])
-    if not sol.success:
-        # step-size underflow right at blowup counts as blowup
-        return 1
-    if sol.t_events[0].size:
-        return 1
-    if sol.t_events[1].size:
-        return -1
-    return 0
-
-
 def abel_layer_solve(aprime: float, bprime: float, y_max: float,
-                     n: int = 4001, offset_bracket=None) -> LayerProfile:
-    """Layer profile for the 3/2-power cost: solve the cubic balance
+                     n: int = 4001) -> LayerProfile:
+    """Layer profile for the 3/2-power cost: the cubic balance
 
         g^3 - bprime * g_y = aprime^2 * (y - offset),  g(0) = 0,
 
-    by shooting on the offset.  Forward integration classifies each trial
-    offset (the wall orbit either blows up or dives, depending on the
-    side); bisection pins the connecting orbit.  The returned samples come
-    from a backward pass seeded on the cube-root asymptote at y_max, the
-    direction in which departures from the connecting orbit decay, so the
-    profile stays on it over the whole window.  The leftover value at the
-    wall from that pass is reported as ``wall_residual``.
+    on the orbit that follows the cube-root asymptote g ~ (aprime^2 y)^{1/3}.
+
+    In w = y - offset the balance reads bprime g_w = g^3 - aprime^2 w,
+    which does not involve the offset, so the asymptotic orbit is one
+    curve G(w) and the wall condition only fixes offset = -w0 at its zero
+    G(w0) = 0.  One integration finds both: seeded on the asymptote at
+    w = y_max, it runs towards decreasing w and stops at the zero crossing
+    (a terminal event), which gives the offset; the samples are the dense
+    output at w = y - offset.  The pass goes backward because departures
+    from the asymptotic orbit decay in that direction (forward they blow up
+    or dive), so the seed error dies out before w reaches the window; the
+    decay rate 3 g^2/bprime grows with y, which makes the pass stiff, hence
+    LSODA with the analytic Jacobian.  ``wall_residual`` is the dense-output
+    value at the located zero, i.e. how well the event pinned the wall; the
+    returned f[0] is set to exactly 0.
 
     The proportionality constants aprime, bprime are inputs: they carry
     the model- and units-dependent prefactors that the rescaling does not
@@ -399,66 +381,34 @@ def abel_layer_solve(aprime: float, bprime: float, y_max: float,
         raise ConfigError(f"need at least 9 samples, got {n}")
 
     s = (bprime / aprime ** (4.0 / 3.0)) ** 0.6  # layer width scale
-    g_ref = (aprime ** 2 * s) ** (1.0 / 3.0)
-    g_big = 4.0 * (aprime ** 2 * (y_max + 4.0 * s)) ** (1.0 / 3.0)
-    g_low = -0.5 * g_ref
-    y_stop = min(float(y_max), 12.0 * s)
+    a2 = aprime * aprime
+    g_ref = (a2 * s) ** (1.0 / 3.0)
+    w_seed = float(y_max)  # one offset beyond the window's far end
+    g_seed = ((a2 * w_seed) ** (1.0 / 3.0)
+              + bprime / (9.0 * (a2 * w_seed) ** (1.0 / 3.0) * w_seed))
 
-    def classify(off):
-        return _abel_forward_class(aprime, bprime, off, y_stop, g_big, g_low)
+    def wall(w, g):
+        return g[0]
 
-    if offset_bracket is not None:
-        lo, hi = float(offset_bracket[0]), float(offset_bracket[1])
-        if not (classify(lo) < 0 < classify(hi)):
-            raise BracketError(
-                f"offset bracket ({lo:g}, {hi:g}) does not straddle the "
-                "connecting orbit: need dive on the left end, blowup on the "
-                "right. Scale guess: offset ~ 0.7 * "
-                f"(bprime/aprime^(4/3))^(3/5) = {0.7 * s:g}")
-    else:
-        lo = 0.0  # zero offset always dives: g_y(0) < 0 immediately
-        hi = 1.5 * s
-        tries = 0
-        while classify(hi) <= 0:
-            hi *= 2.0
-            tries += 1
-            if tries > 8:
-                raise BracketError(
-                    f"no blowup found for offset up to {hi:g} "
-                    f"(searched [{lo:g}, {hi:g}]); aprime={aprime:g}, "
-                    f"bprime={bprime:g}, scale={s:g}")
-
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if classify(mid) > 0:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo <= 1e-15 * max(s, hi):
-            break
-    offset = 0.5 * (lo + hi)
-
-    # Assemble on the stable (decreasing-y) direction from the asymptote.
-    w_max = y_max - offset
-    if w_max <= 2.0 * s:
+    wall.terminal = True
+    # the zero of G sits near w = -1.09 s; stop well past it
+    sol = solve_ivp(lambda w, g: (g ** 3 - a2 * w) / bprime,
+                    (w_seed, -4.0 * s), [g_seed], method="LSODA",
+                    jac=lambda w, g: [[3.0 * g[0] ** 2 / bprime]],
+                    rtol=1e-12, atol=1e-14 * g_ref, events=wall,
+                    dense_output=True)
+    if not sol.success or sol.t_events[0].size == 0:
+        raise ConvergenceError(
+            f"backward pass found no wall zero: {sol.message}", history=sol.t)
+    offset = -float(sol.t_events[0][0])
+    if y_max - offset <= 2.0 * s:
         raise DomainError(
             f"y_max={y_max:g} too small: needs room beyond the located "
             f"offset {offset:g} for the asymptotic seed (>= {offset + 2 * s:g})")
-    g_seed = ((aprime ** 2 * w_max) ** (1.0 / 3.0)
-              + bprime / (9.0 * (aprime ** 2 * w_max) ** (1.0 / 3.0) * w_max))
     y = np.linspace(0.0, float(y_max), int(n))
-    sol = solve_ivp(_abel_rhs(aprime, bprime, offset), (float(y_max), 0.0),
-                    [g_seed], method="RK45", rtol=1e-11, atol=1e-14 * g_ref,
-                    dense_output=True)
-    if not sol.success:
-        raise ConvergenceError(
-            f"backward assembly failed: {sol.message}", history=sol.t)
-    g = sol.sol(y)[0]
+    g = sol.sol(y - offset)[0]
     wall_residual = float(g[0])
     g[0] = 0.0  # boundary condition; leftover reported separately
-    a2 = aprime * aprime
     g_y = (g ** 3 - a2 * (y - offset)) / bprime
     return LayerProfile(
         kind=LayerKind.ABEL_THREE_HALVES, y=y, f=g, f_slope=g_y,

@@ -83,19 +83,20 @@ def cmd_layer(cfg: RunConfig, out: str, quiet: bool) -> int:
     spec = cfg.layer
     x = spec.x if spec is not None else 0.0
     samples = spec.samples if spec is not None else 2001
+    y_max = spec.y_max if spec is not None else None
     band = band_zero.find_band_zero(params, costs.gamma_lin)
     c = asymptotics.layer_constants(params, band, x)
 
     from .model import CostKind
     if costs.kind is CostKind.THREE_HALVES:
-        scale = (c.diffusivity / c.amp ** (4.0 / 3.0)) ** 0.6
-        y_max = spec.y_max if spec is not None and spec.y_max else 150.0 * scale
+        if y_max is None:
+            y_max = 150.0 * (c.diffusivity / c.amp ** (4.0 / 3.0)) ** 0.6
         prof = asymptotics.abel_layer_solve(c.amp, c.diffusivity, y_max,
                                             n=samples)
         stem = "layer_abel"
     else:
-        y_max = (spec.y_max if spec is not None and spec.y_max
-                 else 50.0 * c.wall_offset)
+        if y_max is None:
+            y_max = 50.0 * c.wall_offset
         prof = asymptotics.layer_profile_airy(c, y_max, n=samples)
         stem = "layer_airy"
 

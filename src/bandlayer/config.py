@@ -11,6 +11,7 @@ place.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass
 
@@ -110,6 +111,12 @@ class LayerSpec:
     x: float = 0.0
     y_max: float | None = None
     samples: int = 2001
+
+    def __post_init__(self):
+        if self.y_max is not None and not (math.isfinite(self.y_max)
+                                           and self.y_max > 0.0):
+            raise ConfigError(
+                f"layer.y_max must be finite and > 0, got {self.y_max!r}")
 
 
 @dataclass(frozen=True)

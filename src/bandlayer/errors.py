@@ -36,9 +36,5 @@ class ConvergenceError(BandLayerError, RuntimeError):
         self.history = history
 
 
-class BracketError(ConfigError):
-    """A root bracket does not change sign."""
-
-
 class DomainError(BandLayerError, ValueError):
     """A point lies outside the region where the requested field is defined."""

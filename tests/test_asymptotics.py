@@ -6,7 +6,9 @@ Oracles used here:
   - the small-linear-cost closed forms for the third derivative and the
     band geometry, an independent route to the shift magnitude;
   - finite differences of sampled profiles against analytic slopes;
-  - exact rescaling invariance of the cubic (Abel) layer.
+  - exact rescaling invariance of the cubic (Abel) layer;
+  - forward shots from the wall, which straddle the Abel offset (the
+    solver integrates the other way, so this is an independent route).
 """
 
 import dataclasses
@@ -14,8 +16,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
-from bandlayer.errors import BracketError, ConfigError, DomainError, RegimeError
+from bandlayer.errors import ConfigError, DomainError, RegimeError
 from bandlayer.model import CostKind, ModelParams
 from bandlayer.band_zero import find_band_zero, third_derivative_at_band
 from bandlayer.special import fd_weights
@@ -23,6 +26,7 @@ from bandlayer import asymptotics as asy
 from bandlayer.experiments import ValidityParams, validity_report
 
 WALL_ROOT_LITERAL = 1.0187929716  # |u| at the first Airy maximum, 10 digits
+ABEL_OFFSET_LITERAL = 1.094848850  # canonical Abel wall offset / s, 10 digits
 
 
 @pytest.fixture(scope="module")
@@ -343,6 +347,27 @@ class TestCompositeVelocity:
 
 # -------------------------------------------------------------- abel layer
 
+def abel_forward_class(aprime, bprime, offset, y_max):
+    """Shoot the cubic balance forward from g(0) = 0 with a trial offset.
+
+    +1: the orbit blows up (offset too large); -1: it dives below the
+    asymptotic orbit (offset too small); 0: it survived to the stop point.
+    """
+    s = (bprime / aprime ** (4.0 / 3.0)) ** 0.6
+    g_big = 4.0 * (aprime ** 2 * (y_max + 4.0 * s)) ** (1.0 / 3.0)
+    g_low = -0.5 * (aprime ** 2 * s) ** (1.0 / 3.0)
+    hit_hi = lambda t, g: g[0] - g_big
+    hit_hi.terminal = True
+    hit_lo = lambda t, g: g[0] - g_low
+    hit_lo.terminal = True
+    sol = solve_ivp(lambda t, g: (g ** 3 - aprime ** 2 * (t - offset)) / bprime,
+                    (0.0, min(y_max, 12.0 * s)), [0.0], method="RK45",
+                    rtol=1e-11, atol=1e-13 * g_big, events=[hit_hi, hit_lo])
+    if not sol.success or sol.t_events[0].size:
+        return 1  # step-size underflow right at blowup counts as blowup
+    return -1 if sol.t_events[1].size else 0
+
+
 class TestAbelLayer:
     def test_wall_condition_and_residuals(self, abel_canonical):
         pr = abel_canonical
@@ -366,6 +391,36 @@ class TestAbelLayer:
         assert pr.slope_at_zero == pytest.approx(pr.wall_offset, rel=1e-12)
         assert pr.f_slope[0] == pytest.approx(pr.slope_at_zero, rel=1e-12)
 
+    def test_forward_shots_straddle_offset(self, abel_canonical):
+        # the wall orbit is unstable forward: a slightly smaller offset
+        # dives, a slightly larger one blows up
+        off = abel_canonical.wall_offset
+        assert abel_forward_class(1.0, 1.0, off * (1.0 - 1e-10), 130.0) == -1
+        assert abel_forward_class(1.0, 1.0, off * (1.0 + 1e-10), 130.0) == 1
+
+    def test_offset_literal(self, abel_canonical):
+        assert abel_canonical.wall_offset == pytest.approx(ABEL_OFFSET_LITERAL,
+                                                           rel=1e-9)
+
+    def test_slope_against_finite_difference(self, abel_canonical):
+        # f_slope is computed from f through the balance itself, so the
+        # ODE residual cannot see a wrong orbit; a difference of f can
+        pr = abel_canonical
+        w = fd_weights(0.0, [-2.0, -1.0, 0.0, 1.0, 2.0], 1)
+        h = pr.y[1] - pr.y[0]
+        fd = np.convolve(pr.f, w[::-1], mode="valid") / h
+        scale = np.max(np.abs(pr.f_slope))
+        assert np.max(np.abs(fd - pr.f_slope[2:-2])) <= 1e-6 * scale
+
+    def test_profile_independent_of_window(self):
+        # both windows sample the same y on [0, 10]; the far end of the
+        # short one must not carry a seed error
+        short = asy.abel_layer_solve(1.0, 1.0, y_max=10.0, n=2001)
+        long = asy.abel_layer_solve(1.0, 1.0, y_max=130.0, n=26001)
+        np.testing.assert_array_equal(long.y[:2001], short.y)
+        diff = np.max(np.abs(long.f[:2001] - short.f))
+        assert diff <= 1e-9 * np.max(np.abs(short.f))
+
     def test_rescaling_invariance(self, abel_canonical):
         # exact symmetry: offset/(bprime/aprime^{4/3})^{3/5} is universal
         ref = abel_canonical.wall_offset
@@ -373,12 +428,6 @@ class TestAbelLayer:
             s = (b / a ** (4.0 / 3.0)) ** 0.6
             pr = asy.abel_layer_solve(a, b, y_max=130.0 * s, n=3001)
             assert pr.wall_offset / s == pytest.approx(ref, rel=1e-7)
-
-    def test_bad_bracket_reports_scale(self):
-        with pytest.raises(BracketError) as err:
-            asy.abel_layer_solve(1.0, 1.0, y_max=130.0,
-                                 offset_bracket=(1e-9, 2e-9))
-        assert "scale" in str(err.value).lower()
 
     def test_input_validation(self):
         with pytest.raises(ConfigError):

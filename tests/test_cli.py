@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from bandlayer import band_zero
-from bandlayer.cli import main
+from bandlayer.cli import EXIT_CONFIG, main
 
 DESK = {"sigma": 0.02, "omega": 0.1, "lam": 1.0, "rho": 1e-3}
 COARSE = {"sigma": 0.5, "omega": 0.3, "lam": 1.0, "rho": 1.0}
@@ -111,6 +111,16 @@ class TestLayer:
         t = read_csv(os.path.join(out, "layer_abel.csv"))
         assert t["profile"][0] == 0.0
         assert np.all(t["profile"][1:] > 0)
+
+    def test_zero_y_max_is_config_error(self, tmp_path):
+        # 0 must not be mistaken for "unset" and replaced by the default
+        cfg = write_cfg(tmp_path, {
+            "model": DESK,
+            "costs": {"gamma_lin": 2e-4, "kind": "quadratic", "eta": 1e-6},
+            "layer": {"y_max": 0.0}})
+        out = str(tmp_path / "o")
+        assert main(["layer", "--config", cfg, "--out", out]) == EXIT_CONFIG
+        assert not os.path.exists(os.path.join(out, "layer_airy.csv"))
 
     def test_flat_band_degeneracy_exits_3(self, tmp_path):
         cfg = write_cfg(tmp_path, {

@@ -124,6 +124,13 @@ class TestParse:
         with pytest.raises(ConfigError):
             parse_config(raw)
 
+    @pytest.mark.parametrize("y_max", [0.0, -1.0, float("nan")])
+    def test_layer_y_max_must_be_positive(self, y_max):
+        raw = full_raw()
+        raw["layer"]["y_max"] = y_max
+        with pytest.raises(ConfigError, match="layer.y_max"):
+            parse_config(raw)
+
     def test_sweep_kind_checked(self):
         raw = full_raw()
         raw["sweep"]["kind"] = "zeta_shift"

@@ -25,7 +25,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Optional, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -119,7 +119,6 @@ class LayerProfile:
     amp: float
     diffusivity: float
     wall_offset: float
-    constants: Optional[LayerConstants] = None
     wall_residual: float = 0.0
 
     def __post_init__(self):
@@ -216,7 +215,7 @@ def layer_profile_airy(c: LayerConstants, y_max: float, n: int = 2001) -> LayerP
     return LayerProfile(
         kind=LayerKind.AIRY_QUADRATIC, y=y, f=f, f_slope=f_y,
         slope_at_zero=c.wall_slope, amp=c.amp, diffusivity=c.diffusivity,
-        wall_offset=c.wall_offset, constants=c)
+        wall_offset=c.wall_offset)
 
 
 def layer_ode_residual(profile: LayerProfile) -> float:
@@ -285,13 +284,18 @@ def sqrt_linear_crossover(params: ModelParams, c: LayerConstants) -> float:
     return c.amp ** 2 / (4.0 * params.lam)
 
 
+# distance from the shifted edge, in units of eta^{1/3}, beyond which the
+# composite speed blends the layer into the outer branch
+_SEAM = 30.0
+
+
 def composite_velocity(params: ModelParams, comp: GreensDecomposition,
-                       band: Band, x: float, eta: float, theta_grid,
-                       seam: float = 30.0) -> VelocityProfile:
+                       band: Band, x: float, eta: float,
+                       theta_grid) -> VelocityProfile:
     """Uniform trading-speed curve across all four regimes at fixed x.
 
     Inside the shifted band the speed is exactly zero.  Within
-    seam*eta^{1/3} of the shifted edge the layer profile alone is used;
+    _SEAM*eta^{1/3} of the shifted edge the layer profile alone is used;
     beyond, the standard additive composite (layer + outer - shared
     square-root part) blends into the outer branch.  Samples are labeled
     NO_TRADE / LAYER / SQRT / LINEAR, the last two split at the
@@ -329,7 +333,7 @@ def composite_velocity(params: ModelParams, comp: GreensDecomposition,
     if np.any(trade):
         f_tr, _ = _layer_values(c, y[trade])
         v[trade] = -f_tr / (2.0 * scale)
-    blend = trade & (y >= seam)
+    blend = trade & (y >= _SEAM)
     for i in np.nonzero(trade)[0]:
         if blend[i]:
             out = outer_velocity(params, band, x, float(theta[i]), eta)
@@ -358,15 +362,16 @@ def abel_layer_solve(aprime: float, bprime: float, y_max: float,
     which does not involve the offset, so the asymptotic orbit is one
     curve G(w) and the wall condition only fixes offset = -w0 at its zero
     G(w0) = 0.  One integration finds both: seeded on the asymptote at
-    w = y_max, it runs towards decreasing w and stops at the zero crossing
-    (a terminal event), which gives the offset; the samples are the dense
-    output at w = y - offset.  The pass goes backward because departures
-    from the asymptotic orbit decay in that direction (forward they blow up
-    or dive), so the seed error dies out before w reaches the window; the
-    decay rate 3 g^2/bprime grows with y, which makes the pass stiff, hence
-    LSODA with the analytic Jacobian.  ``wall_residual`` is the dense-output
-    value at the located zero, i.e. how well the event pinned the wall; the
-    returned f[0] is set to exactly 0.
+    w = max(y_max, 10 s), it runs towards decreasing w and stops at the
+    zero crossing (a terminal event), which gives the offset; the samples
+    are the dense output at w = y - offset.  The pass goes backward because
+    departures from the asymptotic orbit decay in that direction (forward
+    they blow up or dive); seeding no nearer than 10 s gives the seed
+    error room to die out before w reaches the window, however short the
+    window.  The decay rate 3 g^2/bprime grows with y, which makes the
+    pass stiff, hence LSODA with the analytic Jacobian.  ``wall_residual``
+    is the dense-output value at the located zero, i.e. how well the
+    event pinned the wall; the returned f[0] is set to exactly 0.
 
     The proportionality constants aprime, bprime are inputs: they carry
     the model- and units-dependent prefactors that the rescaling does not
@@ -383,7 +388,8 @@ def abel_layer_solve(aprime: float, bprime: float, y_max: float,
     s = (bprime / aprime ** (4.0 / 3.0)) ** 0.6  # layer width scale
     a2 = aprime * aprime
     g_ref = (a2 * s) ** (1.0 / 3.0)
-    w_seed = float(y_max)  # one offset beyond the window's far end
+    # one offset beyond the window's far end, and never closer than 10 s
+    w_seed = max(float(y_max), 10.0 * s)
     g_seed = ((a2 * w_seed) ** (1.0 / 3.0)
               + bprime / (9.0 * (a2 * w_seed) ** (1.0 / 3.0) * w_seed))
 
@@ -401,10 +407,6 @@ def abel_layer_solve(aprime: float, bprime: float, y_max: float,
         raise ConvergenceError(
             f"backward pass found no wall zero: {sol.message}", history=sol.t)
     offset = -float(sol.t_events[0][0])
-    if y_max - offset <= 2.0 * s:
-        raise DomainError(
-            f"y_max={y_max:g} too small: needs room beyond the located "
-            f"offset {offset:g} for the asymptotic seed (>= {offset + 2 * s:g})")
     y = np.linspace(0.0, float(y_max), int(n))
     g = sol.sol(y - offset)[0]
     wall_residual = float(g[0])

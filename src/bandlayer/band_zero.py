@@ -37,12 +37,12 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import cumulative_simpson, cumulative_trapezoid
+from scipy.integrate import cumulative_simpson, cumulative_trapezoid, solve_ivp
 from scipy.interpolate import CubicSpline
 
 from .errors import ConfigError, ConvergenceError, DomainError, RegimeError
 from .model import ModelParams, default_x_domain, small_cost_half_width
-from .special import fd_weights, integrate_ode
+from .special import fd_weights
 
 __all__ = [
     "HomogeneousPair",
@@ -88,10 +88,6 @@ class HomogeneousPair:
     psi2_d_s: np.ndarray
     spline: CubicSpline = field(repr=False)
 
-    def wronskian(self, x):
-        p1, p2, d1, d2 = _columns(self.spline, x)
-        return p1 * d2 - p2 * d1
-
     @property
     def wronskian_samples(self):
         return self.psi1_s * self.psi2_d_s - self.psi2_s * self.psi1_d_s
@@ -126,9 +122,18 @@ def _recessive_slope(params: ModelParams, x: float, inward: float) -> float:
     return s
 
 
-def solve_homogeneous(params: ModelParams, x_domain=None, pad_frac: float = 0.15,
-                      nq: int = 24001, ode_tol: float = 1e-11) -> HomogeneousPair:
-    """Integrate the homogeneous pair inward from both padded edges."""
+# nodes of the dense quadrature grid, and the relative tolerance of the
+# DOP853 integration of the pair onto it
+_QUAD_NODES = 24001
+_ODE_TOL = 1e-11
+
+
+def solve_homogeneous(params: ModelParams, x_domain=None,
+                      pad_frac: float = 0.15) -> HomogeneousPair:
+    """Integrate the homogeneous pair inward from both padded edges.
+
+    Raises ConvergenceError when an integration fails.
+    """
     if x_domain is None:
         x_domain = default_x_domain(params)
     x_min, x_max = map(float, x_domain)
@@ -136,7 +141,7 @@ def solve_homogeneous(params: ModelParams, x_domain=None, pad_frac: float = 0.15
         raise ConfigError("x_domain must satisfy min < max")
     pad = pad_frac * (x_max - x_min)
     x_lo, x_hi = x_min - pad, x_max + pad
-    xq = np.linspace(x_lo, x_hi, int(nq))
+    xq = np.linspace(x_lo, x_hi, _QUAD_NODES)
 
     p = params
 
@@ -144,14 +149,22 @@ def solve_homogeneous(params: ModelParams, x_domain=None, pad_frac: float = 0.15
         psi, dpsi = y
         return [dpsi, (2.0 / p.sigma ** 2) * (p.omega * t * dpsi + p.rho * psi)]
 
+    def integrate(y0, span, t_eval):
+        sol = solve_ivp(rhs, span, y0, method="DOP853", rtol=_ODE_TOL,
+                        atol=_ODE_TOL * 1e-3, t_eval=t_eval)
+        if not sol.success:
+            raise ConvergenceError(
+                f"homogeneous ODE integration failed on span {span}: "
+                f"{sol.message}", history=sol.t)
+        return sol.y
+
     s1 = _recessive_slope(p, x_lo, inward=+1.0)
-    traj1 = integrate_ode(rhs, [1.0, s1], (x_lo, x_hi), tol=ode_tol, t_eval=xq)
-    psi1_s, psi1_d_s = traj1.ys
+    psi1_s, psi1_d_s = integrate([1.0, s1], (x_lo, x_hi), xq)
 
     s2 = _recessive_slope(p, x_hi, inward=-1.0)
-    traj2 = integrate_ode(rhs, [1.0, s2], (x_hi, x_lo), tol=ode_tol, t_eval=xq[::-1])
-    psi2_s = traj2.ys[0][::-1].copy()
-    psi2_d_s = traj2.ys[1][::-1].copy()
+    ys2 = integrate([1.0, s2], (x_hi, x_lo), xq[::-1])
+    psi2_s = ys2[0][::-1].copy()
+    psi2_d_s = ys2[1][::-1].copy()
 
     # rescale so |W| = 1 at the domain center; keeps the linear systems O(1)
     xc = 0.5 * (x_min + x_max)
@@ -186,7 +199,6 @@ class GreensDecomposition:
     (drift_part, risk_part, drift_part', risk_part'); the first
     derivatives come from the quadrature representation (the integrand
     cross-terms cancel), second derivatives from the defining equations.
-    ``greens_kernel`` exposes the kernel itself.
     """
 
     params: ModelParams
@@ -202,14 +214,6 @@ class GreensDecomposition:
         """V-particular = theta*drift_part + theta^2/2 * risk_part."""
         drift_part, risk_part, _, _ = _columns(self.spline, x)
         return theta * drift_part + 0.5 * theta ** 2 * risk_part
-
-    def greens_kernel(self, x, xi):
-        """Resolvent kernel G(x, xi) of (generator - rho); symmetric role split."""
-        pr = self.pair
-        lo, hi = (xi, x) if xi <= x else (x, xi)
-        w = pr.wronskian(xi)
-        return (-2.0 / self.params.sigma ** 2 * pr.spline(lo)[..., 0]
-                * pr.spline(hi)[..., 1] / w)
 
     def alpha_coefficients(self, h_plus, h_minus, gamma_lin, theta):
         """Homogeneous coefficients (per level) from the slope conditions.
@@ -429,9 +433,8 @@ class Band:
     theta_plus_deriv: np.ndarray
     theta_minus_deriv: np.ndarray
     gamma_lin: float
-    # x-abscissa of the opposite endpoint paired with each node's level
+    # x-abscissa of the lower endpoint paired with each node's upper level
     pair_minus_of_plus: np.ndarray
-    pair_plus_of_minus: np.ndarray
     # level sweep tables (sorted by theta)
     levels: np.ndarray
     h_plus: np.ndarray
@@ -493,10 +496,13 @@ def _seed_level_zero(comp, gamma_lin):
         "exist on this domain for these parameters")
 
 
+# level spacing of the sweep, as a fraction of the small-cost half-width
+_LEVEL_STEP_FRAC = 0.1
+
+
 def find_band_zero(params: ModelParams, gamma_lin: float, x_nodes=None,
                    comp: GreensDecomposition | None = None,
-                   level_step_frac: float = 0.1,
-                   pad_frac: float = 0.15, nq: int = 24001) -> Band:
+                   pad_frac: float = 0.15) -> Band:
     """Construct the linear-cost no-trade band on an x grid.
 
     Returns a :class:`Band`; raises :class:`RegimeError` when no band
@@ -520,7 +526,7 @@ def find_band_zero(params: ModelParams, gamma_lin: float, x_nodes=None,
                     theta_plus=np.full(n, level), theta_minus=np.full(n, level),
                     theta_plus_deriv=z.copy(), theta_minus_deriv=z.copy(),
                     gamma_lin=gamma_lin,
-                    pair_minus_of_plus=z.copy(), pair_plus_of_minus=z.copy(),
+                    pair_minus_of_plus=z.copy(),
                     levels=np.array([]), h_plus=np.array([]),
                     h_minus=np.array([]), alpha1_prime=np.array([]),
                     alpha2_prime=np.array([]),
@@ -530,14 +536,14 @@ def find_band_zero(params: ModelParams, gamma_lin: float, x_nodes=None,
 
     if comp is None:
         pair = solve_homogeneous(params, (x_nodes[0], x_nodes[-1]),
-                                 pad_frac=pad_frac, nq=nq)
+                                 pad_frac=pad_frac)
         comp = greens_particular(params, pair)
     x_min, x_max = float(x_nodes[0]), float(x_nodes[-1])
     guard = 0.02 * (comp.pair.x_hi - comp.pair.x_lo)
     lo_lim, hi_lim = comp.pair.x_lo + guard, comp.pair.x_hi - guard
 
     w = small_cost_half_width(params, gamma_lin)
-    dtheta = level_step_frac * w
+    dtheta = _LEVEL_STEP_FRAC * w
     st0 = _seed_level_zero(comp, gamma_lin)
 
     records = [st0]
@@ -604,7 +610,6 @@ def find_band_zero(params: ModelParams, gamma_lin: float, x_nodes=None,
     tpd = np.empty(n)
     tmd = np.empty(n)
     pair_m = np.empty(n)
-    pair_p = np.empty(n)
 
     # seeds by nearest swept level (h+ and h- are monotone in theta)
     order_p = np.argsort(hps)
@@ -625,7 +630,6 @@ def find_band_zero(params: ModelParams, gamma_lin: float, x_nodes=None,
         rec = records[order_m[j]]
         st = _polish_node(comp, gamma_lin, x, rec, fixed="minus")
         tm[i] = -st["theta"]
-        pair_p[i] = st["hp"]
         _, hm_slope = _boundary_slopes(st)
         tmd[i] = -1.0 / hm_slope
 
@@ -637,7 +641,7 @@ def find_band_zero(params: ModelParams, gamma_lin: float, x_nodes=None,
     band = Band(x_nodes=x_nodes, theta_plus=tp, theta_minus=tm,
                 theta_plus_deriv=tpd, theta_minus_deriv=tmd,
                 gamma_lin=gamma_lin,
-                pair_minus_of_plus=pair_m, pair_plus_of_minus=pair_p,
+                pair_minus_of_plus=pair_m,
                 levels=levels, h_plus=hps, h_minus=hms,
                 alpha1_prime=a1s, alpha2_prime=a2s,
                 spline=CubicSpline(x_nodes, np.column_stack([tp, tm, tpd, tmd])),
@@ -662,15 +666,19 @@ def _state_at_upper(comp, band: Band, x):
 # band diagnostics
 
 
-def _nearest_stencil(levels, theta, width):
-    """Indices of `width` level samples closest to theta."""
+# level samples in the finite-difference stencils of the band diagnostics
+_STENCIL = 7
+
+
+def _nearest_stencil(levels, theta):
+    """Indices of the _STENCIL level samples closest to theta."""
     j = int(np.searchsorted(levels, theta))
-    lo = max(0, min(j - width // 2, levels.size - width))
-    return np.arange(lo, lo + width)
+    lo = max(0, min(j - _STENCIL // 2, levels.size - _STENCIL))
+    return np.arange(lo, lo + _STENCIL)
 
 
-def second_derivative_at_band(comp: GreensDecomposition, band: Band, x,
-                              stencil: int = 7) -> float:
+def second_derivative_at_band(comp: GreensDecomposition, band: Band,
+                              x) -> float:
     """Total second theta-derivative of the value at the upper boundary.
 
     Uses finite differences of the swept coefficient tables, so it
@@ -680,7 +688,7 @@ def second_derivative_at_band(comp: GreensDecomposition, band: Band, x,
     if band.flat:
         raise RegimeError("flat band: second-derivative condition does not apply")
     theta = float(band.theta_plus_at(x))
-    idx = _nearest_stencil(band.levels, theta, stencil)
+    idx = _nearest_stencil(band.levels, theta)
     wts = fd_weights(theta, band.levels[idx], 1)
     da1 = float(wts @ band.alpha1_prime[idx])
     da2 = float(wts @ band.alpha2_prime[idx])
@@ -704,8 +712,8 @@ def third_derivative_at_band(comp: GreensDecomposition, band: Band, x) -> float:
     return float(v3)
 
 
-def third_derivative_stencil(comp: GreensDecomposition, band: Band, x,
-                             stencil: int = 7) -> float:
+def third_derivative_stencil(comp: GreensDecomposition, band: Band,
+                             x) -> float:
     """Independent route: second difference of the coefficient tables.
 
     The particular part is affine in theta, so the third derivative is
@@ -714,7 +722,7 @@ def third_derivative_stencil(comp: GreensDecomposition, band: Band, x,
     if band.flat:
         raise RegimeError("flat band: no third derivative")
     theta = float(band.theta_plus_at(x))
-    idx = _nearest_stencil(band.levels, theta, stencil)
+    idx = _nearest_stencil(band.levels, theta)
     wts = fd_weights(theta, band.levels[idx], 2)
     dda1 = float(wts @ band.alpha1_prime[idx])
     dda2 = float(wts @ band.alpha2_prime[idx])
@@ -783,8 +791,7 @@ def _level_at(comp, band, theta):
                          band.h_plus[j], band.h_minus[j])
 
 
-def check_displacement_identity(comp: GreensDecomposition, band: Band, x,
-                                delta: float | None = None):
+def check_displacement_identity(comp: GreensDecomposition, band: Band, x):
     """Test data for the boundary-displacement consistency identity.
 
     Displacing the upper boundary by +-delta and re-solving the slope
@@ -794,16 +801,16 @@ def check_displacement_identity(comp: GreensDecomposition, band: Band, x,
     theta-derivative of the unperturbed value.
 
     Returns ``(lhs, rhs)`` where lhs is the displacement-curvature
-    derivative g'(boundary) and rhs is -V_theta3(boundary).  A Richardson
-    step at delta/2 guards the quadratic regime; disagreement beyond
-    O(delta) raises :class:`ConvergenceError`.
+    derivative g'(boundary) and rhs is -V_theta3(boundary).  The step
+    delta is 2% of the band width at x; a Richardson step at delta/2
+    guards the quadratic regime, and disagreement beyond O(delta) raises
+    :class:`ConvergenceError`.
     """
     if band.flat:
         raise RegimeError("flat band: displacement identity does not apply")
     x = float(x)
     theta_b = float(band.theta_plus_at(x))
-    if delta is None:
-        delta = 0.02 * (band.theta_plus_at(x) + band.theta_minus_at(x))
+    delta = 0.02 * (band.theta_plus_at(x) + band.theta_minus_at(x))
 
     p1x, p2x, _, _ = comp.pair.spline(x).tolist()
 

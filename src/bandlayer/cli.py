@@ -157,7 +157,7 @@ def _sweep_eta_shift(cfg, spec, out, quiet):
     grid = cfg.grid.to_grid() if cfg.grid is not None else None
     result = experiments.eta_shift_sweep(
         params, costs.gamma_lin, spec.values, x=spec.x, grid=grid,
-        cfg=cfg.solver, crossing_cells=spec.crossing_cells)
+        cfg=cfg.solver)
     stem = cfg.output_prefix + "eta_shift"
     csv_path = os.path.join(out, stem + ".csv")
     predicted = result.predicted_prefactor * result.values ** (1.0 / 3.0)

@@ -6,6 +6,20 @@ ignored typo in a numerics config is worse than a crash.  All value
 validation beyond types is delegated to the dataclasses being built
 (ModelParams, CostParams, SolverConfig, ...), so the rules live in one
 place.
+
+Sections and their keys (* marks a required key):
+
+* ``model``: sigma*, omega*, lam*, rho*
+* ``costs``: gamma_lin*, eta, zeta, kind ("quadratic" or "three_halves")
+* ``grid``: x_min*, x_max*, nx*, theta_min*, theta_max*, ntheta*
+* ``solver``: max_iters, convergence_tol
+* ``band``: x_nodes or count
+* ``layer``: x, y_max, samples
+* ``sweep``: kind* ("eta_shift", "gamma_width" or "regime"), values
+  (required unless kind is "regime"), x
+* ``validity``: gamma_coeff*, phi*, daily_volume*, risk_target*
+* ``check``: layer_table
+* ``output``: prefix
 """
 
 from __future__ import annotations
@@ -124,7 +138,6 @@ class SweepSpec:
     kind: str
     values: tuple | None = None
     x: float = 0.0
-    crossing_cells: float = 6.0
 
     def __post_init__(self):
         if self.kind not in ("eta_shift", "gamma_width", "regime"):
@@ -214,18 +227,13 @@ def parse_config(raw: dict) -> RunConfig:
         grid.to_grid()  # validate node counts/ordering now, not at use time
     if "solver" in raw:
         sec = _require_table(raw["solver"], "solver")
-        allowed = ("max_iters", "convergence_tol", "eta_floor",
-                   "velocity_cap_factor", "band_threshold")
-        _check_keys(sec, allowed, "solver")
-        kwargs = {}
-        for key in allowed:
-            if key not in sec:
-                continue
-            if key == "max_iters":
-                kwargs[key] = _int(sec, key, "solver")
-            else:
-                kwargs[key] = _num(sec, key, "solver")
-        solver = SolverConfig(**kwargs)
+        _check_keys(sec, ("max_iters", "convergence_tol"), "solver")
+        solver = SolverConfig(
+            max_iters=_int(sec, "max_iters", "solver",
+                           default=SolverConfig.max_iters),
+            convergence_tol=_num(sec, "convergence_tol", "solver",
+                                 default=SolverConfig.convergence_tol),
+        )
     if "band" in raw:
         sec = _require_table(raw["band"], "band")
         _check_keys(sec, ("x_nodes", "count"), "band")
@@ -245,12 +253,11 @@ def parse_config(raw: dict) -> RunConfig:
         )
     if "sweep" in raw:
         sec = _require_table(raw["sweep"], "sweep")
-        _check_keys(sec, ("kind", "values", "x", "crossing_cells"), "sweep")
+        _check_keys(sec, ("kind", "values", "x"), "sweep")
         sweep = SweepSpec(
             kind=_str(sec, "kind", "sweep", default=""),
             values=_num_list(sec, "values", "sweep"),
             x=_num(sec, "x", "sweep", default=0.0),
-            crossing_cells=_num(sec, "crossing_cells", "sweep", default=6.0),
         )
     if "validity" in raw:
         sec = _require_table(raw["validity"], "validity")

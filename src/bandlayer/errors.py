@@ -4,7 +4,9 @@ Exit-code mapping used by the CLI:
 
 * :class:`ConfigError`      -> 2  (bad input, bad config file, invalid grid)
 * :class:`RegimeError`      -> 3  (mathematically degenerate or out-of-regime request)
+* :class:`DomainError`      -> 3  (point outside the region where a field is defined)
 * :class:`ConvergenceError` -> 4  (iteration/quadrature did not converge)
+* any other :class:`BandLayerError` -> 3
 
 Everything derives from :class:`BandLayerError` so library users can catch
 one base type.

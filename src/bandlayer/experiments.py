@@ -23,7 +23,7 @@ with stderr above 0.05 is flagged LOW-CONFIDENCE rather than hidden.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,7 +33,6 @@ from .model import (
     CostParams,
     Grid2D,
     ModelParams,
-    default_x_domain,
     markowitz_position,
     stationary_std,
 )
@@ -174,17 +173,21 @@ def _boundary_at(vg: hjb.ValueGrid, x: float, rel_threshold: float) -> float:
     return float(band.theta_plus[i])
 
 
+# grid steps beyond the baseline's trading onset at which the shift
+# sweep calibrates its crossing level
+CROSSING_CELLS = 6.0
+
+
 def eta_shift_sweep(params: ModelParams, gamma_lin: float, eta_list,
                     *, x: float = 0.0, grid: Grid2D | None = None,
-                    cfg: hjb.SolverConfig | None = None,
-                    crossing_cells: float = 6.0) -> SweepResult:
+                    cfg: hjb.SolverConfig | None = None) -> SweepResult:
     """Measure the inward boundary displacement as a function of eta.
 
     For each eta the full dynamic-programming problem is solved on one
     shared grid (warm-starting each solve from its neighbor) and the
     upper boundary at ``x`` is read off the velocity field.  The
     displacement is measured against the solver's own baseline at the
-    smallest trustworthy eta (``cfg.eta_floor``), so grid bias common to
+    smallest trustworthy eta (``hjb.ETA_FLOOR``), so grid bias common to
     both solves cancels.  The crossing level is rescaled per eta so the
     extraction crosses the velocity profile at the same physical offset
     beyond the boundary for every eta; otherwise the threshold geometry
@@ -197,10 +200,10 @@ def eta_shift_sweep(params: ModelParams, gamma_lin: float, eta_list,
     etas = _as_positive_array(eta_list, "eta_list")
     _require_span(etas, 2.0, "eta_list")
     cfg = cfg or hjb.SolverConfig(max_iters=200, convergence_tol=1e-9)
-    if etas[0] <= cfg.eta_floor:
+    if etas[0] <= hjb.ETA_FLOOR:
         raise ConfigError(
-            f"smallest eta {etas[0]:g} must exceed the baseline eta_floor "
-            f"{cfg.eta_floor:g}")
+            f"smallest eta {etas[0]:g} must exceed the baseline ETA_FLOOR "
+            f"{hjb.ETA_FLOOR:g}")
     grid = grid if grid is not None else _sweep_grid(params)
 
     # asymptotic prediction (independent route, used for the gauge and
@@ -232,7 +235,7 @@ def eta_shift_sweep(params: ModelParams, gamma_lin: float, eta_list,
     # solve ladder: largest eta cold, then walk down to the floor so each
     # solve warm-starts from its neighbor (the fields differ only near
     # the boundary)
-    ladder = sorted(keep, reverse=True) + [cfg.eta_floor]
+    ladder = sorted(keep, reverse=True) + [hjb.ETA_FLOOR]
     fields: dict[float, hjb.ValueGrid] = {}
     V = None
     for eta in ladder:
@@ -249,13 +252,13 @@ def eta_shift_sweep(params: ModelParams, gamma_lin: float, eta_list,
     # number of cells beyond its trading onset; each crossing is then an
     # external level cut through the profile, interpolated between nodes,
     # so sub-cell boundary motion survives.
-    baseline = fields[cfg.eta_floor]
-    level_ref = _crossing_level(baseline, x, crossing_cells)
+    baseline = fields[hjb.ETA_FLOOR]
+    level_ref = _crossing_level(baseline, x, CROSSING_CELLS)
     if not (level_ref > 0):
         raise ConvergenceError(
             "eta_shift_sweep: baseline velocity profile has no usable "
             "trading onset to calibrate the crossing level", history=[])
-    level_scale = level_ref * math.sqrt(cfg.eta_floor)
+    level_scale = level_ref * math.sqrt(hjb.ETA_FLOOR)
     measured = {}
     for eta, vg in fields.items():
         level = level_scale / math.sqrt(eta)
@@ -263,7 +266,7 @@ def eta_shift_sweep(params: ModelParams, gamma_lin: float, eta_list,
         rel = min(max(rel, 1e-12), 0.5)
         measured[eta] = _boundary_at(vg, x, rel)
 
-    base_theta = measured[cfg.eta_floor]
+    base_theta = measured[hjb.ETA_FLOOR]
     vals, shifts, ratios = [], [], []
     for eta in keep:
         s = base_theta - measured[eta]
@@ -430,10 +433,6 @@ class RegimeReport:
     v_composite: np.ndarray
     notes: tuple
 
-    def zone_count(self) -> int:
-        present = {l for l in self.labels if l != "?"}
-        return len(present)
-
 
 def _local_slopes(dist, mag):
     """Centered log-log slope at interior samples, NaN at the ends."""
@@ -466,8 +465,6 @@ def regime_map(params: ModelParams, costs: CostParams, x: float,
     band = band_zero.find_band_zero(params, gamma_lin=costs.gamma_lin,
                                     comp=comp)
     c = asymptotics.layer_constants(params, band, x)
-    v3 = band_zero.third_derivative_at_band(comp, band, x)
-    shift = (c.wall_slope / v3) * eta ** (1.0 / 3.0)
     layer_pred = c.wall_offset * eta ** (1.0 / 3.0)
     cross_pred = asymptotics.sqrt_linear_crossover(params, c)
 

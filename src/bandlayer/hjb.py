@@ -48,12 +48,18 @@ __all__ = [
 ]
 
 
+# smallest quadratic cost eta accepted: below it the discrete control is
+# too stiff to trust (the shift sweep also uses it as its baseline eta)
+ETA_FLOOR = 1e-8
+# velocity cap, as a multiple of the speed scale the grid can call for
+VELOCITY_CAP_FACTOR = 10.0
+# |v| level, relative to max|v|, at which the band boundaries are placed
+BAND_THRESHOLD = 1e-4
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """Iteration controls for :func:`solve_hjb`.
-
-    ``eta_floor`` is the smallest quadratic coefficient the solver
-    accepts; below it the discrete control is too stiff to trust.
 
     ``convergence_tol`` is relative to the value scale, with no floor:
     policy iteration stops once max|Delta V| <= convergence_tol * max|V|
@@ -61,13 +67,14 @@ class SolverConfig:
     same as in the previous iteration.  The update bound alone does not
     settle the policy, because the control reads V through one-sided
     differences and an update delta moves a slope by delta / htheta.
+
+    The eta floor, the velocity cap and the band-extraction threshold are
+    not settable; they are the module constants ``ETA_FLOOR``,
+    ``VELOCITY_CAP_FACTOR`` and ``BAND_THRESHOLD``.
     """
 
     max_iters: int = 400
     convergence_tol: float = 1e-9
-    eta_floor: float = 1e-8
-    velocity_cap_factor: float = 10.0
-    band_threshold: float = 1e-4
 
     def __post_init__(self):
         if (not isinstance(self.max_iters, numbers.Integral)
@@ -76,12 +83,6 @@ class SolverConfig:
                 f"max_iters must be an integer >= 1, got {self.max_iters!r}")
         if not (self.convergence_tol > 0):
             raise ConfigError("convergence_tol must be > 0")
-        if not (self.eta_floor > 0):
-            raise ConfigError("eta_floor must be > 0")
-        if not (self.velocity_cap_factor > 0):
-            raise ConfigError("velocity_cap_factor must be > 0")
-        if not (0.0 < self.band_threshold < 1.0):
-            raise ConfigError("band_threshold must be in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -186,8 +187,8 @@ def _run_gain(costs: CostParams, speed, slack):
     return speed * slack - costs.zeta * speed ** 1.5
 
 
-def _velocity_cap(params: ModelParams, costs: CostParams, grid: Grid2D,
-                  factor: float) -> float:
+def _velocity_cap(params: ModelParams, costs: CostParams,
+                  grid: Grid2D) -> float:
     span = float(grid.theta_nodes[-1] - grid.theta_nodes[0])
     mu_max = params.omega * max(abs(float(grid.x_nodes[0])),
                                 abs(float(grid.x_nodes[-1])))
@@ -196,7 +197,7 @@ def _velocity_cap(params: ModelParams, costs: CostParams, grid: Grid2D,
         base = slope / (2.0 * costs.eta) + math.sqrt(params.lam / costs.eta) * span
     else:
         base = (2.0 * slope / (3.0 * costs.zeta)) ** 2
-    return factor * max(base, 1.0)
+    return VELOCITY_CAP_FACTOR * max(base, 1.0)
 
 
 # ----------------------------------------------------------- edge conditions
@@ -354,7 +355,7 @@ def _reward(params: ModelParams, costs: CostParams, grid: Grid2D, v):
 
 
 def _solve_policy(params, costs, grid, cfg, V):
-    cap = _velocity_cap(params, costs, grid, cfg.velocity_cap_factor)
+    cap = _velocity_cap(params, costs, grid)
     bc_bot, bc_top = _edge_slopes(params, costs, grid)
     xop = _x_stencil(params, grid)
     history = []
@@ -399,15 +400,15 @@ def solve_hjb(params: ModelParams, costs: CostParams, grid: Grid2D,
     ``initial`` warm-starts the iteration (shape (nx, ntheta)); the
     default seed is the closed-form all-no-trade value.  Raises
     ConvergenceError when the iteration budget runs out and ConfigError
-    for ill-posed setups (non-uniform grid, eta below the floor).
+    for ill-posed setups (non-uniform grid, eta below ``ETA_FLOOR``).
     """
     cfg = cfg or SolverConfig()
     if not (grid.x_uniform and grid.theta_uniform):
         raise ConfigError("solver requires uniform grid spacings")
     if costs.kind is CostKind.QUADRATIC:
-        if costs.eta < cfg.eta_floor:
+        if costs.eta < ETA_FLOOR:
             raise ConfigError(
-                f"eta={costs.eta:g} below eta_floor={cfg.eta_floor:g}; "
+                f"eta={costs.eta:g} below ETA_FLOOR={ETA_FLOOR:g}; "
                 "the discrete control is not trustworthy there")
     elif costs.zeta <= 0.0:
         raise ConfigError("three-halves cost needs zeta > 0")
@@ -427,7 +428,7 @@ def solve_hjb(params: ModelParams, costs: CostParams, grid: Grid2D,
                    minus_mask=np.array([], dtype=bool),
                    residual=residual, iterations=iters,
                    eta=costs.eta if costs.kind is CostKind.QUADRATIC else 0.0)
-    eb = extract_band(vg, cfg.band_threshold)
+    eb = extract_band(vg)
     return ValueGrid(V=vg.V, v=vg.v,
                      band_plus=eb.theta_plus, band_minus=eb.theta_minus,
                      plus_mask=eb.plus_mask, minus_mask=eb.minus_mask,
@@ -448,7 +449,8 @@ def _longest_quiet_run(below: np.ndarray):
     return int(starts[k]), int(ends[k])
 
 
-def extract_band(vg: ValueGrid, threshold: float = 1e-4) -> ExtractedBand:
+def extract_band(vg: ValueGrid,
+                 threshold: float = BAND_THRESHOLD) -> ExtractedBand:
     """Locate the no-trade boundaries from the |v| field.
 
     The cut level is ``threshold * max|v|`` over the whole grid.  Per x

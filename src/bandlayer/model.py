@@ -200,10 +200,14 @@ def stationary_std(params: ModelParams) -> float:
     return params.sigma / math.sqrt(2.0 * params.omega)
 
 
-def default_x_domain(params: ModelParams, n_std: float = 6.0):
-    """Default signal domain: +-n_std stationary standard deviations."""
+# half-width of the default signal domain, in stationary deviations
+_DOMAIN_STDS = 6.0
+
+
+def default_x_domain(params: ModelParams):
+    """Default signal domain: +-6 stationary standard deviations."""
     s = stationary_std(params)
-    return (-n_std * s, n_std * s)
+    return (-_DOMAIN_STDS * s, _DOMAIN_STDS * s)
 
 
 def nt_rhs(params: ModelParams, x, theta):

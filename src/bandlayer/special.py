@@ -1,4 +1,4 @@
-"""Numerical substrate: Airy log-derivative, ODE integration, stencil weights.
+"""Numerical substrate: Airy log-derivative and stencil weights.
 
 The boundary-layer profile needs only the Airy logarithmic derivative
 Ai'/Ai and the first maximum of Ai; both come from ``scipy.special``.
@@ -7,15 +7,13 @@ Ai'/Ai and the first maximum of Ai; both come from ``scipy.special``.
 from __future__ import annotations
 
 import numpy as np
-from scipy.integrate import solve_ivp
 from scipy.special import ai_zeros, airy, airye
 
-from .errors import ConfigError, ConvergenceError
+from .errors import ConfigError
 
 __all__ = [
     "airy_first_max",
     "airy_log_derivative",
-    "integrate_ode",
     "fd_weights",
 ]
 
@@ -54,51 +52,6 @@ def airy_first_max() -> float:
     Largest root of Ai'(u) = 0, approximately -1.0187929716.
     """
     return float(ai_zeros(1)[1][0])
-
-
-class _Trajectory:
-    """Dense ODE solution: sampled values plus an interpolant."""
-
-    def __init__(self, sol):
-        self._sol = sol
-        self.ts = sol.t
-        self.ys = sol.y
-
-    def __call__(self, t):
-        return self._sol.sol(t)
-
-    @property
-    def end_state(self):
-        return self.ys[:, -1]
-
-
-def integrate_ode(rhs, y0, span, tol=1e-10, t_eval=None, max_step=np.inf,
-                  method="DOP853") -> _Trajectory:
-    """Adaptive Runge-Kutta integration with dense output.
-
-    Parameters
-    ----------
-    rhs : callable(t, y) -> dy/dt
-    y0 : array_like initial state
-    span : (t0, t1); t1 < t0 integrates backward
-    tol : local relative error target per step
-
-    Raises
-    ------
-    ConvergenceError
-        on step-size underflow / solver failure, with diagnostics.
-    """
-    if not (tol > 0):
-        raise ConfigError("ode tol must be > 0")
-    sol = solve_ivp(rhs, span, np.atleast_1d(np.asarray(y0, dtype=float)),
-                    method=method, rtol=tol, atol=tol * 1e-3,
-                    dense_output=True, t_eval=t_eval, max_step=max_step)
-    if not sol.success:
-        raise ConvergenceError(
-            f"ODE integration failed on span {span}: {sol.message} "
-            f"(stiffness or step-size underflow; try a smaller domain or "
-            f"a larger regularization)", history=sol.t)
-    return _Trajectory(sol)
 
 
 def fd_weights(z: float, xs, m: int) -> np.ndarray:

@@ -413,13 +413,15 @@ class TestAbelLayer:
         assert np.max(np.abs(fd - pr.f_slope[2:-2])) <= 1e-6 * scale
 
     def test_profile_independent_of_window(self):
-        # both windows sample the same y on [0, 10]; the far end of the
-        # short one must not carry a seed error
-        short = asy.abel_layer_solve(1.0, 1.0, y_max=10.0, n=2001)
+        # each short window samples the same y as the long one on its
+        # span; none may carry a seed error, however close its far end
+        # comes to the wall offset (about 1.09 here)
         long = asy.abel_layer_solve(1.0, 1.0, y_max=130.0, n=26001)
-        np.testing.assert_array_equal(long.y[:2001], short.y)
-        diff = np.max(np.abs(long.f[:2001] - short.f))
-        assert diff <= 1e-9 * np.max(np.abs(short.f))
+        for y_max, n in ((10.0, 2001), (3.2, 641), (1.5, 301)):
+            short = asy.abel_layer_solve(1.0, 1.0, y_max=y_max, n=n)
+            np.testing.assert_array_equal(long.y[:n], short.y)
+            diff = np.max(np.abs(long.f[:n] - short.f))
+            assert diff <= 1e-9 * np.max(np.abs(short.f)), y_max
 
     def test_rescaling_invariance(self, abel_canonical):
         # exact symmetry: offset/(bprime/aprime^{4/3})^{3/5} is universal
@@ -434,8 +436,6 @@ class TestAbelLayer:
             asy.abel_layer_solve(-1.0, 1.0, y_max=10.0)
         with pytest.raises(DomainError):
             asy.abel_layer_solve(1.0, 1.0, y_max=0.0)
-        with pytest.raises(DomainError):
-            asy.abel_layer_solve(1.0, 1.0, y_max=1.5)  # no room for the seed
 
 
 # ------------------------------------------------------------ power scaling

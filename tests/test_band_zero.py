@@ -139,10 +139,6 @@ class TestGreensParticular:
             scale = np.max(np.abs(source)) + 1e-300
             assert np.max(np.abs(resid[keep[1:-1]])) / scale < 1e-6
 
-    def test_kernel_positive(self, desk_comp):
-        for x, xi in ((-0.1, 0.05), (0.0, 0.0), (0.2, -0.2), (0.1, 0.12)):
-            assert desk_comp.greens_kernel(x, xi) > 0
-
     def test_slope_conditions_reconstructed(self, desk_comp, desk_band):
         # at swept levels the boundary-value conditions hold to roundoff
         b = desk_band

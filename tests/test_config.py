@@ -1,11 +1,13 @@
 """Config loading: strict keys, strict types, section plumbing."""
 
+import dataclasses
 import json
 
 import pytest
 
-from bandlayer.config import load_config, parse_config
+from bandlayer.config import SweepSpec, load_config, parse_config
 from bandlayer.errors import ConfigError
+from bandlayer.hjb import SolverConfig
 from bandlayer.model import CostKind
 
 
@@ -54,6 +56,9 @@ class TestParse:
         # knobs of the removed explicit scheme: an old config must fail
         # loudly rather than have them ignored
         ("solver", "scheme"), ("solver", "pseudo_time_step"),
+        # knobs that became constants: the same holds for them
+        ("solver", "eta_floor"), ("solver", "velocity_cap_factor"),
+        ("solver", "band_threshold"), ("sweep", "crossing_cells"),
     ])
     def test_unknown_nested_key_rejected(self, section, key):
         raw = full_raw()
@@ -173,3 +178,19 @@ class TestLoad:
         p.write_text("[1, 2]")
         with pytest.raises(ConfigError):
             load_config(str(p))
+
+
+class TestSchema:
+    """Each section's keys are exactly its dataclass's fields, so the two
+    cannot drift apart."""
+
+    def test_solver_section_names_every_field(self):
+        sec = {f.name: f.default for f in dataclasses.fields(SolverConfig)}
+        assert parse_config({"solver": sec}).solver == SolverConfig()
+
+    def test_sweep_section_names_every_field(self):
+        sec = {"kind": "eta_shift", "values": [1e-7, 1e-6, 1e-5, 1e-4],
+               "x": 0.0}
+        assert set(sec) == {f.name for f in dataclasses.fields(SweepSpec)}
+        assert parse_config({"sweep": sec}).sweep == SweepSpec(
+            kind="eta_shift", values=(1e-7, 1e-6, 1e-5, 1e-4))

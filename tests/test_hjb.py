@@ -28,7 +28,7 @@ import pytest
 
 from bandlayer.errors import ConfigError, ConvergenceError, DomainError
 from bandlayer.model import CostKind, CostParams, Grid2D, ModelParams, ScalarField
-from bandlayer import hjb
+from bandlayer import experiments, hjb
 
 
 # ----------------------------------------------------------------- fixtures
@@ -64,14 +64,8 @@ class TestConfigValidation:
         [
             {"max_iters": 0},
             {"convergence_tol": 0.0},
-            {"eta_floor": 0.0},
-            {"velocity_cap_factor": 0.0},
-            {"band_threshold": 0.0},
-            {"band_threshold": 1.0},
             # a JSON config can carry NaN; the range checks must reject it
             {"convergence_tol": float("nan")},
-            {"eta_floor": float("nan")},
-            {"band_threshold": float("nan")},
             # an iteration count must be an integer, and a bool is not one
             {"max_iters": float("nan")},
             {"max_iters": 2.5},
@@ -331,6 +325,27 @@ class TestVelocitySlice:
     def test_outside_domain_rejected(self, desk_solve):
         with pytest.raises(DomainError):
             hjb.velocity_slice(desk_solve, 5.0)
+
+
+# ---------------------------------------------------------------- regime map
+
+
+class TestRegimeMap:
+    def test_reads_the_given_field(self, desk_params, desk_solve,
+                                   monkeypatch):
+        # a field passed through vg= is classified as it stands: no DP
+        # solve runs, and the zones are anchored on that field's boundary
+        def no_solve(*args, **kwargs):
+            raise AssertionError("regime_map ran a DP solve")
+
+        monkeypatch.setattr(hjb, "solve_hjb", no_solve)
+        costs = CostParams(gamma_lin=2e-4, eta=1e-4)
+        rep = experiments.regime_map(desk_params, costs, 0.0, vg=desk_solve)
+        assert rep.boundary == hjb.velocity_slice(desk_solve, 0.0).band_plus
+        labels = np.array(rep.labels)
+        assert np.all(labels[rep.theta <= rep.boundary] == "NT")
+        trading = (rep.theta > rep.boundary) & (np.abs(rep.v) > 0)
+        np.testing.assert_array_equal(np.isfinite(rep.v_composite), trading)
 
 
 # ------------------------------------------------ discrete residual oracle

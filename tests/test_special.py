@@ -1,4 +1,4 @@
-"""Airy log-derivative, ODE integration, stencil weights.
+"""Airy log-derivative and stencil weights.
 
 The library takes the Airy functions from scipy.special; the oracle for
 them here is mpmath at 40 significant digits, so the tests do not share
@@ -13,7 +13,7 @@ import pytest
 
 from bandlayer.errors import ConfigError
 from bandlayer.special import (airy_first_max, airy_log_derivative,
-                               fd_weights, integrate_ode)
+                               fd_weights)
 
 # Ai(0) and Ai'(0) in closed form, through the gamma function
 AI0 = 3 ** (-2.0 / 3.0) / math.gamma(2.0 / 3.0)
@@ -89,30 +89,6 @@ class TestAiryLogDerivative:
         r = airy_log_derivative(u)
         assert r.shape == u.shape
         assert r[0, 1] == airy_log_derivative(0.0)
-
-
-class TestIntegrateOde:
-    def test_exponential(self):
-        traj = integrate_ode(lambda t, y: [y[0]], [1.0], (0.0, 1.0), tol=1e-12)
-        assert traj.end_state[0] == pytest.approx(math.e, rel=1e-11)
-
-    def test_logistic_eval_grid(self):
-        ts = np.linspace(0.0, 2.0, 41)
-        traj = integrate_ode(lambda t, y: [y[0] * (1 - y[0])], [0.5],
-                             (0.0, 2.0), tol=1e-12, t_eval=ts)
-        want = 1.0 / (1.0 + np.exp(-ts))
-        np.testing.assert_allclose(traj.ys[0], want, rtol=1e-10)
-
-    def test_airy_equation_roundtrip(self):
-        # y'' = t y from the origin reproduces the Airy function
-        traj = integrate_ode(lambda t, y: [y[1], t * y[0]], [AI0, AIP0],
-                             (0.0, 2.0), tol=1e-12)
-        assert traj.end_state[0] == pytest.approx(float(mpmath.airyai(2.0)),
-                                                  rel=1e-9)
-
-    def test_backward_span(self):
-        traj = integrate_ode(lambda t, y: [y[0]], [1.0], (1.0, 0.0), tol=1e-12)
-        assert traj.end_state[0] == pytest.approx(1.0 / math.e, rel=1e-10)
 
 
 class TestFdWeights:

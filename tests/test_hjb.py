@@ -59,17 +59,20 @@ class TestConfigValidation:
     def test_defaults_accepted(self):
         hjb.SolverConfig()
 
+    # the ids are fixed so that a case keeps its name when others are
+    # added or removed (kwargs2-5, 7 and 8 were cases on fields that are
+    # now the hjb constants)
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"max_iters": 0},
-            {"convergence_tol": 0.0},
+            pytest.param({"max_iters": 0}, id="kwargs0"),
+            pytest.param({"convergence_tol": 0.0}, id="kwargs1"),
             # a JSON config can carry NaN; the range checks must reject it
-            {"convergence_tol": float("nan")},
+            pytest.param({"convergence_tol": float("nan")}, id="kwargs6"),
             # an iteration count must be an integer, and a bool is not one
-            {"max_iters": float("nan")},
-            {"max_iters": 2.5},
-            {"max_iters": True},
+            pytest.param({"max_iters": float("nan")}, id="kwargs9"),
+            pytest.param({"max_iters": 2.5}, id="kwargs10"),
+            pytest.param({"max_iters": True}, id="kwargs11"),
         ],
     )
     def test_bad_config_rejected(self, kwargs):

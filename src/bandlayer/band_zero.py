@@ -37,7 +37,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import cumulative_simpson, cumulative_trapezoid, solve_ivp
+from scipy.integrate import (cumulative_simpson, cumulative_trapezoid,
+                             simpson, solve_ivp)
 from scipy.interpolate import CubicSpline
 
 from .errors import ConfigError, ConvergenceError, DomainError, RegimeError
@@ -849,6 +850,5 @@ def displacement_value_shift(comp: GreensDecomposition, band: Band, x, theta,
         a1d, a2d = _displaced_alpha(comp, band, th, delta)
         d1[k] = a1d - st0["a1"]
         d2[k] = a2d - st0["a2"]
-    from scipy.integrate import simpson
     p1, p2, _, _ = comp.pair.spline(x).tolist()
     return abs(simpson(d1, x=thetas) * p1 + simpson(d2, x=thetas) * p2)

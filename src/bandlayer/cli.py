@@ -25,8 +25,9 @@ from . import asymptotics, band_zero, experiments, hjb
 from .config import RunConfig, load_config
 from .errors import (BandLayerError, ConfigError, ConvergenceError,
                      DomainError, RegimeError)
-from .output import (gnuplot_loglog_script, gnuplot_velocity_script,
-                     write_csv, write_text_report)
+from .model import CostKind, default_x_domain
+from .output import (atomic_write_text, gnuplot_loglog_script,
+                     gnuplot_velocity_script, write_csv, write_text_report)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -53,7 +54,6 @@ def _band_inputs(cfg: RunConfig):
         x_nodes = np.asarray(spec.x_nodes, dtype=float)
     elif spec is not None and spec.count is not None:
         if params.omega > 0:
-            from .model import default_x_domain
             lo, hi = default_x_domain(params)
         else:
             # no mean reversion: the band is x-independent, any range works
@@ -87,7 +87,6 @@ def cmd_layer(cfg: RunConfig, out: str, quiet: bool) -> int:
     band = band_zero.find_band_zero(params, costs.gamma_lin)
     c = asymptotics.layer_constants(params, band, x)
 
-    from .model import CostKind
     if costs.kind is CostKind.THREE_HALVES:
         if y_max is None:
             y_max = 150.0 * (c.diffusivity / c.amp ** (4.0 / 3.0)) ** 0.6
@@ -169,7 +168,6 @@ def _sweep_eta_shift(cfg, spec, out, quiet):
         slope=result.fit.slope,
         prefactor=math.exp(result.fit.intercept),
         title="band shift vs quadratic cost")
-    from .output import atomic_write_text
     atomic_write_text(os.path.join(out, stem + ".gp"), gp)
     return result, stem
 
@@ -185,7 +183,6 @@ def _sweep_gamma_width(cfg, spec, out, quiet):
         os.path.basename(csv_path), 1, 2, "linear cost", "band width",
         slope=result.fit.slope, prefactor=math.exp(result.fit.intercept),
         title="band width vs linear cost")
-    from .output import atomic_write_text
     atomic_write_text(os.path.join(out, stem + ".gp"), gp)
     return result, stem
 
@@ -219,7 +216,6 @@ def _sweep_regime(cfg, spec, out, quiet):
     gp = gnuplot_velocity_script(os.path.basename(csv_path), 1, 2,
                                  composite_col=3, boundary=report.boundary,
                                  title="trading-speed regimes")
-    from .output import atomic_write_text
     atomic_write_text(os.path.join(out, stem + ".gp"), gp)
     lines = [f"x                     {report.x:.17g}",
              f"eta                   {report.eta:.17g}",

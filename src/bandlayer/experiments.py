@@ -568,23 +568,6 @@ def _regime_grid(params, band, x, eta, layer_pred, cross_pred) -> Grid2D:
                           ntheta)
 
 
-def layer_width_ratio(params: ModelParams, costs: CostParams, x: float,
-                      factor: float = 8.0, **kwargs) -> float:
-    """Measured layer-width ratio between costs.eta and factor*costs.eta.
-
-    The layer thickness should scale like eta^(1/3), so the returned
-    ratio is close to factor**(1/3) (2 for the default factor 8).
-    """
-    if factor <= 1:
-        raise ConfigError("factor must exceed 1")
-    r1 = regime_map(params, costs, x, **kwargs)
-    costs2 = CostParams(gamma_lin=costs.gamma_lin, eta=factor * costs.eta)
-    r2 = regime_map(params, costs2, x, **kwargs)
-    if not (np.isfinite(r1.layer_width) and np.isfinite(r2.layer_width)):
-        raise RegimeError("layer width unresolved at one of the two etas")
-    return float(r2.layer_width / r1.layer_width)
-
-
 # --------------------------------------------------------------- validity
 
 

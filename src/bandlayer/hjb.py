@@ -11,8 +11,12 @@ quadratic eta v^2 or power zeta |v|^{3/2} term) is discretized with a
 monotone upwind scheme (monotonicity is what makes it converge; Barles &
 Souganidis, 1991) and solved by policy iteration, one sparse LU per
 policy.  The x-part of the operator does not depend on the policy; it is
-built once per solve by ``_x_stencil`` and ``_assemble`` adds the
+built once per grid by ``_x_stencil`` and ``_assemble`` adds the
 theta-advection of each policy to it.
+
+A cold solve is seeded coarse to fine: the same problem on half the
+theta nodes, interpolated in theta, recursively down to the closed-form
+all-no-trade value, so the boundary travels mostly on cheap grids.
 
 Grid layout note: fields are (nx, ntheta) arrays; the sparse system is
 ordered x-fastest so the matrix bandwidth is nx, which keeps the LU
@@ -23,7 +27,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -55,6 +59,9 @@ ETA_FLOOR = 1e-8
 VELOCITY_CAP_FACTOR = 10.0
 # |v| level, relative to max|v|, at which the band boundaries are placed
 BAND_THRESHOLD = 1e-4
+# a cold solve on more theta nodes than this is seeded from the same
+# problem on (ntheta + 1) // 2 nodes
+_COARSEST_NTHETA = 101
 
 
 @dataclass(frozen=True)
@@ -67,6 +74,10 @@ class SolverConfig:
     same as in the previous iteration.  The update bound alone does not
     settle the policy, because the control reads V through one-sided
     differences and an update delta moves a slope by delta / htheta.
+
+    A cold solve runs policy iteration on every coarse seeding level as
+    well; ``max_iters`` and ``convergence_tol`` apply at each level, while
+    ``ValueGrid.iterations`` and ``history`` count the target grid only.
 
     The eta floor, the velocity cap and the band-extraction threshold are
     not settable; they are the module constants ``ETA_FLOOR``,
@@ -97,7 +108,6 @@ class ValueGrid:
     minus_mask: np.ndarray
     residual: float
     iterations: int
-    eta: float
     # per-iteration max value update, for convergence post-mortems
     history: tuple = ()
 
@@ -122,9 +132,6 @@ class ExtractedBand:
     minus_mask: np.ndarray
     threshold_abs: float
     vmax: float
-
-    def width(self):
-        return self.theta_plus + self.theta_minus
 
 
 @dataclass(frozen=True)
@@ -156,7 +163,7 @@ class ContinuityReport:
 # ------------------------------------------------------------------ control
 
 def _hamiltonian(costs: CostParams, d_plus, d_minus, cap):
-    """Monotone numerical Hamiltonian and its argmax velocity.
+    """Argmax velocity of the monotone numerical Hamiltonian.
 
     Buying (v > 0) is priced against the forward difference, selling
     against the backward one, so the resulting advection is upwind by
@@ -172,19 +179,16 @@ def _hamiltonian(costs: CostParams, d_plus, d_minus, cap):
     else:
         v_buy = np.minimum((2.0 * s_buy / (3.0 * costs.zeta)) ** 2, cap)
         v_sell = np.minimum((2.0 * s_sell / (3.0 * costs.zeta)) ** 2, cap)
-    h_buy = _run_gain(costs, v_buy, s_buy)
-    h_sell = _run_gain(costs, v_sell, s_sell)
-    take_sell = h_sell > h_buy
-    v = np.where(take_sell, -v_sell, v_buy)
-    h = np.where(take_sell, h_sell, h_buy)
-    return h, v
+    h_buy = v_buy * s_buy - _nl_cost(costs, v_buy)
+    h_sell = v_sell * s_sell - _nl_cost(costs, v_sell)
+    return np.where(h_sell > h_buy, -v_sell, v_buy)
 
 
-def _run_gain(costs: CostParams, speed, slack):
-    """speed * slack minus the nonlinear cost, for speed >= 0."""
+def _nl_cost(costs: CostParams, speed):
+    """Nonlinear cost rate at trading speed |v| = speed >= 0."""
     if costs.kind is CostKind.QUADRATIC:
-        return speed * slack - costs.eta * speed ** 2
-    return speed * slack - costs.zeta * speed ** 1.5
+        return costs.eta * speed ** 2
+    return costs.zeta * speed ** 1.5
 
 
 def _velocity_cap(params: ModelParams, costs: CostParams,
@@ -214,9 +218,9 @@ def _edge_slopes(params: ModelParams, costs: CostParams, grid: Grid2D):
     x = grid.x_nodes
     star = markowitz_position(params, x)
     w_est = small_cost_half_width(params, costs.gamma_lin)
-    out = {}
-    for side, theta_e in (("bot", float(grid.theta_nodes[0])),
-                          ("top", float(grid.theta_nodes[-1]))):
+    out = []
+    for sign, theta_e in ((1.0, float(grid.theta_nodes[0])),
+                          (-1.0, float(grid.theta_nodes[-1]))):
         rad = params.lam * (theta_e - star) ** 2 - params.lam * w_est ** 2
         usable = rad > 0.0
         rad = np.where(usable, rad, 0.0)
@@ -225,9 +229,8 @@ def _edge_slopes(params: ModelParams, costs: CostParams, grid: Grid2D):
         else:
             extra = (27.0 / 4.0) ** (1.0 / 3.0) * costs.zeta ** (2.0 / 3.0) \
                 * rad ** (1.0 / 3.0)
-        sign = -1.0 if side == "top" else 1.0
-        out[side] = (usable, sign * (costs.gamma_lin + extra))
-    return out["bot"], out["top"]
+        out.append((usable, sign * (costs.gamma_lin + extra)))
+    return tuple(out)
 
 
 # ------------------------------------------------------------- policy scheme
@@ -312,17 +315,14 @@ def _assemble(params: ModelParams, grid: Grid2D, xop, v, bc_bot, bc_top):
 
 def _one_sided_diffs(V, ht):
     """Forward and backward theta-differences with candidate-disabling fill."""
-    d_plus = np.empty_like(V)
-    d_minus = np.empty_like(V)
-    d_plus[:, :-1] = (V[:, 1:] - V[:, :-1]) / ht
-    d_plus[:, -1] = -np.inf   # no buy candidate at the top edge
-    d_minus[:, 1:] = (V[:, 1:] - V[:, :-1]) / ht
-    d_minus[:, 0] = np.inf    # no sell candidate at the bottom edge
-    return d_plus, d_minus
+    d = np.diff(V, axis=1) / ht
+    inf = np.full((V.shape[0], 1), np.inf)
+    # no buy candidate at the top edge, no sell candidate at the bottom
+    return np.hstack([d, -inf]), np.hstack([inf, d])
 
 
 def _nt_initial(params: ModelParams, grid: Grid2D):
-    """Closed-form all-no-trade value, the policy-iteration seed.
+    """Closed-form all-no-trade value, the seed on the coarsest level.
 
     With v = 0 the equation is linear with quadratic source and is solved
     exactly by -(lam/rho) theta^2 - omega/(rho+omega) x theta.
@@ -333,11 +333,14 @@ def _nt_initial(params: ModelParams, grid: Grid2D):
             - params.omega / (params.rho + params.omega) * x * th)
 
 
-def _bellman_residual(params, costs, grid, xop, V, cap, bc_bot, bc_top):
+def _bellman_residual(params, costs, grid, V):
     """Max |rho V - r - H - L_x V| over optimality rows, from the final V."""
+    bc_bot, bc_top = _edge_slopes(params, costs, grid)
     d_plus, d_minus = _one_sided_diffs(V, grid.htheta)
-    _, v = _hamiltonian(costs, d_plus, d_minus, cap)
-    A, rhs, is_bc = _assemble(params, grid, xop, v, bc_bot, bc_top)
+    v = _hamiltonian(costs, d_plus, d_minus,
+                     _velocity_cap(params, costs, grid))
+    A, rhs, is_bc = _assemble(params, grid, _x_stencil(params, grid), v,
+                              bc_bot, bc_top)
     res = A @ np.ravel(V, order="F") - rhs(_reward(params, costs, grid, v))
     res = np.reshape(res, V.shape, order="F")
     return float(np.max(np.abs(res[~is_bc]))), v
@@ -346,50 +349,51 @@ def _bellman_residual(params, costs, grid, xop, V, cap, bc_bot, bc_top):
 def _reward(params: ModelParams, costs: CostParams, grid: Grid2D, v):
     th = grid.theta_nodes[None, :]
     x = grid.x_nodes[:, None]
-    run = -nt_rhs(params, x, th)
-    if costs.kind is CostKind.QUADRATIC:
-        cost = costs.gamma_lin * np.abs(v) + costs.eta * v ** 2
-    else:
-        cost = costs.gamma_lin * np.abs(v) + costs.zeta * np.abs(v) ** 1.5
-    return run - cost
+    speed = np.abs(v)
+    return -nt_rhs(params, x, th) - (costs.gamma_lin * speed
+                                     + _nl_cost(costs, speed))
 
 
-def _solve_policy(params, costs, grid, cfg, V):
+def _solve_policy(params, costs, grid, cfg, V=None):
+    """Policy iteration from V, or from the coarse-to-fine seed without
+    it; returns (V, iterations, history)."""
+    if V is None and grid.ntheta <= _COARSEST_NTHETA:
+        V = _nt_initial(params, grid)
+    elif V is None:
+        th = grid.theta_nodes
+        coarse = Grid2D(grid.x_nodes,
+                        np.linspace(th[0], th[-1], (grid.ntheta + 1) // 2))
+        V = np.array([np.interp(th, coarse.theta_nodes, row) for row in
+                      _solve_policy(params, costs, coarse, cfg)[0]])
     cap = _velocity_cap(params, costs, grid)
     bc_bot, bc_top = _edge_slopes(params, costs, grid)
     xop = _x_stencil(params, grid)
     history = []
-    # the cold seed is the all-no-trade value, so the policy before the
-    # first iteration is "trade nowhere"
+    # the policy before the first iteration counts as "trade nowhere"
+    # (the no-trade seed's), so a solve that trades runs at least twice
     sign_prev = np.zeros(V.shape, dtype=np.int8)
     for it in range(1, cfg.max_iters + 1):
         d_plus, d_minus = _one_sided_diffs(V, grid.htheta)
-        _, v = _hamiltonian(costs, d_plus, d_minus, cap)
+        v = _hamiltonian(costs, d_plus, d_minus, cap)
         sign = np.sign(v).astype(np.int8)
         settled = np.array_equal(sign, sign_prev)
         sign_prev = sign
         A, rhs, _ = _assemble(params, grid, xop, v, bc_bot, bc_top)
-        b = rhs(_reward(params, costs, grid, v))
         # keep the x-fastest order so the factor stays in the band of
-        # width nx; a fill-reducing column order (COLAMD) factors slower
+        # width nx; a fill-reducing column order (COLAMD) factors slower.
+        # No refinement step: it moved V by < 1e-12 relative at ETA_FLOOR
         lu = splu(A, permc_spec="NATURAL")
-        flat = lu.solve(b)
-        # one step of iterative refinement; the advection rows are stiff at
-        # small eta and plain LU roundoff is enough to rattle the boundary
-        flat += lu.solve(b - A @ flat)
-        V_new = np.reshape(flat, V.shape, order="F")
-        delta = float(np.max(np.abs(V_new - V)))
-        history.append(delta)
-        V = V_new
+        b = rhs(_reward(params, costs, grid, v))
+        V_old, V = V, np.reshape(lu.solve(b), V.shape, order="F")
+        history.append(float(np.max(np.abs(V - V_old))))
         # a small update alone can still flip isolated nodes between
         # trading and quiet (see SolverConfig), so the policy must settle
-        if settled and delta <= cfg.convergence_tol * float(np.max(np.abs(V))):
-            residual, v = _bellman_residual(params, costs, grid, xop, V, cap,
-                                            bc_bot, bc_top)
-            return V, v, residual, it, tuple(history)
+        if settled and history[-1] <= cfg.convergence_tol * np.max(np.abs(V)):
+            return V, it, tuple(history)
     raise ConvergenceError(
-        f"policy iteration did not converge in {cfg.max_iters} iterations "
-        f"(last update {history[-1]:.3e})", history=history)
+        f"policy iteration on {grid.ntheta} theta nodes did not converge "
+        f"in {cfg.max_iters} iterations (last update {history[-1]:.3e})",
+        history=history)
 
 
 def solve_hjb(params: ModelParams, costs: CostParams, grid: Grid2D,
@@ -398,9 +402,10 @@ def solve_hjb(params: ModelParams, costs: CostParams, grid: Grid2D,
     """Solve the stationary optimality equation on the given grid.
 
     ``initial`` warm-starts the iteration (shape (nx, ntheta)); the
-    default seed is the closed-form all-no-trade value.  Raises
-    ConvergenceError when the iteration budget runs out and ConfigError
-    for ill-posed setups (non-uniform grid, eta below ``ETA_FLOOR``).
+    default seed is built coarse to fine (see the module docstring).
+    Raises ConvergenceError naming the theta node count of the level
+    whose budget ran out, and ConfigError for ill-posed setups
+    (non-uniform grid, eta below ``ETA_FLOOR``).
     """
     cfg = cfg or SolverConfig()
     if not (grid.x_uniform and grid.theta_uniform):
@@ -413,27 +418,21 @@ def solve_hjb(params: ModelParams, costs: CostParams, grid: Grid2D,
     elif costs.zeta <= 0.0:
         raise ConfigError("three-halves cost needs zeta > 0")
 
-    if initial is not None:
-        V = np.array(initial, dtype=float)
-        if V.shape != (grid.nx, grid.ntheta):
-            raise ConfigError("initial guess shape does not match grid")
-    else:
-        V = _nt_initial(params, grid)
+    V = None if initial is None else np.array(initial, dtype=float)
+    if V is not None and V.shape != (grid.nx, grid.ntheta):
+        raise ConfigError("initial guess shape does not match grid")
 
-    V, v, residual, iters, hist = _solve_policy(params, costs, grid, cfg, V)
+    V, iters, hist = _solve_policy(params, costs, grid, cfg, V)
+    residual, v = _bellman_residual(params, costs, grid, V)
 
+    empty = np.array([])
     vg = ValueGrid(V=ScalarField(V, grid), v=ScalarField(v, grid),
-                   band_plus=np.array([]), band_minus=np.array([]),
-                   plus_mask=np.array([], dtype=bool),
-                   minus_mask=np.array([], dtype=bool),
-                   residual=residual, iterations=iters,
-                   eta=costs.eta if costs.kind is CostKind.QUADRATIC else 0.0)
+                   band_plus=empty, band_minus=empty, plus_mask=empty,
+                   minus_mask=empty, residual=residual, iterations=iters,
+                   history=hist)
     eb = extract_band(vg)
-    return ValueGrid(V=vg.V, v=vg.v,
-                     band_plus=eb.theta_plus, band_minus=eb.theta_minus,
-                     plus_mask=eb.plus_mask, minus_mask=eb.minus_mask,
-                     residual=residual, iterations=iters, eta=vg.eta,
-                     history=hist)
+    return replace(vg, band_plus=eb.theta_plus, band_minus=eb.theta_minus,
+                   plus_mask=eb.plus_mask, minus_mask=eb.minus_mask)
 
 
 # --------------------------------------------------------------- extraction
@@ -585,7 +584,7 @@ def c2_continuity_check(coarse: ValueGrid, fine: ValueGrid) -> ContinuityReport:
     # boundary slope in x, to flag nodes where it is nearly flat
     # (the smoothness argument degrades where the boundary runs along x)
     slope = np.gradient(coarse.band_plus, gc.x_nodes)
-    ref = np.nanmedian(np.abs(slope[valid])) if np.any(valid) else 0.0
+    ref = np.nanmedian(np.abs(slope[valid]))
     collinear = np.abs(slope) < 0.1 * ref
     use = valid & ~collinear
     if not np.any(use):

@@ -247,7 +247,6 @@ def _synthetic_grid(v_field, x_nodes, theta_nodes):
         minus_mask=np.zeros(x_nodes.size, bool),
         residual=0.0,
         iterations=0,
-        eta=1e-4,
     )
 
 
@@ -548,6 +547,48 @@ class TestStoppingAndErrors:
         b2 = hjb.solve_hjb(desk_params, costs, g2)
         i0 = 15
         assert abs(b1.band_plus[i0] - b2.band_plus[i0]) <= 2 * g1.htheta
+
+
+# -------------------------------------------------- coarse-to-fine cold start
+
+
+class TestColdStart:
+    """A cold solve is seeded from the same problem on half the theta
+    nodes (recursively); it must land on the solve seeded directly with
+    the all-no-trade value, in far fewer target-grid iterations."""
+
+    GRID = Grid2D.regular(-0.134, 0.134, 21, -7.5e-3, 7.5e-3, 401)
+
+    @pytest.fixture(scope="class", params=[
+        CostParams(gamma_lin=2e-4, eta=1e-4),
+        CostParams(gamma_lin=2e-4, zeta=1e-4, kind=CostKind.THREE_HALVES),
+    ], ids=["quadratic", "three_halves"])
+    def pair(self, request, desk_params):
+        assert self.GRID.ntheta > hjb._COARSEST_NTHETA
+        costs = request.param
+        cold = hjb.solve_hjb(desk_params, costs, self.GRID)
+        seeded = hjb.solve_hjb(desk_params, costs, self.GRID,
+                               initial=hjb._nt_initial(desk_params, self.GRID))
+        return cold, seeded
+
+    def test_matches_no_trade_seeded_solve(self, pair):
+        cold, seeded = pair
+        V, ref = cold.V.values, seeded.V.values
+        assert np.abs(V - ref).max() <= 1e-10 * np.abs(ref).max()
+        np.testing.assert_array_equal(np.sign(cold.v.values),
+                                      np.sign(seeded.v.values))
+
+    def test_halves_the_iterations(self, pair):
+        cold, seeded = pair
+        assert cold.iterations <= seeded.iterations // 2
+
+    def test_coarse_budget_names_its_level(self, desk_params):
+        # 401 nodes are seeded from 201, and those from 101, where the
+        # no-trade seed needs far more than 3 iterations
+        costs = CostParams(gamma_lin=2e-4, eta=1e-4)
+        with pytest.raises(ConvergenceError, match=r"on 101 theta nodes"):
+            hjb.solve_hjb(desk_params, costs, self.GRID,
+                          hjb.SolverConfig(max_iters=3))
 
 
 # --------------------------------------------------- continuity diagnostics

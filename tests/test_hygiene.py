@@ -1,7 +1,9 @@
-"""Source hygiene: every module-level import in the package is used.
+"""Source hygiene: every module-level import in the package is used, and
+no function body imports anything.
 
 A stdlib stand-in for a linter's unused-import rule.  A name counts as
 used when it is read anywhere in its module or listed in ``__all__``.
+Imports belong at the top of the module, where this check can see them.
 """
 
 import ast
@@ -45,3 +47,19 @@ def test_module_imports_are_used(module):
     unused = [f"{name} (line {line})" for name, line in _imported_names(tree)
               if name not in used]
     assert not unused, f"{module}: unused import(s) {', '.join(unused)}"
+
+
+def _function_body_imports(tree):
+    """Line numbers of the imports inside any function body."""
+    return sorted({node.lineno
+                   for fn in ast.walk(tree)
+                   if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                   for node in ast.walk(fn)
+                   if isinstance(node, (ast.Import, ast.ImportFrom))})
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_imports_in_function_bodies(module):
+    tree = ast.parse((PACKAGE / module).read_text(encoding="utf-8"))
+    lines = _function_body_imports(tree)
+    assert not lines, f"{module}: import(s) in a function body at line(s) {lines}"

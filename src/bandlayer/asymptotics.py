@@ -16,8 +16,9 @@ splices the strip onto the square-root/linear outer behaviour.  The
 cube-root asymptote that stops at the profile's zero, which fixes the
 wall offset.
 
-Everything operates on the zero-eta band produced by band_zero; the
-nonlinear cost enters only through closed-form corrections.
+Everything operates on the zero-eta band produced by band_zero, which
+carries its model and Green's data, so each function here takes the band
+alone; the nonlinear cost enters only through closed-form corrections.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from scipy.integrate import solve_ivp
 
 from .errors import ConfigError, ConvergenceError, DomainError, RegimeError
 from .model import CostKind, ModelParams, drift
-from .band_zero import Band, GreensDecomposition, third_derivative_at_band
+from .band_zero import Band, third_derivative_at_band
 from .special import airy_first_max, airy_log_derivative
 
 __all__ = [
@@ -45,6 +46,7 @@ __all__ = [
     "layer_constants",
     "layer_profile_airy",
     "layer_ode_residual",
+    "shift_coefficient",
     "shifted_boundary",
     "outer_velocity",
     "sqrt_linear_crossover",
@@ -152,7 +154,7 @@ class PowerScaling(NamedTuple):
     expansion_exp: float
 
 
-def layer_constants(params: ModelParams, band: Band, x: float) -> LayerConstants:
+def layer_constants(band: Band, x: float) -> LayerConstants:
     """Evaluate the layer coefficients at ``x`` on the upper boundary.
 
     Raises RegimeError when the risk-adjusted edge 2*lam*boundary - drift
@@ -163,6 +165,7 @@ def layer_constants(params: ModelParams, band: Band, x: float) -> LayerConstants
         raise RegimeError(
             "flat band has boundary_slope = 0; the layer balance degenerates "
             "(no signal-diffusion term). Use a mean-reverting signal.")
+    params = band.params
     theta0 = band.theta_plus_at(x)
     slope0 = band.theta_plus_deriv_at(x)
     mu = drift(params, x)
@@ -237,26 +240,27 @@ def layer_ode_residual(profile: LayerProfile) -> float:
     return float(np.max(np.abs(lhs - rhs) / scale))
 
 
-def shifted_boundary(params: ModelParams, comp: GreensDecomposition,
-                     band: Band, x: float, eta: float) -> float:
+def shift_coefficient(band: Band, x: float) -> float:
+    """Inward boundary shift at ``x`` per unit eta^{1/3}: the layer's wall
+    slope over the (positive, else RegimeError) third theta-derivative."""
+    c = layer_constants(band, x)
+    return c.wall_slope / third_derivative_at_band(band, x)
+
+
+def shifted_boundary(band: Band, x: float, eta: float) -> float:
     """Upper boundary level once a quadratic speed cost eta is present.
 
-    The band edge moves inward by wall_slope/third_derivative * eta^{1/3};
-    positivity of the third theta-derivative at the edge guarantees the
-    inward direction.
+    The band edge moves inward by shift_coefficient * eta^{1/3}.
     """
     if eta < 0.0:
         raise DomainError(f"eta must be >= 0, got {eta}")
     theta0 = band.theta_plus_at(x)
     if eta == 0.0:
         return float(theta0)
-    c = layer_constants(params, band, x)
-    v3 = third_derivative_at_band(comp, band, x)  # raises RegimeError if <= 0
-    return float(theta0 - (c.wall_slope / v3) * eta ** (1.0 / 3.0))
+    return float(theta0 - shift_coefficient(band, x) * eta ** (1.0 / 3.0))
 
 
-def outer_velocity(params: ModelParams, band: Band, x: float,
-                   theta: float, eta: float) -> float:
+def outer_velocity(band: Band, x: float, theta: float, eta: float) -> float:
     """Trading speed far outside the layer, on the selling sector.
 
     Square root of the risk-adjusted distance to the band over sqrt(eta);
@@ -266,8 +270,8 @@ def outer_velocity(params: ModelParams, band: Band, x: float,
     if not (eta > 0.0):
         raise DomainError(f"eta must be > 0, got {eta}")
     theta0 = band.theta_plus_at(x)
-    mu = drift(params, x)
-    rad = params.lam * (theta ** 2 - theta0 ** 2) - mu * (theta - theta0)
+    mu = drift(band.params, x)
+    rad = band.params.lam * (theta ** 2 - theta0 ** 2) - mu * (theta - theta0)
     if rad < 0.0:
         raise RegimeError(
             f"outer radicand negative at theta={theta:g}, x={x:g}: "
@@ -289,8 +293,7 @@ def sqrt_linear_crossover(params: ModelParams, c: LayerConstants) -> float:
 _SEAM = 30.0
 
 
-def composite_velocity(params: ModelParams, comp: GreensDecomposition,
-                       band: Band, x: float, eta: float,
+def composite_velocity(band: Band, x: float, eta: float,
                        theta_grid) -> VelocityProfile:
     """Uniform trading-speed curve across all four regimes at fixed x.
 
@@ -316,15 +319,14 @@ def composite_velocity(params: ModelParams, comp: GreensDecomposition,
             f"theta_grid reaches below the lower boundary {lower:g}; only "
             "the selling sector is modeled (mirror the problem for buying).")
 
-    c = layer_constants(params, band, x)
+    c = layer_constants(band, x)
     theta0 = c.boundary
-    v3 = third_derivative_at_band(comp, band, x)
     width = band.width(x)
     scale = eta ** (1.0 / 3.0)
-    shift = (c.wall_slope / v3) * scale
+    shift = shift_coefficient(band, x) * scale
     theta_eta = theta0 - shift
     gauge = shift / width
-    d_cross = sqrt_linear_crossover(params, c)
+    d_cross = sqrt_linear_crossover(band.params, c)
 
     v = np.zeros(theta.shape, dtype=float)
     labels = [Regime.NO_TRADE] * theta.size
@@ -336,7 +338,7 @@ def composite_velocity(params: ModelParams, comp: GreensDecomposition,
     blend = trade & (y >= _SEAM)
     for i in np.nonzero(trade)[0]:
         if blend[i]:
-            out = outer_velocity(params, band, x, float(theta[i]), eta)
+            out = outer_velocity(band, x, float(theta[i]), eta)
             common = -0.5 * c.amp * math.sqrt(theta[i] - theta_eta) / math.sqrt(eta)
             v[i] += out - common
             labels[i] = (Regime.SQRT if theta[i] - theta0 < d_cross

@@ -29,6 +29,9 @@ value continues with slope -+gamma_lin in theta.  The construction:
 All evaluation points, including the level endpoints that step slightly
 past the nominal x range near the domain ends, stay inside the padded
 domain of step 1.
+
+The returned :class:`Band` carries its model and Green's data, so the
+diagnostics and values below take the band alone.
 """
 
 from __future__ import annotations
@@ -58,6 +61,7 @@ __all__ = [
     "value_nt_zero",
     "value_rb_zero",
     "check_displacement_identity",
+    "displacement_value_shift",
     "flat_band_level",
 ]
 
@@ -79,7 +83,6 @@ class HomogeneousPair:
     defining equation, not from the spline.
     """
 
-    params: ModelParams
     x_lo: float
     x_hi: float
     x_quad: np.ndarray
@@ -180,7 +183,7 @@ def solve_homogeneous(params: ModelParams, x_domain=None,
     psi2_d_s = psi2_d_s * scale
 
     return HomogeneousPair(
-        params=p, x_lo=x_lo, x_hi=x_hi, x_quad=xq,
+        x_lo=x_lo, x_hi=x_hi, x_quad=xq,
         psi1_s=psi1_s, psi2_s=psi2_s, psi1_d_s=psi1_d_s, psi2_d_s=psi2_d_s,
         spline=CubicSpline(
             xq, np.column_stack([psi1_s, psi2_s, psi1_d_s, psi2_d_s])))
@@ -426,6 +429,8 @@ class Band:
     retained for derivative diagnostics, with ``alpha_integrals``, the
     cumulative integrals of (alpha1_prime, alpha2_prime) over the levels
     anchored at level 0, as one 2-column spline (None on the flat band).
+    ``params`` is the model solved for and ``comp`` the Green's
+    decomposition it was solved from, None exactly when ``flat``.
     """
 
     x_nodes: np.ndarray
@@ -443,9 +448,15 @@ class Band:
     alpha1_prime: np.ndarray
     alpha2_prime: np.ndarray
     spline: CubicSpline = field(repr=False, compare=False)
-    flat: bool = False
+    params: ModelParams = field(repr=False, compare=False)
     alpha_integrals: CubicSpline | None = field(default=None, repr=False,
                                                 compare=False)
+    comp: GreensDecomposition | None = field(default=None, repr=False,
+                                             compare=False)
+
+    @property
+    def flat(self) -> bool:
+        return self.comp is None
 
     def theta_plus_at(self, x):
         return self.spline(x)[..., 0]
@@ -502,13 +513,14 @@ _LEVEL_STEP_FRAC = 0.1
 
 
 def find_band_zero(params: ModelParams, gamma_lin: float, x_nodes=None,
-                   comp: GreensDecomposition | None = None,
                    pad_frac: float = 0.15) -> Band:
     """Construct the linear-cost no-trade band on an x grid.
 
-    Returns a :class:`Band`; raises :class:`RegimeError` when no band
-    exists on the domain.  For ``omega == 0`` the flat closed form is
-    returned directly (the level construction needs a sloped boundary).
+    Returns a :class:`Band` holding ``params`` and the Green's data
+    solved on the grid's span padded by ``pad_frac``; raises
+    :class:`RegimeError` when no band exists on the domain.  For
+    ``omega == 0`` the flat closed form is returned directly (the level
+    construction needs a sloped boundary).
     """
     if not (gamma_lin > 0):
         raise ConfigError(f"gamma_lin must be > 0, got {gamma_lin}")
@@ -533,15 +545,13 @@ def find_band_zero(params: ModelParams, gamma_lin: float, x_nodes=None,
                     alpha2_prime=np.array([]),
                     spline=CubicSpline(x_nodes, np.column_stack(
                         [np.full(n, level), np.full(n, level), z, z])),
-                    flat=True)
+                    params=params)
 
-    if comp is None:
-        pair = solve_homogeneous(params, (x_nodes[0], x_nodes[-1]),
-                                 pad_frac=pad_frac)
-        comp = greens_particular(params, pair)
     x_min, x_max = float(x_nodes[0]), float(x_nodes[-1])
-    guard = 0.02 * (comp.pair.x_hi - comp.pair.x_lo)
-    lo_lim, hi_lim = comp.pair.x_lo + guard, comp.pair.x_hi - guard
+    pair = solve_homogeneous(params, (x_min, x_max), pad_frac=pad_frac)
+    comp = greens_particular(params, pair)
+    guard = 0.02 * (pair.x_hi - pair.x_lo)
+    lo_lim, hi_lim = pair.x_lo + guard, pair.x_hi - guard
 
     w = small_cost_half_width(params, gamma_lin)
     dtheta = _LEVEL_STEP_FRAC * w
@@ -646,13 +656,14 @@ def find_band_zero(params: ModelParams, gamma_lin: float, x_nodes=None,
                 levels=levels, h_plus=hps, h_minus=hms,
                 alpha1_prime=a1s, alpha2_prime=a2s,
                 spline=CubicSpline(x_nodes, np.column_stack([tp, tm, tpd, tmd])),
-                alpha_integrals=CubicSpline(levels, a_int))
+                params=params, alpha_integrals=CubicSpline(levels, a_int),
+                comp=comp)
     if np.any(band.theta_plus + band.theta_minus <= 0):
         raise RegimeError("band has nonpositive width somewhere on the grid")
     return band
 
 
-def _state_at_upper(comp, band: Band, x):
+def _state_at_upper(band: Band, x):
     """Re-solve the boundary state with the upper endpoint at x."""
     if band.flat:
         raise RegimeError("flat band: boundary state is degenerate")
@@ -660,7 +671,7 @@ def _state_at_upper(comp, band: Band, x):
     rec = {"theta": float(band.theta_plus_at(x)),
            "hm": float(band.pair_minus_of_plus[i]),
            "hp": float(x)}
-    return _polish_node(comp, band.gamma_lin, float(x), rec, fixed="plus")
+    return _polish_node(band.comp, band.gamma_lin, float(x), rec, fixed="plus")
 
 
 # ---------------------------------------------------------------------------
@@ -678,8 +689,7 @@ def _nearest_stencil(levels, theta):
     return np.arange(lo, lo + _STENCIL)
 
 
-def second_derivative_at_band(comp: GreensDecomposition, band: Band,
-                              x) -> float:
+def second_derivative_at_band(band: Band, x) -> float:
     """Total second theta-derivative of the value at the upper boundary.
 
     Uses finite differences of the swept coefficient tables, so it
@@ -693,18 +703,18 @@ def second_derivative_at_band(comp: GreensDecomposition, band: Band,
     wts = fd_weights(theta, band.levels[idx], 1)
     da1 = float(wts @ band.alpha1_prime[idx])
     da2 = float(wts @ band.alpha2_prime[idx])
-    p1, p2, _, _ = comp.pair.spline(x)
-    return float(comp.spline(x)[1] + da1 * p1 + da2 * p2)
+    p1, p2, _, _ = band.comp.pair.spline(x)
+    return float(band.comp.spline(x)[1] + da1 * p1 + da2 * p2)
 
 
-def third_derivative_at_band(comp: GreensDecomposition, band: Band, x) -> float:
+def third_derivative_at_band(band: Band, x) -> float:
     """Third theta-derivative of the no-trade value at the upper boundary.
 
     Exact at the solved boundary point (implicit differentiation of the
     optimality system); must be positive, a nonpositive value raises
     :class:`RegimeError` rather than passing silently.
     """
-    st = _state_at_upper(comp, band, x)
+    st = _state_at_upper(band, x)
     v3 = _third_derivative_from_state(st)
     if not (v3 > 0):
         raise RegimeError(
@@ -713,8 +723,7 @@ def third_derivative_at_band(comp: GreensDecomposition, band: Band, x) -> float:
     return float(v3)
 
 
-def third_derivative_stencil(comp: GreensDecomposition, band: Band,
-                             x) -> float:
+def third_derivative_stencil(band: Band, x) -> float:
     """Independent route: second difference of the coefficient tables.
 
     The particular part is affine in theta, so the third derivative is
@@ -727,7 +736,7 @@ def third_derivative_stencil(comp: GreensDecomposition, band: Band,
     wts = fd_weights(theta, band.levels[idx], 2)
     dda1 = float(wts @ band.alpha1_prime[idx])
     dda2 = float(wts @ band.alpha2_prime[idx])
-    p1, p2, _, _ = comp.pair.spline(x)
+    p1, p2, _, _ = band.comp.pair.spline(x)
     return float(dda1 * p1 + dda2 * p2)
 
 
@@ -735,34 +744,34 @@ def third_derivative_stencil(comp: GreensDecomposition, band: Band,
 # values
 
 
-def value_nt_zero(comp: GreensDecomposition, band: Band, x, theta) -> float:
+def value_nt_zero(band: Band, x, theta) -> float:
     """No-trade value at (x, theta), gauge: both coefficients vanish at level 0.
 
-    Raises :class:`DomainError` outside the band.
+    Raises :class:`DomainError` outside the band, the flat band included.
     """
     x = float(x)
     theta = float(theta)
-    if band.flat:
-        return -comp.params.lam * theta ** 2 / comp.params.rho
     slack = 1e-9 * (1.0 + abs(band.width(x)))
     if not band.contains(x, theta, slack=slack):
         raise DomainError(
             f"({x:.6g}, {theta:.6g}) is outside the no-trade region")
+    if band.flat:
+        return -band.params.lam * theta ** 2 / band.params.rho
     a1, a2 = band.alpha_integrals(theta)
-    p1, p2, _, _ = comp.pair.spline(x)
-    return float(comp.particular_value(x, theta) + a1 * p1 + a2 * p2)
+    p1, p2, _, _ = band.comp.pair.spline(x)
+    return float(band.comp.particular_value(x, theta) + a1 * p1 + a2 * p2)
 
 
-def value_rb_zero(comp: GreensDecomposition, band: Band, x, theta) -> float:
+def value_rb_zero(band: Band, x, theta) -> float:
     """Rebalancing-region value: band value less the linear cost of the gap."""
     x = float(x)
     theta = float(theta)
     tp = float(band.theta_plus_at(x))
     tm = float(-band.theta_minus_at(x))
     if theta >= tp:
-        return value_nt_zero(comp, band, x, tp) - band.gamma_lin * (theta - tp)
+        return value_nt_zero(band, x, tp) - band.gamma_lin * (theta - tp)
     if theta <= tm:
-        return value_nt_zero(comp, band, x, tm) - band.gamma_lin * (tm - theta)
+        return value_nt_zero(band, x, tm) - band.gamma_lin * (tm - theta)
     raise DomainError(f"({x:.6g}, {theta:.6g}) lies inside the no-trade region")
 
 
@@ -770,29 +779,29 @@ def value_rb_zero(comp: GreensDecomposition, band: Band, x, theta) -> float:
 # boundary-displacement identity
 
 
-def _displaced_alpha(comp, band, theta, delta):
+def _displaced_alpha(band, theta, delta):
     """Coefficients with the upper boundary displaced by delta in theta.
 
     The displaced family keeps the slope conditions but NOT optimality:
     the upper endpoint of level theta is taken from the unperturbed
     family at level theta - delta.
     """
-    st_shift = _level_at(comp, band, theta - delta)
-    st_base = _level_at(comp, band, theta)
+    st_shift = _level_at(band, theta - delta)
+    st_base = _level_at(band, theta)
     hp = st_shift["hp"]
     hm = st_base["hm"]
-    st = _level_state(comp, band.gamma_lin, theta, hp, hm)
+    st = _level_state(band.comp, band.gamma_lin, theta, hp, hm)
     return st["a1"], st["a2"]
 
 
-def _level_at(comp, band, theta):
+def _level_at(band, theta):
     """Solve the unperturbed level problem at an arbitrary theta."""
     j = int(np.clip(np.searchsorted(band.levels, theta), 1, band.levels.size - 1))
-    return _newton_level(comp, band.gamma_lin, theta,
+    return _newton_level(band.comp, band.gamma_lin, theta,
                          band.h_plus[j], band.h_minus[j])
 
 
-def check_displacement_identity(comp: GreensDecomposition, band: Band, x):
+def check_displacement_identity(band: Band, x):
     """Test data for the boundary-displacement consistency identity.
 
     Displacing the upper boundary by +-delta and re-solving the slope
@@ -813,12 +822,12 @@ def check_displacement_identity(comp: GreensDecomposition, band: Band, x):
     theta_b = float(band.theta_plus_at(x))
     delta = 0.02 * (band.theta_plus_at(x) + band.theta_minus_at(x))
 
-    p1x, p2x, _, _ = comp.pair.spline(x).tolist()
+    p1x, p2x, _, _ = band.comp.pair.spline(x).tolist()
 
     def gprime(d):
-        st0 = _level_at(comp, band, theta_b)
-        a1p, a2p = _displaced_alpha(comp, band, theta_b, +d)
-        a1m, a2m = _displaced_alpha(comp, band, theta_b, -d)
+        st0 = _level_at(band, theta_b)
+        a1p, a2p = _displaced_alpha(band, theta_b, +d)
+        a1m, a2m = _displaced_alpha(band, theta_b, -d)
         num = ((a1p + a1m - 2 * st0["a1"]) * p1x
                + (a2p + a2m - 2 * st0["a2"]) * p2x)
         return num / d ** 2
@@ -826,7 +835,7 @@ def check_displacement_identity(comp: GreensDecomposition, band: Band, x):
     g1 = gprime(delta)
     g2 = gprime(delta / 2)
     # quadratic-regime guard: the two estimates differ at O(delta^2)
-    v3 = third_derivative_at_band(comp, band, x)
+    v3 = third_derivative_at_band(band, x)
     if abs(g1 - g2) > 0.25 * abs(g2) + 1e-9 * v3:
         raise ConvergenceError(
             f"displacement step {delta:.3e} is outside the quadratic regime "
@@ -834,8 +843,7 @@ def check_displacement_identity(comp: GreensDecomposition, band: Band, x):
     return float(g2), float(-v3)
 
 
-def displacement_value_shift(comp: GreensDecomposition, band: Band, x, theta,
-                             delta: float):
+def displacement_value_shift(band: Band, x, theta, delta: float):
     """|value change| of the (suboptimal) displaced-boundary family at
     a fixed interior point; used for the quadratic-in-delta scaling test."""
     if band.flat:
@@ -846,9 +854,9 @@ def displacement_value_shift(comp: GreensDecomposition, band: Band, x, theta,
     d1 = np.empty_like(thetas)
     d2 = np.empty_like(thetas)
     for k, th in enumerate(thetas):
-        st0 = _level_at(comp, band, th)
-        a1d, a2d = _displaced_alpha(comp, band, th, delta)
+        st0 = _level_at(band, th)
+        a1d, a2d = _displaced_alpha(band, th, delta)
         d1[k] = a1d - st0["a1"]
         d2[k] = a2d - st0["a2"]
-    p1, p2, _, _ = comp.pair.spline(x).tolist()
+    p1, p2, _, _ = band.comp.pair.spline(x).tolist()
     return abs(simpson(d1, x=thetas) * p1 + simpson(d2, x=thetas) * p2)

@@ -85,7 +85,7 @@ def cmd_layer(cfg: RunConfig, out: str, quiet: bool) -> int:
     samples = spec.samples if spec is not None else 2001
     y_max = spec.y_max if spec is not None else None
     band = band_zero.find_band_zero(params, costs.gamma_lin)
-    c = asymptotics.layer_constants(params, band, x)
+    c = asymptotics.layer_constants(band, x)
 
     if costs.kind is CostKind.THREE_HALVES:
         if y_max is None:
@@ -132,12 +132,10 @@ def cmd_hjb(cfg: RunConfig, out: str, quiet: bool) -> int:
               [xx, tt, vg.V.values.ravel(), vg.v.values.ravel()])
 
     band_path = os.path.join(out, cfg.output_prefix + "hjb_band.csv")
-    bp = np.where(vg.plus_mask, vg.band_plus, np.nan)
-    bm = np.where(vg.minus_mask, vg.band_minus, np.nan)
     write_csv(band_path,
               ["x", "band_plus", "plus_found", "band_minus", "minus_found"],
-              [grid.x_nodes, bp, vg.plus_mask.astype(float), bm,
-               vg.minus_mask.astype(float)])
+              [grid.x_nodes, vg.band_plus, vg.plus_mask.astype(float),
+               vg.band_minus, vg.minus_mask.astype(float)])
 
     res_path = os.path.join(out, cfg.output_prefix + "residuals.csv")
     hist = np.asarray(vg.history, dtype=float)
@@ -259,13 +257,11 @@ def _check_rows(cfg: RunConfig):
     def add(name, ok, detail):
         rows.append((name, bool(ok), detail))
 
-    comp = band_zero.greens_particular(
-        params, band_zero.solve_homogeneous(params))
-    band = band_zero.find_band_zero(params, costs.gamma_lin, comp=comp)
+    band = band_zero.find_band_zero(params, costs.gamma_lin)
     x_lo, x_hi = band.x_nodes[0], band.x_nodes[-1]
     xs = np.linspace(0.6 * x_lo, 0.6 * x_hi, 5)
 
-    c = asymptotics.layer_constants(params, band, 0.0)
+    c = asymptotics.layer_constants(band, 0.0)
     if cfg.check is not None and cfg.check.layer_table:
         y, f, f_slope = _read_layer_table(cfg.check.layer_table)
         prof = asymptotics.LayerProfile(
@@ -288,23 +284,22 @@ def _check_rows(cfg: RunConfig):
 
     # interior curvature magnitude sets the scale for "vanishes at the band"
     h = 0.1 * float(band.width(0.0))
-    scale = abs(band_zero.value_nt_zero(comp, band, 0.0, h)
-                - 2.0 * band_zero.value_nt_zero(comp, band, 0.0, 0.0)
-                + band_zero.value_nt_zero(comp, band, 0.0, -h)) / h ** 2
-    worst = max(abs(band_zero.second_derivative_at_band(comp, band, float(x)))
+    scale = abs(band_zero.value_nt_zero(band, 0.0, h)
+                - 2.0 * band_zero.value_nt_zero(band, 0.0, 0.0)
+                + band_zero.value_nt_zero(band, 0.0, -h)) / h ** 2
+    worst = max(abs(band_zero.second_derivative_at_band(band, float(x)))
                 for x in xs)
     add("value curvature vanishes at the boundary (1e-6 scaled)",
         worst <= 1e-6 * scale,
         f"max |V_tt| at band {worst:.3e}, interior scale {scale:.3e}")
 
-    v3s = [band_zero.third_derivative_at_band(comp, band, float(x))
-           for x in xs]
+    v3s = [band_zero.third_derivative_at_band(band, float(x)) for x in xs]
     add("third derivative positive at the boundary", min(v3s) > 0,
         f"min V_ttt {min(v3s):.6g} over {len(xs)} x values")
 
     worst_rel = 0.0
     for x in xs:
-        lhs, rhs = band_zero.check_displacement_identity(comp, band, float(x))
+        lhs, rhs = band_zero.check_displacement_identity(band, float(x))
         worst_rel = max(worst_rel, abs(lhs - rhs) / abs(rhs))
     add("displacement identity (1e-2 rel)", worst_rel <= 1e-2,
         f"worst relative gap {worst_rel:.3e} over {len(xs)} x values")

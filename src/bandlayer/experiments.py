@@ -208,14 +208,10 @@ def eta_shift_sweep(params: ModelParams, gamma_lin: float, eta_list,
 
     # asymptotic prediction (independent route, used for the gauge and
     # the reported prefactor comparison, never for the measurement)
-    comp = band_zero.greens_particular(
-        params, band_zero.solve_homogeneous(params))
-    band = band_zero.find_band_zero(params, gamma_lin, comp=comp)
+    band = band_zero.find_band_zero(params, gamma_lin)
     theta0 = float(band.theta_plus_at(x))
     width = float(band.width(x))
-    c = asymptotics.layer_constants(params, band, x)
-    v3 = band_zero.third_derivative_at_band(comp, band, x)
-    shift_coeff = c.wall_slope / v3  # predicted shift = coeff * eta^(1/3)
+    shift_coeff = asymptotics.shift_coefficient(band, x)
 
     excluded = []
     notes = []
@@ -460,17 +456,14 @@ def regime_map(params: ModelParams, costs: CostParams, x: float,
     if not (eta > 0):
         raise ConfigError("regime_map needs eta > 0")
 
-    comp = band_zero.greens_particular(
-        params, band_zero.solve_homogeneous(params))
-    band = band_zero.find_band_zero(params, gamma_lin=costs.gamma_lin,
-                                    comp=comp)
-    c = asymptotics.layer_constants(params, band, x)
+    band = band_zero.find_band_zero(params, gamma_lin=costs.gamma_lin)
+    c = asymptotics.layer_constants(band, x)
     layer_pred = c.wall_offset * eta ** (1.0 / 3.0)
     cross_pred = asymptotics.sqrt_linear_crossover(params, c)
 
     if vg is None:
         if grid is None:
-            grid = _regime_grid(params, band, x, eta, layer_pred, cross_pred)
+            grid = _regime_grid(band, x, layer_pred, cross_pred)
         cfg = cfg or hjb.SolverConfig(max_iters=200, convergence_tol=1e-9)
         vg = hjb.solve_hjb(params, costs, grid, cfg)
 
@@ -526,7 +519,7 @@ def regime_map(params: ModelParams, costs: CostParams, x: float,
         notes.append("far-field zone not reached by the theta domain")
 
     # composite prediction on the same samples (selling sector)
-    vp = asymptotics.composite_velocity(params, comp, band, x, eta, theta)
+    vp = asymptotics.composite_velocity(band, x, eta, theta)
 
     full_labels = np.full(sl.theta.size, "NT", dtype=object)
     full_labels[mask] = labels
@@ -552,11 +545,11 @@ def _embed(values, mask, n):
     return out
 
 
-def _regime_grid(params, band, x, eta, layer_pred, cross_pred) -> Grid2D:
+def _regime_grid(band, x, layer_pred, cross_pred) -> Grid2D:
     """Grid sized so the layer holds >= 8 cells and the far field fits."""
-    x_half = max(3.0 * stationary_std(params), abs(x) * 1.5)
+    x_half = max(3.0 * stationary_std(band.params), abs(x) * 1.5)
     theta0 = float(band.theta_plus_at(x))
-    markowitz_max = abs(markowitz_position(params, x_half))
+    markowitz_max = abs(markowitz_position(band.params, x_half))
     theta_half = max(4.0 * markowitz_max, theta0 + 8.0 * cross_pred)
     htheta = layer_pred / 8.0
     ntheta = 2 * int(round(theta_half / htheta)) + 1

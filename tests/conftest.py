@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from bandlayer.model import ModelParams
-from bandlayer.band_zero import (find_band_zero, greens_particular,
-                                 solve_homogeneous)
+from bandlayer.band_zero import find_band_zero
 
 DESK_GAMMA = 2e-4
 
@@ -17,18 +16,14 @@ def desk_model():
 
 
 @pytest.fixture(scope="session")
-def desk_pair(desk_model):
-    return solve_homogeneous(desk_model)
+def desk_band(desk_model):
+    return find_band_zero(desk_model, DESK_GAMMA)
 
 
 @pytest.fixture(scope="session")
-def desk_comp(desk_model, desk_pair):
-    return greens_particular(desk_model, desk_pair)
-
-
-@pytest.fixture(scope="session")
-def desk_band(desk_model, desk_comp):
-    return find_band_zero(desk_model, DESK_GAMMA, comp=desk_comp)
+def desk_pair(desk_band):
+    # the homogeneous pair the desk band was solved from
+    return desk_band.comp.pair
 
 
 _ACCEPTANCE_RESULTS = {}

@@ -30,8 +30,8 @@ ABEL_OFFSET_LITERAL = 1.094848850  # canonical Abel wall offset / s, 10 digits
 
 
 @pytest.fixture(scope="module")
-def desk_constants(desk_model, desk_band):
-    return asy.layer_constants(desk_model, desk_band, 0.0)
+def desk_constants(desk_band):
+    return asy.layer_constants(desk_band, 0.0)
 
 
 @pytest.fixture(scope="module")
@@ -84,20 +84,21 @@ class TestLayerConstants:
     def test_diffusivity_scales_with_sigma_squared(self, desk_model, desk_band):
         p2 = ModelParams(sigma=2 * desk_model.sigma, omega=desk_model.omega,
                          lam=desk_model.lam, rho=desk_model.rho)
-        c1 = asy.layer_constants(desk_model, desk_band, 0.0)
-        c2 = asy.layer_constants(p2, desk_band, 0.0)  # band held fixed
+        c1 = asy.layer_constants(desk_band, 0.0)
+        # band held fixed
+        c2 = asy.layer_constants(dataclasses.replace(desk_band, params=p2), 0.0)
         assert c2.diffusivity / c1.diffusivity == pytest.approx(4.0, rel=1e-14)
 
-    def test_positive_and_finite_across_x(self, desk_model, desk_band):
+    def test_positive_and_finite_across_x(self, desk_band):
         for x in (-0.1, 0.0, 0.1):
-            c = asy.layer_constants(desk_model, desk_band, x)
+            c = asy.layer_constants(desk_band, x)
             for val in (c.amp, c.diffusivity, c.arg_scale, c.wall_offset):
                 assert val > 0.0 and np.isfinite(val)
 
     def test_flat_band_rejected(self, flat_band):
-        p0, band0 = flat_band
+        _, band0 = flat_band
         with pytest.raises(RegimeError):
-            asy.layer_constants(p0, band0, 0.0)
+            asy.layer_constants(band0, 0.0)
 
 
 # ------------------------------------------------------------- airy profile
@@ -167,23 +168,23 @@ class TestOdeResidual:
 # ------------------------------------------------------------ band shift
 
 class TestShiftedBoundary:
-    def test_no_cost_no_shift(self, desk_model, desk_comp, desk_band):
+    def test_no_cost_no_shift(self, desk_band):
         t0 = desk_band.theta_plus_at(0.0)
-        assert asy.shifted_boundary(desk_model, desk_comp, desk_band, 0.0, 0.0) == t0
+        assert asy.shifted_boundary(desk_band, 0.0, 0.0) == t0
 
-    def test_cube_root_scaling_exact(self, desk_model, desk_comp, desk_band):
+    def test_cube_root_scaling_exact(self, desk_band):
         t0 = desk_band.theta_plus_at(0.0)
-        s1 = t0 - asy.shifted_boundary(desk_model, desk_comp, desk_band, 0.0, 1e-6)
-        s8 = t0 - asy.shifted_boundary(desk_model, desk_comp, desk_band, 0.0, 8e-6)
+        s1 = t0 - asy.shifted_boundary(desk_band, 0.0, 1e-6)
+        s8 = t0 - asy.shifted_boundary(desk_band, 0.0, 8e-6)
         assert s8 / s1 == pytest.approx(2.0, rel=1e-12)
 
-    def test_shift_is_inward(self, desk_model, desk_comp, desk_band):
+    def test_shift_is_inward(self, desk_band):
         for x in (-0.1, 0.0, 0.15):
             t0 = desk_band.theta_plus_at(x)
-            te = asy.shifted_boundary(desk_model, desk_comp, desk_band, x, 1e-6)
+            te = asy.shifted_boundary(desk_band, x, 1e-6)
             assert te < t0
 
-    def test_small_cost_closed_form_oracle(self, desk_model, desk_comp, desk_band):
+    def test_small_cost_closed_form_oracle(self, desk_model, desk_band):
         # independent route: the small-linear-cost estimates for the third
         # derivative and the band geometry at x=0
         p = desk_model
@@ -199,25 +200,25 @@ class TestShiftedBoundary:
         for eta in (1e-7, 1e-5):
             est = fy0_est / v3_est * eta ** (1.0 / 3.0)
             got = desk_band.theta_plus_at(0.0) - asy.shifted_boundary(
-                desk_model, desk_comp, desk_band, 0.0, eta)
+                desk_band, 0.0, eta)
             assert got == pytest.approx(est, rel=0.05)
 
-    def test_negative_eta_rejected(self, desk_model, desk_comp, desk_band):
+    def test_negative_eta_rejected(self, desk_band):
         with pytest.raises(DomainError):
-            asy.shifted_boundary(desk_model, desk_comp, desk_band, 0.0, -1e-9)
+            asy.shifted_boundary(desk_band, 0.0, -1e-9)
 
 
 # ---------------------------------------------------------- outer velocity
 
 class TestOuterVelocity:
-    def test_vanishes_at_boundary(self, desk_model, desk_band):
+    def test_vanishes_at_boundary(self, desk_band):
         t0 = desk_band.theta_plus_at(0.0)
-        assert asy.outer_velocity(desk_model, desk_band, 0.0, t0, 1e-5) == 0.0
+        assert asy.outer_velocity(desk_band, 0.0, t0, 1e-5) == 0.0
 
     def test_near_band_square_root(self, desk_model, desk_band):
         t0 = desk_band.theta_plus_at(0.0)
         d = 1e-3 * t0
-        v = asy.outer_velocity(desk_model, desk_band, 0.0, t0 + d, 1e-5)
+        v = asy.outer_velocity(desk_band, 0.0, t0 + d, 1e-5)
         sqrt_only = -math.sqrt(2.0 * desk_model.lam * t0 * d / 1e-5)
         ratio = v / sqrt_only
         assert abs(ratio - 1.0) < 0.01
@@ -228,15 +229,15 @@ class TestOuterVelocity:
     def test_far_field_linear(self, desk_model, desk_band):
         t0 = desk_band.theta_plus_at(0.0)
         theta = 100.0 * t0
-        v = asy.outer_velocity(desk_model, desk_band, 0.0, theta, 1e-5)
+        v = asy.outer_velocity(desk_band, 0.0, theta, 1e-5)
         assert abs(v / theta / (-math.sqrt(desk_model.lam / 1e-5)) - 1.0) < 0.01
 
-    def test_inside_band_rejected(self, desk_model, desk_band):
+    def test_inside_band_rejected(self, desk_band):
         t0 = desk_band.theta_plus_at(0.0)
         with pytest.raises(RegimeError):
-            asy.outer_velocity(desk_model, desk_band, 0.0, 0.5 * t0, 1e-5)
+            asy.outer_velocity(desk_band, 0.0, 0.5 * t0, 1e-5)
         with pytest.raises(DomainError):
-            asy.outer_velocity(desk_model, desk_band, 0.0, 2 * t0, 0.0)
+            asy.outer_velocity(desk_band, 0.0, 2 * t0, 0.0)
 
 
 # ------------------------------------------------------- composite velocity
@@ -245,9 +246,9 @@ ETA_DEEP = 1e-18  # scale separation: layer << band width << crossover
 
 
 @pytest.fixture(scope="module")
-def deep_profile(desk_model, desk_comp, desk_band):
-    c = asy.layer_constants(desk_model, desk_band, 0.0)
-    te = asy.shifted_boundary(desk_model, desk_comp, desk_band, 0.0, ETA_DEEP)
+def deep_profile(desk_model, desk_band):
+    c = asy.layer_constants(desk_band, 0.0)
+    te = asy.shifted_boundary(desk_band, 0.0, ETA_DEEP)
     t0 = desk_band.theta_plus_at(0.0)
     sc = ETA_DEEP ** (1.0 / 3.0)
     dc = asy.sqrt_linear_crossover(desk_model, c)
@@ -257,8 +258,7 @@ def deep_profile(desk_model, desk_comp, desk_band):
         te + sc * np.linspace(30.1, 200.0, 30),
         t0 + np.linspace(1.1 * dc, 20.0 * dc, 20),
     ]))
-    return asy.composite_velocity(desk_model, desk_comp, desk_band, 0.0,
-                                  ETA_DEEP, grid)
+    return asy.composite_velocity(desk_band, 0.0, ETA_DEEP, grid)
 
 
 class TestCompositeVelocity:
@@ -285,63 +285,60 @@ class TestCompositeVelocity:
                    if r is not asy.Regime.NO_TRADE]
         assert np.all(deep_profile.v[trading] < 0.0)
 
-    def test_linear_near_wall(self, desk_model, desk_comp, desk_band):
-        c = asy.layer_constants(desk_model, desk_band, 0.0)
-        te = asy.shifted_boundary(desk_model, desk_comp, desk_band, 0.0, ETA_DEEP)
+    def test_linear_near_wall(self, desk_band):
+        c = asy.layer_constants(desk_band, 0.0)
+        te = asy.shifted_boundary(desk_band, 0.0, ETA_DEEP)
         y = 0.01 * c.wall_offset
         theta = te + y * ETA_DEEP ** (1.0 / 3.0)
-        vp = asy.composite_velocity(desk_model, desk_comp, desk_band, 0.0,
-                                    ETA_DEEP, np.array([te - 1e-9, theta]))
+        vp = asy.composite_velocity(desk_band, 0.0, ETA_DEEP,
+                                    np.array([te - 1e-9, theta]))
         linear = -c.wall_slope * (theta - te) / (2.0 * ETA_DEEP ** (2.0 / 3.0))
         assert vp.v[1] == pytest.approx(linear, rel=0.02)
 
-    def test_seam_mismatch_small(self, desk_model, desk_comp, desk_band):
+    def test_seam_mismatch_small(self, desk_band):
         # evaluate both branches at the seam point itself
-        c = asy.layer_constants(desk_model, desk_band, 0.0)
-        te = asy.shifted_boundary(desk_model, desk_comp, desk_band, 0.0, ETA_DEEP)
+        c = asy.layer_constants(desk_band, 0.0)
+        te = asy.shifted_boundary(desk_band, 0.0, ETA_DEEP)
         sc = ETA_DEEP ** (1.0 / 3.0)
         theta_s = te + 30.0 * sc
         f_s, _ = asy._layer_values(c, np.array([30.0]))
         inner = -f_s[0] / (2.0 * sc)
         blended = (inner
-                   + asy.outer_velocity(desk_model, desk_band, 0.0, theta_s, ETA_DEEP)
+                   + asy.outer_velocity(desk_band, 0.0, theta_s, ETA_DEEP)
                    + 0.5 * c.amp * math.sqrt(theta_s - te) / math.sqrt(ETA_DEEP))
         assert abs(blended / inner - 1.0) <= 0.02
 
-    def test_far_field_eta_scaling(self, desk_model, desk_comp, desk_band):
-        c = asy.layer_constants(desk_model, desk_band, 0.0)
+    def test_far_field_eta_scaling(self, desk_model, desk_band):
+        c = asy.layer_constants(desk_band, 0.0)
         theta_far = desk_band.theta_plus_at(0.0) + 10.0 * asy.sqrt_linear_crossover(
             desk_model, c)
         grid = np.array([0.0, theta_far])
 
         def v_at(eta):
-            return asy.composite_velocity(desk_model, desk_comp, desk_band,
-                                          0.0, eta, grid).v[1]
+            return asy.composite_velocity(desk_band, 0.0, eta, grid).v[1]
 
         assert v_at(ETA_DEEP) / v_at(4 * ETA_DEEP) == pytest.approx(2.0, rel=0.01)
 
-    def test_gauge_warning_flag(self, desk_model, desk_comp, desk_band):
+    def test_gauge_warning_flag(self, desk_band):
         t0 = desk_band.theta_plus_at(0.0)
         grid = np.array([0.0, 1.5 * t0])
-        quiet = asy.composite_velocity(desk_model, desk_comp, desk_band, 0.0,
-                                       1e-5, grid)
+        quiet = asy.composite_velocity(desk_band, 0.0, 1e-5, grid)
         assert not quiet.gauge_warning and quiet.gauge < 0.05
-        loud = asy.composite_velocity(desk_model, desk_comp, desk_band, 0.0,
-                                      2e-2, grid)
+        loud = asy.composite_velocity(desk_band, 0.0, 2e-2, grid)
         assert loud.gauge_warning and loud.gauge > 0.2
 
-    def test_lower_sector_rejected(self, desk_model, desk_comp, desk_band):
+    def test_lower_sector_rejected(self, desk_band):
         lower = -desk_band.theta_minus_at(0.0)
         with pytest.raises(DomainError):
-            asy.composite_velocity(desk_model, desk_comp, desk_band, 0.0, 1e-6,
+            asy.composite_velocity(desk_band, 0.0, 1e-6,
                                    np.array([lower - 1e-5, 0.0]))
 
-    def test_grid_validation(self, desk_model, desk_comp, desk_band):
+    def test_grid_validation(self, desk_band):
         with pytest.raises(ConfigError):
-            asy.composite_velocity(desk_model, desk_comp, desk_band, 0.0, 1e-6,
+            asy.composite_velocity(desk_band, 0.0, 1e-6,
                                    np.array([0.0]))
         with pytest.raises(DomainError):
-            asy.composite_velocity(desk_model, desk_comp, desk_band, 0.0, 0.0,
+            asy.composite_velocity(desk_band, 0.0, 0.0,
                                    np.array([0.0, 1e-4]))
 
 

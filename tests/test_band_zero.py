@@ -23,8 +23,7 @@ from bandlayer.errors import ConfigError, DomainError, RegimeError
 from bandlayer.model import ModelParams
 from bandlayer.band_zero import (check_displacement_identity,
                                  displacement_value_shift, find_band_zero,
-                                 flat_band_level, greens_particular,
-                                 second_derivative_at_band,
+                                 flat_band_level, second_derivative_at_band,
                                  solve_homogeneous,
                                  third_derivative_at_band,
                                  third_derivative_stencil, value_nt_zero,
@@ -103,32 +102,32 @@ class TestHomogeneousPair:
 
 
 class TestGreensParticular:
-    def test_drift_part_closed_form(self, desk_model, desk_comp):
+    def test_drift_part_closed_form(self, desk_model, desk_band):
         # resolvent of the linear drift is exactly linear: -omega x/(rho+omega)
         p = desk_model
         xs = np.linspace(-0.26, 0.26, 53)
         want = -p.omega * xs / (p.rho + p.omega)
-        drift_part = desk_comp.spline(xs)[:, 0]
+        drift_part = desk_band.comp.spline(xs)[:, 0]
         assert np.max(np.abs(drift_part - want)) < 1e-7
 
-    def test_risk_part_closed_form(self, desk_model, desk_comp):
+    def test_risk_part_closed_form(self, desk_model, desk_band):
         # resolvent of a constant is that constant over the discount rate
         p = desk_model
         xs = np.linspace(-0.26, 0.26, 53)
         want = -2 * p.lam / p.rho
-        risk_part = desk_comp.spline(xs)[:, 1]
+        risk_part = desk_band.comp.spline(xs)[:, 1]
         assert np.max(np.abs(risk_part / want - 1)) < 1e-6
 
-    def test_equation_residual_from_samples(self, desk_model, desk_comp):
+    def test_equation_residual_from_samples(self, desk_model, desk_band):
         # second differences of the tabulated parts must satisfy the
         # defining equations (no use of the stored derivative identities).
         # Stride the sample grid so the 1/h^2 amplification does not pick
         # up node-parity jitter of the cumulative quadrature.
         p = desk_model
-        xq = desk_comp.pair.x_quad[::8]
+        xq = desk_band.comp.pair.x_quad[::8]
         keep = (xq >= -0.26) & (xq <= 0.26)
         h = xq[1] - xq[0]
-        drift_part, risk_part, _, _ = desk_comp.spline(xq).T
+        drift_part, risk_part, _, _ = desk_band.comp.spline(xq).T
         for f, source in ((drift_part, -p.omega * xq),
                           (risk_part, np.full_like(xq, -2 * p.lam))):
             fxx = (f[2:] - 2 * f[1:-1] + f[:-2]) / h ** 2
@@ -139,31 +138,31 @@ class TestGreensParticular:
             scale = np.max(np.abs(source)) + 1e-300
             assert np.max(np.abs(resid[keep[1:-1]])) / scale < 1e-6
 
-    def test_slope_conditions_reconstructed(self, desk_comp, desk_band):
+    def test_slope_conditions_reconstructed(self, desk_band):
         # at swept levels the boundary-value conditions hold to roundoff
         b = desk_band
-        pr = desk_comp.pair
+        pr = desk_band.comp.pair
         for j in (3, len(b.levels) // 2, len(b.levels) - 4):
             th, hp, hm = b.levels[j], b.h_plus[j], b.h_minus[j]
             a1, a2 = b.alpha1_prime[j], b.alpha2_prime[j]
             (p1p, p2p, _, _), (p1m, p2m, _, _) = pr.spline([hp, hm])
-            up = desk_comp.i_value(hp, th) + a1 * p1p + a2 * p2p
-            dn = desk_comp.i_value(hm, th) + a1 * p1m + a2 * p2m
+            up = desk_band.comp.i_value(hp, th) + a1 * p1p + a2 * p2p
+            dn = desk_band.comp.i_value(hm, th) + a1 * p1m + a2 * p2m
             assert up == pytest.approx(-DESK_GAMMA, abs=1e-12)
             assert dn == pytest.approx(+DESK_GAMMA, abs=1e-12)
 
-    def test_alpha_antisymmetry(self, desk_comp):
+    def test_alpha_antisymmetry(self, desk_band):
         # x -> -x, theta -> -theta maps the solution onto itself with the
         # two homogeneous solutions swapped
         hp, hm, th = 0.013, -0.008, 2e-4
-        a1, a2 = desk_comp.alpha_coefficients(hp, hm, DESK_GAMMA, th)
-        b1, b2 = desk_comp.alpha_coefficients(-hm, -hp, DESK_GAMMA, -th)
+        a1, a2 = desk_band.comp.alpha_coefficients(hp, hm, DESK_GAMMA, th)
+        b1, b2 = desk_band.comp.alpha_coefficients(-hm, -hp, DESK_GAMMA, -th)
         assert a1 == pytest.approx(-b2, rel=1e-9)
         assert a2 == pytest.approx(-b1, rel=1e-9)
 
-    def test_alpha_requires_ordering(self, desk_comp):
+    def test_alpha_requires_ordering(self, desk_band):
         with pytest.raises(ConfigError):
-            desk_comp.alpha_coefficients(-0.01, 0.01, DESK_GAMMA, 0.0)
+            desk_band.comp.alpha_coefficients(-0.01, 0.01, DESK_GAMMA, 0.0)
 
 
 class TestBandGeometry:
@@ -204,8 +203,8 @@ class TestBandGeometry:
         got = desk_band.theta_plus_deriv_at(xs)
         np.testing.assert_allclose(got, sp.derivative()(xs), rtol=1e-5)
 
-    def test_narrows_with_smaller_cost(self, desk_model, desk_comp, desk_band):
-        b_small = find_band_zero(desk_model, DESK_GAMMA / 8, comp=desk_comp)
+    def test_narrows_with_smaller_cost(self, desk_model, desk_band):
+        b_small = find_band_zero(desk_model, DESK_GAMMA / 8)
         assert float(b_small.theta_plus_at(0.0)) < float(
             desk_band.theta_plus_at(0.0))
         # cube-root law: gamma/8 halves the width
@@ -213,10 +212,10 @@ class TestBandGeometry:
             / float(desk_band.theta_plus_at(0.0) + desk_band.theta_minus_at(0.0))
         assert ratio == pytest.approx(0.5, abs=0.02)
 
-    def test_tiny_cost_still_solves(self, desk_model, desk_comp):
+    def test_tiny_cost_still_solves(self, desk_model):
         widths = {}
         for gamma in (1e-6, 1e-7):
-            b = find_band_zero(desk_model, gamma, comp=desk_comp,
+            b = find_band_zero(desk_model, gamma,
                                x_nodes=np.linspace(-0.1, 0.1, 41))
             assert float(b.theta_plus_at(0.0)) > 0
             assert np.all(np.isfinite(b.alpha1_prime))
@@ -226,9 +225,9 @@ class TestBandGeometry:
         assert widths[1e-7] / widths[1e-6] == pytest.approx(0.1 ** (1 / 3),
                                                             rel=0.02)
 
-    def test_rejects_bad_gamma(self, desk_model, desk_comp):
+    def test_rejects_bad_gamma(self, desk_model):
         with pytest.raises(ConfigError):
-            find_band_zero(desk_model, 0.0, comp=desk_comp)
+            find_band_zero(desk_model, 0.0)
 
     def test_coverage_failure_raises(self, desk_model):
         # with almost no padding the level interval cannot step past the
@@ -261,24 +260,23 @@ class TestBandGeometry:
 
 
 class TestBandDerivatives:
-    def test_second_derivative_vanishes(self, desk_comp, desk_band):
+    def test_second_derivative_vanishes(self, desk_band):
         # optimality of the boundary family: total curvature in the level
         # direction is zero at the boundary
         gamma = desk_band.gamma_lin
         for x in (-0.2, -0.05, 0.0, 0.1, 0.22):
             width = float(desk_band.width(x))
-            v2 = second_derivative_at_band(desk_comp, desk_band, x)
+            v2 = second_derivative_at_band(desk_band, x)
             assert abs(v2) * width / gamma < 1e-6
 
-    def test_third_derivative_two_routes_agree(self, desk_comp, desk_band):
+    def test_third_derivative_two_routes_agree(self, desk_band):
         for x in (-0.2, 0.0, 0.17):
-            v3 = third_derivative_at_band(desk_comp, desk_band, x)
-            v3s = third_derivative_stencil(desk_comp, desk_band, x)
+            v3 = third_derivative_at_band(desk_band, x)
+            v3s = third_derivative_stencil(desk_band, x)
             assert v3 > 0
             assert abs(v3s / v3 - 1) < 1e-3
 
-    def test_third_derivative_exact_relation(self, desk_model, desk_comp,
-                                             desk_band):
+    def test_third_derivative_exact_relation(self, desk_model, desk_band):
         # differentiate the interior equation along the boundary curve:
         # v3 * slope^2 = (2/sigma^2)(2 lam level - drift - rho gamma)
         p = desk_model
@@ -288,78 +286,78 @@ class TestBandDerivatives:
             mu = -p.omega * x
             want = (2 / p.sigma ** 2) * (
                 2 * p.lam * level - mu - p.rho * desk_band.gamma_lin) / slope ** 2
-            got = third_derivative_at_band(desk_comp, desk_band, x)
+            got = third_derivative_at_band(desk_band, x)
             assert got == pytest.approx(want, rel=1e-8)
 
-    def test_third_derivative_small_cost_scale(self, desk_model, desk_comp,
-                                               desk_band):
+    def test_third_derivative_small_cost_scale(self, desk_model, desk_band):
         p = desk_model
         est = 8 * p.lam ** 2 / (p.sigma ** 2 * p.omega) * (
             1.5 * desk_band.gamma_lin * p.sigma ** 2 / p.omega) ** (1 / 3)
-        got = third_derivative_at_band(desk_comp, desk_band, 0.0)
+        got = third_derivative_at_band(desk_band, 0.0)
         assert got == pytest.approx(est, rel=0.05)
 
-    def test_flat_band_rejects_third_derivative(self, desk_comp):
+    def test_flat_band_rejects_third_derivative(self):
         p = ModelParams(sigma=0.02, omega=0.0, lam=1.0, rho=1e-3)
         b = find_band_zero(p, DESK_GAMMA, x_nodes=np.linspace(-1, 1, 11))
         with pytest.raises(RegimeError):
-            third_derivative_at_band(desk_comp, b, 0.0)
+            third_derivative_at_band(b, 0.0)
 
 
 class TestDisplacementIdentity:
-    def test_matches_minus_third_derivative(self, desk_comp, desk_band):
+    def test_matches_minus_third_derivative(self, desk_band):
         for x in (-0.2, -0.1, 0.0, 0.1, 0.2):
-            lhs, rhs = check_displacement_identity(desk_comp, desk_band, x)
+            lhs, rhs = check_displacement_identity(desk_band, x)
             assert lhs == pytest.approx(rhs, rel=1e-2)
 
-    def test_value_shift_quadratic_in_displacement(self, desk_comp, desk_band):
+    def test_value_shift_quadratic_in_displacement(self, desk_band):
         w = float(desk_band.width(0.0))
         th = 0.7 * float(desk_band.theta_plus_at(0.0))
         deltas = np.array([0.02, 0.01, 0.005]) * w
-        shifts = [displacement_value_shift(desk_comp, desk_band, 0.0, th, d)
+        shifts = [displacement_value_shift(desk_band, 0.0, th, d)
                   for d in deltas]
         slope = np.polyfit(np.log(deltas), np.log(shifts), 1)[0]
         assert slope == pytest.approx(2.0, abs=0.1)
 
 
 class TestValues:
-    def test_outside_slope_is_linear_cost(self, desk_comp, desk_band):
+    def test_outside_slope_is_linear_cost(self, desk_band):
         tb = float(desk_band.theta_plus_at(0.0))
-        v_edge = value_nt_zero(desk_comp, desk_band, 0.0, tb)
+        v_edge = value_nt_zero(desk_band, 0.0, tb)
         for gap in (1e-4, 3e-4):
-            v_out = value_rb_zero(desk_comp, desk_band, 0.0, tb + gap)
+            v_out = value_rb_zero(desk_band, 0.0, tb + gap)
             assert (v_out - v_edge) / gap == pytest.approx(
                 -desk_band.gamma_lin, rel=1e-9)
 
-    def test_domain_errors(self, desk_comp, desk_band):
+    def test_domain_errors(self, desk_band):
         tb = float(desk_band.theta_plus_at(0.0))
         with pytest.raises(DomainError):
-            value_nt_zero(desk_comp, desk_band, 0.0, 1.5 * tb)
+            value_nt_zero(desk_band, 0.0, 1.5 * tb)
         with pytest.raises(DomainError):
-            value_rb_zero(desk_comp, desk_band, 0.0, 0.5 * tb)
+            value_rb_zero(desk_band, 0.0, 0.5 * tb)
 
-    def test_value_negative_inside(self, desk_comp, desk_band):
+    def test_value_negative_inside(self, desk_band):
         # with the level-zero gauge the running penalty makes value < 0
-        assert value_nt_zero(desk_comp, desk_band, 0.0,
+        assert value_nt_zero(desk_band, 0.0,
                              0.5 * float(desk_band.theta_plus_at(0.0))) < 0
 
-    def test_more_risk_aversion_lowers_value(self, desk_model, desk_comp,
-                                             desk_band):
+    def test_more_risk_aversion_lowers_value(self, desk_model, desk_band):
         p2 = ModelParams(sigma=desk_model.sigma, omega=desk_model.omega,
                          lam=1.5 * desk_model.lam, rho=desk_model.rho)
-        pair2 = solve_homogeneous(p2)
-        comp2 = greens_particular(p2, pair2)
-        band2 = find_band_zero(p2, DESK_GAMMA, comp=comp2)
+        band2 = find_band_zero(p2, DESK_GAMMA)
         th = 0.5 * float(desk_band.theta_plus_at(0.0))
-        assert value_nt_zero(comp2, band2, 0.0, th) < \
-            value_nt_zero(desk_comp, desk_band, 0.0, th)
+        assert value_nt_zero(band2, 0.0, th) < value_nt_zero(desk_band, 0.0, th)
 
     def test_no_reversion_closed_form(self):
         # flat case: value is -lam theta^2 / rho exactly
         p = ModelParams(sigma=0.02, omega=0.0, lam=1.0, rho=1e-3)
-        pair = solve_homogeneous(p, (-1.0, 1.0))
-        comp = greens_particular(p, pair)
         b = find_band_zero(p, DESK_GAMMA, x_nodes=np.linspace(-1, 1, 11))
         th = 0.5 * flat_band_level(p, DESK_GAMMA)
-        assert value_nt_zero(comp, b, 0.0, th) == pytest.approx(
+        assert value_nt_zero(b, 0.0, th) == pytest.approx(
             -p.lam * th ** 2 / p.rho, rel=1e-12)
+
+    def test_flat_band_domain_error(self):
+        # the flat band has a closed-form value, but only inside the band
+        p = ModelParams(sigma=0.02, omega=0.0, lam=1.0, rho=1e-3)
+        b = find_band_zero(p, DESK_GAMMA, x_nodes=np.linspace(-1, 1, 11))
+        with pytest.raises(DomainError):
+            value_nt_zero(b, 0.0, 5 * flat_band_level(p, DESK_GAMMA))

@@ -226,7 +226,7 @@ class TestCheck:
         assert report.count("PASS") == 5
 
     def test_solves_homogeneous_pair_once(self, tmp_path, monkeypatch):
-        # the band reuses the Green's data the check builds for itself
+        # every diagnostic of the check reads the band's own Green's data
         calls = []
         solve = band_zero.solve_homogeneous
 

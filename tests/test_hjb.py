@@ -28,7 +28,7 @@ import pytest
 
 from bandlayer.errors import ConfigError, ConvergenceError, DomainError
 from bandlayer.model import CostKind, CostParams, Grid2D, ModelParams, ScalarField
-from bandlayer import experiments, hjb
+from bandlayer import asymptotics, experiments, hjb
 
 
 # ----------------------------------------------------------------- fixtures
@@ -348,6 +348,42 @@ class TestRegimeMap:
         assert np.all(labels[rep.theta <= rep.boundary] == "NT")
         trading = (rep.theta > rep.boundary) & (np.abs(rep.v) > 0)
         np.testing.assert_array_equal(np.isfinite(rep.v_composite), trading)
+
+
+# ---------------------------------------------------------- eta shift sweep
+
+
+class TestEtaShiftSweep:
+    ETAS = (1e-7, 1e-6, 1e-5, 1e-4)
+
+    @pytest.fixture(scope="class")
+    def sweep(self, desk_params):
+        grid = Grid2D.regular(-0.134, 0.134, 11, -7.5e-3, 7.5e-3, 301)
+        cfg = hjb.SolverConfig(max_iters=200, convergence_tol=1e-9)
+        return experiments.eta_shift_sweep(desk_params, 2e-4, self.ETAS,
+                                           grid=grid, cfg=cfg)
+
+    def test_prediction_is_the_shifted_boundary(self, sweep, desk_band):
+        # the reported prediction is the asymptotic shift of the exact band
+        assert sweep.values.size >= 2
+        t0 = float(desk_band.theta_plus_at(0.0))
+        for eta in sweep.values:
+            want = t0 - asymptotics.shifted_boundary(desk_band, 0.0, eta)
+            assert sweep.predicted_prefactor * eta ** (1.0 / 3.0) == \
+                pytest.approx(want, rel=1e-12, abs=0.0)
+
+    def test_slope_is_finite(self, sweep):
+        assert np.isfinite(sweep.slope)
+
+    def test_eta_at_floor_rejected(self, desk_params):
+        etas = (hjb.ETA_FLOOR, 1e-7, 1e-6, 1e-5)
+        with pytest.raises(ConfigError):
+            experiments.eta_shift_sweep(desk_params, 2e-4, etas)
+
+    def test_short_span_rejected(self, desk_params):
+        with pytest.raises(ConfigError):
+            experiments.eta_shift_sweep(desk_params, 2e-4,
+                                        (1e-6, 2e-6, 5e-6, 9e-6))
 
 
 # ------------------------------------------------ discrete residual oracle

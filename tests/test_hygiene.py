@@ -1,8 +1,9 @@
-"""Source hygiene: every module-level import in the package is used, and
-no function body imports anything.
+"""Source hygiene: every module-level import in the package is used, no
+function body imports anything, and each ``__all__`` matches its module.
 
 A stdlib stand-in for a linter's unused-import rule.  A name counts as
-used when it is read anywhere in its module or listed in ``__all__``.
+used when it is read anywhere in its module or listed in ``__all__``,
+which is why ``__all__`` may list only names its module defines.
 Imports belong at the top of the module, where this check can see them.
 """
 
@@ -26,13 +27,19 @@ def _imported_names(tree):
                 yield alias.asname or alias.name, node.lineno
 
 
-def _used_names(tree):
-    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+def _declared_all(tree):
+    """The names listed in the module's ``__all__``, None without one."""
     for node in tree.body:
         if (isinstance(node, ast.Assign)
                 and any(isinstance(t, ast.Name) and t.id == "__all__"
                         for t in node.targets)):
-            used.update(ast.literal_eval(node.value))
+            return ast.literal_eval(node.value)
+    return None
+
+
+def _used_names(tree):
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    used.update(_declared_all(tree) or ())
     return used
 
 
@@ -63,3 +70,32 @@ def test_no_imports_in_function_bodies(module):
     tree = ast.parse((PACKAGE / module).read_text(encoding="utf-8"))
     lines = _function_body_imports(tree)
     assert not lines, f"{module}: import(s) in a function body at line(s) {lines}"
+
+
+def _top_level_definitions(tree):
+    """(every name a top-level statement defines, the public defs/classes)."""
+    defined, public = set(), set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            defined.add(node.name)
+            if not node.name.startswith("_"):
+                public.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            defined.update(t.id for t in targets if isinstance(t, ast.Name))
+    return defined, public
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_all_matches_module(module):
+    tree = ast.parse((PACKAGE / module).read_text(encoding="utf-8"))
+    listed = _declared_all(tree)
+    if listed is None:
+        return
+    defined, public = _top_level_definitions(tree)
+    undefined = [name for name in listed if name not in defined]
+    unlisted = sorted(public - set(listed))
+    assert not undefined, f"{module}: __all__ lists undefined {undefined}"
+    assert not unlisted, f"{module}: public names missing from __all__ {unlisted}"

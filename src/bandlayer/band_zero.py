@@ -4,10 +4,14 @@ Inside the band the value function solves the linear equation
 ``(generator - rho) V = -mu(x) theta + lam theta^2``; outside it the
 value continues with slope -+gamma_lin in theta.  The construction:
 
-1. Two homogeneous solutions of ``(sigma^2/2) psi'' + mu(x) psi' - rho psi = 0``,
-   integrated inward from recessive (decaying) asymptotic data at the
-   padded domain edges.  Inward integration damps contamination by the
-   dominant solution, so this direction is stable on both sides.
+1. Two homogeneous solutions of ``(sigma^2/2) psi'' + mu(x) psi' - rho psi = 0``.
+   With mu = -omega x the equation is even in x, so the solution
+   decaying to the right is the mirror image of the one decaying to the
+   left: psi2(x) = psi1(-x).  One pass integrates psi1 across the padded
+   domain, widened to be symmetric about 0, from recessive (decaying)
+   asymptotic data at its left edge; both members are read from it.
+   Integrating away from the recessive edge damps contamination by the
+   dominant solution.
 2. A particular solution via the resolvent (Green's function) built
    from the pair, evaluated by cumulative Simpson quadrature on a dense
    grid.  Its theta-derivative is affine: ``I(x, theta) = drift_part(x)
@@ -74,7 +78,8 @@ __all__ = [
 class HomogeneousPair:
     """Two independent solutions of the discounted homogeneous equation.
 
-    ``psi1`` decays toward the left edge, ``psi2`` toward the right edge.
+    ``psi1`` decays toward the left edge, ``psi2`` toward the right edge;
+    ``psi2`` is the mirror image of ``psi1``, read from the same pass.
     Both are rescaled so the Wronskian psi1*psi2' - psi2*psi1' equals -1
     at the domain center (it is negative throughout with this
     orientation).  ``spline`` is one cubic spline on the dense quadrature
@@ -96,30 +101,24 @@ class HomogeneousPair:
     def wronskian_samples(self):
         return self.psi1_s * self.psi2_d_s - self.psi2_s * self.psi1_d_s
 
-    def contains(self, x) -> bool:
-        return bool(np.all(np.asarray(x) >= self.x_lo)
-                    and np.all(np.asarray(x) <= self.x_hi))
-
 
 def _columns(spline: CubicSpline, x):
     """The columns of a stacked spline at x, leading axis first."""
     return np.moveaxis(spline(x), -1, 0)
 
 
-def _recessive_slope(params: ModelParams, x: float, inward: float) -> float:
-    """Log-slope of the decaying solution at a domain edge.
+def _recessive_slope(params: ModelParams, x: float) -> float:
+    """Log-slope of the solution decaying toward -inf at a left edge x.
 
-    Root of the quadratic symbol (sigma^2/2) s^2 - omega x s - rho = 0
-    choosing the branch that decays away from the domain, refined by one
-    Riccati iteration (accounts for the s' term).
+    Root of the quadratic symbol (sigma^2/2) s^2 - omega x s - rho = 0 on
+    the branch that decays leftward (s > 0), refined by one Riccati
+    iteration (accounts for the s' term).
     """
     sg, om, rho = params.sigma, params.omega, params.rho
     disc = math.sqrt(om * om * x * x + 2.0 * rho * sg * sg)
-    # inward > 0 at the left edge: decaying toward -inf means slope > 0 there
-    s = (om * x + disc) / sg ** 2 if inward > 0 else (om * x - disc) / sg ** 2
+    s = (om * x + disc) / sg ** 2
     # one correction step: s1 = s - (sigma^2/2) s' / (sigma^2 s - omega x)
-    ds = (om - om * om * x / disc) if inward < 0 else (om + om * om * x / disc)
-    ds /= sg ** 2
+    ds = (om + om * om * x / disc) / sg ** 2
     denom = sg ** 2 * s - om * x
     if denom != 0.0:
         s = s - 0.5 * sg ** 2 * ds / denom
@@ -134,9 +133,12 @@ _ODE_TOL = 1e-11
 
 def solve_homogeneous(params: ModelParams, x_domain=None,
                       pad_frac: float = 0.15) -> HomogeneousPair:
-    """Integrate the homogeneous pair inward from both padded edges.
+    """Integrate psi1 once across the padded domain and mirror it into psi2.
 
-    Raises ConvergenceError when an integration fails.
+    The pass runs over [-R, R], R = max(-x_lo, x_hi), from the recessive
+    data at -R, and samples psi1 at the quadrature grid and its mirror
+    image: psi2(x) = psi1(-x) and psi2'(x) = -psi1'(-x).  Raises
+    ConvergenceError when the integration fails.
     """
     if x_domain is None:
         x_domain = default_x_domain(params)
@@ -153,34 +155,27 @@ def solve_homogeneous(params: ModelParams, x_domain=None,
         psi, dpsi = y
         return [dpsi, (2.0 / p.sigma ** 2) * (p.omega * t * dpsi + p.rho * psi)]
 
-    def integrate(y0, span, t_eval):
-        sol = solve_ivp(rhs, span, y0, method="DOP853", rtol=_ODE_TOL,
-                        atol=_ODE_TOL * 1e-3, t_eval=t_eval)
-        if not sol.success:
-            raise ConvergenceError(
-                f"homogeneous ODE integration failed on span {span}: "
-                f"{sol.message}", history=sol.t)
-        return sol.y
-
-    s1 = _recessive_slope(p, x_lo, inward=+1.0)
-    psi1_s, psi1_d_s = integrate([1.0, s1], (x_lo, x_hi), xq)
-
-    s2 = _recessive_slope(p, x_hi, inward=-1.0)
-    ys2 = integrate([1.0, s2], (x_hi, x_lo), xq[::-1])
-    psi2_s = ys2[0][::-1].copy()
-    psi2_d_s = ys2[1][::-1].copy()
+    r = max(-x_lo, x_hi)
+    t_eval = np.union1d(xq, -xq)
+    sol = solve_ivp(rhs, (-r, r), [1.0, _recessive_slope(p, -r)],
+                    method="DOP853", rtol=_ODE_TOL, atol=_ODE_TOL * 1e-3,
+                    t_eval=t_eval)
+    if not sol.success:
+        raise ConvergenceError(
+            f"homogeneous ODE integration failed on span {(-r, r)}: "
+            f"{sol.message}", history=sol.t)
+    psi1_s, psi1_d_s = sol.y[:, np.searchsorted(t_eval, xq)]
+    psi2_s, psi2_d_s = sol.y[:, np.searchsorted(t_eval, -xq)]
+    psi2_d_s = -psi2_d_s
 
     # rescale so |W| = 1 at the domain center; keeps the linear systems O(1)
-    xc = 0.5 * (x_min + x_max)
-    ic = int(np.argmin(np.abs(xq - xc)))
+    ic = int(np.argmin(np.abs(xq - 0.5 * (x_min + x_max))))
     w0 = psi1_s[ic] * psi2_d_s[ic] - psi2_s[ic] * psi1_d_s[ic]
     if w0 == 0.0 or not math.isfinite(w0):
         raise ConvergenceError("degenerate homogeneous pair (zero Wronskian)")
     scale = 1.0 / math.sqrt(abs(w0))
-    psi1_s = psi1_s * scale
-    psi1_d_s = psi1_d_s * scale
-    psi2_s = psi2_s * scale
-    psi2_d_s = psi2_d_s * scale
+    psi1_s, psi2_s, psi1_d_s, psi2_d_s = (
+        scale * np.array([psi1_s, psi2_s, psi1_d_s, psi2_d_s]))
 
     return HomogeneousPair(
         x_lo=x_lo, x_hi=x_hi, x_quad=xq,
@@ -274,7 +269,8 @@ def _level_state(comp: GreensDecomposition, gamma_lin, theta, hp, hm):
     conditions, ``rp``/``rm`` are the optimality residuals R+-,
     ``scale`` the size of their cancelling pieces, ``sp``/``sm`` the
     x-curvatures S+- = I_xx + a . psi'' of dV/dtheta at the endpoints and
-    ``jac`` the exact Jacobian [dR/dtheta, dR/dh+, dR/dh-] of (R+, R-).
+    ``jac`` the exact Jacobian [dR/dtheta, dR/dh+, dR/dh-] of (R+, R-),
+    as two row tuples of floats.
     """
     p = comp.params
     psi = comp.pair.spline([hp, hm]).tolist()   # one row per endpoint
@@ -312,11 +308,11 @@ def _level_state(comp: GreensDecomposition, gamma_lin, theta, hp, hm):
     m12, m22 = -p2p / det, p1p / det
     w1 = -(qp * m11 + qm * m12)
     w2 = -(qp * m21 + qm * m22)
-    jac = np.array([
-        [qdp + w1 * d1p + w2 * d2p, sp - rp * (m11 * d1p + m21 * d2p),
-         -rm * (m12 * d1p + m22 * d2p)],
-        [qdm + w1 * d1m + w2 * d2m, -rp * (m11 * d1m + m21 * d2m),
-         sm - rm * (m12 * d1m + m22 * d2m)]])
+    jac = (
+        (qdp + w1 * d1p + w2 * d2p, sp - rp * (m11 * d1p + m21 * d2p),
+         -rm * (m12 * d1p + m22 * d2p)),
+        (qdm + w1 * d1m + w2 * d2m, -rp * (m11 * d1m + m21 * d2m),
+         sm - rm * (m12 * d1m + m22 * d2m)))
     return {
         "theta": float(theta), "hp": float(hp), "hm": float(hm),
         "a1": a1, "a2": a2, "rp": rp, "rm": rm, "sp": sp, "sm": sm,
@@ -346,12 +342,14 @@ def _newton(comp, gamma_lin, z, free, what, tol=1e-12, max_iter=60):
         rn = math.hypot(st["rp"], st["rm"])
         if rn <= tol * st["scale"]:
             return st
-        try:
-            step = np.linalg.solve(st["jac"][:, free], [-st["rp"], -st["rm"]])
-        except np.linalg.LinAlgError as exc:
+        (j11, j12), (j21, j22) = ([row[k] for k in free] for row in st["jac"])
+        det = j11 * j22 - j12 * j21
+        if det == 0.0 or not math.isfinite(det):
             raise ConvergenceError(
                 f"singular {what} Jacobian at theta={z[0]:.6g}, "
-                f"h+={z[1]:.6g}, h-={z[2]:.6g}") from exc
+                f"h+={z[1]:.6g}, h-={z[2]:.6g}")
+        step = ((j12 * st["rm"] - j22 * st["rp"]) / det,
+                (j21 * st["rp"] - j11 * st["rm"]) / det)
         if all(abs(s) <= step_floor[k] for k, s in zip(free, step)):
             return st
         lam_step = 1.0
@@ -359,7 +357,8 @@ def _newton(comp, gamma_lin, z, free, what, tol=1e-12, max_iter=60):
             zn = list(z)
             for k, s in zip(free, step):
                 zn[k] = z[k] + lam_step * s
-            if zn[1] > zn[2] and all(pr.contains(zn[k]) for k in free if k):
+            if zn[1] > zn[2] and all(pr.x_lo <= zn[k] <= pr.x_hi
+                                     for k in free if k):
                 st_n = _level_state(comp, gamma_lin, *zn)
                 if math.hypot(st_n["rp"], st_n["rm"]) < rn:
                     z, st = zn, st_n
@@ -401,7 +400,7 @@ def _third_derivative_from_state(st):
     """
     if st["sp"] == 0.0:
         raise RegimeError("flat x-curvature at upper boundary")
-    dr = st["jac"][0, 0]
+    dr = st["jac"][0][0]
     return dr * dr / st["sp"]
 
 
@@ -409,7 +408,7 @@ def _boundary_slopes(st):
     """(h+'(theta), h-'(theta)) by implicit differentiation at a solved point."""
     if st["sp"] == 0.0 or st["sm"] == 0.0:
         raise RegimeError("degenerate boundary curvature; cannot differentiate")
-    return -st["jac"][0, 0] / st["sp"], -st["jac"][1, 0] / st["sm"]
+    return -st["jac"][0][0] / st["sp"], -st["jac"][1][0] / st["sm"]
 
 
 # ---------------------------------------------------------------------------

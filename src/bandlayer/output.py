@@ -45,8 +45,9 @@ def atomic_write_text(path: str, text: str) -> None:
 def write_csv(path: str, header, columns) -> None:
     """Write named columns as comma-separated text with LF endings.
 
-    ``columns`` may mix float arrays and string sequences (labels); float
-    entries get the lossless 17-digit rendering.
+    ``columns`` may mix real arrays, bool arrays (written 1/0) and string
+    sequences (labels); real entries get the lossless 17-digit rendering,
+    which spells nan and +-inf as :func:`_format_real` does.
     """
     header = list(header)
     cols = [np.asarray(c) for c in columns]
@@ -58,18 +59,11 @@ def write_csv(path: str, header, columns) -> None:
     for c in cols:
         if c.ndim != 1 or c.shape[0] != n:
             raise ConfigError("write_csv: columns must be 1-d, equal length")
+    # one printf pattern per row, applied to columns converted once
+    fmt = ",".join({"U": "%s", "b": "%d"}.get(c.dtype.kind, "%.17g")
+                   for c in cols)
     lines = [",".join(header)]
-    for i in range(n):
-        cells = []
-        for c in cols:
-            v = c[i]
-            if isinstance(v, (str, np.str_)):
-                cells.append(str(v))
-            elif isinstance(v, (bool, np.bool_)):
-                cells.append("1" if v else "0")
-            else:
-                cells.append(_format_real(v))
-        lines.append(",".join(cells))
+    lines.extend(fmt % row for row in zip(*(c.tolist() for c in cols)))
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 

@@ -1,6 +1,5 @@
 """Shared fixtures: one desk-scale model solved once per session."""
 
-import numpy as np
 import pytest
 
 from bandlayer.model import ModelParams

@@ -20,7 +20,7 @@ from scipy.integrate import solve_ivp
 
 from bandlayer.errors import ConfigError, DomainError, RegimeError
 from bandlayer.model import CostKind, ModelParams
-from bandlayer.band_zero import find_band_zero, third_derivative_at_band
+from bandlayer.band_zero import find_band_zero
 from bandlayer.special import fd_weights
 from bandlayer import asymptotics as asy
 from bandlayer.experiments import ValidityParams, validity_report

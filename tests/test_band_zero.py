@@ -19,7 +19,9 @@ import numpy as np
 import pytest
 from scipy.integrate import cumulative_trapezoid
 
-from bandlayer.errors import ConfigError, DomainError, RegimeError
+from bandlayer import band_zero
+from bandlayer.errors import (ConfigError, ConvergenceError, DomainError,
+                              RegimeError)
 from bandlayer.model import ModelParams
 from bandlayer.band_zero import (check_displacement_identity,
                                  displacement_value_shift, find_band_zero,
@@ -48,7 +50,9 @@ class TestHomogeneousPair:
         assert np.max(np.abs(scaled + 1.0)) < 1e-6
 
     def test_reflection_symmetry(self, desk_pair):
-        # symmetric signal: the two solutions are mirror images
+        # symmetric signal: the two solutions are mirror images.  Both are
+        # read from one mirrored pass, so this holds by construction; the
+        # off-center band test checks the pass independently
         scale = np.max(desk_pair.psi1_s)
         dev = np.abs(desk_pair.psi2_s - desk_pair.psi1_s[::-1]) / scale
         assert np.max(dev) < 1e-8
@@ -174,6 +178,22 @@ class TestBandGeometry:
         dn = desk_band.theta_minus[::-1]
         np.testing.assert_allclose(up, dn, rtol=1e-10,
                                    atol=1e-10 * np.max(np.abs(up)))
+
+    def test_off_center_grid_matches_centered(self, desk_model):
+        # an off-center grid makes the mirrored pass reach past the padded
+        # domain on the left (R > -x_lo); the band must not notice
+        off = find_band_zero(desk_model, DESK_GAMMA,
+                             x_nodes=np.linspace(-0.06, 0.26, 33))
+        cen = find_band_zero(desk_model, DESK_GAMMA,
+                             x_nodes=np.linspace(-0.26, 0.26, 53))
+        pr = off.comp.pair
+        assert pr.x_hi > -pr.x_lo
+        np.testing.assert_allclose(off.x_nodes, cen.x_nodes[20:],
+                                   rtol=0, atol=1e-15)
+        np.testing.assert_allclose(off.theta_plus, cen.theta_plus[20:],
+                                   rtol=1e-9, atol=0)
+        np.testing.assert_allclose(off.theta_minus, cen.theta_minus[20:],
+                                   rtol=1e-9, atol=0)
 
     def test_upper_boundary_decreasing(self, desk_band):
         assert np.all(np.diff(desk_band.theta_plus) < 0)
@@ -303,6 +323,25 @@ class TestBandDerivatives:
             third_derivative_at_band(b, 0.0)
 
 
+class TestLevelNewton:
+    @pytest.mark.parametrize("jac", [((1.0, 2.0, 4.0), (0.5, 1.0, 2.0)),
+                                     ((0.0, math.nan, 1.0), (1.0, 1.0, 1.0))],
+                             ids=["rank_deficient", "not_finite"])
+    def test_singular_step_raises(self, desk_band, monkeypatch, jac):
+        # a Jacobian with no usable 2x2 step must stop the Newton loudly,
+        # not walk on a nan or infinite step
+        real = band_zero._level_state
+
+        def stub(*args):
+            return dict(real(*args), jac=jac, rp=1.0, rm=1.0, scale=1.0)
+
+        monkeypatch.setattr(band_zero, "_level_state", stub)
+        pr = desk_band.comp.pair
+        with pytest.raises(ConvergenceError, match="singular"):
+            band_zero._newton_level(desk_band.comp, DESK_GAMMA, 0.0,
+                                    0.5 * pr.x_hi, 0.5 * pr.x_lo)
+
+
 class TestDisplacementIdentity:
     def test_matches_minus_third_derivative(self, desk_band):
         for x in (-0.2, -0.1, 0.0, 0.1, 0.2):
@@ -353,7 +392,7 @@ class TestValues:
         b = find_band_zero(p, DESK_GAMMA, x_nodes=np.linspace(-1, 1, 11))
         th = 0.5 * flat_band_level(p, DESK_GAMMA)
         assert value_nt_zero(b, 0.0, th) == pytest.approx(
-            -p.lam * th ** 2 / p.rho, rel=1e-12)
+            -p.lam * th ** 2 / p.rho, rel=1e-12, abs=0.0)
 
     def test_flat_band_domain_error(self):
         # the flat band has a closed-form value, but only inside the band

@@ -21,8 +21,6 @@ Oracle strategy, by class:
   of discretization details.
 """
 
-import dataclasses
-
 import numpy as np
 import pytest
 

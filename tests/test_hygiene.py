@@ -1,5 +1,6 @@
-"""Source hygiene: every module-level import in the package is used, no
-function body imports anything, and each ``__all__`` matches its module.
+"""Source hygiene: every module-level import in the package and in the
+tests is used, no package function body imports anything, and each
+``__all__`` matches its module.
 
 A stdlib stand-in for a linter's unused-import rule.  A name counts as
 used when it is read anywhere in its module or listed in ``__all__``,
@@ -14,6 +15,10 @@ import pytest
 
 PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "bandlayer"
 MODULES = sorted(p.name for p in PACKAGE.glob("*.py"))
+TESTS = pathlib.Path(__file__).resolve().parent
+# package modules by bare name, test modules as tests/<name>
+IMPORT_SOURCES = {**{m: PACKAGE / m for m in MODULES},
+                  **{f"tests/{p.name}": p for p in TESTS.glob("*.py")}}
 
 
 def _imported_names(tree):
@@ -47,9 +52,9 @@ def test_package_found():
     assert "cli.py" in MODULES
 
 
-@pytest.mark.parametrize("module", MODULES)
+@pytest.mark.parametrize("module", sorted(IMPORT_SOURCES))
 def test_module_imports_are_used(module):
-    tree = ast.parse((PACKAGE / module).read_text(encoding="utf-8"))
+    tree = ast.parse(IMPORT_SOURCES[module].read_text(encoding="utf-8"))
     used = _used_names(tree)
     unused = [f"{name} (line {line})" for name, line in _imported_names(tree)
               if name not in used]

@@ -21,14 +21,16 @@ value continues with slope -+gamma_lin in theta.  The construction:
    at the two x-endpoints (h_plus, h_minus) of the level's no-trade
    interval; the endpoints themselves are pinned by boundary optimality,
    which is equivalent to d(dV/dtheta)/dx = 0 at both endpoints.  One
-   state evaluation per point z = (theta, h+, h-) reads the stacked pair
-   and Green's splines once at [h+, h-] and returns the coefficients, the
-   optimality residuals R+- and their exact 2x3 Jacobian in z.
-4. One damped Newton solves R+- = 0 in two of the three coordinates of z
-   with the third pinned: theta pinned, it sweeps over levels to map out
-   the band; a grid node pinned as h+ or h-, it polishes the boundary
-   exactly onto the requested x nodes, whose exact slope then follows
-   from implicit differentiation.
+   state evaluation per point z = (theta, h+, h-), or per array of
+   points, reads the stacked pair and Green's splines straight from their
+   coefficients at h+ and h- and returns the coefficients, the optimality
+   residuals R+- and their exact 2x3 Jacobian in z.
+4. A damped Newton solves R+- = 0 in two of the three coordinates of z
+   with the third pinned.  With theta pinned, a scalar Newton sweeps over
+   levels to map out the band, each level seeding the next.  With a grid
+   node pinned as h+ or h-, one batched Newton per side polishes the
+   boundary exactly onto every requested x node at once; each node's
+   exact slope then follows from implicit differentiation.
 
 All evaluation points, including the level endpoints that step slightly
 past the nominal x range near the domain ends, stay inside the padded
@@ -42,6 +44,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property, reduce
 
 import numpy as np
 from scipy.integrate import (cumulative_simpson, cumulative_trapezoid,
@@ -85,7 +88,9 @@ class HomogeneousPair:
     orientation).  ``spline`` is one cubic spline on the dense quadrature
     grid ``x_quad`` covering the padded domain [x_lo, x_hi]; its columns
     are (psi1, psi2, psi1', psi2').  Second derivatives come from the
-    defining equation, not from the spline.
+    defining equation, not from the spline.  ``x_quad`` is uniform and is
+    also the knot grid of the Green's spline: ``_level_state`` relies on
+    both to find one knot interval per endpoint for the two splines.
     """
 
     x_lo: float
@@ -198,6 +203,9 @@ class GreensDecomposition:
     (drift_part, risk_part, drift_part', risk_part'); the first
     derivatives come from the quadrature representation (the integrand
     cross-terms cancel), second derivatives from the defining equations.
+    Its knots are the pair's ``x_quad``, which are the knots of the pair's
+    spline too; ``_level_state`` relies on that to read both splines at
+    one knot interval per endpoint.
     """
 
     params: ModelParams
@@ -224,6 +232,15 @@ class GreensDecomposition:
             raise ConfigError(f"need h_plus > h_minus, got ({h_plus}, {h_minus})")
         st = _level_state(self, gamma_lin, theta, h_plus, h_minus)
         return st["a1"], st["a2"]
+
+    @cached_property
+    def _tables(self):
+        """What :func:`_level_state` reads both splines from: their shared
+        knots ``x_quad``, the knots' inverse spacing and the two
+        coefficient tables (the splines' own arrays, not copies)."""
+        xq = self.pair.x_quad
+        return (xq, float((xq.size - 1) / (xq[-1] - xq[0])),
+                self.pair.spline.c, self.spline.c)
 
 
 def greens_particular(params: ModelParams, pair: HomogeneousPair) -> GreensDecomposition:
@@ -259,30 +276,84 @@ def greens_particular(params: ModelParams, pair: HomogeneousPair) -> GreensDecom
 # level system internals
 
 _DET_FLOOR = 1e-13
+# rules shared by the scalar and the batched Newton: relative residual and
+# step floor, step budget, halvings per step, stalled-residual acceptance
+_NEWTON_TOL, _NEWTON_ITERS, _HALVINGS, _STALL_TOL = 1e-12, 60, 12, 1e-8
+
+
+def _knot_interval(xq, inv_step, x):
+    """PPoly's knot interval i of x on the uniform grid xq, and s = x - xq[i].
+
+    xq[i] <= x < xq[i+1], closed at the last knot and extended past both
+    ends.  Index arithmetic lands on i or, next to a knot, one off; one
+    comparison with the knots corrects it.  Floats give an int and a
+    float, arrays give arrays.
+    """
+    last = xq.size - 2
+    u = (x - xq[0]) * inv_step
+    if isinstance(x, np.ndarray):
+        i = np.clip(u.astype(np.intp), 0, last)
+        i -= (x < xq[i]) & (i > 0)
+        i += (x >= xq[i + 1]) & (i < last)
+        return i, x - xq[i]
+    i = min(max(int(u), 0), last)
+    if x < xq[i] and i > 0:
+        i -= 1
+    elif x >= xq[i + 1] and i < last:
+        i += 1
+    return i, x - xq.item(i)
+
+
+def _spline_columns(table, i, s):
+    """The columns of a stacked spline at offset s into knot interval i.
+
+    Read from its coefficient table, in PPoly's own order of operations,
+    so the values equal ``spline(x)`` bit for bit.
+    """
+    c = table[:, i]
+    cols = np.moveaxis(c, -1, 0) if isinstance(i, np.ndarray) else c.T.tolist()
+    s2 = s * s
+    s3 = s2 * s
+    return [c3 + c2 * s + c1 * s2 + c0 * s3 for c0, c1, c2, c3 in cols]
+
+
+def _peak(*vals):
+    """Elementwise largest of floats, or of arrays and floats."""
+    if isinstance(vals[0], np.ndarray):
+        return reduce(np.maximum, vals)
+    return max(vals)
 
 
 def _level_state(comp: GreensDecomposition, gamma_lin, theta, hp, hm):
     """Everything the Newton step needs at one (theta, h+, h-) point.
 
-    Reads each stacked spline once at [h+, h-]; psi'' and I_xx there come
-    from the defining equations.  ``a1``/``a2`` solve the slope
-    conditions, ``rp``/``rm`` are the optimality residuals R+-,
-    ``scale`` the size of their cancelling pieces, ``sp``/``sm`` the
-    x-curvatures S+- = I_xx + a . psi'' of dV/dtheta at the endpoints and
-    ``jac`` the exact Jacobian [dR/dtheta, dR/dh+, dR/dh-] of (R+, R-),
-    as two row tuples of floats.
+    Floats give one point; equal-length arrays give one point per entry,
+    every value below then an array.  Reads both stacked splines at h+
+    and h- from one knot interval per endpoint (the splines share their
+    knots); psi'' and I_xx there come from the defining equations.
+    ``a1``/``a2`` solve the slope conditions, ``rp``/``rm`` are the
+    optimality residuals R+-, ``scale`` the size of their cancelling
+    pieces, ``sp``/``sm`` the x-curvatures S+- = I_xx + a . psi'' of
+    dV/dtheta at the endpoints and ``jac`` the exact Jacobian
+    [dR/dtheta, dR/dh+, dR/dh-] of (R+, R-), as two row tuples.
     """
     p = comp.params
-    psi = comp.pair.spline([hp, hm]).tolist()   # one row per endpoint
-    grn = comp.spline([hp, hm]).tolist()
+    xq, inv_step, c_psi, c_grn = comp._tables
+    psi, grn = [], []                       # one row per endpoint
+    for x in (hp, hm):
+        i, s = _knot_interval(xq, inv_step, x)
+        psi.append(_spline_columns(c_psi, i, s))
+        grn.append(_spline_columns(c_grn, i, s))
     (p1p, p2p, d1p, d2p), (p1m, p2m, d1m, d2m) = psi
     (fp, qp, fdp, qdp), (fm, qm, fdm, qdm) = grn
     det = p1p * p2m - p1m * p2p
-    scale = max(abs(p1p * p2m), abs(p1m * p2p), 1e-300)
-    if abs(det) < _DET_FLOOR * scale:
+    scale = _peak(abs(p1p * p2m), abs(p1m * p2p), 1e-300)
+    bad = abs(det) < _DET_FLOOR * scale
+    if bad.any() if isinstance(bad, np.ndarray) else bad:
+        k = int(np.argmax(bad))
         raise RegimeError(
-            f"degenerate boundary pair: determinant {det:.3e} at "
-            f"(h+={hp:.6g}, h-={hm:.6g})")
+            f"degenerate boundary pair: determinant {np.ravel(det)[k]:.3e} "
+            f"at (h+={np.ravel(hp)[k]:.6g}, h-={np.ravel(hm)[k]:.6g})")
     b1 = -gamma_lin - (fp + theta * qp)
     b2 = gamma_lin - (fm + theta * qm)
     a1 = (b1 * p2m - b2 * p2p) / det
@@ -314,15 +385,20 @@ def _level_state(comp: GreensDecomposition, gamma_lin, theta, hp, hm):
         (qdm + w1 * d1m + w2 * d2m, -rp * (m11 * d1m + m21 * d2m),
          sm - rm * (m12 * d1m + m22 * d2m)))
     return {
-        "theta": float(theta), "hp": float(hp), "hm": float(hm),
+        "theta": theta, "hp": hp, "hm": hm,
         "a1": a1, "a2": a2, "rp": rp, "rm": rm, "sp": sp, "sm": sm,
         "jac": jac,
-        "scale": max(abs(ixp), abs(a1 * d1p), abs(a2 * d2p),
-                     abs(ixm), abs(a1 * d1m), abs(a2 * d2m), 1e-300),
+        "scale": _peak(abs(ixp), abs(a1 * d1p), abs(a2 * d2p),
+                       abs(ixm), abs(a1 * d1m), abs(a2 * d2m), 1e-300),
     }
 
 
-def _newton(comp, gamma_lin, z, free, what, tol=1e-12, max_iter=60):
+def _at(theta, hp, hm):
+    """A level point as the Newton error messages name it."""
+    return f"theta={theta:.6g}, h+={hp:.6g}, h-={hm:.6g}"
+
+
+def _newton(comp, gamma_lin, z, free, what):
     """Damped Newton on R+ = R- = 0 in two coordinates of z = (theta, h+, h-).
 
     ``free`` holds the indices of the two unknowns; the third coordinate
@@ -332,28 +408,27 @@ def _newton(comp, gamma_lin, z, free, what, tol=1e-12, max_iter=60):
     floor near the solution, so the step is the sharper measure).  The
     step is halved until |R| drops at a point with h+ > h- and the free
     endpoints inside the pair's domain; when no halving does, a residual
-    already at the 1e-8 cancellation floor is accepted.
+    already at the cancellation floor (``_STALL_TOL``) is accepted.
     """
     pr = comp.pair
     span = pr.x_hi - pr.x_lo
-    step_floor = (1e-12 * (abs(z[0]) + 1e-3 * span), 1e-12 * span, 1e-12 * span)
+    step_floor = (_NEWTON_TOL * (abs(z[0]) + 1e-3 * span), _NEWTON_TOL * span,
+                  _NEWTON_TOL * span)
     st = _level_state(comp, gamma_lin, *z)
-    for _ in range(max_iter):
+    for _ in range(_NEWTON_ITERS):
         rn = math.hypot(st["rp"], st["rm"])
-        if rn <= tol * st["scale"]:
+        if rn <= _NEWTON_TOL * st["scale"]:
             return st
         (j11, j12), (j21, j22) = ([row[k] for k in free] for row in st["jac"])
         det = j11 * j22 - j12 * j21
         if det == 0.0 or not math.isfinite(det):
-            raise ConvergenceError(
-                f"singular {what} Jacobian at theta={z[0]:.6g}, "
-                f"h+={z[1]:.6g}, h-={z[2]:.6g}")
+            raise ConvergenceError(f"singular {what} Jacobian at {_at(*z)}")
         step = ((j12 * st["rm"] - j22 * st["rp"]) / det,
                 (j21 * st["rp"] - j11 * st["rm"]) / det)
         if all(abs(s) <= step_floor[k] for k, s in zip(free, step)):
             return st
         lam_step = 1.0
-        for _ in range(12):
+        for _ in range(_HALVINGS):
             zn = list(z)
             for k, s in zip(free, step):
                 zn[k] = z[k] + lam_step * s
@@ -365,16 +440,13 @@ def _newton(comp, gamma_lin, z, free, what, tol=1e-12, max_iter=60):
                     break
             lam_step *= 0.5
         else:
-            if rn <= 1e-8 * st["scale"]:
+            if rn <= _STALL_TOL * st["scale"]:
                 # line search cannot reduce a residual already at the
                 # cancellation floor; the point is converged
                 return st
             raise ConvergenceError(
-                f"{what} stalled at theta={z[0]:.6g}, h+={z[1]:.6g}, "
-                f"h-={z[2]:.6g} (|R|={rn:.3e})")
-    raise ConvergenceError(
-        f"{what} did not converge at theta={z[0]:.6g}, h+={z[1]:.6g}, "
-        f"h-={z[2]:.6g}")
+                f"{what} stalled at {_at(*z)} (|R|={rn:.3e})")
+    raise ConvergenceError(f"{what} did not converge at {_at(*z)}")
 
 
 def _newton_level(comp, gamma_lin, theta, hp0, hm0):
@@ -383,30 +455,89 @@ def _newton_level(comp, gamma_lin, theta, hp0, hm0):
                    "level Newton")
 
 
-def _polish_node(comp, gamma_lin, x, rec, fixed="plus"):
-    """Newton in (theta, other endpoint) with one endpoint pinned to a node."""
-    if fixed == "plus":
-        z, free = (rec["theta"], x, rec["hm"]), (0, 2)
-    else:
-        z, free = (rec["theta"], rec["hp"], x), (0, 1)
-    return _newton(comp, gamma_lin, z, free, f"node polish ({fixed} pinned)")
+def _leaves(st):
+    """The arrays of a batched level state, the Jacobian's entries included."""
+    return ([v for k, v in st.items() if k != "jac"]
+            + [entry for row in st["jac"] for entry in row])
 
 
-def _third_derivative_from_state(st):
-    """V_theta3 at a solved upper boundary point: (dR+/dtheta)^2 / S+.
+def _polish_node(comp, gamma_lin, x, theta, other, fixed="plus"):
+    """Pin h+ (or h- when ``fixed="minus"``) at each node x and solve for
+    (theta, the other endpoint) from the seeds (theta, other).
 
-    Follows from implicit differentiation of the optimality conditions;
-    S+ is the x-curvature of dV/dtheta at the endpoint.
+    One damped Newton over arrays polishes every node at once and returns
+    the batched level state.  Each node keeps the rules of
+    :func:`_newton`: its own residual and step floors, at most 12 halvings
+    per step, the h+ > h- and domain tests, and acceptance at the
+    cancellation floor.  A node that fails raises with its point, the
+    pinned x included, in the message.
     """
-    if st["sp"] == 0.0:
-        raise RegimeError("flat x-curvature at upper boundary")
-    dr = st["jac"][0][0]
-    return dr * dr / st["sp"]
+    what = f"node polish ({fixed} pinned)"
+    pr = comp.pair
+    span = pr.x_hi - pr.x_lo
+    e = 2 if fixed == "plus" else 1         # z index of the free endpoint
+    names = ("theta", "hp", "hm")
+    x = np.array(x, dtype=float)
+    z = [np.array(theta, dtype=float), x, x]
+    z[e] = np.array(other, dtype=float)
+    floor = (_NEWTON_TOL * (np.abs(z[0]) + 1e-3 * span), _NEWTON_TOL * span)
+    st = _level_state(comp, gamma_lin, *z)
+
+    def at(k):
+        return _at(*(st[n][k] for n in names))
+
+    live = np.arange(x.size)                # nodes still iterating
+    for _ in range(_NEWTON_ITERS):
+        rn = np.hypot(st["rp"][live], st["rm"][live])
+        keep = ~(rn <= _NEWTON_TOL * st["scale"][live])
+        live, rn = live[keep], rn[keep]
+        rp, rm = st["rp"][live], st["rm"][live]
+        (j11, j12), (j21, j22) = ((row[0][live], row[e][live])
+                                  for row in st["jac"])
+        det = j11 * j22 - j12 * j21
+        bad = (det == 0.0) | ~np.isfinite(det)
+        if bad.any():
+            raise ConvergenceError(
+                f"singular {what} Jacobian at {at(live[bad.argmax()])}")
+        step = ((j12 * rm - j22 * rp) / det, (j21 * rp - j11 * rm) / det)
+        keep = ~((np.abs(step[0]) <= floor[0][live])
+                 & (np.abs(step[1]) <= floor[1]))
+        live, rn, step = live[keep], rn[keep], (step[0][keep], step[1][keep])
+        if not live.size:
+            break
+        z = [st[n][live] for n in names]
+        moved = np.zeros(live.size, dtype=bool)
+        lam_step = 1.0
+        for _ in range(_HALVINGS):
+            zn = list(z)
+            zn[0] = z[0] + lam_step * step[0]
+            zn[e] = z[e] + lam_step * step[1]
+            trial = (~moved & (zn[1] > zn[2])
+                     & (pr.x_lo <= zn[e]) & (zn[e] <= pr.x_hi))
+            if trial.any():
+                st_n = _level_state(comp, gamma_lin, *(v[trial] for v in zn))
+                better = np.hypot(st_n["rp"], st_n["rm"]) < rn[trial]
+                k = np.flatnonzero(trial)[better]
+                for dst, src in zip(_leaves(st), _leaves(st_n)):
+                    dst[live[k]] = src[better]
+                moved[k] = True
+                if moved.all():
+                    break
+            lam_step *= 0.5
+        stuck = ~moved & ~(rn <= _STALL_TOL * st["scale"][live])
+        if stuck.any():
+            k = stuck.argmax()
+            raise ConvergenceError(
+                f"{what} stalled at {at(live[k])} (|R|={rn[k]:.3e})")
+        live = live[moved]
+    if live.size:
+        raise ConvergenceError(f"{what} did not converge at {at(live[0])}")
+    return st
 
 
 def _boundary_slopes(st):
-    """(h+'(theta), h-'(theta)) by implicit differentiation at a solved point."""
-    if st["sp"] == 0.0 or st["sm"] == 0.0:
+    """(h+'(theta), h-'(theta)) by implicit differentiation at solved points."""
+    if np.any(st["sp"] == 0.0) or np.any(st["sm"] == 0.0):
         raise RegimeError("degenerate boundary curvature; cannot differentiate")
     return -st["jac"][0][0] / st["sp"], -st["jac"][1][0] / st["sm"]
 
@@ -614,34 +745,20 @@ def find_band_zero(params: ModelParams, gamma_lin: float, x_nodes=None,
     if hms.max() < x_max or hms.min() > x_min:
         raise RegimeError("lower boundary does not cover the requested grid")
 
-    n = x_nodes.size
-    tp = np.empty(n)
-    tm = np.empty(n)
-    tpd = np.empty(n)
-    tmd = np.empty(n)
-    pair_m = np.empty(n)
-
-    # seeds by nearest swept level (h+ and h- are monotone in theta)
-    order_p = np.argsort(hps)
-    order_m = np.argsort(hms)
-
-    for i, x in enumerate(x_nodes):
-        j = np.searchsorted(hps[order_p], x)
-        j = min(max(j, 0), levels.size - 1)
-        rec = records[order_p[j]]
-        st = _polish_node(comp, gamma_lin, x, rec, fixed="plus")
-        tp[i] = st["theta"]
-        pair_m[i] = st["hm"]
-        hp_slope, _ = _boundary_slopes(st)
-        tpd[i] = 1.0 / hp_slope
-
-        j = np.searchsorted(hms[order_m], x)
-        j = min(max(j, 0), levels.size - 1)
-        rec = records[order_m[j]]
-        st = _polish_node(comp, gamma_lin, x, rec, fixed="minus")
-        tm[i] = -st["theta"]
-        _, hm_slope = _boundary_slopes(st)
-        tmd[i] = -1.0 / hm_slope
+    # seed each node from the swept level nearest it (h+ and h- are
+    # monotone in theta), then polish each side in one batch
+    sides = []
+    for fixed, ends, other in (("plus", hps, hms), ("minus", hms, hps)):
+        order = np.argsort(ends)
+        j = order[np.minimum(np.searchsorted(ends[order], x_nodes),
+                             levels.size - 1)]
+        sides.append(_polish_node(comp, gamma_lin, x_nodes, levels[j],
+                                  other[j], fixed))
+    stp, stm = sides
+    tp, pair_m = stp["theta"], stp["hm"]
+    tpd = 1.0 / _boundary_slopes(stp)[0]
+    tm = -stm["theta"]
+    tmd = -1.0 / _boundary_slopes(stm)[1]
 
     # the sweep always contains the exact level theta = 0 (its seed), so
     # anchoring the coefficient integrals there is a plain subtraction
@@ -663,14 +780,13 @@ def find_band_zero(params: ModelParams, gamma_lin: float, x_nodes=None,
 
 
 def _state_at_upper(band: Band, x):
-    """Re-solve the boundary state with the upper endpoint at x."""
+    """Re-solve the boundary state with the upper endpoint at x, as a
+    batch of one node."""
     if band.flat:
         raise RegimeError("flat band: boundary state is degenerate")
     i = int(np.argmin(np.abs(band.x_nodes - x)))
-    rec = {"theta": float(band.theta_plus_at(x)),
-           "hm": float(band.pair_minus_of_plus[i]),
-           "hp": float(x)}
-    return _polish_node(band.comp, band.gamma_lin, float(x), rec, fixed="plus")
+    return _polish_node(band.comp, band.gamma_lin, [x],
+                        [band.theta_plus_at(x)], [band.pair_minus_of_plus[i]])
 
 
 # ---------------------------------------------------------------------------
@@ -709,12 +825,16 @@ def second_derivative_at_band(band: Band, x) -> float:
 def third_derivative_at_band(band: Band, x) -> float:
     """Third theta-derivative of the no-trade value at the upper boundary.
 
-    Exact at the solved boundary point (implicit differentiation of the
-    optimality system); must be positive, a nonpositive value raises
-    :class:`RegimeError` rather than passing silently.
+    Exact at the solved boundary point: implicit differentiation of the
+    optimality system gives (dR+/dtheta)^2 / S+, S+ the x-curvature of
+    dV/dtheta at the endpoint.  It must be positive; a nonpositive value
+    raises :class:`RegimeError` rather than passing silently.
     """
     st = _state_at_upper(band, x)
-    v3 = _third_derivative_from_state(st)
+    sp, dr = float(st["sp"][0]), float(st["jac"][0][0][0])
+    if sp == 0.0:
+        raise RegimeError("flat x-curvature at upper boundary")
+    v3 = dr * dr / sp
     if not (v3 > 0):
         raise RegimeError(
             f"third derivative at the band is {v3:.3e} <= 0 at x={x:.6g}; "

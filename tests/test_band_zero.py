@@ -14,10 +14,12 @@ Oracles used here, all independent of the construction under test:
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
 from scipy.integrate import cumulative_trapezoid
+from scipy.interpolate import CubicSpline
 
 from bandlayer import band_zero
 from bandlayer.errors import (ConfigError, ConvergenceError, DomainError,
@@ -218,7 +220,6 @@ class TestBandGeometry:
     def test_slope_matches_differenced_level_curve(self, desk_band):
         # stored exact slopes vs differentiated spline of the sampled curve
         xs = np.linspace(-0.2, 0.2, 9)
-        from scipy.interpolate import CubicSpline
         sp = CubicSpline(desk_band.x_nodes, desk_band.theta_plus)
         got = desk_band.theta_plus_deriv_at(xs)
         np.testing.assert_allclose(got, sp.derivative()(xs), rtol=1e-5)
@@ -340,6 +341,129 @@ class TestLevelNewton:
         with pytest.raises(ConvergenceError, match="singular"):
             band_zero._newton_level(desk_band.comp, DESK_GAMMA, 0.0,
                                     0.5 * pr.x_hi, 0.5 * pr.x_lo)
+
+
+def _read_points(pair):
+    """Every 997th knot, the midpoints of those knots' intervals, and
+    exactly x_lo and x_hi (x_hi lies in the last interval, at s = h)."""
+    xq = pair.x_quad
+    mids = 0.5 * (xq[:-1] + xq[1:])
+    return np.concatenate([xq[::997], mids[::997], [pair.x_lo, pair.x_hi]])
+
+
+class TestCoefficientRead:
+    """The level state reads both splines from their coefficient tables;
+    that read must equal CubicSpline.__call__ bit for bit."""
+
+    def _splines(self, band):
+        xq, inv_step, c_psi, c_grn = band.comp._tables
+        return xq, inv_step, ((c_psi, band.comp.pair.spline),
+                              (c_grn, band.comp.spline))
+
+    def test_float_read_is_bit_identical(self, desk_band):
+        xq, inv_step, splines = self._splines(desk_band)
+        for x in _read_points(desk_band.comp.pair).tolist():
+            i, s = band_zero._knot_interval(xq, inv_step, x)
+            assert isinstance(i, int) and isinstance(s, float)
+            for table, spline in splines:
+                assert band_zero._spline_columns(table, i, s) \
+                    == spline(x).tolist(), x
+        # x_hi is read from the last interval, at its right end
+        assert (i, s) == (xq.size - 2, xq[-1] - xq[-2])
+
+    def test_array_read_is_bit_identical(self, desk_band):
+        xq, inv_step, splines = self._splines(desk_band)
+        xs = _read_points(desk_band.comp.pair)
+        i, s = band_zero._knot_interval(xq, inv_step, xs)
+        for table, spline in splines:
+            got = np.array(band_zero._spline_columns(table, i, s))
+            assert np.array_equal(got, spline(xs).T)
+
+
+def _nearest_level_seeds(band, fixed):
+    """Seeds of the node polish as find_band_zero takes them: the swept
+    level whose pinned endpoint is nearest each node."""
+    ends, other = ((band.h_plus, band.h_minus) if fixed == "plus"
+                   else (band.h_minus, band.h_plus))
+    order = np.argsort(ends)
+    j = order[np.minimum(np.searchsorted(ends[order], band.x_nodes),
+                         band.levels.size - 1)]
+    return band.levels[j], other[j]
+
+
+class TestBatchedPolish:
+    """One batched Newton per side against one scalar Newton per node."""
+
+    @pytest.fixture(scope="class")
+    def off_band(self, desk_model):
+        return find_band_zero(desk_model, DESK_GAMMA,
+                              x_nodes=np.linspace(-0.06, 0.26, 33))
+
+    @pytest.mark.parametrize("fixed", ["plus", "minus"])
+    @pytest.mark.parametrize("grid", ["desk", "off_center"])
+    def test_matches_per_node_newton(self, desk_band, off_band, grid, fixed):
+        band = desk_band if grid == "desk" else off_band
+        theta0, other0 = _nearest_level_seeds(band, fixed)
+        got = band_zero._polish_node(band.comp, DESK_GAMMA, band.x_nodes,
+                                     theta0, other0, fixed)
+        # the free coordinates, the other endpoint, and the Jacobian row
+        # and curvature of the pinned endpoint's slope
+        free, other, row, curv = (((0, 2), "hm", 0, "sp") if fixed == "plus"
+                                  else ((0, 1), "hp", 1, "sm"))
+        want = {"theta": [], other: [], "slope": []}
+        for x, th, ot in zip(band.x_nodes, theta0, other0):
+            z = (th, x, ot) if fixed == "plus" else (th, ot, x)
+            st = band_zero._newton(band.comp, DESK_GAMMA, z, free, "reference")
+            want["theta"].append(st["theta"])
+            want[other].append(st[other])
+            want["slope"].append(st["jac"][row][0] / st[curv])
+        got["slope"] = got["jac"][row][0] / got[curv]
+        for key in want:
+            np.testing.assert_allclose(got[key], want[key], rtol=1e-15, atol=0)
+        # and the band itself holds the batch's answer
+        if fixed == "plus":
+            assert np.array_equal(band.theta_plus, got["theta"])
+            assert np.array_equal(band.pair_minus_of_plus, got["hm"])
+        else:
+            assert np.array_equal(band.theta_minus, -got["theta"])
+
+    def _stub_node(self, monkeypatch, x_bad, **override):
+        """_level_state with the entries in override forced at h+ = x_bad."""
+        real = band_zero._level_state
+
+        def stub(comp, gamma_lin, theta, hp, hm):
+            st = real(comp, gamma_lin, theta, hp, hm)
+            hit = hp == x_bad
+            for key, val in override.items():
+                if key == "jac":
+                    st[key] = tuple(tuple(np.where(hit, val, e) for e in r)
+                                    for r in st[key])
+                else:
+                    st[key] = np.where(hit, val, st[key])
+            return st
+
+        monkeypatch.setattr(band_zero, "_level_state", stub)
+
+    def test_node_that_never_improves_raises(self, desk_band, monkeypatch):
+        x_bad = float(desk_band.x_nodes[57])
+        theta0, other0 = _nearest_level_seeds(desk_band, "plus")
+        self._stub_node(monkeypatch, x_bad, rp=1.0, rm=1.0, scale=1.0)
+        with pytest.raises(ConvergenceError,
+                           match=r"stalled at .*" + re.escape(
+                               f"h+={x_bad:.6g}, ")):
+            band_zero._polish_node(desk_band.comp, DESK_GAMMA,
+                                   desk_band.x_nodes, theta0, other0, "plus")
+
+    def test_singular_node_raises(self, desk_band, monkeypatch):
+        x_bad = float(desk_band.x_nodes[120])
+        theta0, other0 = _nearest_level_seeds(desk_band, "plus")
+        self._stub_node(monkeypatch, x_bad, rp=1.0, rm=1.0, scale=1.0,
+                        jac=1.0)
+        with pytest.raises(ConvergenceError,
+                           match=r"singular .*" + re.escape(
+                               f"h+={x_bad:.6g}, ")):
+            band_zero._polish_node(desk_band.comp, DESK_GAMMA,
+                                   desk_band.x_nodes, theta0, other0, "plus")
 
 
 class TestDisplacementIdentity:

@@ -159,12 +159,14 @@ def layer_constants(band: Band, x: float) -> LayerConstants:
 
     Raises RegimeError when the risk-adjusted edge 2*lam*boundary - drift
     is nonpositive (no square-root outer regime to match) or when the
-    boundary is flat (zero slope kills the diffusive term).
+    boundary is flat (zero slope kills the diffusive term), and
+    DomainError when x lies outside the band's solved domain.
     """
     if band.flat:
         raise RegimeError(
             "flat band has boundary_slope = 0; the layer balance degenerates "
             "(no signal-diffusion term). Use a mean-reverting signal.")
+    band.require_solved(x)
     params = band.params
     theta0 = band.theta_plus_at(x)
     slope0 = band.theta_plus_deriv_at(x)

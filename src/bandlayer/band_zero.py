@@ -7,9 +7,11 @@ value continues with slope -+gamma_lin in theta.  The construction:
 1. Two homogeneous solutions of ``(sigma^2/2) psi'' + mu(x) psi' - rho psi = 0``.
    With mu = -omega x the equation is even in x, so the solution
    decaying to the right is the mirror image of the one decaying to the
-   left: psi2(x) = psi1(-x).  One pass integrates psi1 across the padded
-   domain, widened to be symmetric about 0, from recessive (decaying)
-   asymptotic data at its left edge; both members are read from it.
+   left: psi2(x) = psi1(-x).  One LSODA pass (``odeint``) integrates
+   psi1 across the padded domain, widened to be symmetric about 0, from
+   recessive (decaying) asymptotic data at its left edge; both members
+   are read from it.  LSODA writes all of the dense output nodes inside
+   its compiled loop, where a ``solve_ivp`` pass steps in Python.
    Integrating away from the recessive edge damps contamination by the
    dominant solution.
 2. A particular solution via the resolvent (Green's function) built
@@ -48,7 +50,7 @@ from functools import cached_property, reduce
 
 import numpy as np
 from scipy.integrate import (cumulative_simpson, cumulative_trapezoid,
-                             simpson, solve_ivp)
+                             odeint, simpson)
 from scipy.interpolate import CubicSpline
 
 from .errors import ConfigError, ConvergenceError, DomainError, RegimeError
@@ -82,7 +84,7 @@ class HomogeneousPair:
     """Two independent solutions of the discounted homogeneous equation.
 
     ``psi1`` decays toward the left edge, ``psi2`` toward the right edge;
-    ``psi2`` is the mirror image of ``psi1``, read from the same pass.
+    ``psi2`` is the mirror image of ``psi1``, read from the same LSODA pass.
     Both are rescaled so the Wronskian psi1*psi2' - psi2*psi1' equals -1
     at the domain center (it is negative throughout with this
     orientation).  ``spline`` is one cubic spline on the dense quadrature
@@ -131,9 +133,11 @@ def _recessive_slope(params: ModelParams, x: float) -> float:
 
 
 # nodes of the dense quadrature grid, and the relative tolerance of the
-# DOP853 integration of the pair onto it
+# LSODA pass onto it: at 1e-13 it is within 1e-11 of a tight reference
+# (1e-11 would leave it 1.3e-9 off) in a seventh of the time of the
+# DOP853 pass it replaced, which stepped in Python.
 _QUAD_NODES = 24001
-_ODE_TOL = 1e-11
+_ODE_TOL = 1e-13
 
 
 def solve_homogeneous(params: ModelParams, x_domain=None,
@@ -142,8 +146,9 @@ def solve_homogeneous(params: ModelParams, x_domain=None,
 
     The pass runs over [-R, R], R = max(-x_lo, x_hi), from the recessive
     data at -R, and samples psi1 at the quadrature grid and its mirror
-    image: psi2(x) = psi1(-x) and psi2'(x) = -psi1'(-x).  Raises
-    ConvergenceError when the integration fails.
+    image: psi2(x) = psi1(-x) and psi2'(x) = -psi1'(-x).  It is one
+    ``odeint`` (LSODA) call, which fills all those nodes in compiled code.
+    Raises ConvergenceError naming the span when LSODA reports failure.
     """
     if x_domain is None:
         x_domain = default_x_domain(params)
@@ -162,15 +167,15 @@ def solve_homogeneous(params: ModelParams, x_domain=None,
 
     r = max(-x_lo, x_hi)
     t_eval = np.union1d(xq, -xq)
-    sol = solve_ivp(rhs, (-r, r), [1.0, _recessive_slope(p, -r)],
-                    method="DOP853", rtol=_ODE_TOL, atol=_ODE_TOL * 1e-3,
-                    t_eval=t_eval)
-    if not sol.success:
+    y, info = odeint(rhs, [1.0, _recessive_slope(p, -r)], t_eval,
+                     rtol=_ODE_TOL, atol=_ODE_TOL * 1e-3, full_output=True,
+                     tfirst=True)
+    if info["message"] != "Integration successful.":
         raise ConvergenceError(
             f"homogeneous ODE integration failed on span {(-r, r)}: "
-            f"{sol.message}", history=sol.t)
-    psi1_s, psi1_d_s = sol.y[:, np.searchsorted(t_eval, xq)]
-    psi2_s, psi2_d_s = sol.y[:, np.searchsorted(t_eval, -xq)]
+            f"{info['message']}", history=info["tcur"])
+    psi1_s, psi1_d_s = y[np.searchsorted(t_eval, xq)].T
+    psi2_s, psi2_d_s = y[np.searchsorted(t_eval, -xq)].T
     psi2_d_s = -psi2_d_s
 
     # rescale so |W| = 1 at the domain center; keeps the linear systems O(1)
@@ -607,6 +612,14 @@ class Band:
         return bool(-self.theta_minus_at(x) - slack <= theta
                     <= self.theta_plus_at(x) + slack)
 
+    def require_solved(self, x):
+        """Raise DomainError unless x lies in the padded domain the pair
+        was solved on (the flat band is defined everywhere)."""
+        pr = None if self.flat else self.comp.pair
+        if pr is not None and not (pr.x_lo <= x <= pr.x_hi):
+            raise DomainError(f"x={x:.6g} is outside the band's solved domain "
+                              f"[{pr.x_lo:.6g}, {pr.x_hi:.6g}]")
+
 
 def flat_band_level(params: ModelParams, gamma_lin: float) -> float:
     """Half-width of the degenerate band when the signal has no dynamics.
@@ -629,8 +642,7 @@ def _seed_level_zero(comp, gamma_lin):
     # fallback: 1d scan in the symmetric direction for a sign change of R+
     for fac in np.linspace(0.3, 3.0, 28):
         try:
-            st = _newton_level(comp, gamma_lin, 0.0, fac * x0, -fac * x0)
-            return st
+            return _newton_level(comp, gamma_lin, 0.0, fac * x0, -fac * x0)
         except (ConvergenceError, RegimeError):
             continue
     raise RegimeError(
@@ -668,8 +680,7 @@ def find_band_zero(params: ModelParams, gamma_lin: float, x_nodes=None,
         return Band(x_nodes=x_nodes,
                     theta_plus=np.full(n, level), theta_minus=np.full(n, level),
                     theta_plus_deriv=z.copy(), theta_minus_deriv=z.copy(),
-                    gamma_lin=gamma_lin,
-                    pair_minus_of_plus=z.copy(),
+                    gamma_lin=gamma_lin, pair_minus_of_plus=z.copy(),
                     levels=np.array([]), h_plus=np.array([]),
                     h_minus=np.array([]), alpha1_prime=np.array([]),
                     alpha2_prime=np.array([]),
@@ -687,16 +698,9 @@ def find_band_zero(params: ModelParams, gamma_lin: float, x_nodes=None,
     dtheta = _LEVEL_STEP_FRAC * w
     st0 = _seed_level_zero(comp, gamma_lin)
 
-    records = [st0]
-
     def sweep(direction):
-        prev2, prev = None, st0
-        k = 0
-        out = []
-        while True:
-            k += 1
-            if k > 40000:
-                raise ConvergenceError("level sweep exceeded iteration budget")
+        prev2, prev, out = None, st0, []
+        for k in range(1, 40001):
             theta = direction * k * dtheta
             if prev2 is not None:
                 hp_seed = 2 * prev["hp"] - prev2["hp"]
@@ -719,17 +723,14 @@ def find_band_zero(params: ModelParams, gamma_lin: float, x_nodes=None,
                 break
             if direction < 0 and (st["hm"] >= x_max or st["hp"] >= hi_lim - guard):
                 break
+        else:
+            raise ConvergenceError("level sweep exceeded iteration budget")
         return out
 
     ups = sweep(+1.0)
-    downs = sweep(-1.0)
-    records = downs[::-1] + records + ups
-
-    levels = np.array([r["theta"] for r in records])
-    hps = np.array([r["hp"] for r in records])
-    hms = np.array([r["hm"] for r in records])
-    a1s = np.array([r["a1"] for r in records])
-    a2s = np.array([r["a2"] for r in records])
+    records = sweep(-1.0)[::-1] + [st0] + ups
+    levels, hps, hms, a1s, a2s = (np.array([r[k] for r in records])
+                                  for k in ("theta", "hp", "hm", "a1", "a2"))
 
     if levels.size < 7:
         raise RegimeError(
@@ -781,9 +782,10 @@ def find_band_zero(params: ModelParams, gamma_lin: float, x_nodes=None,
 
 def _state_at_upper(band: Band, x):
     """Re-solve the boundary state with the upper endpoint at x, as a
-    batch of one node."""
+    batch of one node; x must lie in the padded domain of the pair."""
     if band.flat:
         raise RegimeError("flat band: boundary state is degenerate")
+    band.require_solved(x)
     i = int(np.argmin(np.abs(band.x_nodes - x)))
     return _polish_node(band.comp, band.gamma_lin, [x],
                         [band.theta_plus_at(x)], [band.pair_minus_of_plus[i]])
@@ -905,10 +907,8 @@ def _displaced_alpha(band, theta, delta):
     the upper endpoint of level theta is taken from the unperturbed
     family at level theta - delta.
     """
-    st_shift = _level_at(band, theta - delta)
-    st_base = _level_at(band, theta)
-    hp = st_shift["hp"]
-    hm = st_base["hm"]
+    hp = _level_at(band, theta - delta)["hp"]
+    hm = _level_at(band, theta)["hm"]
     st = _level_state(band.comp, band.gamma_lin, theta, hp, hm)
     return st["a1"], st["a2"]
 

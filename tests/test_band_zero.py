@@ -4,7 +4,8 @@ Oracles used here, all independent of the construction under test:
 - the resolvent of a linear source is linear and of a constant source is
   constant (hand closed forms for the mean-reverting signal),
 - the Wronskian of the homogeneous pair obeys the integrating-factor
-  identity,
+  identity, and the recessive member is a Hermite function (evaluated
+  by mpmath),
 - with no signal dynamics everything collapses to hand-computable
   exponentials and a flat band,
 - at the boundary the third derivative obeys an exact relation among
@@ -16,6 +17,7 @@ Oracles used here, all independent of the construction under test:
 import math
 import re
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import cumulative_trapezoid
@@ -105,6 +107,46 @@ class TestHomogeneousPair:
     def test_bad_domain(self, desk_model):
         with pytest.raises(ConfigError):
             solve_homogeneous(desk_model, (0.3, -0.3))
+
+    def test_recessive_member_is_hermite_function(self, desk_model,
+                                                  desk_pair):
+        # with nu = -rho/omega and k = sqrt(omega)/sigma the equation is
+        # Hermite's in z = -k x, so psi1(x) ~ H_nu(-k x) and
+        # psi1'(x) ~ -2 k nu H_{nu-1}(-k x).  Compared at quadrature nodes
+        # of [-0.1, 0.3], normalized at the node nearest 0; the left edge
+        # is avoided, where the start data mix in up to 1e-7 of psi2
+        p = desk_model
+        xq = desk_pair.x_quad
+        idx = np.searchsorted(xq, np.linspace(-0.1, 0.3, 20))
+        ic = int(np.argmin(np.abs(xq)))
+        with mpmath.workdps(30):
+            nu = -mpmath.mpf(p.rho) / p.omega
+            k = mpmath.sqrt(p.omega) / p.sigma
+
+            def hermite(shift, x):
+                return mpmath.hermite(nu + shift, -k * mpmath.mpf(x))
+
+            h0 = hermite(0, xq[ic])
+            want = np.array([[float(hermite(0, xq[i]) / h0),
+                              float(-2 * k * nu * hermite(-1, xq[i]) / h0)]
+                             for i in idx])
+        got = np.column_stack([desk_pair.psi1_s[idx],
+                               desk_pair.psi1_d_s[idx]]) / desk_pair.psi1_s[ic]
+        assert np.max(np.abs(got / want - 1)) < 1e-10
+
+    def test_integrator_failure_names_span(self, desk_model, monkeypatch):
+        # what odeint returns when LSODA gives up, without the
+        # ODEintWarning it also emits: the code must read full_output
+        def failing(func, y0, t, **kw):
+            return np.zeros((t.size, 2)), {
+                "message": "Excess work done on this call (perhaps wrong "
+                           "Dfun type).", "tcur": t}
+
+        monkeypatch.setattr(band_zero, "odeint", failing)
+        with pytest.raises(ConvergenceError,
+                           match=r"failed on span \(-0\.26\d*, 0\.26\d*\): "
+                                 r"Excess work"):
+            solve_homogeneous(desk_model, (-0.2, 0.2))
 
 
 class TestGreensParticular:
@@ -316,6 +358,22 @@ class TestBandDerivatives:
             1.5 * desk_band.gamma_lin * p.sigma ** 2 / p.omega) ** (1 / 3)
         got = third_derivative_at_band(desk_band, 0.0)
         assert got == pytest.approx(est, rel=0.05)
+
+    @pytest.mark.parametrize("gamma, nodes, x", [
+        (DESK_GAMMA, (-0.06, 0.26, 33), -0.2),
+        (1e-6, (-0.1, 0.1, 41), 0.17)], ids=["off_center", "tiny_cost"])
+    def test_outside_solved_domain_raises(self, desk_model, gamma, nodes, x):
+        # the polish would start from the band spline's extrapolation and
+        # stall; a point outside the pair's padded domain is refused
+        band = find_band_zero(desk_model, gamma, x_nodes=np.linspace(*nodes))
+        pr = band.comp.pair
+        with pytest.raises(DomainError, match=re.escape(
+                f"[{pr.x_lo:.6g}, {pr.x_hi:.6g}]")):
+            third_derivative_at_band(band, x)
+
+    def test_past_the_nodes_inside_padding_answers(self, desk_band):
+        assert desk_band.x_nodes[-1] < 0.3 < desk_band.comp.pair.x_hi
+        assert third_derivative_at_band(desk_band, 0.3) > 0
 
     def test_flat_band_rejects_third_derivative(self):
         p = ModelParams(sigma=0.02, omega=0.0, lam=1.0, rho=1e-3)

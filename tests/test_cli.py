@@ -122,6 +122,19 @@ class TestLayer:
         assert main(["layer", "--config", cfg, "--out", out]) == EXIT_CONFIG
         assert not os.path.exists(os.path.join(out, "layer_airy.csv"))
 
+    @pytest.mark.parametrize("x, code", [(0.3, 0), (0.5, 3)],
+                             ids=["inside_padding", "outside"])
+    def test_x_must_lie_in_solved_domain(self, tmp_path, capsys, x, code):
+        # the default grid spans +-0.268, padded to +-0.349 for the pair
+        cfg = write_cfg(tmp_path, {
+            "model": DESK,
+            "costs": {"gamma_lin": 2e-4, "kind": "quadratic", "eta": 1e-6},
+            "layer": {"x": x, "samples": 101}})
+        out = str(tmp_path / "o")
+        assert main(["layer", "--config", cfg, "--out", out, "--quiet"]) == code
+        if code:
+            assert "outside the band's solved domain" in capsys.readouterr().err
+
     def test_flat_band_degeneracy_exits_3(self, tmp_path):
         cfg = write_cfg(tmp_path, {
             "model": dict(DESK, omega=0.0),

@@ -1,6 +1,7 @@
 """Source hygiene: every module-level import in the package and in the
-tests is used, no function body in either imports anything, and each
-``__all__`` matches its module.
+tests is used, no function body in either imports anything, each
+``__all__`` matches its module, and every third-party package imported
+is declared in ``pyproject.toml``.
 
 A stdlib stand-in for a linter's unused-import rule.  A name counts as
 used when it is read anywhere in its module or listed in ``__all__``,
@@ -10,6 +11,8 @@ Imports belong at the top of the module, where this check can see them.
 
 import ast
 import pathlib
+import re
+import sys
 
 import pytest
 
@@ -19,6 +22,9 @@ TESTS = pathlib.Path(__file__).resolve().parent
 # package modules by bare name, test modules as tests/<name>
 IMPORT_SOURCES = {**{m: PACKAGE / m for m in MODULES},
                   **{f"tests/{p.name}": p for p in TESTS.glob("*.py")}}
+PYPROJECT = PACKAGE.parents[1] / "pyproject.toml"
+# the package, the tests, and the test modules pytest puts on sys.path
+FIRST_PARTY = {"bandlayer", "tests"} | {p.stem for p in TESTS.glob("*.py")}
 
 
 def _imported_names(tree):
@@ -104,3 +110,39 @@ def test_all_matches_module(module):
     unlisted = sorted(public - set(listed))
     assert not undefined, f"{module}: __all__ lists undefined {undefined}"
     assert not unlisted, f"{module}: public names missing from __all__ {unlisted}"
+
+
+def _third_party_imports(tree):
+    """Top-level package of every absolute import that is neither stdlib
+    nor first-party."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names - set(sys.stdlib_module_names) - FIRST_PARTY
+
+
+def _declared(requirements):
+    """Distribution names of PEP 508 requirement strings, normalized.
+
+    Every dependency here is imported under its distribution name, so the
+    two are compared directly.
+    """
+    return {re.match(r"[A-Za-z0-9._-]+", req).group(0).lower()
+            .replace("-", "_") for req in requirements}
+
+
+def test_third_party_imports_are_declared():
+    tomllib = pytest.importorskip("tomllib")    # stdlib from Python 3.11
+    project = tomllib.loads(PYPROJECT.read_text(encoding="utf-8"))["project"]
+    runtime = _declared(project["dependencies"])
+    test_only = _declared(project["optional-dependencies"]["test"])
+    missing = []
+    for name, path in sorted(IMPORT_SOURCES.items()):
+        allowed = runtime if path.parent == PACKAGE else runtime | test_only
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        missing += [f"{name}: {pkg}"
+                    for pkg in sorted(_third_party_imports(tree) - allowed)]
+    assert not missing, f"undeclared third-party imports: {missing}"

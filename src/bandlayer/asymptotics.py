@@ -26,13 +26,12 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
 from .errors import ConfigError, ConvergenceError, DomainError, RegimeError
-from .model import CostKind, ModelParams, drift
+from .model import ModelParams, drift
 from .band_zero import Band, third_derivative_at_band
 from .special import airy_first_max, airy_log_derivative
 
@@ -42,7 +41,7 @@ __all__ = [
     "LayerConstants",
     "LayerProfile",
     "VelocityProfile",
-    "PowerScaling",
+    "GAUGE_MAX",
     "layer_constants",
     "layer_profile_airy",
     "layer_ode_residual",
@@ -52,7 +51,6 @@ __all__ = [
     "sqrt_linear_crossover",
     "composite_velocity",
     "abel_layer_solve",
-    "power_cost_scaling",
 ]
 
 
@@ -146,12 +144,6 @@ class VelocityProfile:
     def __post_init__(self):
         object.__setattr__(self, "theta", np.asarray(self.theta, dtype=float))
         object.__setattr__(self, "v", np.asarray(self.v, dtype=float))
-
-
-class PowerScaling(NamedTuple):
-    amplitude_exp: float
-    width_exp: float
-    expansion_exp: float
 
 
 def layer_constants(band: Band, x: float) -> LayerConstants:
@@ -293,6 +285,9 @@ def sqrt_linear_crossover(params: ModelParams, c: LayerConstants) -> float:
 # distance from the shifted edge, in units of eta^{1/3}, beyond which the
 # composite speed blends the layer into the outer branch
 _SEAM = 30.0
+# validity gauge: the eta^{1/3} expansion is trusted while the predicted
+# inward shift is at most this fraction of the band width
+GAUGE_MAX = 0.2
 
 
 def composite_velocity(band: Band, x: float, eta: float,
@@ -323,11 +318,9 @@ def composite_velocity(band: Band, x: float, eta: float,
 
     c = layer_constants(band, x)
     theta0 = c.boundary
-    width = band.width(x)
+    theta_eta = shifted_boundary(band, x, eta)
+    gauge = (theta0 - theta_eta) / band.width(x)
     scale = eta ** (1.0 / 3.0)
-    shift = shift_coefficient(band, x) * scale
-    theta_eta = theta0 - shift
-    gauge = shift / width
     d_cross = sqrt_linear_crossover(band.params, c)
 
     v = np.zeros(theta.shape, dtype=float)
@@ -351,7 +344,7 @@ def composite_velocity(band: Band, x: float, eta: float,
     return VelocityProfile(
         x=float(x), eta=float(eta), theta=theta, v=v, regime=tuple(labels),
         boundary_level=float(theta0), shifted_level=float(theta_eta),
-        gauge=float(gauge), gauge_warning=bool(gauge > 0.2))
+        gauge=float(gauge), gauge_warning=bool(gauge > GAUGE_MAX))
 
 
 def abel_layer_solve(aprime: float, bprime: float, y_max: float,
@@ -421,20 +414,4 @@ def abel_layer_solve(aprime: float, bprime: float, y_max: float,
         slope_at_zero=float(a2 * offset / bprime), amp=aprime,
         diffusivity=bprime, wall_offset=float(offset),
         wall_residual=wall_residual)
-
-
-def power_cost_scaling(kind: CostKind) -> PowerScaling:
-    """Exponents of the small-cost expansion for each cost shape.
-
-    amplitude_exp scales the value-slope correction inside the layer,
-    width_exp the layer width, expansion_exp the value expansion itself.
-    The quadratic pair satisfies the matching relation
-    amplitude_exp - width_exp/2 = 1/2 tying the layer to the sqrt(cost)
-    outer correction.
-    """
-    if kind is CostKind.QUADRATIC:
-        return PowerScaling(2.0 / 3.0, 1.0 / 3.0, 0.5)
-    if kind is CostKind.THREE_HALVES:
-        return PowerScaling(0.8, 0.4, 2.0 / 3.0)
-    raise ConfigError(f"unsupported cost kind: {kind!r}")
 

@@ -49,8 +49,7 @@ from dataclasses import dataclass, field
 from functools import cached_property, reduce
 
 import numpy as np
-from scipy.integrate import (cumulative_simpson, cumulative_trapezoid,
-                             odeint, simpson)
+from scipy.integrate import cumulative_simpson, cumulative_trapezoid, odeint
 from scipy.interpolate import CubicSpline
 
 from .errors import ConfigError, ConvergenceError, DomainError, RegimeError
@@ -66,11 +65,8 @@ __all__ = [
     "find_band_zero",
     "second_derivative_at_band",
     "third_derivative_at_band",
-    "third_derivative_stencil",
     "value_nt_zero",
-    "value_rb_zero",
     "check_displacement_identity",
-    "displacement_value_shift",
     "flat_band_level",
 ]
 
@@ -109,11 +105,6 @@ class HomogeneousPair:
         return self.psi1_s * self.psi2_d_s - self.psi2_s * self.psi1_d_s
 
 
-def _columns(spline: CubicSpline, x):
-    """The columns of a stacked spline at x, leading axis first."""
-    return np.moveaxis(spline(x), -1, 0)
-
-
 def _recessive_slope(params: ModelParams, x: float) -> float:
     """Log-slope of the solution decaying toward -inf at a left edge x.
 
@@ -148,7 +139,8 @@ def solve_homogeneous(params: ModelParams, x_domain=None,
     data at -R, and samples psi1 at the quadrature grid and its mirror
     image: psi2(x) = psi1(-x) and psi2'(x) = -psi1'(-x).  It is one
     ``odeint`` (LSODA) call, which fills all those nodes in compiled code.
-    Raises ConvergenceError naming the span when LSODA reports failure.
+    Raises ConvergenceError naming the span when LSODA reports failure or
+    the dominant growth of psi1 overflows on a wide domain.
     """
     if x_domain is None:
         x_domain = default_x_domain(params)
@@ -167,13 +159,20 @@ def solve_homogeneous(params: ModelParams, x_domain=None,
 
     r = max(-x_lo, x_hi)
     t_eval = np.union1d(xq, -xq)
-    y, info = odeint(rhs, [1.0, _recessive_slope(p, -r)], t_eval,
-                     rtol=_ODE_TOL, atol=_ODE_TOL * 1e-3, full_output=True,
-                     tfirst=True)
+    with np.errstate(over="ignore", invalid="ignore"):
+        y, info = odeint(rhs, [1.0, _recessive_slope(p, -r)], t_eval,
+                         rtol=_ODE_TOL, atol=_ODE_TOL * 1e-3, full_output=True,
+                         tfirst=True)
     if info["message"] != "Integration successful.":
         raise ConvergenceError(
             f"homogeneous ODE integration failed on span {(-r, r)}: "
             f"{info['message']}", history=info["tcur"])
+    finite = np.isfinite(y).all(axis=1)
+    if not finite.all():
+        raise ConvergenceError(
+            f"homogeneous ODE solution overflows on span {(-r, r)} past "
+            f"x={t_eval[np.argmin(finite)]:.6g}; narrow the x domain or "
+            f"its pad", history=info["tcur"])
     psi1_s, psi1_d_s = y[np.searchsorted(t_eval, xq)].T
     psi2_s, psi2_d_s = y[np.searchsorted(t_eval, -xq)].T
     psi2_d_s = -psi2_d_s
@@ -217,26 +216,10 @@ class GreensDecomposition:
     pair: HomogeneousPair
     spline: CubicSpline = field(repr=False)
 
-    def i_value(self, x, theta):
-        """Particular-solution theta-derivative, affine in theta."""
-        drift_part, risk_part, _, _ = _columns(self.spline, x)
-        return drift_part + theta * risk_part
-
     def particular_value(self, x, theta):
         """V-particular = theta*drift_part + theta^2/2 * risk_part."""
-        drift_part, risk_part, _, _ = _columns(self.spline, x)
+        drift_part, risk_part, _, _ = np.moveaxis(self.spline(x), -1, 0)
         return theta * drift_part + 0.5 * theta ** 2 * risk_part
-
-    def alpha_coefficients(self, h_plus, h_minus, gamma_lin, theta):
-        """Homogeneous coefficients (per level) from the slope conditions.
-
-        Solves the 2x2 system pinning dV/dtheta = -gamma at h_plus and
-        +gamma at h_minus.
-        """
-        if not (h_plus > h_minus):
-            raise ConfigError(f"need h_plus > h_minus, got ({h_plus}, {h_minus})")
-        st = _level_state(self, gamma_lin, theta, h_plus, h_minus)
-        return st["a1"], st["a2"]
 
     @cached_property
     def _tables(self):
@@ -602,9 +585,6 @@ class Band:
     def theta_plus_deriv_at(self, x):
         return self.spline(x)[..., 2]
 
-    def theta_minus_deriv_at(self, x):
-        return self.spline(x)[..., 3]
-
     def width(self, x):
         return self.theta_plus_at(x) + self.theta_minus_at(x)
 
@@ -631,23 +611,22 @@ def flat_band_level(params: ModelParams, gamma_lin: float) -> float:
 
 
 def _seed_level_zero(comp, gamma_lin):
-    """Solve the theta=0 level from the small-cost symmetric seed."""
+    """Solve the theta=0 level by one Newton from the small-cost symmetric
+    seed (+-x0, where the small-cost band edge crosses theta = 0).
+
+    A Newton that does not converge from there raises RegimeError,
+    chained to its ConvergenceError: the band's zero level is not on this
+    domain.  (Restarting from 0.3 to 3 times x0 rescued none of 270 band
+    solves over sigma, omega, gamma and pad whose first Newton failed.)
+    """
     p = comp.params
-    w = small_cost_half_width(p, gamma_lin)
-    x0 = 2.0 * p.lam * w / p.omega
+    x0 = 2.0 * p.lam * small_cost_half_width(p, gamma_lin) / p.omega
     try:
         return _newton_level(comp, gamma_lin, 0.0, x0, -x0)
-    except ConvergenceError:
-        pass
-    # fallback: 1d scan in the symmetric direction for a sign change of R+
-    for fac in np.linspace(0.3, 3.0, 28):
-        try:
-            return _newton_level(comp, gamma_lin, 0.0, fac * x0, -fac * x0)
-        except (ConvergenceError, RegimeError):
-            continue
-    raise RegimeError(
-        "could not locate the zero level of the band; the band may not "
-        "exist on this domain for these parameters")
+    except ConvergenceError as exc:
+        raise RegimeError(
+            "could not locate the zero level of the band; the band may not "
+            "exist on this domain for these parameters") from exc
 
 
 # level spacing of the sweep, as a fraction of the small-cost half-width
@@ -660,7 +639,11 @@ def find_band_zero(params: ModelParams, gamma_lin: float, x_nodes=None,
 
     Returns a :class:`Band` holding ``params`` and the Green's data
     solved on the grid's span padded by ``pad_frac``; raises
-    :class:`RegimeError` when no band exists on the domain.  For
+    :class:`RegimeError` when no band exists on the domain (the level
+    theta = 0 is not found from its small-cost seed, the sweep finds too
+    few levels, or the boundaries do not cover the grid) and
+    :class:`ConvergenceError` when the homogeneous pair cannot be
+    integrated across the padded domain.  For
     ``omega == 0`` the flat closed form is returned directly (the level
     construction needs a sloped boundary).
     """
@@ -782,13 +765,24 @@ def find_band_zero(params: ModelParams, gamma_lin: float, x_nodes=None,
 
 def _state_at_upper(band: Band, x):
     """Re-solve the boundary state with the upper endpoint at x, as a
-    batch of one node; x must lie in the padded domain of the pair."""
+    batch of one node; x must lie in the padded domain of the pair.
+
+    The lower endpoint is seeded from the nearest node's partner moved
+    with the node to x, so a seed past the node grid stays left of x.
+    A seed outside the pair's domain raises DomainError.
+    """
     if band.flat:
         raise RegimeError("flat band: boundary state is degenerate")
     band.require_solved(x)
     i = int(np.argmin(np.abs(band.x_nodes - x)))
+    hm = band.pair_minus_of_plus[i] + (x - band.x_nodes[i])
+    pr = band.comp.pair
+    if not (pr.x_lo <= hm <= pr.x_hi):
+        raise DomainError(
+            f"x={x:.6g}: its lower endpoint seed {hm:.6g} is outside the "
+            f"band's solved domain [{pr.x_lo:.6g}, {pr.x_hi:.6g}]")
     return _polish_node(band.comp, band.gamma_lin, [x],
-                        [band.theta_plus_at(x)], [band.pair_minus_of_plus[i]])
+                        [band.theta_plus_at(x)], [hm])
 
 
 # ---------------------------------------------------------------------------
@@ -844,23 +838,6 @@ def third_derivative_at_band(band: Band, x) -> float:
     return float(v3)
 
 
-def third_derivative_stencil(band: Band, x) -> float:
-    """Independent route: second difference of the coefficient tables.
-
-    The particular part is affine in theta, so the third derivative is
-    carried entirely by the homogeneous coefficients.
-    """
-    if band.flat:
-        raise RegimeError("flat band: no third derivative")
-    theta = float(band.theta_plus_at(x))
-    idx = _nearest_stencil(band.levels, theta)
-    wts = fd_weights(theta, band.levels[idx], 2)
-    dda1 = float(wts @ band.alpha1_prime[idx])
-    dda2 = float(wts @ band.alpha2_prime[idx])
-    p1, p2, _, _ = band.comp.pair.spline(x)
-    return float(dda1 * p1 + dda2 * p2)
-
-
 # ---------------------------------------------------------------------------
 # values
 
@@ -881,19 +858,6 @@ def value_nt_zero(band: Band, x, theta) -> float:
     a1, a2 = band.alpha_integrals(theta)
     p1, p2, _, _ = band.comp.pair.spline(x)
     return float(band.comp.particular_value(x, theta) + a1 * p1 + a2 * p2)
-
-
-def value_rb_zero(band: Band, x, theta) -> float:
-    """Rebalancing-region value: band value less the linear cost of the gap."""
-    x = float(x)
-    theta = float(theta)
-    tp = float(band.theta_plus_at(x))
-    tm = float(-band.theta_minus_at(x))
-    if theta >= tp:
-        return value_nt_zero(band, x, tp) - band.gamma_lin * (theta - tp)
-    if theta <= tm:
-        return value_nt_zero(band, x, tm) - band.gamma_lin * (tm - theta)
-    raise DomainError(f"({x:.6g}, {theta:.6g}) lies inside the no-trade region")
 
 
 # ---------------------------------------------------------------------------
@@ -961,21 +925,3 @@ def check_displacement_identity(band: Band, x):
             f"at x={x:.6g}: estimates {g1:.6e} vs {g2:.6e}")
     return float(g2), float(-v3)
 
-
-def displacement_value_shift(band: Band, x, theta, delta: float):
-    """|value change| of the (suboptimal) displaced-boundary family at
-    a fixed interior point; used for the quadratic-in-delta scaling test."""
-    if band.flat:
-        raise RegimeError("flat band: displacement does not apply")
-    x = float(x)
-    # integrate the coefficient difference from level 0 up to theta
-    thetas = np.linspace(0.0, float(theta), 41)
-    d1 = np.empty_like(thetas)
-    d2 = np.empty_like(thetas)
-    for k, th in enumerate(thetas):
-        st0 = _level_at(band, th)
-        a1d, a2d = _displaced_alpha(band, th, delta)
-        d1[k] = a1d - st0["a1"]
-        d2[k] = a2d - st0["a2"]
-    p1, p2, _, _ = band.comp.pair.spline(x).tolist()
-    return abs(simpson(d1, x=thetas) * p1 + simpson(d2, x=thetas) * p2)

@@ -9,13 +9,14 @@ summaries under --out; gnuplot scripts are emitted next to the CSVs
 they plot.
 
 Exit codes: 0 success, 1 check-suite failure, 2 configuration problem,
-3 mathematical-regime problem, 4 numerical non-convergence.
+3 mathematical-regime problem ("regime error") or a point outside the
+solved domain ("domain error"), 4 numerical non-convergence, an
+overflowing integration included.
 """
 
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 
@@ -163,8 +164,7 @@ def _sweep_eta_shift(cfg, spec, out, quiet):
                result.prefactor_ratios])
     gp = gnuplot_loglog_script(
         os.path.basename(csv_path), 1, 2, "eta", "boundary shift",
-        slope=result.fit.slope,
-        prefactor=math.exp(result.fit.intercept),
+        slope=result.fit.slope, prefactor=result.fit.prefactor,
         title="band shift vs quadratic cost")
     atomic_write_text(os.path.join(out, stem + ".gp"), gp)
     return result, stem
@@ -179,7 +179,7 @@ def _sweep_gamma_width(cfg, spec, out, quiet):
               [result.values, result.measured, result.prefactor_ratios])
     gp = gnuplot_loglog_script(
         os.path.basename(csv_path), 1, 2, "linear cost", "band width",
-        slope=result.fit.slope, prefactor=math.exp(result.fit.intercept),
+        slope=result.fit.slope, prefactor=result.fit.prefactor,
         title="band width vs linear cost")
     atomic_write_text(os.path.join(out, stem + ".gp"), gp)
     return result, stem
@@ -393,8 +393,11 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (RegimeError, DomainError) as exc:
+    except RegimeError as exc:
         print(f"regime error: {exc}", file=sys.stderr)
+        return EXIT_REGIME
+    except DomainError as exc:
+        print(f"domain error: {exc}", file=sys.stderr)
         return EXIT_REGIME
     except ConvergenceError as exc:
         print(f"convergence failure: {exc}", file=sys.stderr)

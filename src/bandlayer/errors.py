@@ -1,12 +1,16 @@
 """Exception hierarchy shared across the package.
 
-Exit-code mapping used by the CLI:
+Exit-code mapping used by the CLI, and the label it prints:
 
-* :class:`ConfigError`      -> 2  (bad input, bad config file, invalid grid)
-* :class:`RegimeError`      -> 3  (mathematically degenerate or out-of-regime request)
-* :class:`DomainError`      -> 3  (point outside the region where a field is defined)
-* :class:`ConvergenceError` -> 4  (iteration/quadrature did not converge)
-* any other :class:`BandLayerError` -> 3
+* :class:`ConfigError`      -> 2  "config error": bad input, bad config
+  file, invalid grid
+* :class:`RegimeError`      -> 3  "regime error": mathematically degenerate
+  or out-of-regime request
+* :class:`DomainError`      -> 3  "domain error": point outside the region
+  where a field is defined
+* :class:`ConvergenceError` -> 4  "convergence failure": an iteration or
+  quadrature did not converge, or an integration overflowed
+* any other :class:`BandLayerError` -> 3  "error"
 
 Everything derives from :class:`BandLayerError` so library users can catch
 one base type.

@@ -51,7 +51,6 @@ class LogLogFit:
     slope: float
     intercept: float
     stderr: float
-    residuals: np.ndarray
 
     @property
     def prefactor(self) -> float:
@@ -85,7 +84,7 @@ def loglog_fit(x, y) -> LogLogFit:
     else:
         stderr = math.inf
     return LogLogFit(slope=float(beta[0]), intercept=float(beta[1]),
-                     stderr=stderr, residuals=resid)
+                     stderr=stderr)
 
 
 # ------------------------------------------------------------ sweep result
@@ -218,9 +217,10 @@ def eta_shift_sweep(params: ModelParams, gamma_lin: float, eta_list,
     keep = []
     for eta in etas:
         gauge = shift_coeff * eta ** (1.0 / 3.0) / width
-        if gauge > 0.2:
+        if gauge > asymptotics.GAUGE_MAX:
             excluded.append((float(eta), f"outside validity gauge "
-                             f"(shift/width = {gauge:.2f} > 0.2)"))
+                             f"(shift/width = {gauge:.2f} > "
+                             f"{asymptotics.GAUGE_MAX:g})"))
             notes.append(f"excluded eta={eta:g}: validity gauge {gauge:.2f}")
         else:
             keep.append(float(eta))

@@ -94,10 +94,6 @@ class CostParams:
         if self.kind is CostKind.THREE_HALVES and self.eta != 0.0:
             raise ConfigError("eta must be 0 when kind is three_halves")
 
-    @property
-    def nonlinear(self) -> float:
-        return self.eta if self.kind is CostKind.QUADRATIC else self.zeta
-
 
 def _spacing(nodes: np.ndarray):
     steps = np.diff(nodes)

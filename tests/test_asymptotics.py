@@ -19,7 +19,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from bandlayer.errors import ConfigError, DomainError, RegimeError
-from bandlayer.model import CostKind, ModelParams
+from bandlayer.model import ModelParams
 from bandlayer.band_zero import find_band_zero
 from bandlayer.special import fd_weights
 from bandlayer import asymptotics as asy
@@ -325,7 +325,7 @@ class TestCompositeVelocity:
         quiet = asy.composite_velocity(desk_band, 0.0, 1e-5, grid)
         assert not quiet.gauge_warning and quiet.gauge < 0.05
         loud = asy.composite_velocity(desk_band, 0.0, 2e-2, grid)
-        assert loud.gauge_warning and loud.gauge > 0.2
+        assert loud.gauge_warning and loud.gauge > asy.GAUGE_MAX
 
     def test_lower_sector_rejected(self, desk_band):
         lower = -desk_band.theta_minus_at(0.0)
@@ -433,24 +433,6 @@ class TestAbelLayer:
             asy.abel_layer_solve(-1.0, 1.0, y_max=10.0)
         with pytest.raises(DomainError):
             asy.abel_layer_solve(1.0, 1.0, y_max=0.0)
-
-
-# ------------------------------------------------------------ power scaling
-
-class TestPowerScaling:
-    def test_quadratic_exponents(self):
-        ps = asy.power_cost_scaling(CostKind.QUADRATIC)
-        assert ps == (pytest.approx(2 / 3), pytest.approx(1 / 3), 0.5)
-        # matching relation tying the layer amplitude to the sqrt expansion
-        assert ps.amplitude_exp - ps.width_exp / 2 == pytest.approx(0.5)
-
-    def test_three_halves_exponents(self):
-        ps = asy.power_cost_scaling(CostKind.THREE_HALVES)
-        assert ps == (pytest.approx(0.8), pytest.approx(0.4), pytest.approx(2 / 3))
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ConfigError):
-            asy.power_cost_scaling("cubic")
 
 
 # ---------------------------------------------------------------- validity

@@ -76,6 +76,16 @@ class TestBand:
         cfg = write_cfg(tmp_path, {"costs": {"gamma_lin": 2e-4}})
         assert main(["band", "--config", cfg, "--out", str(tmp_path)]) == 2
 
+    def test_overflowing_domain_exits_4(self, tmp_path, capsys):
+        # +-1.5 is 22 stationary deviations: the homogeneous pass overflows
+        cfg = write_cfg(tmp_path, {
+            "model": DESK, "costs": {"gamma_lin": 2e-4},
+            "band": {"x_nodes": np.linspace(-1.5, 1.5, 31).tolist()}})
+        assert main(["band", "--config", cfg, "--out", str(tmp_path)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("convergence failure: ")
+        assert "overflows on span" in err
+
     def test_flat_band_from_zero_omega(self, tmp_path):
         flat = dict(DESK, omega=0.0)
         cfg = write_cfg(tmp_path, {
@@ -133,7 +143,9 @@ class TestLayer:
         out = str(tmp_path / "o")
         assert main(["layer", "--config", cfg, "--out", out, "--quiet"]) == code
         if code:
-            assert "outside the band's solved domain" in capsys.readouterr().err
+            err = capsys.readouterr().err
+            assert err.startswith("domain error: ")
+            assert "outside the band's solved domain" in err
 
     def test_flat_band_degeneracy_exits_3(self, tmp_path):
         cfg = write_cfg(tmp_path, {
@@ -195,6 +207,16 @@ class TestSweep:
             "sweep": {"kind": "eta_shift",
                       "values": [1e-6, 2e-6, 3e-6, 4e-6]}})
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 2
+
+    def test_gamma_width_overflow_exits_4(self, tmp_path, capsys):
+        # gamma 1e-1 overflows the pair at the widest pad retry and is
+        # excluded, which leaves too few widths to fit
+        cfg = write_cfg(tmp_path, {
+            "model": DESK, "costs": {"gamma_lin": 2e-4},
+            "sweep": {"kind": "gamma_width", "x": 0.1,
+                      "values": [2e-4, 2e-3, 2e-2, 1e-1]}})
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 4
+        assert "fewer than 4 usable widths" in capsys.readouterr().err
 
     def test_gamma_width_sweep_end_to_end(self, tmp_path):
         cfg = write_cfg(tmp_path, {

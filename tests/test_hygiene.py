@@ -1,7 +1,8 @@
 """Source hygiene: every module-level import in the package and in the
 tests is used, no function body in either imports anything, each
-``__all__`` matches its module, and every third-party package imported
-is declared in ``pyproject.toml``.
+``__all__`` matches its module and lists only names the package itself
+reads, every third-party package imported is declared in
+``pyproject.toml``, and the tests import their conftest one way only.
 
 A stdlib stand-in for a linter's unused-import rule.  A name counts as
 used when it is read anywhere in its module or listed in ``__all__``,
@@ -110,6 +111,61 @@ def test_all_matches_module(module):
     unlisted = sorted(public - set(listed))
     assert not undefined, f"{module}: __all__ lists undefined {undefined}"
     assert not unlisted, f"{module}: public names missing from __all__ {unlisted}"
+
+
+# public names that no package code reads, and why each stays
+UNREAD_PUBLIC = {
+    ("hjb", "c2_continuity_check"):
+        "the Tier-1 smoothness oracle of the DP field; only tests call it",
+}
+
+
+def _loaded_names(tree, skip=None):
+    """Names and attribute names read anywhere in tree, outside skip."""
+    inside = {id(n) for n in ast.walk(skip)} if skip is not None else set()
+    for node in ast.walk(tree):
+        if id(node) in inside:
+            continue
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx,
+                                                            ast.Load):
+            yield node.attr
+
+
+def test_all_names_are_read_by_the_package():
+    # a name exported for tests alone is surface no command exercises
+    trees = {m[:-3]: ast.parse((PACKAGE / m).read_text(encoding="utf-8"))
+             for m in MODULES}
+    unread = []
+    for module, tree in trees.items():
+        for name in _declared_all(tree) or ():
+            own = next((n for n in tree.body
+                        if getattr(n, "name", None) == name), None)
+            read = any(name in _loaded_names(other, own if other is tree
+                                             else None)
+                       for other in trees.values())
+            if not read and (module, name) not in UNREAD_PUBLIC:
+                unread.append(f"{module}.{name}")
+    assert not unread, f"public names only tests read: {unread}"
+
+
+def test_conftest_imported_as_conftest():
+    # pytest loads tests/conftest.py as "conftest"; importing it as
+    # "tests.conftest" makes a second module whose recorded acceptance
+    # verdicts never reach the terminal summary
+    offenders = []
+    for path in sorted(TESTS.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = ([a.name for a in node.names]
+                     if isinstance(node, ast.Import) else
+                     [f"{node.module}.{a.name}" for a in node.names]
+                     if isinstance(node, ast.ImportFrom) and node.module
+                     else [])
+            offenders += [f"{path.name}:{node.lineno}" for n in names
+                          if n == "tests.conftest"
+                          or n.startswith("tests.conftest.")]
+    assert not offenders, f"tests.conftest imported at {offenders}"
 
 
 def _third_party_imports(tree):

@@ -39,11 +39,11 @@ class TestModelParams:
 class TestCostParams:
     def test_quadratic(self):
         c = CostParams(gamma_lin=2e-4, eta=1e-6, kind=CostKind.QUADRATIC)
-        assert c.nonlinear
+        assert (c.eta, c.zeta) == (1e-6, 0.0)
 
     def test_linear_only(self):
         c = CostParams(gamma_lin=2e-4)
-        assert not c.nonlinear
+        assert (c.eta, c.zeta, c.kind) == (0.0, 0.0, CostKind.QUADRATIC)
 
     def test_rejects_wrong_coefficient(self):
         with pytest.raises(ConfigError):

@@ -540,13 +540,13 @@ class Band:
 
     ``theta_plus``/``theta_minus`` are the upper/lower half-band values
     (the no-trade interval at x is [-theta_minus(x), theta_plus(x)]).
-    ``spline`` interpolates (theta_plus, theta_minus, theta_plus_deriv,
-    theta_minus_deriv) over ``x_nodes`` as the columns of one cubic
-    spline; on the flat band the columns are constant, and so is the
-    spline, extrapolation included.  Level tables from the sweep are
-    retained for derivative diagnostics, with ``alpha_integrals``, the
-    cumulative integrals of (alpha1_prime, alpha2_prime) over the levels
-    anchored at level 0, as one 2-column spline (None on the flat band).
+    ``spline`` interpolates (theta_plus, theta_minus, theta_plus_deriv)
+    over ``x_nodes`` as the columns of one cubic spline; on the flat band
+    the columns are constant, and so is the spline, extrapolation
+    included.  Level tables from the sweep are retained for derivative
+    diagnostics, with ``alpha_integrals``, the cumulative integrals of
+    (alpha1_prime, alpha2_prime) over the levels anchored at level 0, as
+    one 2-column spline (None on the flat band).
     ``params`` is the model solved for and ``comp`` the Green's
     decomposition it was solved from, None exactly when ``flat``.
     """
@@ -668,7 +668,7 @@ def find_band_zero(params: ModelParams, gamma_lin: float, x_nodes=None,
                     h_minus=np.array([]), alpha1_prime=np.array([]),
                     alpha2_prime=np.array([]),
                     spline=CubicSpline(x_nodes, np.column_stack(
-                        [np.full(n, level), np.full(n, level), z, z])),
+                        [np.full(n, level), np.full(n, level), z])),
                     params=params)
 
     x_min, x_max = float(x_nodes[0]), float(x_nodes[-1])
@@ -755,7 +755,7 @@ def find_band_zero(params: ModelParams, gamma_lin: float, x_nodes=None,
                 pair_minus_of_plus=pair_m,
                 levels=levels, h_plus=hps, h_minus=hms,
                 alpha1_prime=a1s, alpha2_prime=a2s,
-                spline=CubicSpline(x_nodes, np.column_stack([tp, tm, tpd, tmd])),
+                spline=CubicSpline(x_nodes, np.column_stack([tp, tm, tpd])),
                 params=params, alpha_integrals=CubicSpline(levels, a_int),
                 comp=comp)
     if np.any(band.theta_plus + band.theta_minus <= 0):

@@ -8,10 +8,11 @@ Every command reads a JSON config and writes CSV plus plain-text
 summaries under --out; gnuplot scripts are emitted next to the CSVs
 they plot.
 
-Exit codes: 0 success, 1 check-suite failure, 2 configuration problem,
-3 mathematical-regime problem ("regime error") or a point outside the
-solved domain ("domain error"), 4 numerical non-convergence, an
-overflowing integration included.
+Exit codes: 0 success, 1 check-suite failure, 2 configuration problem
+(an --out that cannot be a directory included), 3 mathematical-regime
+problem ("regime error") or a point outside the solved domain ("domain
+error"), 4 numerical non-convergence, an overflowing integration
+included.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import sys
 import numpy as np
 
 from . import asymptotics, band_zero, experiments, hjb
-from .config import RunConfig, load_config
+from .config import BandSpec, LayerSpec, RunConfig, load_config
 from .errors import (BandLayerError, ConfigError, ConvergenceError,
                      DomainError, RegimeError)
 from .model import CostKind, default_x_domain
@@ -49,11 +50,9 @@ def _say(quiet: bool, *parts):
 def _band_inputs(cfg: RunConfig):
     params = cfg.need("model")
     costs = cfg.need("costs")
-    spec = cfg.band
-    x_nodes = None
-    if spec is not None and spec.x_nodes is not None:
-        x_nodes = np.asarray(spec.x_nodes, dtype=float)
-    elif spec is not None and spec.count is not None:
+    spec = cfg.band or BandSpec()
+    x_nodes = spec.x_nodes
+    if spec.count is not None:
         if params.omega > 0:
             lo, hi = default_x_domain(params)
         else:
@@ -64,6 +63,7 @@ def _band_inputs(cfg: RunConfig):
 
 
 def cmd_band(cfg: RunConfig, out: str, quiet: bool) -> int:
+    """Linear-cost no-trade boundaries."""
     params, costs, x_nodes = _band_inputs(cfg)
     band = band_zero.find_band_zero(params, costs.gamma_lin, x_nodes=x_nodes)
     path = os.path.join(out, cfg.output_prefix + "band.csv")
@@ -79,25 +79,24 @@ def cmd_band(cfg: RunConfig, out: str, quiet: bool) -> int:
 
 
 def cmd_layer(cfg: RunConfig, out: str, quiet: bool) -> int:
+    """Universal boundary-layer profile."""
     params = cfg.need("model")
     costs = cfg.need("costs")
-    spec = cfg.layer
-    x = spec.x if spec is not None else 0.0
-    samples = spec.samples if spec is not None else 2001
-    y_max = spec.y_max if spec is not None else None
+    spec = cfg.layer or LayerSpec()
+    y_max = spec.y_max
     band = band_zero.find_band_zero(params, costs.gamma_lin)
-    c = asymptotics.layer_constants(band, x)
+    c = asymptotics.layer_constants(band, spec.x)
 
     if costs.kind is CostKind.THREE_HALVES:
         if y_max is None:
             y_max = 150.0 * (c.diffusivity / c.amp ** (4.0 / 3.0)) ** 0.6
         prof = asymptotics.abel_layer_solve(c.amp, c.diffusivity, y_max,
-                                            n=samples)
+                                            n=spec.samples)
         stem = "layer_abel"
     else:
         if y_max is None:
             y_max = 50.0 * c.wall_offset
-        prof = asymptotics.layer_profile_airy(c, y_max, n=samples)
+        prof = asymptotics.layer_profile_airy(c, y_max, n=spec.samples)
         stem = "layer_airy"
 
     path = os.path.join(out, cfg.output_prefix + stem + ".csv")
@@ -107,7 +106,7 @@ def cmd_layer(cfg: RunConfig, out: str, quiet: bool) -> int:
     summary = os.path.join(out, cfg.output_prefix + stem + "_summary.txt")
     write_text_report(summary, [
         f"kind            {prof.kind.name}",
-        f"x               {x:.17g}",
+        f"x               {spec.x:.17g}",
         f"amp             {prof.amp:.17g}",
         f"diffusivity     {prof.diffusivity:.17g}",
         f"wall_offset     {prof.wall_offset:.17g}",
@@ -120,11 +119,11 @@ def cmd_layer(cfg: RunConfig, out: str, quiet: bool) -> int:
 
 
 def cmd_hjb(cfg: RunConfig, out: str, quiet: bool) -> int:
+    """Full grid solve."""
     params = cfg.need("model")
     costs = cfg.need("costs")
-    grid = cfg.need("grid").to_grid()
-    solver = cfg.solver or hjb.SolverConfig()
-    vg = hjb.solve_hjb(params, costs, grid, solver)
+    grid = cfg.need("grid")
+    vg = hjb.solve_hjb(params, costs, grid, cfg.solver)
 
     xx = np.repeat(grid.x_nodes, grid.theta_nodes.size)
     tt = np.tile(grid.theta_nodes, grid.x_nodes.size)
@@ -152,9 +151,8 @@ def cmd_hjb(cfg: RunConfig, out: str, quiet: bool) -> int:
 def _sweep_eta_shift(cfg, spec, out, quiet):
     params = cfg.need("model")
     costs = cfg.need("costs")
-    grid = cfg.grid.to_grid() if cfg.grid is not None else None
     result = experiments.eta_shift_sweep(
-        params, costs.gamma_lin, spec.values, x=spec.x, grid=grid,
+        params, costs.gamma_lin, spec.values, x=spec.x, grid=cfg.grid,
         cfg=cfg.solver)
     stem = cfg.output_prefix + "eta_shift"
     csv_path = os.path.join(out, stem + ".csv")
@@ -203,8 +201,7 @@ def _sweep_summary(result, stem, out):
 def _sweep_regime(cfg, spec, out, quiet):
     params = cfg.need("model")
     costs = cfg.need("costs")
-    grid = cfg.grid.to_grid() if cfg.grid is not None else None
-    report = experiments.regime_map(params, costs, spec.x, grid=grid,
+    report = experiments.regime_map(params, costs, spec.x, grid=cfg.grid,
                                     cfg=cfg.solver)
     stem = cfg.output_prefix + "regime"
     csv_path = os.path.join(out, stem + ".csv")
@@ -233,6 +230,7 @@ def _sweep_regime(cfg, spec, out, quiet):
 
 
 def cmd_sweep(cfg: RunConfig, out: str, quiet: bool) -> int:
+    """Scaling studies."""
     spec = cfg.need("sweep")
     if spec.kind == "regime":
         return _sweep_regime(cfg, spec, out, quiet)
@@ -319,6 +317,7 @@ def _read_layer_table(path):
 
 
 def cmd_check(cfg: RunConfig, out: str, quiet: bool) -> int:
+    """Consistency-property table."""
     rows, all_ok = _check_rows(cfg)
     width = max(len(name) for name, _, _ in rows)
     lines = []
@@ -333,6 +332,7 @@ def cmd_check(cfg: RunConfig, out: str, quiet: bool) -> int:
 
 
 def cmd_validate(cfg: RunConfig, out: str, quiet: bool) -> int:
+    """Expansion-domain report."""
     params = cfg.need("model")
     costs = cfg.need("costs")
     vp = cfg.need("validity")
@@ -388,7 +388,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
-        os.makedirs(args.out, exist_ok=True)
+        try:
+            os.makedirs(args.out, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"--out: {exc}") from None
         return _COMMANDS[args.command](cfg, args.out, args.quiet)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -198,7 +198,6 @@ def eta_shift_sweep(params: ModelParams, gamma_lin: float, eta_list,
     """
     etas = _as_positive_array(eta_list, "eta_list")
     _require_span(etas, 2.0, "eta_list")
-    cfg = cfg or hjb.SolverConfig(max_iters=200, convergence_tol=1e-9)
     if etas[0] <= hjb.ETA_FLOOR:
         raise ConfigError(
             f"smallest eta {etas[0]:g} must exceed the baseline ETA_FLOOR "
@@ -464,7 +463,6 @@ def regime_map(params: ModelParams, costs: CostParams, x: float,
     if vg is None:
         if grid is None:
             grid = _regime_grid(band, x, layer_pred, cross_pred)
-        cfg = cfg or hjb.SolverConfig(max_iters=200, convergence_tol=1e-9)
         vg = hjb.solve_hjb(params, costs, grid, cfg)
 
     sl = hjb.velocity_slice(vg, x)

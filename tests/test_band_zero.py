@@ -311,15 +311,16 @@ class TestBandGeometry:
         np.testing.assert_allclose(b.theta_minus, want, rtol=1e-12)
         assert b.flat
         assert float(b.theta_plus_deriv_at(0.3)) == 0.0
-        # the four interpolants and the width on an array reaching past
+        # the three interpolants and the width on an array reaching past
         # the nodes on both sides: exactly constant, exactly flat
         xs = np.array([-1.7, 0.0, 0.3, 2.5])
         for got in (b.theta_plus_at(xs), b.theta_minus_at(xs)):
             assert got.shape == xs.shape
             assert np.all(got == want)
-        for got in (b.theta_plus_deriv_at(xs), b.spline(xs)[..., 3]):
-            assert got.shape == xs.shape
-            assert np.all(got == 0.0)
+        got = b.theta_plus_deriv_at(xs)
+        assert got.shape == xs.shape
+        assert np.all(got == 0.0)
+        assert np.all(b.theta_minus_deriv == 0.0)
         assert np.all(b.width(xs) == 2 * want)
 
 

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from bandlayer import band_zero
-from bandlayer.cli import EXIT_CONFIG, main
+from bandlayer.cli import _COMMANDS, EXIT_CONFIG, build_parser, main
 
 DESK = {"sigma": 0.02, "omega": 0.1, "lam": 1.0, "rho": 1e-3}
 COARSE = {"sigma": 0.5, "omega": 0.3, "lam": 1.0, "rho": 1.0}
@@ -49,6 +49,21 @@ class TestParsing:
         p.write_text("{")
         assert main(["band", "--config", str(p)]) == 2
 
+    def test_every_subcommand_has_help_text(self):
+        lines = build_parser().format_help().splitlines()
+        for name in _COMMANDS:
+            line = next((ln.split() for ln in lines
+                         if ln.split()[:1] == [name]), [])
+            assert len(line) > 1, f"no help text for {name!r}"
+
+    def test_out_naming_a_file_is_config_error(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, {
+            "model": DESK, "costs": {"gamma_lin": 2e-4}})
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        assert main(["band", "--config", cfg, "--out", str(taken)]) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+
 
 class TestBand:
     def test_writes_csv_with_requested_rows(self, tmp_path):
@@ -71,6 +86,13 @@ class TestBand:
         cfg = write_cfg(tmp_path, {
             "model": DESK, "costs": {"gamma_lin": -1e-4}})
         assert main(["band", "--config", cfg, "--out", str(tmp_path)]) == 2
+
+    def test_infinite_gamma_is_config_error(self, tmp_path, capsys):
+        # json writes inf as the literal Infinity, which json.load accepts
+        cfg = write_cfg(tmp_path, {
+            "model": DESK, "costs": {"gamma_lin": float("inf")}})
+        assert main(["band", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "config error" in capsys.readouterr().err
 
     def test_missing_model_section(self, tmp_path):
         cfg = write_cfg(tmp_path, {"costs": {"gamma_lin": 2e-4}})

@@ -1,11 +1,13 @@
 """Config loading: strict keys, strict types, section plumbing."""
 
 import dataclasses
+import inspect
 import json
 
+import numpy as np
 import pytest
 
-from bandlayer.config import SweepSpec, load_config, parse_config
+from bandlayer.config import _SECTIONS, SweepSpec, load_config, parse_config
 from bandlayer.errors import ConfigError
 from bandlayer.hjb import SolverConfig
 from bandlayer.model import CostKind
@@ -78,6 +80,29 @@ class TestParse:
         raw["model"]["sigma"] = True
         with pytest.raises(ConfigError, match="sigma"):
             parse_config(raw)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                       float("-inf"),
+                                       pytest.param(10 ** 400, id="1e400")])
+    def test_non_finite_number_rejected(self, value):
+        raw = full_raw()
+        raw["costs"]["gamma_lin"] = value
+        with pytest.raises(ConfigError, match="costs.gamma_lin"):
+            parse_config(raw)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                       float("-inf")])
+    def test_non_finite_list_entry_rejected(self, value):
+        raw = full_raw()
+        raw["sweep"]["values"][2] = value
+        with pytest.raises(ConfigError, match=r"sweep\.values\[2\]"):
+            parse_config(raw)
+
+    def test_non_finite_literals_rejected_on_load(self, tmp_path):
+        p = tmp_path / "run.json"
+        p.write_text('{"solver": {"convergence_tol": Infinity}}')
+        with pytest.raises(ConfigError, match="convergence_tol"):
+            load_config(str(p))
 
     def test_float_where_int_expected(self):
         raw = full_raw()
@@ -173,6 +198,13 @@ class TestLoad:
         with pytest.raises(ConfigError):
             load_config(str(p))
 
+    def test_integer_past_the_digit_limit(self, tmp_path):
+        # python's json refuses integers over 4300 digits with ValueError
+        p = tmp_path / "long.json"
+        p.write_text('{"grid": {"nx": 1' + "0" * 5000 + "}}")
+        with pytest.raises(ConfigError, match="invalid JSON"):
+            load_config(str(p))
+
     def test_top_level_must_be_object(self, tmp_path):
         p = tmp_path / "arr.json"
         p.write_text("[1, 2]")
@@ -180,9 +212,53 @@ class TestLoad:
             load_config(str(p))
 
 
+# each section's required keys, with values its builder accepts
+REQUIRED_ONLY = {
+    "model": {"sigma": 0.02, "omega": 0.1, "lam": 1.0, "rho": 1e-3},
+    "costs": {"gamma_lin": 2e-4},
+    "grid": {"x_min": -0.1, "x_max": 0.1, "nx": 11,
+             "theta_min": -0.01, "theta_max": 0.01, "ntheta": 101},
+    "solver": {},
+    "band": {},
+    "layer": {},
+    "sweep": {"kind": "regime"},
+    "validity": {"gamma_coeff": 0.3, "phi": 0.01,
+                 "daily_volume": 1e6, "risk_target": 2e5},
+    "check": {},
+    "output": {},
+}
+
+
+def _comparable(obj):
+    """A built object's fields as plain lists, so array fields compare."""
+    if not dataclasses.is_dataclass(obj):
+        return obj
+    return {f.name: np.asarray(getattr(obj, f.name)).tolist()
+            for f in dataclasses.fields(obj)}
+
+
 class TestSchema:
-    """Each section's keys are exactly its dataclass's fields, so the two
-    cannot drift apart."""
+    """Each section's keys are exactly its builder's parameters, and a key
+    left out takes the builder's own default, so the two cannot drift
+    apart."""
+
+    @pytest.mark.parametrize("name", sorted(_SECTIONS))
+    def test_keys_are_the_builders_parameters(self, name):
+        build, types, _ = _SECTIONS[name]
+        assert set(types) == set(inspect.signature(build).parameters)
+
+    @pytest.mark.parametrize("name", sorted(_SECTIONS))
+    def test_absent_keys_take_the_builders_defaults(self, name):
+        build, _, required = _SECTIONS[name]
+        sec = REQUIRED_ONLY[name]
+        assert set(sec) == set(required)
+        cfg = parse_config({name: sec})
+        got = cfg.output_prefix if name == "output" else getattr(cfg, name)
+        assert _comparable(got) == _comparable(build(**sec))
+
+    def test_sweep_kind_required(self):
+        with pytest.raises(ConfigError, match="missing required key 'kind'"):
+            parse_config({"sweep": {"values": [1e-7, 1e-6]}})
 
     def test_solver_section_names_every_field(self):
         sec = {f.name: f.default for f in dataclasses.fields(SolverConfig)}

@@ -53,12 +53,7 @@ def _band_inputs(cfg: RunConfig):
     spec = cfg.band or BandSpec()
     x_nodes = spec.x_nodes
     if spec.count is not None:
-        if params.omega > 0:
-            lo, hi = default_x_domain(params)
-        else:
-            # no mean reversion: the band is x-independent, any range works
-            lo, hi = -1.0, 1.0
-        x_nodes = np.linspace(lo, hi, spec.count)
+        x_nodes = np.linspace(*default_x_domain(params), spec.count)
     return params, costs, x_nodes
 
 

@@ -16,7 +16,11 @@ theta-advection of each policy to it.
 
 A cold solve is seeded coarse to fine: the same problem on half the
 theta nodes, interpolated in theta, recursively down to the closed-form
-all-no-trade value, so the boundary travels mostly on cheap grids.
+all-no-trade value, so the boundary travels mostly on cheap grids.  A
+seeding level stops at its first settled policy: policy iteration
+converges from any seed (Bokanowski, Maroso & Zidani, SIAM J. Numer.
+Anal. 47, 2009), so the digits a tighter stop would add are re-done on
+the finer level anyway.
 
 Grid layout note: fields are (nx, ntheta) arrays; the sparse system is
 ordered x-fastest so the matrix bandwidth is nx, which keeps the LU
@@ -60,8 +64,9 @@ VELOCITY_CAP_FACTOR = 10.0
 # |v| level, relative to max|v|, at which the band boundaries are placed
 BAND_THRESHOLD = 1e-4
 # a cold solve on more theta nodes than this is seeded from the same
-# problem on (ntheta + 1) // 2 nodes
-_COARSEST_NTHETA = 101
+# problem on (ntheta + 1) // 2 nodes; on this many or fewer, where a
+# factor is cheapest, from the closed-form no-trade value
+_COARSEST_NTHETA = 13
 
 
 @dataclass(frozen=True)
@@ -76,7 +81,9 @@ class SolverConfig:
     differences and an update delta moves a slope by delta / htheta.
 
     A cold solve runs policy iteration on every coarse seeding level as
-    well; ``max_iters`` and ``convergence_tol`` apply at each level, while
+    well.  ``convergence_tol`` applies on the target grid only: a seeding
+    level stops at the first iteration whose sign pattern repeats the
+    previous one.  ``max_iters`` caps every level, while
     ``ValueGrid.iterations`` and ``history`` count the target grid only.
 
     The eta floor, the velocity cap and the band-extraction threshold are
@@ -354,9 +361,10 @@ def _reward(params: ModelParams, costs: CostParams, grid: Grid2D, v):
                                      + _nl_cost(costs, speed))
 
 
-def _solve_policy(params, costs, grid, cfg, V=None):
+def _solve_policy(params, costs, grid, cfg, V=None, seed=False):
     """Policy iteration from V, or from the coarse-to-fine seed without
-    it; returns (V, iterations, history)."""
+    it; returns (V, iterations, history).  A ``seed`` level only seeds a
+    finer one, which re-converges, so it stops once its policy settles."""
     if V is None and grid.ntheta <= _COARSEST_NTHETA:
         V = _nt_initial(params, grid)
     elif V is None:
@@ -364,7 +372,8 @@ def _solve_policy(params, costs, grid, cfg, V=None):
         coarse = Grid2D(grid.x_nodes,
                         np.linspace(th[0], th[-1], (grid.ntheta + 1) // 2))
         V = np.array([np.interp(th, coarse.theta_nodes, row) for row in
-                      _solve_policy(params, costs, coarse, cfg)[0]])
+                      _solve_policy(params, costs, coarse, cfg,
+                                    seed=True)[0]])
     cap = _velocity_cap(params, costs, grid)
     bc_bot, bc_top = _edge_slopes(params, costs, grid)
     xop = _x_stencil(params, grid)
@@ -388,7 +397,8 @@ def _solve_policy(params, costs, grid, cfg, V=None):
         history.append(float(np.max(np.abs(V - V_old))))
         # a small update alone can still flip isolated nodes between
         # trading and quiet (see SolverConfig), so the policy must settle
-        if settled and history[-1] <= cfg.convergence_tol * np.max(np.abs(V)):
+        if settled and (seed or history[-1]
+                        <= cfg.convergence_tol * np.max(np.abs(V))):
             return V, it, tuple(history)
     raise ConvergenceError(
         f"policy iteration on {grid.ntheta} theta nodes did not converge "

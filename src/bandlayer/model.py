@@ -201,7 +201,10 @@ _DOMAIN_STDS = 6.0
 
 
 def default_x_domain(params: ModelParams):
-    """Default signal domain: +-6 stationary standard deviations."""
+    """Default signal domain: +-6 stationary standard deviations, or
+    [-1, 1] without mean reversion, where the band does not depend on x."""
+    if params.omega == 0:
+        return (-1.0, 1.0)
     s = stationary_std(params)
     return (-_DOMAIN_STDS * s, _DOMAIN_STDS * s)
 

@@ -118,6 +118,18 @@ class TestBand:
         t = read_csv(os.path.join(out, "band.csv"))
         assert np.ptp(t["theta_plus"]) == 0.0
 
+    def test_flat_band_on_default_nodes(self, tmp_path):
+        # no band section: the default x range must not need a
+        # stationary distribution, which omega = 0 does not have
+        cfg = write_cfg(tmp_path, {
+            "model": dict(DESK, omega=0.0), "costs": {"gamma_lin": 2e-4}})
+        out = str(tmp_path / "o")
+        assert main(["band", "--config", cfg, "--out", out, "--quiet"]) == 0
+        t = read_csv(os.path.join(out, "band.csv"))
+        assert t["x"][0] == -1.0 and t["x"][-1] == 1.0
+        assert np.ptp(t["theta_plus"]) == 0.0
+        np.testing.assert_array_equal(t["theta_minus"], t["theta_plus"])
+
 
 class TestLayer:
     def test_quadratic_profile_starts_at_zero(self, tmp_path):

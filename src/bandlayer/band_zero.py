@@ -28,11 +28,13 @@ value continues with slope -+gamma_lin in theta.  The construction:
    coefficients at h+ and h- and returns the coefficients, the optimality
    residuals R+- and their exact 2x3 Jacobian in z.
 4. A damped Newton solves R+- = 0 in two of the three coordinates of z
-   with the third pinned.  With theta pinned, a scalar Newton sweeps over
-   levels to map out the band, each level seeding the next.  With a grid
-   node pinned as h+ or h-, one batched Newton per side polishes the
-   boundary exactly onto every requested x node at once; each node's
-   exact slope then follows from implicit differentiation.
+   with the third pinned, at every point of a batch at once.  With theta
+   pinned, one batch maps out the band: the levels k*dtheta of both
+   directions, each seeded from the small-cost band, out to the first
+   level past the grid (or the domain) each way.  With a grid node pinned
+   as h+ or h-, one batch per side polishes the boundary exactly onto
+   every requested x node; each node's exact slope then follows from
+   implicit differentiation.
 
 All evaluation points, including the level endpoints that step slightly
 past the nominal x range near the domain ends, stay inside the padded
@@ -60,6 +62,7 @@ __all__ = [
     "HomogeneousPair",
     "GreensDecomposition",
     "Band",
+    "SweepEnd",
     "solve_homogeneous",
     "greens_particular",
     "find_band_zero",
@@ -323,7 +326,10 @@ def _level_state(comp: GreensDecomposition, gamma_lin, theta, hp, hm):
     optimality residuals R+-, ``scale`` the size of their cancelling
     pieces, ``sp``/``sm`` the x-curvatures S+- = I_xx + a . psi'' of
     dV/dtheta at the endpoints and ``jac`` the exact Jacobian
-    [dR/dtheta, dR/dh+, dR/dh-] of (R+, R-), as two row tuples.
+    [dR/dtheta, dR/dh+, dR/dh-] of (R+, R-), as two row tuples.  A
+    degenerate endpoint pair (the slope conditions' determinant at the
+    cancellation floor) raises RegimeError for a float point; in a batch
+    it is flagged in ``degenerate`` and its other values are meaningless.
     """
     p = comp.params
     xq, inv_step, c_psi, c_grn = comp._tables
@@ -337,11 +343,11 @@ def _level_state(comp: GreensDecomposition, gamma_lin, theta, hp, hm):
     det = p1p * p2m - p1m * p2p
     scale = _peak(abs(p1p * p2m), abs(p1m * p2p), 1e-300)
     bad = abs(det) < _DET_FLOOR * scale
-    if bad.any() if isinstance(bad, np.ndarray) else bad:
-        k = int(np.argmax(bad))
-        raise RegimeError(
-            f"degenerate boundary pair: determinant {np.ravel(det)[k]:.3e} "
-            f"at (h+={np.ravel(hp)[k]:.6g}, h-={np.ravel(hm)[k]:.6g})")
+    if not isinstance(bad, np.ndarray):
+        if bad:
+            raise _degenerate(hp, hm)
+    elif bad.any():
+        det = np.where(bad, 1.0, det)       # flagged, not divided by
     b1 = -gamma_lin - (fp + theta * qp)
     b2 = gamma_lin - (fm + theta * qm)
     a1 = (b1 * p2m - b2 * p2p) / det
@@ -375,10 +381,17 @@ def _level_state(comp: GreensDecomposition, gamma_lin, theta, hp, hm):
     return {
         "theta": theta, "hp": hp, "hm": hm,
         "a1": a1, "a2": a2, "rp": rp, "rm": rm, "sp": sp, "sm": sm,
-        "jac": jac,
+        "jac": jac, "degenerate": bad,
         "scale": _peak(abs(ixp), abs(a1 * d1p), abs(a2 * d2p),
                        abs(ixm), abs(a1 * d1m), abs(a2 * d2m), 1e-300),
     }
+
+
+def _degenerate(hp, hm):
+    """The RegimeError of an endpoint pair whose slope conditions are
+    singular (determinant at the cancellation floor)."""
+    return RegimeError(f"degenerate boundary pair at (h+={hp:.6g}, "
+                       f"h-={hm:.6g})")
 
 
 def _at(theta, hp, hm):
@@ -437,10 +450,11 @@ def _newton(comp, gamma_lin, z, free, what):
     raise ConvergenceError(f"{what} did not converge at {_at(*z)}")
 
 
-def _newton_level(comp, gamma_lin, theta, hp0, hm0):
-    """Solve R+(h)=R-(h)=0 for (h+, h-) at a fixed level theta."""
-    return _newton(comp, gamma_lin, (theta, float(hp0), float(hm0)), (1, 2),
-                   "level Newton")
+def _newton_level(comp, gamma_lin, theta, hp0, hm0, drop=None):
+    """Solve R+(h) = R-(h) = 0 for (h+, h-) at every pinned level of a
+    batch; returns what :func:`_newton_batch` returns."""
+    return _newton_batch(comp, gamma_lin, (theta, hp0, hm0), (1, 2),
+                         "level Newton", drop)
 
 
 def _leaves(st):
@@ -449,77 +463,123 @@ def _leaves(st):
             + [entry for row in st["jac"] for entry in row])
 
 
+def _newton_batch(comp, gamma_lin, z, free, what, drop=None):
+    """:func:`_newton` at every point of a batch at once.
+
+    ``z`` holds the coordinates (theta, h+, h-) as equal-length arrays and
+    ``free`` the indices of the two unknowns.  One damped Newton over
+    arrays moves every point, and each point keeps the rules of
+    :func:`_newton`: its own residual and step floors, at most 12
+    halvings per step, the h+ > h- and domain tests, and acceptance at
+    the cancellation floor.  A point that fails stops alone, holding the
+    error the scalar Newton would raise for it.  ``drop(st, done,
+    failed)``, when given, is asked once per step for the points whose
+    answer is no longer needed; they stop where they are.
+
+    Returns ``(st, done, errors)``: the batched state at each point's last
+    accepted iterate, the mask of converged points, and per point None or
+    the exception that stopped it.
+    """
+    pr = comp.pair
+    span = pr.x_hi - pr.x_lo
+    names = ("theta", "hp", "hm")
+    z = [np.array(v, dtype=float) for v in z]
+    n = z[0].size
+    floor = [_NEWTON_TOL * (np.abs(z[0]) + 1e-3 * span) if k == 0
+             else np.full(n, _NEWTON_TOL * span) for k in free]
+    ends = [k for k in free if k]           # free endpoints: domain test
+    st = _level_state(comp, gamma_lin, *z)
+    done = np.zeros(n, dtype=bool)
+    errors = [None] * n
+    for k in np.flatnonzero(st["degenerate"]).tolist():
+        errors[k] = _degenerate(z[1][k], z[2][k])
+
+    def fail(idx, message):
+        for k in idx.tolist():
+            errors[k] = ConvergenceError(message(k))
+
+    def at(k):
+        return _at(*(st[nm][k] for nm in names))
+
+    live = np.flatnonzero(~st["degenerate"])    # points still iterating
+    for _ in range(_NEWTON_ITERS):
+        rn = np.hypot(st["rp"][live], st["rm"][live])
+        ok = rn <= _NEWTON_TOL * st["scale"][live]
+        done[live[ok]] = True
+        live, rn = live[~ok], rn[~ok]
+        rp, rm = st["rp"][live], st["rm"][live]
+        (j11, j12), (j21, j22) = ((row[free[0]][live], row[free[1]][live])
+                                  for row in st["jac"])
+        det = j11 * j22 - j12 * j21
+        sing = (det == 0.0) | ~np.isfinite(det)
+        fail(live[sing], lambda k: f"singular {what} Jacobian at {at(k)}")
+        det[sing] = 1.0                     # failed, not divided by
+        step = ((j12 * rm - j22 * rp) / det, (j21 * rp - j11 * rm) / det)
+        small = ((np.abs(step[0]) <= floor[0][live])
+                 & (np.abs(step[1]) <= floor[1][live]))
+        done[live[small]] = True
+        keep = ~sing & ~small
+        if drop is not None:
+            failed = np.array([e is not None for e in errors])
+            keep &= ~drop(st, done, failed)[live]
+        live, rn, step = live[keep], rn[keep], (step[0][keep], step[1][keep])
+        if not live.size:
+            break
+        z = [st[nm][live] for nm in names]
+        moved = np.zeros(live.size, dtype=bool)
+        dead = np.zeros(live.size, dtype=bool)  # hit a degenerate trial
+        lam_step = 1.0
+        for _ in range(_HALVINGS):
+            zn = list(z)
+            for k, s in zip(free, step):
+                zn[k] = z[k] + lam_step * s
+            trial = ~moved & ~dead & (zn[1] > zn[2])
+            for k in ends:
+                trial &= (pr.x_lo <= zn[k]) & (zn[k] <= pr.x_hi)
+            if trial.any():
+                st_n = _level_state(comp, gamma_lin, *(v[trial] for v in zn))
+                idx = np.flatnonzero(trial)
+                degen = st_n["degenerate"]
+                for j in idx[degen].tolist():
+                    errors[live[j]] = _degenerate(zn[1][j], zn[2][j])
+                dead[idx[degen]] = True
+                better = ~degen & (np.hypot(st_n["rp"], st_n["rm"])
+                                   < rn[trial])
+                k = idx[better]
+                for dst, src in zip(_leaves(st), _leaves(st_n)):
+                    dst[live[k]] = src[better]
+                moved[k] = True
+                if (moved | dead).all():
+                    break
+            lam_step *= 0.5
+        # line search cannot reduce a residual already at the cancellation
+        # floor; such a point is converged
+        floor_ok = ~moved & ~dead & (rn <= _STALL_TOL * st["scale"][live])
+        done[live[floor_ok]] = True
+        stuck = ~moved & ~dead & ~floor_ok
+        fail(live[stuck], lambda k: f"{what} stalled at {at(k)} (|R|="
+             f"{math.hypot(st['rp'][k], st['rm'][k]):.3e})")
+        live = live[moved]
+    fail(live, lambda k: f"{what} did not converge at {at(k)}")
+    return st, done, errors
+
+
 def _polish_node(comp, gamma_lin, x, theta, other, fixed="plus"):
     """Pin h+ (or h- when ``fixed="minus"``) at each node x and solve for
     (theta, the other endpoint) from the seeds (theta, other).
 
-    One damped Newton over arrays polishes every node at once and returns
-    the batched level state.  Each node keeps the rules of
-    :func:`_newton`: its own residual and step floors, at most 12 halvings
-    per step, the h+ > h- and domain tests, and acceptance at the
-    cancellation floor.  A node that fails raises with its point, the
-    pinned x included, in the message.
+    One batched Newton (:func:`_newton_batch`) polishes every node at
+    once and returns the batched level state.  A node that fails raises
+    with its point, the pinned x included, in the message.
     """
-    what = f"node polish ({fixed} pinned)"
-    pr = comp.pair
-    span = pr.x_hi - pr.x_lo
     e = 2 if fixed == "plus" else 1         # z index of the free endpoint
-    names = ("theta", "hp", "hm")
-    x = np.array(x, dtype=float)
-    z = [np.array(theta, dtype=float), x, x]
-    z[e] = np.array(other, dtype=float)
-    floor = (_NEWTON_TOL * (np.abs(z[0]) + 1e-3 * span), _NEWTON_TOL * span)
-    st = _level_state(comp, gamma_lin, *z)
-
-    def at(k):
-        return _at(*(st[n][k] for n in names))
-
-    live = np.arange(x.size)                # nodes still iterating
-    for _ in range(_NEWTON_ITERS):
-        rn = np.hypot(st["rp"][live], st["rm"][live])
-        keep = ~(rn <= _NEWTON_TOL * st["scale"][live])
-        live, rn = live[keep], rn[keep]
-        rp, rm = st["rp"][live], st["rm"][live]
-        (j11, j12), (j21, j22) = ((row[0][live], row[e][live])
-                                  for row in st["jac"])
-        det = j11 * j22 - j12 * j21
-        bad = (det == 0.0) | ~np.isfinite(det)
-        if bad.any():
-            raise ConvergenceError(
-                f"singular {what} Jacobian at {at(live[bad.argmax()])}")
-        step = ((j12 * rm - j22 * rp) / det, (j21 * rp - j11 * rm) / det)
-        keep = ~((np.abs(step[0]) <= floor[0][live])
-                 & (np.abs(step[1]) <= floor[1]))
-        live, rn, step = live[keep], rn[keep], (step[0][keep], step[1][keep])
-        if not live.size:
-            break
-        z = [st[n][live] for n in names]
-        moved = np.zeros(live.size, dtype=bool)
-        lam_step = 1.0
-        for _ in range(_HALVINGS):
-            zn = list(z)
-            zn[0] = z[0] + lam_step * step[0]
-            zn[e] = z[e] + lam_step * step[1]
-            trial = (~moved & (zn[1] > zn[2])
-                     & (pr.x_lo <= zn[e]) & (zn[e] <= pr.x_hi))
-            if trial.any():
-                st_n = _level_state(comp, gamma_lin, *(v[trial] for v in zn))
-                better = np.hypot(st_n["rp"], st_n["rm"]) < rn[trial]
-                k = np.flatnonzero(trial)[better]
-                for dst, src in zip(_leaves(st), _leaves(st_n)):
-                    dst[live[k]] = src[better]
-                moved[k] = True
-                if moved.all():
-                    break
-            lam_step *= 0.5
-        stuck = ~moved & ~(rn <= _STALL_TOL * st["scale"][live])
-        if stuck.any():
-            k = stuck.argmax()
-            raise ConvergenceError(
-                f"{what} stalled at {at(live[k])} (|R|={rn[k]:.3e})")
-        live = live[moved]
-    if live.size:
-        raise ConvergenceError(f"{what} did not converge at {at(live[0])}")
+    z = [theta, x, x]
+    z[e] = other
+    st, _, errors = _newton_batch(comp, gamma_lin, z, (0, e),
+                                  f"node polish ({fixed} pinned)")
+    for exc in errors:
+        if exc is not None:
+            raise exc
     return st
 
 
@@ -546,7 +606,9 @@ class Band:
     included.  Level tables from the sweep are retained for derivative
     diagnostics, with ``alpha_integrals``, the cumulative integrals of
     (alpha1_prime, alpha2_prime) over the levels anchored at level 0, as
-    one 2-column spline (None on the flat band).
+    one 2-column spline (None on the flat band), and ``sweep_ends``, the
+    (up, down) :class:`SweepEnd` saying why each direction of the sweep
+    ended (empty on the flat band).
     ``params`` is the model solved for and ``comp`` the Green's
     decomposition it was solved from, None exactly when ``flat``.
     """
@@ -571,6 +633,7 @@ class Band:
                                                 compare=False)
     comp: GreensDecomposition | None = field(default=None, repr=False,
                                              compare=False)
+    sweep_ends: tuple = ()
 
     @property
     def flat(self) -> bool:
@@ -610,42 +673,120 @@ def flat_band_level(params: ModelParams, gamma_lin: float) -> float:
     return params.rho * gamma_lin / (2.0 * params.lam)
 
 
-def _seed_level_zero(comp, gamma_lin):
-    """Solve the theta=0 level by one Newton from the small-cost symmetric
-    seed (+-x0, where the small-cost band edge crosses theta = 0).
+@dataclass(frozen=True)
+class SweepEnd:
+    """Why one direction of the level sweep ended.
 
-    A Newton that does not converge from there raises RegimeError,
-    chained to its ConvergenceError: the band's zero level is not on this
-    domain.  (Restarting from 0.3 to 3 times x0 rescued none of 270 band
-    solves over sigma, omega, gamma and pad whose first Newton failed.)
+    Either its last level ``theta`` met the end rule (``error`` is None),
+    or the Newton of level ``theta`` failed with ``error`` and the
+    direction ends on the level before it.
     """
-    p = comp.params
-    x0 = 2.0 * p.lam * small_cost_half_width(p, gamma_lin) / p.omega
-    try:
-        return _newton_level(comp, gamma_lin, 0.0, x0, -x0)
-    except ConvergenceError as exc:
+
+    theta: float
+    error: str | None = None
+
+
+# level spacing of the sweep, as a fraction of the small-cost half-width,
+# and how far past the small-cost estimate of each end its first batch
+# of candidate levels reaches, as a fraction of that estimate
+_LEVEL_STEP_FRAC = 0.1
+_END_MARGIN = 0.1
+
+
+def _sweep_levels(comp, gamma_lin, x_min, x_max):
+    """The level sweep of :func:`find_band_zero`, as one batched Newton.
+
+    Each level's seed h+- = (theta -+ w)/m is clamped into the guarded
+    domain.  Candidates past a known end stop iterating.  The batch holds
+    both directions and reaches 10% past the seeds' own estimate of each
+    end; if a direction has not ended there, the batch is solved again
+    with that direction's reach doubled.
+
+    Returns the swept levels' (theta, hp, hm, a1, a2) arrays, sorted by
+    theta, and the (up, down) :class:`SweepEnd`.  Raises RegimeError,
+    chained to the Newton's error, when the zero level fails: the band's
+    zero level is not on this domain.  (Restarting it from 0.3 to 3 times
+    its seed rescued none of 270 band solves over sigma, omega, gamma and
+    pad whose first Newton failed.)
+    """
+    p, pr = comp.params, comp.pair
+    guard = 0.02 * (pr.x_hi - pr.x_lo)
+    lo_lim, hi_lim = pr.x_lo + guard, pr.x_hi - guard
+    w = small_cost_half_width(p, gamma_lin)
+    dtheta = _LEVEL_STEP_FRAC * w
+    m = -p.omega / (2.0 * p.lam)
+
+    def first_stops(k, hp, hm, done, failed):
+        """Each direction's first known end, as (k up, k down); +-inf
+        where none is known yet."""
+        end_up = (hp <= x_min) | (hm <= lo_lim + guard)
+        end_dn = (hm >= x_max) | (hp >= hi_lim - guard)
+        up = k[((k >= 0) & failed) | ((k > 0) & done & end_up)]
+        dn = k[((k <= 0) & failed) | ((k < 0) & done & end_dn)]
+        return (up.min() if up.size else math.inf,
+                dn.max() if dn.size else -math.inf)
+
+    def drop(st, done, failed):
+        hi, lo = first_stops(k, st["hp"], st["hm"], done, failed)
+        return (k > hi) | (k < lo)
+
+    reach = (1.0 + _END_MARGIN) / dtheta
+    k_up = max(1, math.ceil(reach * min(w + m * x_min,
+                                        m * (lo_lim + guard) - w)))
+    k_dn = max(1, math.ceil(reach * min(w - m * x_max,
+                                        -m * (hi_lim - guard) - w)))
+    while True:
+        k = np.arange(-k_dn, k_up + 1)
+        theta = k * dtheta
+        st, done, errors = _newton_level(
+            comp, gamma_lin, theta,
+            np.clip((theta - w) / m, lo_lim, hi_lim),
+            np.clip((theta + w) / m, lo_lim, hi_lim), drop)
+        failed = np.array([e is not None for e in errors])
+        hi, lo = first_stops(k, st["hp"], st["hm"], done, failed)
+        if hi < math.inf and lo > -math.inf:
+            break
+        # a direction whose candidates all converged short of the end rule
+        # is solved again out to twice as far
+        k_up *= 2 if hi == math.inf else 1
+        k_dn *= 2 if lo == -math.inf else 1
+
+    if failed[k_dn]:                        # k = 0: the zero level
         raise RegimeError(
             "could not locate the zero level of the band; the band may not "
-            "exist on this domain for these parameters") from exc
-
-
-# level spacing of the sweep, as a fraction of the small-cost half-width
-_LEVEL_STEP_FRAC = 0.1
+            "exist on this domain for these parameters") from errors[k_dn]
+    ends = tuple(SweepEnd(float(theta[j]),
+                          None if errors[j] is None else str(errors[j]))
+                 for j in (int(hi) + k_dn, int(lo) + k_dn))
+    keep = (k >= lo) & (k <= hi) & ~failed
+    return tuple(st[key][keep] for key in ("theta", "hp", "hm", "a1",
+                                            "a2")), ends
 
 
 def find_band_zero(params: ModelParams, gamma_lin: float, x_nodes=None,
                    pad_frac: float = 0.15) -> Band:
     """Construct the linear-cost no-trade band on an x grid.
 
-    Returns a :class:`Band` holding ``params`` and the Green's data
-    solved on the grid's span padded by ``pad_frac``; raises
-    :class:`RegimeError` when no band exists on the domain (the level
-    theta = 0 is not found from its small-cost seed, the sweep finds too
-    few levels, or the boundaries do not cover the grid) and
+    The levels theta = k*dtheta, k = 0, +-1, ..., dtheta a tenth of the
+    small-cost half-width w, are solved in one batched Newton for their
+    endpoints h+-, each seeded from the small-cost band: h+- = (theta -+
+    w)/m, m the Markowitz slope.  Sweeping up, the level interval slides
+    left, and the direction ends at its first converged level whose upper
+    endpoint clears the grid's left edge or whose lower endpoint nears
+    the domain's edge; sweeping down, the mirror rule applies.  A level
+    whose Newton fails ends its direction on the level before it.  Each
+    node is then polished onto its boundaries from the nearest level.
+
+    Returns a :class:`Band` holding ``params``, the Green's data solved
+    on the grid's span padded by ``pad_frac`` and why each sweep direction
+    ended; raises :class:`RegimeError` when no band exists on the domain
+    (the level theta = 0 is not found from its small-cost seed, the sweep
+    finds too few levels, or the boundaries do not cover the grid; the
+    last two name any level whose Newton failed) and
     :class:`ConvergenceError` when the homogeneous pair cannot be
-    integrated across the padded domain.  For
-    ``omega == 0`` the flat closed form is returned directly (the level
-    construction needs a sloped boundary).
+    integrated across the padded domain.  For ``omega == 0`` the flat
+    closed form is returned directly (the level construction needs a
+    sloped boundary).
     """
     if not (gamma_lin > 0):
         raise ConfigError(f"gamma_lin must be > 0, got {gamma_lin}")
@@ -674,60 +815,27 @@ def find_band_zero(params: ModelParams, gamma_lin: float, x_nodes=None,
     x_min, x_max = float(x_nodes[0]), float(x_nodes[-1])
     pair = solve_homogeneous(params, (x_min, x_max), pad_frac=pad_frac)
     comp = greens_particular(params, pair)
-    guard = 0.02 * (pair.x_hi - pair.x_lo)
-    lo_lim, hi_lim = pair.x_lo + guard, pair.x_hi - guard
+    (levels, hps, hms, a1s, a2s), sweep_ends = _sweep_levels(
+        comp, gamma_lin, x_min, x_max)
 
-    w = small_cost_half_width(params, gamma_lin)
-    dtheta = _LEVEL_STEP_FRAC * w
-    st0 = _seed_level_zero(comp, gamma_lin)
-
-    def sweep(direction):
-        prev2, prev, out = None, st0, []
-        for k in range(1, 40001):
-            theta = direction * k * dtheta
-            if prev2 is not None:
-                hp_seed = 2 * prev["hp"] - prev2["hp"]
-                hm_seed = 2 * prev["hm"] - prev2["hm"]
-            else:
-                hp_seed, hm_seed = prev["hp"], prev["hm"]
-            hp_seed = min(max(hp_seed, lo_lim), hi_lim)
-            hm_seed = min(max(hm_seed, lo_lim), hi_lim)
-            if hp_seed <= hm_seed:
-                break
-            try:
-                st = _newton_level(comp, gamma_lin, theta, hp_seed, hm_seed)
-            except (ConvergenceError, RegimeError):
-                break
-            out.append(st)
-            prev2, prev = prev, st
-            # sweeping up, the interval slides left: done once the upper
-            # endpoint clears the left grid edge (or domain runs out)
-            if direction > 0 and (st["hp"] <= x_min or st["hm"] <= lo_lim + guard):
-                break
-            if direction < 0 and (st["hm"] >= x_max or st["hp"] >= hi_lim - guard):
-                break
-        else:
-            raise ConvergenceError("level sweep exceeded iteration budget")
-        return out
-
-    ups = sweep(+1.0)
-    records = sweep(-1.0)[::-1] + [st0] + ups
-    levels, hps, hms, a1s, a2s = (np.array([r[k] for r in records])
-                                  for k in ("theta", "hp", "hm", "a1", "a2"))
-
+    # a direction cut short by a failed Newton names it in these errors
+    failures = "".join(
+        f"; sweeping {way} stopped before theta={end.theta:.6g}: {end.error}"
+        for way, end in zip(("up", "down"), sweep_ends) if end.error)
     if levels.size < 7:
         raise RegimeError(
             "level sweep found too few band levels; domain too small or "
-            "band does not exist for these parameters")
+            "band does not exist for these parameters" + failures)
 
     # coverage check before per-node polishing
     if hps.max() < x_max or hps.min() > x_min:
         raise RegimeError(
             f"upper boundary only covers x in [{hps.min():.4g}, {hps.max():.4g}] "
             f"but the grid requests [{x_min:.4g}, {x_max:.4g}]; enlarge the pad "
-            f"or shrink the grid")
+            f"or shrink the grid" + failures)
     if hms.max() < x_max or hms.min() > x_min:
-        raise RegimeError("lower boundary does not cover the requested grid")
+        raise RegimeError("lower boundary does not cover the requested grid"
+                          + failures)
 
     # seed each node from the swept level nearest it (h+ and h- are
     # monotone in theta), then polish each side in one batch
@@ -744,7 +852,7 @@ def find_band_zero(params: ModelParams, gamma_lin: float, x_nodes=None,
     tm = -stm["theta"]
     tmd = -1.0 / _boundary_slopes(stm)[1]
 
-    # the sweep always contains the exact level theta = 0 (its seed), so
+    # the sweep always contains the exact level theta = 0 (k = 0), so
     # anchoring the coefficient integrals there is a plain subtraction
     a_int = cumulative_trapezoid(np.column_stack([a1s, a2s]), levels,
                                  axis=0, initial=0.0)
@@ -757,7 +865,7 @@ def find_band_zero(params: ModelParams, gamma_lin: float, x_nodes=None,
                 alpha1_prime=a1s, alpha2_prime=a2s,
                 spline=CubicSpline(x_nodes, np.column_stack([tp, tm, tpd])),
                 params=params, alpha_integrals=CubicSpline(levels, a_int),
-                comp=comp)
+                comp=comp, sweep_ends=sweep_ends)
     if np.any(band.theta_plus + band.theta_minus <= 0):
         raise RegimeError("band has nonpositive width somewhere on the grid")
     return band
@@ -880,8 +988,9 @@ def _displaced_alpha(band, theta, delta):
 def _level_at(band, theta):
     """Solve the unperturbed level problem at an arbitrary theta."""
     j = int(np.clip(np.searchsorted(band.levels, theta), 1, band.levels.size - 1))
-    return _newton_level(band.comp, band.gamma_lin, theta,
-                         band.h_plus[j], band.h_minus[j])
+    return _newton(band.comp, band.gamma_lin,
+                   (theta, float(band.h_plus[j]), float(band.h_minus[j])),
+                   (1, 2), "level Newton")
 
 
 def check_displacement_identity(band: Band, x):

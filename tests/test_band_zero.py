@@ -25,7 +25,7 @@ from scipy.interpolate import CubicSpline
 from bandlayer import band_zero, experiments
 from bandlayer.errors import (ConfigError, ConvergenceError, DomainError,
                               RegimeError)
-from bandlayer.model import ModelParams
+from bandlayer.model import ModelParams, small_cost_half_width
 from bandlayer.band_zero import (check_displacement_identity, find_band_zero,
                                  flat_band_level, second_derivative_at_band,
                                  solve_homogeneous, third_derivative_at_band,
@@ -390,7 +390,172 @@ class TestBandDerivatives:
             third_derivative_at_band(b, 0.0)
 
 
+def _continuation_levels(band):
+    """The level sweep as a scalar continuation, one Newton per level.
+
+    Level 0 is solved from the small-cost seed (+-x0); every other level
+    k*dtheta from the two levels before it by linear extrapolation,
+    clamped into the guarded domain, until a converged level meets the
+    end rule, a seed pair crosses, or a Newton fails.  Returns the
+    levels' (theta, h+, h-) sorted by theta and, per direction (up,
+    down), "end rule" or the reason it stopped short.
+    """
+    comp, gamma = band.comp, band.gamma_lin
+    p, pr = comp.params, comp.pair
+    x_min, x_max = band.x_nodes[0], band.x_nodes[-1]
+    guard = 0.02 * (pr.x_hi - pr.x_lo)
+    lo_lim, hi_lim = pr.x_lo + guard, pr.x_hi - guard
+    w = small_cost_half_width(p, gamma)
+    dtheta = 0.1 * w
+
+    def newton(theta, hp, hm):
+        return band_zero._newton(comp, gamma, (theta, hp, hm), (1, 2),
+                                 "level Newton")
+
+    x0 = 2.0 * p.lam * w / p.omega
+    st0 = newton(0.0, x0, -x0)
+
+    def sweep(direction):
+        prev2, prev, out = None, st0, []
+        for k in range(1, 40001):
+            theta = direction * k * dtheta
+            if prev2 is not None:
+                hp_seed = 2 * prev["hp"] - prev2["hp"]
+                hm_seed = 2 * prev["hm"] - prev2["hm"]
+            else:
+                hp_seed, hm_seed = prev["hp"], prev["hm"]
+            hp_seed = min(max(hp_seed, lo_lim), hi_lim)
+            hm_seed = min(max(hm_seed, lo_lim), hi_lim)
+            if hp_seed <= hm_seed:
+                return out, "seeds crossed"
+            try:
+                st = newton(theta, hp_seed, hm_seed)
+            except (ConvergenceError, RegimeError) as exc:
+                return out, str(exc)
+            out.append(st)
+            prev2, prev = prev, st
+            if direction > 0 and (st["hp"] <= x_min
+                                  or st["hm"] <= lo_lim + guard):
+                return out, "end rule"
+            if direction < 0 and (st["hm"] >= x_max
+                                  or st["hp"] >= hi_lim - guard):
+                return out, "end rule"
+        raise AssertionError("continuation exceeded its level budget")
+
+    ups, up_end = sweep(+1.0)
+    downs, down_end = sweep(-1.0)
+    records = downs[::-1] + [st0] + ups
+    return (tuple(np.array([r[k] for r in records])
+                  for k in ("theta", "hp", "hm")), (up_end, down_end))
+
+
+_SWEEP_CASES = (
+    [("desk", 0.02, 0.1, 1.0)]
+    + [(f"gamma_x{f}", 0.02, 0.1, f)
+       for f in (0.9, 0.95, 1.05, 1.1, 0.1, 0.3, 3.0)]
+    + [(f"sigma{s}_omega{o}", s, o, 1.0)
+       for s in (0.01, 0.02, 0.05) for o in (0.02, 0.1, 0.5)])
+
+
 class TestLevelNewton:
+    @pytest.mark.parametrize("sigma, omega, gamma_factor",
+                             [c[1:] for c in _SWEEP_CASES],
+                             ids=[c[0] for c in _SWEEP_CASES])
+    def test_matches_scalar_continuation(self, sigma, omega, gamma_factor):
+        # the batched sweep from the small-cost seeds finds the levels the
+        # scalar continuation finds, and each direction ends as it does
+        p = ModelParams(sigma=sigma, omega=omega, lam=1.0, rho=1e-3)
+        band = find_band_zero(p, DESK_GAMMA * gamma_factor)
+        (theta, hp, hm), ends = _continuation_levels(band)
+        np.testing.assert_array_equal(band.levels, theta)
+        pr = band.comp.pair
+        tol = 1e-11 * (pr.x_hi - pr.x_lo)
+        np.testing.assert_allclose(band.h_plus, hp, rtol=0, atol=tol)
+        np.testing.assert_allclose(band.h_minus, hm, rtol=0, atol=tol)
+        assert ends == ("end rule", "end rule")
+        up, down = band.sweep_ends
+        assert (up.theta, up.error) == (theta[-1], None)
+        assert (down.theta, down.error) == (theta[0], None)
+
+    def test_desk_sweep_ends_on_the_end_rule(self, desk_band):
+        # each direction stops at its last level, which meets the end
+        # rule, not at a failed Newton
+        up, down = desk_band.sweep_ends
+        assert up == band_zero.SweepEnd(desk_band.levels[-1])
+        assert down == band_zero.SweepEnd(desk_band.levels[0])
+        assert desk_band.h_plus[-1] <= desk_band.x_nodes[0]
+        assert desk_band.h_minus[0] >= desk_band.x_nodes[-1]
+
+    def test_short_batch_is_solved_again_further_out(self, desk_model,
+                                                     desk_band, monkeypatch):
+        # a first batch that falls short of both ends is solved again out
+        # to twice as far; each level's Newton is its own, so the levels
+        # come out bit for bit as from a batch that reached far enough
+        calls = []
+        real = band_zero._newton_level
+
+        def counting(comp, gamma_lin, theta, *args):
+            calls.append(theta.size)
+            return real(comp, gamma_lin, theta, *args)
+
+        monkeypatch.setattr(band_zero, "_END_MARGIN", -0.4)
+        monkeypatch.setattr(band_zero, "_newton_level", counting)
+        band = find_band_zero(desk_model, DESK_GAMMA)
+        assert len(calls) == 2 and calls[1] == 2 * calls[0] - 1
+        for key in ("levels", "h_plus", "h_minus", "theta_plus"):
+            assert np.array_equal(getattr(band, key), getattr(desk_band, key))
+        assert band.sweep_ends == desk_band.sweep_ends
+
+    def test_zero_level_failure_raises(self, desk_model):
+        # a grid right of the band's zero level: its seed pair clamps
+        # onto one point of the domain and the zero level cannot be solved
+        with pytest.raises(RegimeError, match="zero level") as info:
+            find_band_zero(desk_model, DESK_GAMMA,
+                           x_nodes=np.linspace(0.05, 0.26, 33))
+        assert isinstance(info.value.__cause__, RegimeError)
+        assert "degenerate boundary pair" in str(info.value.__cause__)
+
+    def test_failed_level_ends_its_direction(self, desk_model, monkeypatch):
+        # a level whose Newton fails ends its direction before it; the
+        # upper boundary then misses the grid's left end, and the error
+        # names the failed level and its Newton's error
+        real = band_zero._level_state
+        bad = []
+
+        def stub(comp, gamma_lin, theta, hp, hm):
+            st = real(comp, gamma_lin, theta, hp, hm)
+            if not bad:
+                bad.append(theta[np.argmin(np.abs(theta - 3e-3))])
+            hit = theta == bad[0]
+            st["jac"] = tuple(tuple(np.where(hit, 0.0, e) for e in r)
+                              for r in st["jac"])
+            st["rp"] = np.where(hit, 1.0, st["rp"])
+            return st
+
+        monkeypatch.setattr(band_zero, "_level_state", stub)
+        with pytest.raises(RegimeError) as info:
+            find_band_zero(desk_model, DESK_GAMMA)
+        msg = str(info.value)
+        assert msg.startswith("upper boundary only covers")
+        assert (f"; sweeping up stopped before theta={bad[0]:.6g}: singular "
+                f"level Newton Jacobian at theta={bad[0]:.6g}, h+=") in msg
+        assert "sweeping down" not in str(info.value)
+
+    def test_level_state_call_budget(self, desk_model, monkeypatch):
+        # the desk band's sweep and node polish together evaluate the
+        # level system in at most 40 batched calls (a sweep of one scalar
+        # Newton per level made 1051)
+        calls = []
+        real = band_zero._level_state
+
+        def counting(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(band_zero, "_level_state", counting)
+        find_band_zero(desk_model, DESK_GAMMA)
+        assert len(calls) <= 40
+
     @pytest.mark.parametrize("jac", [((1.0, 2.0, 4.0), (0.5, 1.0, 2.0)),
                                      ((0.0, math.nan, 1.0), (1.0, 1.0, 1.0))],
                              ids=["rank_deficient", "not_finite"])
@@ -400,13 +565,19 @@ class TestLevelNewton:
         real = band_zero._level_state
 
         def stub(*args):
-            return dict(real(*args), jac=jac, rp=1.0, rm=1.0, scale=1.0)
+            st = real(*args)
+            ones = np.ones_like(st["rp"])
+            return dict(st, rp=ones, rm=ones, scale=ones,
+                        jac=tuple(tuple(e * ones for e in r) for r in jac))
 
         monkeypatch.setattr(band_zero, "_level_state", stub)
         pr = desk_band.comp.pair
-        with pytest.raises(ConvergenceError, match="singular"):
-            band_zero._newton_level(desk_band.comp, DESK_GAMMA, 0.0,
-                                    0.5 * pr.x_hi, 0.5 * pr.x_lo)
+        st, done, errors = band_zero._newton_level(
+            desk_band.comp, DESK_GAMMA, np.zeros(1), np.array([0.5 * pr.x_hi]),
+            np.array([0.5 * pr.x_lo]))
+        assert not done.any()
+        assert isinstance(errors[0], ConvergenceError)
+        assert str(errors[0]).startswith("singular level Newton Jacobian")
 
 
 def _read_points(pair):

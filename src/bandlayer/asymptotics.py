@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import odeint
 
 from .errors import ConfigError, ConvergenceError, DomainError, RegimeError
 from .model import ModelParams, drift
@@ -347,6 +347,14 @@ def composite_velocity(band: Band, x: float, eta: float,
         gauge=float(gauge), gauge_warning=bool(gauge > GAUGE_MAX))
 
 
+# Newton on the Abel wall zero: step budget, and the step (in units of
+# the layer width s) below which the zero counts as pinned
+_ABEL_NEWTON_ITERS, _ABEL_NEWTON_TOL = 20, 1e-12
+# LSODA step cap per output interval; the seed interval of a 130 s
+# window takes about 640 steps
+_ABEL_MAX_STEPS = 50000
+
+
 def abel_layer_solve(aprime: float, bprime: float, y_max: float,
                      n: int = 4001) -> LayerProfile:
     """Layer profile for the 3/2-power cost: the cubic balance
@@ -358,17 +366,20 @@ def abel_layer_solve(aprime: float, bprime: float, y_max: float,
     In w = y - offset the balance reads bprime g_w = g^3 - aprime^2 w,
     which does not involve the offset, so the asymptotic orbit is one
     curve G(w) and the wall condition only fixes offset = -w0 at its zero
-    G(w0) = 0.  One integration finds both: seeded on the asymptote at
-    w = max(y_max, 10 s), it runs towards decreasing w and stops at the
-    zero crossing (a terminal event), which gives the offset; the samples
-    are the dense output at w = y - offset.  The pass goes backward because
-    departures from the asymptotic orbit decay in that direction (forward
-    they blow up or dive); seeding no nearer than 10 s gives the seed
-    error room to die out before w reaches the window, however short the
-    window.  The decay rate 3 g^2/bprime grows with y, which makes the
-    pass stiff, hence LSODA with the analytic Jacobian.  ``wall_residual``
-    is the dense-output value at the located zero, i.e. how well the
-    event pinned the wall; the returned f[0] is set to exactly 0.
+    G(w0) = 0.  Every integration starts on that orbit, seeded on the
+    asymptote at w = max(y_max, 10 s), and runs towards decreasing w:
+    departures from the orbit decay in that direction (forward they blow
+    up or dive), and seeding no nearer than 10 s gives the seed error room
+    to die out before w reaches the window, however short the window.
+    The decay rate 3 g^2/bprime grows with w, which makes the pass stiff,
+    hence LSODA (``odeint``, stepping in compiled code) with the analytic
+    Jacobian.  A first pass onto a fixed grid past the zero brackets the
+    first sign change of G; Newton steps, each a short integration from
+    the last positive sample and each using the slope g_w that the
+    balance gives, pin the zero w0; a second pass from the seed writes
+    the samples at w = y - offset.  ``wall_residual`` is that pass's value
+    at the located zero, i.e. how well the two passes agree on the wall;
+    the returned f[0] is set to exactly 0.
 
     The proportionality constants aprime, bprime are inputs: they carry
     the model- and units-dependent prefactors that the rescaling does not
@@ -390,28 +401,50 @@ def abel_layer_solve(aprime: float, bprime: float, y_max: float,
     g_seed = ((a2 * w_seed) ** (1.0 / 3.0)
               + bprime / (9.0 * (a2 * w_seed) ** (1.0 / 3.0) * w_seed))
 
-    def wall(w, g):
-        return g[0]
+    def rate(w, g):
+        return (g * g * g - a2 * w) / bprime
 
-    wall.terminal = True
-    # the zero of G sits near w = -1.09 s; stop well past it
-    sol = solve_ivp(lambda w, g: (g ** 3 - a2 * w) / bprime,
-                    (w_seed, -4.0 * s), [g_seed], method="LSODA",
-                    jac=lambda w, g: [[3.0 * g[0] ** 2 / bprime]],
-                    rtol=1e-12, atol=1e-14 * g_ref, events=wall,
-                    dense_output=True)
-    if not sol.success or sol.t_events[0].size == 0:
+    def backward(g0, w):
+        """G at the decreasing points w, starting from G(w[0]) = g0."""
+        # LSODA calls back with a 1-array; Python floats cost a fraction
+        g, info = odeint(lambda w, g: rate(w, g.item()), [g0], w,
+                         Dfun=lambda w, g: 3.0 * g.item() ** 2 / bprime,
+                         rtol=1e-12, atol=1e-14 * g_ref,
+                         mxstep=_ABEL_MAX_STEPS, full_output=True, tfirst=True)
+        if info["message"] != "Integration successful.":
+            raise ConvergenceError(
+                f"backward pass failed on span {(w[0], w[-1])}: "
+                f"{info['message']}", history=info["tcur"])
+        return g[:, 0]
+
+    # the zero of G sits near w = -1.09 s; bracket it on a grid of step s/8
+    w_grid = np.concatenate([[w_seed], np.linspace(4.0 * s, -4.0 * s, 65)])
+    g_grid = backward(g_seed, w_grid)
+    crossed = np.flatnonzero(g_grid <= 0.0)
+    if crossed.size == 0:
+        raise ConvergenceError("backward pass found no wall zero down to "
+                               f"w = {w_grid[-1]:.6g}", history=g_grid)
+    w_pos, g_pos = w_grid[crossed[0] - 1], g_grid[crossed[0] - 1]
+    w0, steps = w_pos - g_pos / rate(w_pos, g_pos), []
+    for _ in range(_ABEL_NEWTON_ITERS):
+        g0 = backward(g_pos, [w_pos, w0])[-1]
+        steps.append(g0 / rate(w0, g0))
+        w0 -= steps[-1]
+        if abs(steps[-1]) <= _ABEL_NEWTON_TOL * s:
+            break
+    else:
         raise ConvergenceError(
-            f"backward pass found no wall zero: {sol.message}", history=sol.t)
-    offset = -float(sol.t_events[0][0])
+            f"Newton on the wall zero did not settle in {_ABEL_NEWTON_ITERS} "
+            f"steps (last step {steps[-1]:.3e})", history=steps)
+    offset = -float(w0)
     y = np.linspace(0.0, float(y_max), int(n))
-    g = sol.sol(y - offset)[0]
+    g = backward(g_seed, np.concatenate([[w_seed], (y - offset)[::-1]]))
+    g = g[1:][::-1]
     wall_residual = float(g[0])
     g[0] = 0.0  # boundary condition; leftover reported separately
-    g_y = (g ** 3 - a2 * (y - offset)) / bprime
+    g_y = rate(y - offset, g)
     return LayerProfile(
         kind=LayerKind.ABEL_THREE_HALVES, y=y, f=g, f_slope=g_y,
         slope_at_zero=float(a2 * offset / bprime), amp=aprime,
         diffusivity=bprime, wall_offset=float(offset),
         wall_residual=wall_residual)
-

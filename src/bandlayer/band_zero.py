@@ -13,11 +13,15 @@ value continues with slope -+gamma_lin in theta.  The construction:
    are read from it.  LSODA writes all of the dense output nodes inside
    its compiled loop, where a ``solve_ivp`` pass steps in Python.
    Integrating away from the recessive edge damps contamination by the
-   dominant solution.
+   dominant solution.  The pair's table is a cubic Hermite interpolant
+   of (psi, psi') with psi'' from the equation, so building it solves no
+   spline system.
 2. A particular solution via the resolvent (Green's function) built
-   from the pair, evaluated by cumulative Simpson quadrature on a dense
-   grid.  Its theta-derivative is affine: ``I(x, theta) = drift_part(x)
-   + theta * risk_part(x)``.
+   from the pair, evaluated by cumulative Simpson quadrature on the same
+   uniform grid.  Its theta-derivative is affine: ``I(x, theta) =
+   drift_part(x) + theta * risk_part(x)``.  Its table is a Hermite
+   interpolant too: I' comes from the quadrature, I'' from the defining
+   equation.
 3. Per position level theta, the two free coefficients multiplying the
    homogeneous pair are pinned by the slope conditions dV/dtheta = -+gamma
    at the two x-endpoints (h_plus, h_minus) of the level's no-trade
@@ -52,7 +56,7 @@ from functools import cached_property, reduce
 
 import numpy as np
 from scipy.integrate import cumulative_simpson, cumulative_trapezoid, odeint
-from scipy.interpolate import CubicSpline
+from scipy.interpolate import CubicHermiteSpline, CubicSpline
 
 from .errors import ConfigError, ConvergenceError, DomainError, RegimeError
 from .model import ModelParams, default_x_domain, small_cost_half_width
@@ -86,12 +90,15 @@ class HomogeneousPair:
     ``psi2`` is the mirror image of ``psi1``, read from the same LSODA pass.
     Both are rescaled so the Wronskian psi1*psi2' - psi2*psi1' equals -1
     at the domain center (it is negative throughout with this
-    orientation).  ``spline`` is one cubic spline on the dense quadrature
-    grid ``x_quad`` covering the padded domain [x_lo, x_hi]; its columns
-    are (psi1, psi2, psi1', psi2').  Second derivatives come from the
-    defining equation, not from the spline.  ``x_quad`` is uniform and is
-    also the knot grid of the Green's spline: ``_level_state`` relies on
-    both to find one knot interval per endpoint for the two splines.
+    orientation).  ``spline`` is one cubic Hermite interpolant on the
+    dense quadrature grid ``x_quad`` covering the padded domain [x_lo,
+    x_hi]; its columns are (psi1, psi2, psi1', psi2') and their
+    derivatives at the knots are (psi1', psi2', psi1'', psi2''), psi''
+    from the defining equation, so no spline system is solved; where a
+    second derivative is read off the knots it comes from that equation
+    too, not from the spline.  ``x_quad`` is uniform and is also the knot
+    grid of the Green's spline: ``_level_state`` relies on both to find
+    one knot interval per endpoint for the two splines.
     """
 
     x_lo: float
@@ -101,7 +108,7 @@ class HomogeneousPair:
     psi2_s: np.ndarray
     psi1_d_s: np.ndarray
     psi2_d_s: np.ndarray
-    spline: CubicSpline = field(repr=False)
+    spline: CubicHermiteSpline = field(repr=False)
 
     @property
     def wronskian_samples(self):
@@ -188,12 +195,17 @@ def solve_homogeneous(params: ModelParams, x_domain=None,
     scale = 1.0 / math.sqrt(abs(w0))
     psi1_s, psi2_s, psi1_d_s, psi2_d_s = (
         scale * np.array([psi1_s, psi2_s, psi1_d_s, psi2_d_s]))
+    # psi'' from the equation, the expression ``rhs`` evaluates
+    c = 2.0 / p.sigma ** 2
+    psi1_dd, psi2_dd = (c * (p.omega * xq * d + p.rho * v)
+                        for v, d in ((psi1_s, psi1_d_s), (psi2_s, psi2_d_s)))
 
     return HomogeneousPair(
         x_lo=x_lo, x_hi=x_hi, x_quad=xq,
         psi1_s=psi1_s, psi2_s=psi2_s, psi1_d_s=psi1_d_s, psi2_d_s=psi2_d_s,
-        spline=CubicSpline(
-            xq, np.column_stack([psi1_s, psi2_s, psi1_d_s, psi2_d_s])))
+        spline=CubicHermiteSpline(
+            xq, np.column_stack([psi1_s, psi2_s, psi1_d_s, psi2_d_s]),
+            np.column_stack([psi1_d_s, psi2_d_s, psi1_dd, psi2_dd])))
 
 
 # ---------------------------------------------------------------------------
@@ -206,10 +218,12 @@ class GreensDecomposition:
 
     ``drift_part`` is the resolvent applied to the signal drift,
     ``risk_part`` the resolvent applied to the constant -2*lam.  ``spline``
-    is one cubic spline on the pair's quadrature grid with columns
-    (drift_part, risk_part, drift_part', risk_part'); the first
-    derivatives come from the quadrature representation (the integrand
-    cross-terms cancel), second derivatives from the defining equations.
+    is one cubic Hermite interpolant on the pair's quadrature grid with
+    columns (drift_part, risk_part, drift_part', risk_part') and knot
+    derivatives (drift_part', risk_part', drift_part'', risk_part''); the
+    first derivatives come from the quadrature representation (the
+    integrand cross-terms cancel), the second from the defining equations
+    I'' = (2/sigma^2)(rho I - mu I' - source), source mu(x) and -2*lam.
     Its knots are the pair's ``x_quad``, which are the knots of the pair's
     spline too; ``_level_state`` relies on that to read both splines at
     one knot interval per endpoint.
@@ -217,7 +231,7 @@ class GreensDecomposition:
 
     params: ModelParams
     pair: HomogeneousPair
-    spline: CubicSpline = field(repr=False)
+    spline: CubicHermiteSpline = field(repr=False)
 
     def particular_value(self, x, theta):
         """V-particular = theta*drift_part + theta^2/2 * risk_part."""
@@ -235,32 +249,37 @@ class GreensDecomposition:
 
 
 def greens_particular(params: ModelParams, pair: HomogeneousPair) -> GreensDecomposition:
-    """Build the particular-solution parts by cumulative Simpson quadrature."""
+    """Build the particular-solution parts by cumulative Simpson quadrature
+    on the pair's uniform grid, and their Hermite table."""
     xq = pair.x_quad
     w = pair.wronskian_samples
     if np.any(w == 0.0):
         raise ConvergenceError("Wronskian vanishes on the quadrature grid")
-    pref = -2.0 / params.sigma ** 2
+    c = 2.0 / params.sigma ** 2
+    h = float(xq[1] - xq[0])
+    mu = -params.omega * xq
 
     def resolvent(source):
+        # the value I, its slope I' and, from the defining equation,
+        # I'' = (2/sigma^2)(rho I - mu I' - source)
         f1 = pair.psi1_s * source / w
         f2 = pair.psi2_s * source / w
-        c1 = cumulative_simpson(f1, x=xq, initial=0.0)
+        c1 = cumulative_simpson(f1, dx=h, initial=0.0)
         # accumulate the tail integral from the right edge so it stays a
         # short sum where psi1 is large (a total-minus-cumulative form
         # would multiply full-sum roundoff by the dominant solution)
-        tail2 = cumulative_simpson(f2[::-1], x=(-xq)[::-1], initial=0.0)[::-1]
-        val = pref * (pair.psi2_s * c1 + pair.psi1_s * tail2)
-        der = pref * (pair.psi2_d_s * c1 + pair.psi1_d_s * tail2)
-        return val, der
+        tail2 = cumulative_simpson(f2[::-1], dx=h, initial=0.0)[::-1]
+        val = -c * (pair.psi2_s * c1 + pair.psi1_s * tail2)
+        der = -c * (pair.psi2_d_s * c1 + pair.psi1_d_s * tail2)
+        return val, der, c * (params.rho * val - mu * der - source)
 
-    mu = -params.omega * xq
-    p_s, p_d = resolvent(mu)
-    q_s, q_d = resolvent(np.full_like(xq, -2.0 * params.lam))
+    p_s, p_d, p_dd = resolvent(mu)
+    q_s, q_d, q_dd = resolvent(np.full_like(xq, -2.0 * params.lam))
 
     return GreensDecomposition(
         params=params, pair=pair,
-        spline=CubicSpline(xq, np.column_stack([p_s, q_s, p_d, q_d])))
+        spline=CubicHermiteSpline(xq, np.column_stack([p_s, q_s, p_d, q_d]),
+                                  np.column_stack([p_d, q_d, p_dd, q_dd])))
 
 
 # ---------------------------------------------------------------------------

@@ -120,11 +120,13 @@ def cmd_hjb(cfg: RunConfig, out: str, quiet: bool) -> int:
     grid = cfg.need("grid")
     vg = hjb.solve_hjb(params, costs, grid, cfg.solver)
 
-    xx = np.repeat(grid.x_nodes, grid.theta_nodes.size)
-    tt = np.tile(grid.theta_nodes, grid.x_nodes.size)
+    # each axis node is formatted once, with write_csv's real pattern
+    xs, ts = (["%.17g" % v for v in nodes.tolist()]
+              for nodes in (grid.x_nodes, grid.theta_nodes))
     field_path = os.path.join(out, cfg.output_prefix + "field.csv")
     write_csv(field_path, ["x", "theta", "value", "speed"],
-              [xx, tt, vg.V.values.ravel(), vg.v.values.ravel()])
+              [np.repeat(xs, grid.ntheta), np.tile(ts, grid.nx),
+               vg.V.values.ravel(), vg.v.values.ravel()])
 
     band_path = os.path.join(out, cfg.output_prefix + "hjb_band.csv")
     write_csv(band_path,

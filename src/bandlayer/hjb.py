@@ -67,18 +67,28 @@ BAND_THRESHOLD = 1e-4
 # problem on (ntheta + 1) // 2 nodes; on this many or fewer, where a
 # factor is cheapest, from the closed-form no-trade value
 _COARSEST_NTHETA = 13
+# a settled policy stops when its update is within this many times the
+# rounding floor eps * max_row(|A||V| + |b|) of its solve.  Past
+# convergence the updates wander at 0.01-0.15 of the floor on 21x401 and
+# at 0.08-3.5 of it on 121x1501 (desk point, eta 1e-4); a tolerance whose
+# bound lies above twice the floor stops as it would without this test
+_FLOOR_FACTOR = 2.0
 
 
 @dataclass(frozen=True)
 class SolverConfig:
     """Iteration controls for :func:`solve_hjb`.
 
-    ``convergence_tol`` is relative to the value scale, with no floor:
-    policy iteration stops once max|Delta V| <= convergence_tol * max|V|
-    *and* the policy's sign pattern (buy, hold, sell per node) is the
-    same as in the previous iteration.  The update bound alone does not
-    settle the policy, because the control reads V through one-sided
-    differences and an update delta moves a slope by delta / htheta.
+    ``convergence_tol`` is relative to the value scale: policy iteration
+    stops once max|Delta V| <= convergence_tol * max|V| *and* the
+    policy's sign pattern (buy, hold, sell per node) is the same as in
+    the previous iteration.  The update bound alone does not settle the
+    policy, because the control reads V through one-sided differences and
+    an update delta moves a slope by delta / htheta.  A settled policy
+    whose update misses that bound but lies within ``_FLOOR_FACTOR``
+    times the solve's rounding floor, eps * max_row(|A||V| + |b|), stops
+    too: a tolerance below what the LU resolves would otherwise spin to
+    ``max_iters``.  ``ValueGrid.stopped_by`` says which test stopped.
 
     A cold solve runs policy iteration on every coarse seeding level as
     well.  ``convergence_tol`` applies on the target grid only: a seeding
@@ -117,6 +127,8 @@ class ValueGrid:
     iterations: int
     # per-iteration max value update, for convergence post-mortems
     history: tuple = ()
+    # the stop test the target grid met: "tolerance" or "floor"
+    stopped_by: str = "tolerance"
 
     @property
     def grid(self) -> Grid2D:
@@ -361,10 +373,18 @@ def _reward(params: ModelParams, costs: CostParams, grid: Grid2D, v):
                                      + _nl_cost(costs, speed))
 
 
+def _rounding_floor(A, b, V):
+    """eps * max_row(|A||V| + |b|): how far rounding alone moves the
+    solve of A V = b, in the units of its rows."""
+    return float(np.finfo(float).eps * np.max(
+        abs(A) @ np.abs(np.ravel(V, order="F")) + np.abs(b)))
+
+
 def _solve_policy(params, costs, grid, cfg, V=None, seed=False):
     """Policy iteration from V, or from the coarse-to-fine seed without
-    it; returns (V, iterations, history).  A ``seed`` level only seeds a
-    finer one, which re-converges, so it stops once its policy settles."""
+    it; returns (V, iterations, history, the stop test met).  A ``seed``
+    level only seeds a finer one, which re-converges, so it stops once its
+    policy settles."""
     if V is None and grid.ntheta <= _COARSEST_NTHETA:
         V = _nt_initial(params, grid)
     elif V is None:
@@ -397,9 +417,14 @@ def _solve_policy(params, costs, grid, cfg, V=None, seed=False):
         history.append(float(np.max(np.abs(V - V_old))))
         # a small update alone can still flip isolated nodes between
         # trading and quiet (see SolverConfig), so the policy must settle
-        if settled and (seed or history[-1]
-                        <= cfg.convergence_tol * np.max(np.abs(V))):
-            return V, it, tuple(history)
+        if not settled:
+            continue
+        if seed:
+            return V, it, tuple(history), "settled"
+        if history[-1] <= cfg.convergence_tol * np.max(np.abs(V)):
+            return V, it, tuple(history), "tolerance"
+        if history[-1] <= _FLOOR_FACTOR * _rounding_floor(A, b, V):
+            return V, it, tuple(history), "floor"
     raise ConvergenceError(
         f"policy iteration on {grid.ntheta} theta nodes did not converge "
         f"in {cfg.max_iters} iterations (last update {history[-1]:.3e})",
@@ -432,14 +457,14 @@ def solve_hjb(params: ModelParams, costs: CostParams, grid: Grid2D,
     if V is not None and V.shape != (grid.nx, grid.ntheta):
         raise ConfigError("initial guess shape does not match grid")
 
-    V, iters, hist = _solve_policy(params, costs, grid, cfg, V)
+    V, iters, hist, stop = _solve_policy(params, costs, grid, cfg, V)
     residual, v = _bellman_residual(params, costs, grid, V)
 
     empty = np.array([])
     vg = ValueGrid(V=ScalarField(V, grid), v=ScalarField(v, grid),
                    band_plus=empty, band_minus=empty, plus_mask=empty,
                    minus_mask=empty, residual=residual, iterations=iters,
-                   history=hist)
+                   history=hist, stopped_by=stop)
     eb = extract_band(vg)
     return replace(vg, band_plus=eb.theta_plus, band_minus=eb.theta_minus,
                    plus_mask=eb.plus_mask, minus_mask=eb.minus_mask)

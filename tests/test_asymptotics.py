@@ -8,7 +8,9 @@ Oracles used here:
   - finite differences of sampled profiles against analytic slopes;
   - exact rescaling invariance of the cubic (Abel) layer;
   - forward shots from the wall, which straddle the Abel offset (the
-    solver integrates the other way, so this is an independent route).
+    solver integrates the other way, so this is an independent route);
+  - one ``solve_ivp`` pass stopped at the Abel wall zero by an event,
+    in place of the solver's compiled passes and Newton on the zero.
 """
 
 import dataclasses
@@ -18,7 +20,8 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from bandlayer.errors import ConfigError, DomainError, RegimeError
+from bandlayer.errors import (ConfigError, ConvergenceError, DomainError,
+                              RegimeError)
 from bandlayer.model import ModelParams
 from bandlayer.band_zero import find_band_zero
 from bandlayer.special import fd_weights
@@ -365,7 +368,50 @@ def abel_forward_class(aprime, bprime, offset, y_max):
     return -1 if sol.t_events[1].size else 0
 
 
+def abel_event_pass(aprime, bprime, y_max, n):
+    """The Abel layer as one ``solve_ivp`` LSODA pass from the same seed,
+    stopped at the wall zero by a terminal event and sampled from its
+    dense output: (offset, f)."""
+    s = (bprime / aprime ** (4.0 / 3.0)) ** 0.6
+    a2 = aprime * aprime
+    w_seed = max(float(y_max), 10.0 * s)
+    g_seed = ((a2 * w_seed) ** (1.0 / 3.0)
+              + bprime / (9.0 * (a2 * w_seed) ** (1.0 / 3.0) * w_seed))
+    wall = lambda w, g: g[0]
+    wall.terminal = True
+    sol = solve_ivp(lambda w, g: (g ** 3 - a2 * w) / bprime,
+                    (w_seed, -4.0 * s), [g_seed], method="LSODA",
+                    jac=lambda w, g: [[3.0 * g[0] ** 2 / bprime]],
+                    rtol=1e-12, atol=1e-14 * (a2 * s) ** (1.0 / 3.0),
+                    events=wall, dense_output=True)
+    offset = -float(sol.t_events[0][0])
+    f = sol.sol(np.linspace(0.0, y_max, n) - offset)[0]
+    f[0] = 0.0
+    return offset, f
+
+
 class TestAbelLayer:
+    @pytest.mark.parametrize("a, b", [(1.0, 1.0), (2.0, 0.5), (0.3, 4.0)])
+    def test_matches_event_pass(self, a, b):
+        s = (b / a ** (4.0 / 3.0)) ** 0.6
+        pr = asy.abel_layer_solve(a, b, y_max=150.0 * s, n=2001)
+        offset, f = abel_event_pass(a, b, 150.0 * s, 2001)
+        assert pr.wall_offset == pytest.approx(offset, rel=1e-11, abs=0)
+        assert np.max(np.abs(pr.f - f)) <= 1e-10 * np.max(np.abs(f))
+
+    def test_no_sign_change_raises(self, monkeypatch):
+        # a pass that never crosses zero has no wall to report
+        real = asy.odeint
+
+        def never_crossing(*args, **kwargs):
+            g, info = real(*args, **kwargs)
+            return np.abs(g), info
+
+        monkeypatch.setattr(asy, "odeint", never_crossing)
+        with pytest.raises(ConvergenceError,
+                           match="backward pass found no wall zero"):
+            asy.abel_layer_solve(1.0, 1.0, y_max=10.0)
+
     def test_wall_condition_and_residuals(self, abel_canonical):
         pr = abel_canonical
         assert pr.f[0] == 0.0

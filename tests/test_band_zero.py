@@ -214,6 +214,46 @@ class TestGreensParticular:
         assert a["a2"] == pytest.approx(-b["a1"], rel=1e-9)
 
 
+class TestHermiteTables:
+    """Both tables are cubic Hermite interpolants of their sampled values
+    and of derivative columns known from the defining equations."""
+
+    def test_derivative_columns_at_knots(self, desk_model, desk_band):
+        p, comp = desk_model, desk_band.comp
+        xq = comp.pair.x_quad
+        c, mu = 2.0 / p.sigma ** 2, -p.omega * xq
+        psi1, psi2, d1, d2 = comp.pair.spline(xq).T
+        drift, risk, drift_d, risk_d = comp.spline(xq).T
+        tables = (
+            (comp.pair.spline, [d1, d2, c * (p.omega * xq * d1 + p.rho * psi1),
+                                c * (p.omega * xq * d2 + p.rho * psi2)]),
+            (comp.spline, [drift_d, risk_d,
+                           c * (p.rho * drift - mu * drift_d - mu),
+                           c * (p.rho * risk - mu * risk_d + 2.0 * p.lam)]))
+        for spline, want in tables:
+            got = spline.derivative()(xq).T
+            for g, w in zip(got, want):
+                assert np.max(np.abs(g - w)) <= 1e-12 * np.max(np.abs(w))
+
+    @pytest.mark.parametrize("sigma, omega, gamma_factor", [
+        (0.02, 0.1, 1.0), (0.02, 0.1, 0.9), (0.02, 0.1, 1.1),
+        (0.01, 0.02, 1.0), (0.01, 0.5, 1.0), (0.05, 0.02, 1.0),
+        (0.05, 0.5, 1.0)])
+    def test_matches_not_a_knot_oracle(self, monkeypatch, sigma, omega,
+                                       gamma_factor):
+        # the same band with both tables built as not-a-knot splines of
+        # the values alone, ignoring the derivative columns
+        p = ModelParams(sigma=sigma, omega=omega, lam=1.0, rho=1e-3)
+        band = find_band_zero(p, DESK_GAMMA * gamma_factor)
+        monkeypatch.setattr(band_zero, "CubicHermiteSpline",
+                            lambda x, y, dydx: CubicSpline(x, y))
+        ref = find_band_zero(p, DESK_GAMMA * gamma_factor)
+        scale = np.max(np.abs(ref.theta_plus))
+        for got, want in ((band.theta_plus, ref.theta_plus),
+                          (band.theta_minus, ref.theta_minus)):
+            assert np.max(np.abs(got - want)) <= 1e-11 * scale
+
+
 class TestBandGeometry:
     def test_symmetry(self, desk_band):
         # reflection symmetry of the model implies band antisymmetry;
@@ -590,7 +630,7 @@ def _read_points(pair):
 
 class TestCoefficientRead:
     """The level state reads both splines from their coefficient tables;
-    that read must equal CubicSpline.__call__ bit for bit."""
+    that read must equal PPoly.__call__ bit for bit."""
 
     def _splines(self, band):
         xq, inv_step, c_psi, c_grn = band.comp._tables

@@ -12,8 +12,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bandlayer import band_zero
+from bandlayer import band_zero, hjb
 from bandlayer.cli import _COMMANDS, EXIT_CONFIG, build_parser, main
+from bandlayer.config import load_config
+from bandlayer.output import write_csv
 
 DESK = {"sigma": 0.02, "omega": 0.1, "lam": 1.0, "rho": 1e-3}
 COARSE = {"sigma": 0.5, "omega": 0.3, "lam": 1.0, "rho": 1.0}
@@ -212,6 +214,23 @@ class TestHjb:
         res = read_csv(os.path.join(out, "residuals.csv"))
         assert res.shape[0] >= 1
         assert res["max_update"][-1] <= res["max_update"][0]
+
+    def test_field_matches_float_columns(self, tmp_path):
+        # the axes are written from strings formatted once per node; the
+        # file must equal write_csv run on the float columns, byte for byte
+        cfg = write_cfg(tmp_path, self.base_doc())
+        out = tmp_path / "o"
+        assert main(["hjb", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+        run = load_config(cfg)
+        grid = run.grid
+        vg = hjb.solve_hjb(run.need("model"), run.need("costs"), grid,
+                           run.solver)
+        ref = tmp_path / "ref.csv"
+        write_csv(str(ref), ["x", "theta", "value", "speed"],
+                  [np.repeat(grid.x_nodes, grid.ntheta),
+                   np.tile(grid.theta_nodes, grid.nx),
+                   vg.V.values.ravel(), vg.v.values.ravel()])
+        assert (out / "field.csv").read_bytes() == ref.read_bytes()
 
     def test_non_convergence_exits_4(self, tmp_path):
         cfg = write_cfg(tmp_path, self.base_doc(max_iters=1))

@@ -650,6 +650,43 @@ class TestColdStart:
         cold, seeded, _ = pair
         assert cold.iterations <= seeded.iterations // 2
 
+    def test_tight_tolerance_stops_on_the_rounding_floor(self, desk_params):
+        # at 1e-14 the settled update stalls near 4.5e-15 (max|V| 4.9e-3),
+        # under what the LU resolves: the solve stops on the floor test
+        # and lands on the 1e-12 solve made with the tolerance test alone
+        costs = self.COSTS["quadratic"]
+        tight = hjb.solve_hjb(desk_params, costs, self.GRID,
+                              hjb.SolverConfig(max_iters=40,
+                                               convergence_tol=1e-14))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(hjb, "_FLOOR_FACTOR", 0.0)
+            ref = hjb.solve_hjb(desk_params, costs, self.GRID, self.CLOSE)
+            with pytest.raises(ConvergenceError):
+                hjb.solve_hjb(desk_params, costs, self.GRID,
+                              hjb.SolverConfig(max_iters=40,
+                                               convergence_tol=1e-14))
+        assert (tight.stopped_by, ref.stopped_by) == ("floor", "tolerance")
+        V, want = tight.V.values, ref.V.values
+        assert np.abs(V - want).max() <= 1e-10 * np.abs(want).max()
+
+    @pytest.mark.parametrize("kind", list(COSTS))
+    def test_default_tolerance_stops_as_without_the_floor(self, desk_params,
+                                                          kind):
+        # at the default 1e-9 the tolerance test fires first on every
+        # level: the same factorizations and the same V as with no floor
+        runs = []
+        for factor in (hjb._FLOOR_FACTOR, 0.0):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(hjb, "_FLOOR_FACTOR", factor)
+                runs.append(self._solve_both(desk_params, self.COSTS[kind],
+                                             None))
+        (cold, seeded, calls), (cold0, seeded0, calls0) = runs
+        assert calls == calls0
+        for vg, vg0 in ((cold, cold0), (seeded, seeded0)):
+            assert vg.stopped_by == "tolerance"
+            assert vg.history == vg0.history
+            np.testing.assert_array_equal(vg.V.values, vg0.V.values)
+
     def test_coarse_budget_names_its_level(self, desk_params):
         # 401 nodes are seeded from 201, 101, 51, 26 and 13; the 13-node
         # level settles in 2 iterations from the no-trade seed, and the

@@ -9,13 +9,14 @@ value continues with slope -+gamma_lin in theta.  The construction:
    decaying to the right is the mirror image of the one decaying to the
    left: psi2(x) = psi1(-x).  One LSODA pass (``odeint``) integrates
    psi1 across the padded domain, widened to be symmetric about 0, from
-   recessive (decaying) asymptotic data at its left edge; both members
-   are read from it.  LSODA writes all of the dense output nodes inside
-   its compiled loop, where a ``solve_ivp`` pass steps in Python.
+   recessive (decaying) asymptotic data at its left edge, on a grid
+   symmetric about 0 bit for bit; psi2 is the same pass reversed.  LSODA
+   writes all of the dense output nodes inside its compiled loop, where
+   a ``solve_ivp`` pass steps in Python.
    Integrating away from the recessive edge damps contamination by the
    dominant solution.  The pair's table is a cubic Hermite interpolant
-   of (psi, psi') with psi'' from the equation, so building it solves no
-   spline system.
+   of (psi, psi') with psi'' from the equation, its coefficients written
+   in closed form, so building it solves no spline system.
 2. A particular solution via the resolvent (Green's function) built
    from the pair, evaluated by cumulative Simpson quadrature on the same
    uniform grid.  Its theta-derivative is affine: ``I(x, theta) =
@@ -56,7 +57,7 @@ from functools import cached_property, reduce
 
 import numpy as np
 from scipy.integrate import cumulative_simpson, cumulative_trapezoid, odeint
-from scipy.interpolate import CubicHermiteSpline, CubicSpline
+from scipy.interpolate import CubicSpline, PPoly
 
 from .errors import ConfigError, ConvergenceError, DomainError, RegimeError
 from .model import ModelParams, default_x_domain, small_cost_half_width
@@ -87,18 +88,18 @@ class HomogeneousPair:
     """Two independent solutions of the discounted homogeneous equation.
 
     ``psi1`` decays toward the left edge, ``psi2`` toward the right edge;
-    ``psi2`` is the mirror image of ``psi1``, read from the same LSODA pass.
-    Both are rescaled so the Wronskian psi1*psi2' - psi2*psi1' equals -1
-    at the domain center (it is negative throughout with this
-    orientation).  ``spline`` is one cubic Hermite interpolant on the
-    dense quadrature grid ``x_quad`` covering the padded domain [x_lo,
-    x_hi]; its columns are (psi1, psi2, psi1', psi2') and their
-    derivatives at the knots are (psi1', psi2', psi1'', psi2''), psi''
-    from the defining equation, so no spline system is solved; where a
-    second derivative is read off the knots it comes from that equation
-    too, not from the spline.  ``x_quad`` is uniform and is also the knot
-    grid of the Green's spline: ``_level_state`` relies on both to find
-    one knot interval per endpoint for the two splines.
+    ``psi2`` is the mirror image of ``psi1``, the same LSODA pass read
+    backwards.  Both are rescaled so the Wronskian psi1*psi2' - psi2*psi1'
+    equals -1 at the domain center (it is negative throughout with this
+    orientation).  ``spline`` is one cubic Hermite interpolant
+    (``_hermite_table``) on the dense quadrature grid ``x_quad`` covering
+    the padded domain [x_lo, x_hi]; its columns are (psi1, psi2, psi1',
+    psi2') and their derivatives at the knots are (psi1', psi2', psi1'',
+    psi2''), psi'' from the defining equation, so no spline system is
+    solved; where a second derivative is read off the knots it comes from
+    that equation too, not from the spline.  ``x_quad`` is uniform and is
+    also the knot grid of the Green's spline: ``_level_state`` relies on
+    both to find one knot interval per endpoint for the two splines.
     """
 
     x_lo: float
@@ -108,7 +109,7 @@ class HomogeneousPair:
     psi2_s: np.ndarray
     psi1_d_s: np.ndarray
     psi2_d_s: np.ndarray
-    spline: CubicHermiteSpline = field(repr=False)
+    spline: PPoly = field(repr=False)
 
     @property
     def wronskian_samples(self):
@@ -136,9 +137,38 @@ def _recessive_slope(params: ModelParams, x: float) -> float:
 # nodes of the dense quadrature grid, and the relative tolerance of the
 # LSODA pass onto it: at 1e-13 it is within 1e-11 of a tight reference
 # (1e-11 would leave it 1.3e-9 off) in a seventh of the time of the
-# DOP853 pass it replaced, which stepped in Python.
-_QUAD_NODES = 24001
+# DOP853 pass it replaced, which stepped in Python.  The node count is
+# sized by its error.  The desk band (181 nodes, gamma_lin 2e-4 x {0.9,
+# 1, 1.1}) against a 96001-node solve, largest difference over the
+# three as a fraction of max|theta_plus|:
+#
+#   nodes       8001     12001    16001    24001    64001
+#   difference  8.4e-11  1.6e-11  5.6e-12  6.3e-12  7.1e-12
+#
+# so the h^4 interpolation and Simpson error stays below the pass's
+# noise floor (about 6e-12) down to 16001 nodes, and not below.
+_QUAD_NODES = 16001
 _ODE_TOL = 1e-13
+
+
+def _hermite_table(x, values, slopes):
+    """Cubic Hermite interpolant of the columns ``values`` with knot
+    derivatives ``slopes`` (equal-length sequences of arrays on x).
+
+    The coefficients are the closed-form ones of ``CubicHermiteSpline``,
+    in its order of operations, so ``.c`` equals its ``.c`` bit for bit;
+    the table is written in place and skips that class's input checks.
+    """
+    dx = np.diff(x)
+    c = np.empty((4, x.size - 1, len(values)))
+    for j, (y, d) in enumerate(zip(values, slopes)):
+        slope = np.diff(y) / dx
+        t = (d[:-1] + d[1:] - 2 * slope) / dx
+        c[0, :, j] = t / dx
+        c[1, :, j] = (slope - d[:-1]) / dx - t
+        c[2, :, j] = d[:-1]
+        c[3, :, j] = y[:-1]
+    return PPoly.construct_fast(c, x)
 
 
 def solve_homogeneous(params: ModelParams, x_domain=None,
@@ -146,11 +176,14 @@ def solve_homogeneous(params: ModelParams, x_domain=None,
     """Integrate psi1 once across the padded domain and mirror it into psi2.
 
     The pass runs over [-R, R], R = max(-x_lo, x_hi), from the recessive
-    data at -R, and samples psi1 at the quadrature grid and its mirror
-    image: psi2(x) = psi1(-x) and psi2'(x) = -psi1'(-x).  It is one
-    ``odeint`` (LSODA) call, which fills all those nodes in compiled code.
-    Raises ConvergenceError naming the span when LSODA reports failure or
-    the dominant growth of psi1 overflows on a wide domain.
+    data at -R, on the grid h*k, k = -K..K, symmetric about 0 bit for
+    bit, h set so that the padded domain holds about ``_QUAD_NODES``
+    nodes (exactly that many when it is centred).  Read backwards it
+    gives psi2(x) = psi1(-x) and psi2'(x) = -psi1'(-x); the quadrature
+    grid is the run of its nodes that covers the padded domain.  It is
+    one ``odeint`` (LSODA) call, which fills all the nodes in compiled
+    code.  Raises ConvergenceError naming the span when LSODA reports
+    failure or the dominant growth of psi1 overflows on a wide domain.
     """
     if x_domain is None:
         x_domain = default_x_domain(params)
@@ -159,7 +192,16 @@ def solve_homogeneous(params: ModelParams, x_domain=None,
         raise ConfigError("x_domain must satisfy min < max")
     pad = pad_frac * (x_max - x_min)
     x_lo, x_hi = x_min - pad, x_max + pad
-    xq = np.linspace(x_lo, x_hi, _QUAD_NODES)
+    r = max(-x_lo, x_hi)
+    # R / (x_hi - x_lo) is exactly 1/2 on a centred domain
+    k = math.ceil((_QUAD_NODES - 1) * (r / (x_hi - x_lo)))
+    h = r / k
+    while h * k < r:                        # the grid must reach +-R
+        h = math.nextafter(h, math.inf)
+    xg = h * np.arange(-k, k + 1)
+    # the last node at or below x_lo and the first at or above x_hi
+    i0 = int(np.searchsorted(xg, x_lo, side="right")) - 1
+    i1 = int(np.searchsorted(xg, x_hi, side="left"))
 
     p = params
 
@@ -167,10 +209,8 @@ def solve_homogeneous(params: ModelParams, x_domain=None,
         psi, dpsi = y
         return [dpsi, (2.0 / p.sigma ** 2) * (p.omega * t * dpsi + p.rho * psi)]
 
-    r = max(-x_lo, x_hi)
-    t_eval = np.union1d(xq, -xq)
     with np.errstate(over="ignore", invalid="ignore"):
-        y, info = odeint(rhs, [1.0, _recessive_slope(p, -r)], t_eval,
+        y, info = odeint(rhs, [1.0, _recessive_slope(p, -r)], xg,
                          rtol=_ODE_TOL, atol=_ODE_TOL * 1e-3, full_output=True,
                          tfirst=True)
     if info["message"] != "Integration successful.":
@@ -181,10 +221,12 @@ def solve_homogeneous(params: ModelParams, x_domain=None,
     if not finite.all():
         raise ConvergenceError(
             f"homogeneous ODE solution overflows on span {(-r, r)} past "
-            f"x={t_eval[np.argmin(finite)]:.6g}; narrow the x domain or "
+            f"x={xg[np.argmin(finite)]:.6g}; narrow the x domain or "
             f"its pad", history=info["tcur"])
-    psi1_s, psi1_d_s = y[np.searchsorted(t_eval, xq)].T
-    psi2_s, psi2_d_s = y[np.searchsorted(t_eval, -xq)].T
+    run = slice(i0, i1 + 1)
+    xq = xg[run]
+    psi1_s, psi1_d_s = y[run].T
+    psi2_s, psi2_d_s = y[::-1][run].T
     psi2_d_s = -psi2_d_s
 
     # rescale so |W| = 1 at the domain center; keeps the linear systems O(1)
@@ -203,9 +245,8 @@ def solve_homogeneous(params: ModelParams, x_domain=None,
     return HomogeneousPair(
         x_lo=x_lo, x_hi=x_hi, x_quad=xq,
         psi1_s=psi1_s, psi2_s=psi2_s, psi1_d_s=psi1_d_s, psi2_d_s=psi2_d_s,
-        spline=CubicHermiteSpline(
-            xq, np.column_stack([psi1_s, psi2_s, psi1_d_s, psi2_d_s]),
-            np.column_stack([psi1_d_s, psi2_d_s, psi1_dd, psi2_dd])))
+        spline=_hermite_table(xq, (psi1_s, psi2_s, psi1_d_s, psi2_d_s),
+                              (psi1_d_s, psi2_d_s, psi1_dd, psi2_dd)))
 
 
 # ---------------------------------------------------------------------------
@@ -218,12 +259,13 @@ class GreensDecomposition:
 
     ``drift_part`` is the resolvent applied to the signal drift,
     ``risk_part`` the resolvent applied to the constant -2*lam.  ``spline``
-    is one cubic Hermite interpolant on the pair's quadrature grid with
-    columns (drift_part, risk_part, drift_part', risk_part') and knot
-    derivatives (drift_part', risk_part', drift_part'', risk_part''); the
-    first derivatives come from the quadrature representation (the
-    integrand cross-terms cancel), the second from the defining equations
-    I'' = (2/sigma^2)(rho I - mu I' - source), source mu(x) and -2*lam.
+    is one cubic Hermite interpolant (``_hermite_table``) on the pair's
+    quadrature grid with columns (drift_part, risk_part, drift_part',
+    risk_part') and knot derivatives (drift_part', risk_part',
+    drift_part'', risk_part''); the first derivatives come from the
+    quadrature representation (the integrand cross-terms cancel), the
+    second from the defining equations I'' = (2/sigma^2)(rho I - mu I' -
+    source), source mu(x) and -2*lam.
     Its knots are the pair's ``x_quad``, which are the knots of the pair's
     spline too; ``_level_state`` relies on that to read both splines at
     one knot interval per endpoint.
@@ -231,7 +273,7 @@ class GreensDecomposition:
 
     params: ModelParams
     pair: HomogeneousPair
-    spline: CubicHermiteSpline = field(repr=False)
+    spline: PPoly = field(repr=False)
 
     def particular_value(self, x, theta):
         """V-particular = theta*drift_part + theta^2/2 * risk_part."""
@@ -278,8 +320,8 @@ def greens_particular(params: ModelParams, pair: HomogeneousPair) -> GreensDecom
 
     return GreensDecomposition(
         params=params, pair=pair,
-        spline=CubicHermiteSpline(xq, np.column_stack([p_s, q_s, p_d, q_d]),
-                                  np.column_stack([p_d, q_d, p_dd, q_dd])))
+        spline=_hermite_table(xq, (p_s, q_s, p_d, q_d),
+                              (p_d, q_d, p_dd, q_dd)))
 
 
 # ---------------------------------------------------------------------------

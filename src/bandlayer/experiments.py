@@ -342,6 +342,7 @@ def gamma_width_sweep(params: ModelParams, gamma_list,
 
     # only width(x) is consumed, so a window around x suffices; wide bands
     # need a larger search pad, so retry the level-set with growing pads
+    # and note each gamma that needed one, with what the smaller pads raised
     half = max(2.0 * abs(x), stationary_std(params))
     nodes = np.linspace(x - half, x + half, 41)
 
@@ -349,18 +350,23 @@ def gamma_width_sweep(params: ModelParams, gamma_list,
     excluded, notes = [], []
     for g in gammas:
         band = None
-        last_exc = None
+        failed = []
         for pad in (0.15, 0.5, 1.5, 4.0):
             try:
                 band = band_zero.find_band_zero(
                     params, float(g), x_nodes=nodes, pad_frac=pad)
                 break
             except (RegimeError, ConvergenceError) as exc:
-                last_exc = exc
+                failed.append((pad, exc))
         if band is None:
+            last_exc = failed[-1][1]
             excluded.append((float(g), f"band not found: {last_exc}"))
             notes.append(f"excluded gamma={g:g}: {last_exc}")
             continue
+        if failed:
+            notes.append(f"gamma={g:g} needed pad {pad:g}: " + "; ".join(
+                f"pad {bad:g} raised {type(exc).__name__}: {exc}"
+                for bad, exc in failed))
         w = float(band.width(x))
         dimensional = (params.sigma ** 2 / params.lam) * (
             float(g) * params.omega ** 2 / params.sigma ** 4) ** (1.0 / 3.0)

@@ -41,18 +41,15 @@ from .errors import ConfigError, ConvergenceError, DomainError
 from .model import (CostKind, CostParams, Grid2D, ModelParams, ScalarField,
                     drift, markowitz_position, nt_rhs,
                     small_cost_half_width)
-from .special import fd_weights
 
 __all__ = [
     "SolverConfig",
     "ValueGrid",
     "ExtractedBand",
     "VelocitySlice",
-    "ContinuityReport",
     "solve_hjb",
     "extract_band",
     "velocity_slice",
-    "c2_continuity_check",
 ]
 
 
@@ -162,21 +159,6 @@ class VelocitySlice:
     v: np.ndarray
     band_plus: float
     band_minus: float
-
-
-@dataclass(frozen=True)
-class ContinuityReport:
-    """Two-grid refinement study of derivative jumps across the boundary."""
-
-    x_nodes: np.ndarray
-    jump1_coarse: np.ndarray
-    jump1_fine: np.ndarray
-    jump2_coarse: np.ndarray
-    jump2_fine: np.ndarray
-    first_order: float
-    second_order: float
-    collinear_flags: np.ndarray
-    passed: bool
 
 
 # ------------------------------------------------------------------ control
@@ -542,90 +524,3 @@ def velocity_slice(vg: ValueGrid, x: float) -> VelocitySlice:
                          theta=grid.theta_nodes.copy(),
                          v=vg.v.values[i].copy(),
                          band_plus=bp, band_minus=bm)
-
-
-# ---------------------------------------------------------------- continuity
-
-def _boundary_jumps(vg: ValueGrid, stencil: int = 4):
-    """One-sided extrapolated V_theta and V_thetatheta jumps at the upper
-    boundary, per x node (NaN where the boundary is missing or too close
-    to a theta edge for the stencils)."""
-    grid = vg.grid
-    V = vg.V.values
-    th = grid.theta_nodes
-    nx = grid.nx
-    j1 = np.full(nx, np.nan)
-    j2 = np.full(nx, np.nan)
-    for i in range(nx):
-        if not vg.plus_mask[i]:
-            continue
-        tb = vg.band_plus[i]
-        jb = int(np.searchsorted(th, tb))
-        if jb - stencil < 0 or jb + 1 + stencil > th.size:
-            continue
-        inside = slice(jb - stencil, jb)
-        outside = slice(jb + 1, jb + 1 + stencil)
-        d1_in = float(fd_weights(tb, th[inside], 1) @ V[i, inside])
-        d1_out = float(fd_weights(tb, th[outside], 1) @ V[i, outside])
-        d2_in = float(fd_weights(tb, th[inside], 2) @ V[i, inside])
-        d2_out = float(fd_weights(tb, th[outside], 2) @ V[i, outside])
-        j1[i] = abs(d1_out - d1_in)
-        j2[i] = abs(d2_out - d2_in)
-    return j1, j2
-
-
-def c2_continuity_check(coarse: ValueGrid, fine: ValueGrid) -> ContinuityReport:
-    """Grid-refinement study of smoothness across the no-trade boundary.
-
-    ``fine`` must be the same problem re-solved with the theta spacing
-    halved, on either the same x nodes or x nodes that halve the coarse
-    ones (nx -> 2 nx - 1); jumps are compared at the shared x nodes.
-    Extrapolates first and second theta derivatives to the extracted
-    boundary from both sides on each grid; the decay rate of the jumps
-    under refinement is the smoothness order.  Passes when the
-    second-derivative jump decays at order >= 1 and the first-derivative
-    jump at order >= 2 (or no boundary exists at all).
-
-    Refine x as well to see the jumps vanish.  The x-stencil reads
-    V(x +- hx, theta), and there the oblique boundary has moved by
-    |m| hx (m the Markowitz slope), which can exceed the boundary region.
-    Under theta-only refinement the jumps therefore converge to this
-    hx-limited jump, not to zero, and the measured orders tend to 0.
-    """
-    gc, gf = coarse.grid, fine.grid
-    if gf.nx == gc.nx:
-        stride = 1
-    elif gf.nx == 2 * gc.nx - 1:
-        stride = 2
-    else:
-        raise ConfigError("fine grid must keep or halve the x spacing")
-    if not np.allclose(gc.x_nodes, gf.x_nodes[::stride]):
-        raise ConfigError("fine x nodes must contain the coarse ones")
-    if not math.isclose(gf.htheta, 0.5 * gc.htheta, rel_tol=0.02):
-        raise ConfigError("fine grid must halve the theta spacing")
-
-    j1c, j2c = _boundary_jumps(coarse)
-    j1f, j2f = (j[::stride] for j in _boundary_jumps(fine))
-    valid = np.isfinite(j1c) & np.isfinite(j1f) & (j1f > 0) & (j2f > 0)
-
-    if not np.any(valid):
-        # degenerate all-quiet case: nothing to jump across
-        zeros = np.zeros(gc.nx)
-        return ContinuityReport(gc.x_nodes, zeros, zeros.copy(),
-                                zeros.copy(), zeros.copy(),
-                                math.nan, math.nan,
-                                np.zeros(gc.nx, dtype=bool), True)
-
-    # boundary slope in x, to flag nodes where it is nearly flat
-    # (the smoothness argument degrades where the boundary runs along x)
-    slope = np.gradient(coarse.band_plus, gc.x_nodes)
-    ref = np.nanmedian(np.abs(slope[valid]))
-    collinear = np.abs(slope) < 0.1 * ref
-    use = valid & ~collinear
-    if not np.any(use):
-        use = valid
-
-    p1 = float(np.nanmedian(np.log2(j1c[use] / j1f[use])))
-    p2 = float(np.nanmedian(np.log2(j2c[use] / j2f[use])))
-    return ContinuityReport(gc.x_nodes, j1c, j1f, j2c, j2f, p1, p2,
-                            collinear, bool(p2 >= 1.0 and p1 >= 2.0))

@@ -6,6 +6,10 @@ Oracles used here, all independent of the construction under test:
 - the Wronskian of the homogeneous pair obeys the integrating-factor
   identity, and the recessive member is a Hermite function (evaluated
   by mpmath),
+- the closed-form Hermite tables have scipy's ``CubicHermiteSpline``
+  coefficients bit for bit, and the band moves by less than the LSODA
+  noise floor against not-a-knot tables and against four times the
+  quadrature nodes,
 - with no signal dynamics everything collapses to hand-computable
   exponentials and a flat band,
 - at the boundary the third derivative obeys an exact relation among
@@ -20,7 +24,7 @@ import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import cumulative_trapezoid
-from scipy.interpolate import CubicSpline
+from scipy.interpolate import CubicHermiteSpline, CubicSpline
 
 from bandlayer import band_zero, experiments
 from bandlayer.errors import (ConfigError, ConvergenceError, DomainError,
@@ -31,6 +35,19 @@ from bandlayer.band_zero import (check_displacement_identity, find_band_zero,
                                  solve_homogeneous, third_derivative_at_band,
                                  value_nt_zero)
 from conftest import DESK_GAMMA
+
+
+def _spy_on_odeint(monkeypatch):
+    """The output grids the homogeneous pass hands LSODA, as it runs."""
+    seen = []
+    real = band_zero.odeint
+
+    def spy(func, y0, t, **kw):
+        seen.append(np.array(t))
+        return real(func, y0, t, **kw)
+
+    monkeypatch.setattr(band_zero, "odeint", spy)
+    return seen
 
 
 class TestHomogeneousPair:
@@ -129,6 +146,40 @@ class TestHomogeneousPair:
         got = np.column_stack([desk_pair.psi1_s[idx],
                                desk_pair.psi1_d_s[idx]]) / desk_pair.psi1_s[ic]
         assert np.max(np.abs(got / want - 1)) < 1e-10
+
+    def test_default_grid_is_mirror_symmetric(self, desk_pair):
+        # the grid is h*k, k = -K..K, so negation maps it onto itself
+        xq = desk_pair.x_quad
+        assert xq.size == band_zero._QUAD_NODES
+        assert np.array_equal(-xq[::-1], xq)
+
+    def test_pass_writes_one_node_per_quadrature_node(self, desk_model,
+                                                       monkeypatch):
+        # the mirrored pass needs no merged grid: LSODA is handed the
+        # quadrature grid itself on a centred domain
+        seen = _spy_on_odeint(monkeypatch)
+        pair = solve_homogeneous(desk_model)
+        (t,) = seen
+        assert t.size == band_zero._QUAD_NODES
+        assert np.array_equal(t, pair.x_quad)
+
+    def test_psi2_is_psi1_reversed(self, desk_pair):
+        assert np.array_equal(desk_pair.psi2_s, desk_pair.psi1_s[::-1])
+        assert np.array_equal(desk_pair.psi2_d_s, -desk_pair.psi1_d_s[::-1])
+
+    def test_off_center_grid_is_a_run_of_the_pass(self, desk_model,
+                                                  monkeypatch):
+        # off centre the pass spans [-R, R] past the padded domain; the
+        # quadrature grid is the run of its nodes that just covers it
+        seen = _spy_on_odeint(monkeypatch)
+        pair = solve_homogeneous(desk_model, (-0.06, 0.26))
+        (t,) = seen
+        xq = pair.x_quad
+        assert np.array_equal(-t[::-1], t)
+        i0 = int(np.searchsorted(t, xq[0]))
+        assert np.array_equal(t[i0:i0 + xq.size], xq)
+        assert xq[0] <= pair.x_lo < xq[1]
+        assert xq[-2] < pair.x_hi <= xq[-1]
 
     def test_integrator_failure_names_span(self, desk_model, monkeypatch):
         # what odeint returns when LSODA gives up, without the
@@ -235,6 +286,22 @@ class TestHermiteTables:
             for g, w in zip(got, want):
                 assert np.max(np.abs(g - w)) <= 1e-12 * np.max(np.abs(w))
 
+    def test_closed_form_matches_cubic_hermite_spline(self, desk_model,
+                                                      desk_pair):
+        # the closed-form coefficients are scipy's, operation for operation
+        p, pr = desk_model, desk_pair
+        xq, c = pr.x_quad, 2.0 / desk_model.sigma ** 2
+        values = (pr.psi1_s, pr.psi2_s, pr.psi1_d_s, pr.psi2_d_s)
+        slopes = (pr.psi1_d_s, pr.psi2_d_s,
+                  c * (p.omega * xq * pr.psi1_d_s + p.rho * pr.psi1_s),
+                  c * (p.omega * xq * pr.psi2_d_s + p.rho * pr.psi2_s))
+        want = CubicHermiteSpline(xq, np.column_stack(values),
+                                  np.column_stack(slopes)).c
+        got = band_zero._hermite_table(xq, values, slopes)
+        assert np.array_equal(got.c, want)
+        assert np.array_equal(pr.spline.c, want)
+        assert np.array_equal(got.x, xq)
+
     @pytest.mark.parametrize("sigma, omega, gamma_factor", [
         (0.02, 0.1, 1.0), (0.02, 0.1, 0.9), (0.02, 0.1, 1.1),
         (0.01, 0.02, 1.0), (0.01, 0.5, 1.0), (0.05, 0.02, 1.0),
@@ -245,12 +312,33 @@ class TestHermiteTables:
         # the values alone, ignoring the derivative columns
         p = ModelParams(sigma=sigma, omega=omega, lam=1.0, rho=1e-3)
         band = find_band_zero(p, DESK_GAMMA * gamma_factor)
-        monkeypatch.setattr(band_zero, "CubicHermiteSpline",
-                            lambda x, y, dydx: CubicSpline(x, y))
+        monkeypatch.setattr(band_zero, "_hermite_table",
+                            lambda x, values, slopes: CubicSpline(
+                                x, np.column_stack(values)))
         ref = find_band_zero(p, DESK_GAMMA * gamma_factor)
         scale = np.max(np.abs(ref.theta_plus))
         for got, want in ((band.theta_plus, ref.theta_plus),
                           (band.theta_minus, ref.theta_minus)):
+            assert np.max(np.abs(got - want)) <= 1e-11 * scale
+
+
+class TestQuadratureNodes:
+    @pytest.mark.parametrize("gamma_factor", [0.9, 1.0, 1.1])
+    def test_band_converged_in_node_count(self, desk_model, monkeypatch,
+                                          gamma_factor):
+        # at _QUAD_NODES the h^4 interpolation and Simpson error sits
+        # below the LSODA pass's noise floor: a solve on four times the
+        # nodes moves the band by less than 1e-11 of its scale
+        gamma = DESK_GAMMA * gamma_factor
+        band = find_band_zero(desk_model, gamma)
+        monkeypatch.setattr(band_zero, "_QUAD_NODES",
+                            4 * (band_zero._QUAD_NODES - 1) + 1)
+        fine = find_band_zero(desk_model, gamma)
+        assert fine.comp.pair.x_quad.size == 4 * (band.comp.pair.x_quad.size
+                                                  - 1) + 1
+        scale = np.max(np.abs(fine.theta_plus))
+        for got, want in ((band.theta_plus, fine.theta_plus),
+                          (band.theta_minus, fine.theta_minus)):
             assert np.max(np.abs(got - want)) <= 1e-11 * scale
 
 
@@ -796,3 +884,25 @@ class TestWidthSweep:
         np.testing.assert_array_equal(res.values, [2e-5, 2e-4, 2e-3, 2e-2])
         (gamma, reason), = res.excluded
         assert gamma == 1e-1 and "overflows on span" in reason
+
+    def test_pad_retry_is_noted(self, desk_model, monkeypatch):
+        # a gamma whose band fails on the narrow pads is retried wider;
+        # the sweep notes the pad that worked and what each narrower one
+        # raised, and says nothing of the gammas solved on the first pad
+        # (5e-7 and 5e-6 here; 2e-5 needs pad 0.5 on this window)
+        real = band_zero.find_band_zero
+
+        def narrow_fails(params, gamma, x_nodes=None, pad_frac=0.15):
+            if gamma == 1e-4 and pad_frac < 1.0:
+                raise RegimeError(f"stub at pad {pad_frac:g}")
+            return real(params, gamma, x_nodes=x_nodes, pad_frac=pad_frac)
+
+        monkeypatch.setattr(band_zero, "find_band_zero", narrow_fails)
+        res = experiments.gamma_width_sweep(desk_model,
+                                            [5e-7, 5e-6, 2e-5, 1e-4])
+        np.testing.assert_array_equal(res.values, [5e-7, 5e-6, 2e-5, 1e-4])
+        assert res.excluded == ()
+        assert [n for n in res.notes if "gamma=5e-0" in n] == []
+        assert [n for n in res.notes if n.startswith("gamma=0.0001 ")] == [
+            "gamma=0.0001 needed pad 1.5: pad 0.15 raised RegimeError: stub "
+            "at pad 0.15; pad 0.5 raised RegimeError: stub at pad 0.5"]

@@ -113,13 +113,6 @@ def test_all_matches_module(module):
     assert not unlisted, f"{module}: public names missing from __all__ {unlisted}"
 
 
-# public names that no package code reads, and why each stays
-UNREAD_PUBLIC = {
-    ("hjb", "c2_continuity_check"):
-        "the Tier-1 smoothness oracle of the DP field; only tests call it",
-}
-
-
 def _loaded_names(tree, skip=None):
     """Names and attribute names read anywhere in tree, outside skip."""
     inside = {id(n) for n in ast.walk(skip)} if skip is not None else set()
@@ -145,7 +138,7 @@ def test_all_names_are_read_by_the_package():
             read = any(name in _loaded_names(other, own if other is tree
                                              else None)
                        for other in trees.values())
-            if not read and (module, name) not in UNREAD_PUBLIC:
+            if not read:
                 unread.append(f"{module}.{name}")
     assert not unread, f"public names only tests read: {unread}"
 

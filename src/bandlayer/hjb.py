@@ -23,8 +23,14 @@ Anal. 47, 2009), so the digits a tighter stop would add are re-done on
 the finer level anyway.
 
 Grid layout note: fields are (nx, ntheta) arrays; the sparse system is
-ordered x-fastest so the matrix bandwidth is nx, which keeps the LU
-factor banded and cheap even for very fine theta grids.
+ordered x-fastest (k = i + j*nx) so the matrix bandwidth is nx, which
+keeps the LU factor banded and cheap even for very fine theta grids.
+The problem is point-symmetric about (0, 0): the drift -omega x is odd
+and both costs depend on |v| alone, so V(-x, -theta) = V(x, theta).  On a
+grid that is itself point-symmetric about (0, 0) (each axis its own
+negated reverse, to a few ulps) the mirror of node k is N-1-k, and each
+policy system is folded onto its first ceil(N/2) rows; see
+:func:`_assemble`.  Any other grid keeps all N rows.
 """
 
 from __future__ import annotations
@@ -70,6 +76,10 @@ _COARSEST_NTHETA = 13
 # at 0.08-3.5 of it on 121x1501 (desk point, eta 1e-4); a tolerance whose
 # bound lies above twice the floor stops as it would without this test
 _FLOOR_FACTOR = 2.0
+# an axis is mirror-symmetric when it equals its negated reverse within
+# this many ulps of its largest |node|; np.linspace(-a, a, n) misses by
+# up to 2 ulps of a
+_MIRROR_ULPS = 4
 
 
 @dataclass(frozen=True)
@@ -262,7 +272,19 @@ def _x_stencil(params: ModelParams, grid: Grid2D):
     return w - half + a_bwd, -(2.0 * w + (a_fwd + a_bwd)), w + half + a_fwd
 
 
-def _assemble(params: ModelParams, grid: Grid2D, xop, v, bc_bot, bc_top):
+def _fold_rows(grid: Grid2D) -> int:
+    """Rows of the policy system: ceil(N/2) on a grid point-symmetric
+    about (0, 0), all N = nx * ntheta on any other."""
+    size = grid.nx * grid.ntheta
+    for nodes in (grid.x_nodes, grid.theta_nodes):
+        tol = _MIRROR_ULPS * np.finfo(float).eps * np.max(np.abs(nodes))
+        if np.max(np.abs(nodes + nodes[::-1])) > tol:
+            return size
+    return (size + 1) // 2
+
+
+def _assemble(params: ModelParams, grid: Grid2D, xop, v, bc_bot, bc_top,
+              rows=None):
     """Sparse operator rho I - v d/dtheta - L_x with upwind advection.
 
     ``xop`` is the :func:`_x_stencil` of the grid.  Unknowns are ordered
@@ -270,48 +292,100 @@ def _assemble(params: ModelParams, grid: Grid2D, xop, v, bc_bot, bc_top):
     offsets 0, +-1 (x) and +-nx (theta).  Rows at theta edges where the
     bc mask is set enforce the one-sided slope instead of the optimality
     equation; the returned callback maps the reward field to the rhs.
+
+    ``rows`` = n keeps rows 0..n-1 (all N by default) and reads each
+    column l >= n as column N-1-l, the mirror of node l (:func:`_fold_rows`
+    says when that holds).  Those "wrap" entries are the east neighbour
+    of row n-1 and the north neighbours of the last nx rows.  The folded
+    matrix keeps the band of width nx and every row sum, so it stays an
+    M-matrix.  With N even, one node next to the centre has its own
+    mirror as a neighbour: the north one of (0, -htheta/2) when ntheta
+    is even, the east one of (-hx/2, 0) when nx is; that entry adds onto
+    its diagonal.
     """
     nx, nt = grid.nx, grid.ntheta
+    size = nx * nt
+    n = size if rows is None else rows
     ht = grid.htheta
-    lower, x_diag, upper = (c[:, None] for c in xop)
-    bot_mask, _ = bc_bot
-    top_mask, _ = bc_top
-    is_bc = np.zeros((nx, nt), dtype=bool)
-    is_bc[:, 0] = bot_mask
-    is_bc[:, -1] = top_mask
+    # per-row arrays of the kept rows; row k sits at x node k % nx
+    lower, x_diag, upper = (np.tile(c, nt)[:n] for c in xop)
+    is_bc = np.zeros(size, dtype=bool)
+    is_bc[:nx] = bc_bot[0]
+    is_bc[size - nx:] = bc_top[0]
+    slope = is_bc[:n]
+    g = np.zeros(size)
+    g[:nx] = -bc_bot[1]
+    g[size - nx:] = bc_top[1]
 
     # theta-advection, upwind by velocity sign
-    t_fwd = np.maximum(v, 0.0) / ht
-    t_bwd = np.maximum(-v, 0.0) / ht
-    t_fwd[:, -1] = 0.0   # no forward neighbour; control never buys here
-    t_bwd[:, 0] = 0.0
+    vk = np.ravel(v, order="F")[:n]
+    t_fwd = np.maximum(vk, 0.0) / ht
+    t_bwd = np.maximum(-vk, 0.0) / ht
+    t_fwd[size - nx:] = 0.0   # no forward neighbour; control never buys here
+    t_bwd[:nx] = 0.0
 
     # coefficients of V at (i, j) and at its four neighbours, per row;
     # slope rows (V_edge - V_inner)/ht = g are written with +1 diagonal
-    free = ~is_bc
+    free = ~slope
     diag = np.where(free, (params.rho - x_diag) + (t_fwd + t_bwd), 1.0 / ht)
     west = np.where(free, -lower, 0.0)
     east = np.where(free, -upper, 0.0)
     south = np.where(free, -t_bwd, 0.0)
     north = np.where(free, -t_fwd, 0.0)
-    north[bot_mask, 0] = -1.0 / ht
-    south[top_mask, -1] = -1.0 / ht
+    north[:nx][slope[:nx]] = -1.0 / ht
+    south[size - nx:][slope[size - nx:]] = -1.0 / ht
 
-    def flat(c):
-        return np.ravel(c, order="F")
-
-    A = sp.diags([flat(south)[nx:], flat(west)[1:], flat(diag),
-                  flat(east)[:-1], flat(north)[:-nx]],
-                 [-nx, -1, 0, 1, nx], format="csc")
+    A = _folded_csc(size, nx, south, west, diag, east, north)
 
     def rhs(r):
         # bottom row reads (V[0]-V[1])/ht = -g_bot, top (V[J]-V[J-1])/ht = g_top
-        b = r.copy()
-        b[bot_mask, 0] = -bc_bot[1][bot_mask]
-        b[top_mask, -1] = bc_top[1][top_mask]
-        return flat(b)
+        return np.where(slope, g[:n], np.ravel(r, order="F")[:n])
 
-    return A, rhs, is_bc
+    return A, rhs, np.reshape(is_bc, (nx, nt), order="F")
+
+
+def _folded_csc(size, nx, south, west, diag, east, north):
+    """CSC matrix of the n = diag.size kept rows of the size-N system.
+
+    Row k has coefficients at columns k-nx, k-1, k, k+1 and k+nx; a
+    column l >= n is read as its mirror N-1-l.  The CSR arrays of the
+    transpose, which ``sp.diags`` builds directly, are the CSC arrays of
+    the matrix.  The mirrored ("wrap") entries all lie in the last nx+1
+    columns, at the tail of those arrays; that tail is rebuilt from a
+    dense block with them added, so no sparse sum is formed.
+    """
+    n = diag.size
+    T = sp.diags([north[:n - nx], east[:-1], diag, west[1:], south[nx:]],
+                 [-nx, -1, 0, 1, nx], shape=(n, n), format="csr")
+    data, indices, indptr = T.data, T.indices, T.indptr
+    c0 = max(n - nx - 1, 0)
+    r0 = max(c0 - nx, 0)
+    head = indptr[c0]
+    block = np.zeros((n - c0, n - r0))   # [column - c0, row - r0]
+    block[np.repeat(np.arange(n - c0), np.diff(indptr[c0:])),
+          indices[head:] - r0] = data[head:]
+    # the wrap entries described in _assemble; none exist when n = N
+    row = np.append(np.arange(n - nx, n), n - 1)
+    col = np.append(row[:-1] + nx, n)
+    wrap = col < size
+    np.add.at(block, (size - 1 - col[wrap] - c0, row[wrap] - r0),
+              np.append(north[n - nx:], east[-1])[wrap])
+    cols, rows = np.nonzero(block)
+    counts = np.cumsum(np.bincount(cols, minlength=n - c0))
+    return sp.csc_matrix(
+        (np.concatenate([data[:head], block[cols, rows]]),
+         np.concatenate([indices[:head], (rows + r0).astype(indices.dtype)]),
+         np.concatenate([indptr[:c0 + 1],
+                         (head + counts).astype(indptr.dtype)])),
+        shape=(n, n))
+
+
+def _unfold(u, shape):
+    """The (nx, ntheta) field whose first u.size nodes are u and whose
+    node l beyond them is node N-1-l (all of u on an unfolded system)."""
+    size = shape[0] * shape[1]
+    return np.reshape(np.concatenate([u, u[:size - u.size][::-1]]), shape,
+                      order="F")
 
 
 def _one_sided_diffs(V, ht):
@@ -355,18 +429,24 @@ def _reward(params: ModelParams, costs: CostParams, grid: Grid2D, v):
                                      + _nl_cost(costs, speed))
 
 
-def _rounding_floor(A, b, V):
-    """eps * max_row(|A||V| + |b|): how far rounding alone moves the
-    solve of A V = b, in the units of its rows."""
-    return float(np.finfo(float).eps * np.max(
-        abs(A) @ np.abs(np.ravel(V, order="F")) + np.abs(b)))
+def _rounding_floor(A, b, u):
+    """eps * max_row(|A||u| + |b|): how far rounding alone moves the
+    solve u of A u = b, in the units of its rows."""
+    return float(np.finfo(float).eps * np.max(abs(A) @ np.abs(u)
+                                              + np.abs(b)))
 
 
 def _solve_policy(params, costs, grid, cfg, V=None, seed=False):
     """Policy iteration from V, or from the coarse-to-fine seed without
     it; returns (V, iterations, history, the stop test met).  A ``seed``
     level only seeds a finer one, which re-converges, so it stops once its
-    policy settles."""
+    policy settles.
+
+    On a grid point-symmetric about (0, 0) each iteration solves for the
+    first ceil(N/2) nodes only and writes node N-1-k as node k: the
+    problem's symmetry (drift -omega x, costs in |v|) gives V(x, theta) =
+    V(-x, -theta), and the folded system has half the rows at the same
+    bandwidth.  The policy and the stop tests read the full V."""
     if V is None and grid.ntheta <= _COARSEST_NTHETA:
         V = _nt_initial(params, grid)
     elif V is None:
@@ -379,6 +459,7 @@ def _solve_policy(params, costs, grid, cfg, V=None, seed=False):
     cap = _velocity_cap(params, costs, grid)
     bc_bot, bc_top = _edge_slopes(params, costs, grid)
     xop = _x_stencil(params, grid)
+    rows = _fold_rows(grid)
     history = []
     # the policy before the first iteration counts as "trade nowhere"
     # (the no-trade seed's), so a solve that trades runs at least twice
@@ -389,13 +470,14 @@ def _solve_policy(params, costs, grid, cfg, V=None, seed=False):
         sign = np.sign(v).astype(np.int8)
         settled = np.array_equal(sign, sign_prev)
         sign_prev = sign
-        A, rhs, _ = _assemble(params, grid, xop, v, bc_bot, bc_top)
+        A, rhs, _ = _assemble(params, grid, xop, v, bc_bot, bc_top, rows)
         # keep the x-fastest order so the factor stays in the band of
         # width nx; a fill-reducing column order (COLAMD) factors slower.
         # No refinement step: it moved V by < 1e-12 relative at ETA_FLOOR
         lu = splu(A, permc_spec="NATURAL")
         b = rhs(_reward(params, costs, grid, v))
-        V_old, V = V, np.reshape(lu.solve(b), V.shape, order="F")
+        u = lu.solve(b)
+        V_old, V = V, _unfold(u, V.shape)
         history.append(float(np.max(np.abs(V - V_old))))
         # a small update alone can still flip isolated nodes between
         # trading and quiet (see SolverConfig), so the policy must settle
@@ -405,7 +487,7 @@ def _solve_policy(params, costs, grid, cfg, V=None, seed=False):
             return V, it, tuple(history), "settled"
         if history[-1] <= cfg.convergence_tol * np.max(np.abs(V)):
             return V, it, tuple(history), "tolerance"
-        if history[-1] <= _FLOOR_FACTOR * _rounding_floor(A, b, V):
+        if history[-1] <= _FLOOR_FACTOR * _rounding_floor(A, b, u):
             return V, it, tuple(history), "floor"
     raise ConvergenceError(
         f"policy iteration on {grid.ntheta} theta nodes did not converge "
@@ -422,7 +504,8 @@ def solve_hjb(params: ModelParams, costs: CostParams, grid: Grid2D,
     default seed is built coarse to fine (see the module docstring).
     Raises ConvergenceError naming the theta node count of the level
     whose budget ran out, and ConfigError for ill-posed setups
-    (non-uniform grid, eta below ``ETA_FLOOR``).
+    (non-uniform grid, eta below ``ETA_FLOOR``, an ``initial`` of the
+    wrong shape or with non-finite entries).
     """
     cfg = cfg or SolverConfig()
     if not (grid.x_uniform and grid.theta_uniform):
@@ -436,8 +519,12 @@ def solve_hjb(params: ModelParams, costs: CostParams, grid: Grid2D,
         raise ConfigError("three-halves cost needs zeta > 0")
 
     V = None if initial is None else np.array(initial, dtype=float)
-    if V is not None and V.shape != (grid.nx, grid.ntheta):
-        raise ConfigError("initial guess shape does not match grid")
+    if V is not None:
+        if V.shape != (grid.nx, grid.ntheta):
+            raise ConfigError("initial guess shape does not match grid")
+        bad = V.size - np.count_nonzero(np.isfinite(V))
+        if bad:
+            raise ConfigError(f"initial guess has {bad} non-finite entries")
 
     V, iters, hist, stop = _solve_policy(params, costs, grid, cfg, V)
     residual, v = _bellman_residual(params, costs, grid, V)

@@ -21,6 +21,7 @@ Oracle strategy, by class:
   of discretization details.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -99,6 +100,16 @@ class TestConfigValidation:
         costs = CostParams(gamma_lin=2e-4, eta=1e-4)
         with pytest.raises(ConfigError):
             hjb.solve_hjb(desk_params, costs, grid, initial=np.zeros((3, 3)))
+
+    def test_initial_guess_must_be_finite(self, desk_params):
+        # a NaN used to reach the policy cast and then SuperLU, which
+        # failed with a bare "Factor is exactly singular"
+        grid = Grid2D.regular(-0.134, 0.134, 11, -7.5e-3, 7.5e-3, 101)
+        costs = CostParams(gamma_lin=2e-4, eta=1e-4)
+        initial = hjb._nt_initial(desk_params, grid)
+        initial[5, 50] = np.nan
+        with pytest.raises(ConfigError, match="1 non-finite"):
+            hjb.solve_hjb(desk_params, costs, grid, initial=initial)
 
     def test_nonuniform_grid_rejected(self, desk_params):
         x = np.array([-0.1, -0.02, 0.0, 0.02, 0.1])
@@ -448,6 +459,10 @@ class TestDiscreteResidual:
     # theta edges close enough to the band that some edge rows are
     # one-sided optimality rows, and some of those trade
     EDGE = Grid2D.regular(-0.3, 0.3, 9, -0.055, 0.055, 121)
+    # even N: on EVEN_THETA the north neighbour of (0, -htheta/2) is its
+    # own mirror, on EVEN_X the east neighbour of (-hx/2, 0)
+    EVEN_THETA = Grid2D.regular(-1.29, 1.29, 21, -0.6, 0.6, 120)
+    EVEN_X = Grid2D.regular(-1.29, 1.29, 20, -0.6, 0.6, 121)
     QUADRATIC = CostParams(gamma_lin=0.05, eta=0.05)
     THREE_HALVES = CostParams(gamma_lin=0.05, zeta=0.05,
                               kind=CostKind.THREE_HALVES)
@@ -486,23 +501,62 @@ class TestDiscreteResidual:
         optimality = edge & ~_slope_rows(self.PARAMS, costs, self.EDGE)
         assert np.any(vg.v.values[optimality] != 0.0)
 
-    @pytest.mark.parametrize("grid_name", ["GRID", "MIXED", "EDGE"])
-    def test_assembled_matrix_is_monotone(self, grid_name):
+    @pytest.mark.parametrize("grid_name, folded", [
+        pytest.param("GRID", False, id="GRID"),
+        pytest.param("MIXED", False, id="MIXED"),
+        pytest.param("EDGE", False, id="EDGE"),
+        # the system folded onto ceil(N/2) rows, at odd and at even N
+        pytest.param("GRID", True, id="GRID-folded"),
+        pytest.param("EVEN_THETA", True, id="EVEN_THETA-folded"),
+        pytest.param("EVEN_X", True, id="EVEN_X-folded"),
+    ])
+    def test_assembled_matrix_is_monotone(self, grid_name, folded):
         # Barles-Souganidis: non-positive off-diagonals, and rows that sum
         # to rho (equation) or to 0 (edge slope condition)
         grid = getattr(self, grid_name)
         p, costs = self.PARAMS, self.QUADRATIC
         vg = self._solve(costs, grid)
+        size = grid.nx * grid.ntheta
+        n = hjb._fold_rows(grid) if folded else size
+        assert n == ((size + 1) // 2 if folded else size)
         A, _, is_bc = hjb._assemble(
             p, grid, hjb._x_stencil(p, grid), vg.v.values,
-            *hjb._edge_slopes(p, costs, grid))
+            *hjb._edge_slopes(p, costs, grid), n)
+        assert A.shape == (n, n)
         coo = A.tocoo()
         assert np.all(coo.data[coo.row != coo.col] <= 0.0)
-        rows = np.ravel(is_bc, order="F")
+        rows = np.ravel(is_bc, order="F")[:n]
         sums = np.asarray(A.sum(axis=1)).ravel()
         scale = np.abs(A.diagonal())
         assert np.all(np.abs(sums[~rows] - p.rho) <= 1e-12 * scale[~rows])
         assert np.all(np.abs(sums[rows]) <= 1e-12 * scale[rows])
+
+    @pytest.mark.parametrize("grid_name, i, j, step", [
+        # node (0, -htheta/2), whose north neighbour is its own mirror
+        pytest.param("EVEN_THETA", 10, 59, 21, id="EVEN_THETA"),
+        # node (-hx/2, 0), whose east neighbour is its own mirror
+        pytest.param("EVEN_X", 9, 60, 1, id="EVEN_X"),
+    ])
+    def test_self_mirrored_neighbour_folds_onto_the_diagonal(
+            self, grid_name, i, j, step):
+        # a policy that trades at every node, toward theta = 0, so that the
+        # theta neighbours of the centre carry weight too
+        grid = getattr(self, grid_name)
+        p, costs = self.PARAMS, self.QUADRATIC
+        size = grid.nx * grid.ntheta
+        v = -np.tile(grid.theta_nodes, (grid.nx, 1))
+        args = (p, grid, hjb._x_stencil(p, grid), v,
+                *hjb._edge_slopes(p, costs, grid))
+        full = hjb._assemble(*args)[0].tocsr()
+        folded = hjb._assemble(*args, (size + 1) // 2)[0].tocsr()
+        k = i + j * grid.nx
+        mirror = size - 1 - k
+        assert mirror == k + step
+        assert full[k, mirror] < 0.0
+        assert folded[k, k] == full[k, k] + full[k, mirror]
+        row = folded[k].toarray().ravel()
+        assert np.all(np.delete(row, k) <= 0.0)
+        assert abs(row.sum() - p.rho) <= 1e-12 * folded[k, k]
 
 
 # ------------------------------------------------------------ 3/2-power cost
@@ -699,6 +753,99 @@ class TestColdStart:
         with pytest.raises(ConvergenceError, match=r"on 26 theta nodes"):
             hjb.solve_hjb(desk_params, costs, self.GRID,
                           hjb.SolverConfig(max_iters=3))
+
+
+# ------------------------------------------------------ point-symmetric fold
+
+
+class TestFold:
+    """On a grid point-symmetric about (0, 0) each policy system is solved
+    on its first ceil(N/2) nodes and the others are written as their
+    mirrors.  The result must be point-symmetric bit for bit, equal the
+    solve of the full system for the same policy (built and solved here,
+    unfolded), and satisfy the discrete equation; a grid off the centre
+    keeps all N rows."""
+
+    GRIDS = {"odd_N": Grid2D.regular(-0.134, 0.134, 21, -7.5e-3, 7.5e-3, 401),
+             "even_ntheta": Grid2D.regular(-0.134, 0.134, 21,
+                                           -7.5e-3, 7.5e-3, 400),
+             "even_nx": Grid2D.regular(-0.134, 0.134, 20,
+                                       -7.5e-3, 7.5e-3, 401)}
+    COSTS = TestColdStart.COSTS
+    CLOSE = hjb.SolverConfig(convergence_tol=1e-12)
+
+    @pytest.fixture(scope="class",
+                    params=list(itertools.product(GRIDS, COSTS)),
+                    ids=lambda gc: "-".join(gc))
+    def solved(self, request, desk_params):
+        grid, costs = self.GRIDS[request.param[0]], self.COSTS[request.param[1]]
+        return grid, costs, hjb.solve_hjb(desk_params, costs, grid,
+                                          self.CLOSE)
+
+    @staticmethod
+    def _assert_solves_discrete_equation(params, costs, grid, V):
+        res = _discrete_residual(params, costs, grid, V)
+        rows = ~_slope_rows(params, costs, grid)
+        assert np.abs(res[rows]).max() <= 1e-10 * np.abs(V).max()
+
+    @staticmethod
+    def _factored_rows(params, costs, grid):
+        """Rows of every matrix factored by one solve from the no-trade
+        seed (a single level), and the solve."""
+        rows = []
+
+        def spying_splu(A, *args, **kwargs):
+            rows.append(A.shape[0])
+            return splu(A, *args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(hjb, "splu", spying_splu)
+            vg = hjb.solve_hjb(params, costs, grid, TestFold.CLOSE,
+                               initial=hjb._nt_initial(params, grid))
+        return rows, vg
+
+    def test_value_is_point_symmetric(self, solved):
+        V = solved[2].V.values
+        np.testing.assert_array_equal(V, V[::-1, ::-1])
+
+    def test_matches_the_unfolded_solve(self, solved, desk_params):
+        grid, costs, vg = solved
+        p, v = desk_params, vg.v.values
+        A, rhs, _ = hjb._assemble(p, grid, hjb._x_stencil(p, grid), v,
+                                  *hjb._edge_slopes(p, costs, grid))
+        assert A.shape[0] == grid.nx * grid.ntheta
+        ref = np.reshape(
+            splu(A, permc_spec="NATURAL").solve(
+                rhs(hjb._reward(p, costs, grid, v))),
+            v.shape, order="F")
+        assert np.abs(vg.V.values - ref).max() <= 1e-10 * np.abs(ref).max()
+
+    def test_solves_the_discrete_equation(self, solved, desk_params):
+        grid, costs, vg = solved
+        self._assert_solves_discrete_equation(desk_params, costs, grid,
+                                              vg.V.values)
+
+    def test_linspace_grid_is_folded(self, desk_params):
+        grid = self.GRIDS["odd_N"]
+        # np.linspace(-a, a, n) misses its own mirror by an ulp or two
+        assert not np.array_equal(grid.x_nodes, -grid.x_nodes[::-1])
+        size = grid.nx * grid.ntheta
+        rows, _ = self._factored_rows(desk_params, self.COSTS["quadratic"],
+                                      grid)
+        assert rows and set(rows) == {(size + 1) // 2}
+
+    @pytest.mark.parametrize("grid", [
+        pytest.param(Grid2D.regular(-0.1, 0.168, 21, -7.5e-3, 7.5e-3, 401),
+                     id="off_centre_x"),
+        pytest.param(Grid2D.regular(-0.134, 0.134, 21, -6e-3, 9e-3, 401),
+                     id="off_centre_theta"),
+    ])
+    def test_off_centre_grid_is_not_folded(self, desk_params, grid):
+        costs = self.COSTS["quadratic"]
+        rows, vg = self._factored_rows(desk_params, costs, grid)
+        assert rows and set(rows) == {grid.nx * grid.ntheta}
+        self._assert_solves_discrete_equation(desk_params, costs, grid,
+                                              vg.V.values)
 
 
 # --------------------------------------------------- continuity diagnostics

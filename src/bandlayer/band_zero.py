@@ -1033,19 +1033,6 @@ def value_nt_zero(band: Band, x, theta) -> float:
 # boundary-displacement identity
 
 
-def _displaced_alpha(band, theta, delta):
-    """Coefficients with the upper boundary displaced by delta in theta.
-
-    The displaced family keeps the slope conditions but NOT optimality:
-    the upper endpoint of level theta is taken from the unperturbed
-    family at level theta - delta.
-    """
-    hp = _level_at(band, theta - delta)["hp"]
-    hm = _level_at(band, theta)["hm"]
-    st = _level_state(band.comp, band.gamma_lin, theta, hp, hm)
-    return st["a1"], st["a2"]
-
-
 def _level_at(band, theta):
     """Solve the unperturbed level problem at an arbitrary theta."""
     j = int(np.clip(np.searchsorted(band.levels, theta), 1, band.levels.size - 1))
@@ -1076,11 +1063,20 @@ def check_displacement_identity(band: Band, x):
     delta = 0.02 * (band.theta_plus_at(x) + band.theta_minus_at(x))
 
     p1x, p2x, _, _ = band.comp.pair.spline(x).tolist()
+    # five level solves per x: theta_b and theta_b -+ d for both steps d
+    st0 = _level_at(band, theta_b)
+
+    def displaced(d):
+        # coefficients with the upper boundary displaced by d: the slope
+        # conditions hold but NOT optimality, the upper endpoint of level
+        # theta_b is the unperturbed family's at level theta_b - d
+        hp = _level_at(band, theta_b - d)["hp"]
+        st = _level_state(band.comp, band.gamma_lin, theta_b, hp, st0["hm"])
+        return st["a1"], st["a2"]
 
     def gprime(d):
-        st0 = _level_at(band, theta_b)
-        a1p, a2p = _displaced_alpha(band, theta_b, +d)
-        a1m, a2m = _displaced_alpha(band, theta_b, -d)
+        a1p, a2p = displaced(+d)
+        a1m, a2m = displaced(-d)
         num = ((a1p + a1m - 2 * st0["a1"]) * p1x
                + (a2p + a2m - 2 * st0["a2"]) * p2x)
         return num / d ** 2

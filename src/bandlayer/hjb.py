@@ -23,14 +23,17 @@ Anal. 47, 2009), so the digits a tighter stop would add are re-done on
 the finer level anyway.
 
 Grid layout note: fields are (nx, ntheta) arrays; the sparse system is
-ordered x-fastest (k = i + j*nx) so the matrix bandwidth is nx, which
-keeps the LU factor banded and cheap even for very fine theta grids.
-The problem is point-symmetric about (0, 0): the drift -omega x is odd
-and both costs depend on |v| alone, so V(-x, -theta) = V(x, theta).  On a
+ordered x-fastest (k = i + j*nx) so the matrix bandwidth is nx.  The
+problem is point-symmetric about (0, 0): the drift -omega x is odd and
+both costs depend on |v| alone, so V(-x, -theta) = V(x, theta).  On a
 grid that is itself point-symmetric about (0, 0) (each axis its own
 negated reverse, to a few ulps) the mirror of node k is N-1-k, and each
 policy system is folded onto its first ceil(N/2) rows; see
-:func:`_assemble`.  Any other grid keeps all N rows.
+:func:`_assemble`.  Any other grid keeps all N rows.  Every policy system
+is factored by one rule, :func:`_splu_options`: on narrow x grids the
+x-fastest order keeps the LU in the band, cheap even for very fine
+theta grids; from ``_FILL_REDUCING_NX`` x nodes on, where the band's
+fill grows as nx^2 per theta line, an unpivoted minimum-degree order.
 """
 
 from __future__ import annotations
@@ -80,6 +83,23 @@ _FLOOR_FACTOR = 2.0
 # this many ulps of its largest |node|; np.linspace(-a, a, n) misses by
 # up to 2 ulps of a
 _MIRROR_ULPS = 4
+# SuperLU settings of every policy factor (see _splu_options).  The
+# natural order's fill grows as nx^2 per theta line, a fill-reducing
+# one's far slower.  Seconds per factor of the converged folded system
+# on 1501 theta nodes (desk point, eta 1e-4, panel 2, one thread of a
+# 2-vCPU Xeon), natural against the unpivoted fill-reducing order: nx 31
+# 0.030 / 0.055, 61 0.119 / 0.184, 91 0.209 / 0.228, 121 0.440 / 0.381,
+# 181 1.48 / 0.76, 241 4.44 / 1.22.  All the factors of a cold solve
+# take 2.6 / 2.3 s at nx 91 and 4.0 / 3.4 s at 121: the two orders tie
+# at 91, and the fill-reducing one wins from 121 on
+_FILL_REDUCING_NX = 121
+# columns per SuperLU panel, on both orders.  SuperLU's default of 10 is
+# sized for wide supernodes; on these bands (about 21 fill entries per
+# row at nx 31) the panel bookkeeping costs more than the arithmetic:
+# the 55 factors of a cold 31x1501 solve take 447 ms at 10, and 355, 344
+# and 360 ms at 1, 2 and 4; at nx 241 one factor takes 1.46 s at 10 and
+# 1.22 s at 2
+_PANEL_SIZE = 2
 
 
 @dataclass(frozen=True)
@@ -105,7 +125,10 @@ class SolverConfig:
 
     The eta floor, the velocity cap and the band-extraction threshold are
     not settable; they are the module constants ``ETA_FLOOR``,
-    ``VELOCITY_CAP_FACTOR`` and ``BAND_THRESHOLD``.
+    ``VELOCITY_CAP_FACTOR`` and ``BAND_THRESHOLD``.  Neither is the
+    sparse factor: ``_FILL_REDUCING_NX`` (the x node count from which the
+    order is fill-reducing and unpivoted) and ``_PANEL_SIZE`` (SuperLU's
+    panel width) were set by timing, see :func:`_splu_options`.
     """
 
     max_iters: int = 400
@@ -287,11 +310,13 @@ def _assemble(params: ModelParams, grid: Grid2D, xop, v, bc_bot, bc_top,
               rows=None):
     """Sparse operator rho I - v d/dtheta - L_x with upwind advection.
 
-    ``xop`` is the :func:`_x_stencil` of the grid.  Unknowns are ordered
-    x-fastest (k = i + j*nx), so the matrix has five diagonals, at
-    offsets 0, +-1 (x) and +-nx (theta).  Rows at theta edges where the
-    bc mask is set enforce the one-sided slope instead of the optimality
-    equation; the returned callback maps the reward field to the rhs.
+    ``xop`` is the :func:`_x_stencil` of the grid, and ``v`` the velocity
+    on the grid's first theta columns, at least those of the kept rows.
+    Unknowns are ordered x-fastest (k = i + j*nx), so the matrix has five
+    diagonals, at offsets 0, +-1 (x) and +-nx (theta).  Rows at theta
+    edges where the bc mask is set enforce the one-sided slope instead of
+    the optimality equation; the returned callback maps the reward field
+    (on the same columns as ``v``) to the rhs.
 
     ``rows`` = n keeps rows 0..n-1 (all N by default) and reads each
     column l >= n as column N-1-l, the mirror of node l (:func:`_fold_rows`
@@ -388,12 +413,39 @@ def _unfold(u, shape):
                       order="F")
 
 
+def _splu_options(nx):
+    """Keyword arguments of :func:`splu` for a policy system of bandwidth
+    nx, the one factor rule of the module.
+
+    Below ``_FILL_REDUCING_NX`` the x-fastest order is kept, so the factor
+    stays in the band, with SuperLU's default partial pivoting.  From it
+    on the columns take a minimum-degree order of A + A^T, applied to the
+    rows too, and the diagonal is the pivot: the policy matrix, folded or
+    not, is an M-matrix (off-diagonals <= 0, row sums rho on optimality
+    rows and 0 on slope rows), so any symmetric permutation of it factors
+    without pivoting, and a pivot search would undo the order (with
+    default pivoting that order ran out of memory at 121x1501).  Both use
+    panels of ``_PANEL_SIZE`` columns.
+    """
+    if nx < _FILL_REDUCING_NX:
+        return dict(permc_spec="NATURAL", panel_size=_PANEL_SIZE)
+    return dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                panel_size=_PANEL_SIZE, options=dict(SymmetricMode=True))
+
+
 def _one_sided_diffs(V, ht):
     """Forward and backward theta-differences with candidate-disabling fill."""
     d = np.diff(V, axis=1) / ht
     inf = np.full((V.shape[0], 1), np.inf)
     # no buy candidate at the top edge, no sell candidate at the bottom
     return np.hstack([d, -inf]), np.hstack([inf, d])
+
+
+def _policy(costs: CostParams, V, cols, ht, cap):
+    """Velocity on the first ``cols`` theta columns of the field V; the
+    column after them supplies the forward differences."""
+    d_plus, d_minus = _one_sided_diffs(V[:, :cols + 1], ht)
+    return _hamiltonian(costs, d_plus[:, :cols], d_minus[:, :cols], cap)
 
 
 def _nt_initial(params: ModelParams, grid: Grid2D):
@@ -411,9 +463,8 @@ def _nt_initial(params: ModelParams, grid: Grid2D):
 def _bellman_residual(params, costs, grid, V):
     """Max |rho V - r - H - L_x V| over optimality rows, from the final V."""
     bc_bot, bc_top = _edge_slopes(params, costs, grid)
-    d_plus, d_minus = _one_sided_diffs(V, grid.htheta)
-    v = _hamiltonian(costs, d_plus, d_minus,
-                     _velocity_cap(params, costs, grid))
+    v = _policy(costs, V, grid.ntheta, grid.htheta,
+                _velocity_cap(params, costs, grid))
     A, rhs, is_bc = _assemble(params, grid, _x_stencil(params, grid), v,
                               bc_bot, bc_top)
     res = A @ np.ravel(V, order="F") - rhs(_reward(params, costs, grid, v))
@@ -422,7 +473,8 @@ def _bellman_residual(params, costs, grid, V):
 
 
 def _reward(params: ModelParams, costs: CostParams, grid: Grid2D, v):
-    th = grid.theta_nodes[None, :]
+    """Reward at the nodes of v, the grid's first v.shape[1] theta columns."""
+    th = grid.theta_nodes[None, :v.shape[1]]
     x = grid.x_nodes[:, None]
     speed = np.abs(v)
     return -nt_rhs(params, x, th) - (costs.gamma_lin * speed
@@ -446,7 +498,12 @@ def _solve_policy(params, costs, grid, cfg, V=None, seed=False):
     first ceil(N/2) nodes only and writes node N-1-k as node k: the
     problem's symmetry (drift -omega x, costs in |v|) gives V(x, theta) =
     V(-x, -theta), and the folded system has half the rows at the same
-    bandwidth.  The policy and the stop tests read the full V."""
+    bandwidth.  The policy, its sign pattern and the reward are computed
+    on those kept nodes as well, from the full V, which supplies their
+    theta neighbours; the update test reads the full V.  So a warm start
+    from an ``initial`` that is not point-symmetric is judged on its kept
+    nodes only, and may settle, and stop, one iteration earlier than a
+    comparison over the whole grid would let it."""
     if V is None and grid.ntheta <= _COARSEST_NTHETA:
         V = _nt_initial(params, grid)
     elif V is None:
@@ -460,21 +517,22 @@ def _solve_policy(params, costs, grid, cfg, V=None, seed=False):
     bc_bot, bc_top = _edge_slopes(params, costs, grid)
     xop = _x_stencil(params, grid)
     rows = _fold_rows(grid)
+    # the theta columns holding the kept nodes: the policy is computed on
+    # them, and _assemble and rhs read its first `rows` nodes
+    cols = -(-rows // grid.nx)
+    options = _splu_options(grid.nx)
     history = []
     # the policy before the first iteration counts as "trade nowhere"
     # (the no-trade seed's), so a solve that trades runs at least twice
-    sign_prev = np.zeros(V.shape, dtype=np.int8)
+    sign_prev = np.zeros(rows, dtype=np.int8)
     for it in range(1, cfg.max_iters + 1):
-        d_plus, d_minus = _one_sided_diffs(V, grid.htheta)
-        v = _hamiltonian(costs, d_plus, d_minus, cap)
-        sign = np.sign(v).astype(np.int8)
+        v = _policy(costs, V, cols, grid.htheta, cap)
+        sign = np.sign(np.ravel(v, order="F")[:rows]).astype(np.int8)
         settled = np.array_equal(sign, sign_prev)
         sign_prev = sign
         A, rhs, _ = _assemble(params, grid, xop, v, bc_bot, bc_top, rows)
-        # keep the x-fastest order so the factor stays in the band of
-        # width nx; a fill-reducing column order (COLAMD) factors slower.
-        # No refinement step: it moved V by < 1e-12 relative at ETA_FLOOR
-        lu = splu(A, permc_spec="NATURAL")
+        # no refinement step: it moved V by < 1e-12 relative at ETA_FLOOR
+        lu = splu(A, **options)
         b = rhs(_reward(params, costs, grid, v))
         u = lu.solve(b)
         V_old, V = V, _unfold(u, V.shape)

@@ -840,6 +840,48 @@ class TestDisplacementIdentity:
             lhs, rhs = check_displacement_identity(desk_band, x)
             assert lhs == pytest.approx(rhs, rel=1e-2)
 
+    @staticmethod
+    def _ten_solve_lhs(band, x):
+        """The identity's lhs with every level of every displaced family
+        solved afresh: 10 level Newtons per x, 5 of them distinct."""
+        theta_b = float(band.theta_plus_at(x))
+        delta = 0.02 * (band.theta_plus_at(x) + band.theta_minus_at(x))
+        p1x, p2x, _, _ = band.comp.pair.spline(x).tolist()
+
+        def alpha(d):
+            st = band_zero._level_state(
+                band.comp, band.gamma_lin, theta_b,
+                band_zero._level_at(band, theta_b - d)["hp"],
+                band_zero._level_at(band, theta_b)["hm"])
+            return st["a1"], st["a2"]
+
+        def gprime(d):
+            st0 = band_zero._level_at(band, theta_b)
+            (a1p, a2p), (a1m, a2m) = alpha(+d), alpha(-d)
+            return ((a1p + a1m - 2 * st0["a1"]) * p1x
+                    + (a2p + a2m - 2 * st0["a2"]) * p2x) / d ** 2
+
+        gprime(delta)
+        return float(gprime(delta / 2))
+
+    def test_solves_each_level_once(self, desk_band, monkeypatch):
+        thetas = []
+        level_at = band_zero._level_at
+
+        def counting(band, theta):
+            thetas.append(theta)
+            return level_at(band, theta)
+
+        for x in (-0.1, 0.0, 0.2):
+            want = self._ten_solve_lhs(desk_band, x)
+            thetas.clear()
+            with monkeypatch.context() as mp:
+                mp.setattr(band_zero, "_level_at", counting)
+                lhs, rhs = check_displacement_identity(desk_band, x)
+            assert len(thetas) == len(set(thetas)) == 5
+            assert lhs == want
+            assert rhs == -band_zero.third_derivative_at_band(desk_band, x)
+
 
 class TestValues:
     def test_domain_errors(self, desk_band):

@@ -847,6 +847,124 @@ class TestFold:
         self._assert_solves_discrete_equation(desk_params, costs, grid,
                                               vg.V.values)
 
+    @pytest.mark.parametrize("symmetric", [True, False],
+                             ids=["solved", "perturbed"])
+    def test_kept_node_policy_is_the_full_grid_policy(self, solved,
+                                                      desk_params, symmetric):
+        # the policy and reward of the folded system are computed on the
+        # theta columns of the kept nodes only; on those nodes they must be
+        # the full grid's bit for bit, for a V that is not point-symmetric
+        # (a warm start) as well
+        grid, costs, vg = solved
+        p, V = desk_params, vg.V.values
+        if not symmetric:
+            V = V + 1e-3 * np.abs(V).max() * np.sin(
+                np.arange(V.size).reshape(V.shape))
+        n = hjb._fold_rows(grid)
+        cols = -(-n // grid.nx)
+        assert cols < grid.ntheta
+        cap = hjb._velocity_cap(p, costs, grid)
+        full = hjb._policy(costs, V, grid.ntheta, grid.htheta, cap)
+        kept = hjb._policy(costs, V, cols, grid.htheta, cap)
+        assert kept.shape == (grid.nx, cols)
+        np.testing.assert_array_equal(kept, full[:, :cols])
+        np.testing.assert_array_equal(
+            hjb._reward(p, costs, grid, kept),
+            hjb._reward(p, costs, grid, full)[:, :cols])
+
+    def test_solve_matches_the_full_grid_policy(self, solved, desk_params):
+        # the same solve with each policy computed on all N nodes and then
+        # cut to the kept columns: the same V, bit for bit
+        grid, costs, vg = solved
+        policy = hjb._policy
+
+        def full_grid_policy(costs, V, cols, ht, cap):
+            return policy(costs, V, V.shape[1], ht, cap)[:, :cols]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(hjb, "_policy", full_grid_policy)
+            ref = hjb.solve_hjb(desk_params, costs, grid, self.CLOSE)
+        assert (vg.iterations, vg.history) == (ref.iterations, ref.history)
+        np.testing.assert_array_equal(vg.V.values, ref.V.values)
+
+
+# ------------------------------------------------------------- factor rule
+
+
+class TestFactorRule:
+    """Every policy system is factored through ``hjb.splu`` with the
+    arguments of ``_splu_options``: the natural order below
+    ``_FILL_REDUCING_NX`` x nodes, an unpivoted minimum-degree order from
+    it on.  The crossover is lowered here so that the fill-reducing branch
+    runs on small grids; its V must lie within 1e-10 relative of a solve
+    whose every factor is a plain natural-order ``splu``, with the same
+    sign pattern."""
+
+    GRIDS = {"odd_N": TestFold.GRIDS["odd_N"],
+             "even_ntheta": TestFold.GRIDS["even_ntheta"],
+             "off_centre": Grid2D.regular(-0.1, 0.168, 21,
+                                          -7.5e-3, 7.5e-3, 401)}
+    COSTS = TestColdStart.COSTS
+    CLOSE = hjb.SolverConfig(convergence_tol=1e-12)
+
+    @staticmethod
+    def _solve(params, costs, grid, crossover=None, factor=None):
+        """A cold solve, and the (rows, keyword arguments) of its factors;
+        ``factor`` stands in for splu."""
+        calls = []
+
+        def spying_splu(A, **kwargs):
+            calls.append((A.shape[0], kwargs))
+            return (factor or splu)(A, **kwargs)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(hjb, "splu", spying_splu)
+            if crossover is not None:
+                mp.setattr(hjb, "_FILL_REDUCING_NX", crossover)
+            vg = hjb.solve_hjb(params, costs, grid, TestFactorRule.CLOSE)
+        return vg, calls
+
+    def test_rule_branches_at_the_crossover(self):
+        nx = hjb._FILL_REDUCING_NX
+        assert hjb._splu_options(nx - 1) == dict(
+            permc_spec="NATURAL", panel_size=hjb._PANEL_SIZE)
+        assert hjb._splu_options(nx) == dict(
+            permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+            panel_size=hjb._PANEL_SIZE, options=dict(SymmetricMode=True))
+
+    @pytest.mark.parametrize("crossover", [None, 21])
+    def test_every_factor_gets_the_rule(self, desk_params, crossover):
+        grid = self.GRIDS["odd_N"]
+        _, calls = self._solve(desk_params, self.COSTS["quadratic"], grid,
+                               crossover)
+        # 21 x nodes lie below the crossover, and at the lowered one
+        want = hjb._splu_options(
+            grid.nx if crossover is None else hjb._FILL_REDUCING_NX)
+        assert want["permc_spec"] == ("NATURAL" if crossover is None
+                                      else "MMD_AT_PLUS_A")
+        # the coarse-to-fine levels on 13, 26, 51, 101, 201 and 401 nodes
+        assert len({rows for rows, _ in calls}) == 6
+        assert all(kwargs == want for _, kwargs in calls)
+
+    @pytest.mark.parametrize("grid_name, kind",
+                             list(itertools.product(GRIDS, COSTS)),
+                             ids=lambda v: v)
+    def test_fill_reducing_branch_matches_natural_order(
+            self, desk_params, grid_name, kind):
+        grid, costs = self.GRIDS[grid_name], self.COSTS[kind]
+        vg, calls = self._solve(desk_params, costs, grid, crossover=21)
+        assert all(kw["permc_spec"] == "MMD_AT_PLUS_A" for _, kw in calls)
+        assert {rows for rows, _ in calls} >= {hjb._fold_rows(grid)}
+
+        def natural(A, **_):
+            return splu(A, permc_spec="NATURAL")
+
+        ref, _ = self._solve(desk_params, costs, grid, factor=natural)
+        V, want = vg.V.values, ref.V.values
+        assert np.abs(V - want).max() <= 1e-10 * np.abs(want).max()
+        np.testing.assert_array_equal(np.sign(vg.v.values),
+                                      np.sign(ref.v.values))
+
 
 # --------------------------------------------------- continuity diagnostics
 

@@ -2,7 +2,8 @@
 tests is used, no function body in either imports anything, each
 ``__all__`` matches its module and lists only names the package itself
 reads, every third-party package imported is declared in
-``pyproject.toml``, and the tests import their conftest one way only.
+``pyproject.toml``, the tests import their conftest one way only, and
+the package calls the sparse factor ``splu`` at one site.
 
 A stdlib stand-in for a linter's unused-import rule.  A name counts as
 used when it is read anywhere in its module or listed in ``__all__``,
@@ -141,6 +142,19 @@ def test_all_names_are_read_by_the_package():
             if not read:
                 unread.append(f"{module}.{name}")
     assert not unread, f"public names only tests read: {unread}"
+
+
+def test_one_sparse_factor_call_site():
+    # every policy system is factored by one rule (hjb._splu_options); a
+    # second call would bypass it, and the spies on the module attribute
+    # hjb.splu that the tests and the benchmark's factor span use
+    sites = [f"{m}:{node.lineno}" for m in MODULES
+             for node in ast.walk(ast.parse((PACKAGE / m).read_text(
+                 encoding="utf-8")))
+             if isinstance(node, ast.Call)
+             and "splu" in (getattr(node.func, "id", None),
+                            getattr(node.func, "attr", None))]
+    assert len(sites) == 1 and sites[0].startswith("hjb.py:"), sites
 
 
 def test_conftest_imported_as_conftest():

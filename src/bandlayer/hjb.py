@@ -30,10 +30,10 @@ grid that is itself point-symmetric about (0, 0) (each axis its own
 negated reverse, to a few ulps) the mirror of node k is N-1-k, and each
 policy system is folded onto its first ceil(N/2) rows; see
 :func:`_assemble`.  Any other grid keeps all N rows.  Every policy system
-is factored by one rule, :func:`_splu_options`: on narrow x grids the
-x-fastest order keeps the LU in the band, cheap even for very fine
-theta grids; from ``_FILL_REDUCING_NX`` x nodes on, where the band's
-fill grows as nx^2 per theta line, an unpivoted minimum-degree order.
+is factored at one site, in :func:`_solve_policy`, in this order: the LU
+stays in the band, cheap even for very fine theta grids.  Its fill grows
+as nx^2 per theta line, so on wide x grids (nx >= 121) a fill-reducing
+order would factor faster.
 """
 
 from __future__ import annotations
@@ -83,22 +83,11 @@ _FLOOR_FACTOR = 2.0
 # this many ulps of its largest |node|; np.linspace(-a, a, n) misses by
 # up to 2 ulps of a
 _MIRROR_ULPS = 4
-# SuperLU settings of every policy factor (see _splu_options).  The
-# natural order's fill grows as nx^2 per theta line, a fill-reducing
-# one's far slower.  Seconds per factor of the converged folded system
-# on 1501 theta nodes (desk point, eta 1e-4, panel 2, one thread of a
-# 2-vCPU Xeon), natural against the unpivoted fill-reducing order: nx 31
-# 0.030 / 0.055, 61 0.119 / 0.184, 91 0.209 / 0.228, 121 0.440 / 0.381,
-# 181 1.48 / 0.76, 241 4.44 / 1.22.  All the factors of a cold solve
-# take 2.6 / 2.3 s at nx 91 and 4.0 / 3.4 s at 121: the two orders tie
-# at 91, and the fill-reducing one wins from 121 on
-_FILL_REDUCING_NX = 121
-# columns per SuperLU panel, on both orders.  SuperLU's default of 10 is
-# sized for wide supernodes; on these bands (about 21 fill entries per
-# row at nx 31) the panel bookkeeping costs more than the arithmetic:
-# the 55 factors of a cold 31x1501 solve take 447 ms at 10, and 355, 344
-# and 360 ms at 1, 2 and 4; at nx 241 one factor takes 1.46 s at 10 and
-# 1.22 s at 2
+# columns per SuperLU panel of every policy factor.  SuperLU's default
+# of 10 is sized for wide supernodes; on these bands (about 21 fill
+# entries per row at nx 31) the panel bookkeeping costs more than the
+# arithmetic: the 55 factors of a cold 31x1501 solve take 447 ms at 10,
+# and 355, 344 and 360 ms at 1, 2 and 4 (one thread of a 2-vCPU Xeon)
 _PANEL_SIZE = 2
 
 
@@ -126,9 +115,7 @@ class SolverConfig:
     The eta floor, the velocity cap and the band-extraction threshold are
     not settable; they are the module constants ``ETA_FLOOR``,
     ``VELOCITY_CAP_FACTOR`` and ``BAND_THRESHOLD``.  Neither is the
-    sparse factor: ``_FILL_REDUCING_NX`` (the x node count from which the
-    order is fill-reducing and unpivoted) and ``_PANEL_SIZE`` (SuperLU's
-    panel width) were set by timing, see :func:`_splu_options`.
+    sparse factor's panel width, ``_PANEL_SIZE``, which was set by timing.
     """
 
     max_iters: int = 400
@@ -413,26 +400,6 @@ def _unfold(u, shape):
                       order="F")
 
 
-def _splu_options(nx):
-    """Keyword arguments of :func:`splu` for a policy system of bandwidth
-    nx, the one factor rule of the module.
-
-    Below ``_FILL_REDUCING_NX`` the x-fastest order is kept, so the factor
-    stays in the band, with SuperLU's default partial pivoting.  From it
-    on the columns take a minimum-degree order of A + A^T, applied to the
-    rows too, and the diagonal is the pivot: the policy matrix, folded or
-    not, is an M-matrix (off-diagonals <= 0, row sums rho on optimality
-    rows and 0 on slope rows), so any symmetric permutation of it factors
-    without pivoting, and a pivot search would undo the order (with
-    default pivoting that order ran out of memory at 121x1501).  Both use
-    panels of ``_PANEL_SIZE`` columns.
-    """
-    if nx < _FILL_REDUCING_NX:
-        return dict(permc_spec="NATURAL", panel_size=_PANEL_SIZE)
-    return dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                panel_size=_PANEL_SIZE, options=dict(SymmetricMode=True))
-
-
 def _one_sided_diffs(V, ht):
     """Forward and backward theta-differences with candidate-disabling fill."""
     d = np.diff(V, axis=1) / ht
@@ -520,7 +487,6 @@ def _solve_policy(params, costs, grid, cfg, V=None, seed=False):
     # the theta columns holding the kept nodes: the policy is computed on
     # them, and _assemble and rhs read its first `rows` nodes
     cols = -(-rows // grid.nx)
-    options = _splu_options(grid.nx)
     history = []
     # the policy before the first iteration counts as "trade nowhere"
     # (the no-trade seed's), so a solve that trades runs at least twice
@@ -531,8 +497,10 @@ def _solve_policy(params, costs, grid, cfg, V=None, seed=False):
         settled = np.array_equal(sign, sign_prev)
         sign_prev = sign
         A, rhs, _ = _assemble(params, grid, xop, v, bc_bot, bc_top, rows)
-        # no refinement step: it moved V by < 1e-12 relative at ETA_FLOOR
-        lu = splu(A, **options)
+        # keep the x-fastest order so the factor stays in the band of
+        # width nx; at nx 31 a fill-reducing order factors slower.  No
+        # refinement step: it moved V by < 1e-12 relative at ETA_FLOOR
+        lu = splu(A, permc_spec="NATURAL", panel_size=_PANEL_SIZE)
         b = rhs(_reward(params, costs, grid, v))
         u = lu.solve(b)
         V_old, V = V, _unfold(u, V.shape)

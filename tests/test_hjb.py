@@ -888,17 +888,15 @@ class TestFold:
         np.testing.assert_array_equal(vg.V.values, ref.V.values)
 
 
-# ------------------------------------------------------------- factor rule
+# ------------------------------------------------------------ sparse factor
 
 
-class TestFactorRule:
-    """Every policy system is factored through ``hjb.splu`` with the
-    arguments of ``_splu_options``: the natural order below
-    ``_FILL_REDUCING_NX`` x nodes, an unpivoted minimum-degree order from
-    it on.  The crossover is lowered here so that the fill-reducing branch
-    runs on small grids; its V must lie within 1e-10 relative of a solve
-    whose every factor is a plain natural-order ``splu``, with the same
-    sign pattern."""
+class TestFactor:
+    """Every policy system is factored through ``hjb.splu`` in the natural
+    order with panels of ``_PANEL_SIZE`` columns.  The small panel changes
+    only SuperLU's blocking: V must lie within 1e-10 relative of a solve
+    whose every factor is a plain natural-order ``splu`` (SuperLU's
+    default panel), with the same sign pattern."""
 
     GRIDS = {"odd_N": TestFold.GRIDS["odd_N"],
              "even_ntheta": TestFold.GRIDS["even_ntheta"],
@@ -908,7 +906,7 @@ class TestFactorRule:
     CLOSE = hjb.SolverConfig(convergence_tol=1e-12)
 
     @staticmethod
-    def _solve(params, costs, grid, crossover=None, factor=None):
+    def _solve(params, costs, grid, factor=None):
         """A cold solve, and the (rows, keyword arguments) of its factors;
         ``factor`` stands in for splu."""
         calls = []
@@ -919,47 +917,30 @@ class TestFactorRule:
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(hjb, "splu", spying_splu)
-            if crossover is not None:
-                mp.setattr(hjb, "_FILL_REDUCING_NX", crossover)
-            vg = hjb.solve_hjb(params, costs, grid, TestFactorRule.CLOSE)
+            vg = hjb.solve_hjb(params, costs, grid, TestFactor.CLOSE)
         return vg, calls
 
-    def test_rule_branches_at_the_crossover(self):
-        nx = hjb._FILL_REDUCING_NX
-        assert hjb._splu_options(nx - 1) == dict(
-            permc_spec="NATURAL", panel_size=hjb._PANEL_SIZE)
-        assert hjb._splu_options(nx) == dict(
-            permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-            panel_size=hjb._PANEL_SIZE, options=dict(SymmetricMode=True))
-
-    @pytest.mark.parametrize("crossover", [None, 21])
-    def test_every_factor_gets_the_rule(self, desk_params, crossover):
-        grid = self.GRIDS["odd_N"]
-        _, calls = self._solve(desk_params, self.COSTS["quadratic"], grid,
-                               crossover)
-        # 21 x nodes lie below the crossover, and at the lowered one
-        want = hjb._splu_options(
-            grid.nx if crossover is None else hjb._FILL_REDUCING_NX)
-        assert want["permc_spec"] == ("NATURAL" if crossover is None
-                                      else "MMD_AT_PLUS_A")
+    def test_every_factor_gets_the_small_panel(self, desk_params):
+        _, calls = self._solve(desk_params, self.COSTS["quadratic"],
+                               self.GRIDS["odd_N"])
         # the coarse-to-fine levels on 13, 26, 51, 101, 201 and 401 nodes
         assert len({rows for rows, _ in calls}) == 6
+        want = dict(permc_spec="NATURAL", panel_size=hjb._PANEL_SIZE)
         assert all(kwargs == want for _, kwargs in calls)
 
     @pytest.mark.parametrize("grid_name, kind",
                              list(itertools.product(GRIDS, COSTS)),
                              ids=lambda v: v)
-    def test_fill_reducing_branch_matches_natural_order(
-            self, desk_params, grid_name, kind):
+    def test_small_panel_matches_default_panel(self, desk_params,
+                                               grid_name, kind):
         grid, costs = self.GRIDS[grid_name], self.COSTS[kind]
-        vg, calls = self._solve(desk_params, costs, grid, crossover=21)
-        assert all(kw["permc_spec"] == "MMD_AT_PLUS_A" for _, kw in calls)
+        vg, calls = self._solve(desk_params, costs, grid)
         assert {rows for rows, _ in calls} >= {hjb._fold_rows(grid)}
 
-        def natural(A, **_):
+        def default_panel(A, **_):
             return splu(A, permc_spec="NATURAL")
 
-        ref, _ = self._solve(desk_params, costs, grid, factor=natural)
+        ref, _ = self._solve(desk_params, costs, grid, factor=default_panel)
         V, want = vg.V.values, ref.V.values
         assert np.abs(V - want).max() <= 1e-10 * np.abs(want).max()
         np.testing.assert_array_equal(np.sign(vg.v.values),

@@ -145,9 +145,10 @@ def test_all_names_are_read_by_the_package():
 
 
 def test_one_sparse_factor_call_site():
-    # every policy system is factored by one rule (hjb._splu_options); a
-    # second call would bypass it, and the spies on the module attribute
-    # hjb.splu that the tests and the benchmark's factor span use
+    # every policy system is factored with one set of SuperLU arguments,
+    # in hjb._solve_policy; a second call could take others, and the spies
+    # on the module attribute hjb.splu that the tests and the benchmark's
+    # factor span use must see every factor
     sites = [f"{m}:{node.lineno}" for m in MODULES
              for node in ast.walk(ast.parse((PACKAGE / m).read_text(
                  encoding="utf-8")))

@@ -12,12 +12,15 @@ The module answers four questions about the model:
 
 Measurement conventions
 -----------------------
-The shift sweep differences every boundary against the dynamic-programming
-solver's own smallest-eta baseline on the same grid, so discretization
-bias common to all solves cancels.  The width sweep instead uses the exact
-zero-eta band solver, which has no grid to bias it.  All fits are ordinary
-least squares in log-log space and always carry a standard error; a slope
-with stderr above 0.05 is flagged LOW-CONFIDENCE rather than hidden.
+Every dynamic-programming boundary is read at the trading onset, where a
+one-sided slack of the value function crosses zero (``hjb.extract_band``);
+the read-out has no level and no parameter.  The shift sweep differences
+every boundary against the dynamic-programming solver's own smallest-eta
+baseline on the same grid, so discretization bias common to all solves
+cancels.  The width sweep instead uses the exact zero-eta band solver,
+which has no grid to bias it.  All fits are ordinary least squares in
+log-log space and always carry a standard error; a slope with stderr
+above 0.05 is flagged LOW-CONFIDENCE rather than hidden.
 """
 
 from __future__ import annotations
@@ -163,34 +166,18 @@ def _sweep_grid(params: ModelParams) -> Grid2D:
     return Grid2D.regular(-x_half, x_half, nx, -theta_half, theta_half, ntheta)
 
 
-def _boundary_at(vg: hjb.ValueGrid, x: float, rel_threshold: float) -> float:
-    """Upper boundary at the x-node nearest x, at an explicit threshold."""
-    band = hjb.extract_band(vg, threshold=rel_threshold)
-    i = int(np.argmin(np.abs(band.x_nodes - x)))
-    if not band.plus_mask[i]:
-        return math.nan
-    return float(band.theta_plus[i])
-
-
-# grid steps beyond the baseline's trading onset at which the shift
-# sweep calibrates its crossing level
-CROSSING_CELLS = 6.0
-
-
 def eta_shift_sweep(params: ModelParams, gamma_lin: float, eta_list,
                     *, x: float = 0.0, grid: Grid2D | None = None,
                     cfg: hjb.SolverConfig | None = None) -> SweepResult:
     """Measure the inward boundary displacement as a function of eta.
 
     For each eta the full dynamic-programming problem is solved on one
-    shared grid (warm-starting each solve from its neighbor) and the
-    upper boundary at ``x`` is read off the velocity field.  The
-    displacement is measured against the solver's own baseline at the
-    smallest trustworthy eta (``hjb.ETA_FLOOR``), so grid bias common to
-    both solves cancels.  The crossing level is rescaled per eta so the
-    extraction crosses the velocity profile at the same physical offset
-    beyond the boundary for every eta; otherwise the threshold geometry
-    itself would masquerade as a shift.
+    shared grid (warm-starting each solve from its neighbor), and the
+    upper boundary is its ``band_plus`` at the x node nearest ``x``: the
+    trading onset, where the sell slack of V crosses zero
+    (``hjb.extract_band``).  The displacement is measured against the
+    solver's own baseline at the smallest trustworthy eta
+    (``hjb.ETA_FLOOR``), so grid bias common to both solves cancels.
 
     Points failing the smallness gauge (predicted shift not small against
     the band width) are excluded with a warning note, as are points whose
@@ -230,36 +217,14 @@ def eta_shift_sweep(params: ModelParams, gamma_lin: float, eta_list,
     # solve ladder: largest eta cold, then walk down to the floor so each
     # solve warm-starts from its neighbor (the fields differ only near
     # the boundary)
-    ladder = sorted(keep, reverse=True) + [hjb.ETA_FLOOR]
-    fields: dict[float, hjb.ValueGrid] = {}
+    i = int(np.argmin(np.abs(grid.x_nodes - x)))
+    measured = {}
     V = None
-    for eta in ladder:
+    for eta in sorted(keep, reverse=True) + [hjb.ETA_FLOOR]:
         vg = hjb.solve_hjb(params, CostParams(gamma_lin=gamma_lin, eta=eta),
                            grid, cfg, initial=V)
         V = vg.V.values
-        fields[eta] = vg
-
-    # per-eta crossing level: the trading speed near the boundary scales
-    # like 1/sqrt(eta), so a level proportional to 1/sqrt(eta) crosses
-    # every profile at the same physical offset beyond the boundary and
-    # the offsets cancel in the baseline difference.  The proportionality
-    # constant is calibrated once, on the baseline profile, a fixed
-    # number of cells beyond its trading onset; each crossing is then an
-    # external level cut through the profile, interpolated between nodes,
-    # so sub-cell boundary motion survives.
-    baseline = fields[hjb.ETA_FLOOR]
-    level_ref = _crossing_level(baseline, x, CROSSING_CELLS)
-    if not (level_ref > 0):
-        raise ConvergenceError(
-            "eta_shift_sweep: baseline velocity profile has no usable "
-            "trading onset to calibrate the crossing level", history=[])
-    level_scale = level_ref * math.sqrt(hjb.ETA_FLOOR)
-    measured = {}
-    for eta, vg in fields.items():
-        level = level_scale / math.sqrt(eta)
-        rel = level / max(np.abs(vg.v.values).max(), 1e-300)
-        rel = min(max(rel, 1e-12), 0.5)
-        measured[eta] = _boundary_at(vg, x, rel)
+        measured[eta] = float(vg.band_plus[i])
 
     base_theta = measured[hjb.ETA_FLOOR]
     vals, shifts, ratios = [], [], []
@@ -298,31 +263,6 @@ def eta_shift_sweep(params: ModelParams, gamma_lin: float, eta_list,
         low_confidence=low,
         notes=tuple(notes),
     )
-
-
-def _crossing_level(vg: hjb.ValueGrid, x: float, cells: float) -> float:
-    """Velocity level a fixed number of cells beyond the trading onset.
-
-    Reads the |v| profile at the x-node nearest ``x``, finds where it
-    leaves zero on the upper side, and returns the interpolated level
-    ``cells`` grid steps further out.  Using the profile's own local
-    slope makes the subsequent threshold crossing sit at the same
-    physical distance beyond the onset irrespective of eta.
-    """
-    grid = vg.grid
-    i = int(np.argmin(np.abs(grid.x_nodes - x)))
-    a = np.abs(vg.v.values[i])
-    jc = int(np.searchsorted(grid.theta_nodes, grid.theta_nodes.mean()))
-    nz = np.flatnonzero(a[jc:] > 0)
-    if nz.size == 0:
-        return math.nan
-    jf = jc + int(nz[0])
-    jt = jf + cells
-    j0 = int(math.floor(jt))
-    if j0 + 1 >= a.size:
-        return math.nan
-    frac = jt - j0
-    return float((1 - frac) * a[j0] + frac * a[j0 + 1])
 
 
 # ------------------------------------------------------- gamma width sweep

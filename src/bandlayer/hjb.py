@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -54,7 +54,6 @@ from .model import (CostKind, CostParams, Grid2D, ModelParams, ScalarField,
 __all__ = [
     "SolverConfig",
     "ValueGrid",
-    "ExtractedBand",
     "VelocitySlice",
     "solve_hjb",
     "extract_band",
@@ -67,8 +66,6 @@ __all__ = [
 ETA_FLOOR = 1e-8
 # velocity cap, as a multiple of the speed scale the grid can call for
 VELOCITY_CAP_FACTOR = 10.0
-# |v| level, relative to max|v|, at which the band boundaries are placed
-BAND_THRESHOLD = 1e-4
 # a cold solve on more theta nodes than this is seeded from the same
 # problem on (ntheta + 1) // 2 nodes; on this many or fewer, where a
 # factor is cheapest, from the closed-form no-trade value
@@ -112,10 +109,11 @@ class SolverConfig:
     previous one.  ``max_iters`` caps every level, while
     ``ValueGrid.iterations`` and ``history`` count the target grid only.
 
-    The eta floor, the velocity cap and the band-extraction threshold are
-    not settable; they are the module constants ``ETA_FLOOR``,
-    ``VELOCITY_CAP_FACTOR`` and ``BAND_THRESHOLD``.  Neither is the
-    sparse factor's panel width, ``_PANEL_SIZE``, which was set by timing.
+    The eta floor and the velocity cap are not settable; they are the
+    module constants ``ETA_FLOOR`` and ``VELOCITY_CAP_FACTOR``.  Neither
+    is the sparse factor's panel width, ``_PANEL_SIZE``, which was set by
+    timing.  The band is read at the trading onset (:func:`extract_band`),
+    which has no parameter.
     """
 
     max_iters: int = 400
@@ -132,7 +130,9 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class ValueGrid:
-    """Solved value function and optimal velocity on a Grid2D."""
+    """Solved value function and optimal velocity on a Grid2D, with the
+    no-trade interval [-band_minus, band_plus] per x node that
+    :func:`extract_band` reads from V (NaN where a mask is False)."""
 
     V: ScalarField
     v: ScalarField
@@ -150,24 +150,6 @@ class ValueGrid:
     @property
     def grid(self) -> Grid2D:
         return self.V.grid
-
-
-@dataclass(frozen=True)
-class ExtractedBand:
-    """Per-x no-trade boundaries located from the velocity field.
-
-    ``theta_plus`` is the upper boundary, ``theta_minus`` the magnitude of
-    the lower one (the no-trade interval is [-theta_minus, theta_plus]).
-    Nodes where a crossing was not found carry mask False and NaN.
-    """
-
-    x_nodes: np.ndarray
-    theta_plus: np.ndarray
-    theta_minus: np.ndarray
-    plus_mask: np.ndarray
-    minus_mask: np.ndarray
-    threshold_abs: float
-    vmax: float
 
 
 @dataclass(frozen=True)
@@ -555,72 +537,74 @@ def solve_hjb(params: ModelParams, costs: CostParams, grid: Grid2D,
     V, iters, hist, stop = _solve_policy(params, costs, grid, cfg, V)
     residual, v = _bellman_residual(params, costs, grid, V)
 
-    empty = np.array([])
-    vg = ValueGrid(V=ScalarField(V, grid), v=ScalarField(v, grid),
-                   band_plus=empty, band_minus=empty, plus_mask=empty,
-                   minus_mask=empty, residual=residual, iterations=iters,
-                   history=hist, stopped_by=stop)
-    eb = extract_band(vg)
-    return replace(vg, band_plus=eb.theta_plus, band_minus=eb.theta_minus,
-                   plus_mask=eb.plus_mask, minus_mask=eb.minus_mask)
+    field = ScalarField(V, grid)
+    bp, bm, pm, mm = extract_band(field, costs.gamma_lin)
+    return ValueGrid(V=field, v=ScalarField(v, grid), band_plus=bp,
+                     band_minus=bm, plus_mask=pm, minus_mask=mm,
+                     residual=residual, iterations=iters, history=hist,
+                     stopped_by=stop)
 
 
 # --------------------------------------------------------------- extraction
 
-def _longest_quiet_run(below: np.ndarray):
+def _longest_quiet_run(quiet: np.ndarray):
     """Start and end (inclusive) of the longest True run, or None."""
-    if not np.any(below):
+    if not np.any(quiet):
         return None
-    padded = np.concatenate([[False], below, [False]])
+    padded = np.concatenate([[False], quiet, [False]])
     edges = np.flatnonzero(np.diff(padded.astype(int)))
     starts, ends = edges[::2], edges[1::2] - 1
     k = int(np.argmax(ends - starts))
     return int(starts[k]), int(ends[k])
 
 
-def extract_band(vg: ValueGrid,
-                 threshold: float = BAND_THRESHOLD) -> ExtractedBand:
-    """Locate the no-trade boundaries from the |v| field.
+def extract_band(V: ScalarField, gamma_lin: float):
+    """No-trade boundaries at the trading onset of the value field V.
 
-    The cut level is ``threshold * max|v|`` over the whole grid.  Per x
-    node the longest below-level run is taken as the no-trade interval
-    and each boundary is placed by linear interpolation between the two
-    straddling nodes.  Runs touching a theta edge yield mask False on
-    that side.
+    Each theta-difference d = (V_{j+1} - V_j) / htheta is placed at its
+    cell midpoint.  A node sells where its sell slack -d - gamma_lin of
+    the cell below it is > 0, and buys where its buy slack d - gamma_lin
+    of the cell above it is > 0; a node with neither is quiet, which is
+    where the Hamiltonian's speed v is 0.  Per x node the longest quiet
+    run is the no-trade interval.  Its upper boundary is where the sell
+    slack crosses zero, interpolated linearly between the run's last
+    quiet cell and the first trading one; the lower boundary likewise
+    from the buy slack.  A run touching a theta edge, or a side whose
+    slack does not change sign there, gives mask False and NaN.
+
+    Returns (band_plus, band_minus, plus_mask, minus_mask), per x node:
+    the no-trade interval is [-band_minus, band_plus].
     """
-    if not (0.0 < threshold < 1.0):
-        raise ConfigError("threshold must be in (0, 1)")
-    grid = vg.grid
-    speed = np.abs(vg.v.values)
-    vmax = float(np.max(speed))
-    if vmax == 0.0:
-        # no trading anywhere: the whole domain is quiet, no boundary
-        nan = np.full(grid.nx, np.nan)
-        false = np.zeros(grid.nx, dtype=bool)
-        return ExtractedBand(grid.x_nodes, nan, nan.copy(), false,
-                             false.copy(), 0.0, 0.0)
-    t_abs = threshold * vmax
-    th = grid.theta_nodes
+    grid = V.grid
+    ht = grid.htheta
+    d = np.diff(V.values, axis=1) / ht
+    sell = -d - gamma_lin     # slack of node j + 1
+    buy = d - gamma_lin       # slack of node j
+    quiet = np.ones(V.values.shape, dtype=bool)
+    quiet[:, 1:] &= sell <= 0.0
+    quiet[:, :-1] &= buy <= 0.0
+    mid = 0.5 * (grid.theta_nodes[:-1] + grid.theta_nodes[1:])
     nx, nt = grid.nx, grid.ntheta
     tp = np.full(nx, np.nan)
     tm = np.full(nx, np.nan)
-    pm = np.zeros(nx, dtype=bool)
-    mm = np.zeros(nx, dtype=bool)
     for i in range(nx):
-        a = speed[i]
-        run = _longest_quiet_run(a < t_abs)
+        run = _longest_quiet_run(quiet[i])
         if run is None:
             continue
         j0, j1 = run
-        if j1 < nt - 1:
-            frac = (t_abs - a[j1]) / (a[j1 + 1] - a[j1])
-            tp[i] = th[j1] + frac * (th[j1 + 1] - th[j1])
-            pm[i] = True
-        if j0 > 0:
-            frac = (t_abs - a[j0]) / (a[j0 - 1] - a[j0])
-            tm[i] = -(th[j0] - frac * (th[j0] - th[j0 - 1]))
-            mm[i] = True
-    return ExtractedBand(grid.x_nodes, tp, tm, pm, mm, t_abs, vmax)
+        if 0 < j1 < nt - 1:
+            tp[i] = _onset(mid[j1 - 1], sell[i, j1 - 1], sell[i, j1], ht)
+        if 0 < j0 < nt - 1:
+            tm[i] = -_onset(mid[j0], buy[i, j0], buy[i, j0 - 1], -ht)
+    return tp, tm, np.isfinite(tp), np.isfinite(tm)
+
+
+def _onset(m, quiet, trading, step):
+    """Zero of the slack that is quiet (<= 0) at the midpoint m and
+    trading one cell ``step`` further on; NaN unless trading > 0."""
+    if not trading > 0.0:
+        return math.nan
+    return m + step * quiet / (quiet - trading)
 
 
 def velocity_slice(vg: ValueGrid, x: float) -> VelocitySlice:
@@ -629,11 +613,8 @@ def velocity_slice(vg: ValueGrid, x: float) -> VelocitySlice:
     if not (grid.x_nodes[0] <= x <= grid.x_nodes[-1]):
         raise DomainError(f"x={x:g} outside the grid")
     i = int(np.argmin(np.abs(grid.x_nodes - x)))
-    bp = float(vg.band_plus[i]) if vg.plus_mask.size and vg.plus_mask[i] \
-        else math.nan
-    bm = float(vg.band_minus[i]) if vg.minus_mask.size and vg.minus_mask[i] \
-        else math.nan
     return VelocitySlice(x=float(grid.x_nodes[i]),
                          theta=grid.theta_nodes.copy(),
                          v=vg.v.values[i].copy(),
-                         band_plus=bp, band_minus=bm)
+                         band_plus=float(vg.band_plus[i]),
+                         band_minus=float(vg.band_minus[i]))

@@ -248,64 +248,70 @@ class TestCostMonotonicity:
 # --------------------------------------------------------- band extraction
 
 
-def _synthetic_grid(v_field, x_nodes, theta_nodes):
+def _quadratic_value(x_nodes, theta_nodes, centre, half, gamma):
+    """V = -gamma (theta - centre)^2 / (2 half) per x row.
+
+    Its theta-differences are V' at the cell midpoints, -gamma (m -
+    centre) / half, to rounding, so both slacks are linear in the
+    midpoint: quiet on [centre - half, centre + half], selling above and
+    buying below, with the onsets exactly at the interval's ends.
+    """
     grid = Grid2D(x_nodes=x_nodes, theta_nodes=theta_nodes)
-    zeros = ScalarField(values=np.zeros_like(v_field), grid=grid)
-    vf = ScalarField(values=v_field, grid=grid)
-    return hjb.ValueGrid(
-        V=zeros,
-        v=vf,
-        band_plus=np.full(x_nodes.size, np.nan),
-        band_minus=np.full(x_nodes.size, np.nan),
-        plus_mask=np.zeros(x_nodes.size, bool),
-        minus_mask=np.zeros(x_nodes.size, bool),
-        residual=0.0,
-        iterations=0,
-    )
+    th = theta_nodes[None, :]
+    c, w = np.asarray(centre)[:, None], np.asarray(half)[:, None]
+    return ScalarField(values=-gamma * (th - c) ** 2 / (2.0 * w), grid=grid)
 
 
 class TestBandExtraction:
     def test_known_piecewise_profile(self):
-        # |v| = max(|theta| - b, 0) with b = 0.31: crossing at the
-        # threshold level is exactly b + threshold_abs, so the linear
-        # interpolation must recover the boundary to rounding error
+        # a different interval per x row, its ends off the nodes; the
+        # linear interpolation of a linear slack recovers them to rounding
         x = np.linspace(-1, 1, 5)
         th = np.linspace(-1, 1, 2001)
-        b = 0.31
-        v = -np.sign(th)[None, :] * np.maximum(np.abs(th)[None, :] - b, 0.0)
-        v = np.repeat(v, x.size, axis=0)
-        band = hjb.extract_band(_synthetic_grid(v, x, th), threshold=1e-3)
-        expected = b + band.threshold_abs
-        assert np.allclose(band.theta_plus, expected, atol=1e-12)
-        assert np.allclose(band.theta_minus, expected, atol=1e-12)
-        assert band.plus_mask.all() and band.minus_mask.all()
+        centre = 0.05 * x + 0.01234
+        half = 0.31 + 0.02 * x ** 2
+        bp, bm, pm, mm = hjb.extract_band(
+            _quadratic_value(x, th, centre, half, 0.7), 0.7)
+        assert pm.all() and mm.all()
+        np.testing.assert_allclose(bp, centre + half, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(bm, half - centre, rtol=0, atol=1e-12)
 
     def test_zero_field_gives_nan(self):
+        # a flat V is quiet everywhere: the run touches both edges
         x = np.linspace(-1, 1, 3)
         th = np.linspace(-1, 1, 11)
-        band = hjb.extract_band(_synthetic_grid(np.zeros((3, 11)), x, th))
-        assert np.all(np.isnan(band.theta_plus))
-        assert not band.plus_mask.any()
-        assert band.vmax == 0.0
+        V = ScalarField(values=np.zeros((3, 11)),
+                        grid=Grid2D(x_nodes=x, theta_nodes=th))
+        bp, bm, pm, mm = hjb.extract_band(V, 2e-4)
+        assert np.all(np.isnan(bp)) and np.all(np.isnan(bm))
+        assert not pm.any() and not mm.any()
 
     def test_edge_touching_run_masked(self):
         # quiet run reaching the grid edge means the crossing was not
         # bracketed; that side must come back masked
         x = np.linspace(-1, 1, 3)
         th = np.linspace(-1, 1, 101)
-        v = np.zeros((3, 101))
-        v[:, th > 0.5] = (th[th > 0.5] - 0.5) * np.ones((3, 1))
-        band = hjb.extract_band(_synthetic_grid(v, x, th), threshold=1e-2)
-        assert band.plus_mask.all()
-        assert not band.minus_mask.any()
+        bp, bm, pm, mm = hjb.extract_band(
+            _quadratic_value(x, th, np.full(3, -0.4), np.full(3, 0.9), 0.5),
+            0.5)
+        assert pm.all()
+        np.testing.assert_allclose(bp, 0.5, rtol=0, atol=1e-12)
+        assert not mm.any() and np.all(np.isnan(bm))
 
-    def test_threshold_insensitivity_on_solve(self, desk_solve, coarse_grid):
-        # an order of magnitude in threshold moves the boundary by less
-        # than one cell when the velocity leaves zero steeply
-        lo = hjb.extract_band(desk_solve, threshold=1e-6)
-        hi = hjb.extract_band(desk_solve, threshold=1e-5)
-        i0 = coarse_grid.nx // 2
-        assert abs(lo.theta_plus[i0] - hi.theta_plus[i0]) < coarse_grid.htheta
+    def test_onset_independent_of_the_x_window(self, desk_params):
+        # the same hx on two x windows: the onset at x = 0 reads V alone,
+        # and V there hardly sees the x edges (a |v| cut normalized by
+        # max|v| over the grid moves by 3.2e-4 relative here)
+        costs = CostParams(gamma_lin=2e-4, eta=1e-4)
+        cfg = hjb.SolverConfig(convergence_tol=1e-12)
+        narrow, wide = (
+            hjb.solve_hjb(desk_params, costs,
+                          Grid2D.regular(-half, half, nx, -2.5e-3, 2.5e-3,
+                                         251), cfg)
+            for half, nx in ((0.0335, 11), (0.067, 21)))
+        assert narrow.plus_mask[5] and wide.plus_mask[10]
+        assert narrow.band_plus[5] == pytest.approx(wide.band_plus[10],
+                                                    rel=1e-5, abs=0.0)
 
     def test_band_symmetry(self, desk_solve):
         # model symmetry maps band_plus(x) to band_minus(-x)
@@ -313,13 +319,10 @@ class TestBandExtraction:
         bm = desk_solve.band_minus[::-1]
         ok = desk_solve.plus_mask & desk_solve.minus_mask[::-1]
         assert ok.any()
-        assert np.nanmax(np.abs(bp[ok] - bm[ok])) <= desk_solve.grid.htheta
-
-    def test_threshold_validation(self, desk_solve):
-        with pytest.raises(ConfigError):
-            hjb.extract_band(desk_solve, threshold=0.0)
-        with pytest.raises(ConfigError):
-            hjb.extract_band(desk_solve, threshold=1.0)
+        # V is point-symmetric bit for bit (the folded solve), so the two
+        # onsets differ only by the rounding of the mirrored theta nodes
+        assert np.nanmax(np.abs(bp[ok] - bm[ok])) <= \
+            1e-9 * desk_solve.grid.htheta
 
 
 # ---------------------------------------------------------- velocity slice
@@ -370,12 +373,15 @@ class TestRegimeMap:
 class TestEtaShiftSweep:
     ETAS = (1e-7, 1e-6, 1e-5, 1e-4)
 
+    def _sweep(self, params, tol):
+        grid = Grid2D.regular(-0.134, 0.134, 11, -7.5e-3, 7.5e-3, 301)
+        cfg = hjb.SolverConfig(max_iters=200, convergence_tol=tol)
+        return experiments.eta_shift_sweep(params, 2e-4, self.ETAS,
+                                           grid=grid, cfg=cfg)
+
     @pytest.fixture(scope="class")
     def sweep(self, desk_params):
-        grid = Grid2D.regular(-0.134, 0.134, 11, -7.5e-3, 7.5e-3, 301)
-        cfg = hjb.SolverConfig(max_iters=200, convergence_tol=1e-9)
-        return experiments.eta_shift_sweep(desk_params, 2e-4, self.ETAS,
-                                           grid=grid, cfg=cfg)
+        return self._sweep(desk_params, 1e-9)
 
     def test_prediction_is_the_shifted_boundary(self, sweep, desk_band):
         # the reported prediction is the asymptotic shift of the exact band
@@ -388,6 +394,15 @@ class TestEtaShiftSweep:
 
     def test_slope_is_finite(self, sweep):
         assert np.isfinite(sweep.slope)
+
+    def test_shifts_stable_under_tighter_tolerance(self, sweep, desk_params):
+        # V moves by about 1e-12 between the two stops; a read-out that
+        # amplifies that (a |v| level cut scaled per eta moves the eta
+        # 1e-6 shift by 4.7e-4 relative) would fail here
+        tight = self._sweep(desk_params, 1e-12)
+        np.testing.assert_array_equal(tight.values, sweep.values)
+        np.testing.assert_allclose(tight.measured, sweep.measured,
+                                   rtol=1e-6, atol=0.0)
 
     def test_eta_at_floor_rejected(self, desk_params):
         etas = (hjb.ETA_FLOOR, 1e-7, 1e-6, 1e-5)

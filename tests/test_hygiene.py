@@ -2,8 +2,9 @@
 tests is used, no function body in either imports anything, each
 ``__all__`` matches its module and lists only names the package itself
 reads, every third-party package imported is declared in
-``pyproject.toml``, the tests import their conftest one way only, and
-the package calls the sparse factor ``splu`` at one site.
+``pyproject.toml``, the tests import their conftest one way only, the
+package calls the sparse factor ``splu`` at one site, and every
+attribute the benchmark's spans hook exists.
 
 A stdlib stand-in for a linter's unused-import rule.  A name counts as
 used when it is read anywhere in its module or listed in ``__all__``,
@@ -12,6 +13,7 @@ Imports belong at the top of the module, where this check can see them.
 """
 
 import ast
+import importlib
 import pathlib
 import re
 import sys
@@ -25,6 +27,7 @@ TESTS = pathlib.Path(__file__).resolve().parent
 IMPORT_SOURCES = {**{m: PACKAGE / m for m in MODULES},
                   **{f"tests/{p.name}": p for p in TESTS.glob("*.py")}}
 PYPROJECT = PACKAGE.parents[1] / "pyproject.toml"
+SPANS = PACKAGE.parents[1] / "perfbench" / "spans.py"
 # the package, the tests, and the test modules pytest puts on sys.path
 FIRST_PARTY = {"bandlayer", "tests"} | {p.stem for p in TESTS.glob("*.py")}
 
@@ -156,6 +159,22 @@ def test_one_sparse_factor_call_site():
              and "splu" in (getattr(node.func, "id", None),
                             getattr(node.func, "attr", None))]
     assert len(sites) == 1 and sites[0].startswith("hjb.py:"), sites
+
+
+def test_benchmark_hooks_resolve():
+    # perfbench/spans.py hooks package attributes by name and reports a
+    # missing one as absent, so a rename would only drop a span from a
+    # traced run; its HOOKS table is read as source, nothing is imported
+    tree = ast.parse(SPANS.read_text(encoding="utf-8"))
+    hooks = next(ast.literal_eval(node.value) for node in tree.body
+                 if isinstance(node, ast.Assign)
+                 and any(getattr(t, "id", None) == "HOOKS"
+                         for t in node.targets))
+    missing = [f"{span}: bandlayer.{module}.{attr}"
+               for span, (module, attr) in sorted(hooks.items())
+               if not hasattr(importlib.import_module(f"bandlayer.{module}"),
+                              attr)]
+    assert hooks and not missing, f"unresolved benchmark hooks: {missing}"
 
 
 def test_conftest_imported_as_conftest():

@@ -131,8 +131,9 @@ def cmd_hjb(cfg: RunConfig, out: str, quiet: bool) -> int:
     band_path = os.path.join(out, cfg.output_prefix + "hjb_band.csv")
     write_csv(band_path,
               ["x", "band_plus", "plus_found", "band_minus", "minus_found"],
-              [grid.x_nodes, vg.band_plus, vg.plus_mask.astype(float),
-               vg.band_minus, vg.minus_mask.astype(float)])
+              [grid.x_nodes, vg.band_plus,
+               np.isfinite(vg.band_plus).astype(float), vg.band_minus,
+               np.isfinite(vg.band_minus).astype(float)])
 
     res_path = os.path.join(out, cfg.output_prefix + "residuals.csv")
     hist = np.asarray(vg.history, dtype=float)

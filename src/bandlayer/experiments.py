@@ -12,15 +12,17 @@ The module answers four questions about the model:
 
 Measurement conventions
 -----------------------
-Every dynamic-programming boundary is read at the trading onset, where a
-one-sided slack of the value function crosses zero (``hjb.extract_band``);
-the read-out has no level and no parameter.  The shift sweep differences
-every boundary against the dynamic-programming solver's own smallest-eta
-baseline on the same grid, so discretization bias common to all solves
-cancels.  The width sweep instead uses the exact zero-eta band solver,
-which has no grid to bias it.  All fits are ordinary least squares in
-log-log space and always carry a standard error; a slope with stderr
-above 0.05 is flagged LOW-CONFIDENCE rather than hidden.
+Both dynamic-programming studies default to one grid rule,
+``_study_grid``, and read the solve at the x node nearest x (an x off the
+grid is a DomainError).  Every boundary is read at the trading onset,
+where a one-sided slack of the value function crosses zero
+(``hjb.extract_band``).  The shift sweep differences every boundary
+against the solver's own smallest-eta baseline on the same grid, so
+discretization bias common to all solves cancels.  The width sweep
+instead uses the exact zero-eta band solver, which has no grid to bias
+it.  All fits are ordinary least squares in log-log space and always
+carry a standard error; a slope with stderr above 0.05 is flagged
+LOW-CONFIDENCE rather than hidden.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from .model import (
     Grid2D,
     ModelParams,
     markowitz_position,
+    small_cost_half_width,
     stationary_std,
 )
 from . import band_zero
@@ -146,24 +149,46 @@ def _require_span(arr, decades, name):
             f"{name}: points span {span:.2f} decades, need >= {decades}")
 
 
-# -------------------------------------------------------- eta shift sweep
+# ------------------------------------------------------------- study grid
 
 
-def _sweep_grid(params: ModelParams) -> Grid2D:
-    """Default grid for the shift sweep.
+def _study_grid(band: band_zero.Band, x: float, eta: float) -> Grid2D:
+    """Default grid of both DP studies, point-symmetric so the solver folds.
 
-    x covers 3 stationary deviations of the signal; theta covers the
-    ideal-position range with a margin so the edge condition stays in its
-    analytic branch.  The theta step must resolve boundary displacements
-    of a few 1e-6, which dominates the node budget.
+    x covers max(0.75 stationary deviations, 1.5|x|) on 31 nodes (at a
+    fixed step the onset at x = 0 is the same to 7 digits on 3).  theta
+    reaches 8 crossovers beyond the boundary at x, and 2 small-cost
+    half-widths beyond every node's Markowitz position, so each edge row
+    takes the analytic slope.  htheta is at most the layer width / 8.
     """
-    x_half = 3.0 * stationary_std(params)
-    nx = 31
-    markowitz_max = abs(markowitz_position(params, x_half))
-    theta_half = 1.12 * markowitz_max
-    htheta = 1e-6 * (theta_half / 7.5e-3)
-    ntheta = 2 * int(round(theta_half / htheta)) + 1
-    return Grid2D.regular(-x_half, x_half, nx, -theta_half, theta_half, ntheta)
+    params = band.params
+    c = asymptotics.layer_constants(band, x)
+    x_half = max(0.75 * stationary_std(params), 1.5 * abs(x))
+    theta_half = max(
+        float(band.theta_plus_at(x))
+        + 8.0 * asymptotics.sqrt_linear_crossover(params, c),
+        abs(markowitz_position(params, x_half))
+        + 2.0 * small_cost_half_width(params, band.gamma_lin))
+    htheta = c.wall_offset * eta ** (1.0 / 3.0) / 8.0
+    ntheta = 2 * math.ceil(theta_half / htheta) + 1
+    if ntheta > 60001:
+        raise ConfigError(
+            f"study grid needs {ntheta} theta nodes (cap 60001) to resolve "
+            f"the layer at eta={eta:g}; pass an explicit grid or a larger eta")
+    return Grid2D.regular(-x_half, x_half, 31, -theta_half, theta_half,
+                          ntheta)
+
+
+def _nearest_node(grid: Grid2D, x: float) -> int:
+    """Index of the x node nearest ``x``; DomainError outside the grid."""
+    if not (grid.x_nodes[0] <= x <= grid.x_nodes[-1]):
+        raise DomainError(
+            f"x={x:g} outside the grid's x range "
+            f"[{grid.x_nodes[0]:g}, {grid.x_nodes[-1]:g}]")
+    return int(np.argmin(np.abs(grid.x_nodes - x)))
+
+
+# -------------------------------------------------------- eta shift sweep
 
 
 def eta_shift_sweep(params: ModelParams, gamma_lin: float, eta_list,
@@ -177,7 +202,8 @@ def eta_shift_sweep(params: ModelParams, gamma_lin: float, eta_list,
     trading onset, where the sell slack of V crosses zero
     (``hjb.extract_band``).  The displacement is measured against the
     solver's own baseline at the smallest trustworthy eta
-    (``hjb.ETA_FLOOR``), so grid bias common to both solves cancels.
+    (``hjb.ETA_FLOOR``), so grid bias common to both solves cancels.  The
+    default grid resolves the layer at the smallest eta kept.
 
     Points failing the smallness gauge (predicted shift not small against
     the band width) are excluded with a warning note, as are points whose
@@ -189,7 +215,6 @@ def eta_shift_sweep(params: ModelParams, gamma_lin: float, eta_list,
         raise ConfigError(
             f"smallest eta {etas[0]:g} must exceed the baseline ETA_FLOOR "
             f"{hjb.ETA_FLOOR:g}")
-    grid = grid if grid is not None else _sweep_grid(params)
 
     # asymptotic prediction (independent route, used for the gauge and
     # the reported prefactor comparison, never for the measurement)
@@ -214,10 +239,11 @@ def eta_shift_sweep(params: ModelParams, gamma_lin: float, eta_list,
         raise ConfigError(
             "fewer than 4 eta values survive the validity gauge")
 
+    grid = grid if grid is not None else _study_grid(band, x, min(keep))
+    i = _nearest_node(grid, x)
     # solve ladder: largest eta cold, then walk down to the floor so each
     # solve warm-starts from its neighbor (the fields differ only near
     # the boundary)
-    i = int(np.argmin(np.abs(grid.x_nodes - x)))
     measured = {}
     V = None
     for eta in sorted(keep, reverse=True) + [hjb.ETA_FLOOR]:
@@ -280,18 +306,21 @@ def gamma_width_sweep(params: ModelParams, gamma_list,
     gammas = _as_positive_array(gamma_list, "gamma_list")
     _require_span(gammas, 2.0, "gamma_list")
 
-    # only width(x) is consumed, so a window around x suffices; wide bands
-    # need a larger search pad, so retry the level-set with growing pads
-    # and note each gamma that needed one, with what the smaller pads raised
+    # only width(x) is consumed, so a window around x suffices.  The first
+    # pad is 4 small-cost half-widths over the Markowitz slope (0.15 at
+    # least); a gamma retried on larger pads is noted with what each raised
     half = max(2.0 * abs(x), stationary_std(params))
     nodes = np.linspace(x - half, x + half, 41)
+    slope_span = abs(markowitz_position(params, 2.0 * half))
 
     vals, widths, ratios = [], [], []
     excluded, notes = [], []
     for g in gammas:
         band = None
         failed = []
-        for pad in (0.15, 0.5, 1.5, 4.0):
+        first = max(0.15, 4.0 * small_cost_half_width(params, float(g))
+                    / slope_span)
+        for pad in (first,) + tuple(p for p in (0.5, 1.5, 4.0) if p > first):
             try:
                 band = band_zero.find_band_zero(
                     params, float(g), x_nodes=nodes, pad_frac=pad)
@@ -385,11 +414,11 @@ def _local_slopes(dist, mag):
 
 def regime_map(params: ModelParams, costs: CostParams, x: float,
                *, grid: Grid2D | None = None,
-               cfg: hjb.SolverConfig | None = None,
-               vg: hjb.ValueGrid | None = None) -> RegimeReport:
+               cfg: hjb.SolverConfig | None = None) -> RegimeReport:
     """Classify the solved speed profile at ``x`` into its four zones.
 
-    Walking outward from the boundary the local slope of log|v| against
+    The speed and the onset are read at the x node nearest ``x``.
+    Walking outward from the onset the local slope of log|v| against
     log(distance-from-boundary) starts near 1 (layer), relaxes to 1/2
     (square-root zone), and the slope against log(theta) returns to 1 in
     the far field.  The zone assignment is a three-state walk in that
@@ -406,19 +435,17 @@ def regime_map(params: ModelParams, costs: CostParams, x: float,
     layer_pred = c.wall_offset * eta ** (1.0 / 3.0)
     cross_pred = asymptotics.sqrt_linear_crossover(params, c)
 
-    if vg is None:
-        if grid is None:
-            grid = _regime_grid(band, x, layer_pred, cross_pred)
-        vg = hjb.solve_hjb(params, costs, grid, cfg)
-
-    sl = hjb.velocity_slice(vg, x)
-    if not np.isfinite(sl.band_plus):
+    grid = grid if grid is not None else _study_grid(band, x, eta)
+    i = _nearest_node(grid, x)
+    vg = hjb.solve_hjb(params, costs, grid, cfg)
+    b = float(vg.band_plus[i])
+    if not np.isfinite(b):
         raise RegimeError("no upper boundary found in the solved field; "
                           "cannot anchor regime distances")
-    b = sl.band_plus
-    mask = (sl.theta > b) & (np.abs(sl.v) > 0)
-    theta = sl.theta[mask]
-    mag = np.abs(sl.v[mask])
+    v_row = vg.v.values[i]
+    mask = (grid.theta_nodes > b) & (np.abs(v_row) > 0)
+    theta = grid.theta_nodes[mask]
+    mag = np.abs(v_row[mask])
     if theta.size < 8:
         raise RegimeError("too few trading samples beyond the boundary to "
                           "classify regimes")
@@ -465,11 +492,11 @@ def regime_map(params: ModelParams, costs: CostParams, x: float,
     # composite prediction on the same samples (selling sector)
     vp = asymptotics.composite_velocity(band, x, eta, theta)
 
-    full_labels = np.full(sl.theta.size, "NT", dtype=object)
+    full_labels = np.full(grid.ntheta, "NT", dtype=object)
     full_labels[mask] = labels
     return RegimeReport(
-        x=float(sl.x), eta=float(eta),
-        theta=sl.theta, v=sl.v, labels=tuple(full_labels),
+        x=float(grid.x_nodes[i]), eta=float(eta),
+        theta=grid.theta_nodes, v=v_row, labels=tuple(full_labels),
         layer_slope=_median(lay, slope_d),
         sqrt_slope=_median(sq, slope_d),
         linear_slope=_median(lin, slope_t),
@@ -477,8 +504,8 @@ def regime_map(params: ModelParams, costs: CostParams, x: float,
         layer_width_predicted=float(layer_pred),
         crossover=crossover,
         crossover_predicted=float(cross_pred),
-        boundary=float(b),
-        v_composite=_embed(vp.v, mask, sl.theta.size),
+        boundary=b,
+        v_composite=_embed(vp.v, mask, grid.ntheta),
         notes=tuple(notes),
     )
 
@@ -487,22 +514,6 @@ def _embed(values, mask, n):
     out = np.full(n, np.nan)
     out[mask] = values
     return out
-
-
-def _regime_grid(band, x, layer_pred, cross_pred) -> Grid2D:
-    """Grid sized so the layer holds >= 8 cells and the far field fits."""
-    x_half = max(3.0 * stationary_std(band.params), abs(x) * 1.5)
-    theta0 = float(band.theta_plus_at(x))
-    markowitz_max = abs(markowitz_position(band.params, x_half))
-    theta_half = max(4.0 * markowitz_max, theta0 + 8.0 * cross_pred)
-    htheta = layer_pred / 8.0
-    ntheta = 2 * int(round(theta_half / htheta)) + 1
-    if ntheta > 60001:
-        raise ConfigError(
-            f"regime grid needs {ntheta} theta nodes to resolve the layer; "
-            "pass an explicit grid or a larger eta")
-    return Grid2D.regular(-x_half, x_half, 31, -theta_half, theta_half,
-                          ntheta)
 
 
 # --------------------------------------------------------------- validity

@@ -46,7 +46,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from .errors import ConfigError, ConvergenceError, DomainError
+from .errors import ConfigError, ConvergenceError
 from .model import (CostKind, CostParams, Grid2D, ModelParams, ScalarField,
                     drift, markowitz_position, nt_rhs,
                     small_cost_half_width)
@@ -54,10 +54,8 @@ from .model import (CostKind, CostParams, Grid2D, ModelParams, ScalarField,
 __all__ = [
     "SolverConfig",
     "ValueGrid",
-    "VelocitySlice",
     "solve_hjb",
     "extract_band",
-    "velocity_slice",
 ]
 
 
@@ -132,14 +130,12 @@ class SolverConfig:
 class ValueGrid:
     """Solved value function and optimal velocity on a Grid2D, with the
     no-trade interval [-band_minus, band_plus] per x node that
-    :func:`extract_band` reads from V (NaN where a mask is False)."""
+    :func:`extract_band` reads from V (NaN on a side it does not find)."""
 
     V: ScalarField
     v: ScalarField
     band_plus: np.ndarray
     band_minus: np.ndarray
-    plus_mask: np.ndarray
-    minus_mask: np.ndarray
     residual: float
     iterations: int
     # per-iteration max value update, for convergence post-mortems
@@ -150,17 +146,6 @@ class ValueGrid:
     @property
     def grid(self) -> Grid2D:
         return self.V.grid
-
-
-@dataclass(frozen=True)
-class VelocitySlice:
-    """theta-profile of the optimal velocity at one x node."""
-
-    x: float
-    theta: np.ndarray
-    v: np.ndarray
-    band_plus: float
-    band_minus: float
 
 
 # ------------------------------------------------------------------ control
@@ -538,11 +523,10 @@ def solve_hjb(params: ModelParams, costs: CostParams, grid: Grid2D,
     residual, v = _bellman_residual(params, costs, grid, V)
 
     field = ScalarField(V, grid)
-    bp, bm, pm, mm = extract_band(field, costs.gamma_lin)
+    bp, bm = extract_band(field, costs.gamma_lin)
     return ValueGrid(V=field, v=ScalarField(v, grid), band_plus=bp,
-                     band_minus=bm, plus_mask=pm, minus_mask=mm,
-                     residual=residual, iterations=iters, history=hist,
-                     stopped_by=stop)
+                     band_minus=bm, residual=residual, iterations=iters,
+                     history=hist, stopped_by=stop)
 
 
 # --------------------------------------------------------------- extraction
@@ -570,10 +554,10 @@ def extract_band(V: ScalarField, gamma_lin: float):
     slack crosses zero, interpolated linearly between the run's last
     quiet cell and the first trading one; the lower boundary likewise
     from the buy slack.  A run touching a theta edge, or a side whose
-    slack does not change sign there, gives mask False and NaN.
+    slack does not change sign there, gives NaN on that side.
 
-    Returns (band_plus, band_minus, plus_mask, minus_mask), per x node:
-    the no-trade interval is [-band_minus, band_plus].
+    Returns (band_plus, band_minus), per x node: the no-trade interval is
+    [-band_minus, band_plus].
     """
     grid = V.grid
     ht = grid.htheta
@@ -596,7 +580,7 @@ def extract_band(V: ScalarField, gamma_lin: float):
             tp[i] = _onset(mid[j1 - 1], sell[i, j1 - 1], sell[i, j1], ht)
         if 0 < j0 < nt - 1:
             tm[i] = -_onset(mid[j0], buy[i, j0], buy[i, j0 - 1], -ht)
-    return tp, tm, np.isfinite(tp), np.isfinite(tm)
+    return tp, tm
 
 
 def _onset(m, quiet, trading, step):
@@ -606,15 +590,3 @@ def _onset(m, quiet, trading, step):
         return math.nan
     return m + step * quiet / (quiet - trading)
 
-
-def velocity_slice(vg: ValueGrid, x: float) -> VelocitySlice:
-    """theta-profile of v at the grid node nearest to x."""
-    grid = vg.grid
-    if not (grid.x_nodes[0] <= x <= grid.x_nodes[-1]):
-        raise DomainError(f"x={x:g} outside the grid")
-    i = int(np.argmin(np.abs(grid.x_nodes - x)))
-    return VelocitySlice(x=float(grid.x_nodes[i]),
-                         theta=grid.theta_nodes.copy(),
-                         v=vg.v.values[i].copy(),
-                         band_plus=float(vg.band_plus[i]),
-                         band_minus=float(vg.band_minus[i]))

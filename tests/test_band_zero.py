@@ -931,7 +931,9 @@ class TestWidthSweep:
         # a gamma whose band fails on the narrow pads is retried wider;
         # the sweep notes the pad that worked and what each narrower one
         # raised, and says nothing of the gammas solved on the first pad
-        # (5e-7 and 5e-6 here; 2e-5 needs pad 0.5 on this window)
+        # (all the others here).  The first pad of gamma 1e-4 is 4
+        # small-cost half-widths over the Markowitz slope across the
+        # window, 0.377195; the retry skips the 0.15 rung below it
         real = band_zero.find_band_zero
 
         def narrow_fails(params, gamma, x_nodes=None, pad_frac=0.15):
@@ -944,7 +946,25 @@ class TestWidthSweep:
                                             [5e-7, 5e-6, 2e-5, 1e-4])
         np.testing.assert_array_equal(res.values, [5e-7, 5e-6, 2e-5, 1e-4])
         assert res.excluded == ()
-        assert [n for n in res.notes if "gamma=5e-0" in n] == []
-        assert [n for n in res.notes if n.startswith("gamma=0.0001 ")] == [
-            "gamma=0.0001 needed pad 1.5: pad 0.15 raised RegimeError: stub "
-            "at pad 0.15; pad 0.5 raised RegimeError: stub at pad 0.5"]
+        assert res.notes == (
+            "gamma=0.0001 needed pad 1.5: pad 0.377195 raised RegimeError: "
+            "stub at pad 0.377195; pad 0.5 raised RegimeError: stub at pad "
+            "0.5",)
+
+    def test_first_pad_fits_every_acceptance_gamma(self, desk_model,
+                                                   monkeypatch):
+        # the first pad is sized from the small-cost band, so the 7 gammas
+        # of the acceptance sweep solve one band each (a fixed first pad
+        # of 0.15 failed on 5 of them and took 13 solves)
+        pads = []
+        real = band_zero.find_band_zero
+
+        def counting(params, gamma, x_nodes=None, pad_frac=0.15):
+            pads.append(pad_frac)
+            return real(params, gamma, x_nodes=x_nodes, pad_frac=pad_frac)
+
+        monkeypatch.setattr(band_zero, "find_band_zero", counting)
+        res = experiments.gamma_width_sweep(desk_model,
+                                            np.geomspace(2e-6, 2e-3, 7))
+        assert len(pads) == 7 and res.excluded == ()
+        assert not [n for n in res.notes if "needed pad" in n]

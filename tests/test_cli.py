@@ -2,7 +2,7 @@
 
 The dynamic-programming command (hjb) runs on a coarse, fast parameter
 point; the exact-band commands (band, layer, sweep, validate, check) run
-at the desk point.
+at the desk point, and so does the regime sweep, on a small explicit grid.
 """
 
 import json
@@ -284,6 +284,33 @@ class TestSweep:
         summary = Path(os.path.join(out, "gamma_width_summary.txt")).read_text()
         assert "slope" in summary
         assert os.path.exists(os.path.join(out, "gamma_width.gp"))
+
+
+    def test_regime_sweep_end_to_end(self, tmp_path):
+        cfg = write_cfg(tmp_path, {
+            "model": DESK,
+            "costs": {"gamma_lin": 2e-4, "kind": "quadratic", "eta": 1e-4},
+            "grid": {"x_min": -0.134, "x_max": 0.134, "nx": 11,
+                     "theta_min": -7.5e-3, "theta_max": 7.5e-3,
+                     "ntheta": 301},
+            "sweep": {"kind": "regime"}})
+        out = tmp_path / "o"
+        assert main(["sweep", "--config", cfg, "--out", str(out),
+                     "--quiet"]) == 0
+        lines = (out / "regime.csv").read_text().splitlines()
+        assert lines[0] == "theta,speed,composite,zone"
+        assert len(lines) == 1 + 301
+        zones = {line.rsplit(",", 1)[1] for line in lines[1:]}
+        assert "NT" in zones and zones <= {"NT", "LAYER", "SQRT", "LINEAR",
+                                           "?"}
+        summary = (out / "regime_summary.txt").read_text().splitlines()
+        keys = [line.split()[0] for line in summary
+                if not line.startswith("note:")]
+        assert keys == ["x", "eta", "boundary", "layer_slope", "sqrt_slope",
+                        "linear_slope", "layer_width",
+                        "layer_width_predicted", "crossover",
+                        "crossover_predicted"]
+        assert (out / "regime.gp").exists()
 
 
 class TestValidate:

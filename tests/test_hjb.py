@@ -23,6 +23,7 @@ Oracle strategy, by class:
 
 import itertools
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +31,8 @@ import pytest
 from scipy.sparse.linalg import splu
 
 from bandlayer.errors import ConfigError, ConvergenceError, DomainError
-from bandlayer.model import CostKind, CostParams, Grid2D, ModelParams, ScalarField
+from bandlayer.model import (CostKind, CostParams, Grid2D, ModelParams,
+                             ScalarField, stationary_std)
 from bandlayer import asymptotics, experiments, hjb
 from bandlayer.special import fd_weights
 
@@ -152,9 +154,8 @@ class TestClosedFormNoTrade:
         grid = Grid2D.regular(-0.134, 0.134, 21, -0.05, 0.05, 41)
         costs = CostParams(gamma_lin=500.0, eta=1e-4)
         vg = hjb.solve_hjb(desk_params, costs, grid)
-        assert not vg.plus_mask.any()
-        assert not vg.minus_mask.any()
         assert np.all(np.isnan(vg.band_plus))
+        assert np.all(np.isnan(vg.band_minus))
 
     def test_one_sided_slopes_within_linear_cost(self, desk_params):
         # in the no-trade region the scheme keeps both one-sided
@@ -226,7 +227,7 @@ class TestCostMonotonicity:
     def _width(self, params, costs):
         vg = hjb.solve_hjb(params, costs, self.GRID)
         i0 = self.GRID.nx // 2
-        assert vg.plus_mask[i0] and vg.minus_mask[i0]
+        assert np.isfinite([vg.band_plus[i0], vg.band_minus[i0]]).all()
         return vg.band_plus[i0] + vg.band_minus[i0]
 
     def test_band_grows_with_linear_cost(self, desk_params):
@@ -270,9 +271,8 @@ class TestBandExtraction:
         th = np.linspace(-1, 1, 2001)
         centre = 0.05 * x + 0.01234
         half = 0.31 + 0.02 * x ** 2
-        bp, bm, pm, mm = hjb.extract_band(
+        bp, bm = hjb.extract_band(
             _quadratic_value(x, th, centre, half, 0.7), 0.7)
-        assert pm.all() and mm.all()
         np.testing.assert_allclose(bp, centre + half, rtol=0, atol=1e-12)
         np.testing.assert_allclose(bm, half - centre, rtol=0, atol=1e-12)
 
@@ -282,21 +282,19 @@ class TestBandExtraction:
         th = np.linspace(-1, 1, 11)
         V = ScalarField(values=np.zeros((3, 11)),
                         grid=Grid2D(x_nodes=x, theta_nodes=th))
-        bp, bm, pm, mm = hjb.extract_band(V, 2e-4)
+        bp, bm = hjb.extract_band(V, 2e-4)
         assert np.all(np.isnan(bp)) and np.all(np.isnan(bm))
-        assert not pm.any() and not mm.any()
 
     def test_edge_touching_run_masked(self):
         # quiet run reaching the grid edge means the crossing was not
-        # bracketed; that side must come back masked
+        # bracketed; that side must come back NaN
         x = np.linspace(-1, 1, 3)
         th = np.linspace(-1, 1, 101)
-        bp, bm, pm, mm = hjb.extract_band(
+        bp, bm = hjb.extract_band(
             _quadratic_value(x, th, np.full(3, -0.4), np.full(3, 0.9), 0.5),
             0.5)
-        assert pm.all()
         np.testing.assert_allclose(bp, 0.5, rtol=0, atol=1e-12)
-        assert not mm.any() and np.all(np.isnan(bm))
+        assert np.all(np.isnan(bm))
 
     def test_onset_independent_of_the_x_window(self, desk_params):
         # the same hx on two x windows: the onset at x = 0 reads V alone,
@@ -309,7 +307,7 @@ class TestBandExtraction:
                           Grid2D.regular(-half, half, nx, -2.5e-3, 2.5e-3,
                                          251), cfg)
             for half, nx in ((0.0335, 11), (0.067, 21)))
-        assert narrow.plus_mask[5] and wide.plus_mask[10]
+        assert np.isfinite(narrow.band_plus[5])
         assert narrow.band_plus[5] == pytest.approx(wide.band_plus[10],
                                                     rel=1e-5, abs=0.0)
 
@@ -317,7 +315,7 @@ class TestBandExtraction:
         # model symmetry maps band_plus(x) to band_minus(-x)
         bp = desk_solve.band_plus
         bm = desk_solve.band_minus[::-1]
-        ok = desk_solve.plus_mask & desk_solve.minus_mask[::-1]
+        ok = np.isfinite(bp) & np.isfinite(bm)
         assert ok.any()
         # V is point-symmetric bit for bit (the folded solve), so the two
         # onsets differ only by the rounding of the mirrored theta nodes
@@ -325,46 +323,94 @@ class TestBandExtraction:
             1e-9 * desk_solve.grid.htheta
 
 
-# ---------------------------------------------------------- velocity slice
-
-
-class TestVelocitySlice:
-    def test_nearest_node_and_zero_inside(self, desk_solve):
-        sl = hjb.velocity_slice(desk_solve, 0.0)
-        assert sl.x == pytest.approx(0.0, abs=1e-12)
-        inside = (sl.theta > -sl.band_minus) & (sl.theta < sl.band_plus)
-        assert np.all(sl.v[inside] == 0.0)
-
-    def test_monotone_beyond_band(self, desk_solve):
-        sl = hjb.velocity_slice(desk_solve, 0.0)
-        out = sl.theta >= sl.band_plus
-        mag = np.abs(sl.v[out])
-        assert np.all(np.diff(mag) >= -1e-12)
-
-    def test_outside_domain_rejected(self, desk_solve):
-        with pytest.raises(DomainError):
-            hjb.velocity_slice(desk_solve, 5.0)
-
-
 # ---------------------------------------------------------------- regime map
 
 
 class TestRegimeMap:
-    def test_reads_the_given_field(self, desk_params, desk_solve,
-                                   monkeypatch):
-        # a field passed through vg= is classified as it stands: no DP
-        # solve runs, and the zones are anchored on that field's boundary
+    COSTS = CostParams(gamma_lin=2e-4, eta=1e-4)
+
+    @pytest.fixture(scope="class")
+    def report(self, desk_params, coarse_grid):
+        cfg = hjb.SolverConfig(max_iters=200, convergence_tol=1e-9)
+        return experiments.regime_map(desk_params, self.COSTS, 0.0,
+                                      grid=coarse_grid, cfg=cfg)
+
+    def test_nearest_node_and_zero_inside(self, report):
+        # at x = 0 the band is [-boundary, boundary] by point symmetry
+        assert report.x == pytest.approx(0.0, abs=1e-12)
+        inside = np.abs(report.theta) < report.boundary
+        assert inside.sum() > 2
+        assert np.all(report.v[inside] == 0.0)
+
+    def test_monotone_beyond_band(self, report):
+        mag = np.abs(report.v[report.theta >= report.boundary])
+        assert np.all(np.diff(mag) >= -1e-12)
+
+    def test_labels_and_composite_on_the_trading_samples(self, report):
+        labels = np.array(report.labels)
+        assert np.all(labels[report.theta <= report.boundary] == "NT")
+        trading = (report.theta > report.boundary) & (np.abs(report.v) > 0)
+        np.testing.assert_array_equal(np.isfinite(report.v_composite),
+                                      trading)
+
+    def test_outside_domain_rejected(self, desk_params, coarse_grid,
+                                     monkeypatch):
+        # x = 0.2 lies inside the exact band's domain (+-0.268) but
+        # outside the grid's (+-0.134); no DP solve may run first
         def no_solve(*args, **kwargs):
             raise AssertionError("regime_map ran a DP solve")
 
         monkeypatch.setattr(hjb, "solve_hjb", no_solve)
-        costs = CostParams(gamma_lin=2e-4, eta=1e-4)
-        rep = experiments.regime_map(desk_params, costs, 0.0, vg=desk_solve)
-        assert rep.boundary == hjb.velocity_slice(desk_solve, 0.0).band_plus
-        labels = np.array(rep.labels)
-        assert np.all(labels[rep.theta <= rep.boundary] == "NT")
-        trading = (rep.theta > rep.boundary) & (np.abs(rep.v) > 0)
-        np.testing.assert_array_equal(np.isfinite(rep.v_composite), trading)
+        with pytest.raises(DomainError, match="outside the grid"):
+            experiments.regime_map(desk_params, self.COSTS, 0.2,
+                                   grid=coarse_grid)
+
+
+# ---------------------------------------------------------------- study grid
+
+
+class TestStudyGrid:
+    """The default grid of both DP studies, at three etas and one x off
+    the centre (x = 0.1, where the Markowitz term sizes theta)."""
+
+    @pytest.fixture(scope="class",
+                    params=[(0.0, 1e-3), (0.0, 1e-4), (0.0, 1e-7),
+                            (0.1, 1e-4)],
+                    ids=["eta1e-3", "eta1e-4", "eta1e-7", "x0.1"])
+    def case(self, request, desk_band):
+        x, eta = request.param
+        return x, eta, experiments._study_grid(desk_band, x, eta)
+
+    def test_system_is_folded(self, case):
+        grid = case[2]
+        assert hjb._fold_rows(grid) == (grid.nx * grid.ntheta + 1) // 2
+
+    def test_window_holds_x_and_the_far_field(self, case, desk_band):
+        x, _, grid = case
+        assert grid.x_nodes[0] < x < grid.x_nodes[-1]
+        assert grid.x_nodes[-1] >= 0.75 * stationary_std(desk_band.params)
+        c = asymptotics.layer_constants(desk_band, x)
+        far = (float(desk_band.theta_plus_at(x))
+               + 8.0 * asymptotics.sqrt_linear_crossover(desk_band.params, c))
+        assert grid.theta_nodes[-1] >= far
+
+    def test_edge_rows_take_the_analytic_slope(self, case, desk_band):
+        _, eta, grid = case
+        costs = CostParams(gamma_lin=desk_band.gamma_lin, eta=eta)
+        (bot, _), (top, _) = hjb._edge_slopes(desk_band.params, costs, grid)
+        assert bot.all() and top.all()
+
+    def test_step_resolves_the_layer(self, case, desk_band):
+        x, eta, grid = case
+        c = asymptotics.layer_constants(desk_band, x)
+        assert grid.htheta <= c.wall_offset * eta ** (1.0 / 3.0) / 8.0 \
+            * (1.0 + 1e-12)
+
+    def test_node_cap_names_the_count(self, desk_band):
+        with pytest.raises(ConfigError, match="theta nodes") as exc:
+            experiments._study_grid(desk_band, 0.0, 1e-8)
+        count = re.search(r"needs (\d+) theta nodes", str(exc.value))
+        assert int(count.group(1)) > 60001
 
 
 # ---------------------------------------------------------- eta shift sweep
@@ -413,6 +459,17 @@ class TestEtaShiftSweep:
         with pytest.raises(ConfigError):
             experiments.eta_shift_sweep(desk_params, 2e-4,
                                         (1e-6, 2e-6, 5e-6, 9e-6))
+
+    def test_x_outside_the_grid_rejected(self, desk_params, monkeypatch):
+        # the edge node used to be read silently; no DP solve may run
+        def no_solve(*args, **kwargs):
+            raise AssertionError("eta_shift_sweep ran a DP solve")
+
+        monkeypatch.setattr(hjb, "solve_hjb", no_solve)
+        grid = Grid2D.regular(-0.134, 0.134, 11, -7.5e-3, 7.5e-3, 301)
+        with pytest.raises(DomainError, match="outside the grid"):
+            experiments.eta_shift_sweep(desk_params, 2e-4, self.ETAS, x=0.2,
+                                        grid=grid)
 
 
 # ------------------------------------------------ discrete residual oracle
@@ -604,7 +661,7 @@ class TestThreeHalvesCost:
             coarse_grid,
         )
         i0 = coarse_grid.nx // 2
-        assert q.plus_mask[i0] and c.plus_mask[i0]
+        assert np.isfinite(q.band_plus[i0])
         assert 0 < c.band_plus[i0] < coarse_grid.theta_nodes[-1]
 
 
@@ -638,7 +695,6 @@ class TestStoppingAndErrors:
         vg = hjb.solve_hjb(desk_params, costs, grid)
         assert vg.residual <= 10 * 1e-9 * max(1.0, np.abs(vg.V.values).max())
         i0 = grid.nx // 2
-        assert vg.plus_mask[i0]
         assert vg.band_plus[i0] > 0
         # no trading node whose velocity sign differs from both of its
         # theta-neighbours
@@ -994,9 +1050,9 @@ def _boundary_jumps(vg: hjb.ValueGrid, stencil: int = 4):
     j1 = np.full(nx, np.nan)
     j2 = np.full(nx, np.nan)
     for i in range(nx):
-        if not vg.plus_mask[i]:
-            continue
         tb = vg.band_plus[i]
+        if not np.isfinite(tb):
+            continue
         jb = int(np.searchsorted(th, tb))
         if jb - stencil < 0 or jb + 1 + stencil > th.size:
             continue

@@ -3,8 +3,9 @@ tests is used, no function body in either imports anything, each
 ``__all__`` matches its module and lists only names the package itself
 reads, every third-party package imported is declared in
 ``pyproject.toml``, the tests import their conftest one way only, the
-package calls the sparse factor ``splu`` at one site, and every
-attribute the benchmark's spans hook exists.
+package calls the sparse factor ``splu`` at one site, the studies build
+a grid at one site, and every attribute the benchmark's spans hook
+exists.
 
 A stdlib stand-in for a linter's unused-import rule.  A name counts as
 used when it is read anywhere in its module or listed in ``__all__``,
@@ -159,6 +160,19 @@ def test_one_sparse_factor_call_site():
              and "splu" in (getattr(node.func, "id", None),
                             getattr(node.func, "attr", None))]
     assert len(sites) == 1 and sites[0].startswith("hjb.py:"), sites
+
+
+def test_one_grid_call_site_in_experiments():
+    # both DP studies size their default grid by one rule,
+    # experiments._study_grid; a second construction would be a second rule
+    tree = ast.parse((PACKAGE / "experiments.py").read_text(encoding="utf-8"))
+    sites = [(fn.name, node.lineno) for fn in tree.body
+             if isinstance(fn, ast.FunctionDef)
+             for node in ast.walk(fn)
+             if isinstance(node, ast.Call)
+             and ("Grid2D" == getattr(node.func, "id", None)
+                  or getattr(node.func, "attr", None) == "regular")]
+    assert [name for name, _ in sites] == ["_study_grid"], sites
 
 
 def test_benchmark_hooks_resolve():

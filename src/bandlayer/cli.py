@@ -146,42 +146,35 @@ def cmd_hjb(cfg: RunConfig, out: str, quiet: bool) -> int:
     return EXIT_OK
 
 
-def _sweep_eta_shift(cfg, spec, out, quiet):
+# sweep kind -> (parameter column, measured column, x label, y label, title)
+_SWEEP_FITS = {
+    "eta_shift": ("eta", "shift", "eta", "boundary shift",
+                  "band shift vs quadratic cost"),
+    "gamma_width": ("gamma", "width", "linear cost", "band width",
+                    "band width vs linear cost"),
+}
+
+
+def _sweep_fit(cfg, spec, out):
+    """Run a scaling study; write its points, log-log plot and summary."""
     params = cfg.need("model")
-    costs = cfg.need("costs")
-    result = experiments.eta_shift_sweep(
-        params, costs.gamma_lin, spec.values, x=spec.x, grid=cfg.grid,
-        cfg=cfg.solver)
-    stem = cfg.output_prefix + "eta_shift"
-    csv_path = os.path.join(out, stem + ".csv")
-    predicted = result.predicted_prefactor * result.values ** (1.0 / 3.0)
-    write_csv(csv_path, ["eta", "shift", "predicted_shift", "ratio"],
-              [result.values, result.measured, predicted,
-               result.prefactor_ratios])
+    if spec.kind == "eta_shift":
+        result = experiments.eta_shift_sweep(
+            params, cfg.need("costs").gamma_lin, spec.values, x=spec.x,
+            grid=cfg.grid, cfg=cfg.solver)
+    else:
+        result = experiments.gamma_width_sweep(params, spec.values, x=spec.x)
+    column, measured, xlabel, ylabel, title = _SWEEP_FITS[spec.kind]
+    stem = os.path.join(out, cfg.output_prefix + spec.kind)
+    write_csv(stem + ".csv",
+              [column, measured, "predicted_" + measured, "ratio"],
+              [result.values, result.measured, result.predicted,
+               result.ratios])
     gp = gnuplot_loglog_script(
-        os.path.basename(csv_path), 1, 2, "eta", "boundary shift",
-        slope=result.fit.slope, prefactor=result.fit.prefactor,
-        title="band shift vs quadratic cost")
-    atomic_write_text(os.path.join(out, stem + ".gp"), gp)
-    return result, stem
+        os.path.basename(stem) + ".csv", 1, 2, xlabel, ylabel,
+        slope=result.fit.slope, prefactor=result.fit.prefactor, title=title)
+    atomic_write_text(stem + ".gp", gp)
 
-
-def _sweep_gamma_width(cfg, spec, out, quiet):
-    params = cfg.need("model")
-    result = experiments.gamma_width_sweep(params, spec.values, x=spec.x)
-    stem = cfg.output_prefix + "gamma_width"
-    csv_path = os.path.join(out, stem + ".csv")
-    write_csv(csv_path, ["gamma", "width", "dimensional_ratio"],
-              [result.values, result.measured, result.prefactor_ratios])
-    gp = gnuplot_loglog_script(
-        os.path.basename(csv_path), 1, 2, "linear cost", "band width",
-        slope=result.fit.slope, prefactor=result.fit.prefactor,
-        title="band width vs linear cost")
-    atomic_write_text(os.path.join(out, stem + ".gp"), gp)
-    return result, stem
-
-
-def _sweep_summary(result, stem, out):
     lines = [f"sweep       {result.parameter}",
              f"points      {result.values.size}",
              f"slope       {result.fit.slope:.17g}",
@@ -191,9 +184,8 @@ def _sweep_summary(result, stem, out):
     for value, reason in result.excluded:
         lines.append(f"warning: excluded {value:g}: {reason}")
     lines.extend(f"note: {n}" for n in result.notes)
-    path = os.path.join(out, stem + "_summary.txt")
-    write_text_report(path, lines)
-    return path
+    write_text_report(stem + "_summary.txt", lines)
+    return result, stem + "_summary.txt"
 
 
 def _sweep_regime(cfg, spec, out, quiet):
@@ -232,11 +224,7 @@ def cmd_sweep(cfg: RunConfig, out: str, quiet: bool) -> int:
     spec = cfg.need("sweep")
     if spec.kind == "regime":
         return _sweep_regime(cfg, spec, out, quiet)
-    if spec.kind == "eta_shift":
-        result, stem = _sweep_eta_shift(cfg, spec, out, quiet)
-    else:
-        result, stem = _sweep_gamma_width(cfg, spec, out, quiet)
-    summary = _sweep_summary(result, stem, out)
+    result, summary = _sweep_fit(cfg, spec, out)
     _say(quiet, f"slope {result.fit.slope:.4f} +/- {result.fit.stderr:.4f} "
          f"(reference {result.reference_slope:g}); wrote {summary}")
     for value, reason in result.excluded:
@@ -289,14 +277,14 @@ def _check_rows(cfg: RunConfig):
         worst <= 1e-6 * scale,
         f"max |V_tt| at band {worst:.3e}, interior scale {scale:.3e}")
 
-    v3s = [band_zero.third_derivative_at_band(band, float(x)) for x in xs]
-    add("third derivative positive at the boundary", min(v3s) > 0,
-        f"min V_ttt {min(v3s):.6g} over {len(xs)} x values")
+    # each identity pair is (g'(boundary), -V_ttt(boundary))
+    pairs = [band_zero.check_displacement_identity(band, float(x))
+             for x in xs]
+    v3_min = min(-rhs for _, rhs in pairs)
+    add("third derivative positive at the boundary", v3_min > 0,
+        f"min V_ttt {v3_min:.6g} over {len(xs)} x values")
 
-    worst_rel = 0.0
-    for x in xs:
-        lhs, rhs = band_zero.check_displacement_identity(band, float(x))
-        worst_rel = max(worst_rel, abs(lhs - rhs) / abs(rhs))
+    worst_rel = max(abs(lhs - rhs) / abs(rhs) for lhs, rhs in pairs)
     add("displacement identity (1e-2 rel)", worst_rel <= 1e-2,
         f"worst relative gap {worst_rel:.3e} over {len(xs)} x values")
 

@@ -20,9 +20,13 @@ where a one-sided slack of the value function crosses zero
 against the solver's own smallest-eta baseline on the same grid, so
 discretization bias common to all solves cancels.  The width sweep
 instead uses the exact zero-eta band solver, which has no grid to bias
-it.  All fits are ordinary least squares in log-log space and always
-carry a standard error; a slope with stderr above 0.05 is flagged
-LOW-CONFIDENCE rather than hidden.
+it.  Each scaling study reports measured / predicted per point: the
+shift sweep against the asymptotic shift shift_coefficient*eta^(1/3),
+the width sweep against the small-cost width
+2*small_cost_half_width(gamma).  All fits are ordinary least squares in
+log-log space and always carry a standard error; a slope with stderr
+above 0.05 is flagged LOW-CONFIDENCE rather than hidden.  A point left
+out of a fit is recorded once, with its reason, in ``excluded``.
 """
 
 from __future__ import annotations
@@ -101,23 +105,20 @@ LOW_CONFIDENCE_STDERR = 0.05
 
 @dataclass(frozen=True)
 class SweepResult:
-    """One scaling study: measured points, the fit, and its health.
+    """One scaling study: measured points, their prediction, and the fit.
 
-    ``values``/``measured`` hold the points that entered the fit;
+    ``values``/``measured``/``predicted`` hold the points that entered the
+    fit, ``predicted`` being the study's asymptotic law at each value;
     ``excluded`` records (value, reason) pairs that were dropped.
-    ``prefactor_ratios`` is the per-point measured/predicted amplitude
-    ratio when a prediction exists (NaN otherwise).
     """
 
     parameter: str
     values: np.ndarray
     measured: np.ndarray
+    predicted: np.ndarray
     excluded: tuple
     fit: LogLogFit
     reference_slope: float
-    predicted_prefactor: float
-    prefactor_ratios: np.ndarray
-    low_confidence: bool
     notes: tuple
 
     @property
@@ -127,6 +128,35 @@ class SweepResult:
     @property
     def stderr(self) -> float:
         return self.fit.stderr
+
+    @property
+    def ratios(self) -> np.ndarray:
+        """Measured / predicted at each point."""
+        return self.measured / self.predicted
+
+    @property
+    def low_confidence(self) -> bool:
+        return self.fit.stderr > LOW_CONFIDENCE_STDERR
+
+
+def _fitted(parameter, points, excluded, notes) -> SweepResult:
+    """Fit (value, measured, predicted) points of a cube-root study.
+
+    Notes on the fit's health (fewer than 4 points, a LOW-CONFIDENCE
+    slope) lead the study's own notes.
+    """
+    values, measured, predicted = (np.array(col) for col in zip(*points))
+    fit = loglog_fit(values, measured)
+    health = []
+    if values.size < 4:
+        health.append("fit uses fewer than 4 points after exclusions")
+    if fit.stderr > LOW_CONFIDENCE_STDERR:
+        health.append(f"LOW-CONFIDENCE: slope stderr {fit.stderr:.3f} > "
+                      f"{LOW_CONFIDENCE_STDERR}")
+    return SweepResult(parameter=parameter, values=values, measured=measured,
+                       predicted=predicted, excluded=tuple(excluded),
+                       fit=fit, reference_slope=1.0 / 3.0,
+                       notes=(*health, *notes))
 
 
 def _as_positive_array(values, name):
@@ -205,9 +235,10 @@ def eta_shift_sweep(params: ModelParams, gamma_lin: float, eta_list,
     (``hjb.ETA_FLOOR``), so grid bias common to both solves cancels.  The
     default grid resolves the layer at the smallest eta kept.
 
-    Points failing the smallness gauge (predicted shift not small against
-    the band width) are excluded with a warning note, as are points whose
-    measured displacement comes back non-positive.
+    Each point's prediction is the asymptotic shift
+    shift_coefficient*eta^(1/3).  Points failing the smallness gauge
+    (predicted shift not small against the band width) are excluded, as
+    are points whose measured displacement comes back non-positive.
     """
     etas = _as_positive_array(eta_list, "eta_list")
     _require_span(etas, 2.0, "eta_list")
@@ -217,24 +248,23 @@ def eta_shift_sweep(params: ModelParams, gamma_lin: float, eta_list,
             f"{hjb.ETA_FLOOR:g}")
 
     # asymptotic prediction (independent route, used for the gauge and
-    # the reported prefactor comparison, never for the measurement)
+    # the reported comparison, never for the measurement)
     band = band_zero.find_band_zero(params, gamma_lin)
     theta0 = float(band.theta_plus_at(x))
     width = float(band.width(x))
     shift_coeff = asymptotics.shift_coefficient(band, x)
+    predicted = dict(zip(map(float, etas), shift_coeff * etas ** (1.0 / 3.0)))
 
     excluded = []
-    notes = []
     keep = []
-    for eta in etas:
-        gauge = shift_coeff * eta ** (1.0 / 3.0) / width
+    for eta, pred in predicted.items():
+        gauge = pred / width
         if gauge > asymptotics.GAUGE_MAX:
-            excluded.append((float(eta), f"outside validity gauge "
+            excluded.append((eta, f"outside validity gauge "
                              f"(shift/width = {gauge:.2f} > "
                              f"{asymptotics.GAUGE_MAX:g})"))
-            notes.append(f"excluded eta={eta:g}: validity gauge {gauge:.2f}")
         else:
-            keep.append(float(eta))
+            keep.append(eta)
     if len(keep) < 4:
         raise ConfigError(
             "fewer than 4 eta values survive the validity gauge")
@@ -253,42 +283,20 @@ def eta_shift_sweep(params: ModelParams, gamma_lin: float, eta_list,
         measured[eta] = float(vg.band_plus[i])
 
     base_theta = measured[hjb.ETA_FLOOR]
-    vals, shifts, ratios = [], [], []
+    points = []
     for eta in keep:
         s = base_theta - measured[eta]
         if not np.isfinite(s) or s <= 0:
-            excluded.append((float(eta), "non-positive measured shift"))
-            notes.append(f"excluded eta={eta:g}: unusable shift {s:g}")
+            excluded.append((eta, f"unusable measured shift {s:g}"))
             continue
-        vals.append(eta)
-        shifts.append(s)
-        ratios.append(s / (shift_coeff * eta ** (1.0 / 3.0)))
-    if len(vals) < 2:
+        points.append((eta, s, predicted[eta]))
+    if len(points) < 2:
         raise ConvergenceError(
             "eta_shift_sweep: fewer than 2 usable shift measurements",
-            history=shifts)
-    if len(vals) < 4:
-        notes.append("fit uses fewer than 4 points after exclusions")
-
-    fit = loglog_fit(np.array(vals), np.array(shifts))
-    low = fit.stderr > LOW_CONFIDENCE_STDERR
-    if low:
-        notes.append(f"LOW-CONFIDENCE: slope stderr {fit.stderr:.3f} > "
-                     f"{LOW_CONFIDENCE_STDERR}")
-    notes.append(f"baseline boundary at eta_floor: {base_theta:.9g} "
-                 f"(zero-cost prediction {theta0:.9g})")
-    return SweepResult(
-        parameter="eta",
-        values=np.array(vals),
-        measured=np.array(shifts),
-        excluded=tuple(excluded),
-        fit=fit,
-        reference_slope=1.0 / 3.0,
-        predicted_prefactor=float(shift_coeff),
-        prefactor_ratios=np.array(ratios),
-        low_confidence=low,
-        notes=tuple(notes),
-    )
+            history=[s for _, s, _ in points])
+    return _fitted("eta", points, excluded, [
+        f"baseline boundary at eta_floor: {base_theta:.9g} "
+        f"(zero-cost prediction {theta0:.9g})"])
 
 
 # ------------------------------------------------------- gamma width sweep
@@ -298,10 +306,10 @@ def gamma_width_sweep(params: ModelParams, gamma_list,
                       *, x: float = 0.0) -> SweepResult:
     """Band width versus linear cost, using the exact zero-eta solver.
 
-    The width at ``x`` should grow like gamma^(1/3) with a prefactor
-    proportional to (sigma^2/lam) * (gamma * omega^2 / sigma^4)^(1/3);
-    the per-point ratio against that dimensional combination is reported
-    so a drift out of the small-cost regime is visible.
+    The width at ``x`` should grow like gamma^(1/3); each point's
+    prediction is the small-cost width 2*small_cost_half_width(gamma), so
+    a ratio drifting away from 1 shows the sweep leaving the small-cost
+    regime.
     """
     gammas = _as_positive_array(gamma_list, "gamma_list")
     _require_span(gammas, 2.0, "gamma_list")
@@ -313,64 +321,42 @@ def gamma_width_sweep(params: ModelParams, gamma_list,
     nodes = np.linspace(x - half, x + half, 41)
     slope_span = abs(markowitz_position(params, 2.0 * half))
 
-    vals, widths, ratios = [], [], []
-    excluded, notes = [], []
-    for g in gammas:
+    points, excluded, notes = [], [], []
+    for g in map(float, gammas):
         band = None
         failed = []
-        first = max(0.15, 4.0 * small_cost_half_width(params, float(g))
-                    / slope_span)
-        for pad in (first,) + tuple(p for p in (0.5, 1.5, 4.0) if p > first):
+        predicted = 2.0 * small_cost_half_width(params, g)
+        first = max(0.15, 2.0 * predicted / slope_span)
+        # the rungs are each at least twice the one below, so a retry is
+        # always at least twice the pad that last failed
+        for pad in (first,) + tuple(p for p in (0.5, 1.5, 4.0)
+                                    if p >= 2.0 * first):
             try:
                 band = band_zero.find_band_zero(
-                    params, float(g), x_nodes=nodes, pad_frac=pad)
+                    params, g, x_nodes=nodes, pad_frac=pad)
                 break
             except (RegimeError, ConvergenceError) as exc:
                 failed.append((pad, exc))
         if band is None:
-            last_exc = failed[-1][1]
-            excluded.append((float(g), f"band not found: {last_exc}"))
-            notes.append(f"excluded gamma={g:g}: {last_exc}")
+            excluded.append((g, f"band not found: {failed[-1][1]}"))
             continue
         if failed:
             notes.append(f"gamma={g:g} needed pad {pad:g}: " + "; ".join(
                 f"pad {bad:g} raised {type(exc).__name__}: {exc}"
                 for bad, exc in failed))
-        w = float(band.width(x))
-        dimensional = (params.sigma ** 2 / params.lam) * (
-            float(g) * params.omega ** 2 / params.sigma ** 4) ** (1.0 / 3.0)
-        vals.append(float(g))
-        widths.append(w)
-        ratios.append(w / dimensional)
-    if len(vals) < 4:
+        points.append((g, float(band.width(x)), predicted))
+    if len(points) < 4:
         raise ConvergenceError(
-            "gamma_width_sweep: fewer than 4 usable widths", history=widths)
+            "gamma_width_sweep: fewer than 4 usable widths",
+            history=[w for _, w, _ in points])
 
-    fit = loglog_fit(np.array(vals), np.array(widths))
-    low = fit.stderr > LOW_CONFIDENCE_STDERR
-    if low:
-        notes.append(f"LOW-CONFIDENCE: slope stderr {fit.stderr:.3f} > "
-                     f"{LOW_CONFIDENCE_STDERR}")
-    r = np.array(ratios)
-    spread = float(r.max() / r.min() - 1.0)
-    if spread > 0.15:
-        worst = vals[int(np.argmax(np.abs(np.log(r / np.median(r)))))]
+    departure, worst = max((abs(w / p - 1.0), g) for g, w, p in points)
+    if departure > 0.15:
         notes.append(
-            f"prefactor ratio drifts {100 * spread:.1f}% across the sweep "
-            f"(worst at gamma={worst:g}); the largest costs are leaving "
-            "the small-cost regime")
-    return SweepResult(
-        parameter="gamma_lin",
-        values=np.array(vals),
-        measured=np.array(widths),
-        excluded=tuple(excluded),
-        fit=fit,
-        reference_slope=1.0 / 3.0,
-        predicted_prefactor=float(np.median(r)),
-        prefactor_ratios=r,
-        low_confidence=low,
-        notes=tuple(notes),
-    )
+            f"a width ratio departs from 1 by {100 * departure:.1f}% (at "
+            f"gamma={worst:g}); the largest costs are leaving the small-cost "
+            "regime")
+    return _fitted("gamma_lin", points, excluded, notes)
 
 
 # ------------------------------------------------------------- regime map

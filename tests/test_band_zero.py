@@ -933,7 +933,8 @@ class TestWidthSweep:
         # raised, and says nothing of the gammas solved on the first pad
         # (all the others here).  The first pad of gamma 1e-4 is 4
         # small-cost half-widths over the Markowitz slope across the
-        # window, 0.377195; the retry skips the 0.15 rung below it
+        # window, 0.377195; a retry goes to a rung at least twice the pad
+        # that failed, so it skips 0.15 and 0.5 and lands on 1.5
         real = band_zero.find_band_zero
 
         def narrow_fails(params, gamma, x_nodes=None, pad_frac=0.15):
@@ -948,8 +949,7 @@ class TestWidthSweep:
         assert res.excluded == ()
         assert res.notes == (
             "gamma=0.0001 needed pad 1.5: pad 0.377195 raised RegimeError: "
-            "stub at pad 0.377195; pad 0.5 raised RegimeError: stub at pad "
-            "0.5",)
+            "stub at pad 0.377195",)
 
     def test_first_pad_fits_every_acceptance_gamma(self, desk_model,
                                                    monkeypatch):

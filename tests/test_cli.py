@@ -271,6 +271,21 @@ class TestSweep:
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 4
         assert "fewer than 4 usable widths" in capsys.readouterr().err
 
+    def test_exclusion_is_written_once(self, tmp_path):
+        # gamma 1e-1 overflows at every pad and is excluded; the summary
+        # names it on one line, and no other line mentions an exclusion
+        cfg = write_cfg(tmp_path, {
+            "model": DESK, "costs": {"gamma_lin": 2e-4},
+            "sweep": {"kind": "gamma_width", "x": 0.1,
+                      "values": [2e-5, 2e-4, 2e-3, 2e-2, 1e-1]}})
+        out = tmp_path / "o"
+        assert main(["sweep", "--config", cfg, "--out", str(out),
+                     "--quiet"]) == 0
+        lines = (out / "gamma_width_summary.txt").read_text().splitlines()
+        excluded = [line for line in lines if "exclu" in line]
+        assert len(excluded) == 1, lines
+        assert excluded[0].startswith("warning: excluded 0.1: band not found")
+
     def test_gamma_width_sweep_end_to_end(self, tmp_path):
         cfg = write_cfg(tmp_path, {
             "model": DESK, "costs": {"gamma_lin": 2e-4},
@@ -281,6 +296,8 @@ class TestSweep:
         t = read_csv(os.path.join(out, "gamma_width.csv"))
         assert t.shape[0] == 4
         assert np.all(np.diff(t["width"]) > 0)
+        np.testing.assert_allclose(
+            t["ratio"], t["width"] / t["predicted_width"], rtol=1e-15)
         summary = Path(os.path.join(out, "gamma_width_summary.txt")).read_text()
         assert "slope" in summary
         assert os.path.exists(os.path.join(out, "gamma_width.gp"))

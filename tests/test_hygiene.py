@@ -4,8 +4,8 @@ tests is used, no function body in either imports anything, each
 reads, every third-party package imported is declared in
 ``pyproject.toml``, the tests import their conftest one way only, the
 package calls the sparse factor ``splu`` at one site, the studies build
-a grid at one site, and every attribute the benchmark's spans hook
-exists.
+a grid at one site and a sweep result at one site, and every attribute
+the benchmark's spans hook exists.
 
 A stdlib stand-in for a linter's unused-import rule.  A name counts as
 used when it is read anywhere in its module or listed in ``__all__``,
@@ -173,6 +173,19 @@ def test_one_grid_call_site_in_experiments():
              and ("Grid2D" == getattr(node.func, "id", None)
                   or getattr(node.func, "attr", None) == "regular")]
     assert [name for name, _ in sites] == ["_study_grid"], sites
+
+
+def test_one_sweep_result_site_in_experiments():
+    # both scaling studies end in experiments._fitted, which fits the
+    # points and builds the result; a second construction would be a
+    # second copy of the fit, its notes and its prediction plumbing
+    tree = ast.parse((PACKAGE / "experiments.py").read_text(encoding="utf-8"))
+    sites = [(fn.name, node.lineno) for fn in tree.body
+             if isinstance(fn, ast.FunctionDef)
+             for node in ast.walk(fn)
+             if isinstance(node, ast.Call)
+             and getattr(node.func, "id", None) == "SweepResult"]
+    assert [name for name, _ in sites] == ["_fitted"], sites
 
 
 def test_benchmark_hooks_resolve():

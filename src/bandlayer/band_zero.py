@@ -28,18 +28,20 @@ value continues with slope -+gamma_lin in theta.  The construction:
    at the two x-endpoints (h_plus, h_minus) of the level's no-trade
    interval; the endpoints themselves are pinned by boundary optimality,
    which is equivalent to d(dV/dtheta)/dx = 0 at both endpoints.  One
-   state evaluation per point z = (theta, h+, h-), or per array of
-   points, reads the stacked pair and Green's splines straight from their
-   coefficients at h+ and h- and returns the coefficients, the optimality
-   residuals R+- and their exact 2x3 Jacobian in z.
-4. A damped Newton solves R+- = 0 in two of the three coordinates of z
-   with the third pinned, at every point of a batch at once.  With theta
-   pinned, one batch maps out the band: the levels k*dtheta of both
-   directions, each seeded from the small-cost band, out to the first
-   level past the grid (or the domain) each way.  With a grid node pinned
-   as h+ or h-, one batch per side polishes the boundary exactly onto
-   every requested x node; each node's exact slope then follows from
-   implicit differentiation.
+   state evaluation per array of points z = (theta, h+, h-) reads the
+   stacked pair and Green's splines straight from their coefficients at
+   h+ and h- and returns the coefficients, the optimality residuals R+-
+   and their exact 2x3 Jacobian in z, one entry per point.
+4. One damped Newton solves R+- = 0 in two of the three coordinates of
+   z with the third pinned, at every point of a batch at once; a single
+   point is a batch of one.  With theta pinned, one batch maps out the
+   band: the levels k*dtheta of both directions, each seeded from the
+   small-cost band, out to the first level past the grid (or the domain)
+   each way.  With a grid node pinned as h+ or h-, one batch per side
+   polishes the boundary exactly onto every requested x node; each
+   node's exact slope then follows from implicit differentiation.  The
+   diagnostics below solve all of their points the same way, one batch
+   per kind of point.
 
 All evaluation points, including the level endpoints that step slightly
 past the nominal x range near the domain ends, stay inside the padded
@@ -328,8 +330,8 @@ def greens_particular(params: ModelParams, pair: HomogeneousPair) -> GreensDecom
 # level system internals
 
 _DET_FLOOR = 1e-13
-# rules shared by the scalar and the batched Newton: relative residual and
-# step floor, step budget, halvings per step, stalled-residual acceptance
+# rules of the batched Newton: relative residual and step floor, step
+# budget, halvings per step, stalled-residual acceptance
 _NEWTON_TOL, _NEWTON_ITERS, _HALVINGS, _STALL_TOL = 1e-12, 60, 12, 1e-8
 
 
@@ -337,60 +339,46 @@ def _knot_interval(xq, inv_step, x):
     """PPoly's knot interval i of x on the uniform grid xq, and s = x - xq[i].
 
     xq[i] <= x < xq[i+1], closed at the last knot and extended past both
-    ends.  Index arithmetic lands on i or, next to a knot, one off; one
-    comparison with the knots corrects it.  Floats give an int and a
-    float, arrays give arrays.
+    ends, for every entry of the array x.  Index arithmetic lands on i
+    or, next to a knot, one off; one comparison with the knots corrects
+    it.
     """
     last = xq.size - 2
-    u = (x - xq[0]) * inv_step
-    if isinstance(x, np.ndarray):
-        i = np.clip(u.astype(np.intp), 0, last)
-        i -= (x < xq[i]) & (i > 0)
-        i += (x >= xq[i + 1]) & (i < last)
-        return i, x - xq[i]
-    i = min(max(int(u), 0), last)
-    if x < xq[i] and i > 0:
-        i -= 1
-    elif x >= xq[i + 1] and i < last:
-        i += 1
-    return i, x - xq.item(i)
+    i = np.clip(((x - xq[0]) * inv_step).astype(np.intp), 0, last)
+    i -= (x < xq[i]) & (i > 0)
+    i += (x >= xq[i + 1]) & (i < last)
+    return i, x - xq[i]
 
 
 def _spline_columns(table, i, s):
-    """The columns of a stacked spline at offset s into knot interval i.
+    """The columns of a stacked spline at offsets s into knot intervals i
+    (arrays from :func:`_knot_interval`), one array per column.
 
     Read from its coefficient table, in PPoly's own order of operations,
     so the values equal ``spline(x)`` bit for bit.
     """
-    c = table[:, i]
-    cols = np.moveaxis(c, -1, 0) if isinstance(i, np.ndarray) else c.T.tolist()
     s2 = s * s
     s3 = s2 * s
-    return [c3 + c2 * s + c1 * s2 + c0 * s3 for c0, c1, c2, c3 in cols]
-
-
-def _peak(*vals):
-    """Elementwise largest of floats, or of arrays and floats."""
-    if isinstance(vals[0], np.ndarray):
-        return reduce(np.maximum, vals)
-    return max(vals)
+    return [c3 + c2 * s + c1 * s2 + c0 * s3
+            for c0, c1, c2, c3 in np.moveaxis(table[:, i], -1, 0)]
 
 
 def _level_state(comp: GreensDecomposition, gamma_lin, theta, hp, hm):
-    """Everything the Newton step needs at one (theta, h+, h-) point.
+    """Everything the Newton step needs at (theta, h+, h-) points.
 
-    Floats give one point; equal-length arrays give one point per entry,
-    every value below then an array.  Reads both stacked splines at h+
-    and h- from one knot interval per endpoint (the splines share their
-    knots); psi'' and I_xx there come from the defining equations.
+    The coordinates are equal-length arrays, one point per entry, and
+    every value below is an array of the same length.  Reads both
+    stacked splines at h+ and h- from one knot interval per endpoint (the
+    splines share their knots); psi'' and I_xx there come from the
+    defining equations.
     ``a1``/``a2`` solve the slope conditions, ``rp``/``rm`` are the
     optimality residuals R+-, ``scale`` the size of their cancelling
     pieces, ``sp``/``sm`` the x-curvatures S+- = I_xx + a . psi'' of
     dV/dtheta at the endpoints and ``jac`` the exact Jacobian
     [dR/dtheta, dR/dh+, dR/dh-] of (R+, R-), as two row tuples.  A
     degenerate endpoint pair (the slope conditions' determinant at the
-    cancellation floor) raises RegimeError for a float point; in a batch
-    it is flagged in ``degenerate`` and its other values are meaningless.
+    cancellation floor) is flagged in ``degenerate``; its other values
+    are meaningless.
     """
     p = comp.params
     xq, inv_step, c_psi, c_grn = comp._tables
@@ -402,13 +390,9 @@ def _level_state(comp: GreensDecomposition, gamma_lin, theta, hp, hm):
     (p1p, p2p, d1p, d2p), (p1m, p2m, d1m, d2m) = psi
     (fp, qp, fdp, qdp), (fm, qm, fdm, qdm) = grn
     det = p1p * p2m - p1m * p2p
-    scale = _peak(abs(p1p * p2m), abs(p1m * p2p), 1e-300)
+    scale = reduce(np.maximum, (abs(p1p * p2m), abs(p1m * p2p), 1e-300))
     bad = abs(det) < _DET_FLOOR * scale
-    if not isinstance(bad, np.ndarray):
-        if bad:
-            raise _degenerate(hp, hm)
-    elif bad.any():
-        det = np.where(bad, 1.0, det)       # flagged, not divided by
+    det = np.where(bad, 1.0, det)           # flagged, not divided by
     b1 = -gamma_lin - (fp + theta * qp)
     b2 = gamma_lin - (fm + theta * qm)
     a1 = (b1 * p2m - b2 * p2p) / det
@@ -443,8 +427,9 @@ def _level_state(comp: GreensDecomposition, gamma_lin, theta, hp, hm):
         "theta": theta, "hp": hp, "hm": hm,
         "a1": a1, "a2": a2, "rp": rp, "rm": rm, "sp": sp, "sm": sm,
         "jac": jac, "degenerate": bad,
-        "scale": _peak(abs(ixp), abs(a1 * d1p), abs(a2 * d2p),
-                       abs(ixm), abs(a1 * d1m), abs(a2 * d2m), 1e-300),
+        "scale": reduce(np.maximum, (abs(ixp), abs(a1 * d1p), abs(a2 * d2p),
+                                     abs(ixm), abs(a1 * d1m), abs(a2 * d2m),
+                                     1e-300)),
     }
 
 
@@ -458,57 +443,6 @@ def _degenerate(hp, hm):
 def _at(theta, hp, hm):
     """A level point as the Newton error messages name it."""
     return f"theta={theta:.6g}, h+={hp:.6g}, h-={hm:.6g}"
-
-
-def _newton(comp, gamma_lin, z, free, what):
-    """Damped Newton on R+ = R- = 0 in two coordinates of z = (theta, h+, h-).
-
-    ``free`` holds the indices of the two unknowns; the third coordinate
-    stays pinned.  Converged when either the residual is tiny relative to
-    its cancelling pieces or the Newton step itself has shrunk below
-    placement accuracy (the residual pieces cancel to the double-precision
-    floor near the solution, so the step is the sharper measure).  The
-    step is halved until |R| drops at a point with h+ > h- and the free
-    endpoints inside the pair's domain; when no halving does, a residual
-    already at the cancellation floor (``_STALL_TOL``) is accepted.
-    """
-    pr = comp.pair
-    span = pr.x_hi - pr.x_lo
-    step_floor = (_NEWTON_TOL * (abs(z[0]) + 1e-3 * span), _NEWTON_TOL * span,
-                  _NEWTON_TOL * span)
-    st = _level_state(comp, gamma_lin, *z)
-    for _ in range(_NEWTON_ITERS):
-        rn = math.hypot(st["rp"], st["rm"])
-        if rn <= _NEWTON_TOL * st["scale"]:
-            return st
-        (j11, j12), (j21, j22) = ([row[k] for k in free] for row in st["jac"])
-        det = j11 * j22 - j12 * j21
-        if det == 0.0 or not math.isfinite(det):
-            raise ConvergenceError(f"singular {what} Jacobian at {_at(*z)}")
-        step = ((j12 * st["rm"] - j22 * st["rp"]) / det,
-                (j21 * st["rp"] - j11 * st["rm"]) / det)
-        if all(abs(s) <= step_floor[k] for k, s in zip(free, step)):
-            return st
-        lam_step = 1.0
-        for _ in range(_HALVINGS):
-            zn = list(z)
-            for k, s in zip(free, step):
-                zn[k] = z[k] + lam_step * s
-            if zn[1] > zn[2] and all(pr.x_lo <= zn[k] <= pr.x_hi
-                                     for k in free if k):
-                st_n = _level_state(comp, gamma_lin, *zn)
-                if math.hypot(st_n["rp"], st_n["rm"]) < rn:
-                    z, st = zn, st_n
-                    break
-            lam_step *= 0.5
-        else:
-            if rn <= _STALL_TOL * st["scale"]:
-                # line search cannot reduce a residual already at the
-                # cancellation floor; the point is converged
-                return st
-            raise ConvergenceError(
-                f"{what} stalled at {_at(*z)} (|R|={rn:.3e})")
-    raise ConvergenceError(f"{what} did not converge at {_at(*z)}")
 
 
 def _newton_level(comp, gamma_lin, theta, hp0, hm0, drop=None):
@@ -525,17 +459,24 @@ def _leaves(st):
 
 
 def _newton_batch(comp, gamma_lin, z, free, what, drop=None):
-    """:func:`_newton` at every point of a batch at once.
+    """Damped Newton on R+ = R- = 0 in two coordinates of z = (theta, h+,
+    h-), at every point of a batch at once.
 
-    ``z`` holds the coordinates (theta, h+, h-) as equal-length arrays and
-    ``free`` the indices of the two unknowns.  One damped Newton over
-    arrays moves every point, and each point keeps the rules of
-    :func:`_newton`: its own residual and step floors, at most 12
-    halvings per step, the h+ > h- and domain tests, and acceptance at
-    the cancellation floor.  A point that fails stops alone, holding the
-    error the scalar Newton would raise for it.  ``drop(st, done,
-    failed)``, when given, is asked once per step for the points whose
-    answer is no longer needed; they stop where they are.
+    ``z`` holds the coordinates as equal-length arrays and ``free`` the
+    indices of the two unknowns; the third coordinate stays pinned.  Each
+    point iterates on its own: it has converged when its residual is
+    tiny relative to its cancelling pieces or its Newton step has shrunk
+    below placement accuracy (the residual pieces cancel to the
+    double-precision floor near the solution, so the step is the sharper
+    measure).  Its step is halved, at most 12 times, until |R| drops at a
+    point with h+ > h- and the free endpoints inside the pair's domain;
+    when no halving does, a residual already at the cancellation floor
+    (``_STALL_TOL``) is accepted.  A point that fails stops alone,
+    holding its error.  No point reads another's state, so a point
+    solved alone, as a batch of one, ends bit for bit as it does inside
+    a batch.  ``drop(st, done, failed)``, when given, is asked once per
+    step for the points whose answer is no longer needed; they stop
+    where they are.
 
     Returns ``(st, done, errors)``: the batched state at each point's last
     accepted iterate, the mask of converged points, and per point None or
@@ -717,12 +658,17 @@ class Band:
                     <= self.theta_plus_at(x) + slack)
 
     def require_solved(self, x):
-        """Raise DomainError unless x lies in the padded domain the pair
-        was solved on (the flat band is defined everywhere)."""
-        pr = None if self.flat else self.comp.pair
-        if pr is not None and not (pr.x_lo <= x <= pr.x_hi):
-            raise DomainError(f"x={x:.6g} is outside the band's solved domain "
-                              f"[{pr.x_lo:.6g}, {pr.x_hi:.6g}]")
+        """Raise DomainError, naming the first x outside it, unless x (a
+        float or an array) lies in the padded domain the pair was solved
+        on (the flat band is defined everywhere)."""
+        if self.flat:
+            return
+        pr = self.comp.pair
+        for xi in np.ravel(x).tolist():
+            if not (pr.x_lo <= xi <= pr.x_hi):
+                raise DomainError(
+                    f"x={xi:.6g} is outside the band's solved domain "
+                    f"[{pr.x_lo:.6g}, {pr.x_hi:.6g}]")
 
 
 def flat_band_level(params: ModelParams, gamma_lin: float) -> float:
@@ -933,25 +879,27 @@ def find_band_zero(params: ModelParams, gamma_lin: float, x_nodes=None,
 
 
 def _state_at_upper(band: Band, x):
-    """Re-solve the boundary state with the upper endpoint at x, as a
-    batch of one node; x must lie in the padded domain of the pair.
+    """Re-solve the boundary state with the upper endpoint at each entry
+    of the array x, as one batch; x must lie in the padded domain of the
+    pair.
 
-    The lower endpoint is seeded from the nearest node's partner moved
+    Each lower endpoint is seeded from the nearest node's partner moved
     with the node to x, so a seed past the node grid stays left of x.
     A seed outside the pair's domain raises DomainError.
     """
     if band.flat:
         raise RegimeError("flat band: boundary state is degenerate")
     band.require_solved(x)
-    i = int(np.argmin(np.abs(band.x_nodes - x)))
+    i = np.abs(band.x_nodes - x[:, None]).argmin(axis=1)
     hm = band.pair_minus_of_plus[i] + (x - band.x_nodes[i])
     pr = band.comp.pair
-    if not (pr.x_lo <= hm <= pr.x_hi):
-        raise DomainError(
-            f"x={x:.6g}: its lower endpoint seed {hm:.6g} is outside the "
-            f"band's solved domain [{pr.x_lo:.6g}, {pr.x_hi:.6g}]")
-    return _polish_node(band.comp, band.gamma_lin, [x],
-                        [band.theta_plus_at(x)], [hm])
+    for xi, hmi in zip(x.tolist(), hm.tolist()):
+        if not (pr.x_lo <= hmi <= pr.x_hi):
+            raise DomainError(
+                f"x={xi:.6g}: its lower endpoint seed {hmi:.6g} is outside "
+                f"the band's solved domain [{pr.x_lo:.6g}, {pr.x_hi:.6g}]")
+    return _polish_node(band.comp, band.gamma_lin, x, band.theta_plus_at(x),
+                        hm)
 
 
 # ---------------------------------------------------------------------------
@@ -987,24 +935,28 @@ def second_derivative_at_band(band: Band, x) -> float:
     return float(band.comp.spline(x)[1] + da1 * p1 + da2 * p2)
 
 
-def third_derivative_at_band(band: Band, x) -> float:
-    """Third theta-derivative of the no-trade value at the upper boundary.
+def third_derivative_at_band(band: Band, x):
+    """Third theta-derivative of the no-trade value at the upper boundary,
+    at a float x, or at every entry of an array x as an array.
 
     Exact at the solved boundary point: implicit differentiation of the
     optimality system gives (dR+/dtheta)^2 / S+, S+ the x-curvature of
     dV/dtheta at the endpoint.  It must be positive; a nonpositive value
-    raises :class:`RegimeError` rather than passing silently.
+    raises :class:`RegimeError` rather than passing silently.  All points
+    are polished in one batch.
     """
-    st = _state_at_upper(band, x)
-    sp, dr = float(st["sp"][0]), float(st["jac"][0][0][0])
-    if sp == 0.0:
+    xs = np.array(x, dtype=float, ndmin=1)
+    st = _state_at_upper(band, xs)
+    sp, dr = st["sp"], st["jac"][0][0]
+    if np.any(sp == 0.0):
         raise RegimeError("flat x-curvature at upper boundary")
     v3 = dr * dr / sp
-    if not (v3 > 0):
-        raise RegimeError(
-            f"third derivative at the band is {v3:.3e} <= 0 at x={x:.6g}; "
-            f"boundary-layer theory does not apply")
-    return float(v3)
+    for xi, v in zip(xs.tolist(), v3.tolist()):
+        if not (v > 0):
+            raise RegimeError(
+                f"third derivative at the band is {v:.3e} <= 0 at "
+                f"x={xi:.6g}; boundary-layer theory does not apply")
+    return v3 if np.ndim(x) else float(v3[0])
 
 
 # ---------------------------------------------------------------------------
@@ -1033,14 +985,6 @@ def value_nt_zero(band: Band, x, theta) -> float:
 # boundary-displacement identity
 
 
-def _level_at(band, theta):
-    """Solve the unperturbed level problem at an arbitrary theta."""
-    j = int(np.clip(np.searchsorted(band.levels, theta), 1, band.levels.size - 1))
-    return _newton(band.comp, band.gamma_lin,
-                   (theta, float(band.h_plus[j]), float(band.h_minus[j])),
-                   (1, 2), "level Newton")
-
-
 def check_displacement_identity(band: Band, x):
     """Test data for the boundary-displacement consistency identity.
 
@@ -1051,43 +995,46 @@ def check_displacement_identity(band: Band, x):
     theta-derivative of the unperturbed value.
 
     Returns ``(lhs, rhs)`` where lhs is the displacement-curvature
-    derivative g'(boundary) and rhs is -V_theta3(boundary).  The step
-    delta is 2% of the band width at x; a Richardson step at delta/2
-    guards the quadratic regime, and disagreement beyond O(delta) raises
-    :class:`ConvergenceError`.
+    derivative g'(boundary) and rhs is -V_theta3(boundary): floats at a
+    float x, arrays at an array x.  The step delta is 2% of the band
+    width at x; a Richardson step at delta/2 guards the quadratic regime,
+    and disagreement beyond O(delta) raises :class:`ConvergenceError`.
+    The five levels of every x are solved in one batched Newton, and the
+    four displaced states of every x in one state evaluation.
     """
     if band.flat:
         raise RegimeError("flat band: displacement identity does not apply")
-    x = float(x)
-    theta_b = float(band.theta_plus_at(x))
-    delta = 0.02 * (band.theta_plus_at(x) + band.theta_minus_at(x))
-
-    p1x, p2x, _, _ = band.comp.pair.spline(x).tolist()
-    # five level solves per x: theta_b and theta_b -+ d for both steps d
-    st0 = _level_at(band, theta_b)
-
-    def displaced(d):
-        # coefficients with the upper boundary displaced by d: the slope
-        # conditions hold but NOT optimality, the upper endpoint of level
-        # theta_b is the unperturbed family's at level theta_b - d
-        hp = _level_at(band, theta_b - d)["hp"]
-        st = _level_state(band.comp, band.gamma_lin, theta_b, hp, st0["hm"])
-        return st["a1"], st["a2"]
-
-    def gprime(d):
-        a1p, a2p = displaced(+d)
-        a1m, a2m = displaced(-d)
-        num = ((a1p + a1m - 2 * st0["a1"]) * p1x
-               + (a2p + a2m - 2 * st0["a2"]) * p2x)
-        return num / d ** 2
-
-    g1 = gprime(delta)
-    g2 = gprime(delta / 2)
+    xs = np.array(x, dtype=float, ndmin=1)
+    n = xs.size
+    theta_b = band.theta_plus_at(xs)
+    delta = 0.02 * band.width(xs)
+    # displacements, one row each: +-delta, then +-delta/2
+    d = np.array([delta, -delta, delta / 2, -delta / 2])
+    # the levels theta_b, then theta_b - d, each seeded from a swept level
+    theta = np.concatenate([theta_b, (theta_b - d).ravel()])
+    j = np.clip(np.searchsorted(band.levels, theta), 1, band.levels.size - 1)
+    st, _, errors = _newton_level(band.comp, band.gamma_lin, theta,
+                                  band.h_plus[j], band.h_minus[j])
+    for exc in errors:
+        if exc is not None:
+            raise exc
+    # coefficients with the upper boundary displaced by d: the slope
+    # conditions hold but NOT optimality, the upper endpoint of level
+    # theta_b is the unperturbed family's at level theta_b - d
+    disp = _level_state(band.comp, band.gamma_lin, np.tile(theta_b, 4),
+                        st["hp"][n:], np.tile(st["hm"][:n], 4))
+    a1, a2 = disp["a1"].reshape(4, n), disp["a2"].reshape(4, n)
+    p1x, p2x, _, _ = band.comp.pair.spline(xs).T
+    # g' at the steps delta (row 0) and delta/2 (row 1)
+    g1, g2 = (((a1[0::2] + a1[1::2] - 2 * st["a1"][:n]) * p1x
+               + (a2[0::2] + a2[1::2] - 2 * st["a2"][:n]) * p2x)
+              / d[0::2] ** 2)
     # quadratic-regime guard: the two estimates differ at O(delta^2)
-    v3 = third_derivative_at_band(band, x)
-    if abs(g1 - g2) > 0.25 * abs(g2) + 1e-9 * v3:
+    v3 = third_derivative_at_band(band, xs)
+    bad = np.flatnonzero(abs(g1 - g2) > 0.25 * abs(g2) + 1e-9 * v3)
+    if bad.size:
+        k = bad[0]
         raise ConvergenceError(
-            f"displacement step {delta:.3e} is outside the quadratic regime "
-            f"at x={x:.6g}: estimates {g1:.6e} vs {g2:.6e}")
-    return float(g2), float(-v3)
-
+            f"displacement step {delta[k]:.3e} is outside the quadratic "
+            f"regime at x={xs[k]:.6g}: estimates {g1[k]:.6e} vs {g2[k]:.6e}")
+    return (g2, -v3) if np.ndim(x) else (float(g2[0]), float(-v3[0]))

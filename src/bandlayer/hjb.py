@@ -74,6 +74,11 @@ _COARSEST_NTHETA = 13
 # at 0.08-3.5 of it on 121x1501 (desk point, eta 1e-4); a tolerance whose
 # bound lies above twice the floor stops as it would without this test
 _FLOOR_FACTOR = 2.0
+# a floor stop is refused when the final Bellman residual exceeds this
+# many times its own rounding floor: floor stops of converged solves end
+# at 0.78-1.0 of it at nx 31 and at up to 9.3 at nx 241, while a warm
+# start that oscillates into a floor stop was measured at 6.8e4
+_FLOOR_RESIDUAL_FACTOR = 100.0
 # an axis is mirror-symmetric when it equals its negated reverse within
 # this many ulps of its largest |node|; np.linspace(-a, a, n) misses by
 # up to 2 ulps of a
@@ -99,7 +104,11 @@ class SolverConfig:
     whose update misses that bound but lies within ``_FLOOR_FACTOR``
     times the solve's rounding floor, eps * max_row(|A||V| + |b|), stops
     too: a tolerance below what the LU resolves would otherwise spin to
-    ``max_iters``.  ``ValueGrid.stopped_by`` says which test stopped.
+    ``max_iters``.  A small update does not by itself bound the Bellman
+    residual, so a floor stop whose final residual exceeds
+    ``_FLOOR_RESIDUAL_FACTOR`` times its own rounding floor raises
+    instead (see :func:`solve_hjb`).  ``ValueGrid.stopped_by`` says
+    which test stopped.
 
     A cold solve runs policy iteration on every coarse seeding level as
     well.  ``convergence_tol`` applies on the target grid only: a seeding
@@ -395,15 +404,17 @@ def _nt_initial(params: ModelParams, grid: Grid2D):
 
 
 def _bellman_residual(params, costs, grid, V):
-    """Max |rho V - r - H - L_x V| over optimality rows, from the final V."""
+    """Max |rho V - r - H - L_x V| over optimality rows, from the final V,
+    its rounding floor eps * max_row(|A||V| + |b|) and the policy."""
     bc_bot, bc_top = _edge_slopes(params, costs, grid)
     v = _policy(costs, V, grid.ntheta, grid.htheta,
                 _velocity_cap(params, costs, grid))
     A, rhs, is_bc = _assemble(params, grid, _x_stencil(params, grid), v,
                               bc_bot, bc_top)
-    res = A @ np.ravel(V, order="F") - rhs(_reward(params, costs, grid, v))
-    res = np.reshape(res, V.shape, order="F")
-    return float(np.max(np.abs(res[~is_bc]))), v
+    u = np.ravel(V, order="F")
+    b = rhs(_reward(params, costs, grid, v))
+    res = np.reshape(A @ u - b, V.shape, order="F")
+    return float(np.max(np.abs(res[~is_bc]))), _rounding_floor(A, b, u), v
 
 
 def _reward(params: ModelParams, costs: CostParams, grid: Grid2D, v):
@@ -496,9 +507,11 @@ def solve_hjb(params: ModelParams, costs: CostParams, grid: Grid2D,
     ``initial`` warm-starts the iteration (shape (nx, ntheta)); the
     default seed is built coarse to fine (see the module docstring).
     Raises ConvergenceError naming the theta node count of the level
-    whose budget ran out, and ConfigError for ill-posed setups
-    (non-uniform grid, eta below ``ETA_FLOOR``, an ``initial`` of the
-    wrong shape or with non-finite entries).
+    whose budget ran out, or of a floor stop whose final Bellman residual
+    exceeds ``_FLOOR_RESIDUAL_FACTOR`` times its rounding floor (the
+    updates shrank without settling the solve), and ConfigError for
+    ill-posed setups (non-uniform grid, eta below ``ETA_FLOOR``, an
+    ``initial`` of the wrong shape or with non-finite entries).
     """
     cfg = cfg or SolverConfig()
     if not (grid.x_uniform and grid.theta_uniform):
@@ -520,7 +533,13 @@ def solve_hjb(params: ModelParams, costs: CostParams, grid: Grid2D,
             raise ConfigError(f"initial guess has {bad} non-finite entries")
 
     V, iters, hist, stop = _solve_policy(params, costs, grid, cfg, V)
-    residual, v = _bellman_residual(params, costs, grid, V)
+    residual, floor, v = _bellman_residual(params, costs, grid, V)
+    if stop == "floor" and residual > _FLOOR_RESIDUAL_FACTOR * floor:
+        raise ConvergenceError(
+            f"policy iteration on {grid.ntheta} theta nodes stopped on the "
+            f"rounding floor {floor:.3e} with Bellman residual "
+            f"{residual:.3e}, more than {_FLOOR_RESIDUAL_FACTOR:g} times it",
+            history=hist)
 
     field = ScalarField(V, grid)
     bp, bm = extract_band(field, costs.gamma_lin)

@@ -258,7 +258,7 @@ class TestGreensParticular:
     def test_alpha_antisymmetry(self, desk_band):
         # x -> -x, theta -> -theta maps the solution onto itself with the
         # two homogeneous solutions swapped
-        hp, hm, th = 0.013, -0.008, 2e-4
+        hp, hm, th = np.array([0.013]), np.array([-0.008]), np.array([2e-4])
         a = band_zero._level_state(desk_band.comp, DESK_GAMMA, th, hp, hm)
         b = band_zero._level_state(desk_band.comp, DESK_GAMMA, -th, -hm, -hp)
         assert a["a1"] == pytest.approx(-b["a2"], rel=1e-9)
@@ -465,15 +465,20 @@ class TestBandDerivatives:
     def test_third_derivative_exact_relation(self, desk_model, desk_band):
         # differentiate the interior equation along the boundary curve:
         # v3 * slope^2 = (2/sigma^2)(2 lam level - drift - rho gamma)
+        # at an array of x, one polish batch; a float x is a batch of one
+        # and returns that batch's float
         p = desk_model
-        for x in (-0.15, 0.0, 0.2):
+        xs = np.array([-0.15, 0.0, 0.2])
+        batch = third_derivative_at_band(desk_band, xs)
+        for x, got in zip(xs.tolist(), batch.tolist()):
             level = float(desk_band.theta_plus_at(x))
             slope = float(desk_band.theta_plus_deriv_at(x))
             mu = -p.omega * x
             want = (2 / p.sigma ** 2) * (
                 2 * p.lam * level - mu - p.rho * desk_band.gamma_lin) / slope ** 2
-            got = third_derivative_at_band(desk_band, x)
             assert got == pytest.approx(want, rel=1e-8)
+            alone = third_derivative_at_band(desk_band, x)
+            assert type(alone) is float and alone == got
 
     def test_third_derivative_small_cost_scale(self, desk_model, desk_band):
         p = desk_model
@@ -518,8 +523,19 @@ class TestBandDerivatives:
             third_derivative_at_band(b, 0.0)
 
 
+def _solve_level(comp, gamma, theta, hp, hm):
+    """One level solved alone, as a batch of one; raises its Newton's
+    error, and returns its (theta, hp, hm, a1, a2) as floats."""
+    st, _, errors = band_zero._newton_level(
+        comp, gamma, np.array([theta]), np.array([hp]), np.array([hm]))
+    if errors[0] is not None:
+        raise errors[0]
+    return {k: float(st[k][0]) for k in ("theta", "hp", "hm", "a1", "a2")}
+
+
 def _continuation_levels(band):
-    """The level sweep as a scalar continuation, one Newton per level.
+    """The level sweep as a sequential continuation, one Newton per level
+    (each a batch of one).
 
     Level 0 is solved from the small-cost seed (+-x0); every other level
     k*dtheta from the two levels before it by linear extrapolation,
@@ -537,8 +553,7 @@ def _continuation_levels(band):
     dtheta = 0.1 * w
 
     def newton(theta, hp, hm):
-        return band_zero._newton(comp, gamma, (theta, hp, hm), (1, 2),
-                                 "level Newton")
+        return _solve_level(comp, gamma, theta, hp, hm)
 
     x0 = 2.0 * p.lam * w / p.omega
     st0 = newton(0.0, x0, -x0)
@@ -634,6 +649,31 @@ class TestLevelNewton:
             assert np.array_equal(getattr(band, key), getattr(desk_band, key))
         assert band.sweep_ends == desk_band.sweep_ends
 
+    def test_level_alone_matches_its_batch(self, desk_model, monkeypatch):
+        # every level the sweep keeps, solved alone from its seed as a
+        # batch of one, ends bit for bit where it ends inside the sweep's
+        # batch: the whole state, Jacobian included
+        batches = []
+        real = band_zero._newton_level
+
+        def spy(comp, gamma_lin, theta, hp0, hm0, drop=None):
+            out = real(comp, gamma_lin, theta, hp0, hm0, drop)
+            batches.append(((comp, gamma_lin, theta, hp0, hm0), out))
+            return out
+
+        monkeypatch.setattr(band_zero, "_newton_level", spy)
+        band = find_band_zero(desk_model, DESK_GAMMA)
+        ((comp, gamma, theta, hp0, hm0), (st, done, _)), = batches
+        kept = np.flatnonzero(np.isin(theta, band.levels))
+        assert kept.size == band.levels.size and done[kept].all()
+        for k in kept.tolist():
+            one = slice(k, k + 1)
+            alone, done1, _ = real(comp, gamma, theta[one], hp0[one],
+                                   hm0[one])
+            assert done1[0]
+            for a, b in zip(band_zero._leaves(alone), band_zero._leaves(st)):
+                assert np.array_equal(a, b[one]), k
+
     def test_zero_level_failure_raises(self, desk_model):
         # a grid right of the band's zero level: its seed pair clamps
         # onto one point of the domain and the zero level cannot be solved
@@ -725,17 +765,6 @@ class TestCoefficientRead:
         return xq, inv_step, ((c_psi, band.comp.pair.spline),
                               (c_grn, band.comp.spline))
 
-    def test_float_read_is_bit_identical(self, desk_band):
-        xq, inv_step, splines = self._splines(desk_band)
-        for x in _read_points(desk_band.comp.pair).tolist():
-            i, s = band_zero._knot_interval(xq, inv_step, x)
-            assert isinstance(i, int) and isinstance(s, float)
-            for table, spline in splines:
-                assert band_zero._spline_columns(table, i, s) \
-                    == spline(x).tolist(), x
-        # x_hi is read from the last interval, at its right end
-        assert (i, s) == (xq.size - 2, xq[-1] - xq[-2])
-
     def test_array_read_is_bit_identical(self, desk_band):
         xq, inv_step, splines = self._splines(desk_band)
         xs = _read_points(desk_band.comp.pair)
@@ -743,6 +772,8 @@ class TestCoefficientRead:
         for table, spline in splines:
             got = np.array(band_zero._spline_columns(table, i, s))
             assert np.array_equal(got, spline(xs).T)
+        # x_hi is read from the last interval, at its right end
+        assert (i[-1], s[-1]) == (xq.size - 2, xq[-1] - xq[-2])
 
 
 def _nearest_level_seeds(band, fixed):
@@ -757,7 +788,7 @@ def _nearest_level_seeds(band, fixed):
 
 
 class TestBatchedPolish:
-    """One batched Newton per side against one scalar Newton per node."""
+    """One batched Newton per side against each node polished alone."""
 
     @pytest.fixture(scope="class")
     def off_band(self, desk_model):
@@ -771,20 +802,15 @@ class TestBatchedPolish:
         theta0, other0 = _nearest_level_seeds(band, fixed)
         got = band_zero._polish_node(band.comp, DESK_GAMMA, band.x_nodes,
                                      theta0, other0, fixed)
-        # the free coordinates, the other endpoint, and the Jacobian row
-        # and curvature of the pinned endpoint's slope
-        free, other, row, curv = (((0, 2), "hm", 0, "sp") if fixed == "plus"
-                                  else ((0, 1), "hp", 1, "sm"))
-        want = {"theta": [], other: [], "slope": []}
-        for x, th, ot in zip(band.x_nodes, theta0, other0):
-            z = (th, x, ot) if fixed == "plus" else (th, ot, x)
-            st = band_zero._newton(band.comp, DESK_GAMMA, z, free, "reference")
-            want["theta"].append(st["theta"])
-            want[other].append(st[other])
-            want["slope"].append(st["jac"][row][0] / st[curv])
-        got["slope"] = got["jac"][row][0] / got[curv]
-        for key in want:
-            np.testing.assert_allclose(got[key], want[key], rtol=1e-15, atol=0)
+        # each node polished alone, as a batch of one, ends bit for bit
+        # where it ends inside the batch: the whole state, Jacobian included
+        for k in range(band.x_nodes.size):
+            one = slice(k, k + 1)
+            alone = band_zero._polish_node(band.comp, DESK_GAMMA,
+                                           band.x_nodes[one], theta0[one],
+                                           other0[one], fixed)
+            for a, b in zip(band_zero._leaves(alone), band_zero._leaves(got)):
+                assert np.array_equal(a, b[one]), k
         # and the band itself holds the batch's answer
         if fixed == "plus":
             assert np.array_equal(band.theta_plus, got["theta"])
@@ -843,44 +869,57 @@ class TestDisplacementIdentity:
     @staticmethod
     def _ten_solve_lhs(band, x):
         """The identity's lhs with every level of every displaced family
-        solved afresh: 10 level Newtons per x, 5 of them distinct."""
+        solved afresh and alone: 10 level Newtons per x, 5 of them
+        distinct, each seeded from the swept level above it."""
         theta_b = float(band.theta_plus_at(x))
-        delta = 0.02 * (band.theta_plus_at(x) + band.theta_minus_at(x))
+        delta = 0.02 * float(band.width(x))
         p1x, p2x, _, _ = band.comp.pair.spline(x).tolist()
+
+        def level(theta):
+            j = int(np.clip(np.searchsorted(band.levels, theta), 1,
+                            band.levels.size - 1))
+            return _solve_level(band.comp, band.gamma_lin, theta,
+                                band.h_plus[j], band.h_minus[j])
 
         def alpha(d):
             st = band_zero._level_state(
-                band.comp, band.gamma_lin, theta_b,
-                band_zero._level_at(band, theta_b - d)["hp"],
-                band_zero._level_at(band, theta_b)["hm"])
-            return st["a1"], st["a2"]
+                band.comp, band.gamma_lin, np.array([theta_b]),
+                np.array([level(theta_b - d)["hp"]]),
+                np.array([level(theta_b)["hm"]]))
+            return st["a1"][0], st["a2"][0]
 
         def gprime(d):
-            st0 = band_zero._level_at(band, theta_b)
+            st0 = level(theta_b)
             (a1p, a2p), (a1m, a2m) = alpha(+d), alpha(-d)
             return ((a1p + a1m - 2 * st0["a1"]) * p1x
-                    + (a2p + a2m - 2 * st0["a2"]) * p2x) / d ** 2
+                    + (a2p + a2m - 2 * st0["a2"]) * p2x) / (d * d)
 
         gprime(delta)
         return float(gprime(delta / 2))
 
     def test_solves_each_level_once(self, desk_band, monkeypatch):
-        thetas = []
-        level_at = band_zero._level_at
+        # one level batch for all x, 5 distinct levels per x, and the
+        # same lhs as solving all ten levels of each x one at a time
+        xs = np.array([-0.1, 0.0, 0.2])
+        batches = []
+        real = band_zero._newton_level
 
-        def counting(band, theta):
-            thetas.append(theta)
-            return level_at(band, theta)
+        def counting(comp, gamma_lin, theta, *args):
+            batches.append(theta)
+            return real(comp, gamma_lin, theta, *args)
 
-        for x in (-0.1, 0.0, 0.2):
-            want = self._ten_solve_lhs(desk_band, x)
-            thetas.clear()
-            with monkeypatch.context() as mp:
-                mp.setattr(band_zero, "_level_at", counting)
-                lhs, rhs = check_displacement_identity(desk_band, x)
-            assert len(thetas) == len(set(thetas)) == 5
-            assert lhs == want
-            assert rhs == -band_zero.third_derivative_at_band(desk_band, x)
+        with monkeypatch.context() as mp:
+            mp.setattr(band_zero, "_newton_level", counting)
+            lhs, rhs = check_displacement_identity(desk_band, xs)
+        (thetas,) = batches
+        assert thetas.size == np.unique(thetas).size == 5 * xs.size
+        for k, x in enumerate(xs.tolist()):
+            assert lhs[k] == self._ten_solve_lhs(desk_band, x)
+            # a float x is a batch of one, with the batch's answer
+            assert check_displacement_identity(desk_band, x) == (lhs[k],
+                                                                 rhs[k])
+        assert np.array_equal(
+            rhs, -band_zero.third_derivative_at_band(desk_band, xs))
 
 
 class TestValues:

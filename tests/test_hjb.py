@@ -702,9 +702,35 @@ class TestStoppingAndErrors:
         isolated = (mid != 0) & (mid != s[:, :-2]) & (mid != s[:, 2:])
         assert not isolated.any()
 
+    def test_stalled_floor_stop_raises(self, desk_params, coarse_grid):
+        # seeding eta 1e-7 by extrapolating the ladder in eta^{1/3} makes
+        # the updates oscillate down to the floor test while isolated
+        # nodes inside the band still trade: the final Bellman residual
+        # was 6.8e4 times its rounding floor and band_plus(0) a third of
+        # the plain warm start's.  The plain ladder stops on tolerance.
+        cfg = hjb.SolverConfig(max_iters=200, convergence_tol=1e-9)
+        ladder = {}
+        V = None
+        for eta in (1e-4, 1e-5, 1e-6):
+            vg = hjb.solve_hjb(desk_params,
+                               CostParams(gamma_lin=2e-4, eta=eta),
+                               coarse_grid, cfg, initial=V)
+            assert vg.stopped_by == "tolerance"
+            ladder[eta] = V = vg.V.values
+        s5, s6, s7 = (eta ** (1 / 3) for eta in (1e-5, 1e-6, 1e-7))
+        seed = V + (V - ladder[1e-5]) * (s7 - s6) / (s6 - s5)
+        costs = CostParams(gamma_lin=2e-4, eta=1e-7)
+        with pytest.raises(ConvergenceError, match=(
+                r"on 751 theta nodes stopped on the rounding floor "
+                r"\S+ with Bellman residual")) as exc:
+            hjb.solve_hjb(desk_params, costs, coarse_grid, cfg, initial=seed)
+        assert exc.value.history
+        plain = hjb.solve_hjb(desk_params, costs, coarse_grid, cfg, initial=V)
+        assert plain.stopped_by == "tolerance"
+
     def test_grid_refinement_stability(self, desk_params):
         costs = CostParams(gamma_lin=2e-4, eta=1e-4)
-        g1 = Grid2D.regular(-0.134, 0.134, 31, -7.5e-3, 7.5e-3, 376)
+        g1 =Grid2D.regular(-0.134, 0.134, 31, -7.5e-3, 7.5e-3, 376)
         g2 = Grid2D.regular(-0.134, 0.134, 31, -7.5e-3, 7.5e-3, 751)
         b1 = hjb.solve_hjb(desk_params, costs, g1)
         b2 = hjb.solve_hjb(desk_params, costs, g2)

@@ -188,6 +188,24 @@ def test_one_sweep_result_site_in_experiments():
     assert [name for name, _ in sites] == ["_fitted"], sites
 
 
+def test_one_newton_in_band_zero():
+    # the band's level system is solved by one batched Newton,
+    # band_zero._newton_batch, and a single point is a batch of one; a
+    # second step loop would be a second copy of its rules, and an
+    # isinstance test on arrays a scalar path beside the batched one
+    tree = ast.parse((PACKAGE / "band_zero.py").read_text(encoding="utf-8"))
+    loops = [fn.name for fn in tree.body if isinstance(fn, ast.FunctionDef)
+             for node in ast.walk(fn) if isinstance(node, ast.For)
+             and any(getattr(n, "id", None) == "_NEWTON_ITERS"
+                     for n in ast.walk(node.iter))]
+    assert loops == ["_newton_batch"], loops
+    array_tests = [node.lineno for node in ast.walk(tree)
+                   if isinstance(node, ast.Call)
+                   and getattr(node.func, "id", None) == "isinstance"
+                   and "ndarray" in ast.unparse(node.args[1])]
+    assert not array_tests, array_tests
+
+
 def test_benchmark_hooks_resolve():
     # perfbench/spans.py hooks package attributes by name and reports a
     # missing one as absent, so a rename would only drop a span from a

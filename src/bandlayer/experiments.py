@@ -405,10 +405,13 @@ def regime_map(params: ModelParams, costs: CostParams, x: float,
 
     The speed and the onset are read at the x node nearest ``x``.
     Walking outward from the onset the local slope of log|v| against
-    log(distance-from-boundary) starts near 1 (layer), relaxes to 1/2
-    (square-root zone), and the slope against log(theta) returns to 1 in
-    the far field.  The zone assignment is a three-state walk in that
-    order; boundaries between zones are recorded where the walk switches.
+    log(distance d from the boundary) starts near 1 (layer), relaxes to
+    1/2 (square-root zone) and climbs back towards 1 in the far field,
+    where the speed is linear in theta.  The zone assignment is a
+    three-state walk in that order, which switches zone each time the
+    slope crosses 3/4: the outer speed's slope, 1/2 + lam d / (2 (lam d
+    + amp^2/4)), is 3/4 exactly at ``sqrt_linear_crossover``.
+    Boundaries between zones are recorded where the walk switches.
     """
     if costs.kind is not CostKind.QUADRATIC:
         raise ConfigError("regime_map models the quadratic speed cost")
@@ -441,23 +444,16 @@ def regime_map(params: ModelParams, costs: CostParams, x: float,
 
     labels = []
     phase = "LAYER"
-    for k in range(theta.size):
-        s = slope_d[k]
-        st = slope_t[k]
+    for s, st in zip(slope_d, slope_t):
         if not np.isfinite(s):
             labels.append("?")
             continue
-        if phase == "LAYER":
-            if s >= 0.75:
-                labels.append("LAYER")
-                continue
+        if phase == "LAYER" and s < 0.75:
             phase = "SQRT"
-        if phase == "SQRT":
-            if s >= 0.35 or not np.isfinite(st) or st > 1.25:
-                labels.append("SQRT" if s >= 0.35 else "?")
-                continue
+        elif phase == "SQRT" and s >= 0.75:
             phase = "LINEAR"
-        labels.append("LINEAR" if np.isfinite(st) else "?")
+        labels.append("?" if phase == "LINEAR" and not np.isfinite(st)
+                      else phase)
 
     labels = np.array(labels)
     notes = []

@@ -12,9 +12,9 @@ Oracles used here, all independent of the construction under test:
   quadrature nodes,
 - with no signal dynamics everything collapses to hand-computable
   exponentials and a flat band,
-- at the boundary the third derivative obeys an exact relation among
-  the band level, slope, drift, and model constants (from the equation
-  itself differentiated along the boundary).
+- the closed-form third derivative at the boundary equals implicit
+  differentiation of the optimality system at a boundary state polished
+  onto each x.
 """
 
 import math
@@ -26,7 +26,7 @@ import pytest
 from scipy.integrate import cumulative_trapezoid
 from scipy.interpolate import CubicHermiteSpline, CubicSpline
 
-from bandlayer import band_zero, experiments
+from bandlayer import asymptotics, band_zero, experiments
 from bandlayer.errors import (ConfigError, ConvergenceError, DomainError,
                               RegimeError)
 from bandlayer.model import ModelParams, small_cost_half_width
@@ -463,22 +463,35 @@ class TestBandDerivatives:
             assert abs(v2) * width / gamma < 1e-6
 
     def test_third_derivative_exact_relation(self, desk_model, desk_band):
-        # differentiate the interior equation along the boundary curve:
-        # v3 * slope^2 = (2/sigma^2)(2 lam level - drift - rho gamma)
-        # at an array of x, one polish batch; a float x is a batch of one
-        # and returns that batch's float
+        # the closed form against implicit differentiation of the
+        # optimality system, (dR+/dtheta)^2 / S+, at a boundary state
+        # polished onto each x: its upper endpoint pinned at x, its lower
+        # seeded from the nearest node's solved partner moved with x
         p = desk_model
-        xs = np.array([-0.15, 0.0, 0.2])
-        batch = third_derivative_at_band(desk_band, xs)
-        for x, got in zip(xs.tolist(), batch.tolist()):
-            level = float(desk_band.theta_plus_at(x))
-            slope = float(desk_band.theta_plus_deriv_at(x))
-            mu = -p.omega * x
-            want = (2 / p.sigma ** 2) * (
-                2 * p.lam * level - mu - p.rho * desk_band.gamma_lin) / slope ** 2
-            assert got == pytest.approx(want, rel=1e-8)
-            alone = third_derivative_at_band(desk_band, x)
-            assert type(alone) is float and alone == got
+        xs = np.array([-0.1, -0.05, 0.0, 0.03, 0.1, 0.2])
+        for band in (find_band_zero(p, 2e-6), find_band_zero(p, 2e-5),
+                     desk_band):
+            nodes = band_zero._polish_node(
+                band.comp, band.gamma_lin, band.x_nodes,
+                *_nearest_level_seeds(band, "plus"))
+            i = np.abs(band.x_nodes - xs[:, None]).argmin(axis=1)
+            st = band_zero._polish_node(
+                band.comp, band.gamma_lin, xs, band.theta_plus_at(xs),
+                nodes["hm"][i] + (xs - band.x_nodes[i]))
+            got = third_derivative_at_band(band, xs)
+            np.testing.assert_allclose(got, st["jac"][0][0] ** 2 / st["sp"],
+                                       rtol=1e-8, atol=0)
+            for x, v in zip(xs.tolist(), got.tolist()):
+                # a float x is a batch of one and returns that batch's float
+                alone = third_derivative_at_band(band, x)
+                assert type(alone) is float and alone == v
+                # the shift is the wall offset times edge / (edge - rho gamma)
+                c = asymptotics.layer_constants(band, x)
+                edge = 2 * p.lam * c.boundary - c.drift
+                assert asymptotics.shift_coefficient(band, x) == \
+                    pytest.approx(c.wall_offset * edge
+                                  / (edge - p.rho * band.gamma_lin),
+                                  rel=1e-12, abs=0)
 
     def test_third_derivative_small_cost_scale(self, desk_model, desk_band):
         p = desk_model
@@ -507,14 +520,6 @@ class TestBandDerivatives:
             assert pr.x_lo < x < pr.x_hi
             assert not desk_band.x_nodes[0] < x < desk_band.x_nodes[-1]
             assert third_derivative_at_band(desk_band, x) > 0
-
-    def test_seed_outside_solved_domain_raises(self, desk_band):
-        # x = -0.34 is inside the padded domain, but the lower endpoint
-        # seeded with it (-0.362) is not
-        pr = desk_band.comp.pair
-        assert pr.x_lo < -0.34
-        with pytest.raises(DomainError, match=r"lower endpoint seed -0\.362"):
-            third_derivative_at_band(desk_band, -0.34)
 
     def test_flat_band_rejects_third_derivative(self):
         p = ModelParams(sigma=0.02, omega=0.0, lam=1.0, rho=1e-3)
@@ -814,7 +819,6 @@ class TestBatchedPolish:
         # and the band itself holds the batch's answer
         if fixed == "plus":
             assert np.array_equal(band.theta_plus, got["theta"])
-            assert np.array_equal(band.pair_minus_of_plus, got["hm"])
         else:
             assert np.array_equal(band.theta_minus, -got["theta"])
 

@@ -353,6 +353,36 @@ class TestRegimeMap:
         np.testing.assert_array_equal(np.isfinite(report.v_composite),
                                       trading)
 
+    def test_linear_zone_starts_at_the_crossover(self, desk_params, desk_band,
+                                                 monkeypatch):
+        # a field whose trading speed at x = 0 is the outer branch itself:
+        # its log-slope against the distance d past the band climbs from
+        # 1/2 through 3/4 at sqrt_linear_crossover, where the walk must
+        # switch from SQRT to LINEAR
+        eta, band = self.COSTS.eta, desk_band
+        assert band.gamma_lin == self.COSTS.gamma_lin
+        theta0 = float(band.theta_plus_at(0.0))
+        cross = asymptotics.sqrt_linear_crossover(
+            desk_params, asymptotics.layer_constants(band, 0.0))
+        top = theta0 + 4 * cross
+        grid = Grid2D.regular(-0.134, 0.134, 3, -top, top, 1201)
+        row = [asymptotics.outer_velocity(band, 0.0, t, eta) if t > theta0
+               else 0.0 for t in grid.theta_nodes.tolist()]
+        v = np.tile(row, (3, 1))
+        edge = np.full(3, theta0)
+        solved = hjb.ValueGrid(V=ScalarField(np.zeros_like(v), grid),
+                               v=ScalarField(v, grid), band_plus=edge,
+                               band_minus=edge, residual=0.0, iterations=0)
+        monkeypatch.setattr(hjb, "solve_hjb", lambda *args: solved)
+        report = experiments.regime_map(desk_params, self.COSTS, 0.0,
+                                        grid=grid)
+        assert report.crossover_predicted == cross
+        assert abs(report.crossover - cross) <= 2 * grid.htheta
+        labels = [z for z in report.labels if z not in ("NT", "?")]
+        k = labels.index("LINEAR")
+        assert set(labels[:k]) == {"SQRT"} and set(labels[k:]) == {"LINEAR"}
+        assert report.linear_slope == pytest.approx(1.0, abs=0.1)
+
     def test_outside_domain_rejected(self, desk_params, coarse_grid,
                                      monkeypatch):
         # x = 0.2 lies inside the exact band's domain (+-0.268) but

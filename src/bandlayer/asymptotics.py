@@ -8,13 +8,18 @@ correction inside the strip obeys a universal first-order balance
 
     f_sq - diffusivity * f_y = amp^2 * (y - wall_offset)
 
-whose solution is an Airy logarithmic derivative.  This module builds
-that profile, the shifted band level, and a composite speed curve that
-splices the strip onto the square-root/linear outer behaviour.  The
-3/2-power cost analog replaces the quadratic balance by a cubic one
-(an Abel equation), solved here by one backward integration along its
-cube-root asymptote that stops at the profile's zero, which fixes the
-wall offset.
+whose solution is an Airy logarithmic derivative.  The forcing is read
+from the band alone: amp^2 = V_theta3 * diffusivity, with V_theta3 the
+third theta-derivative of the no-trade value at the band
+(``band_zero.third_derivative_at_band``, the one place the risk-adjusted
+edge 2*lam*theta_b - mu - rho*gamma is written).  So the band edge moves
+inward by exactly wall_offset * eta^{1/3}.  This module builds that
+profile, the shifted band level, and a composite speed curve that
+splices the strip onto the square-root/linear outer behaviour, whose
+radicand carries the same amp.  The 3/2-power cost analog replaces the
+quadratic balance by a cubic one (an Abel equation), solved here by one
+backward integration along its cube-root asymptote that stops at the
+profile's zero, which fixes the wall offset.
 
 Everything operates on the zero-eta band produced by band_zero, which
 carries its model and Green's data, so each function here takes the band
@@ -31,7 +36,7 @@ import numpy as np
 from scipy.integrate import odeint
 
 from .errors import ConfigError, ConvergenceError, DomainError, RegimeError
-from .model import ModelParams, drift
+from .model import ModelParams
 from .band_zero import Band, third_derivative_at_band
 from .special import airy_first_max, airy_log_derivative
 
@@ -45,7 +50,6 @@ __all__ = [
     "layer_constants",
     "layer_profile_airy",
     "layer_ode_residual",
-    "shift_coefficient",
     "shifted_boundary",
     "outer_velocity",
     "sqrt_linear_crossover",
@@ -78,7 +82,8 @@ class LayerConstants:
     """Coefficients of the rescaled boundary-layer balance at one x.
 
     amp          far-field amplitude: the layer slope grows like
-                 amp*sqrt(y); equals 2*sqrt(2*lam*boundary - drift).
+                 amp*sqrt(y); amp^2 = V_theta3 * diffusivity, that is
+                 amp = 2*sqrt(2*lam*boundary - mu - rho*gamma).
     diffusivity  coefficient of the f_y term, 2*sigma^2*boundary_slope^2;
                  encodes how signal diffusion feeds the layer.
     arg_scale    rescaling into Airy coordinates, (amp/diffusivity)^{2/3}.
@@ -89,7 +94,6 @@ class LayerConstants:
     x: float
     boundary: float
     boundary_slope: float
-    drift: float
     amp: float
     diffusivity: float
     arg_scale: float
@@ -149,34 +153,21 @@ class VelocityProfile:
 def layer_constants(band: Band, x: float) -> LayerConstants:
     """Evaluate the layer coefficients at ``x`` on the upper boundary.
 
-    Raises RegimeError when the risk-adjusted edge 2*lam*boundary - drift
-    is nonpositive (no square-root outer regime to match) or when the
-    boundary is flat (zero slope kills the diffusive term), and
-    DomainError when x lies outside the band's solved domain.
+    The forcing is the band's own V_theta3 times the diffusivity, so the
+    shift wall_slope / V_theta3 is ``wall_offset`` itself.  Raises what
+    ``third_derivative_at_band`` raises: RegimeError where the boundary
+    is flat (the flat band included) or V_theta3 is not positive (no
+    square-root outer regime to match), and DomainError when x lies
+    outside the band's solved domain.
     """
-    if band.flat:
-        raise RegimeError(
-            "flat band has boundary_slope = 0; the layer balance degenerates "
-            "(no signal-diffusion term). Use a mean-reverting signal.")
-    band.require_solved(x)
-    params = band.params
-    theta0 = band.theta_plus_at(x)
+    v3 = third_derivative_at_band(band, x)
     slope0 = band.theta_plus_deriv_at(x)
-    mu = drift(params, x)
-    edge = 2.0 * params.lam * theta0 - mu
-    if edge <= 0.0:
-        raise RegimeError(
-            f"risk-adjusted edge 2*lam*boundary - drift = {edge:.3e} <= 0 "
-            f"at x={x:g}; the outer square-root regime does not exist there.")
-    if slope0 == 0.0:
-        raise RegimeError(f"boundary slope vanishes at x={x:g}; layer "
-                          "coefficients degenerate.")
-    amp = 2.0 * math.sqrt(edge)
-    diffusivity = 2.0 * params.sigma ** 2 * slope0 ** 2
+    diffusivity = 2.0 * band.params.sigma ** 2 * slope0 ** 2
+    amp = math.sqrt(v3 * diffusivity)
     arg_scale = (amp / diffusivity) ** (2.0 / 3.0)
     return LayerConstants(
-        x=float(x), boundary=float(theta0), boundary_slope=float(slope0),
-        drift=float(mu), amp=amp, diffusivity=diffusivity,
+        x=float(x), boundary=float(band.theta_plus_at(x)),
+        boundary_slope=float(slope0), amp=amp, diffusivity=diffusivity,
         arg_scale=arg_scale, wall_offset=_WALL_ROOT / arg_scale)
 
 
@@ -234,43 +225,42 @@ def layer_ode_residual(profile: LayerProfile) -> float:
     return float(np.max(np.abs(lhs - rhs) / scale))
 
 
-def shift_coefficient(band: Band, x: float) -> float:
-    """Inward boundary shift at ``x`` per unit eta^{1/3}: the layer's wall
-    slope over the (positive, else RegimeError) third theta-derivative."""
-    c = layer_constants(band, x)
-    return c.wall_slope / third_derivative_at_band(band, x)
-
-
 def shifted_boundary(band: Band, x: float, eta: float) -> float:
     """Upper boundary level once a quadratic speed cost eta is present.
 
-    The band edge moves inward by shift_coefficient * eta^{1/3}.
+    The band edge moves inward by wall_offset * eta^{1/3}: the layer's
+    wall slope over V_theta3, which its forcing makes exact.
     """
     if eta < 0.0:
         raise DomainError(f"eta must be >= 0, got {eta}")
-    theta0 = band.theta_plus_at(x)
     if eta == 0.0:
-        return float(theta0)
-    return float(theta0 - shift_coefficient(band, x) * eta ** (1.0 / 3.0))
+        return float(band.theta_plus_at(x))
+    c = layer_constants(band, x)
+    return float(c.boundary - c.wall_offset * eta ** (1.0 / 3.0))
 
 
-def outer_velocity(band: Band, x: float, theta: float, eta: float) -> float:
-    """Trading speed far outside the layer, on the selling sector.
+def outer_velocity(band: Band, x: float, theta, eta: float):
+    """Trading speed far outside the layer, on the selling sector, at a
+    float theta or at every entry of an array theta.
 
-    Square root of the risk-adjusted distance to the band over sqrt(eta);
-    negative (selling).  Raises RegimeError when the radicand is negative,
-    i.e. when theta is not beyond the upper boundary.
+    Square root of the radicand d*(lam*d + amp^2/4), d = theta - boundary,
+    over sqrt(eta), with the layer's own amp; negative (selling).  Raises
+    RegimeError when the radicand is negative, i.e. when theta is not
+    beyond the upper boundary.
     """
     if not (eta > 0.0):
         raise DomainError(f"eta must be > 0, got {eta}")
-    theta0 = band.theta_plus_at(x)
-    mu = drift(band.params, x)
-    rad = band.params.lam * (theta ** 2 - theta0 ** 2) - mu * (theta - theta0)
-    if rad < 0.0:
+    c = layer_constants(band, x)
+    theta = np.asarray(theta, dtype=float)
+    d = theta - c.boundary
+    rad = d * (band.params.lam * d + 0.25 * c.amp ** 2)
+    if np.any(rad < 0.0):
+        bad = theta[rad < 0.0].flat[0]
         raise RegimeError(
-            f"outer radicand negative at theta={theta:g}, x={x:g}: "
+            f"outer radicand negative at theta={bad:g}, x={x:g}: "
             "point lies inside the band where the outer branch is undefined.")
-    return -math.sqrt(rad / eta)
+    v = -np.sqrt(rad / eta)
+    return v if v.ndim else float(v)
 
 
 def sqrt_linear_crossover(params: ModelParams, c: LayerConstants) -> float:
@@ -324,22 +314,19 @@ def composite_velocity(band: Band, x: float, eta: float,
     d_cross = sqrt_linear_crossover(band.params, c)
 
     v = np.zeros(theta.shape, dtype=float)
-    labels = [Regime.NO_TRADE] * theta.size
     trade = theta > theta_eta
     y = (theta - theta_eta) / scale
+    blend = trade & (y >= _SEAM)
     if np.any(trade):
         f_tr, _ = _layer_values(c, y[trade])
         v[trade] = -f_tr / (2.0 * scale)
-    blend = trade & (y >= _SEAM)
-    for i in np.nonzero(trade)[0]:
-        if blend[i]:
-            out = outer_velocity(band, x, float(theta[i]), eta)
-            common = -0.5 * c.amp * math.sqrt(theta[i] - theta_eta) / math.sqrt(eta)
-            v[i] += out - common
-            labels[i] = (Regime.SQRT if theta[i] - theta0 < d_cross
-                         else Regime.LINEAR)
-        else:
-            labels[i] = Regime.LAYER
+    if np.any(blend):
+        outer = theta[blend]
+        common = -0.5 * c.amp * np.sqrt(outer - theta_eta) / math.sqrt(eta)
+        v[blend] += outer_velocity(band, x, outer, eta) - common
+    labels = np.where(~trade, Regime.NO_TRADE, np.where(
+        ~blend, Regime.LAYER, np.where(theta - theta0 < d_cross,
+                                       Regime.SQRT, Regime.LINEAR)))
 
     return VelocityProfile(
         x=float(x), eta=float(eta), theta=theta, v=v, regime=tuple(labels),

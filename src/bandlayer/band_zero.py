@@ -923,8 +923,10 @@ def third_derivative_at_band(band: Band, x):
                             / (sigma^2 theta_b'^2),
 
     theta_b and theta_b' read from the band's spline (``theta_plus_at``,
-    ``theta_plus_deriv_at``), as
-    :func:`~bandlayer.asymptotics.layer_constants` reads them.  At the
+    ``theta_plus_deriv_at``).  This is the one place the risk-adjusted
+    edge 2 lam theta_b - mu - rho gamma is written: the boundary layer
+    reads its forcing from it, amp^2 = V_thetathetatheta * 2 sigma^2
+    theta_b'^2 (:func:`~bandlayer.asymptotics.layer_constants`).  At the
     desk model it agrees with implicit differentiation of a node polished
     onto x within 1.03e-9 relative over gamma 2e-6 to 2e-4 and x from
     -0.1 to 0.2, and to 1.4e-14 at a node.  Past the node grid it reads

@@ -21,7 +21,7 @@ against the solver's own smallest-eta baseline on the same grid, so
 discretization bias common to all solves cancels.  The width sweep
 instead uses the exact zero-eta band solver, which has no grid to bias
 it.  Each scaling study reports measured / predicted per point: the
-shift sweep against the asymptotic shift shift_coefficient*eta^(1/3),
+shift sweep against the layer's asymptotic shift wall_offset*eta^(1/3),
 the width sweep against the small-cost width
 2*small_cost_half_width(gamma).  All fits are ordinary least squares in
 log-log space and always carry a standard error; a slope with stderr
@@ -235,8 +235,8 @@ def eta_shift_sweep(params: ModelParams, gamma_lin: float, eta_list,
     (``hjb.ETA_FLOOR``), so grid bias common to both solves cancels.  The
     default grid resolves the layer at the smallest eta kept.
 
-    Each point's prediction is the asymptotic shift
-    shift_coefficient*eta^(1/3).  Points failing the smallness gauge
+    Each point's prediction is the layer's asymptotic shift
+    wall_offset*eta^(1/3) at x.  Points failing the smallness gauge
     (predicted shift not small against the band width) are excluded, as
     are points whose measured displacement comes back non-positive.
     """
@@ -252,8 +252,8 @@ def eta_shift_sweep(params: ModelParams, gamma_lin: float, eta_list,
     band = band_zero.find_band_zero(params, gamma_lin)
     theta0 = float(band.theta_plus_at(x))
     width = float(band.width(x))
-    shift_coeff = asymptotics.shift_coefficient(band, x)
-    predicted = dict(zip(map(float, etas), shift_coeff * etas ** (1.0 / 3.0)))
+    offset = asymptotics.layer_constants(band, x).wall_offset
+    predicted = dict(zip(map(float, etas), offset * etas ** (1.0 / 3.0)))
 
     excluded = []
     keep = []
@@ -368,9 +368,10 @@ class RegimeReport:
 
     ``labels`` entries are "NT", "LAYER", "SQRT", "LINEAR" or "?" per
     theta sample.  Slopes are medians of local log-log slopes over the
-    samples assigned to each zone (NaN when a zone is empty).  The
-    comparison table pairs the measured speed with the matched-expansion
-    composite at the same theta samples.
+    samples assigned to each zone, NaN (and a note with the count of a
+    non-empty zone) below ``_MIN_ZONE_SAMPLES`` samples.  The comparison
+    table pairs the measured speed with the matched-expansion composite
+    at the same theta samples.
     """
 
     x: float
@@ -388,6 +389,11 @@ class RegimeReport:
     boundary: float
     v_composite: np.ndarray
     notes: tuple
+
+
+# fewest samples whose median local slope a zone reports; one or two
+# samples are a transition, not a zone
+_MIN_ZONE_SAMPLES = 3
 
 
 def _local_slopes(dist, mag):
@@ -458,11 +464,19 @@ def regime_map(params: ModelParams, costs: CostParams, x: float,
     labels = np.array(labels)
     notes = []
 
-    def _median(sel, arr):
-        return float(np.median(arr[sel])) if sel.any() else math.nan
+    def _median(zone, arr):
+        sel = labels == zone
+        count = int(sel.sum())
+        if 0 < count < _MIN_ZONE_SAMPLES:
+            notes.append(f"{zone} zone holds {count} sample(s), fewer than "
+                         f"{_MIN_ZONE_SAMPLES}: its median slope is NaN")
+        return (float(np.median(arr[sel])) if count >= _MIN_ZONE_SAMPLES
+                else math.nan)
+
+    slopes = [_median("LAYER", slope_d), _median("SQRT", slope_d),
+              _median("LINEAR", slope_t)]
 
     lay = labels == "LAYER"
-    sq = labels == "SQRT"
     lin = labels == "LINEAR"
     layer_width = float(d[lay][-1]) if lay.any() else math.nan
     crossover = float(d[lin][0]) if lin.any() else math.nan
@@ -479,9 +493,7 @@ def regime_map(params: ModelParams, costs: CostParams, x: float,
     return RegimeReport(
         x=float(grid.x_nodes[i]), eta=float(eta),
         theta=grid.theta_nodes, v=v_row, labels=tuple(full_labels),
-        layer_slope=_median(lay, slope_d),
-        sqrt_slope=_median(sq, slope_d),
-        linear_slope=_median(lin, slope_t),
+        layer_slope=slopes[0], sqrt_slope=slopes[1], linear_slope=slopes[2],
         layer_width=layer_width,
         layer_width_predicted=float(layer_pred),
         crossover=crossover,

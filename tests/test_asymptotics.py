@@ -62,8 +62,12 @@ class TestLayerConstants:
         t0 = desk_band.theta_plus_at(0.0)
         s0 = desk_band.theta_plus_deriv_at(0.0)
         assert desk_constants.boundary == t0
-        assert desk_constants.amp == pytest.approx(
-            2.0 * math.sqrt(2.0 * desk_model.lam * t0), rel=1e-14)
+        # the forcing carries the risk-adjusted edge, -rho*gamma included
+        # (the drift vanishes at x = 0)
+        edge = (2.0 * desk_model.lam * t0
+                - desk_model.rho * desk_band.gamma_lin)
+        assert desk_constants.amp == pytest.approx(2.0 * math.sqrt(edge),
+                                                   rel=1e-14)
         assert desk_constants.diffusivity == pytest.approx(
             2.0 * desk_model.sigma ** 2 * s0 ** 2, rel=1e-14)
 
@@ -79,7 +83,7 @@ class TestLayerConstants:
         for amp, diff in rng.uniform(0.05, 20.0, size=(25, 2)):
             z = (amp / diff) ** (2.0 / 3.0)
             c = asy.LayerConstants(x=0.0, boundary=1.0, boundary_slope=-1.0,
-                                   drift=0.0, amp=amp, diffusivity=diff,
+                                   amp=amp, diffusivity=diff,
                                    arg_scale=z, wall_offset=WALL_ROOT_LITERAL / z)
             closed = WALL_ROOT_LITERAL * amp ** (4.0 / 3.0) * diff ** (-1.0 / 3.0)
             assert c.wall_slope == pytest.approx(closed, rel=1e-9)
@@ -143,7 +147,7 @@ class TestOdeResidual:
         # canonical scale (amp = diffusivity = 1) so the normalized residual
         # of a 1% amplitude error is O(1%) rather than O(y_max)
         c = asy.LayerConstants(x=0.0, boundary=1.0, boundary_slope=-1.0,
-                               drift=0.0, amp=1.0, diffusivity=1.0,
+                               amp=1.0, diffusivity=1.0,
                                arg_scale=1.0, wall_offset=WALL_ROOT_LITERAL)
         prof = asy.layer_profile_airy(c, y_max=10.0, n=2001)
         assert asy.layer_ode_residual(prof) <= 1e-8
@@ -222,12 +226,25 @@ class TestOuterVelocity:
         t0 = desk_band.theta_plus_at(0.0)
         d = 1e-3 * t0
         v = asy.outer_velocity(desk_band, 0.0, t0 + d, 1e-5)
-        sqrt_only = -math.sqrt(2.0 * desk_model.lam * t0 * d / 1e-5)
+        # risk-adjusted edge at x = 0, where the drift vanishes
+        edge = 2.0 * desk_model.lam * t0 - desk_model.rho * desk_band.gamma_lin
+        sqrt_only = -math.sqrt(edge * d / 1e-5)
         ratio = v / sqrt_only
         assert abs(ratio - 1.0) < 0.01
-        # at x=0 the ratio is exactly sqrt(1 + lam*d/(2*lam*t0))
+        # at x=0 the ratio is exactly sqrt(1 + lam*d/edge)
         assert ratio == pytest.approx(
-            math.sqrt(1.0 + d / (2.0 * t0)), rel=1e-12)
+            math.sqrt(1.0 + desk_model.lam * d / edge), rel=1e-12)
+
+    def test_array_equals_scalar_calls(self, desk_band):
+        # an array theta is the scalar calls side by side, bit for bit;
+        # a float theta returns a float
+        t0 = desk_band.theta_plus_at(0.0)
+        thetas = t0 * np.array([1.0, 1.001, 1.5, 3.0, 100.0])
+        got = asy.outer_velocity(desk_band, 0.0, thetas, 1e-5)
+        alone = [asy.outer_velocity(desk_band, 0.0, t, 1e-5)
+                 for t in thetas.tolist()]
+        assert all(type(v) is float for v in alone)
+        assert got.shape == thetas.shape and got.tolist() == alone
 
     def test_far_field_linear(self, desk_model, desk_band):
         t0 = desk_band.theta_plus_at(0.0)

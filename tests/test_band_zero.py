@@ -485,13 +485,19 @@ class TestBandDerivatives:
                 # a float x is a batch of one and returns that batch's float
                 alone = third_derivative_at_band(band, x)
                 assert type(alone) is float and alone == v
-                # the shift is the wall offset times edge / (edge - rho gamma)
+                # the layer's forcing is V_theta3 * D, so its wall slope
+                # over V_theta3 is the wall offset, and the band edge
+                # moves inward by exactly that times eta^(1/3)
                 c = asymptotics.layer_constants(band, x)
-                edge = 2 * p.lam * c.boundary - c.drift
-                assert asymptotics.shift_coefficient(band, x) == \
-                    pytest.approx(c.wall_offset * edge
-                                  / (edge - p.rho * band.gamma_lin),
-                                  rel=1e-12, abs=0)
+                assert c.amp ** 2 == pytest.approx(v * c.diffusivity,
+                                                   rel=1e-14, abs=0)
+                assert c.wall_slope == pytest.approx(v * c.wall_offset,
+                                                     rel=1e-14, abs=0)
+                eta = 1e-4
+                assert (band.theta_plus_at(x)
+                        - asymptotics.shifted_boundary(band, x, eta)) == \
+                    pytest.approx(c.wall_offset * eta ** (1 / 3),
+                                  rel=1e-14, abs=0)
 
     def test_third_derivative_small_cost_scale(self, desk_model, desk_band):
         p = desk_model

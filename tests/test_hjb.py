@@ -366,8 +366,10 @@ class TestRegimeMap:
             desk_params, asymptotics.layer_constants(band, 0.0))
         top = theta0 + 4 * cross
         grid = Grid2D.regular(-0.134, 0.134, 3, -top, top, 1201)
-        row = [asymptotics.outer_velocity(band, 0.0, t, eta) if t > theta0
-               else 0.0 for t in grid.theta_nodes.tolist()]
+        beyond = grid.theta_nodes > theta0
+        row = np.zeros(grid.ntheta)
+        row[beyond] = asymptotics.outer_velocity(
+            band, 0.0, grid.theta_nodes[beyond], eta)
         v = np.tile(row, (3, 1))
         edge = np.full(3, theta0)
         solved = hjb.ValueGrid(V=ScalarField(np.zeros_like(v), grid),
@@ -381,6 +383,20 @@ class TestRegimeMap:
         labels = [z for z in report.labels if z not in ("NT", "?")]
         k = labels.index("LINEAR")
         assert set(labels[:k]) == {"SQRT"} and set(labels[k:]) == {"LINEAR"}
+        assert report.linear_slope == pytest.approx(1.0, abs=0.1)
+
+    def test_short_zone_reports_no_slope(self, desk_params):
+        # on this coarse box the walk labels one sample SQRT between the
+        # onset and the far field: a transition, not a zone, so it gets no
+        # median slope, and a note gives its count
+        grid = Grid2D.regular(-0.134, 0.134, 11, -7.5e-3, 7.5e-3, 301)
+        report = experiments.regime_map(desk_params, self.COSTS, 0.0,
+                                        grid=grid)
+        assert report.labels.count("SQRT") == 1
+        assert math.isnan(report.sqrt_slope)
+        assert ("SQRT zone holds 1 sample(s), fewer than 3: its median "
+                "slope is NaN") in report.notes
+        assert report.labels.count("LINEAR") >= 3
         assert report.linear_slope == pytest.approx(1.0, abs=0.1)
 
     def test_outside_domain_rejected(self, desk_params, coarse_grid,

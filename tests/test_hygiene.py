@@ -4,8 +4,9 @@ tests is used, no function body in either imports anything, each
 reads, every third-party package imported is declared in
 ``pyproject.toml``, the tests import their conftest one way only, the
 package calls the sparse factor ``splu`` at one site, the studies build
-a grid at one site and a sweep result at one site, and every attribute
-the benchmark's spans hook exists.
+a grid at one site and a sweep result at one site, the boundary layer
+reads its forcing at one site, and every attribute the benchmark's spans
+hook exists.
 
 A stdlib stand-in for a linter's unused-import rule.  A name counts as
 used when it is read anywhere in its module or listed in ``__all__``,
@@ -204,6 +205,33 @@ def test_one_newton_in_band_zero():
                    and getattr(node.func, "id", None) == "isinstance"
                    and "ndarray" in ast.unparse(node.args[1])]
     assert not array_tests, array_tests
+
+
+def test_layer_reads_its_forcing_once():
+    # the risk-adjusted edge 2 lam theta_b - mu - rho gamma is written once,
+    # in band_zero.third_derivative_at_band; the layer takes its forcing
+    # amp^2 = V_theta3 * D from it in layer_constants alone, so a read of
+    # the drift, rho or gamma_lin in asymptotics would be a second copy
+    tree = ast.parse((PACKAGE / "asymptotics.py").read_text(encoding="utf-8"))
+    owners = [getattr(top, "name", f"line {top.lineno}")
+              for top in tree.body for node in ast.walk(top)
+              if isinstance(node, ast.Call)
+              and "third_derivative_at_band" in (
+                  getattr(node.func, "id", None),
+                  getattr(node.func, "attr", None))]
+    assert owners == ["layer_constants"], owners
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.keyword):
+            names.add(node.arg)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(a.asname or a.name for a in node.names)
+    edge_terms = sorted(names & {"drift", "rho", "gamma_lin"})
+    assert not edge_terms, f"asymptotics reads {edge_terms}"
 
 
 def test_benchmark_hooks_resolve():

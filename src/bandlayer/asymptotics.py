@@ -23,7 +23,8 @@ profile's zero, which fixes the wall offset.
 
 Everything operates on the zero-eta band produced by band_zero, which
 carries its model and Green's data, so each function here takes the band
-alone; the nonlinear cost enters only through closed-form corrections.
+alone or the layer constants built from it once; the nonlinear cost
+enters only through closed-form corrections.
 """
 
 from __future__ import annotations
@@ -225,23 +226,22 @@ def layer_ode_residual(profile: LayerProfile) -> float:
     return float(np.max(np.abs(lhs - rhs) / scale))
 
 
-def shifted_boundary(band: Band, x: float, eta: float) -> float:
-    """Upper boundary level once a quadratic speed cost eta is present.
+def shifted_boundary(c: LayerConstants, eta: float) -> float:
+    """Upper boundary level at ``c.x`` once a quadratic speed cost eta is
+    present.
 
     The band edge moves inward by wall_offset * eta^{1/3}: the layer's
     wall slope over V_theta3, which its forcing makes exact.
     """
     if eta < 0.0:
         raise DomainError(f"eta must be >= 0, got {eta}")
-    if eta == 0.0:
-        return float(band.theta_plus_at(x))
-    c = layer_constants(band, x)
     return float(c.boundary - c.wall_offset * eta ** (1.0 / 3.0))
 
 
-def outer_velocity(band: Band, x: float, theta, eta: float):
-    """Trading speed far outside the layer, on the selling sector, at a
-    float theta or at every entry of an array theta.
+def outer_velocity(params: ModelParams, c: LayerConstants, theta,
+                   eta: float):
+    """Trading speed far outside the layer at ``c.x``, on the selling
+    sector, at a float theta or at every entry of an array theta.
 
     Square root of the radicand d*(lam*d + amp^2/4), d = theta - boundary,
     over sqrt(eta), with the layer's own amp; negative (selling).  Raises
@@ -250,14 +250,13 @@ def outer_velocity(band: Band, x: float, theta, eta: float):
     """
     if not (eta > 0.0):
         raise DomainError(f"eta must be > 0, got {eta}")
-    c = layer_constants(band, x)
     theta = np.asarray(theta, dtype=float)
     d = theta - c.boundary
-    rad = d * (band.params.lam * d + 0.25 * c.amp ** 2)
+    rad = d * (params.lam * d + 0.25 * c.amp ** 2)
     if np.any(rad < 0.0):
         bad = theta[rad < 0.0].flat[0]
         raise RegimeError(
-            f"outer radicand negative at theta={bad:g}, x={x:g}: "
+            f"outer radicand negative at theta={bad:g}, x={c.x:g}: "
             "point lies inside the band where the outer branch is undefined.")
     v = -np.sqrt(rad / eta)
     return v if v.ndim else float(v)
@@ -308,7 +307,7 @@ def composite_velocity(band: Band, x: float, eta: float,
 
     c = layer_constants(band, x)
     theta0 = c.boundary
-    theta_eta = shifted_boundary(band, x, eta)
+    theta_eta = shifted_boundary(c, eta)
     gauge = (theta0 - theta_eta) / band.width(x)
     scale = eta ** (1.0 / 3.0)
     d_cross = sqrt_linear_crossover(band.params, c)
@@ -323,7 +322,7 @@ def composite_velocity(band: Band, x: float, eta: float,
     if np.any(blend):
         outer = theta[blend]
         common = -0.5 * c.amp * np.sqrt(outer - theta_eta) / math.sqrt(eta)
-        v[blend] += outer_velocity(band, x, outer, eta) - common
+        v[blend] += outer_velocity(band.params, c, outer, eta) - common
     labels = np.where(~trade, Regime.NO_TRADE, np.where(
         ~blend, Regime.LAYER, np.where(theta - theta0 < d_cross,
                                        Regime.SQRT, Regime.LINEAR)))

@@ -1,12 +1,15 @@
 """Atomic file outputs: CSV tables, plain-text summaries, gnuplot scripts.
 
 All writers go through a temp-file-plus-rename so a crash mid-write never
-leaves a truncated file behind.  Reals are rendered with 17 significant
-digits, which round-trips IEEE doubles exactly.
+leaves a truncated file behind.  CSV rows are streamed into the temp file
+in blocks of ``_CSV_BLOCK_ROWS``, so a write holds one block of text, not
+the whole table.  Reals are rendered with 17 significant digits, which
+round-trips IEEE doubles exactly.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import tempfile
@@ -14,6 +17,9 @@ import tempfile
 import numpy as np
 
 from .errors import ConfigError
+
+# CSV rows formatted and written per block
+_CSV_BLOCK_ROWS = 4096
 
 
 def _format_real(x) -> str:
@@ -25,14 +31,16 @@ def _format_real(x) -> str:
     return "%.17g" % x
 
 
-def atomic_write_text(path: str, text: str) -> None:
-    """Write text to path via a same-directory temp file and rename."""
+@contextlib.contextmanager
+def _atomic_open(path: str):
+    """Text handle on a same-directory temp file that replaces ``path``
+    on a clean exit and is unlinked on any error."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -42,12 +50,21 @@ def atomic_write_text(path: str, text: str) -> None:
         raise
 
 
+def atomic_write_text(path: str, text: str) -> None:
+    """Write text to path via a same-directory temp file and rename."""
+    with _atomic_open(path) as fh:
+        fh.write(text)
+
+
 def write_csv(path: str, header, columns) -> None:
     """Write named columns as comma-separated text with LF endings.
 
     ``columns`` may mix real arrays, bool arrays (written 1/0) and string
     sequences (labels); real entries get the lossless 17-digit rendering,
-    which spells nan and +-inf as :func:`_format_real` does.
+    which spells nan and +-inf as :func:`_format_real` does.  The rows
+    are formatted and written ``_CSV_BLOCK_ROWS`` at a time through the
+    same temp-file-plus-rename as :func:`atomic_write_text`, so an error
+    in any block leaves neither the target nor a temp file behind.
     """
     header = list(header)
     cols = [np.asarray(c) for c in columns]
@@ -59,12 +76,16 @@ def write_csv(path: str, header, columns) -> None:
     for c in cols:
         if c.ndim != 1 or c.shape[0] != n:
             raise ConfigError("write_csv: columns must be 1-d, equal length")
-    # one printf pattern per row, applied to columns converted once
+    # one printf pattern per row, applied to each block's columns
+    # converted to Python scalars once
     fmt = ",".join({"U": "%s", "b": "%d"}.get(c.dtype.kind, "%.17g")
                    for c in cols)
-    lines = [",".join(header)]
-    lines.extend(fmt % row for row in zip(*(c.tolist() for c in cols)))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    with _atomic_open(path) as fh:
+        fh.write(",".join(header) + "\n")
+        for start in range(0, n, _CSV_BLOCK_ROWS):
+            block = zip(*(c[start:start + _CSV_BLOCK_ROWS].tolist()
+                          for c in cols))
+            fh.write("\n".join(fmt % row for row in block) + "\n")
 
 
 def write_text_report(path: str, lines) -> None:

@@ -176,19 +176,21 @@ class TestOdeResidual:
 
 class TestShiftedBoundary:
     def test_no_cost_no_shift(self, desk_band):
-        t0 = desk_band.theta_plus_at(0.0)
-        assert asy.shifted_boundary(desk_band, 0.0, 0.0) == t0
+        c = asy.layer_constants(desk_band, 0.0)
+        assert asy.shifted_boundary(c, 0.0) == desk_band.theta_plus_at(0.0)
 
     def test_cube_root_scaling_exact(self, desk_band):
         t0 = desk_band.theta_plus_at(0.0)
-        s1 = t0 - asy.shifted_boundary(desk_band, 0.0, 1e-6)
-        s8 = t0 - asy.shifted_boundary(desk_band, 0.0, 8e-6)
+        c = asy.layer_constants(desk_band, 0.0)
+        s1 = t0 - asy.shifted_boundary(c, 1e-6)
+        s8 = t0 - asy.shifted_boundary(c, 8e-6)
         assert s8 / s1 == pytest.approx(2.0, rel=1e-12)
 
     def test_shift_is_inward(self, desk_band):
         for x in (-0.1, 0.0, 0.15):
             t0 = desk_band.theta_plus_at(x)
-            te = asy.shifted_boundary(desk_band, x, 1e-6)
+            c = asy.layer_constants(desk_band, x)
+            te = asy.shifted_boundary(c, 1e-6)
             assert te < t0
 
     def test_small_cost_closed_form_oracle(self, desk_model, desk_band):
@@ -207,25 +209,27 @@ class TestShiftedBoundary:
         for eta in (1e-7, 1e-5):
             est = fy0_est / v3_est * eta ** (1.0 / 3.0)
             got = desk_band.theta_plus_at(0.0) - asy.shifted_boundary(
-                desk_band, 0.0, eta)
+                asy.layer_constants(desk_band, 0.0), eta)
             assert got == pytest.approx(est, rel=0.05)
 
     def test_negative_eta_rejected(self, desk_band):
         with pytest.raises(DomainError):
-            asy.shifted_boundary(desk_band, 0.0, -1e-9)
+            asy.shifted_boundary(asy.layer_constants(desk_band, 0.0),
+                                 -1e-9)
 
 
 # ---------------------------------------------------------- outer velocity
 
 class TestOuterVelocity:
-    def test_vanishes_at_boundary(self, desk_band):
-        t0 = desk_band.theta_plus_at(0.0)
-        assert asy.outer_velocity(desk_band, 0.0, t0, 1e-5) == 0.0
+    def test_vanishes_at_boundary(self, desk_model, desk_band):
+        c = asy.layer_constants(desk_band, 0.0)
+        assert asy.outer_velocity(desk_model, c, c.boundary, 1e-5) == 0.0
 
     def test_near_band_square_root(self, desk_model, desk_band):
         t0 = desk_band.theta_plus_at(0.0)
         d = 1e-3 * t0
-        v = asy.outer_velocity(desk_band, 0.0, t0 + d, 1e-5)
+        c = asy.layer_constants(desk_band, 0.0)
+        v = asy.outer_velocity(desk_model, c, t0 + d, 1e-5)
         # risk-adjusted edge at x = 0, where the drift vanishes
         edge = 2.0 * desk_model.lam * t0 - desk_model.rho * desk_band.gamma_lin
         sqrt_only = -math.sqrt(edge * d / 1e-5)
@@ -235,13 +239,13 @@ class TestOuterVelocity:
         assert ratio == pytest.approx(
             math.sqrt(1.0 + desk_model.lam * d / edge), rel=1e-12)
 
-    def test_array_equals_scalar_calls(self, desk_band):
+    def test_array_equals_scalar_calls(self, desk_model, desk_band):
         # an array theta is the scalar calls side by side, bit for bit;
         # a float theta returns a float
-        t0 = desk_band.theta_plus_at(0.0)
-        thetas = t0 * np.array([1.0, 1.001, 1.5, 3.0, 100.0])
-        got = asy.outer_velocity(desk_band, 0.0, thetas, 1e-5)
-        alone = [asy.outer_velocity(desk_band, 0.0, t, 1e-5)
+        c = asy.layer_constants(desk_band, 0.0)
+        thetas = c.boundary * np.array([1.0, 1.001, 1.5, 3.0, 100.0])
+        got = asy.outer_velocity(desk_model, c, thetas, 1e-5)
+        alone = [asy.outer_velocity(desk_model, c, t, 1e-5)
                  for t in thetas.tolist()]
         assert all(type(v) is float for v in alone)
         assert got.shape == thetas.shape and got.tolist() == alone
@@ -249,15 +253,16 @@ class TestOuterVelocity:
     def test_far_field_linear(self, desk_model, desk_band):
         t0 = desk_band.theta_plus_at(0.0)
         theta = 100.0 * t0
-        v = asy.outer_velocity(desk_band, 0.0, theta, 1e-5)
+        c = asy.layer_constants(desk_band, 0.0)
+        v = asy.outer_velocity(desk_model, c, theta, 1e-5)
         assert abs(v / theta / (-math.sqrt(desk_model.lam / 1e-5)) - 1.0) < 0.01
 
-    def test_inside_band_rejected(self, desk_band):
-        t0 = desk_band.theta_plus_at(0.0)
+    def test_inside_band_rejected(self, desk_model, desk_band):
+        c = asy.layer_constants(desk_band, 0.0)
         with pytest.raises(RegimeError):
-            asy.outer_velocity(desk_band, 0.0, 0.5 * t0, 1e-5)
+            asy.outer_velocity(desk_model, c, 0.5 * c.boundary, 1e-5)
         with pytest.raises(DomainError):
-            asy.outer_velocity(desk_band, 0.0, 2 * t0, 0.0)
+            asy.outer_velocity(desk_model, c, 2 * c.boundary, 0.0)
 
 
 # ------------------------------------------------------- composite velocity
@@ -268,7 +273,7 @@ ETA_DEEP = 1e-18  # scale separation: layer << band width << crossover
 @pytest.fixture(scope="module")
 def deep_profile(desk_model, desk_band):
     c = asy.layer_constants(desk_band, 0.0)
-    te = asy.shifted_boundary(desk_band, 0.0, ETA_DEEP)
+    te = asy.shifted_boundary(c, ETA_DEEP)
     t0 = desk_band.theta_plus_at(0.0)
     sc = ETA_DEEP ** (1.0 / 3.0)
     dc = asy.sqrt_linear_crossover(desk_model, c)
@@ -307,7 +312,7 @@ class TestCompositeVelocity:
 
     def test_linear_near_wall(self, desk_band):
         c = asy.layer_constants(desk_band, 0.0)
-        te = asy.shifted_boundary(desk_band, 0.0, ETA_DEEP)
+        te = asy.shifted_boundary(c, ETA_DEEP)
         y = 0.01 * c.wall_offset
         theta = te + y * ETA_DEEP ** (1.0 / 3.0)
         vp = asy.composite_velocity(desk_band, 0.0, ETA_DEEP,
@@ -318,13 +323,14 @@ class TestCompositeVelocity:
     def test_seam_mismatch_small(self, desk_band):
         # evaluate both branches at the seam point itself
         c = asy.layer_constants(desk_band, 0.0)
-        te = asy.shifted_boundary(desk_band, 0.0, ETA_DEEP)
+        te = asy.shifted_boundary(c, ETA_DEEP)
         sc = ETA_DEEP ** (1.0 / 3.0)
         theta_s = te + 30.0 * sc
         f_s, _ = asy._layer_values(c, np.array([30.0]))
         inner = -f_s[0] / (2.0 * sc)
         blended = (inner
-                   + asy.outer_velocity(desk_band, 0.0, theta_s, ETA_DEEP)
+                   + asy.outer_velocity(desk_band.params, c, theta_s,
+                                        ETA_DEEP)
                    + 0.5 * c.amp * math.sqrt(theta_s - te) / math.sqrt(ETA_DEEP))
         assert abs(blended / inner - 1.0) <= 0.02
 
@@ -346,6 +352,27 @@ class TestCompositeVelocity:
         assert not quiet.gauge_warning and quiet.gauge < 0.05
         loud = asy.composite_velocity(desk_band, 0.0, 2e-2, grid)
         assert loud.gauge_warning and loud.gauge > asy.GAUGE_MAX
+
+    @pytest.mark.parametrize("eta", [ETA_DEEP, 1e-5])
+    def test_layer_constants_built_once(self, desk_model, desk_band,
+                                        monkeypatch, eta):
+        # the ETA_DEEP grid reaches the blend beyond the seam (SQRT and
+        # LINEAR samples); at 1e-5 the same grid stays within the layer
+        c = asy.layer_constants(desk_band, 0.0)
+        t0 = desk_band.theta_plus_at(0.0)
+        grid = np.linspace(0.0, t0 + 20.0 * asy.sqrt_linear_crossover(
+            desk_model, c), 50)
+        calls = []
+
+        def counting(band, x):
+            calls.append(x)
+            return c
+
+        monkeypatch.setattr(asy, "layer_constants", counting)
+        vp = asy.composite_velocity(desk_band, 0.0, eta, grid)
+        blended = {asy.Regime.SQRT, asy.Regime.LINEAR} & set(vp.regime)
+        assert bool(blended) == (eta == ETA_DEEP)
+        assert len(calls) == 1
 
     def test_lower_sector_rejected(self, desk_band):
         lower = -desk_band.theta_minus_at(0.0)

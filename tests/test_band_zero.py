@@ -495,7 +495,7 @@ class TestBandDerivatives:
                                                      rel=1e-14, abs=0)
                 eta = 1e-4
                 assert (band.theta_plus_at(x)
-                        - asymptotics.shifted_boundary(band, x, eta)) == \
+                        - asymptotics.shifted_boundary(c, eta)) == \
                     pytest.approx(c.wall_offset * eta ** (1 / 3),
                                   rel=1e-14, abs=0)
 

@@ -24,6 +24,7 @@ Oracle strategy, by class:
 import itertools
 import math
 import re
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -369,7 +370,8 @@ class TestRegimeMap:
         beyond = grid.theta_nodes > theta0
         row = np.zeros(grid.ntheta)
         row[beyond] = asymptotics.outer_velocity(
-            band, 0.0, grid.theta_nodes[beyond], eta)
+            desk_params, asymptotics.layer_constants(band, 0.0),
+            grid.theta_nodes[beyond], eta)
         v = np.tile(row, (3, 1))
         edge = np.full(3, theta0)
         solved = hjb.ValueGrid(V=ScalarField(np.zeros_like(v), grid),
@@ -480,7 +482,8 @@ class TestEtaShiftSweep:
         assert sweep.values.size >= 2
         t0 = float(desk_band.theta_plus_at(0.0))
         for eta, predicted in zip(sweep.values, sweep.predicted):
-            want = t0 - asymptotics.shifted_boundary(desk_band, 0.0, eta)
+            want = t0 - asymptotics.shifted_boundary(
+                asymptotics.layer_constants(desk_band, 0.0), eta)
             assert predicted == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_slope_is_finite(self, sweep):
@@ -1087,6 +1090,37 @@ class TestFactor:
         assert np.abs(V - want).max() <= 1e-10 * np.abs(want).max()
         np.testing.assert_array_equal(np.sign(vg.v.values),
                                       np.sign(ref.v.values))
+
+    @pytest.mark.parametrize("start", ["cold", "warm"])
+    def test_one_factor_lives_at_a_time(self, desk_params, start):
+        # every factor is a proxy whose death is recorded; when splu is
+        # called, each factor made before must already be gone
+        grid = Grid2D.regular(-0.134, 0.134, 11, -7.5e-3, 7.5e-3, 151)
+        costs = self.COSTS["quadratic"]
+        initial = (None if start == "cold"
+                   else hjb._nt_initial(desk_params, grid))
+        finalizers, alive_at_call = [], []
+
+        class Factor:
+            def __init__(self, lu):
+                self.lu = lu
+
+            def solve(self, b):
+                return self.lu.solve(b)
+
+        def tracked_splu(A, **kwargs):
+            alive_at_call.append(sum(f.alive for f in finalizers))
+            factor = Factor(splu(A, **kwargs))
+            finalizers.append(weakref.finalize(factor, lambda: None))
+            return factor
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(hjb, "splu", tracked_splu)
+            vg = hjb.solve_hjb(desk_params, costs, grid, self.CLOSE,
+                               initial=initial)
+        assert vg.iterations >= 2 and len(alive_at_call) >= 3
+        assert alive_at_call == [0] * len(alive_at_call)
+        assert not any(f.alive for f in finalizers)
 
 
 # --------------------------------------------------- continuity diagnostics

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from bandlayer import output
 from bandlayer.errors import ConfigError
 from bandlayer.output import (atomic_write_text, gnuplot_loglog_script,
                               gnuplot_velocity_script, write_csv,
@@ -62,6 +63,43 @@ class TestCsv:
         write_csv(p1, ["v"], [vals])
         write_csv(p2, ["v"], [vals])
         assert Path(p1).read_bytes() == Path(p2).read_bytes()
+
+
+class TestStreamedCsv:
+    """Rows go out in blocks of ``_CSV_BLOCK_ROWS``; the bytes must be
+    those of the whole table formatted at once, and an error in a late
+    block must leave nothing behind."""
+
+    N = 2 * output._CSV_BLOCK_ROWS + 3
+    FMT = "%.17g,%d,%s"
+
+    def _columns(self):
+        rng = np.random.default_rng(7)
+        real = rng.standard_normal(self.N) * 10.0 ** rng.integers(
+            -300, 300, self.N)
+        real[[0, 5, self.N // 2, self.N - 1]] = [np.nan, np.inf, -np.inf,
+                                                 5e-324]
+        flags = rng.integers(0, 2, self.N).astype(bool)
+        labels = np.array(["NT", "LAYER", "SQRT"])[rng.integers(0, 3,
+                                                                self.N)]
+        return real, flags, labels
+
+    def test_blocks_match_one_pass_rendering(self, tmp_path):
+        p = str(tmp_path / "s.csv")
+        real, flags, labels = self._columns()
+        write_csv(p, ["v", "f", "r"], [real, flags, labels])
+        rows = zip(real.tolist(), flags.tolist(), labels.tolist())
+        want = "v,f,r\n" + "".join(self.FMT % row + "\n" for row in rows)
+        assert Path(p).read_bytes() == want.encode("utf-8")
+
+    def test_error_in_a_late_block_leaves_nothing(self, tmp_path):
+        p = str(tmp_path / "s.csv")
+        real, flags, labels = self._columns()
+        obj = np.array(real.tolist(), dtype=object)
+        obj[2 * output._CSV_BLOCK_ROWS + 1] = "not a real"
+        with pytest.raises(TypeError):
+            write_csv(p, ["v", "f", "r", "o"], [real, flags, labels, obj])
+        assert os.listdir(tmp_path) == []
 
 
 class TestAtomicity:

@@ -16,10 +16,12 @@ edge 2*lam*theta_b - mu - rho*gamma is written).  So the band edge moves
 inward by exactly wall_offset * eta^{1/3}.  This module builds that
 profile, the shifted band level, and a composite speed curve that
 splices the strip onto the square-root/linear outer behaviour, whose
-radicand carries the same amp.  The 3/2-power cost analog replaces the
-quadratic balance by a cubic one (an Abel equation), solved here by one
-backward integration along its cube-root asymptote that stops at the
-profile's zero, which fixes the wall offset.
+radicand carries the same amp.  The composite is the speed alone: its
+zones are labelled by ``experiments.regime_map``, and the validity gauge
+is judged by ``experiments.eta_shift_sweep``.  The 3/2-power cost analog
+replaces the quadratic balance by a cubic one (an Abel equation), solved
+here by one backward integration along its cube-root asymptote that
+stops at the profile's zero, which fixes the wall offset.
 
 Everything operates on the zero-eta band produced by band_zero, which
 carries its model and Green's data, so each function here takes the band
@@ -42,12 +44,9 @@ from .band_zero import Band, third_derivative_at_band
 from .special import airy_first_max, airy_log_derivative
 
 __all__ = [
-    "Regime",
     "LayerKind",
     "LayerConstants",
     "LayerProfile",
-    "VelocityProfile",
-    "GAUGE_MAX",
     "layer_constants",
     "layer_profile_airy",
     "layer_ode_residual",
@@ -57,15 +56,6 @@ __all__ = [
     "composite_velocity",
     "abel_layer_solve",
 ]
-
-
-class Regime(enum.Enum):
-    """Speed-profile classification, outward from the band center."""
-
-    NO_TRADE = "NT"
-    LAYER = "LAYER"
-    SQRT = "SQRT"
-    LINEAR = "LINEAR"
 
 
 class LayerKind(enum.Enum):
@@ -132,25 +122,6 @@ class LayerProfile:
         object.__setattr__(self, "f_slope", np.asarray(self.f_slope, dtype=float))
 
 
-@dataclass(frozen=True)
-class VelocityProfile:
-    """Composite trading-speed curve at fixed x on the selling sector."""
-
-    x: float
-    eta: float
-    theta: np.ndarray
-    v: np.ndarray
-    regime: tuple
-    boundary_level: float
-    shifted_level: float
-    gauge: float
-    gauge_warning: bool
-
-    def __post_init__(self):
-        object.__setattr__(self, "theta", np.asarray(self.theta, dtype=float))
-        object.__setattr__(self, "v", np.asarray(self.v, dtype=float))
-
-
 def layer_constants(band: Band, x: float) -> LayerConstants:
     """Evaluate the layer coefficients at ``x`` on the upper boundary.
 
@@ -162,12 +133,12 @@ def layer_constants(band: Band, x: float) -> LayerConstants:
     outside the band's solved domain.
     """
     v3 = third_derivative_at_band(band, x)
-    slope0 = band.theta_plus_deriv_at(x)
+    theta_b, slope0 = band.plus_edge_at(x)
     diffusivity = 2.0 * band.params.sigma ** 2 * slope0 ** 2
     amp = math.sqrt(v3 * diffusivity)
     arg_scale = (amp / diffusivity) ** (2.0 / 3.0)
     return LayerConstants(
-        x=float(x), boundary=float(band.theta_plus_at(x)),
+        x=float(x), boundary=float(theta_b),
         boundary_slope=float(slope0), amp=amp, diffusivity=diffusivity,
         arg_scale=arg_scale, wall_offset=_WALL_ROOT / arg_scale)
 
@@ -274,21 +245,17 @@ def sqrt_linear_crossover(params: ModelParams, c: LayerConstants) -> float:
 # distance from the shifted edge, in units of eta^{1/3}, beyond which the
 # composite speed blends the layer into the outer branch
 _SEAM = 30.0
-# validity gauge: the eta^{1/3} expansion is trusted while the predicted
-# inward shift is at most this fraction of the band width
-GAUGE_MAX = 0.2
 
 
 def composite_velocity(band: Band, x: float, eta: float,
-                       theta_grid) -> VelocityProfile:
-    """Uniform trading-speed curve across all four regimes at fixed x.
+                       theta_grid) -> np.ndarray:
+    """Uniform trading speed at fixed x, one value per theta sample.
 
     Inside the shifted band the speed is exactly zero.  Within
     _SEAM*eta^{1/3} of the shifted edge the layer profile alone is used;
     beyond, the standard additive composite (layer + outer - shared
-    square-root part) blends into the outer branch.  Samples are labeled
-    NO_TRADE / LAYER / SQRT / LINEAR, the last two split at the
-    square-root-to-linear crossover distance.
+    square-root part) blends into the outer branch.  The samples are not
+    labelled here: the zones are ``experiments.regime_map``'s.
 
     Only the selling sector is modeled; by the (x, theta) -> (-x, -theta)
     antisymmetry of the problem the buying sector is its mirror image.
@@ -306,11 +273,8 @@ def composite_velocity(band: Band, x: float, eta: float,
             "the selling sector is modeled (mirror the problem for buying).")
 
     c = layer_constants(band, x)
-    theta0 = c.boundary
     theta_eta = shifted_boundary(c, eta)
-    gauge = (theta0 - theta_eta) / band.width(x)
     scale = eta ** (1.0 / 3.0)
-    d_cross = sqrt_linear_crossover(band.params, c)
 
     v = np.zeros(theta.shape, dtype=float)
     trade = theta > theta_eta
@@ -323,14 +287,7 @@ def composite_velocity(band: Band, x: float, eta: float,
         outer = theta[blend]
         common = -0.5 * c.amp * np.sqrt(outer - theta_eta) / math.sqrt(eta)
         v[blend] += outer_velocity(band.params, c, outer, eta) - common
-    labels = np.where(~trade, Regime.NO_TRADE, np.where(
-        ~blend, Regime.LAYER, np.where(theta - theta0 < d_cross,
-                                       Regime.SQRT, Regime.LINEAR)))
-
-    return VelocityProfile(
-        x=float(x), eta=float(eta), theta=theta, v=v, regime=tuple(labels),
-        boundary_level=float(theta0), shifted_level=float(theta_eta),
-        gauge=float(gauge), gauge_warning=bool(gauge > GAUGE_MAX))
+    return v
 
 
 # Newton on the Abel wall zero: step budget, and the step (in units of

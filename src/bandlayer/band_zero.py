@@ -647,8 +647,10 @@ class Band:
     def theta_minus_at(self, x):
         return self.spline(x)[..., 1]
 
-    def theta_plus_deriv_at(self, x):
-        return self.spline(x)[..., 2]
+    def plus_edge_at(self, x):
+        """(theta_plus, theta_plus_deriv) at x, from one spline read."""
+        cols = self.spline(x)
+        return cols[..., 0], cols[..., 2]
 
     def width(self, x):
         return self.theta_plus_at(x) + self.theta_minus_at(x)
@@ -922,8 +924,8 @@ def third_derivative_at_band(band: Band, x):
         V_thetathetatheta = 2 (2 lam theta_b - mu - rho gamma)
                             / (sigma^2 theta_b'^2),
 
-    theta_b and theta_b' read from the band's spline (``theta_plus_at``,
-    ``theta_plus_deriv_at``).  This is the one place the risk-adjusted
+    theta_b and theta_b' read from the band's spline in one call
+    (``plus_edge_at``).  This is the one place the risk-adjusted
     edge 2 lam theta_b - mu - rho gamma is written: the boundary layer
     reads its forcing from it, amp^2 = V_thetathetatheta * 2 sigma^2
     theta_b'^2 (:func:`~bandlayer.asymptotics.layer_constants`).  At the
@@ -939,8 +941,7 @@ def third_derivative_at_band(band: Band, x):
     xs = np.array(x, dtype=float, ndmin=1)
     band.require_solved(xs)
     p = band.params
-    theta_b = band.theta_plus_at(xs)
-    slope = band.theta_plus_deriv_at(xs)
+    theta_b, slope = band.plus_edge_at(xs)
     for xi, s in zip(xs.tolist(), slope.tolist()):
         if s == 0.0:
             raise RegimeError(f"boundary slope vanishes at x={xi:.6g}")

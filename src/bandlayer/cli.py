@@ -126,7 +126,7 @@ def cmd_hjb(cfg: RunConfig, out: str, quiet: bool) -> int:
     field_path = os.path.join(out, cfg.output_prefix + "field.csv")
     write_csv(field_path, ["x", "theta", "value", "speed"],
               [np.repeat(xs, grid.ntheta), np.tile(ts, grid.nx),
-               vg.V.values.ravel(), vg.v.values.ravel()])
+               vg.V.ravel(), vg.v.ravel()])
 
     band_path = os.path.join(out, cfg.output_prefix + "hjb_band.csv")
     write_csv(band_path,

@@ -27,6 +27,9 @@ the width sweep against the small-cost width
 log-log space and always carry a standard error; a slope with stderr
 above 0.05 is flagged LOW-CONFIDENCE rather than hidden.  A point left
 out of a fit is recorded once, with its reason, in ``excluded``.
+A solve's ``V`` and ``v`` are (nx, ntheta) arrays on its ``Grid2D``.
+The speed zones are labelled only by ``regime_map`` (the composite is a
+bare speed), and the validity gauge only by ``eta_shift_sweep``.
 """
 
 from __future__ import annotations
@@ -122,14 +125,6 @@ class SweepResult:
     notes: tuple
 
     @property
-    def slope(self) -> float:
-        return self.fit.slope
-
-    @property
-    def stderr(self) -> float:
-        return self.fit.stderr
-
-    @property
     def ratios(self) -> np.ndarray:
         """Measured / predicted at each point."""
         return self.measured / self.predicted
@@ -221,6 +216,11 @@ def _nearest_node(grid: Grid2D, x: float) -> int:
 # -------------------------------------------------------- eta shift sweep
 
 
+# validity gauge: the eta^{1/3} expansion is trusted while the predicted
+# inward shift is at most this fraction of the band width
+GAUGE_MAX = 0.2
+
+
 def eta_shift_sweep(params: ModelParams, gamma_lin: float, eta_list,
                     *, x: float = 0.0, grid: Grid2D | None = None,
                     cfg: hjb.SolverConfig | None = None) -> SweepResult:
@@ -259,10 +259,9 @@ def eta_shift_sweep(params: ModelParams, gamma_lin: float, eta_list,
     keep = []
     for eta, pred in predicted.items():
         gauge = pred / width
-        if gauge > asymptotics.GAUGE_MAX:
+        if gauge > GAUGE_MAX:
             excluded.append((eta, f"outside validity gauge "
-                             f"(shift/width = {gauge:.2f} > "
-                             f"{asymptotics.GAUGE_MAX:g})"))
+                             f"(shift/width = {gauge:.2f} > {GAUGE_MAX:g})"))
         else:
             keep.append(eta)
     if len(keep) < 4:
@@ -279,7 +278,7 @@ def eta_shift_sweep(params: ModelParams, gamma_lin: float, eta_list,
     for eta in sorted(keep, reverse=True) + [hjb.ETA_FLOOR]:
         vg = hjb.solve_hjb(params, CostParams(gamma_lin=gamma_lin, eta=eta),
                            grid, cfg, initial=V)
-        V = vg.V.values
+        V = vg.V
         measured[eta] = float(vg.band_plus[i])
 
     base_theta = measured[hjb.ETA_FLOOR]
@@ -369,9 +368,9 @@ class RegimeReport:
     ``labels`` entries are "NT", "LAYER", "SQRT", "LINEAR" or "?" per
     theta sample.  Slopes are medians of local log-log slopes over the
     samples assigned to each zone, NaN (and a note with the count of a
-    non-empty zone) below ``_MIN_ZONE_SAMPLES`` samples.  The comparison
-    table pairs the measured speed with the matched-expansion composite
-    at the same theta samples.
+    non-empty zone) below ``_MIN_ZONE_SAMPLES`` samples.
+    ``v_composite`` is ``asymptotics.composite_velocity`` at the trading
+    samples beyond the DP boundary and NaN elsewhere.
     """
 
     x: float
@@ -437,7 +436,7 @@ def regime_map(params: ModelParams, costs: CostParams, x: float,
     if not np.isfinite(b):
         raise RegimeError("no upper boundary found in the solved field; "
                           "cannot anchor regime distances")
-    v_row = vg.v.values[i]
+    v_row = vg.v[i]
     mask = (grid.theta_nodes > b) & (np.abs(v_row) > 0)
     theta = grid.theta_nodes[mask]
     mag = np.abs(v_row[mask])
@@ -486,7 +485,7 @@ def regime_map(params: ModelParams, costs: CostParams, x: float,
         notes.append("far-field zone not reached by the theta domain")
 
     # composite prediction on the same samples (selling sector)
-    vp = asymptotics.composite_velocity(band, x, eta, theta)
+    v_comp = asymptotics.composite_velocity(band, x, eta, theta)
 
     full_labels = np.full(grid.ntheta, "NT", dtype=object)
     full_labels[mask] = labels
@@ -499,7 +498,7 @@ def regime_map(params: ModelParams, costs: CostParams, x: float,
         crossover=crossover,
         crossover_predicted=float(cross_pred),
         boundary=b,
-        v_composite=_embed(vp.v, mask, grid.ntheta),
+        v_composite=_embed(v_comp, mask, grid.ntheta),
         notes=tuple(notes),
     )
 

@@ -47,9 +47,8 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .errors import ConfigError, ConvergenceError
-from .model import (CostKind, CostParams, Grid2D, ModelParams, ScalarField,
-                    drift, markowitz_position, nt_rhs,
-                    small_cost_half_width)
+from .model import (CostKind, CostParams, Grid2D, ModelParams, drift,
+                    markowitz_position, nt_rhs, small_cost_half_width)
 
 __all__ = [
     "SolverConfig",
@@ -137,12 +136,14 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class ValueGrid:
-    """Solved value function and optimal velocity on a Grid2D, with the
+    """Solved value function ``V`` and optimal velocity ``v`` on ``grid``,
+    each an (nx, ntheta) array indexed [x node, theta node], with the
     no-trade interval [-band_minus, band_plus] per x node that
     :func:`extract_band` reads from V (NaN on a side it does not find)."""
 
-    V: ScalarField
-    v: ScalarField
+    V: np.ndarray
+    v: np.ndarray
+    grid: Grid2D
     band_plus: np.ndarray
     band_minus: np.ndarray
     residual: float
@@ -151,10 +152,6 @@ class ValueGrid:
     history: tuple = ()
     # the stop test the target grid met: "tolerance" or "floor"
     stopped_by: str = "tolerance"
-
-    @property
-    def grid(self) -> Grid2D:
-        return self.V.grid
 
 
 # ------------------------------------------------------------------ control
@@ -514,12 +511,10 @@ def solve_hjb(params: ModelParams, costs: CostParams, grid: Grid2D,
     whose budget ran out, or of a floor stop whose final Bellman residual
     exceeds ``_FLOOR_RESIDUAL_FACTOR`` times its rounding floor (the
     updates shrank without settling the solve), and ConfigError for
-    ill-posed setups (non-uniform grid, eta below ``ETA_FLOOR``, an
-    ``initial`` of the wrong shape or with non-finite entries).
+    ill-posed setups (eta below ``ETA_FLOOR``, an ``initial`` of the
+    wrong shape or with non-finite entries).
     """
     cfg = cfg or SolverConfig()
-    if not (grid.x_uniform and grid.theta_uniform):
-        raise ConfigError("solver requires uniform grid spacings")
     if costs.kind is CostKind.QUADRATIC:
         if costs.eta < ETA_FLOOR:
             raise ConfigError(
@@ -545,11 +540,10 @@ def solve_hjb(params: ModelParams, costs: CostParams, grid: Grid2D,
             f"{residual:.3e}, more than {_FLOOR_RESIDUAL_FACTOR:g} times it",
             history=hist)
 
-    field = ScalarField(V, grid)
-    bp, bm = extract_band(field, costs.gamma_lin)
-    return ValueGrid(V=field, v=ScalarField(v, grid), band_plus=bp,
-                     band_minus=bm, residual=residual, iterations=iters,
-                     history=hist, stopped_by=stop)
+    bp, bm = extract_band(V, grid, costs.gamma_lin)
+    return ValueGrid(V=V, v=v, grid=grid, band_plus=bp, band_minus=bm,
+                     residual=residual, iterations=iters, history=hist,
+                     stopped_by=stop)
 
 
 # --------------------------------------------------------------- extraction
@@ -565,8 +559,9 @@ def _longest_quiet_run(quiet: np.ndarray):
     return int(starts[k]), int(ends[k])
 
 
-def extract_band(V: ScalarField, gamma_lin: float):
-    """No-trade boundaries at the trading onset of the value field V.
+def extract_band(V: np.ndarray, grid: Grid2D, gamma_lin: float):
+    """No-trade boundaries at the trading onset of the value field V, an
+    (nx, ntheta) array on ``grid``.
 
     Each theta-difference d = (V_{j+1} - V_j) / htheta is placed at its
     cell midpoint.  A node sells where its sell slack -d - gamma_lin of
@@ -582,12 +577,11 @@ def extract_band(V: ScalarField, gamma_lin: float):
     Returns (band_plus, band_minus), per x node: the no-trade interval is
     [-band_minus, band_plus].
     """
-    grid = V.grid
     ht = grid.htheta
-    d = np.diff(V.values, axis=1) / ht
+    d = np.diff(V, axis=1) / ht
     sell = -d - gamma_lin     # slack of node j + 1
     buy = d - gamma_lin       # slack of node j
-    quiet = np.ones(V.values.shape, dtype=bool)
+    quiet = np.ones(V.shape, dtype=bool)
     quiet[:, 1:] &= sell <= 0.0
     quiet[:, :-1] &= buy <= 0.0
     mid = 0.5 * (grid.theta_nodes[:-1] + grid.theta_nodes[1:])

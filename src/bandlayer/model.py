@@ -23,7 +23,6 @@ __all__ = [
     "CostKind",
     "CostParams",
     "Grid2D",
-    "ScalarField",
     "drift",
     "nt_rhs",
     "markowitz_position",
@@ -95,25 +94,18 @@ class CostParams:
             raise ConfigError("eta must be 0 when kind is three_halves")
 
 
-def _spacing(nodes: np.ndarray):
-    steps = np.diff(nodes)
-    if steps.size == 0:
-        return 0.0, True
-    h = float(steps[0])
-    uniform = bool(np.allclose(steps, h, rtol=1e-12, atol=1e-15 * max(1.0, abs(h))))
-    return h, uniform
-
-
 @dataclass(frozen=True)
 class Grid2D:
-    """Rectangular (x, theta) grid with cached spacings."""
+    """Rectangular (x, theta) grid with uniform steps ``hx``, ``htheta``.
+
+    Each axis needs at least 3 strictly increasing nodes at one step, to
+    a relative 1e-12; other nodes raise ConfigError.
+    """
 
     x_nodes: np.ndarray
     theta_nodes: np.ndarray
     hx: float = field(init=False)
     htheta: float = field(init=False)
-    x_uniform: bool = field(init=False)
-    theta_uniform: bool = field(init=False)
 
     def __post_init__(self):
         x = np.asarray(self.x_nodes, dtype=float)
@@ -121,16 +113,17 @@ class Grid2D:
         for name, nodes in (("x", x), ("theta", th)):
             if nodes.ndim != 1 or nodes.size < 3:
                 raise ConfigError(f"{name} axis needs >= 3 nodes")
-            if not np.all(np.diff(nodes) > 0):
+            steps = np.diff(nodes)
+            if not np.all(steps > 0):
                 raise ConfigError(f"{name} nodes must be strictly increasing")
+            h = float(steps[0])
+            if not np.allclose(steps, h, rtol=1e-12,
+                               atol=1e-15 * max(1.0, abs(h))):
+                raise ConfigError(f"{name} nodes must be uniformly spaced")
         object.__setattr__(self, "x_nodes", x)
         object.__setattr__(self, "theta_nodes", th)
-        hx, xu = _spacing(x)
-        ht, tu = _spacing(th)
-        object.__setattr__(self, "hx", hx)
-        object.__setattr__(self, "htheta", ht)
-        object.__setattr__(self, "x_uniform", xu)
-        object.__setattr__(self, "theta_uniform", tu)
+        object.__setattr__(self, "hx", float(x[1] - x[0]))
+        object.__setattr__(self, "htheta", float(th[1] - th[0]))
 
     @property
     def nx(self) -> int:
@@ -148,22 +141,6 @@ class Grid2D:
             raise ConfigError("grid needs >= 3 nodes per axis")
         return cls(np.linspace(x_min, x_max, int(nx)),
                    np.linspace(theta_min, theta_max, int(ntheta)))
-
-
-@dataclass(frozen=True)
-class ScalarField:
-    """Values on a Grid2D, indexed ``values[x_index, theta_index]``."""
-
-    values: np.ndarray
-    grid: Grid2D
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.shape != (self.grid.nx, self.grid.ntheta):
-            raise ConfigError(
-                f"field shape {v.shape} does not match grid "
-                f"({self.grid.nx}, {self.grid.ntheta})")
-        object.__setattr__(self, "values", v)
 
 
 def drift(params: ModelParams, x):

@@ -29,7 +29,7 @@ WIDTH_RATIO_TOL_SMALL = 2e-3
 def test_band_width_grows_like_cube_root_of_gamma(desk_model):
     res = gamma_width_sweep(desk_model, np.geomspace(2e-6, 2e-3, 7))
     small = loglog_fit(res.values[:3], res.measured[:3])
-    gaps = (abs(res.slope - 1 / 3), abs(small.slope - 1 / 3))
+    gaps = (abs(res.fit.slope - 1 / 3), abs(small.slope - 1 / 3))
     ratios = res.measured / np.array(
         [2.0 * small_cost_half_width(desk_model, g) for g in res.values])
     passed = (not res.excluded and gaps[0] <= WIDTH_SLOPE_TOL
@@ -38,12 +38,12 @@ def test_band_width_grows_like_cube_root_of_gamma(desk_model):
               and np.all(np.diff(ratios) <= 0))
     record_acceptance(
         1, "band width ~ gamma^(1/3)", passed,
-        f"slope {res.slope:.5f} +- {res.stderr:.4f} over {res.values.size} "
-        f"gammas, {small.slope:.5f} over the 3 smallest; width / small-cost "
-        f"width {ratios[0]:.5f} -> {ratios[-1]:.5f}; "
+        f"slope {res.fit.slope:.5f} +- {res.fit.stderr:.4f} over "
+        f"{res.values.size} gammas, {small.slope:.5f} over the 3 smallest; "
+        f"width / small-cost width {ratios[0]:.5f} -> {ratios[-1]:.5f}; "
         f"excluded {len(res.excluded)}")
     assert not res.excluded, res.excluded
-    assert gaps[0] <= WIDTH_SLOPE_TOL, res.slope
+    assert gaps[0] <= WIDTH_SLOPE_TOL, res.fit.slope
     assert gaps[1] <= WIDTH_SLOPE_TOL_SMALL, small.slope
     assert abs(ratios[0] - 1.0) <= WIDTH_RATIO_TOL_SMALL, ratios
     assert np.all(np.diff(ratios) <= 0), ratios

@@ -392,7 +392,7 @@ class TestBandGeometry:
         # stored exact slopes vs differentiated spline of the sampled curve
         xs = np.linspace(-0.2, 0.2, 9)
         sp = CubicSpline(desk_band.x_nodes, desk_band.theta_plus)
-        got = desk_band.theta_plus_deriv_at(xs)
+        _, got = desk_band.plus_edge_at(xs)
         np.testing.assert_allclose(got, sp.derivative()(xs), rtol=1e-5)
 
     def test_narrows_with_smaller_cost(self, desk_model, desk_band):
@@ -438,14 +438,14 @@ class TestBandGeometry:
         np.testing.assert_allclose(b.theta_plus, want, rtol=1e-12)
         np.testing.assert_allclose(b.theta_minus, want, rtol=1e-12)
         assert b.flat
-        assert float(b.theta_plus_deriv_at(0.3)) == 0.0
+        assert float(b.plus_edge_at(0.3)[1]) == 0.0
         # the three interpolants and the width on an array reaching past
         # the nodes on both sides: exactly constant, exactly flat
         xs = np.array([-1.7, 0.0, 0.3, 2.5])
-        for got in (b.theta_plus_at(xs), b.theta_minus_at(xs)):
-            assert got.shape == xs.shape
-            assert np.all(got == want)
-        got = b.theta_plus_deriv_at(xs)
+        theta, got = b.plus_edge_at(xs)
+        for level in (b.theta_plus_at(xs), b.theta_minus_at(xs), theta):
+            assert level.shape == xs.shape
+            assert np.all(level == want)
         assert got.shape == xs.shape
         assert np.all(got == 0.0)
         assert np.all(b.theta_minus_deriv == 0.0)

@@ -229,7 +229,7 @@ class TestHjb:
         write_csv(str(ref), ["x", "theta", "value", "speed"],
                   [np.repeat(grid.x_nodes, grid.ntheta),
                    np.tile(grid.theta_nodes, grid.nx),
-                   vg.V.values.ravel(), vg.v.values.ravel()])
+                   vg.V.ravel(), vg.v.ravel()])
         assert (out / "field.csv").read_bytes() == ref.read_bytes()
 
     def test_non_convergence_exits_4(self, tmp_path):

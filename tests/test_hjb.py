@@ -33,7 +33,7 @@ from scipy.sparse.linalg import splu
 
 from bandlayer.errors import ConfigError, ConvergenceError, DomainError
 from bandlayer.model import (CostKind, CostParams, Grid2D, ModelParams,
-                             ScalarField, stationary_std)
+                             stationary_std)
 from bandlayer import asymptotics, experiments, hjb
 from bandlayer.special import fd_weights
 
@@ -114,13 +114,13 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="1 non-finite"):
             hjb.solve_hjb(desk_params, costs, grid, initial=initial)
 
-    def test_nonuniform_grid_rejected(self, desk_params):
+    def test_nonuniform_grid_rejected(self):
+        # the scheme assumes one step per axis; a grid with any other
+        # nodes is refused when it is built, before any solve
         x = np.array([-0.1, -0.02, 0.0, 0.02, 0.1])
         t = np.linspace(-1e-3, 1e-3, 11)
-        grid = Grid2D(x_nodes=x, theta_nodes=t)
-        costs = CostParams(gamma_lin=2e-4, eta=1e-4)
-        with pytest.raises(ConfigError):
-            hjb.solve_hjb(desk_params, costs, grid)
+        with pytest.raises(ConfigError, match="x nodes must be uniformly"):
+            Grid2D(x_nodes=x, theta_nodes=t)
 
 
 # -------------------------------------------------- closed-form oracle
@@ -148,8 +148,8 @@ class TestClosedFormNoTrade:
         vg = hjb.solve_hjb(desk_params, costs, grid)
         exact = self._exact(desk_params, grid)
         scale = np.abs(exact).max()
-        assert np.abs(vg.V.values - exact).max() <= 1e-9 * scale
-        assert np.all(vg.v.values == 0.0)
+        assert np.abs(vg.V - exact).max() <= 1e-9 * scale
+        assert np.all(vg.v == 0.0)
 
     def test_band_masked_when_no_crossing(self, desk_params):
         grid = Grid2D.regular(-0.134, 0.134, 21, -0.05, 0.05, 41)
@@ -164,7 +164,7 @@ class TestClosedFormNoTrade:
         grid = Grid2D.regular(-0.134, 0.134, 21, -0.05, 0.05, 41)
         costs = CostParams(gamma_lin=500.0, eta=1e-4)
         vg = hjb.solve_hjb(desk_params, costs, grid)
-        dp, dm = hjb._one_sided_diffs(vg.V.values, grid.htheta)
+        dp, dm = hjb._one_sided_diffs(vg.V, grid.htheta)
         g = costs.gamma_lin * (1 + 1e-3)
         assert np.all(dp[:, :-1] <= g)
         assert np.all(dm[:, 1:] >= -g)
@@ -176,27 +176,27 @@ class TestClosedFormNoTrade:
 class TestSolvedField:
     def test_residual_bound(self, desk_solve):
         # converged Bellman residual small relative to the value scale
-        scale = max(1.0, np.abs(desk_solve.V.values).max())
+        scale = max(1.0, np.abs(desk_solve.V).max())
         assert desk_solve.residual <= 10 * 1e-9 * scale
 
     def test_no_trade_slopes_bounded(self, desk_solve, coarse_grid):
         gamma = 2e-4
-        dp, dm = hjb._one_sided_diffs(desk_solve.V.values, coarse_grid.htheta)
-        quiet = desk_solve.v.values == 0.0
+        dp, dm = hjb._one_sided_diffs(desk_solve.V, coarse_grid.htheta)
+        quiet = desk_solve.v == 0.0
         bound = gamma * (1 + 1e-3)
         assert np.all(dp[quiet & (dp < np.inf)] <= bound)
         assert np.all(dm[quiet & (dm > -np.inf)] >= -bound)
 
     def test_antisymmetry(self, desk_solve):
         # invariance under (theta, x) -> (-theta, -x)
-        V = desk_solve.V.values
+        V = desk_solve.V
         flipped = V[::-1, ::-1]
         scale = np.abs(V).max()
         assert np.abs(V - flipped).max() <= 1e-6 * scale
 
     def test_velocity_sign(self, desk_solve, coarse_grid):
         # selling above the band, buying below
-        v = desk_solve.v.values
+        v = desk_solve.v
         th = coarse_grid.theta_nodes[None, :]
         bp = desk_solve.band_plus[:, None]
         bm = desk_solve.band_minus[:, None]
@@ -209,8 +209,8 @@ class TestSolvedField:
         # the reported speed maximizes -Gamma|v| - eta v^2 + slope * v,
         # priced on the one-sided difference in the direction of trade
         gamma, eta = 2e-4, 1e-4
-        dp, dm = hjb._one_sided_diffs(desk_solve.V.values, coarse_grid.htheta)
-        v = desk_solve.v.values
+        dp, dm = hjb._one_sided_diffs(desk_solve.V, coarse_grid.htheta)
+        v = desk_solve.v
         sell = v < 0
         buy = v > 0
         v_sell = np.minimum((dm + gamma) / (2 * eta), 0.0)
@@ -251,7 +251,7 @@ class TestCostMonotonicity:
 
 
 def _quadratic_value(x_nodes, theta_nodes, centre, half, gamma):
-    """V = -gamma (theta - centre)^2 / (2 half) per x row.
+    """V = -gamma (theta - centre)^2 / (2 half) per x row, and its grid.
 
     Its theta-differences are V' at the cell midpoints, -gamma (m -
     centre) / half, to rounding, so both slacks are linear in the
@@ -261,7 +261,7 @@ def _quadratic_value(x_nodes, theta_nodes, centre, half, gamma):
     grid = Grid2D(x_nodes=x_nodes, theta_nodes=theta_nodes)
     th = theta_nodes[None, :]
     c, w = np.asarray(centre)[:, None], np.asarray(half)[:, None]
-    return ScalarField(values=-gamma * (th - c) ** 2 / (2.0 * w), grid=grid)
+    return -gamma * (th - c) ** 2 / (2.0 * w), grid
 
 
 class TestBandExtraction:
@@ -273,7 +273,7 @@ class TestBandExtraction:
         centre = 0.05 * x + 0.01234
         half = 0.31 + 0.02 * x ** 2
         bp, bm = hjb.extract_band(
-            _quadratic_value(x, th, centre, half, 0.7), 0.7)
+            *_quadratic_value(x, th, centre, half, 0.7), 0.7)
         np.testing.assert_allclose(bp, centre + half, rtol=0, atol=1e-12)
         np.testing.assert_allclose(bm, half - centre, rtol=0, atol=1e-12)
 
@@ -281,9 +281,8 @@ class TestBandExtraction:
         # a flat V is quiet everywhere: the run touches both edges
         x = np.linspace(-1, 1, 3)
         th = np.linspace(-1, 1, 11)
-        V = ScalarField(values=np.zeros((3, 11)),
-                        grid=Grid2D(x_nodes=x, theta_nodes=th))
-        bp, bm = hjb.extract_band(V, 2e-4)
+        bp, bm = hjb.extract_band(np.zeros((3, 11)),
+                                  Grid2D(x_nodes=x, theta_nodes=th), 2e-4)
         assert np.all(np.isnan(bp)) and np.all(np.isnan(bm))
 
     def test_edge_touching_run_masked(self):
@@ -292,7 +291,7 @@ class TestBandExtraction:
         x = np.linspace(-1, 1, 3)
         th = np.linspace(-1, 1, 101)
         bp, bm = hjb.extract_band(
-            _quadratic_value(x, th, np.full(3, -0.4), np.full(3, 0.9), 0.5),
+            *_quadratic_value(x, th, np.full(3, -0.4), np.full(3, 0.9), 0.5),
             0.5)
         np.testing.assert_allclose(bp, 0.5, rtol=0, atol=1e-12)
         assert np.all(np.isnan(bm))
@@ -374,9 +373,9 @@ class TestRegimeMap:
             grid.theta_nodes[beyond], eta)
         v = np.tile(row, (3, 1))
         edge = np.full(3, theta0)
-        solved = hjb.ValueGrid(V=ScalarField(np.zeros_like(v), grid),
-                               v=ScalarField(v, grid), band_plus=edge,
-                               band_minus=edge, residual=0.0, iterations=0)
+        solved = hjb.ValueGrid(V=np.zeros_like(v), v=v, grid=grid,
+                               band_plus=edge, band_minus=edge, residual=0.0,
+                               iterations=0)
         monkeypatch.setattr(hjb, "solve_hjb", lambda *args: solved)
         report = experiments.regime_map(desk_params, self.COSTS, 0.0,
                                         grid=grid)
@@ -487,7 +486,7 @@ class TestEtaShiftSweep:
             assert predicted == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_slope_is_finite(self, sweep):
-        assert np.isfinite(sweep.slope)
+        assert np.isfinite(sweep.fit.slope)
 
     def test_shifts_stable_under_tighter_tolerance(self, sweep, desk_params):
         # V moves by about 1e-12 between the two stops; a read-out that
@@ -497,6 +496,41 @@ class TestEtaShiftSweep:
         np.testing.assert_array_equal(tight.values, sweep.values)
         np.testing.assert_allclose(tight.measured, sweep.measured,
                                    rtol=1e-6, atol=0.0)
+
+    def test_gauge_excludes_large_etas(self, desk_params, desk_band,
+                                      monkeypatch):
+        # a stub solve whose boundary follows theta0 - wall_offset
+        # eta^(1/3) exactly: every eta whose predicted shift is more than
+        # GAUGE_MAX of the band width is excluded for that reason alone,
+        # and every kept ratio is 1.  The baseline sits at eta 0, since
+        # the law moves a baseline at ETA_FLOOR too, which would scale
+        # each ratio by 1 - (ETA_FLOOR / eta)^(1/3)
+        grid = Grid2D.regular(-0.134, 0.134, 11, -7.5e-3, 7.5e-3, 301)
+        theta0 = float(desk_band.theta_plus_at(0.0))
+        offset = asymptotics.layer_constants(desk_band, 0.0).wall_offset
+
+        def law(params, costs, grid, cfg, initial=None):
+            edge = np.full(grid.nx, theta0 - offset * costs.eta ** (1 / 3))
+            zeros = np.zeros((grid.nx, grid.ntheta))
+            return hjb.ValueGrid(V=zeros, v=zeros, grid=grid,
+                                 band_plus=edge, band_minus=edge,
+                                 residual=0.0, iterations=0)
+
+        monkeypatch.setattr(hjb, "solve_hjb", law)
+        monkeypatch.setattr(hjb, "ETA_FLOOR", 0.0)
+        etas = (1e-6, 1e-5, 1e-4, 1e-3, 3e-3, 3e-2, 1e-1)
+        sweep = experiments.eta_shift_sweep(desk_params, 2e-4, etas,
+                                            grid=grid)
+        gauge = {eta: offset * eta ** (1 / 3) / float(desk_band.width(0.0))
+                 for eta in etas}
+        outside = [eta for eta in etas if gauge[eta] > experiments.GAUGE_MAX]
+        assert outside == [3e-2, 1e-1]
+        assert [eta for eta, _ in sweep.excluded] == outside
+        assert all(reason.startswith("outside validity gauge")
+                   for _, reason in sweep.excluded)
+        np.testing.assert_array_equal(
+            sweep.values, [eta for eta in etas if eta not in outside])
+        np.testing.assert_allclose(sweep.ratios, 1.0, rtol=1e-12, atol=0.0)
 
     def test_eta_at_floor_rejected(self, desk_params):
         etas = (hjb.ETA_FLOOR, 1e-7, 1e-6, 1e-5)
@@ -594,7 +628,7 @@ class TestDiscreteResidual:
 
     def _assert_solves_discrete_equation(self, costs, grid):
         vg = self._solve(costs, grid)
-        V = vg.V.values
+        V = vg.V
         res = _discrete_residual(self.PARAMS, costs, grid, V)
         rows = ~_slope_rows(self.PARAMS, costs, grid)
         assert np.abs(res[rows]).max() <= 1e-10 * np.abs(V).max()
@@ -619,7 +653,7 @@ class TestDiscreteResidual:
         edge = np.zeros((self.EDGE.nx, self.EDGE.ntheta), dtype=bool)
         edge[:, [0, -1]] = True
         optimality = edge & ~_slope_rows(self.PARAMS, costs, self.EDGE)
-        assert np.any(vg.v.values[optimality] != 0.0)
+        assert np.any(vg.v[optimality] != 0.0)
 
     @pytest.mark.parametrize("grid_name, folded", [
         pytest.param("GRID", False, id="GRID"),
@@ -640,7 +674,7 @@ class TestDiscreteResidual:
         n = hjb._fold_rows(grid) if folded else size
         assert n == ((size + 1) // 2 if folded else size)
         A, _, is_bc = hjb._assemble(
-            p, grid, hjb._x_stencil(p, grid), vg.v.values,
+            p, grid, hjb._x_stencil(p, grid), vg.v,
             *hjb._edge_slopes(p, costs, grid), n)
         assert A.shape == (n, n)
         coo = A.tocoo()
@@ -687,8 +721,8 @@ class TestThreeHalvesCost:
         gamma, zeta = 2e-4, 1e-4
         costs = CostParams(gamma_lin=gamma, zeta=zeta, kind=CostKind.THREE_HALVES)
         vg = hjb.solve_hjb(desk_params, costs, coarse_grid)
-        dp, dm = hjb._one_sided_diffs(vg.V.values, coarse_grid.htheta)
-        v = vg.v.values
+        dp, dm = hjb._one_sided_diffs(vg.V, coarse_grid.htheta)
+        v = vg.v
         sell = v < 0
         slack_sell = np.maximum(-dm - gamma, 0.0)
         expect = -((2.0 * slack_sell) / (3.0 * zeta)) ** 2
@@ -730,7 +764,7 @@ class TestStoppingAndErrors:
         costs = CostParams(gamma_lin=2e-4, eta=1e-4)
         cold = hjb.solve_hjb(desk_params, costs, grid)
         warm = hjb.solve_hjb(
-            desk_params, costs, grid, initial=cold.V.values
+            desk_params, costs, grid, initial=cold.V
         )
         assert warm.iterations <= max(2, cold.iterations // 2)
 
@@ -741,12 +775,12 @@ class TestStoppingAndErrors:
         costs = CostParams(gamma_lin=2e-4, eta=1e-4)
         grid = Grid2D.regular(-0.134, 0.134, 31, -7.5e-3, 7.5e-3, 2001)
         vg = hjb.solve_hjb(desk_params, costs, grid)
-        assert vg.residual <= 10 * 1e-9 * max(1.0, np.abs(vg.V.values).max())
+        assert vg.residual <= 10 * 1e-9 * max(1.0, np.abs(vg.V).max())
         i0 = grid.nx // 2
         assert vg.band_plus[i0] > 0
         # no trading node whose velocity sign differs from both of its
         # theta-neighbours
-        s = np.sign(vg.v.values)
+        s = np.sign(vg.v)
         mid = s[:, 1:-1]
         isolated = (mid != 0) & (mid != s[:, :-2]) & (mid != s[:, 2:])
         assert not isolated.any()
@@ -765,7 +799,7 @@ class TestStoppingAndErrors:
                                CostParams(gamma_lin=2e-4, eta=eta),
                                coarse_grid, cfg, initial=V)
             assert vg.stopped_by == "tolerance"
-            ladder[eta] = V = vg.V.values
+            ladder[eta] = V = vg.V
         s5, s6, s7 = (eta ** (1 / 3) for eta in (1e-5, 1e-6, 1e-7))
         seed = V + (V - ladder[1e-5]) * (s7 - s6) / (s6 - s5)
         costs = CostParams(gamma_lin=2e-4, eta=1e-7)
@@ -834,10 +868,10 @@ class TestColdStart:
 
     @staticmethod
     def _assert_same_answer(cold, seeded):
-        V, ref = cold.V.values, seeded.V.values
+        V, ref = cold.V, seeded.V
         assert np.abs(V - ref).max() <= 1e-10 * np.abs(ref).max()
-        np.testing.assert_array_equal(np.sign(cold.v.values),
-                                      np.sign(seeded.v.values))
+        np.testing.assert_array_equal(np.sign(cold.v),
+                                      np.sign(seeded.v))
 
     def test_matches_no_trade_seeded_solve(self, pair):
         self._assert_same_answer(*pair[:2])
@@ -869,7 +903,7 @@ class TestColdStart:
                               hjb.SolverConfig(max_iters=40,
                                                convergence_tol=1e-14))
         assert (tight.stopped_by, ref.stopped_by) == ("floor", "tolerance")
-        V, want = tight.V.values, ref.V.values
+        V, want = tight.V, ref.V
         assert np.abs(V - want).max() <= 1e-10 * np.abs(want).max()
 
     @pytest.mark.parametrize("kind", list(COSTS))
@@ -888,7 +922,7 @@ class TestColdStart:
         for vg, vg0 in ((cold, cold0), (seeded, seeded0)):
             assert vg.stopped_by == "tolerance"
             assert vg.history == vg0.history
-            np.testing.assert_array_equal(vg.V.values, vg0.V.values)
+            np.testing.assert_array_equal(vg.V, vg0.V)
 
     def test_coarse_budget_names_its_level(self, desk_params):
         # 401 nodes are seeded from 201, 101, 51, 26 and 13; the 13-node
@@ -950,12 +984,12 @@ class TestFold:
         return rows, vg
 
     def test_value_is_point_symmetric(self, solved):
-        V = solved[2].V.values
+        V = solved[2].V
         np.testing.assert_array_equal(V, V[::-1, ::-1])
 
     def test_matches_the_unfolded_solve(self, solved, desk_params):
         grid, costs, vg = solved
-        p, v = desk_params, vg.v.values
+        p, v = desk_params, vg.v
         A, rhs, _ = hjb._assemble(p, grid, hjb._x_stencil(p, grid), v,
                                   *hjb._edge_slopes(p, costs, grid))
         assert A.shape[0] == grid.nx * grid.ntheta
@@ -963,12 +997,12 @@ class TestFold:
             splu(A, permc_spec="NATURAL").solve(
                 rhs(hjb._reward(p, costs, grid, v))),
             v.shape, order="F")
-        assert np.abs(vg.V.values - ref).max() <= 1e-10 * np.abs(ref).max()
+        assert np.abs(vg.V - ref).max() <= 1e-10 * np.abs(ref).max()
 
     def test_solves_the_discrete_equation(self, solved, desk_params):
         grid, costs, vg = solved
         self._assert_solves_discrete_equation(desk_params, costs, grid,
-                                              vg.V.values)
+                                              vg.V)
 
     def test_linspace_grid_is_folded(self, desk_params):
         grid = self.GRIDS["odd_N"]
@@ -990,7 +1024,7 @@ class TestFold:
         rows, vg = self._factored_rows(desk_params, costs, grid)
         assert rows and set(rows) == {grid.nx * grid.ntheta}
         self._assert_solves_discrete_equation(desk_params, costs, grid,
-                                              vg.V.values)
+                                              vg.V)
 
     @pytest.mark.parametrize("symmetric", [True, False],
                              ids=["solved", "perturbed"])
@@ -1001,7 +1035,7 @@ class TestFold:
         # the full grid's bit for bit, for a V that is not point-symmetric
         # (a warm start) as well
         grid, costs, vg = solved
-        p, V = desk_params, vg.V.values
+        p, V = desk_params, vg.V
         if not symmetric:
             V = V + 1e-3 * np.abs(V).max() * np.sin(
                 np.arange(V.size).reshape(V.shape))
@@ -1030,7 +1064,7 @@ class TestFold:
             mp.setattr(hjb, "_policy", full_grid_policy)
             ref = hjb.solve_hjb(desk_params, costs, grid, self.CLOSE)
         assert (vg.iterations, vg.history) == (ref.iterations, ref.history)
-        np.testing.assert_array_equal(vg.V.values, ref.V.values)
+        np.testing.assert_array_equal(vg.V, ref.V)
 
 
 # ------------------------------------------------------------ sparse factor
@@ -1086,10 +1120,10 @@ class TestFactor:
             return splu(A, permc_spec="NATURAL")
 
         ref, _ = self._solve(desk_params, costs, grid, factor=default_panel)
-        V, want = vg.V.values, ref.V.values
+        V, want = vg.V, ref.V
         assert np.abs(V - want).max() <= 1e-10 * np.abs(want).max()
-        np.testing.assert_array_equal(np.sign(vg.v.values),
-                                      np.sign(ref.v.values))
+        np.testing.assert_array_equal(np.sign(vg.v),
+                                      np.sign(ref.v))
 
     @pytest.mark.parametrize("start", ["cold", "warm"])
     def test_one_factor_lives_at_a_time(self, desk_params, start):
@@ -1149,7 +1183,7 @@ def _boundary_jumps(vg: hjb.ValueGrid, stencil: int = 4):
     boundary, per x node (NaN where the boundary is missing or too close
     to a theta edge for the stencils)."""
     grid = vg.grid
-    V = vg.V.values
+    V = vg.V
     th = grid.theta_nodes
     nx = grid.nx
     j1 = np.full(nx, np.nan)
@@ -1263,7 +1297,7 @@ class TestContinuityDiagnostics:
         # the orders are medians over x nodes and do not see a solve that
         # stopped early, so hold both to the criterion of test_residual_bound
         for vg in (a, b):
-            assert vg.residual <= 10 * 1e-9 * max(1.0, np.abs(vg.V.values).max())
+            assert vg.residual <= 10 * 1e-9 * max(1.0, np.abs(vg.V).max())
         rep = c2_continuity_check(a, b)
         # first derivative jump vanishes fast, curvature jump at least
         # linearly

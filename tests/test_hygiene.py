@@ -5,8 +5,9 @@ reads, every third-party package imported is declared in
 ``pyproject.toml``, the tests import their conftest one way only, the
 package calls the sparse factor ``splu`` at one site, the studies build
 a grid at one site and a sweep result at one site, the boundary layer
-reads its forcing at one site, and every attribute the benchmark's spans
-hook exists.
+reads its forcing at one site, the speed zones are named in one module
+and the validity gauge read in one function, and every attribute the
+benchmark's spans hook exists.
 
 A stdlib stand-in for a linter's unused-import rule.  A name counts as
 used when it is read anywhere in its module or listed in ``__all__``,
@@ -232,6 +233,32 @@ def test_layer_reads_its_forcing_once():
             names.update(a.asname or a.name for a in node.names)
     edge_terms = sorted(names & {"drift", "rho", "gamma_lin"})
     assert not edge_terms, f"asymptotics reads {edge_terms}"
+
+
+def test_zones_are_named_in_experiments_only():
+    # experiments.regime_map is the one zone classifier; a zone name
+    # written in another module would be a second set of labels
+    zones = {"LAYER", "SQRT", "LINEAR"}
+    owners = sorted({m for m in MODULES
+                     for node in ast.walk(ast.parse((PACKAGE / m).read_text(
+                         encoding="utf-8")))
+                     if isinstance(node, ast.Constant)
+                     and node.value in zones})
+    assert owners == ["experiments.py"], owners
+
+
+def test_gauge_read_in_one_function():
+    # the validity gauge, predicted shift / band width against GAUGE_MAX,
+    # is computed by experiments.eta_shift_sweep alone
+    owners = sorted({getattr(top, "name", f"{m}:{top.lineno}")
+                     for m in MODULES
+                     for top in ast.parse((PACKAGE / m).read_text(
+                         encoding="utf-8")).body
+                     for node in ast.walk(top)
+                     if isinstance(getattr(node, "ctx", None), ast.Load)
+                     and "GAUGE_MAX" in (getattr(node, "id", None),
+                                         getattr(node, "attr", None))})
+    assert owners == ["eta_shift_sweep"], owners
 
 
 def test_benchmark_hooks_resolve():

@@ -7,9 +7,8 @@ import pytest
 
 from bandlayer.errors import ConfigError, RegimeError
 from bandlayer.model import (CostKind, CostParams, Grid2D, ModelParams,
-                             ScalarField, default_x_domain,
-                             drift, markowitz_position, nt_rhs,
-                             stationary_std)
+                             default_x_domain, drift, markowitz_position,
+                             nt_rhs, stationary_std)
 
 
 class TestModelParams:
@@ -97,7 +96,6 @@ class TestGrid2D:
         assert g.nx == 21 and g.ntheta == 11
         assert g.hx == pytest.approx(0.1)
         assert g.htheta == pytest.approx(0.1)
-        assert g.x_uniform and g.theta_uniform
 
     def test_rejects_tiny(self):
         with pytest.raises(ConfigError):
@@ -106,9 +104,3 @@ class TestGrid2D:
     def test_rejects_reversed(self):
         with pytest.raises(ConfigError):
             Grid2D.regular(1.0, -1.0, 21, -0.5, 0.5, 11)
-
-    def test_scalar_field_shape(self):
-        g = Grid2D.regular(-1.0, 1.0, 5, -0.5, 0.5, 7)
-        ScalarField(np.zeros((5, 7)), g)
-        with pytest.raises(ConfigError):
-            ScalarField(np.zeros((7, 5)), g)

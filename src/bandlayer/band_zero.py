@@ -29,9 +29,9 @@ value continues with slope -+gamma_lin in theta.  The construction:
    interval; the endpoints themselves are pinned by boundary optimality,
    which is equivalent to d(dV/dtheta)/dx = 0 at both endpoints.  One
    state evaluation per array of points z = (theta, h+, h-) reads the
-   stacked pair and Green's splines straight from their coefficients at
-   h+ and h- and returns the coefficients, the optimality residuals R+-
-   and their exact 2x3 Jacobian in z, one entry per point.
+   stacked pair and Green's splines at h+ and h- and returns the
+   coefficients, the optimality residuals R+- and their exact 2x3
+   Jacobian in z, one entry per point.
 4. One damped Newton solves R+- = 0 in two of the three coordinates of
    z with the third pinned, at every point of a batch at once; a single
    point is a batch of one.  With theta pinned, one batch maps out the
@@ -56,7 +56,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
+from functools import reduce
 
 import numpy as np
 from scipy.integrate import cumulative_simpson, cumulative_trapezoid, odeint
@@ -101,9 +101,7 @@ class HomogeneousPair:
     psi2') and their derivatives at the knots are (psi1', psi2', psi1'',
     psi2''), psi'' from the defining equation, so no spline system is
     solved; where a second derivative is read off the knots it comes from
-    that equation too, not from the spline.  ``x_quad`` is uniform and is
-    also the knot grid of the Green's spline: ``_level_state`` relies on
-    both to find one knot interval per endpoint for the two splines.
+    that equation too, not from the spline.  ``x_quad`` is uniform.
     """
 
     x_lo: float
@@ -270,9 +268,6 @@ class GreensDecomposition:
     quadrature representation (the integrand cross-terms cancel), the
     second from the defining equations I'' = (2/sigma^2)(rho I - mu I' -
     source), source mu(x) and -2*lam.
-    Its knots are the pair's ``x_quad``, which are the knots of the pair's
-    spline too; ``_level_state`` relies on that to read both splines at
-    one knot interval per endpoint.
     """
 
     params: ModelParams
@@ -283,15 +278,6 @@ class GreensDecomposition:
         """V-particular = theta*drift_part + theta^2/2 * risk_part."""
         drift_part, risk_part, _, _ = np.moveaxis(self.spline(x), -1, 0)
         return theta * drift_part + 0.5 * theta ** 2 * risk_part
-
-    @cached_property
-    def _tables(self):
-        """What :func:`_level_state` reads both splines from: their shared
-        knots ``x_quad``, the knots' inverse spacing and the two
-        coefficient tables (the splines' own arrays, not copies)."""
-        xq = self.pair.x_quad
-        return (xq, float((xq.size - 1) / (xq[-1] - xq[0])),
-                self.pair.spline.c, self.spline.c)
 
 
 def greens_particular(params: ModelParams, pair: HomogeneousPair) -> GreensDecomposition:
@@ -337,41 +323,12 @@ _DET_FLOOR = 1e-13
 _NEWTON_TOL, _NEWTON_ITERS, _HALVINGS, _STALL_TOL = 1e-12, 60, 12, 1e-8
 
 
-def _knot_interval(xq, inv_step, x):
-    """PPoly's knot interval i of x on the uniform grid xq, and s = x - xq[i].
-
-    xq[i] <= x < xq[i+1], closed at the last knot and extended past both
-    ends, for every entry of the array x.  Index arithmetic lands on i
-    or, next to a knot, one off; one comparison with the knots corrects
-    it.
-    """
-    last = xq.size - 2
-    i = np.clip(((x - xq[0]) * inv_step).astype(np.intp), 0, last)
-    i -= (x < xq[i]) & (i > 0)
-    i += (x >= xq[i + 1]) & (i < last)
-    return i, x - xq[i]
-
-
-def _spline_columns(table, i, s):
-    """The columns of a stacked spline at offsets s into knot intervals i
-    (arrays from :func:`_knot_interval`), one array per column.
-
-    Read from its coefficient table, in PPoly's own order of operations,
-    so the values equal ``spline(x)`` bit for bit.
-    """
-    s2 = s * s
-    s3 = s2 * s
-    return [c3 + c2 * s + c1 * s2 + c0 * s3
-            for c0, c1, c2, c3 in np.moveaxis(table[:, i], -1, 0)]
-
-
 def _level_state(comp: GreensDecomposition, gamma_lin, theta, hp, hm):
     """Everything the Newton step needs at (theta, h+, h-) points.
 
     The coordinates are equal-length arrays, one point per entry, and
     every value below is an array of the same length.  Reads both
-    stacked splines at h+ and h- from one knot interval per endpoint (the
-    splines share their knots); psi'' and I_xx there come from the
+    stacked splines at h+ and h-; psi'' and I_xx there come from the
     defining equations.
     ``a1``/``a2`` solve the slope conditions, ``rp``/``rm`` are the
     optimality residuals R+-, ``scale`` the size of their cancelling
@@ -383,12 +340,9 @@ def _level_state(comp: GreensDecomposition, gamma_lin, theta, hp, hm):
     are meaningless.
     """
     p = comp.params
-    xq, inv_step, c_psi, c_grn = comp._tables
-    psi, grn = [], []                       # one row per endpoint
-    for x in (hp, hm):
-        i, s = _knot_interval(xq, inv_step, x)
-        psi.append(_spline_columns(c_psi, i, s))
-        grn.append(_spline_columns(c_grn, i, s))
+    # one row per endpoint, one array per column
+    psi = [comp.pair.spline(x).T for x in (hp, hm)]
+    grn = [comp.spline(x).T for x in (hp, hm)]
     (p1p, p2p, d1p, d2p), (p1m, p2m, d1m, d2m) = psi
     (fp, qp, fdp, qdp), (fm, qm, fdm, qdm) = grn
     det = p1p * p2m - p1m * p2p

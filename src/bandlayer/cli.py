@@ -293,8 +293,8 @@ def _check_rows(cfg: RunConfig):
 def _read_layer_table(path):
     try:
         data = np.genfromtxt(path, delimiter=",", names=True)
-    except OSError as exc:
-        raise ConfigError(f"cannot read layer table {path}: {exc}")
+    except (OSError, ValueError) as exc:       # missing file, ragged rows
+        raise ConfigError(f"cannot read layer table {path}: {exc}") from None
     for col in ("y", "profile", "profile_slope"):
         if col not in (data.dtype.names or ()):
             raise ConfigError(f"layer table {path} lacks column {col!r}")

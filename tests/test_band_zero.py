@@ -759,34 +759,6 @@ class TestLevelNewton:
         assert str(errors[0]).startswith("singular level Newton Jacobian")
 
 
-def _read_points(pair):
-    """Every 997th knot, the midpoints of those knots' intervals, and
-    exactly x_lo and x_hi (x_hi lies in the last interval, at s = h)."""
-    xq = pair.x_quad
-    mids = 0.5 * (xq[:-1] + xq[1:])
-    return np.concatenate([xq[::997], mids[::997], [pair.x_lo, pair.x_hi]])
-
-
-class TestCoefficientRead:
-    """The level state reads both splines from their coefficient tables;
-    that read must equal PPoly.__call__ bit for bit."""
-
-    def _splines(self, band):
-        xq, inv_step, c_psi, c_grn = band.comp._tables
-        return xq, inv_step, ((c_psi, band.comp.pair.spline),
-                              (c_grn, band.comp.spline))
-
-    def test_array_read_is_bit_identical(self, desk_band):
-        xq, inv_step, splines = self._splines(desk_band)
-        xs = _read_points(desk_band.comp.pair)
-        i, s = band_zero._knot_interval(xq, inv_step, xs)
-        for table, spline in splines:
-            got = np.array(band_zero._spline_columns(table, i, s))
-            assert np.array_equal(got, spline(xs).T)
-        # x_hi is read from the last interval, at its right end
-        assert (i[-1], s[-1]) == (xq.size - 2, xq[-1] - xq[-2])
-
-
 def _nearest_level_seeds(band, fixed):
     """Seeds of the node polish as find_band_zero takes them: the swept
     level whose pinned endpoint is nearest each node."""

@@ -399,3 +399,17 @@ class TestCheck:
         assert rc == 1
         report = Path(os.path.join(out, "check_report.txt")).read_text()
         assert "FAIL" in report and "residual" in report
+
+    def test_ragged_layer_table_is_config_error(self, tmp_path, capsys):
+        # a row short of a column is a bad input (exit 2), not a failed
+        # check (exit 1)
+        table = tmp_path / "ragged.csv"
+        table.write_text("y,profile,profile_slope\n0,1,2\n1,2\n")
+        doc = dict(self.desk_doc(), check={"layer_table": str(table)})
+        cfg = write_cfg(tmp_path, doc)
+        rc = main(["check", "--config", cfg, "--out", str(tmp_path / "o"),
+                   "--quiet"])
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: cannot read layer table")
+        assert "ragged.csv" in err

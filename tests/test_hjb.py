@@ -478,11 +478,12 @@ class TestEtaShiftSweep:
 
     def test_prediction_is_the_shifted_boundary(self, sweep, desk_band):
         # the reported prediction is the asymptotic shift of the exact band
+        # from the sweep's own baseline at ETA_FLOOR
         assert sweep.values.size >= 2
-        t0 = float(desk_band.theta_plus_at(0.0))
+        c = asymptotics.layer_constants(desk_band, 0.0)
+        base = asymptotics.shifted_boundary(c, hjb.ETA_FLOOR)
         for eta, predicted in zip(sweep.values, sweep.predicted):
-            want = t0 - asymptotics.shifted_boundary(
-                asymptotics.layer_constants(desk_band, 0.0), eta)
+            want = base - asymptotics.shifted_boundary(c, eta)
             assert predicted == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_slope_is_finite(self, sweep):
@@ -500,11 +501,9 @@ class TestEtaShiftSweep:
     def test_gauge_excludes_large_etas(self, desk_params, desk_band,
                                       monkeypatch):
         # a stub solve whose boundary follows theta0 - wall_offset
-        # eta^(1/3) exactly: every eta whose predicted shift is more than
-        # GAUGE_MAX of the band width is excluded for that reason alone,
-        # and every kept ratio is 1.  The baseline sits at eta 0, since
-        # the law moves a baseline at ETA_FLOOR too, which would scale
-        # each ratio by 1 - (ETA_FLOOR / eta)^(1/3)
+        # eta^(1/3) exactly, the baseline at ETA_FLOOR included: every eta
+        # whose full shift is more than GAUGE_MAX of the band width is
+        # excluded for that reason alone, and every kept ratio is 1
         grid = Grid2D.regular(-0.134, 0.134, 11, -7.5e-3, 7.5e-3, 301)
         theta0 = float(desk_band.theta_plus_at(0.0))
         offset = asymptotics.layer_constants(desk_band, 0.0).wall_offset
@@ -517,7 +516,6 @@ class TestEtaShiftSweep:
                                  residual=0.0, iterations=0)
 
         monkeypatch.setattr(hjb, "solve_hjb", law)
-        monkeypatch.setattr(hjb, "ETA_FLOOR", 0.0)
         etas = (1e-6, 1e-5, 1e-4, 1e-3, 3e-3, 3e-2, 1e-1)
         sweep = experiments.eta_shift_sweep(desk_params, 2e-4, etas,
                                             grid=grid)

@@ -4,10 +4,11 @@ tests is used, no function body in either imports anything, each
 reads, every third-party package imported is declared in
 ``pyproject.toml``, the tests import their conftest one way only, the
 package calls the sparse factor ``splu`` at one site, the studies build
-a grid at one site and a sweep result at one site, the boundary layer
-reads its forcing at one site, the speed zones are named in one module
-and the validity gauge read in one function, and every attribute the
-benchmark's spans hook exists.
+a grid at one site and a sweep result at one site, the band's level
+system reads its spline tables through ``PPoly`` alone, the boundary
+layer reads its forcing at one site, the speed zones are named in one
+module and the validity gauge read in one function, and every attribute
+the benchmark's spans hook exists.
 
 A stdlib stand-in for a linter's unused-import rule.  A name counts as
 used when it is read anywhere in its module or listed in ``__all__``,
@@ -206,6 +207,17 @@ def test_one_newton_in_band_zero():
                    and getattr(node.func, "id", None) == "isinstance"
                    and "ndarray" in ast.unparse(node.args[1])]
     assert not array_tests, array_tests
+
+
+def test_band_tables_read_through_ppoly():
+    # the level system reads the pair's and the Green's Hermite tables by
+    # calling their PPoly; a load of a coefficient array ``.c`` would be
+    # a second spline evaluator beside scipy's
+    tree = ast.parse((PACKAGE / "band_zero.py").read_text(encoding="utf-8"))
+    loads = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr == "c"
+             and isinstance(node.ctx, ast.Load)]
+    assert not loads, f"band_zero.py reads spline coefficients: {loads}"
 
 
 def test_layer_reads_its_forcing_once():

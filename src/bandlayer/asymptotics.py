@@ -18,10 +18,10 @@ profile, the shifted band level, and a composite speed curve that
 splices the strip onto the square-root/linear outer behaviour, whose
 radicand carries the same amp.  The composite is the speed alone: its
 zones are labelled by ``experiments.regime_map``, and the validity gauge
-is judged by ``experiments.eta_shift_sweep``.  The 3/2-power cost analog
-replaces the quadratic balance by a cubic one (an Abel equation), solved
-here by one backward integration along its cube-root asymptote that
-stops at the profile's zero, which fixes the wall offset.
+is judged by ``experiments.eta_shift_sweep``.  A cost coeff |v|^alpha
+replaces the square by sign(f)|f|^q, q = alpha/(alpha-1), solved here by
+one backward integration along its asymptote that stops at the profile's
+zero, which fixes the wall offset.
 
 Everything operates on the zero-eta band produced by band_zero, which
 carries its model and Green's data, so each function here takes the band
@@ -31,7 +31,6 @@ enters only through closed-form corrections.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -44,7 +43,6 @@ from .band_zero import Band, third_derivative_at_band
 from .special import airy_first_max, airy_log_derivative
 
 __all__ = [
-    "LayerKind",
     "LayerConstants",
     "LayerProfile",
     "layer_constants",
@@ -54,13 +52,9 @@ __all__ = [
     "outer_velocity",
     "sqrt_linear_crossover",
     "composite_velocity",
+    "layer_width",
     "abel_layer_solve",
 ]
-
-
-class LayerKind(enum.Enum):
-    AIRY_QUADRATIC = "airy-quadratic"
-    ABEL_THREE_HALVES = "abel-three-halves"
 
 
 # |u| at the first maximum of Ai on the negative axis; wall_offset is
@@ -98,15 +92,15 @@ class LayerConstants:
 
 @dataclass(frozen=True)
 class LayerProfile:
-    """Sampled universal layer profile, either kind.
+    """Sampled universal layer profile of the balance exponent ``power``.
 
     ``f`` is the rescaled slope of the value correction; the physical
-    speed inside the strip is -f/(2*eta^{1/3}) for the quadratic kind.
+    speed inside the strip is -f/(2*eta^{1/3}) at power 2 (Airy).
     ``f_slope`` holds the analytic derivative at the same samples, so
     residual checks never re-differentiate numerically.
     """
 
-    kind: LayerKind
+    power: float
     y: np.ndarray
     f: np.ndarray
     f_slope: np.ndarray
@@ -173,7 +167,7 @@ def layer_profile_airy(c: LayerConstants, y_max: float, n: int = 2001) -> LayerP
     y = np.linspace(0.0, float(y_max), int(n))
     f, f_y = _layer_values(c, y)
     return LayerProfile(
-        kind=LayerKind.AIRY_QUADRATIC, y=y, f=f, f_slope=f_y,
+        power=2.0, y=y, f=f, f_slope=f_y,
         slope_at_zero=c.wall_slope, amp=c.amp, diffusivity=c.diffusivity,
         wall_offset=c.wall_offset)
 
@@ -181,17 +175,17 @@ def layer_profile_airy(c: LayerConstants, y_max: float, n: int = 2001) -> LayerP
 def layer_ode_residual(profile: LayerProfile) -> float:
     """Scaled residual of the defining layer balance over the samples.
 
-    Quadratic kind:    |f^2 - D f_y - A^2 (y - y0)| / (A^2 (1+y))
-    Three-halves kind: |f^3 - D f_y - A^2 (y - y0)| / (A^2 (1+y))
+    |sign(f)|f|^q - D f_y - A^2 (y - y0)| / (A^2 (1+y)),  q = profile.power
 
     Small on authentic profiles; order 1e-2 already for a 1% corruption
     of f, which is what makes it a useful detector of wrong constants or
-    sampling.  It does not check the orbit: for the three-halves kind
-    f_slope is computed from f through this same balance, so any solution
-    of it (not only the one on the cube-root asymptote) passes.
+    sampling.  It does not check the orbit: for a profile of
+    :func:`abel_layer_solve` f_slope is computed from f through this same
+    balance, so any solution of it (not only the one on the asymptote)
+    passes.
     """
-    power = 2 if profile.kind is LayerKind.AIRY_QUADRATIC else 3
-    lhs = profile.f ** power - profile.diffusivity * profile.f_slope
+    f, D = profile.f, profile.diffusivity
+    lhs = f * np.abs(f) ** (profile.power - 1.0) - D * profile.f_slope
     rhs = profile.amp ** 2 * (profile.y - profile.wall_offset)
     scale = profile.amp ** 2 * (1.0 + profile.y)
     return float(np.max(np.abs(lhs - rhs) / scale))
@@ -298,60 +292,64 @@ _ABEL_NEWTON_ITERS, _ABEL_NEWTON_TOL = 20, 1e-12
 _ABEL_MAX_STEPS = 50000
 
 
+def layer_width(aprime: float, bprime: float, q: float) -> float:
+    """Width scale (bprime^q / aprime^(2q-2))^(1/(2q-1)) of the balance of
+    :func:`abel_layer_solve`."""
+    return (bprime ** q / aprime ** (2.0 * q - 2.0)) ** (1.0 / (2.0 * q - 1.0))
+
+
 def abel_layer_solve(aprime: float, bprime: float, y_max: float,
-                     n: int = 4001) -> LayerProfile:
-    """Layer profile for the 3/2-power cost: the cubic balance
+                     n: int = 4001, q: float = 3.0) -> LayerProfile:
+    """Layer profile of the cost coeff |v|^alpha: the balance
 
-        g^3 - bprime * g_y = aprime^2 * (y - offset),  g(0) = 0,
+        sign(g)|g|^q - bprime * g_y = aprime^2 * (y - offset),  g(0) = 0,
 
-    on the orbit that follows the cube-root asymptote g ~ (aprime^2 y)^{1/3}.
+    of exponent q = alpha/(alpha-1) > 1 (3 at alpha 3/2; its closed form
+    at q = 2 is :func:`layer_profile_airy`), on the orbit that follows the
+    asymptote g ~ (aprime^2 y)^{1/q}.
 
-    In w = y - offset the balance reads bprime g_w = g^3 - aprime^2 w,
-    which does not involve the offset, so the asymptotic orbit is one
-    curve G(w) and the wall condition only fixes offset = -w0 at its zero
-    G(w0) = 0.  Every integration starts on that orbit, seeded on the
-    asymptote at w = max(y_max, 10 s), and runs towards decreasing w:
-    departures from the orbit decay in that direction (forward they blow
-    up or dive), and seeding no nearer than 10 s gives the seed error room
-    to die out before w reaches the window, however short the window.
-    The decay rate 3 g^2/bprime grows with w, which makes the pass stiff,
-    hence LSODA (``odeint``, stepping in compiled code) with the analytic
-    Jacobian.  A first pass onto a fixed grid past the zero brackets the
-    first sign change of G; Newton steps, each a short integration from
-    the last positive sample and each using the slope g_w that the
-    balance gives, pin the zero w0; a second pass from the seed writes
-    the samples at w = y - offset.  ``wall_residual`` is that pass's value
-    at the located zero, i.e. how well the two passes agree on the wall;
-    the returned f[0] is set to exactly 0.
+    In w = y - offset the balance does not involve the offset, so the
+    asymptotic orbit is one curve G(w), and the wall condition fixes
+    offset = -w0 at its zero G(w0) = 0.  Every integration starts on that
+    orbit, seeded on the asymptote at w = max(y_max, 10 s), s =
+    :func:`layer_width`, and runs towards decreasing w, where departures
+    from the orbit decay (forward they blow up or dive); 10 s leaves the
+    seed error room to die out however short the window.  The decay rate
+    q |g|^(q-1)/bprime grows with w, so the pass is stiff: LSODA
+    (``odeint``, compiled steps) with the analytic Jacobian.  A first
+    pass onto a fixed grid brackets the first sign change of G; Newton
+    steps, each a short integration from the last positive sample using
+    the slope g_w the balance gives, pin w0; a second pass from the seed
+    writes the samples at w = y - offset.  ``wall_residual`` is that
+    pass's value at the located zero (how well the two passes agree on
+    the wall); the returned f[0] is exactly 0.
 
-    The proportionality constants aprime, bprime are inputs: they carry
-    the model- and units-dependent prefactors that the rescaling does not
-    fix.  Scaling both according to s = (bprime/aprime^{4/3})^{3/5} maps
-    solutions onto one canonical curve; tests rely on that invariance.
+    aprime and bprime carry the model- and units-dependent prefactors;
+    scaling both at fixed s maps solutions onto one canonical curve.
     """
-    if not (aprime > 0.0 and bprime > 0.0):
-        raise ConfigError("aprime and bprime must be > 0")
+    if not (aprime > 0.0 and bprime > 0.0 and q > 1.0):
+        raise ConfigError("aprime and bprime must be > 0, and q > 1")
     if not (y_max > 0.0):
         raise DomainError(f"y_max must be > 0, got {y_max}")
     if n < 9:
         raise ConfigError(f"need at least 9 samples, got {n}")
 
-    s = (bprime / aprime ** (4.0 / 3.0)) ** 0.6  # layer width scale
-    a2 = aprime * aprime
-    g_ref = (a2 * s) ** (1.0 / 3.0)
+    s = layer_width(aprime, bprime, q)
+    a2, p = aprime * aprime, q - 1.0    # sign(g)|g|^q is g |g|^p
+    g_ref = (a2 * s) ** (1.0 / q)
     # one offset beyond the window's far end, and never closer than 10 s
     w_seed = max(float(y_max), 10.0 * s)
-    g_seed = ((a2 * w_seed) ** (1.0 / 3.0)
-              + bprime / (9.0 * (a2 * w_seed) ** (1.0 / 3.0) * w_seed))
+    g_far = (a2 * w_seed) ** (1.0 / q)
+    g_seed = g_far + bprime / (q * q * w_seed * g_far ** (p - 1.0))
 
     def rate(w, g):
-        return (g * g * g - a2 * w) / bprime
+        return (g * abs(g) ** p - a2 * w) / bprime
 
     def backward(g0, w):
         """G at the decreasing points w, starting from G(w[0]) = g0."""
         # LSODA calls back with a 1-array; Python floats cost a fraction
         g, info = odeint(lambda w, g: rate(w, g.item()), [g0], w,
-                         Dfun=lambda w, g: 3.0 * g.item() ** 2 / bprime,
+                         Dfun=lambda w, g: q * abs(g.item()) ** p / bprime,
                          rtol=1e-12, atol=1e-14 * g_ref,
                          mxstep=_ABEL_MAX_STEPS, full_output=True, tfirst=True)
         if info["message"] != "Integration successful.":
@@ -360,7 +358,7 @@ def abel_layer_solve(aprime: float, bprime: float, y_max: float,
                 f"{info['message']}", history=info["tcur"])
         return g[:, 0]
 
-    # the zero of G sits near w = -1.09 s; bracket it on a grid of step s/8
+    # the zero of G sits near w = -s; bracket it on a grid of step s/8
     w_grid = np.concatenate([[w_seed], np.linspace(4.0 * s, -4.0 * s, 65)])
     g_grid = backward(g_seed, w_grid)
     crossed = np.flatnonzero(g_grid <= 0.0)
@@ -387,7 +385,7 @@ def abel_layer_solve(aprime: float, bprime: float, y_max: float,
     g[0] = 0.0  # boundary condition; leftover reported separately
     g_y = rate(y - offset, g)
     return LayerProfile(
-        kind=LayerKind.ABEL_THREE_HALVES, y=y, f=g, f_slope=g_y,
+        power=float(q), y=y, f=g, f_slope=g_y,
         slope_at_zero=float(a2 * offset / bprime), amp=aprime,
         diffusivity=bprime, wall_offset=float(offset),
         wall_residual=wall_residual)

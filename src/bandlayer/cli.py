@@ -27,7 +27,7 @@ from . import asymptotics, band_zero, experiments, hjb
 from .config import BandSpec, LayerSpec, RunConfig, load_config
 from .errors import (BandLayerError, ConfigError, ConvergenceError,
                      DomainError, RegimeError)
-from .model import CostKind, default_x_domain
+from .model import default_x_domain
 from .output import (atomic_write_text, gnuplot_loglog_script,
                      gnuplot_velocity_script, write_csv, write_text_report)
 
@@ -82,17 +82,18 @@ def cmd_layer(cfg: RunConfig, out: str, quiet: bool) -> int:
     band = band_zero.find_band_zero(params, costs.gamma_lin)
     c = asymptotics.layer_constants(band, spec.x)
 
-    if costs.kind is CostKind.THREE_HALVES:
-        if y_max is None:
-            y_max = 150.0 * (c.diffusivity / c.amp ** (4.0 / 3.0)) ** 0.6
-        prof = asymptotics.abel_layer_solve(c.amp, c.diffusivity, y_max,
-                                            n=spec.samples)
-        stem = "layer_abel"
-    else:
+    if costs.power == 2.0:
         if y_max is None:
             y_max = 50.0 * c.wall_offset
         prof = asymptotics.layer_profile_airy(c, y_max, n=spec.samples)
         stem = "layer_airy"
+    else:
+        q = costs.power / (costs.power - 1.0)
+        if y_max is None:
+            y_max = 150.0 * asymptotics.layer_width(c.amp, c.diffusivity, q)
+        prof = asymptotics.abel_layer_solve(c.amp, c.diffusivity, y_max,
+                                            n=spec.samples, q=q)
+        stem = "layer_abel"
 
     path = os.path.join(out, cfg.output_prefix + stem + ".csv")
     write_csv(path, ["y", "profile", "profile_slope"],
@@ -100,7 +101,7 @@ def cmd_layer(cfg: RunConfig, out: str, quiet: bool) -> int:
     residual = asymptotics.layer_ode_residual(prof)
     summary = os.path.join(out, cfg.output_prefix + stem + "_summary.txt")
     write_text_report(summary, [
-        f"kind            {prof.kind.name}",
+        f"power           {prof.power:.17g}",
         f"x               {spec.x:.17g}",
         f"amp             {prof.amp:.17g}",
         f"diffusivity     {prof.diffusivity:.17g}",
@@ -120,8 +121,9 @@ def cmd_hjb(cfg: RunConfig, out: str, quiet: bool) -> int:
     grid = cfg.need("grid")
     vg = hjb.solve_hjb(params, costs, grid, cfg.solver)
 
-    # each axis node is formatted once, with write_csv's real pattern
-    xs, ts = (["%.17g" % v for v in nodes.tolist()]
+    # each axis node is formatted once, with write_csv's real pattern, and
+    # repeated as object arrays, which share the strings
+    xs, ts = (np.array(["%.17g" % v for v in nodes.tolist()], dtype=object)
               for nodes in (grid.x_nodes, grid.theta_nodes))
     field_path = os.path.join(out, cfg.output_prefix + "field.csv")
     write_csv(field_path, ["x", "theta", "value", "speed"],
@@ -249,9 +251,8 @@ def _check_rows(cfg: RunConfig):
     if cfg.check is not None and cfg.check.layer_table:
         y, f, f_slope = _read_layer_table(cfg.check.layer_table)
         prof = asymptotics.LayerProfile(
-            kind=asymptotics.LayerKind.AIRY_QUADRATIC, y=y, f=f,
-            f_slope=f_slope, slope_at_zero=c.wall_slope, amp=c.amp,
-            diffusivity=c.diffusivity, wall_offset=c.wall_offset)
+            power=2.0, y=y, f=f, f_slope=f_slope, slope_at_zero=c.wall_slope,
+            amp=c.amp, diffusivity=c.diffusivity, wall_offset=c.wall_offset)
         source = os.path.basename(cfg.check.layer_table)
     else:
         prof = asymptotics.layer_profile_airy(c, 50.0 * c.wall_offset)
@@ -293,11 +294,13 @@ def _check_rows(cfg: RunConfig):
 def _read_layer_table(path):
     try:
         data = np.genfromtxt(path, delimiter=",", names=True)
-    except (OSError, ValueError) as exc:       # missing file, ragged rows
+    except (OSError, ValueError, IndexError) as exc:  # no file/header, ragged
         raise ConfigError(f"cannot read layer table {path}: {exc}") from None
     for col in ("y", "profile", "profile_slope"):
         if col not in (data.dtype.names or ()):
             raise ConfigError(f"layer table {path} lacks column {col!r}")
+    if data.size == 0:
+        raise ConfigError(f"layer table {path} has no rows")
     return data["y"], data["profile"], data["profile_slope"]
 
 

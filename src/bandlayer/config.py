@@ -12,7 +12,8 @@ rules and the defaults live in one place.  Numbers must be finite; JSON
 Sections and their keys (* marks a required key):
 
 * ``model``: sigma*, omega*, lam*, rho*
-* ``costs``: gamma_lin*, eta, zeta, kind ("quadratic" or "three_halves")
+* ``costs``: gamma_lin*, eta, zeta, kind: "quadratic" spells power 2 with
+  coefficient eta, "three_halves" power 1.5 with coefficient zeta
 * ``grid``: x_min*, x_max*, nx*, theta_min*, theta_max*, ntheta*
 * ``solver``: max_iters, convergence_tol
 * ``band``: x_nodes or count
@@ -33,7 +34,7 @@ import sys
 from dataclasses import dataclass
 
 from .errors import ConfigError
-from .model import CostKind, CostParams, Grid2D, ModelParams
+from .model import CostParams, Grid2D, ModelParams
 from .experiments import ValidityParams
 from .hjb import SolverConfig
 
@@ -85,6 +86,21 @@ def _output(prefix: str = "") -> str:
     return prefix
 
 
+def _costs(gamma_lin: float, eta: float = 0.0, zeta: float = 0.0,
+           kind: str = "quadratic") -> CostParams:
+    """CostParams of eta |v|^2 (quadratic) or zeta |v|^{3/2} (three_halves)."""
+    if kind == "quadratic":
+        if zeta != 0.0:
+            raise ConfigError("zeta must be 0 when kind is quadratic")
+        return CostParams(gamma_lin, eta, 2.0)
+    if kind == "three_halves":
+        if eta != 0.0:
+            raise ConfigError("eta must be 0 when kind is three_halves")
+        return CostParams(gamma_lin, zeta, 1.5)
+    raise ConfigError(
+        f"costs.kind must be quadratic or three_halves; got {kind!r}")
+
+
 @dataclass(frozen=True)
 class RunConfig:
     model: ModelParams | None = None
@@ -108,14 +124,14 @@ class RunConfig:
 
 
 # section -> (the builder it is passed to, its keys' JSON types, its
-# required keys); a type is float (number), int, str, tuple (non-empty
-# list of numbers) or an enum named by its string value
+# required keys); a type is float (number), int, str or tuple (non-empty
+# list of numbers)
 _SECTIONS = {
     "model": (ModelParams, dict.fromkeys(("sigma", "omega", "lam", "rho"),
                                          float),
               ("sigma", "omega", "lam", "rho")),
-    "costs": (CostParams, {"gamma_lin": float, "eta": float, "zeta": float,
-                           "kind": CostKind}, ("gamma_lin",)),
+    "costs": (_costs, {"gamma_lin": float, "eta": float, "zeta": float,
+                       "kind": str}, ("gamma_lin",)),
     "grid": (Grid2D.regular, {"x_min": float, "x_max": float, "nx": int,
                               "theta_min": float, "theta_max": float,
                               "ntheta": int},
@@ -133,7 +149,7 @@ _SECTIONS = {
     "output": (_output, {"prefix": str}, ()),
 }
 
-# the JSON type each kind reads and its name; an enum reads a string
+# the JSON type each kind reads and its name; str reads a string
 _JSON = {float: ((int, float), "a number"), int: (int, "an integer")}
 
 
@@ -163,12 +179,7 @@ def _read(value, kind, where: str):
     if kind is float and not abs(value) <= sys.float_info.max:
         raise ConfigError(f"config {where}: expected a finite number, "
                           f"got {value!r}")
-    try:
-        return kind(value)
-    except ValueError:
-        raise ConfigError(
-            f"config {where}: unknown kind {value!r}; expected "
-            + " or ".join(repr(m.value) for m in kind)) from None
+    return kind(value)
 
 
 def parse_config(raw: dict) -> RunConfig:

@@ -44,7 +44,6 @@ import numpy as np
 
 from .errors import ConfigError, ConvergenceError, DomainError, RegimeError
 from .model import (
-    CostKind,
     CostParams,
     Grid2D,
     ModelParams,
@@ -284,7 +283,7 @@ def eta_shift_sweep(params: ModelParams, gamma_lin: float, eta_list,
     measured = {}
     V = None
     for eta in sorted(keep, reverse=True) + [hjb.ETA_FLOOR]:
-        vg = hjb.solve_hjb(params, CostParams(gamma_lin=gamma_lin, eta=eta),
+        vg = hjb.solve_hjb(params, CostParams(gamma_lin, eta),
                            grid, cfg, initial=V)
         V = vg.V
         measured[eta] = float(vg.band_plus[i])
@@ -426,9 +425,9 @@ def regime_map(params: ModelParams, costs: CostParams, x: float,
     + amp^2/4)), is 3/4 exactly at ``sqrt_linear_crossover``.
     Boundaries between zones are recorded where the walk switches.
     """
-    if costs.kind is not CostKind.QUADRATIC:
+    if costs.power != 2.0:
         raise ConfigError("regime_map models the quadratic speed cost")
-    eta = costs.eta
+    eta = costs.coeff
     if not (eta > 0):
         raise ConfigError("regime_map needs eta > 0")
 

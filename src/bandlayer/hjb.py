@@ -7,7 +7,7 @@ equation
     rho V = mu(x) theta - lam theta^2 + H(V_theta) + L_x V
 
 with H the maximized trading Hamiltonian (linear cost gamma_lin plus a
-quadratic eta v^2 or power zeta |v|^{3/2} term) is discretized with a
+power-law term coeff |v|^power, any power > 1) is discretized with a
 monotone upwind scheme (monotonicity is what makes it converge; Barles &
 Souganidis, 1991) and solved by policy iteration, one sparse LU per
 policy.  The x-part of the operator does not depend on the policy; it is
@@ -25,7 +25,7 @@ the finer level anyway.
 Grid layout note: fields are (nx, ntheta) arrays; the sparse system is
 ordered x-fastest (k = i + j*nx) so the matrix bandwidth is nx.  The
 problem is point-symmetric about (0, 0): the drift -omega x is odd and
-both costs depend on |v| alone, so V(-x, -theta) = V(x, theta).  On a
+the cost depends on |v| alone, so V(-x, -theta) = V(x, theta).  On a
 grid that is itself point-symmetric about (0, 0) (each axis its own
 negated reverse, to a few ulps) the mirror of node k is N-1-k, and each
 policy system is folded onto its first ceil(N/2) rows; see
@@ -47,7 +47,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .errors import ConfigError, ConvergenceError
-from .model import (CostKind, CostParams, Grid2D, ModelParams, drift,
+from .model import (CostParams, Grid2D, ModelParams, drift,
                     markowitz_position, nt_rhs, small_cost_half_width)
 
 __all__ = [
@@ -58,8 +58,8 @@ __all__ = [
 ]
 
 
-# smallest quadratic cost eta accepted: below it the discrete control is
-# too stiff to trust (the shift sweep also uses it as its baseline eta)
+# smallest cost coefficient accepted at any power: below it the discrete
+# control is too stiff to trust (also the shift sweep's baseline eta)
 ETA_FLOOR = 1e-8
 # velocity cap, as a multiple of the speed scale the grid can call for
 VELOCITY_CAP_FACTOR = 10.0
@@ -115,8 +115,8 @@ class SolverConfig:
     previous one.  ``max_iters`` caps every level, while
     ``ValueGrid.iterations`` and ``history`` count the target grid only.
 
-    The eta floor and the velocity cap are not settable; they are the
-    module constants ``ETA_FLOOR`` and ``VELOCITY_CAP_FACTOR``.  Neither
+    The coefficient floor and the velocity cap are not settable; they are
+    the module constants ``ETA_FLOOR`` and ``VELOCITY_CAP_FACTOR``.  Neither
     is the sparse factor's panel width, ``_PANEL_SIZE``, which was set by
     timing.  The band is read at the trading onset (:func:`extract_band`),
     which has no parameter.
@@ -167,35 +167,36 @@ def _hamiltonian(costs: CostParams, d_plus, d_minus, cap):
     g = costs.gamma_lin
     s_buy = np.maximum(d_plus - g, 0.0)
     s_sell = np.maximum(-d_minus - g, 0.0)
-    if costs.kind is CostKind.QUADRATIC:
-        v_buy = np.minimum(s_buy / (2.0 * costs.eta), cap)
-        v_sell = np.minimum(s_sell / (2.0 * costs.eta), cap)
-    else:
-        v_buy = np.minimum((2.0 * s_buy / (3.0 * costs.zeta)) ** 2, cap)
-        v_sell = np.minimum((2.0 * s_sell / (3.0 * costs.zeta)) ** 2, cap)
+    v_buy = np.minimum(_speed(costs, s_buy), cap)
+    v_sell = np.minimum(_speed(costs, s_sell), cap)
     h_buy = v_buy * s_buy - _nl_cost(costs, v_buy)
     h_sell = v_sell * s_sell - _nl_cost(costs, v_sell)
     return np.where(h_sell > h_buy, -v_sell, v_buy)
 
 
+def _speed(costs: CostParams, slack):
+    """Speed v >= 0 maximizing v * slack - coeff * v^power, slack >= 0."""
+    a = costs.power
+    return (slack / (a * costs.coeff)) ** (1.0 / (a - 1.0))
+
+
 def _nl_cost(costs: CostParams, speed):
-    """Nonlinear cost rate at trading speed |v| = speed >= 0."""
-    if costs.kind is CostKind.QUADRATIC:
-        return costs.eta * speed ** 2
-    return costs.zeta * speed ** 1.5
+    """Nonlinear cost rate coeff * speed^power at a speed >= 0."""
+    return costs.coeff * speed ** costs.power
 
 
 def _velocity_cap(params: ModelParams, costs: CostParams,
                   grid: Grid2D) -> float:
+    """``VELOCITY_CAP_FACTOR`` times the speed at the reward's largest
+    theta-slope, at least 1, plus sqrt(lam / coeff) * span at power 2 only:
+    the cap binds on coarse seeding levels, so it sets their seeds."""
     span = float(grid.theta_nodes[-1] - grid.theta_nodes[0])
     mu_max = params.omega * max(abs(float(grid.x_nodes[0])),
                                 abs(float(grid.x_nodes[-1])))
     slope = params.lam * span ** 2 + mu_max * span + costs.gamma_lin
-    if costs.kind is CostKind.QUADRATIC:
-        base = slope / (2.0 * costs.eta) + math.sqrt(params.lam / costs.eta) * span
-    else:
-        base = (2.0 * slope / (3.0 * costs.zeta)) ** 2
-    return VELOCITY_CAP_FACTOR * max(base, 1.0)
+    far = math.sqrt(params.lam / costs.coeff) * span \
+        if costs.power == 2.0 else 0.0
+    return VELOCITY_CAP_FACTOR * max(_speed(costs, slope) + far, 1.0)
 
 
 # ----------------------------------------------------------- edge conditions
@@ -203,13 +204,15 @@ def _velocity_cap(params: ModelParams, costs: CostParams,
 def _edge_slopes(params: ModelParams, costs: CostParams, grid: Grid2D):
     """Analytic far-field slope of V at the two theta edges, per x node.
 
-    The rebalancing asymptote gives V_theta = -+gamma_lin -+ c(rad) with
-    rad = lam (theta - theta*)^2 - lam w_est^2, theta* the cost-free
-    position and w_est the small-cost half-width estimate.  Where rad <= 0
-    the band may reach the edge and the asymptote is meaningless; those
-    nodes fall back to a one-sided optimality row (mask False).
+    The rebalancing asymptote gives V_theta = -+gamma_lin -+ c, the slack
+    c at which sup_v (v c - coeff v^power) is rad = lam (theta - theta*)^2
+    - lam w_est^2, theta* the cost-free position and w_est the small-cost
+    half-width estimate.  Where rad <= 0 the band may reach the edge and
+    the asymptote is meaningless; those nodes fall back to a one-sided
+    optimality row (mask False).
     """
     x = grid.x_nodes
+    a = costs.power
     star = markowitz_position(params, x)
     w_est = small_cost_half_width(params, costs.gamma_lin)
     out = []
@@ -218,11 +221,8 @@ def _edge_slopes(params: ModelParams, costs: CostParams, grid: Grid2D):
         rad = params.lam * (theta_e - star) ** 2 - params.lam * w_est ** 2
         usable = rad > 0.0
         rad = np.where(usable, rad, 0.0)
-        if costs.kind is CostKind.QUADRATIC:
-            extra = 2.0 * np.sqrt(costs.eta * rad)
-        else:
-            extra = (27.0 / 4.0) ** (1.0 / 3.0) * costs.zeta ** (2.0 / 3.0) \
-                * rad ** (1.0 / 3.0)
+        extra = a * (costs.coeff ** (1.0 / (a - 1.0)) * rad
+                     / (a - 1.0)) ** ((a - 1.0) / a)
         out.append((usable, sign * (costs.gamma_lin + extra)))
     return tuple(out)
 
@@ -511,17 +511,14 @@ def solve_hjb(params: ModelParams, costs: CostParams, grid: Grid2D,
     whose budget ran out, or of a floor stop whose final Bellman residual
     exceeds ``_FLOOR_RESIDUAL_FACTOR`` times its rounding floor (the
     updates shrank without settling the solve), and ConfigError for
-    ill-posed setups (eta below ``ETA_FLOOR``, an ``initial`` of the
-    wrong shape or with non-finite entries).
+    ill-posed setups (a cost coefficient below ``ETA_FLOOR`` at any power,
+    an ``initial`` of the wrong shape or with non-finite entries).
     """
     cfg = cfg or SolverConfig()
-    if costs.kind is CostKind.QUADRATIC:
-        if costs.eta < ETA_FLOOR:
-            raise ConfigError(
-                f"eta={costs.eta:g} below ETA_FLOOR={ETA_FLOOR:g}; "
-                "the discrete control is not trustworthy there")
-    elif costs.zeta <= 0.0:
-        raise ConfigError("three-halves cost needs zeta > 0")
+    if not costs.coeff >= ETA_FLOOR:
+        raise ConfigError(
+            f"cost coefficient {costs.coeff:g} below ETA_FLOOR="
+            f"{ETA_FLOOR:g}; the discrete control is not trustworthy there")
 
     V = None if initial is None else np.array(initial, dtype=float)
     if V is not None:

@@ -4,13 +4,13 @@ The state is a pair (position theta, signal x).  The signal is mean
 reverting with rate ``omega`` and volatility ``sigma`` (time unit: one
 day), the running reward is ``mu(x)*theta - lam*theta**2`` and trading
 is penalized by a linear cost ``gamma_lin`` per unit traded plus a small
-nonlinear cost (quadratic ``eta`` or 3/2-power ``zeta``).  The long-run
+nonlinear cost ``coeff * |v|**power`` at speed v, any power > 1 (2 is the
+quadratic cost eta, 1.5 the three-halves cost zeta).  The long-run
 average objective is regularized by a small discount rate ``rho``.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass, field
 
@@ -20,7 +20,6 @@ from .errors import ConfigError, RegimeError
 
 __all__ = [
     "ModelParams",
-    "CostKind",
     "CostParams",
     "Grid2D",
     "drift",
@@ -64,34 +63,21 @@ class ModelParams:
             raise ConfigError(f"rho must be > 0, got {self.rho}")
 
 
-class CostKind(enum.Enum):
-    QUADRATIC = "quadratic"
-    THREE_HALVES = "three_halves"
-
-
 @dataclass(frozen=True)
 class CostParams:
-    """Trading-cost structure.
-
-    ``gamma_lin`` is the linear cost per unit traded.  Exactly one of the
-    nonlinear coefficients is active: ``eta`` (quadratic in speed) when
-    ``kind`` is QUADRATIC, ``zeta`` (3/2 power) when THREE_HALVES.
-    """
+    """Trading-cost structure: ``gamma_lin`` per unit traded plus the
+    nonlinear cost rate ``coeff * |v|**power`` at trading speed v."""
 
     gamma_lin: float
-    eta: float = 0.0
-    zeta: float = 0.0
-    kind: CostKind = CostKind.QUADRATIC
+    coeff: float = 0.0
+    power: float = 2.0
 
     def __post_init__(self):
         if not (self.gamma_lin > 0):
             raise ConfigError(f"gamma_lin must be > 0, got {self.gamma_lin}")
-        if self.eta < 0 or self.zeta < 0:
-            raise ConfigError("nonlinear cost coefficients must be >= 0")
-        if self.kind is CostKind.QUADRATIC and self.zeta != 0.0:
-            raise ConfigError("zeta must be 0 when kind is quadratic")
-        if self.kind is CostKind.THREE_HALVES and self.eta != 0.0:
-            raise ConfigError("eta must be 0 when kind is three_halves")
+        if not (self.coeff >= 0 and self.power > 1):
+            raise ConfigError("nonlinear cost needs coeff >= 0 and power > 1,"
+                              f" got coeff={self.coeff}, power={self.power}")
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,8 @@ from .errors import ConfigError
 
 # CSV rows formatted and written per block
 _CSV_BLOCK_ROWS = 4096
+# printf pattern by dtype kind: labels as they are, bools 1/0, else real
+_PATTERNS = {"U": "%s", "O": "%s", "b": "%d"}
 
 
 def _format_real(x) -> str:
@@ -59,9 +61,10 @@ def atomic_write_text(path: str, text: str) -> None:
 def write_csv(path: str, header, columns) -> None:
     """Write named columns as comma-separated text with LF endings.
 
-    ``columns`` may mix real arrays, bool arrays (written 1/0) and string
-    sequences (labels); real entries get the lossless 17-digit rendering,
-    which spells nan and +-inf as :func:`_format_real` does.  The rows
+    ``columns`` may mix real arrays, bool arrays (written 1/0) and labels,
+    string sequences or object arrays of strings; real entries get the
+    lossless 17-digit rendering, which spells nan and +-inf as
+    :func:`_format_real` does.  The rows
     are formatted and written ``_CSV_BLOCK_ROWS`` at a time through the
     same temp-file-plus-rename as :func:`atomic_write_text`, so an error
     in any block leaves neither the target nor a temp file behind.
@@ -78,8 +81,7 @@ def write_csv(path: str, header, columns) -> None:
             raise ConfigError("write_csv: columns must be 1-d, equal length")
     # one printf pattern per row, applied to each block's columns
     # converted to Python scalars once
-    fmt = ",".join({"U": "%s", "b": "%d"}.get(c.dtype.kind, "%.17g")
-                   for c in cols)
+    fmt = ",".join(_PATTERNS.get(c.dtype.kind, "%.17g") for c in cols)
     with _atomic_open(path) as fh:
         fh.write(",".join(header) + "\n")
         for start in range(0, n, _CSV_BLOCK_ROWS):

@@ -10,7 +10,9 @@ Oracles used here:
   - forward shots from the wall, which straddle the Abel offset (the
     solver integrates the other way, so this is an independent route);
   - one ``solve_ivp`` pass stopped at the Abel wall zero by an event,
-    in place of the solver's compiled passes and Newton on the zero.
+    in place of the solver's compiled passes and Newton on the zero;
+  - the Airy closed form, which the generic layer pass must reproduce
+    at the quadratic cost's exponent q = 2.
 """
 
 import dataclasses
@@ -399,21 +401,23 @@ def abel_forward_class(aprime, bprime, offset, y_max):
     return -1 if sol.t_events[1].size else 0
 
 
-def abel_event_pass(aprime, bprime, y_max, n):
-    """The Abel layer as one ``solve_ivp`` LSODA pass from the same seed,
-    stopped at the wall zero by a terminal event and sampled from its
-    dense output: (offset, f)."""
-    s = (bprime / aprime ** (4.0 / 3.0)) ** 0.6
+def abel_event_pass(aprime, bprime, y_max, n, q=3):
+    """The layer of balance exponent q as one ``solve_ivp`` LSODA pass from
+    the same seed, stopped at the wall zero by a terminal event and
+    sampled from its dense output: (offset, f)."""
+    s = (bprime ** q / aprime ** (2 * q - 2)) ** (1.0 / (2 * q - 1))
     a2 = aprime * aprime
     w_seed = max(float(y_max), 10.0 * s)
-    g_seed = ((a2 * w_seed) ** (1.0 / 3.0)
-              + bprime / (9.0 * (a2 * w_seed) ** (1.0 / 3.0) * w_seed))
+    g_far = (a2 * w_seed) ** (1.0 / q)
+    # first correction to the asymptote, from q g_far^(q-1) dg = bprime g_far'
+    g_seed = g_far + bprime * g_far / (q * q * w_seed * g_far ** (q - 1))
     wall = lambda w, g: g[0]
     wall.terminal = True
-    sol = solve_ivp(lambda w, g: (g ** 3 - a2 * w) / bprime,
+    sol = solve_ivp(lambda w, g: (np.sign(g) * np.abs(g) ** q - a2 * w)
+                    / bprime,
                     (w_seed, -4.0 * s), [g_seed], method="LSODA",
-                    jac=lambda w, g: [[3.0 * g[0] ** 2 / bprime]],
-                    rtol=1e-12, atol=1e-14 * (a2 * s) ** (1.0 / 3.0),
+                    jac=lambda w, g: [[q * abs(g[0]) ** (q - 1) / bprime]],
+                    rtol=1e-12, atol=1e-14 * (a2 * s) ** (1.0 / q),
                     events=wall, dense_output=True)
     offset = -float(sol.t_events[0][0])
     f = sol.sol(np.linspace(0.0, y_max, n) - offset)[0]
@@ -429,6 +433,32 @@ class TestAbelLayer:
         offset, f = abel_event_pass(a, b, 150.0 * s, 2001)
         assert pr.wall_offset == pytest.approx(offset, rel=1e-11, abs=0)
         assert np.max(np.abs(pr.f - f)) <= 1e-10 * np.max(np.abs(f))
+
+    def test_matches_event_pass_at_another_power(self):
+        # q = 7/3 is the cost power 1.75, which no closed form covers
+        q, y_max = 7.0 / 3.0, 150.0
+        pr = asy.abel_layer_solve(1.0, 1.0, y_max=y_max, n=2001, q=q)
+        offset, f = abel_event_pass(1.0, 1.0, y_max, 2001, q=q)
+        assert pr.power == q
+        assert pr.wall_offset == pytest.approx(offset, rel=1e-11, abs=0)
+        assert np.max(np.abs(pr.f - f)) <= 1e-10 * np.max(np.abs(f))
+        assert asy.layer_ode_residual(pr) <= 1e-8
+
+    def test_square_balance_is_the_airy_profile(self, desk_constants):
+        # at q = 2 the balance is the quadratic cost's, whose closed form
+        # is the Airy profile; the generic pass is checked against it
+        c = desk_constants
+        y_max = 50.0 * c.wall_offset
+        airy = asy.layer_profile_airy(c, y_max, n=2001)
+        pr = asy.abel_layer_solve(c.amp, c.diffusivity, y_max, n=2001, q=2.0)
+        assert asy.layer_width(c.amp, c.diffusivity, 2.0) * c.arg_scale \
+            == pytest.approx(1.0, rel=1e-14)
+        assert pr.power == airy.power == 2.0
+        np.testing.assert_array_equal(pr.y, airy.y)
+        assert pr.wall_offset == pytest.approx(c.wall_offset, rel=1e-9, abs=0)
+        assert np.max(np.abs(pr.f - airy.f)) <= 1e-9 * np.max(airy.f)
+        assert np.max(np.abs(pr.f_slope - airy.f_slope)) \
+            <= 1e-7 * np.max(np.abs(airy.f_slope))
 
     def test_no_sign_change_raises(self, monkeypatch):
         # a pass that never crosses zero has no wall to report
@@ -510,6 +540,8 @@ class TestAbelLayer:
             asy.abel_layer_solve(-1.0, 1.0, y_max=10.0)
         with pytest.raises(DomainError):
             asy.abel_layer_solve(1.0, 1.0, y_max=0.0)
+        with pytest.raises(ConfigError):
+            asy.abel_layer_solve(1.0, 1.0, y_max=10.0, q=1.0)
 
 
 # ---------------------------------------------------------------- validity

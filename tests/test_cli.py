@@ -157,6 +157,9 @@ class TestLayer:
         t = read_csv(os.path.join(out, "layer_abel.csv"))
         assert t["profile"][0] == 0.0
         assert np.all(t["profile"][1:] > 0)
+        # the summary names the balance exponent q = 1.5 / (1.5 - 1)
+        summary = Path(out, "layer_abel_summary.txt").read_text()
+        assert summary.splitlines()[0].split() == ["power", "3"]
 
     def test_zero_y_max_is_config_error(self, tmp_path):
         # 0 must not be mistaken for "unset" and replaced by the default
@@ -413,3 +416,26 @@ class TestCheck:
         err = capsys.readouterr().err
         assert err.startswith("config error: cannot read layer table")
         assert "ragged.csv" in err
+
+    def test_header_only_layer_table_is_config_error(self, tmp_path, capsys):
+        # a table with its columns but no rows is a bad input too, and so
+        # is an empty file, on which numpy warns before it fails
+        table = tmp_path / "header.csv"
+        table.write_text("y,profile,profile_slope\n")
+        empty = tmp_path / "empty.csv"
+        empty.write_text("")
+        out = str(tmp_path / "o")
+        doc = dict(self.desk_doc(), check={"layer_table": str(table)})
+        rc = main(["check", "--config", write_cfg(tmp_path, doc), "--out",
+                   out, "--quiet"])
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == f"config error: layer table {table} has no rows\n"
+        doc = dict(self.desk_doc(), check={"layer_table": str(empty)})
+        with pytest.warns(UserWarning, match="Empty input file"):
+            rc = main(["check", "--config", write_cfg(tmp_path, doc),
+                       "--out", out, "--quiet"])
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: cannot read layer table")
+        assert "empty.csv" in err

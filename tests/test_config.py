@@ -10,7 +10,6 @@ import pytest
 from bandlayer.config import _SECTIONS, SweepSpec, load_config, parse_config
 from bandlayer.errors import ConfigError
 from bandlayer.hjb import SolverConfig
-from bandlayer.model import CostKind
 
 
 def full_raw():
@@ -34,7 +33,7 @@ class TestParse:
     def test_full_document_round_trips(self):
         cfg = parse_config(full_raw())
         assert cfg.model.sigma == 0.02
-        assert cfg.costs.kind is CostKind.QUADRATIC
+        assert (cfg.costs.coeff, cfg.costs.power) == (1e-6, 2.0)
         assert cfg.grid.nx == 11
         assert cfg.solver.max_iters == 50
         assert cfg.band.count == 21
@@ -145,8 +144,17 @@ class TestParse:
         raw["costs"] = {"gamma_lin": 2e-4, "kind": "three_halves",
                         "zeta": 1e-4}
         cfg = parse_config(raw)
-        assert cfg.costs.kind is CostKind.THREE_HALVES
-        assert cfg.costs.zeta == 1e-4
+        assert (cfg.costs.coeff, cfg.costs.power) == (1e-4, 1.5)
+
+    def test_rejects_wrong_coefficient(self):
+        # eta and zeta are the coefficients of the two kinds; the other
+        # kind's coefficient must be 0, the default kind quadratic included
+        raw = full_raw()
+        for costs in ({"kind": "quadratic", "zeta": 1e-6}, {"zeta": 1e-6},
+                      {"kind": "three_halves", "eta": 1e-6}):
+            raw["costs"] = {"gamma_lin": 2e-4, **costs}
+            with pytest.raises(ConfigError, match="must be 0 when kind is"):
+                parse_config(raw)
 
     def test_band_both_nodes_and_count_rejected(self):
         raw = full_raw()

@@ -32,8 +32,7 @@ import pytest
 from scipy.sparse.linalg import splu
 
 from bandlayer.errors import ConfigError, ConvergenceError, DomainError
-from bandlayer.model import (CostKind, CostParams, Grid2D, ModelParams,
-                             stationary_std)
+from bandlayer.model import CostParams, Grid2D, ModelParams, stationary_std
 from bandlayer import asymptotics, experiments, hjb
 from bandlayer.special import fd_weights
 
@@ -54,7 +53,7 @@ def coarse_grid():
 
 @pytest.fixture(scope="module")
 def desk_solve(desk_params, coarse_grid):
-    costs = CostParams(gamma_lin=2e-4, eta=1e-4)
+    costs = CostParams(gamma_lin=2e-4, coeff=1e-4)
     cfg = hjb.SolverConfig(max_iters=200, convergence_tol=1e-9)
     return hjb.solve_hjb(desk_params, costs, coarse_grid, cfg)
 
@@ -88,19 +87,21 @@ class TestConfigValidation:
 
     def test_eta_below_floor_rejected(self, desk_params):
         grid = Grid2D.regular(-0.1, 0.1, 5, -1e-3, 1e-3, 11)
-        costs = CostParams(gamma_lin=2e-4, eta=1e-12)
+        costs = CostParams(gamma_lin=2e-4, coeff=1e-12)
         with pytest.raises(ConfigError):
             hjb.solve_hjb(desk_params, costs, grid)
 
     def test_three_halves_needs_zeta(self, desk_params):
+        # the coefficient floor holds at every power
         grid = Grid2D.regular(-0.1, 0.1, 5, -1e-3, 1e-3, 11)
-        costs = CostParams(gamma_lin=2e-4, kind=CostKind.THREE_HALVES)
-        with pytest.raises(ConfigError):
-            hjb.solve_hjb(desk_params, costs, grid)
+        for zeta in (0.0, 1e-12):
+            costs = CostParams(gamma_lin=2e-4, coeff=zeta, power=1.5)
+            with pytest.raises(ConfigError, match="below ETA_FLOOR"):
+                hjb.solve_hjb(desk_params, costs, grid)
 
     def test_initial_guess_shape_checked(self, desk_params):
         grid = Grid2D.regular(-0.1, 0.1, 5, -1e-3, 1e-3, 11)
-        costs = CostParams(gamma_lin=2e-4, eta=1e-4)
+        costs = CostParams(gamma_lin=2e-4, coeff=1e-4)
         with pytest.raises(ConfigError):
             hjb.solve_hjb(desk_params, costs, grid, initial=np.zeros((3, 3)))
 
@@ -108,7 +109,7 @@ class TestConfigValidation:
         # a NaN used to reach the policy cast and then SuperLU, which
         # failed with a bare "Factor is exactly singular"
         grid = Grid2D.regular(-0.134, 0.134, 11, -7.5e-3, 7.5e-3, 101)
-        costs = CostParams(gamma_lin=2e-4, eta=1e-4)
+        costs = CostParams(gamma_lin=2e-4, coeff=1e-4)
         initial = hjb._nt_initial(desk_params, grid)
         initial[5, 50] = np.nan
         with pytest.raises(ConfigError, match="1 non-finite"):
@@ -144,7 +145,7 @@ class TestClosedFormNoTrade:
 
     def test_matches_closed_form(self, desk_params):
         grid = Grid2D.regular(-0.134, 0.134, 21, -0.05, 0.05, 41)
-        costs = CostParams(gamma_lin=500.0, eta=1e-4)
+        costs = CostParams(gamma_lin=500.0, coeff=1e-4)
         vg = hjb.solve_hjb(desk_params, costs, grid)
         exact = self._exact(desk_params, grid)
         scale = np.abs(exact).max()
@@ -153,7 +154,7 @@ class TestClosedFormNoTrade:
 
     def test_band_masked_when_no_crossing(self, desk_params):
         grid = Grid2D.regular(-0.134, 0.134, 21, -0.05, 0.05, 41)
-        costs = CostParams(gamma_lin=500.0, eta=1e-4)
+        costs = CostParams(gamma_lin=500.0, coeff=1e-4)
         vg = hjb.solve_hjb(desk_params, costs, grid)
         assert np.all(np.isnan(vg.band_plus))
         assert np.all(np.isnan(vg.band_minus))
@@ -162,7 +163,7 @@ class TestClosedFormNoTrade:
         # in the no-trade region the scheme keeps both one-sided
         # differences inside [-Gamma, Gamma] by construction
         grid = Grid2D.regular(-0.134, 0.134, 21, -0.05, 0.05, 41)
-        costs = CostParams(gamma_lin=500.0, eta=1e-4)
+        costs = CostParams(gamma_lin=500.0, coeff=1e-4)
         vg = hjb.solve_hjb(desk_params, costs, grid)
         dp, dm = hjb._one_sided_diffs(vg.V, grid.htheta)
         g = costs.gamma_lin * (1 + 1e-3)
@@ -233,14 +234,14 @@ class TestCostMonotonicity:
 
     def test_band_grows_with_linear_cost(self, desk_params):
         widths = [
-            self._width(desk_params, CostParams(gamma_lin=g, eta=1e-4))
+            self._width(desk_params, CostParams(gamma_lin=g, coeff=1e-4))
             for g in (1e-4, 2e-4, 4e-4)
         ]
         assert widths[0] < widths[1] < widths[2]
 
     def test_band_shrinks_with_quadratic_cost(self, desk_params):
         widths = [
-            self._width(desk_params, CostParams(gamma_lin=2e-4, eta=e))
+            self._width(desk_params, CostParams(gamma_lin=2e-4, coeff=e))
             for e in (1e-5, 1e-4, 1e-3)
         ]
         assert widths[0] >= widths[1] >= widths[2]
@@ -300,7 +301,7 @@ class TestBandExtraction:
         # the same hx on two x windows: the onset at x = 0 reads V alone,
         # and V there hardly sees the x edges (a |v| cut normalized by
         # max|v| over the grid moves by 3.2e-4 relative here)
-        costs = CostParams(gamma_lin=2e-4, eta=1e-4)
+        costs = CostParams(gamma_lin=2e-4, coeff=1e-4)
         cfg = hjb.SolverConfig(convergence_tol=1e-12)
         narrow, wide = (
             hjb.solve_hjb(desk_params, costs,
@@ -327,7 +328,7 @@ class TestBandExtraction:
 
 
 class TestRegimeMap:
-    COSTS = CostParams(gamma_lin=2e-4, eta=1e-4)
+    COSTS = CostParams(gamma_lin=2e-4, coeff=1e-4)
 
     @pytest.fixture(scope="class")
     def report(self, desk_params, coarse_grid):
@@ -359,7 +360,7 @@ class TestRegimeMap:
         # its log-slope against the distance d past the band climbs from
         # 1/2 through 3/4 at sqrt_linear_crossover, where the walk must
         # switch from SQRT to LINEAR
-        eta, band = self.COSTS.eta, desk_band
+        eta, band = self.COSTS.coeff, desk_band
         assert band.gamma_lin == self.COSTS.gamma_lin
         theta0 = float(band.theta_plus_at(0.0))
         cross = asymptotics.sqrt_linear_crossover(
@@ -443,7 +444,7 @@ class TestStudyGrid:
 
     def test_edge_rows_take_the_analytic_slope(self, case, desk_band):
         _, eta, grid = case
-        costs = CostParams(gamma_lin=desk_band.gamma_lin, eta=eta)
+        costs = CostParams(gamma_lin=desk_band.gamma_lin, coeff=eta)
         (bot, _), (top, _) = hjb._edge_slopes(desk_band.params, costs, grid)
         assert bot.all() and top.all()
 
@@ -509,7 +510,7 @@ class TestEtaShiftSweep:
         offset = asymptotics.layer_constants(desk_band, 0.0).wall_offset
 
         def law(params, costs, grid, cfg, initial=None):
-            edge = np.full(grid.nx, theta0 - offset * costs.eta ** (1 / 3))
+            edge = np.full(grid.nx, theta0 - offset * costs.coeff ** (1 / 3))
             zeros = np.zeros((grid.nx, grid.ntheta))
             return hjb.ValueGrid(V=zeros, v=zeros, grid=grid,
                                  band_plus=edge, band_minus=edge,
@@ -584,10 +585,14 @@ def _discrete_residual(p, costs, grid, V):
     slack_buy[:, :-1] = (V[:, 1:] - V[:, :-1]) / ht - costs.gamma_lin
     slack_sell[:, 1:] = -(V[:, 1:] - V[:, :-1]) / ht - costs.gamma_lin
     s = np.maximum(np.maximum(slack_buy, slack_sell), 0.0)
-    if costs.kind is CostKind.QUADRATIC:
-        h = s ** 2 / (4.0 * costs.eta)
+    c, a = costs.coeff, costs.power
+    if a == 2.0:
+        h = s ** 2 / (4.0 * c)
+    elif a == 1.5:
+        h = 4.0 * s ** 3 / (27.0 * c ** 2)
     else:
-        h = 4.0 * s ** 3 / (27.0 * costs.zeta ** 2)
+        # sup_v (v s - c v^a), at v = (s / (a c))^(1 / (a - 1))
+        h = (a - 1.0) * c * (s / (a * c)) ** (a / (a - 1.0))
     return p.rho * V - (mu * th - p.lam * th ** 2) - h - lx
 
 
@@ -615,9 +620,10 @@ class TestDiscreteResidual:
     # own mirror, on EVEN_X the east neighbour of (-hx/2, 0)
     EVEN_THETA = Grid2D.regular(-1.29, 1.29, 21, -0.6, 0.6, 120)
     EVEN_X = Grid2D.regular(-1.29, 1.29, 20, -0.6, 0.6, 121)
-    QUADRATIC = CostParams(gamma_lin=0.05, eta=0.05)
-    THREE_HALVES = CostParams(gamma_lin=0.05, zeta=0.05,
-                              kind=CostKind.THREE_HALVES)
+    QUADRATIC = CostParams(gamma_lin=0.05, coeff=0.05)
+    THREE_HALVES = CostParams(gamma_lin=0.05, coeff=0.05, power=1.5)
+    # a power no closed form above covers
+    POWER_1_75 = CostParams(gamma_lin=0.05, coeff=0.05, power=1.75)
 
     def _solve(self, costs, grid):
         return hjb.solve_hjb(
@@ -637,6 +643,10 @@ class TestDiscreteResidual:
 
     def test_three_halves(self):
         self._assert_solves_discrete_equation(self.THREE_HALVES, self.GRID)
+
+    def test_power_1_75(self):
+        vg = self._assert_solves_discrete_equation(self.POWER_1_75, self.GRID)
+        assert np.any(vg.v != 0.0)
 
     def test_mixed_branches(self):
         mu = -self.PARAMS.omega * self.MIXED.x_nodes[1:-1]
@@ -717,7 +727,7 @@ class TestDiscreteResidual:
 class TestThreeHalvesCost:
     def test_control_formula(self, desk_params, coarse_grid):
         gamma, zeta = 2e-4, 1e-4
-        costs = CostParams(gamma_lin=gamma, zeta=zeta, kind=CostKind.THREE_HALVES)
+        costs = CostParams(gamma_lin=gamma, coeff=zeta, power=1.5)
         vg = hjb.solve_hjb(desk_params, costs, coarse_grid)
         dp, dm = hjb._one_sided_diffs(vg.V, coarse_grid.htheta)
         v = vg.v
@@ -733,11 +743,11 @@ class TestThreeHalvesCost:
         # one, so trading starts closer to the ideal position only for
         # the quadratic cost; just assert both bands exist and are sane
         q = hjb.solve_hjb(
-            desk_params, CostParams(gamma_lin=2e-4, eta=1e-4), coarse_grid
+            desk_params, CostParams(gamma_lin=2e-4, coeff=1e-4), coarse_grid
         )
         c = hjb.solve_hjb(
             desk_params,
-            CostParams(gamma_lin=2e-4, zeta=1e-4, kind=CostKind.THREE_HALVES),
+            CostParams(gamma_lin=2e-4, coeff=1e-4, power=1.5),
             coarse_grid,
         )
         i0 = coarse_grid.nx // 2
@@ -751,7 +761,7 @@ class TestThreeHalvesCost:
 class TestStoppingAndErrors:
     def test_iteration_budget_exhausted(self, desk_params):
         grid = Grid2D.regular(-0.134, 0.134, 11, -7.5e-3, 7.5e-3, 101)
-        costs = CostParams(gamma_lin=2e-4, eta=1e-4)
+        costs = CostParams(gamma_lin=2e-4, coeff=1e-4)
         cfg = hjb.SolverConfig(max_iters=1, convergence_tol=1e-14)
         with pytest.raises(ConvergenceError) as exc:
             hjb.solve_hjb(desk_params, costs, grid, cfg)
@@ -759,7 +769,7 @@ class TestStoppingAndErrors:
 
     def test_warm_start_converges_faster(self, desk_params):
         grid = Grid2D.regular(-0.134, 0.134, 21, -7.5e-3, 7.5e-3, 301)
-        costs = CostParams(gamma_lin=2e-4, eta=1e-4)
+        costs = CostParams(gamma_lin=2e-4, coeff=1e-4)
         cold = hjb.solve_hjb(desk_params, costs, grid)
         warm = hjb.solve_hjb(
             desk_params, costs, grid, initial=cold.V
@@ -770,7 +780,7 @@ class TestStoppingAndErrors:
     def test_stops_only_once_policy_settled(self, desk_params):
         # on this grid a stop on the update size alone left isolated
         # trading nodes in the band and a negative band_plus(0)
-        costs = CostParams(gamma_lin=2e-4, eta=1e-4)
+        costs = CostParams(gamma_lin=2e-4, coeff=1e-4)
         grid = Grid2D.regular(-0.134, 0.134, 31, -7.5e-3, 7.5e-3, 2001)
         vg = hjb.solve_hjb(desk_params, costs, grid)
         assert vg.residual <= 10 * 1e-9 * max(1.0, np.abs(vg.V).max())
@@ -794,13 +804,13 @@ class TestStoppingAndErrors:
         V = None
         for eta in (1e-4, 1e-5, 1e-6):
             vg = hjb.solve_hjb(desk_params,
-                               CostParams(gamma_lin=2e-4, eta=eta),
+                               CostParams(gamma_lin=2e-4, coeff=eta),
                                coarse_grid, cfg, initial=V)
             assert vg.stopped_by == "tolerance"
             ladder[eta] = V = vg.V
         s5, s6, s7 = (eta ** (1 / 3) for eta in (1e-5, 1e-6, 1e-7))
         seed = V + (V - ladder[1e-5]) * (s7 - s6) / (s6 - s5)
-        costs = CostParams(gamma_lin=2e-4, eta=1e-7)
+        costs = CostParams(gamma_lin=2e-4, coeff=1e-7)
         with pytest.raises(ConvergenceError, match=(
                 r"on 751 theta nodes stopped on the rounding floor "
                 r"\S+ with Bellman residual")) as exc:
@@ -810,7 +820,7 @@ class TestStoppingAndErrors:
         assert plain.stopped_by == "tolerance"
 
     def test_grid_refinement_stability(self, desk_params):
-        costs = CostParams(gamma_lin=2e-4, eta=1e-4)
+        costs = CostParams(gamma_lin=2e-4, coeff=1e-4)
         g1 =Grid2D.regular(-0.134, 0.134, 31, -7.5e-3, 7.5e-3, 376)
         g2 = Grid2D.regular(-0.134, 0.134, 31, -7.5e-3, 7.5e-3, 751)
         b1 = hjb.solve_hjb(desk_params, costs, g1)
@@ -830,9 +840,9 @@ class TestColdStart:
     checked at a tolerance far below the default one as well."""
 
     GRID = Grid2D.regular(-0.134, 0.134, 21, -7.5e-3, 7.5e-3, 401)
-    COSTS = {"quadratic": CostParams(gamma_lin=2e-4, eta=1e-4),
-             "three_halves": CostParams(gamma_lin=2e-4, zeta=1e-4,
-                                        kind=CostKind.THREE_HALVES)}
+    COSTS = {"quadratic": CostParams(gamma_lin=2e-4, coeff=1e-4),
+             "three_halves": CostParams(gamma_lin=2e-4, coeff=1e-4,
+                                        power=1.5)}
     CLOSE = hjb.SolverConfig(convergence_tol=1e-12)
     # splu calls of the cold solve at CLOSE on GRID, as measured with the
     # settled-policy stop on the seeding levels; seeding levels converged
@@ -926,7 +936,7 @@ class TestColdStart:
         # 401 nodes are seeded from 201, 101, 51, 26 and 13; the 13-node
         # level settles in 2 iterations from the no-trade seed, and the
         # 26-node level seeded from it needs far more than 3
-        costs = CostParams(gamma_lin=2e-4, eta=1e-4)
+        costs = CostParams(gamma_lin=2e-4, coeff=1e-4)
         with pytest.raises(ConvergenceError, match=r"on 26 theta nodes"):
             hjb.solve_hjb(desk_params, costs, self.GRID,
                           hjb.SolverConfig(max_iters=3))
@@ -1263,7 +1273,7 @@ def c2_continuity_check(coarse: hjb.ValueGrid, fine: hjb.ValueGrid) -> Continuit
 
 class TestContinuityDiagnostics:
     def test_grid_pairing_validated(self, desk_params):
-        costs = CostParams(gamma_lin=2e-4, eta=1e-4)
+        costs = CostParams(gamma_lin=2e-4, coeff=1e-4)
         g1 = Grid2D.regular(-0.134, 0.134, 21, -7.5e-3, 7.5e-3, 301)
         g2 = Grid2D.regular(-0.134, 0.134, 21, -7.5e-3, 7.5e-3, 401)
         a = hjb.solve_hjb(desk_params, costs, g1)
@@ -1273,7 +1283,7 @@ class TestContinuityDiagnostics:
 
     def test_degenerate_quiet_field_passes(self, desk_params):
         # no boundary anywhere: report must be trivially clean, not crash
-        costs = CostParams(gamma_lin=500.0, eta=1e-4)
+        costs = CostParams(gamma_lin=500.0, coeff=1e-4)
         g1 = Grid2D.regular(-0.134, 0.134, 11, -0.05, 0.05, 41)
         g2 = Grid2D.regular(-0.134, 0.134, 11, -0.05, 0.05, 81)
         a = hjb.solve_hjb(desk_params, costs, g1)
@@ -1284,7 +1294,7 @@ class TestContinuityDiagnostics:
 
     @pytest.mark.slow
     def test_derivative_jumps_shrink_under_refinement(self, desk_params):
-        costs = CostParams(gamma_lin=2e-4, eta=1e-4)
+        costs = CostParams(gamma_lin=2e-4, coeff=1e-4)
         # x is refined with theta: the x-stencil reads V one hx away, where
         # the oblique boundary has moved by |m| hx (more than the band's
         # half-width at nx 31), so at a fixed hx the jumps cannot shrink

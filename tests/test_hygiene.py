@@ -7,8 +7,9 @@ package calls the sparse factor ``splu`` at one site, the studies build
 a grid at one site and a sweep result at one site, the band's level
 system reads its spline tables through ``PPoly`` alone, the boundary
 layer reads its forcing at one site, the speed zones are named in one
-module and the validity gauge read in one function, and every attribute
-the benchmark's spans hook exists.
+module and the validity gauge read in one function, the nonlinear cost
+is one power-law family, and every attribute the benchmark's spans hook
+exists.
 
 A stdlib stand-in for a linter's unused-import rule.  A name counts as
 used when it is read anywhere in its module or listed in ``__all__``,
@@ -17,12 +18,15 @@ Imports belong at the top of the module, where this check can see them.
 """
 
 import ast
+import dataclasses
 import importlib
 import pathlib
 import re
 import sys
 
 import pytest
+
+from bandlayer.model import CostParams
 
 PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "bandlayer"
 MODULES = sorted(p.name for p in PACKAGE.glob("*.py"))
@@ -245,6 +249,47 @@ def test_layer_reads_its_forcing_once():
             names.update(a.asname or a.name for a in node.names)
     edge_terms = sorted(names & {"drift", "rho", "gamma_lin"})
     assert not edge_terms, f"asymptotics reads {edge_terms}"
+
+
+def _identifiers(tree):
+    """Every name a tree reads, binds, defines, imports or passes."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, ast.alias):
+            yield from (node.name.rsplit(".", 1)[-1], node.asname)
+        elif isinstance(node, ast.keyword):
+            yield node.arg
+
+
+def test_one_power_law_cost():
+    # the nonlinear cost is coeff |v|^power, with one formula per quantity
+    # for every power: the config's two cost kinds are spellings of
+    # powers 2 and 1.5, read in config.py alone, no module branches on a
+    # cost or layer kind (CostKind, LayerKind), and none reads a per-kind
+    # coefficient eta or zeta off a CostParams
+    assert [f.name for f in dataclasses.fields(CostParams)] == [
+        "gamma_lin", "coeff", "power"]
+    trees = {name: ast.parse(path.read_text(encoding="utf-8"))
+             for name, path in IMPORT_SOURCES.items()}
+    spellings = sorted({m for m in MODULES for node in ast.walk(trees[m])
+                        if isinstance(node, ast.Constant)
+                        and node.value in ("quadratic", "three_halves")})
+    assert spellings == ["config.py"], spellings
+    kinds = sorted(f"{m}: {name}" for m, tree in trees.items()
+                   for name in {"CostKind", "LayerKind"}
+                   & set(_identifiers(tree)))
+    assert not kinds, kinds
+    reads = [f"{m}:{node.lineno}" for m in MODULES
+             for node in ast.walk(trees[m])
+             if isinstance(node, ast.Attribute)
+             and node.attr in ("eta", "zeta")
+             and "cost" in ast.unparse(node.value).lower()]
+    assert not reads, f"per-kind coefficient read off the costs: {reads}"
 
 
 def test_zones_are_named_in_experiments_only():

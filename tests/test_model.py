@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from bandlayer.errors import ConfigError, RegimeError
-from bandlayer.model import (CostKind, CostParams, Grid2D, ModelParams,
+from bandlayer.model import (CostParams, Grid2D, ModelParams,
                              default_x_domain, drift, markowitz_position,
                              nt_rhs, stationary_std)
 
@@ -37,24 +37,23 @@ class TestModelParams:
 
 class TestCostParams:
     def test_quadratic(self):
-        c = CostParams(gamma_lin=2e-4, eta=1e-6, kind=CostKind.QUADRATIC)
-        assert (c.eta, c.zeta) == (1e-6, 0.0)
+        c = CostParams(gamma_lin=2e-4, coeff=1e-6)
+        assert (c.coeff, c.power) == (1e-6, 2.0)
 
     def test_linear_only(self):
         c = CostParams(gamma_lin=2e-4)
-        assert (c.eta, c.zeta, c.kind) == (0.0, 0.0, CostKind.QUADRATIC)
-
-    def test_rejects_wrong_coefficient(self):
-        with pytest.raises(ConfigError):
-            CostParams(gamma_lin=2e-4, zeta=1e-6, kind=CostKind.QUADRATIC)
-        with pytest.raises(ConfigError):
-            CostParams(gamma_lin=2e-4, eta=1e-6, kind=CostKind.THREE_HALVES)
+        assert (c.coeff, c.power) == (0.0, 2.0)
 
     def test_rejects_negative(self):
         with pytest.raises(ConfigError):
             CostParams(gamma_lin=-1e-4)
         with pytest.raises(ConfigError):
-            CostParams(gamma_lin=2e-4, eta=-1e-6, kind=CostKind.QUADRATIC)
+            CostParams(gamma_lin=2e-4, coeff=-1e-6)
+
+    @pytest.mark.parametrize("power", [1.0, 0.5, float("nan")])
+    def test_rejects_power_not_above_one(self, power):
+        with pytest.raises(ConfigError, match="power > 1"):
+            CostParams(gamma_lin=2e-4, coeff=1e-6, power=power)
 
 
 class TestSignalModel:

@@ -48,6 +48,14 @@ class TestCsv:
         body = Path(p).read_text().splitlines()[1:]
         assert body[0] == "1.5,NT"
 
+    def test_object_string_column(self, tmp_path):
+        # labels held as an object array are written as they are
+        p = str(tmp_path / "t.csv")
+        labels = np.array(["0.10000000000000001", "-2"], dtype=object)
+        write_csv(p, ["x", "v"], [labels, np.array([1.5, 2.5])])
+        assert Path(p).read_text().splitlines()[1:] == [
+            "0.10000000000000001,1.5", "-2,2.5"]
+
     def test_mismatched_header_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
             write_csv(str(tmp_path / "t.csv"), ["a"], [np.arange(2.0)] * 2)
@@ -93,11 +101,17 @@ class TestStreamedCsv:
         assert Path(p).read_bytes() == want.encode("utf-8")
 
     def test_error_in_a_late_block_leaves_nothing(self, tmp_path):
+        # an object column is written as labels; one entry in the last
+        # block cannot be rendered
+        class Unprintable:
+            def __str__(self):
+                raise TypeError("no text")
+
         p = str(tmp_path / "s.csv")
         real, flags, labels = self._columns()
-        obj = np.array(real.tolist(), dtype=object)
-        obj[2 * output._CSV_BLOCK_ROWS + 1] = "not a real"
-        with pytest.raises(TypeError):
+        obj = np.array(labels.tolist(), dtype=object)
+        obj[2 * output._CSV_BLOCK_ROWS + 1] = Unprintable()
+        with pytest.raises(TypeError, match="no text"):
             write_csv(p, ["v", "f", "r", "o"], [real, flags, labels, obj])
         assert os.listdir(tmp_path) == []
 

@@ -18,7 +18,7 @@ profile, the shifted band level, and a composite speed curve that
 splices the strip onto the square-root/linear outer behaviour, whose
 radicand carries the same amp.  The composite is the speed alone: its
 zones are labelled by ``experiments.regime_map``, and the validity gauge
-is judged by ``experiments.eta_shift_sweep``.  A cost coeff |v|^alpha
+is judged by ``experiments.validity_gauge``.  A cost coeff |v|^alpha
 replaces the square by sign(f)|f|^q, q = alpha/(alpha-1), solved here by
 one backward integration along its asymptote that stops at the profile's
 zero, which fixes the wall offset.

@@ -321,23 +321,17 @@ def cmd_check(cfg: RunConfig, out: str, quiet: bool) -> int:
 
 def cmd_validate(cfg: RunConfig, out: str, quiet: bool) -> int:
     """Expansion-domain report."""
-    params = cfg.need("model")
-    costs = cfg.need("costs")
-    vp = cfg.need("validity")
-    report = experiments.validity_report(params, costs.gamma_lin, vp)
+    band = band_zero.find_band_zero(cfg.need("model"),
+                                    cfg.need("costs").gamma_lin)
+    report = experiments.validity_report(band, cfg.need("validity"))
     lines = [
         f"gamma_phi        {report.gamma_phi:.17g}",
         f"threshold        {report.threshold:.17g}",
         f"margin_decades   {report.margin_decades:.17g}",
-        f"inside_domain    {report.ok}",
         f"eta_implied      {report.eta_implied:.17g}",
-        "model_form       lhs={0:.17g} rhs={1:.17g} margin={2:.17g}".format(
-            *report.model_form),
-        "risk_form        lhs={0:.17g} rhs={1:.17g} margin={2:.17g}".format(
-            *report.risk_form),
-        f"forms_ratio      {report.forms_ratio:.17g}",
+        f"gauge            {report.gauge:.17g}",
+        f"inside_domain    {report.ok}",
     ]
-    lines.extend(f"note: {n}" for n in report.notes)
     path = os.path.join(out, cfg.output_prefix + "validity.txt")
     write_text_report(path, lines)
     for line in lines:

@@ -20,7 +20,7 @@ Sections and their keys (* marks a required key):
 * ``layer``: x, y_max, samples
 * ``sweep``: kind* ("eta_shift", "gamma_width" or "regime"), values
   (required unless kind is "regime"), x
-* ``validity``: gamma_coeff*, phi*, daily_volume*, risk_target*
+* ``validity``: gamma_coeff*, phi*, daily_volume*
 * ``check``: layer_table
 * ``output``: prefix
 """
@@ -143,8 +143,8 @@ _SECTIONS = {
     "sweep": (SweepSpec, {"kind": str, "values": tuple, "x": float},
               ("kind",)),
     "validity": (ValidityParams, dict.fromkeys(
-        ("gamma_coeff", "phi", "daily_volume", "risk_target"), float),
-        ("gamma_coeff", "phi", "daily_volume", "risk_target")),
+        ("gamma_coeff", "phi", "daily_volume"), float),
+        ("gamma_coeff", "phi", "daily_volume")),
     "check": (CheckSpec, {"layer_table": str}, ()),
     "output": (_output, {"prefix": str}, ()),
 }

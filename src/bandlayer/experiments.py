@@ -8,7 +8,8 @@ The module answers four questions about the model:
 * how the trading-speed curve splits into no-trade / layer / square-root /
   linear zones (``regime_map``), and
 * whether a desk's cost numbers sit inside the domain where the expansion
-  is trustworthy at all (``validity_report``).
+  is trustworthy at all (``validity_report``, judged by the one validity
+  gauge, ``validity_gauge``, which also bounds the shift sweep).
 
 Measurement conventions
 -----------------------
@@ -32,7 +33,8 @@ replaced by a fitted zero-cost boundary.  A point left out of a fit is
 recorded once, with its reason, in ``excluded``.
 A solve's ``V`` and ``v`` are (nx, ntheta) arrays on its ``Grid2D``.
 The speed zones are labelled only by ``regime_map`` (the composite is a
-bare speed), and the validity gauge only by ``eta_shift_sweep``.
+bare speed), and the validity gauge is computed only by
+``validity_gauge``.
 """
 
 from __future__ import annotations
@@ -218,9 +220,25 @@ def _nearest_node(grid: Grid2D, x: float) -> int:
 # -------------------------------------------------------- eta shift sweep
 
 
-# validity gauge: the eta^{1/3} expansion is trusted while the predicted
-# inward shift is at most this fraction of the band width
+# largest gauge at which the eta^{1/3} expansion is trusted
 GAUGE_MAX = 0.2
+
+
+def validity_gauge(band: band_zero.Band, x: float, eta: float):
+    """The expansion's validity gauge at x: (gauge, why it fails or None).
+
+    The gauge is the predicted inward shift over the band width,
+    wall_offset*eta^(1/3)/width(x), and the eta^{1/3} expansion is
+    trusted while it is at most ``GAUGE_MAX``.  This is the package's one
+    statement of the paper's validity condition: at small gamma_lin the
+    gauge depends on eta and gamma_lin through eta/gamma_lin^{4/3} alone.
+    """
+    gauge = float(asymptotics.layer_constants(band, x).wall_offset
+                  * eta ** (1.0 / 3.0) / band.width(x))
+    if gauge > GAUGE_MAX:
+        return gauge, (f"outside validity gauge "
+                       f"(shift/width = {gauge:.2f} > {GAUGE_MAX:g})")
+    return gauge, None
 
 
 def eta_shift_sweep(params: ModelParams, gamma_lin: float, eta_list,
@@ -241,8 +259,8 @@ def eta_shift_sweep(params: ModelParams, gamma_lin: float, eta_list,
     from the same baseline, wall_offset*(eta^(1/3) - ETA_FLOOR^(1/3)),
     so a solve that follows the law reads ratio 1; the log-log fit of
     the measured shifts keeps the baseline's bias (a slope above 1/3).
-    Points failing the smallness gauge (the full shift
-    wall_offset*eta^(1/3) not small against the band width) are
+    Points outside ``validity_gauge`` (the full shift
+    wall_offset*eta^(1/3) more than ``GAUGE_MAX`` of the band width) are
     excluded, as are points whose measured displacement comes back
     non-positive.
     """
@@ -257,18 +275,16 @@ def eta_shift_sweep(params: ModelParams, gamma_lin: float, eta_list,
     # the reported comparison, never for the measurement)
     band = band_zero.find_band_zero(params, gamma_lin)
     theta0 = float(band.theta_plus_at(x))
-    width = float(band.width(x))
     offset = asymptotics.layer_constants(band, x).wall_offset
     shifts = dict(zip(map(float, etas), offset * etas ** (1.0 / 3.0)))
     floor_shift = offset * hjb.ETA_FLOOR ** (1.0 / 3.0)
 
     excluded = []
     keep = []
-    for eta, shift in shifts.items():
-        gauge = shift / width
-        if gauge > GAUGE_MAX:
-            excluded.append((eta, f"outside validity gauge "
-                             f"(shift/width = {gauge:.2f} > {GAUGE_MAX:g})"))
+    for eta in shifts:
+        _, outside = validity_gauge(band, x, eta)
+        if outside:
+            excluded.append((eta, outside))
         else:
             keep.append(eta)
     if len(keep) < 4:
@@ -526,89 +542,63 @@ class ValidityParams:
     gamma_coeff: dimensionless quadratic-cost number (the speed cost is
         eta = gamma_coeff * sigma * T^{3/2} / daily_volume);
     phi: risk as a fraction of daily volume (risk = phi * volume * sigma);
-    daily_volume, risk_target: the dimensional anchors.
+    daily_volume: the dimensional anchor of eta.
     """
 
     gamma_coeff: float
     phi: float
     daily_volume: float
-    risk_target: float
 
     def __post_init__(self):
-        for name in ("gamma_coeff", "phi", "daily_volume", "risk_target"):
+        for name in ("gamma_coeff", "phi", "daily_volume"):
             if not (getattr(self, name) > 0):
                 raise ConfigError(f"{name} must be > 0")
 
 
 @dataclass(frozen=True)
 class ValidityReport:
-    """Three equivalent checks that the quadratic cost is 'small'.
+    """Whether a desk's quadratic cost is small enough for the expansion.
 
-    All quantities are per unit horizon (one day).  The headline check is
-    the volume-free product gamma_coeff*phi against its threshold; the
-    model-form and risk-form restate the same inequality through eta.
-    The two restatements differ by exactly 2 when the risk target equals
-    the canonical sqrt(omega)*sigma^2/(2*lam); ``forms_ratio`` reports
-    that factor as computed, as an internal consistency witness.
+    All quantities are per unit horizon (one day).  ``ok`` is the
+    validity gauge at ``eta_implied`` alone.  ``gamma_phi``, ``threshold``
+    and ``margin_decades`` restate the paper's condition
+    gamma_coeff*phi << threshold in desk units; they are reported, not
+    judged.
     """
 
     gamma_phi: float
     threshold: float
     margin_decades: float
-    ok: bool
     eta_implied: float
-    model_form: tuple  # (lhs, rhs, margin_decades) using lam
-    risk_form: tuple   # (lhs, rhs, margin_decades) using risk_target
-    forms_ratio: float
-    notes: tuple
+    gauge: float
+    ok: bool
 
 
-def validity_report(params: ModelParams, gamma_lin: float,
+def validity_report(band: band_zero.Band,
                     vp: ValidityParams) -> ValidityReport:
-    """Evaluate whether (gamma_lin, eta) sit inside the expansion domain.
+    """Judge the desk's implied eta by the validity gauge at x = 0.
 
-    The inequality gamma_coeff*phi << (gamma_lin/(sigma*sqrt(T)))^{4/3}
-    * (omega*T)^{-5/6} is evaluated with T = 1 (inputs quoted per day);
-    'much less' is operationalized as at least one decade of margin.
+    eta = gamma_coeff*sigma*T^{3/2}/daily_volume with T = 1 (inputs quoted
+    per day), and the gauge is ``validity_gauge`` at that eta: the same
+    test that drops points from ``eta_shift_sweep``.  The paper's
+    threshold (gamma_lin/(sigma*sqrt(T)))^{4/3} * (omega*T)^{-5/6} on
+    gamma_coeff*phi is reported with its margin in decades.
     """
-    if not (gamma_lin > 0):
-        raise ConfigError("gamma_lin must be > 0")
+    params = band.params
     if params.omega <= 0:
         raise RegimeError("validity threshold needs omega > 0; the "
                           "flat-signal limit has no reversion horizon")
     T = 1.0
-    sig_T = params.sigma * math.sqrt(T)
-    lhs = vp.gamma_coeff * vp.phi
-    threshold = (gamma_lin / sig_T) ** (4.0 / 3.0) * (
-        params.omega * T) ** (-5.0 / 6.0)
-    margin = math.log10(threshold / lhs)
-
     eta = vp.gamma_coeff * params.sigma * T ** 1.5 / vp.daily_volume
-    ratio = eta / gamma_lin ** (4.0 / 3.0)
-    rhs_model = params.lam / (params.sigma * params.omega) ** (4.0 / 3.0)
-    rhs_risk = params.sigma ** (2.0 / 3.0) / (
-        vp.risk_target * params.omega ** (5.0 / 6.0))
-    canonical_risk = math.sqrt(params.omega) * params.sigma ** 2 / (
-        2.0 * params.lam)
-    rhs_risk_canonical = params.sigma ** (2.0 / 3.0) / (
-        canonical_risk * params.omega ** (5.0 / 6.0))
-
-    notes = []
-    if abs(vp.risk_target / canonical_risk - 1.0) > 0.5:
-        notes.append(
-            f"risk_target {vp.risk_target:g} is far from the canonical "
-            f"sqrt(omega)*sigma^2/(2 lam) = {canonical_risk:g}; the "
-            "model-form and risk-form margins will not coincide")
+    gauge, outside = validity_gauge(band, 0.0, eta)
+    lhs = vp.gamma_coeff * vp.phi
+    threshold = (band.gamma_lin / (params.sigma * math.sqrt(T))) ** (
+        4.0 / 3.0) * (params.omega * T) ** (-5.0 / 6.0)
     return ValidityReport(
         gamma_phi=float(lhs),
         threshold=float(threshold),
-        margin_decades=float(margin),
-        ok=bool(margin >= 1.0),
+        margin_decades=float(math.log10(threshold / lhs)),
         eta_implied=float(eta),
-        model_form=(float(ratio), float(rhs_model),
-                    float(math.log10(rhs_model / ratio))),
-        risk_form=(float(ratio), float(rhs_risk),
-                   float(math.log10(rhs_risk / ratio))),
-        forms_ratio=float(rhs_risk_canonical / rhs_model),
-        notes=tuple(notes),
+        gauge=gauge,
+        ok=outside is None,
     )

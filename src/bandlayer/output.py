@@ -98,11 +98,9 @@ def write_text_report(path: str, lines) -> None:
 
 
 def gnuplot_loglog_script(csv_basename: str, xcol: int, ycol: int,
-                          xlabel: str, ylabel: str,
-                          slope: float | None = None,
-                          prefactor: float | None = None,
-                          title: str = "") -> str:
-    """Log-log scatter of one CSV column pair, with an optional power law.
+                          xlabel: str, ylabel: str, slope: float,
+                          prefactor: float, title: str) -> str:
+    """Log-log scatter of one CSV column pair and its fitted power law.
 
     Column indices are 1-based as gnuplot counts them.  The script is
     self-contained next to its CSV; run `gnuplot <script>` to get a PNG
@@ -118,23 +116,20 @@ def gnuplot_loglog_script(csv_basename: str, xcol: int, ycol: int,
         f"set xlabel '{xlabel}'",
         f"set ylabel '{ylabel}'",
         "set key left top",
+        f"set title '{title}'",
+        f"plot '{csv_basename}' every ::1 using {xcol}:{ycol} "
+        f"with points pt 7 ps 1.4 title 'measured', "
+        f"{_format_real(prefactor)}*x**{_format_real(slope)} "
+        f"with lines lw 2 title 'fit slope {slope:.3f}'",
     ]
-    if title:
-        lines.append(f"set title '{title}'")
-    plot = (f"plot '{csv_basename}' every ::1 using {xcol}:{ycol} "
-            f"with points pt 7 ps 1.4 title 'measured'")
-    if slope is not None and prefactor is not None:
-        plot += (f", {_format_real(prefactor)}*x**{_format_real(slope)} "
-                 f"with lines lw 2 title 'fit slope {slope:.3f}'")
-    lines.append(plot)
     return "\n".join(lines) + "\n"
 
 
 def gnuplot_velocity_script(csv_basename: str, theta_col: int, v_col: int,
-                            composite_col: int | None = None,
-                            boundary: float | None = None,
-                            title: str = "") -> str:
-    """Trading-speed profile plot, optionally against the asymptotic curve."""
+                            composite_col: int, boundary: float,
+                            title: str) -> str:
+    """Trading-speed profile against the asymptotic curve, with the
+    (finite) boundary marked."""
     stem = os.path.splitext(csv_basename)[0]
     lines = [
         "set terminal pngcairo size 900,600",
@@ -144,18 +139,12 @@ def gnuplot_velocity_script(csv_basename: str, theta_col: int, v_col: int,
         "set xlabel 'position'",
         "set ylabel 'trading speed'",
         "set key left bottom",
+        f"set title '{title}'",
+        f"set arrow from {_format_real(boundary)}, graph 0 to "
+        f"{_format_real(boundary)}, graph 1 nohead dt 2",
+        f"plot '{csv_basename}' every ::1 using {theta_col}:{v_col} "
+        f"with lines lw 2 title 'solver', '{csv_basename}' every ::1 using "
+        f"{theta_col}:{composite_col} with lines lw 2 dt 3 "
+        "title 'matched expansion'",
     ]
-    if title:
-        lines.append(f"set title '{title}'")
-    if boundary is not None and math.isfinite(boundary):
-        lines.append(f"set arrow from {_format_real(boundary)}, "
-                     "graph 0 to "
-                     f"{_format_real(boundary)}, graph 1 nohead dt 2")
-    plot = (f"plot '{csv_basename}' every ::1 using {theta_col}:{v_col} "
-            "with lines lw 2 title 'solver'")
-    if composite_col is not None:
-        plot += (f", '{csv_basename}' every ::1 using "
-                 f"{theta_col}:{composite_col} with lines lw 2 dt 3 "
-                 "title 'matched expansion'")
-    lines.append(plot)
     return "\n".join(lines) + "\n"

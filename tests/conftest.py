@@ -1,8 +1,11 @@
-"""Shared fixtures: one desk-scale model solved once per session."""
+"""Shared fixtures: one desk-scale model solved once per session, and a
+stub DP solve that follows the first-order shift law exactly."""
 
+import numpy as np
 import pytest
 
-from bandlayer.model import ModelParams
+from bandlayer import asymptotics, hjb
+from bandlayer.model import Grid2D, ModelParams
 from bandlayer.band_zero import find_band_zero
 
 DESK_GAMMA = 2e-4
@@ -23,6 +26,26 @@ def desk_band(desk_model):
 def desk_pair(desk_band):
     # the homogeneous pair the desk band was solved from
     return desk_band.comp.pair
+
+
+@pytest.fixture
+def exact_shift_law(desk_band, monkeypatch):
+    """``hjb.solve_hjb`` replaced by a stub whose upper boundary is
+    theta0 - wall_offset*eta^(1/3) of the desk band at every x, the
+    baseline at ETA_FLOOR included, so a shift study runs no DP.  Returns
+    the explicit grid such a study is given."""
+    theta0 = float(desk_band.theta_plus_at(0.0))
+    offset = asymptotics.layer_constants(desk_band, 0.0).wall_offset
+
+    def law(params, costs, grid, cfg, initial=None):
+        edge = np.full(grid.nx, theta0 - offset * costs.coeff ** (1 / 3))
+        zeros = np.zeros((grid.nx, grid.ntheta))
+        return hjb.ValueGrid(V=zeros, v=zeros, grid=grid,
+                             band_plus=edge, band_minus=edge,
+                             residual=0.0, iterations=0)
+
+    monkeypatch.setattr(hjb, "solve_hjb", law)
+    return Grid2D.regular(-0.134, 0.134, 11, -7.5e-3, 7.5e-3, 301)
 
 
 _ACCEPTANCE_RESULTS = {}

@@ -28,7 +28,8 @@ from bandlayer.model import ModelParams
 from bandlayer.band_zero import find_band_zero
 from bandlayer.special import fd_weights
 from bandlayer import asymptotics as asy
-from bandlayer.experiments import ValidityParams, validity_report
+from bandlayer.experiments import (GAUGE_MAX, ValidityParams, eta_shift_sweep,
+                                   validity_gauge, validity_report)
 
 WALL_ROOT_LITERAL = 1.0187929716  # |u| at the first Airy maximum, 10 digits
 ABEL_OFFSET_LITERAL = 1.094848850  # canonical Abel wall offset / s, 10 digits
@@ -545,47 +546,73 @@ class TestAbelLayer:
 
 
 # ---------------------------------------------------------------- validity
-# The expansion's validity domain, as evaluated by experiments.validity_report.
+# The expansion's validity domain: the gauge of experiments.validity_gauge,
+# and the desk-unit report of experiments.validity_report built on it.
 
-def _validity(params, gamma_lin, phi, gamma_coeff=1.0):
-    # daily_volume and risk_target only enter the restated forms, not the
-    # headline inequality tested here
-    vp = ValidityParams(gamma_coeff=gamma_coeff, phi=phi, daily_volume=1e6,
-                        risk_target=1e-4)
-    return validity_report(params, gamma_lin, vp)
+def _validity(band, phi, gamma_coeff=1.0):
+    # eta_implied = gamma_coeff * sigma / daily_volume
+    vp = ValidityParams(gamma_coeff=gamma_coeff, phi=phi, daily_volume=1e6)
+    return validity_report(band, vp)
+
+
+def _gauge_edge(band):
+    # the eta at which the gauge at x = 0 reaches GAUGE_MAX; the gauge
+    # grows exactly as eta^(1/3)
+    return (GAUGE_MAX / validity_gauge(band, 0.0, 1.0)[0]) ** 3
 
 
 class TestValidityCheck:
-    def test_worked_desk_example(self, desk_model, desk_band):
-        res = _validity(desk_model, desk_band.gamma_lin, phi=1e-4)
+    def test_worked_desk_example(self, desk_band):
+        res = _validity(desk_band, phi=1e-4)
         # (2e-4/0.02)^{4/3} * 0.1^{-5/6} = 10^{-11/6} exactly
         assert res.threshold == pytest.approx(10.0 ** (-11.0 / 6.0), rel=1e-12)
         assert abs(math.log10(res.threshold) - (-2.0)) <= 0.4  # order 1e-2
-        assert res.ok  # 1e-4 is a decade below the threshold
+        assert res.eta_implied == pytest.approx(2e-8, rel=1e-15)
+        assert res.ok  # eta 2e-8 is almost six decades below the gauge edge
 
     def test_threshold_power_laws(self, desk_model, desk_band):
         g = desk_band.gamma_lin
-        base = _validity(desk_model, g, 1e-4).threshold
-        assert _validity(desk_model, 2 * g, 1e-4).threshold / base == \
+        base = _validity(desk_band, 1e-4).threshold
+        double = find_band_zero(desk_model, 2 * g)
+        assert _validity(double, 1e-4).threshold / base == \
             pytest.approx(2.0 ** (4.0 / 3.0), rel=1e-12)
         p10 = ModelParams(sigma=desk_model.sigma, omega=10 * desk_model.omega,
                           lam=desk_model.lam, rho=desk_model.rho)
-        assert _validity(p10, g, 1e-4).threshold / base == \
+        assert _validity(find_band_zero(p10, g), 1e-4).threshold / base == \
             pytest.approx(10.0 ** (-5.0 / 6.0), rel=1e-12)
 
-    def test_margin_semantics(self, desk_model, desk_band):
-        # "much less than" is one decade of margin
-        g = desk_band.gamma_lin
-        rhs = _validity(desk_model, g, 1e-8).threshold
-        assert _validity(desk_model, g, 0.099 * rhs).ok
-        assert not _validity(desk_model, g, 0.101 * rhs).ok
+    def test_gauge_decides(self, desk_model, desk_band, exact_shift_law):
+        # inside_domain is the gauge test alone, and the shift sweep
+        # excludes by the same test: 1% either side of the gauge's edge,
+        # both flip together
+        edge = _gauge_edge(desk_band)
+        etas = (0.99 * edge, 1.01 * edge)
+        oks = []
+        for eta in etas:
+            res = _validity(desk_band, 1e-4,
+                            gamma_coeff=eta * 1e6 / desk_model.sigma)
+            assert res.eta_implied == pytest.approx(eta, rel=1e-12)
+            oks.append(res.ok)
+        assert oks == [True, False]
+        sweep = eta_shift_sweep(
+            desk_model, desk_band.gamma_lin, (1e-6, 1e-5, 1e-4, 1e-3, *etas),
+            grid=exact_shift_law)
+        assert [eta for eta, _ in sweep.excluded] == [
+            eta for eta, ok in zip(etas, oks) if not ok]
+
+    def test_gauge_collapses_on_eta_over_gamma_four_thirds(self, desk_model):
+        # the gauge's edge over gamma^{4/3} is one number to 4.2% (825.4
+        # to 860.4) over 2.7 decades of gamma: the gauge reads the
+        # variable of the paper's condition, eta/gamma^{4/3}
+        scaled = [_gauge_edge(find_band_zero(desk_model, g)) / g ** (4 / 3)
+                  for g in (2e-6, 2e-5, 2e-4, 1e-3)]
+        assert max(scaled) / min(scaled) <= 1.06
 
     def test_input_validation(self, desk_model, desk_band, flat_band):
-        g = desk_band.gamma_lin
         with pytest.raises(ConfigError):
-            _validity(desk_model, g, 1e-4, gamma_coeff=0.0)
+            _validity(desk_band, 1e-4, gamma_coeff=0.0)
         with pytest.raises(ConfigError):
-            _validity(desk_model, 0.0, 1e-4)
-        p0, _ = flat_band
+            _validity(find_band_zero(desk_model, 0.0), 1e-4)
+        _, flat = flat_band
         with pytest.raises(RegimeError):
-            _validity(p0, g, 1e-4)
+            _validity(flat, 1e-4)

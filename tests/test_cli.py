@@ -334,16 +334,28 @@ class TestSweep:
 
 
 class TestValidate:
+    VALIDITY = {"gamma_coeff": 0.3, "phi": 0.01, "daily_volume": 1e6}
+
     def test_report_written(self, tmp_path):
         cfg = write_cfg(tmp_path, {
             "model": DESK, "costs": {"gamma_lin": 2e-4},
-            "validity": {"gamma_coeff": 0.3, "phi": 0.01,
-                         "daily_volume": 1e6, "risk_target": 1e4}})
-        out = str(tmp_path / "o")
-        assert main(["validate", "--config", cfg, "--out", out,
+            "validity": self.VALIDITY})
+        out = tmp_path / "o"
+        assert main(["validate", "--config", cfg, "--out", str(out),
                      "--quiet"]) == 0
-        text = Path(os.path.join(out, "validity.txt")).read_text()
-        assert "threshold" in text and "margin_decades" in text
+        report = (out / "validity.txt").read_text().splitlines()
+        assert [line.split()[0] for line in report] == [
+            "gamma_phi", "threshold", "margin_decades", "eta_implied",
+            "gauge", "inside_domain"]
+
+    def test_removed_key_is_config_error(self, tmp_path, capsys):
+        # the risk target fed only the restated forms, which are gone
+        cfg = write_cfg(tmp_path, {
+            "model": DESK, "costs": {"gamma_lin": 2e-4},
+            "validity": {**self.VALIDITY, "risk_target": 1e4}})
+        assert main(["validate", "--config", cfg, "--out",
+                     str(tmp_path / "o"), "--quiet"]) == EXIT_CONFIG
+        assert "'risk_target'" in capsys.readouterr().err
 
 
 @pytest.mark.slow

@@ -22,8 +22,7 @@ def full_raw():
         "band": {"count": 21},
         "layer": {"x": 0.0, "samples": 501},
         "sweep": {"kind": "eta_shift", "values": [1e-7, 1e-6, 1e-5, 1e-4]},
-        "validity": {"gamma_coeff": 0.3, "phi": 0.01,
-                     "daily_volume": 1e6, "risk_target": 2e5},
+        "validity": {"gamma_coeff": 0.3, "phi": 0.01, "daily_volume": 1e6},
         "check": {},
         "output": {"prefix": "run1_"},
     }
@@ -230,8 +229,7 @@ REQUIRED_ONLY = {
     "band": {},
     "layer": {},
     "sweep": {"kind": "regime"},
-    "validity": {"gamma_coeff": 0.3, "phi": 0.01,
-                 "daily_volume": 1e6, "risk_target": 2e5},
+    "validity": {"gamma_coeff": 0.3, "phi": 0.01, "daily_volume": 1e6},
     "check": {},
     "output": {},
 }

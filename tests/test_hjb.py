@@ -500,26 +500,15 @@ class TestEtaShiftSweep:
                                    rtol=1e-6, atol=0.0)
 
     def test_gauge_excludes_large_etas(self, desk_params, desk_band,
-                                      monkeypatch):
-        # a stub solve whose boundary follows theta0 - wall_offset
-        # eta^(1/3) exactly, the baseline at ETA_FLOOR included: every eta
-        # whose full shift is more than GAUGE_MAX of the band width is
-        # excluded for that reason alone, and every kept ratio is 1
-        grid = Grid2D.regular(-0.134, 0.134, 11, -7.5e-3, 7.5e-3, 301)
-        theta0 = float(desk_band.theta_plus_at(0.0))
+                                      exact_shift_law):
+        # a stub solve whose boundary follows the first-order law exactly:
+        # every eta whose full shift is more than GAUGE_MAX of the band
+        # width is excluded for that reason alone, and every kept ratio
+        # is 1
         offset = asymptotics.layer_constants(desk_band, 0.0).wall_offset
-
-        def law(params, costs, grid, cfg, initial=None):
-            edge = np.full(grid.nx, theta0 - offset * costs.coeff ** (1 / 3))
-            zeros = np.zeros((grid.nx, grid.ntheta))
-            return hjb.ValueGrid(V=zeros, v=zeros, grid=grid,
-                                 band_plus=edge, band_minus=edge,
-                                 residual=0.0, iterations=0)
-
-        monkeypatch.setattr(hjb, "solve_hjb", law)
         etas = (1e-6, 1e-5, 1e-4, 1e-3, 3e-3, 3e-2, 1e-1)
         sweep = experiments.eta_shift_sweep(desk_params, 2e-4, etas,
-                                            grid=grid)
+                                            grid=exact_shift_law)
         gauge = {eta: offset * eta ** (1 / 3) / float(desk_band.width(0.0))
                  for eta in etas}
         outside = [eta for eta in etas if gauge[eta] > experiments.GAUGE_MAX]

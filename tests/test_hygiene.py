@@ -7,9 +7,9 @@ package calls the sparse factor ``splu`` at one site, the studies build
 a grid at one site and a sweep result at one site, the band's level
 system reads its spline tables through ``PPoly`` alone, the boundary
 layer reads its forcing at one site, the speed zones are named in one
-module and the validity gauge read in one function, the nonlinear cost
-is one power-law family, and every attribute the benchmark's spans hook
-exists.
+module and the validity gauge read in one function, the restated
+validity forms are gone, the nonlinear cost is one power-law family, and
+every attribute the benchmark's spans hook exists.
 
 A stdlib stand-in for a linter's unused-import rule.  A name counts as
 used when it is read anywhere in its module or listed in ``__all__``,
@@ -306,7 +306,8 @@ def test_zones_are_named_in_experiments_only():
 
 def test_gauge_read_in_one_function():
     # the validity gauge, predicted shift / band width against GAUGE_MAX,
-    # is computed by experiments.eta_shift_sweep alone
+    # is computed by experiments.validity_gauge alone; the shift sweep and
+    # the validate report both call it
     owners = sorted({getattr(top, "name", f"{m}:{top.lineno}")
                      for m in MODULES
                      for top in ast.parse((PACKAGE / m).read_text(
@@ -315,7 +316,24 @@ def test_gauge_read_in_one_function():
                      if isinstance(getattr(node, "ctx", None), ast.Load)
                      and "GAUGE_MAX" in (getattr(node, "id", None),
                                          getattr(node, "attr", None))})
-    assert owners == ["eta_shift_sweep"], owners
+    assert owners == ["validity_gauge"], owners
+
+
+def test_restated_validity_forms_are_gone():
+    # validate judges by the gauge alone; the restated forms of the
+    # validity condition, and the risk target only they read, are named
+    # nowhere in the package and by no identifier in the tests (a test
+    # may still write the old config key as data, to see it refused)
+    gone = {"model_form", "risk_form", "forms_ratio", "risk_target"}
+    hits = [f"src/bandlayer/{m}" for m in MODULES
+            if gone & set(re.findall(r"\w+", (PACKAGE / m).read_text(
+                encoding="utf-8")))]
+    for path in sorted(TESTS.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = {getattr(node, field, None)
+                     for field in ("id", "attr", "arg", "name")}
+            hits += [f"tests/{path.name}:{node.lineno}" for _ in gone & names]
+    assert not hits, f"restated validity forms named at {hits}"
 
 
 def test_benchmark_hooks_resolve():

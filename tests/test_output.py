@@ -151,13 +151,11 @@ class TestReports:
 
     def test_loglog_script_references_csv(self):
         s = gnuplot_loglog_script("shift.csv", 1, 2, "eta", "shift",
-                                  slope=0.333, prefactor=1e-3)
+                                  slope=0.333, prefactor=1e-3, title="t")
         assert "shift.csv" in s and "logscale" in s
         assert "0.333" in s
 
-    def test_velocity_script_optional_pieces(self):
+    def test_velocity_script_pieces(self):
         s = gnuplot_velocity_script("prof.csv", 1, 2, composite_col=3,
-                                    boundary=5e-4)
-        assert "prof.csv" in s
-        s2 = gnuplot_velocity_script("prof.csv", 1, 2)
-        assert "prof.csv" in s2 and len(s2) < len(s)
+                                    boundary=5e-4, title="t")
+        assert "prof.csv" in s and "1:3" in s and "0.0005" in s

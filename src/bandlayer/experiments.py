@@ -17,20 +17,20 @@ Both dynamic-programming studies default to one grid rule,
 ``_study_grid``, and read the solve at the x node nearest x (an x off the
 grid is a DomainError).  Every boundary is read at the trading onset,
 where a one-sided slack of the value function crosses zero
-(``hjb.extract_band``).  The shift sweep differences every boundary
-against the solver's own smallest-eta baseline on the same grid, so
-discretization bias common to all solves cancels.  The width sweep
-instead uses the exact zero-eta band solver, which has no grid to bias
-it.  Each scaling study reports measured / predicted per point: the
-shift sweep against the layer's asymptotic shift from the same
-baseline, wall_offset*(eta^(1/3) - ETA_FLOOR^(1/3)), the width sweep
-against the small-cost width 2*small_cost_half_width(gamma).  All fits
-are ordinary least squares in log-log space and always carry a standard
-error; a slope with stderr above 0.05 is flagged LOW-CONFIDENCE rather
-than hidden.  The shift sweep's fit is of the measured shifts alone, so
-it keeps the baseline's bias (a slope above 1/3) until the baseline is
-replaced by a fitted zero-cost boundary.  A point left out of a fit is
-recorded once, with its reason, in ``excluded``.
+(``hjb.extract_band``).  The shift sweep fits its onsets by ordinary
+least squares to theta0 - c*eta^(1/3) - d*eta^(2/3) and measures every
+shift from the fitted theta0, the solver's own zero-cost limit on the
+same grid, so discretization bias common to all solves cancels.  The
+width sweep instead uses the exact zero-eta band solver, which has no
+grid to bias it.  Each scaling study reports measured / predicted per
+point: the shift sweep against the layer's full asymptotic shift
+wall_offset*eta^(1/3), the width sweep against the small-cost width
+2*small_cost_half_width(gamma).  Both scaling fits are ordinary least
+squares in log-log space and always carry a standard error; a slope
+with stderr above 0.05 is flagged LOW-CONFIDENCE rather than hidden.
+The shift sweep's slope is read from the fitted theta0, so no baseline
+biases it.  A point left out of a fit is recorded once, with its
+reason, in ``excluded``.
 A solve's ``V`` and ``v`` are (nx, ntheta) arrays on its ``Grid2D``.
 The speed zones are labelled only by ``regime_map`` (the composite is a
 bare speed), and the validity gauge is computed only by
@@ -247,41 +247,40 @@ def eta_shift_sweep(params: ModelParams, gamma_lin: float, eta_list,
     """Measure the inward boundary displacement as a function of eta.
 
     For each eta the full dynamic-programming problem is solved on one
-    shared grid (warm-starting each solve from its neighbor), and the
-    upper boundary is its ``band_plus`` at the x node nearest ``x``: the
-    trading onset, where the sell slack of V crosses zero
-    (``hjb.extract_band``).  The displacement is measured against the
-    solver's own baseline at the smallest trustworthy eta
-    (``hjb.ETA_FLOOR``), so grid bias common to both solves cancels.  The
+    shared grid (the largest eta cold, each smaller one warm-started
+    from its neighbor), and the upper boundary is its ``band_plus`` at
+    the x node nearest ``x``: the trading onset, where the sell slack of
+    V crosses zero (``hjb.extract_band``).  The onsets are fitted by
+    least squares to theta0 - c*eta^(1/3) - d*eta^(2/3), and each shift
+    is the fitted theta0, the solver's own zero-cost limit on this grid,
+    minus the onset.  The notes give theta0, c and d next to
+    ``find_band_zero``'s theta0 and the layer's wall_offset.  The
     default grid resolves the layer at the smallest eta kept.
 
-    Each point's prediction is the layer's asymptotic shift at x taken
-    from the same baseline, wall_offset*(eta^(1/3) - ETA_FLOOR^(1/3)),
-    so a solve that follows the law reads ratio 1; the log-log fit of
-    the measured shifts keeps the baseline's bias (a slope above 1/3).
-    Points outside ``validity_gauge`` (the full shift
-    wall_offset*eta^(1/3) more than ``GAUGE_MAX`` of the band width) are
-    excluded, as are points whose measured displacement comes back
-    non-positive.
+    Each point's prediction is the layer's full asymptotic shift at x,
+    wall_offset*eta^(1/3), so a solve that follows the first-order law
+    reads ratio 1, and the log-log slope of the shifts carries no
+    baseline's bias.  Points outside ``validity_gauge`` (that shift more
+    than ``GAUGE_MAX`` of the band width) are excluded before any solve;
+    a point without an onset is left out of the onset fit, and one whose
+    shift comes back non-positive out of the log-log fit.
     """
     etas = _as_positive_array(eta_list, "eta_list")
     _require_span(etas, 2.0, "eta_list")
     if etas[0] <= hjb.ETA_FLOOR:
         raise ConfigError(
-            f"smallest eta {etas[0]:g} must exceed the baseline ETA_FLOOR "
-            f"{hjb.ETA_FLOOR:g}")
+            f"smallest eta {etas[0]:g} must exceed ETA_FLOOR "
+            f"{hjb.ETA_FLOOR:g}, the solver's floor on the cost coefficient")
 
     # asymptotic prediction (independent route, used for the gauge and
     # the reported comparison, never for the measurement)
     band = band_zero.find_band_zero(params, gamma_lin)
     theta0 = float(band.theta_plus_at(x))
     offset = asymptotics.layer_constants(band, x).wall_offset
-    shifts = dict(zip(map(float, etas), offset * etas ** (1.0 / 3.0)))
-    floor_shift = offset * hjb.ETA_FLOOR ** (1.0 / 3.0)
 
     excluded = []
     keep = []
-    for eta in shifts:
+    for eta in map(float, etas):
         _, outside = validity_gauge(band, x, eta)
         if outside:
             excluded.append((eta, outside))
@@ -289,36 +288,50 @@ def eta_shift_sweep(params: ModelParams, gamma_lin: float, eta_list,
             keep.append(eta)
     if len(keep) < 4:
         raise ConfigError(
-            "fewer than 4 eta values survive the validity gauge")
+            "fewer than 4 eta values survive the validity gauge; the onset "
+            "fit has 3 unknowns, so 4 leave it one degree of freedom")
 
     grid = grid if grid is not None else _study_grid(band, x, min(keep))
     i = _nearest_node(grid, x)
-    # solve ladder: largest eta cold, then walk down to the floor so each
-    # solve warm-starts from its neighbor (the fields differ only near
-    # the boundary)
-    measured = {}
+    # solve ladder: largest eta cold, then walk down so each solve
+    # warm-starts from its neighbor (the fields differ only near the
+    # boundary)
+    onsets = {}
     V = None
-    for eta in sorted(keep, reverse=True) + [hjb.ETA_FLOOR]:
+    for eta in reversed(keep):
         vg = hjb.solve_hjb(params, CostParams(gamma_lin, eta),
                            grid, cfg, initial=V)
         V = vg.V
-        measured[eta] = float(vg.band_plus[i])
+        onsets[eta] = float(vg.band_plus[i])
 
-    base_theta = measured[hjb.ETA_FLOOR]
+    found = [eta for eta in keep if np.isfinite(onsets[eta])]
+    excluded.extend((eta, "no trading onset found") for eta in keep
+                    if eta not in found)
+    if len(found) < 4:
+        raise ConvergenceError(
+            "eta_shift_sweep: fewer than 4 onsets to fit",
+            history=[onsets[eta] for eta in found])
+    # onset = theta0 - c*eta^(1/3) - d*eta^(2/3) is a quadratic in
+    # eta^(1/3), and theta0 is the solver's own zero-cost onset
+    zero, c, d = np.polynomial.polynomial.polyfit(
+        np.array(found) ** (1.0 / 3.0), [onsets[eta] for eta in found],
+        2) * (1.0, -1.0, -1.0)
+
     points = []
-    for eta in keep:
-        s = base_theta - measured[eta]
-        if not np.isfinite(s) or s <= 0:
-            excluded.append((eta, f"unusable measured shift {s:g}"))
+    for eta in found:
+        shift = zero - onsets[eta]
+        if shift <= 0:
+            excluded.append((eta, f"unusable measured shift {shift:g}"))
             continue
-        points.append((eta, s, shifts[eta] - floor_shift))
+        points.append((eta, shift, offset * eta ** (1.0 / 3.0)))
     if len(points) < 2:
         raise ConvergenceError(
             "eta_shift_sweep: fewer than 2 usable shift measurements",
-            history=[s for _, s, _ in points])
+            history=[shift for _, shift, _ in points])
     return _fitted("eta", points, excluded, [
-        f"baseline boundary at eta_floor: {base_theta:.9g} "
-        f"(zero-cost prediction {theta0:.9g})"])
+        f"fitted zero-cost onset theta0 {zero:.12g}, c {c:.12g}, "
+        f"d {d:.12g} (find_band_zero theta0 {theta0:.12g}, "
+        f"wall_offset {offset:.12g})"])
 
 
 # ------------------------------------------------------- gamma width sweep

@@ -59,7 +59,7 @@ __all__ = [
 
 
 # smallest cost coefficient accepted at any power: below it the discrete
-# control is too stiff to trust (also the shift sweep's baseline eta)
+# control is too stiff to trust
 ETA_FLOOR = 1e-8
 # velocity cap, as a multiple of the speed scale the grid can call for
 VELOCITY_CAP_FACTOR = 10.0

@@ -1,5 +1,5 @@
 """Shared fixtures: one desk-scale model solved once per session, and a
-stub DP solve that follows the first-order shift law exactly."""
+stub DP solve that follows a given shift law exactly."""
 
 import numpy as np
 import pytest
@@ -28,23 +28,29 @@ def desk_pair(desk_band):
     return desk_band.comp.pair
 
 
-@pytest.fixture
-def exact_shift_law(desk_band, monkeypatch):
-    """``hjb.solve_hjb`` replaced by a stub whose upper boundary is
-    theta0 - wall_offset*eta^(1/3) of the desk band at every x, the
-    baseline at ETA_FLOOR included, so a shift study runs no DP.  Returns
-    the explicit grid such a study is given."""
-    theta0 = float(desk_band.theta_plus_at(0.0))
-    offset = asymptotics.layer_constants(desk_band, 0.0).wall_offset
+def shift_law(theta0, c, d=0.0):
+    """A stub ``hjb.solve_hjb`` whose upper boundary is
+    theta0 - c*eta^(1/3) - d*eta^(2/3) at every x."""
 
     def law(params, costs, grid, cfg, initial=None):
-        edge = np.full(grid.nx, theta0 - offset * costs.coeff ** (1 / 3))
+        t = costs.coeff ** (1 / 3)
+        edge = np.full(grid.nx, theta0 - c * t - d * t * t)
         zeros = np.zeros((grid.nx, grid.ntheta))
         return hjb.ValueGrid(V=zeros, v=zeros, grid=grid,
                              band_plus=edge, band_minus=edge,
                              residual=0.0, iterations=0)
 
-    monkeypatch.setattr(hjb, "solve_hjb", law)
+    return law
+
+
+@pytest.fixture
+def exact_shift_law(desk_band, monkeypatch):
+    """``hjb.solve_hjb`` replaced by ``shift_law`` at the desk band's
+    theta0 and wall_offset, the first-order law at every eta, so a shift
+    study runs no DP.  Returns the explicit grid such a study is given."""
+    theta0 = float(desk_band.theta_plus_at(0.0))
+    offset = asymptotics.layer_constants(desk_band, 0.0).wall_offset
+    monkeypatch.setattr(hjb, "solve_hjb", shift_law(theta0, offset))
     return Grid2D.regular(-0.134, 0.134, 11, -7.5e-3, 7.5e-3, 301)
 
 

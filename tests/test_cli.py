@@ -2,7 +2,8 @@
 
 The dynamic-programming command (hjb) runs on a coarse, fast parameter
 point; the exact-band commands (band, layer, sweep, validate, check) run
-at the desk point, and so does the regime sweep, on a small explicit grid.
+at the desk point, and so do the regime and eta-shift sweeps, on a small
+explicit grid.
 """
 
 import json
@@ -305,6 +306,28 @@ class TestSweep:
         assert "slope" in summary
         assert os.path.exists(os.path.join(out, "gamma_width.gp"))
 
+    def test_eta_shift_sweep_end_to_end(self, tmp_path):
+        cfg = write_cfg(tmp_path, {
+            "model": DESK, "costs": {"gamma_lin": 2e-4},
+            "grid": {"x_min": -0.134, "x_max": 0.134, "nx": 11,
+                     "theta_min": -7.5e-3, "theta_max": 7.5e-3,
+                     "ntheta": 301},
+            "solver": {"max_iters": 200, "convergence_tol": 1e-9},
+            "sweep": {"kind": "eta_shift",
+                      "values": [1e-7, 1e-6, 1e-5, 1e-4]}})
+        out = tmp_path / "o"
+        assert main(["sweep", "--config", cfg, "--out", str(out),
+                     "--quiet"]) == 0
+        t = read_csv(str(out / "eta_shift.csv"))
+        assert t.shape[0] == 4
+        summary = (out / "eta_shift_summary.txt").read_text().splitlines()
+        fields = dict(line.split(None, 1) for line in summary
+                      if not line.startswith("note:"))
+        assert np.isfinite(float(fields["slope"]))
+        assert fields["points"] == "4"
+        assert any(line.startswith("note: fitted zero-cost onset theta0 ")
+                   for line in summary)
+        assert (out / "eta_shift.gp").exists()
 
     def test_regime_sweep_end_to_end(self, tmp_path):
         cfg = write_cfg(tmp_path, {

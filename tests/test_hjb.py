@@ -35,6 +35,7 @@ from bandlayer.errors import ConfigError, ConvergenceError, DomainError
 from bandlayer.model import CostParams, Grid2D, ModelParams, stationary_std
 from bandlayer import asymptotics, experiments, hjb
 from bandlayer.special import fd_weights
+from conftest import shift_law
 
 
 # ----------------------------------------------------------------- fixtures
@@ -478,14 +479,55 @@ class TestEtaShiftSweep:
         return self._sweep(desk_params, 1e-9)
 
     def test_prediction_is_the_shifted_boundary(self, sweep, desk_band):
-        # the reported prediction is the asymptotic shift of the exact band
-        # from the sweep's own baseline at ETA_FLOOR
+        # the reported prediction is the full asymptotic shift of the
+        # exact band, theta_b - shifted_boundary(c, eta)
         assert sweep.values.size >= 2
         c = asymptotics.layer_constants(desk_band, 0.0)
-        base = asymptotics.shifted_boundary(c, hjb.ETA_FLOOR)
         for eta, predicted in zip(sweep.values, sweep.predicted):
-            want = base - asymptotics.shifted_boundary(c, eta)
+            want = c.boundary - asymptotics.shifted_boundary(c, eta)
             assert predicted == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    def test_solves_once_per_kept_eta(self, desk_params, exact_shift_law,
+                                      monkeypatch):
+        # the zero-cost onset is fitted, not solved for: one solve per
+        # kept eta, largest first, and none at the solver's floor
+        law, etas = hjb.solve_hjb, []
+
+        def counted(params, costs, grid, cfg, initial=None):
+            etas.append(costs.coeff)
+            return law(params, costs, grid, cfg, initial)
+
+        monkeypatch.setattr(hjb, "solve_hjb", counted)
+        experiments.eta_shift_sweep(desk_params, 2e-4, self.ETAS,
+                                    grid=exact_shift_law)
+        assert etas == sorted(self.ETAS, reverse=True)
+        assert hjb.ETA_FLOOR not in etas
+
+    def test_fit_recovers_a_second_order_law(self, desk_params, desk_band,
+                                             monkeypatch):
+        # onset = theta0 - c eta^(1/3) - d eta^(2/3) with d > 0: the fit
+        # returns theta0, so every shift is the law's own c eta^(1/3) +
+        # d eta^(2/3), and measured / predicted reads 1 + d eta^(1/3) / c
+        theta0 = float(desk_band.theta_plus_at(0.0))
+        c = asymptotics.layer_constants(desk_band, 0.0).wall_offset
+        d = 0.5 * c
+        monkeypatch.setattr(hjb, "solve_hjb", shift_law(theta0, c, d))
+        grid = Grid2D.regular(-0.134, 0.134, 11, -7.5e-3, 7.5e-3, 301)
+        etas = (1e-7, 1e-6, 1e-5, 1e-4, 1e-3)
+        sweep = experiments.eta_shift_sweep(desk_params, 2e-4, etas,
+                                            grid=grid)
+        t = np.array(etas) ** (1 / 3)
+        assert sweep.excluded == ()
+        np.testing.assert_allclose(sweep.measured / (c * t + d * t * t),
+                                   1.0, rtol=1e-10, atol=0.0)
+        np.testing.assert_allclose(sweep.ratios, 1.0 + d * t / c,
+                                   rtol=1e-10, atol=0.0)
+        fitted = re.search(r"fitted zero-cost onset theta0 (\S+), "
+                           r"c (\S+), d (\S+) \(find_band_zero theta0 (\S+),",
+                           sweep.notes[-1])
+        np.testing.assert_allclose(
+            [float(v) for v in fitted.groups()], [theta0, c, d, theta0],
+            rtol=1e-10, atol=0.0)
 
     def test_slope_is_finite(self, sweep):
         assert np.isfinite(sweep.fit.slope)
@@ -519,6 +561,27 @@ class TestEtaShiftSweep:
         np.testing.assert_array_equal(
             sweep.values, [eta for eta in etas if eta not in outside])
         np.testing.assert_allclose(sweep.ratios, 1.0, rtol=1e-12, atol=0.0)
+
+    def test_missing_onset_is_left_out_of_the_fit(self, desk_params,
+                                                   exact_shift_law,
+                                                   monkeypatch):
+        # a solve with no onset is excluded by name and the other four
+        # still fit the law exactly
+        law = hjb.solve_hjb
+
+        def gap(params, costs, grid, cfg, initial=None):
+            vg = law(params, costs, grid, cfg, initial)
+            if costs.coeff == 1e-5:
+                vg.band_plus[:] = np.nan
+            return vg
+
+        monkeypatch.setattr(hjb, "solve_hjb", gap)
+        sweep = experiments.eta_shift_sweep(
+            desk_params, 2e-4, (1e-7, 1e-6, 1e-5, 1e-4, 1e-3),
+            grid=exact_shift_law)
+        assert sweep.excluded == ((1e-5, "no trading onset found"),)
+        np.testing.assert_array_equal(sweep.values, [1e-7, 1e-6, 1e-4, 1e-3])
+        np.testing.assert_allclose(sweep.ratios, 1.0, rtol=1e-10, atol=0.0)
 
     def test_eta_at_floor_rejected(self, desk_params):
         etas = (hjb.ETA_FLOOR, 1e-7, 1e-6, 1e-5)

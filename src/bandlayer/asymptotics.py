@@ -36,11 +36,12 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import odeint
+from scipy.special import ai_zeros
 
 from .errors import ConfigError, ConvergenceError, DomainError, RegimeError
 from .model import ModelParams
 from .band_zero import Band, third_derivative_at_band
-from .special import airy_first_max, airy_log_derivative
+from .special import airy_log_derivative
 
 __all__ = [
     "LayerConstants",
@@ -57,9 +58,9 @@ __all__ = [
 ]
 
 
-# |u| at the first maximum of Ai on the negative axis; wall_offset is
-# this number divided by arg_scale, which pins the profile zero to y=0.
-_WALL_ROOT = -airy_first_max()
+# |u| at the first maximum of Ai (the largest zero of Ai'); wall_offset
+# is this over arg_scale, which pins the profile zero to y=0.
+_WALL_ROOT = -float(ai_zeros(1)[1][0])
 
 
 @dataclass(frozen=True)
@@ -88,6 +89,10 @@ class LayerConstants:
     def wall_slope(self) -> float:
         """Slope of the layer profile at the wall, amp^2*offset/diffusivity."""
         return self.amp ** 2 * self.wall_offset / self.diffusivity
+
+    def shift(self, eta):
+        """Inward edge shift (and layer width) wall_offset * eta^{1/3}."""
+        return self.wall_offset * eta ** (1.0 / 3.0)
 
 
 @dataclass(frozen=True)
@@ -195,12 +200,12 @@ def shifted_boundary(c: LayerConstants, eta: float) -> float:
     """Upper boundary level at ``c.x`` once a quadratic speed cost eta is
     present.
 
-    The band edge moves inward by wall_offset * eta^{1/3}: the layer's
-    wall slope over V_theta3, which its forcing makes exact.
+    The band edge moves inward by ``c.shift(eta)``: the layer's wall
+    slope over V_theta3, which its forcing makes exact.
     """
     if eta < 0.0:
         raise DomainError(f"eta must be >= 0, got {eta}")
-    return float(c.boundary - c.wall_offset * eta ** (1.0 / 3.0))
+    return float(c.boundary - c.shift(eta))
 
 
 def outer_velocity(params: ModelParams, c: LayerConstants, theta,

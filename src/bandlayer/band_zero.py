@@ -136,6 +136,18 @@ def _recessive_slope(params: ModelParams, x: float) -> float:
     return s
 
 
+def _inverse_diffusion(params: ModelParams) -> float:
+    """2/sigma^2: the Green's kernel's scale and every curvature's."""
+    return 2.0 / params.sigma ** 2
+
+
+def _curvature(params: ModelParams, x, f, fx, source=0.0):
+    """f'' by the generator rule (sigma^2/2) f'' + mu(x) f' - rho f =
+    -source, at a float x or elementwise over arrays."""
+    return _inverse_diffusion(params) * (params.rho * f - drift(params, x) * fx
+                                         - source)
+
+
 # nodes of the dense quadrature grid, and the relative tolerance of the
 # LSODA pass onto it: at 1e-13 it is within 1e-11 of a tight reference
 # (1e-11 would leave it 1.3e-9 off) in a seventh of the time of the
@@ -205,14 +217,13 @@ def solve_homogeneous(params: ModelParams, x_domain=None,
     i0 = int(np.searchsorted(xg, x_lo, side="right")) - 1
     i1 = int(np.searchsorted(xg, x_hi, side="left"))
 
-    p = params
-
     def rhs(t, y):
-        psi, dpsi = y
-        return [dpsi, (2.0 / p.sigma ** 2) * (p.omega * t * dpsi + p.rho * psi)]
+        # Python floats: the same arithmetic as numpy scalars, in less time
+        psi, dpsi = y.tolist()
+        return [dpsi, _curvature(params, t, psi, dpsi)]
 
     with np.errstate(over="ignore", invalid="ignore"):
-        y, info = odeint(rhs, [1.0, _recessive_slope(p, -r)], xg,
+        y, info = odeint(rhs, [1.0, _recessive_slope(params, -r)], xg,
                          rtol=_ODE_TOL, atol=_ODE_TOL * 1e-3, full_output=True,
                          tfirst=True)
     if info["message"] != "Integration successful.":
@@ -237,18 +248,13 @@ def solve_homogeneous(params: ModelParams, x_domain=None,
     if w0 == 0.0 or not math.isfinite(w0):
         raise ConvergenceError("degenerate homogeneous pair (zero Wronskian)")
     scale = 1.0 / math.sqrt(abs(w0))
-    psi1_s, psi2_s, psi1_d_s, psi2_d_s = (
-        scale * np.array([psi1_s, psi2_s, psi1_d_s, psi2_d_s]))
-    # psi'' from the equation, the expression ``rhs`` evaluates
-    c = 2.0 / p.sigma ** 2
-    psi1_dd, psi2_dd = (c * (p.omega * xq * d + p.rho * v)
-                        for v, d in ((psi1_s, psi1_d_s), (psi2_s, psi2_d_s)))
+    cols = scale * np.array([psi1_s, psi2_s, psi1_d_s, psi2_d_s])
+    psi_dd = _curvature(params, xq, cols[:2], cols[2:])
 
     return HomogeneousPair(
-        x_lo=x_lo, x_hi=x_hi, x_quad=xq,
-        psi1_s=psi1_s, psi2_s=psi2_s, psi1_d_s=psi1_d_s, psi2_d_s=psi2_d_s,
-        spline=_hermite_table(xq, (psi1_s, psi2_s, psi1_d_s, psi2_d_s),
-                              (psi1_d_s, psi2_d_s, psi1_dd, psi2_dd)))
+        x_lo=x_lo, x_hi=x_hi, x_quad=xq, psi1_s=cols[0], psi2_s=cols[1],
+        psi1_d_s=cols[2], psi2_d_s=cols[3],
+        spline=_hermite_table(xq, cols, (*cols[2:], *psi_dd)))
 
 
 # ---------------------------------------------------------------------------
@@ -266,8 +272,8 @@ class GreensDecomposition:
     risk_part') and knot derivatives (drift_part', risk_part',
     drift_part'', risk_part''); the first derivatives come from the
     quadrature representation (the integrand cross-terms cancel), the
-    second from the defining equations I'' = (2/sigma^2)(rho I - mu I' -
-    source), source mu(x) and -2*lam.
+    second from the generator rule (``_curvature``) with the sources of
+    ``_greens_sources``.
     """
 
     params: ModelParams
@@ -280,6 +286,11 @@ class GreensDecomposition:
         return theta * drift_part + 0.5 * theta ** 2 * risk_part
 
 
+def _greens_sources(params: ModelParams, x):
+    """Rows mu(x) and -2*lam: the sources of drift_part and risk_part."""
+    return np.array([drift(params, x), np.full_like(x, -2.0 * params.lam)])
+
+
 def greens_particular(params: ModelParams, pair: HomogeneousPair) -> GreensDecomposition:
     """Build the particular-solution parts by cumulative Simpson quadrature
     on the pair's uniform grid, and their Hermite table."""
@@ -287,13 +298,11 @@ def greens_particular(params: ModelParams, pair: HomogeneousPair) -> GreensDecom
     w = pair.wronskian_samples
     if np.any(w == 0.0):
         raise ConvergenceError("Wronskian vanishes on the quadrature grid")
-    c = 2.0 / params.sigma ** 2
+    c = _inverse_diffusion(params)
     h = float(xq[1] - xq[0])
-    mu = -params.omega * xq
 
     def resolvent(source):
-        # the value I, its slope I' and, from the defining equation,
-        # I'' = (2/sigma^2)(rho I - mu I' - source)
+        # the value I, its slope I' and, from the defining equation, I''
         f1 = pair.psi1_s * source / w
         f2 = pair.psi2_s * source / w
         c1 = cumulative_simpson(f1, dx=h, initial=0.0)
@@ -303,10 +312,10 @@ def greens_particular(params: ModelParams, pair: HomogeneousPair) -> GreensDecom
         tail2 = cumulative_simpson(f2[::-1], dx=h, initial=0.0)[::-1]
         val = -c * (pair.psi2_s * c1 + pair.psi1_s * tail2)
         der = -c * (pair.psi2_d_s * c1 + pair.psi1_d_s * tail2)
-        return val, der, c * (params.rho * val - mu * der - source)
+        return val, der, _curvature(params, xq, val, der, source)
 
-    p_s, p_d, p_dd = resolvent(mu)
-    q_s, q_d, q_dd = resolvent(np.full_like(xq, -2.0 * params.lam))
+    (p_s, p_d, p_dd), (q_s, q_d, q_dd) = map(resolvent,
+                                             _greens_sources(params, xq))
 
     return GreensDecomposition(
         params=params, pair=pair,
@@ -329,7 +338,7 @@ def _level_state(comp: GreensDecomposition, gamma_lin, theta, hp, hm):
     The coordinates are equal-length arrays, one point per entry, and
     every value below is an array of the same length.  Reads both
     stacked splines at h+ and h-; psi'' and I_xx there come from the
-    defining equations.
+    generator rule (``_curvature``).
     ``a1``/``a2`` solve the slope conditions, ``rp``/``rm`` are the
     optimality residuals R+-, ``scale`` the size of their cancelling
     pieces, ``sp``/``sm`` the x-curvatures S+- = I_xx + a . psi'' of
@@ -358,14 +367,12 @@ def _level_state(comp: GreensDecomposition, gamma_lin, theta, hp, hm):
     rp = ixp + a1 * d1p + a2 * d2p
     rm = ixm + a1 * d1m + a2 * d2m
 
-    c = 2.0 / p.sigma ** 2
     curv = []
-    for x, (s1, s2, t1, t2), (f, q, fd, qd) in zip((hp, hm), psi, grn):
-        mu = -p.omega * x
-        i_xx = (c * (-mu * fd + p.rho * f - mu)
-                + theta * (c * (-mu * qd + p.rho * q + 2.0 * p.lam)))
-        curv.append(i_xx + a1 * (c * (p.omega * x * t1 + p.rho * s1))
-                    + a2 * (c * (p.omega * x * t2 + p.rho * s2)))
+    for x, tab, g in zip((hp, hm), psi, grn):
+        i_dd = _curvature(p, x, g[:2], g[2:], _greens_sources(p, x))
+        psi_dd = _curvature(p, x, tab[:2], tab[2:])
+        curv.append(i_dd[0] + theta * i_dd[1]
+                    + a1 * psi_dd[0] + a2 * psi_dd[1])
     sp, sm = curv
 
     # columns of M^-1, M the boundary matrix of the slope conditions:
@@ -394,11 +401,6 @@ def _degenerate(hp, hm):
     singular (determinant at the cancellation floor)."""
     return RegimeError(f"degenerate boundary pair at (h+={hp:.6g}, "
                        f"h-={hm:.6g})")
-
-
-def _at(theta, hp, hm):
-    """A level point as the Newton error messages name it."""
-    return f"theta={theta:.6g}, h+={hp:.6g}, h-={hm:.6g}"
 
 
 def _newton_level(comp, gamma_lin, theta, hp0, hm0, drop=None):
@@ -457,7 +459,8 @@ def _newton_batch(comp, gamma_lin, z, free, what, drop=None):
             errors[k] = ConvergenceError(message(k))
 
     def at(k):
-        return _at(*(st[nm][k] for nm in names))
+        theta, hp, hm = (st[nm][k] for nm in names)
+        return f"theta={theta:.6g}, h+={hp:.6g}, h-={hm:.6g}"
 
     live = np.flatnonzero(~st["degenerate"])    # points still iterating
     for _ in range(_NEWTON_ITERS):
@@ -841,13 +844,6 @@ def find_band_zero(params: ModelParams, gamma_lin: float, x_nodes=None,
 _STENCIL = 7
 
 
-def _nearest_stencil(levels, theta):
-    """Indices of the _STENCIL level samples closest to theta."""
-    j = int(np.searchsorted(levels, theta))
-    lo = max(0, min(j - _STENCIL // 2, levels.size - _STENCIL))
-    return np.arange(lo, lo + _STENCIL)
-
-
 def second_derivative_at_band(band: Band, x) -> float:
     """Total second theta-derivative of the value at the upper boundary.
 
@@ -858,7 +854,10 @@ def second_derivative_at_band(band: Band, x) -> float:
     if band.flat:
         raise RegimeError("flat band: second-derivative condition does not apply")
     theta = float(band.theta_plus_at(x))
-    idx = _nearest_stencil(band.levels, theta)
+    # the _STENCIL level samples closest to theta
+    j = int(np.searchsorted(band.levels, theta))
+    lo = max(0, min(j - _STENCIL // 2, band.levels.size - _STENCIL))
+    idx = np.arange(lo, lo + _STENCIL)
     wts = fd_weights(theta, band.levels[idx], 1)
     da1 = float(wts @ band.alpha1_prime[idx])
     da2 = float(wts @ band.alpha2_prime[idx])

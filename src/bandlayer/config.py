@@ -16,7 +16,7 @@ Sections and their keys (* marks a required key):
   coefficient eta, "three_halves" power 1.5 with coefficient zeta
 * ``grid``: x_min*, x_max*, nx*, theta_min*, theta_max*, ntheta*
 * ``solver``: max_iters, convergence_tol
-* ``band``: x_nodes or count
+* ``band``: x_nodes or count (at least 3)
 * ``layer``: x, y_max, samples
 * ``sweep``: kind* ("eta_shift", "gamma_width" or "regime"), values
   (required unless kind is "regime"), x
@@ -47,6 +47,8 @@ class BandSpec:
     def __post_init__(self):
         if self.x_nodes is not None and self.count is not None:
             raise ConfigError("config band: give x_nodes or count, not both")
+        if self.count is not None and self.count < 3:
+            raise ConfigError(f"band.count must be >= 3, got {self.count}")
 
 
 @dataclass(frozen=True)

@@ -198,7 +198,7 @@ def _study_grid(band: band_zero.Band, x: float, eta: float) -> Grid2D:
         + 8.0 * asymptotics.sqrt_linear_crossover(params, c),
         abs(markowitz_position(params, x_half))
         + 2.0 * small_cost_half_width(params, band.gamma_lin))
-    htheta = c.wall_offset * eta ** (1.0 / 3.0) / 8.0
+    htheta = c.shift(eta) / 8.0
     ntheta = 2 * math.ceil(theta_half / htheta) + 1
     if ntheta > 60001:
         raise ConfigError(
@@ -233,8 +233,8 @@ def validity_gauge(band: band_zero.Band, x: float, eta: float):
     statement of the paper's validity condition: at small gamma_lin the
     gauge depends on eta and gamma_lin through eta/gamma_lin^{4/3} alone.
     """
-    gauge = float(asymptotics.layer_constants(band, x).wall_offset
-                  * eta ** (1.0 / 3.0) / band.width(x))
+    gauge = float(asymptotics.layer_constants(band, x).shift(eta)
+                  / band.width(x))
     if gauge > GAUGE_MAX:
         return gauge, (f"outside validity gauge "
                        f"(shift/width = {gauge:.2f} > {GAUGE_MAX:g})")
@@ -276,7 +276,7 @@ def eta_shift_sweep(params: ModelParams, gamma_lin: float, eta_list,
     # the reported comparison, never for the measurement)
     band = band_zero.find_band_zero(params, gamma_lin)
     theta0 = float(band.theta_plus_at(x))
-    offset = asymptotics.layer_constants(band, x).wall_offset
+    layer = asymptotics.layer_constants(band, x)
 
     excluded = []
     keep = []
@@ -323,7 +323,7 @@ def eta_shift_sweep(params: ModelParams, gamma_lin: float, eta_list,
         if shift <= 0:
             excluded.append((eta, f"unusable measured shift {shift:g}"))
             continue
-        points.append((eta, shift, offset * eta ** (1.0 / 3.0)))
+        points.append((eta, shift, layer.shift(eta)))
     if len(points) < 2:
         raise ConvergenceError(
             "eta_shift_sweep: fewer than 2 usable shift measurements",
@@ -331,7 +331,7 @@ def eta_shift_sweep(params: ModelParams, gamma_lin: float, eta_list,
     return _fitted("eta", points, excluded, [
         f"fitted zero-cost onset theta0 {zero:.12g}, c {c:.12g}, "
         f"d {d:.12g} (find_band_zero theta0 {theta0:.12g}, "
-        f"wall_offset {offset:.12g})"])
+        f"wall_offset {layer.wall_offset:.12g})"])
 
 
 # ------------------------------------------------------- gamma width sweep
@@ -462,8 +462,6 @@ def regime_map(params: ModelParams, costs: CostParams, x: float,
 
     band = band_zero.find_band_zero(params, gamma_lin=costs.gamma_lin)
     c = asymptotics.layer_constants(band, x)
-    layer_pred = c.wall_offset * eta ** (1.0 / 3.0)
-    cross_pred = asymptotics.sqrt_linear_crossover(params, c)
 
     grid = grid if grid is not None else _study_grid(band, x, eta)
     i = _nearest_node(grid, x)
@@ -521,7 +519,8 @@ def regime_map(params: ModelParams, costs: CostParams, x: float,
         notes.append("far-field zone not reached by the theta domain")
 
     # composite prediction on the same samples (selling sector)
-    v_comp = asymptotics.composite_velocity(band, x, eta, theta)
+    v_comp = np.full(grid.ntheta, np.nan)
+    v_comp[mask] = asymptotics.composite_velocity(band, x, eta, theta)
 
     full_labels = np.full(grid.ntheta, "NT", dtype=object)
     full_labels[mask] = labels
@@ -530,19 +529,14 @@ def regime_map(params: ModelParams, costs: CostParams, x: float,
         theta=grid.theta_nodes, v=v_row, labels=tuple(full_labels),
         layer_slope=slopes[0], sqrt_slope=slopes[1], linear_slope=slopes[2],
         layer_width=layer_width,
-        layer_width_predicted=float(layer_pred),
+        layer_width_predicted=float(c.shift(eta)),
         crossover=crossover,
-        crossover_predicted=float(cross_pred),
+        crossover_predicted=float(
+            asymptotics.sqrt_linear_crossover(params, c)),
         boundary=b,
-        v_composite=_embed(v_comp, mask, grid.ntheta),
+        v_composite=v_comp,
         notes=tuple(notes),
     )
-
-
-def _embed(values, mask, n):
-    out = np.full(n, np.nan)
-    out[mask] = values
-    return out
 
 
 # --------------------------------------------------------------- validity
@@ -576,7 +570,9 @@ class ValidityReport:
     validity gauge at ``eta_implied`` alone.  ``gamma_phi``, ``threshold``
     and ``margin_decades`` restate the paper's condition
     gamma_coeff*phi << threshold in desk units; they are reported, not
-    judged.
+    judged.  They read ``phi`` and the gauge the model's ``lam``, which
+    does not follow from ``phi``, so the two can disagree by decades (a
+    0.69-decade margin beside an eta 6 decades inside the gauge).
     """
 
     gamma_phi: float
@@ -595,7 +591,8 @@ def validity_report(band: band_zero.Band,
     per day), and the gauge is ``validity_gauge`` at that eta: the same
     test that drops points from ``eta_shift_sweep``.  The paper's
     threshold (gamma_lin/(sigma*sqrt(T)))^{4/3} * (omega*T)^{-5/6} on
-    gamma_coeff*phi is reported with its margin in decades.
+    gamma_coeff*phi is reported with its margin in decades; it reads
+    ``phi``, not the model's ``lam`` (see :class:`ValidityReport`).
     """
     params = band.params
     if params.omega <= 0:

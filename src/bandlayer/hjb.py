@@ -59,7 +59,9 @@ __all__ = [
 
 
 # smallest cost coefficient accepted at any power: below it the discrete
-# control is too stiff to trust
+# control is too stiff to trust.  A cold solve at the floor itself fails
+# at the desk point (31x751: Bellman residual 8.4e-7 against a rounding
+# floor of 1.5e-11); warm-started from eta 1e-7 it converges
 ETA_FLOOR = 1e-8
 # velocity cap, as a multiple of the speed scale the grid can call for
 VELOCITY_CAP_FACTOR = 10.0
@@ -156,17 +158,16 @@ class ValueGrid:
 
 # ------------------------------------------------------------------ control
 
-def _hamiltonian(costs: CostParams, d_plus, d_minus, cap):
-    """Argmax velocity of the monotone numerical Hamiltonian.
+def _hamiltonian(costs: CostParams, buy, sell, cap):
+    """Argmax velocity of the monotone numerical Hamiltonian at the node
+    slacks of :func:`_slacks`.
 
     Buying (v > 0) is priced against the forward difference, selling
     against the backward one, so the resulting advection is upwind by
-    construction.  ``d_plus[:, -1]`` and ``d_minus[:, 0]`` must be
-    pre-filled with values that disable the missing candidate.
+    construction; a slack <= 0 (the edge fills included) trades nothing.
     """
-    g = costs.gamma_lin
-    s_buy = np.maximum(d_plus - g, 0.0)
-    s_sell = np.maximum(-d_minus - g, 0.0)
+    s_buy = np.maximum(buy, 0.0)
+    s_sell = np.maximum(sell, 0.0)
     v_buy = np.minimum(_speed(costs, s_buy), cap)
     v_sell = np.minimum(_speed(costs, s_sell), cap)
     h_buy = v_buy * s_buy - _nl_cost(costs, v_buy)
@@ -373,19 +374,20 @@ def _unfold(u, shape):
                       order="F")
 
 
-def _one_sided_diffs(V, ht):
-    """Forward and backward theta-differences with candidate-disabling fill."""
+def _slacks(V, ht, gamma_lin):
+    """Buy and sell slack of every node of V: d - gamma_lin over the cell
+    above it and -d - gamma_lin over the cell below, d = (V_{j+1} - V_j) /
+    ht; -inf where the theta edge leaves no such cell."""
     d = np.diff(V, axis=1) / ht
-    inf = np.full((V.shape[0], 1), np.inf)
-    # no buy candidate at the top edge, no sell candidate at the bottom
-    return np.hstack([d, -inf]), np.hstack([inf, d])
+    edge = np.full((V.shape[0], 1), -np.inf)
+    return np.hstack([d - gamma_lin, edge]), np.hstack([edge, -d - gamma_lin])
 
 
 def _policy(costs: CostParams, V, cols, ht, cap):
     """Velocity on the first ``cols`` theta columns of the field V; the
     column after them supplies the forward differences."""
-    d_plus, d_minus = _one_sided_diffs(V[:, :cols + 1], ht)
-    return _hamiltonian(costs, d_plus[:, :cols], d_minus[:, :cols], cap)
+    buy, sell = _slacks(V[:, :cols + 1], ht, costs.gamma_lin)
+    return _hamiltonian(costs, buy[:, :cols], sell[:, :cols], cap)
 
 
 def _nt_initial(params: ModelParams, grid: Grid2D):
@@ -560,27 +562,22 @@ def extract_band(V: np.ndarray, grid: Grid2D, gamma_lin: float):
     """No-trade boundaries at the trading onset of the value field V, an
     (nx, ntheta) array on ``grid``.
 
-    Each theta-difference d = (V_{j+1} - V_j) / htheta is placed at its
-    cell midpoint.  A node sells where its sell slack -d - gamma_lin of
-    the cell below it is > 0, and buys where its buy slack d - gamma_lin
-    of the cell above it is > 0; a node with neither is quiet, which is
-    where the Hamiltonian's speed v is 0.  Per x node the longest quiet
-    run is the no-trade interval.  Its upper boundary is where the sell
-    slack crosses zero, interpolated linearly between the run's last
-    quiet cell and the first trading one; the lower boundary likewise
-    from the buy slack.  A run touching a theta edge, or a side whose
-    slack does not change sign there, gives NaN on that side.
+    The node slacks are :func:`_slacks`', the ones the policy reads: a
+    node whose buy and sell slacks are both <= 0 is quiet, which is where
+    the Hamiltonian's speed v is 0.  Per x node the longest quiet run is
+    the no-trade interval.  Its upper boundary is where the sell slack
+    crosses zero, interpolated linearly between the run's last quiet
+    node and the first trading one, each slack placed at the midpoint of
+    the cell it differences; the lower boundary likewise from the buy
+    slack.  A run touching a theta edge, or a side whose slack does not
+    change sign there, gives NaN on that side.
 
     Returns (band_plus, band_minus), per x node: the no-trade interval is
     [-band_minus, band_plus].
     """
     ht = grid.htheta
-    d = np.diff(V, axis=1) / ht
-    sell = -d - gamma_lin     # slack of node j + 1
-    buy = d - gamma_lin       # slack of node j
-    quiet = np.ones(V.shape, dtype=bool)
-    quiet[:, 1:] &= sell <= 0.0
-    quiet[:, :-1] &= buy <= 0.0
+    buy, sell = _slacks(V, ht, gamma_lin)
+    quiet = (buy <= 0.0) & (sell <= 0.0)
     mid = 0.5 * (grid.theta_nodes[:-1] + grid.theta_nodes[1:])
     nx, nt = grid.nx, grid.ntheta
     tp = np.full(nx, np.nan)
@@ -591,7 +588,7 @@ def extract_band(V: np.ndarray, grid: Grid2D, gamma_lin: float):
             continue
         j0, j1 = run
         if 0 < j1 < nt - 1:
-            tp[i] = _onset(mid[j1 - 1], sell[i, j1 - 1], sell[i, j1], ht)
+            tp[i] = _onset(mid[j1 - 1], sell[i, j1], sell[i, j1 + 1], ht)
         if 0 < j0 < nt - 1:
             tm[i] = -_onset(mid[j0], buy[i, j0], buy[i, j0 - 1], -ht)
     return tp, tm

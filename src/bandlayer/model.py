@@ -130,9 +130,8 @@ class Grid2D:
 
 
 def drift(params: ModelParams, x):
-    """Signal drift mu(x) = -omega * x (vectorized over x)."""
-    out = -params.omega * np.asarray(x, dtype=float)
-    return out if out.ndim else float(out)
+    """Signal drift mu(x) = -omega * x, at a float or an array x."""
+    return -params.omega * x
 
 
 def markowitz_position(params: ModelParams, x):

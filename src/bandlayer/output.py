@@ -97,6 +97,13 @@ def write_text_report(path: str, lines) -> None:
 # ----------------------------------------------------------------- gnuplot
 
 
+def _gnuplot_preamble(csv_basename: str):
+    """Opening lines of every script: a PNG beside its comma-separated CSV."""
+    stem = os.path.splitext(csv_basename)[0]
+    return ["set terminal pngcairo size 900,600", f"set output '{stem}.png'",
+            "set datafile separator ','", "set datafile missing 'nan'"]
+
+
 def gnuplot_loglog_script(csv_basename: str, xcol: int, ycol: int,
                           xlabel: str, ylabel: str, slope: float,
                           prefactor: float, title: str) -> str:
@@ -106,12 +113,8 @@ def gnuplot_loglog_script(csv_basename: str, xcol: int, ycol: int,
     self-contained next to its CSV; run `gnuplot <script>` to get a PNG
     beside it.
     """
-    stem = os.path.splitext(csv_basename)[0]
     lines = [
-        "set terminal pngcairo size 900,600",
-        f"set output '{stem}.png'",
-        "set datafile separator ','",
-        "set datafile missing 'nan'",
+        *_gnuplot_preamble(csv_basename),
         "set logscale xy",
         f"set xlabel '{xlabel}'",
         f"set ylabel '{ylabel}'",
@@ -130,12 +133,8 @@ def gnuplot_velocity_script(csv_basename: str, theta_col: int, v_col: int,
                             title: str) -> str:
     """Trading-speed profile against the asymptotic curve, with the
     (finite) boundary marked."""
-    stem = os.path.splitext(csv_basename)[0]
     lines = [
-        "set terminal pngcairo size 900,600",
-        f"set output '{stem}.png'",
-        "set datafile separator ','",
-        "set datafile missing 'nan'",
+        *_gnuplot_preamble(csv_basename),
         "set xlabel 'position'",
         "set ylabel 'trading speed'",
         "set key left bottom",

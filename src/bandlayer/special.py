@@ -1,18 +1,17 @@
 """Numerical substrate: Airy log-derivative and stencil weights.
 
-The boundary-layer profile needs only the Airy logarithmic derivative
-Ai'/Ai and the first maximum of Ai; both come from ``scipy.special``.
+The boundary-layer profile needs the Airy logarithmic derivative
+Ai'/Ai, taken from ``scipy.special``'s Airy pairs.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import ai_zeros, airy, airye
+from scipy.special import airy, airye
 
 from .errors import ConfigError
 
 __all__ = [
-    "airy_first_max",
     "airy_log_derivative",
     "fd_weights",
 ]
@@ -44,14 +43,6 @@ def airy_log_derivative(u):
     far = np.maximum(u, _AIRYE_MAX)
     r = np.where(u > _AIRYE_MAX, -np.sqrt(far) - 0.25 / far, aip / ai)
     return float(r) if r.ndim == 0 else r
-
-
-def airy_first_max() -> float:
-    """Location of the first maximum of Ai on the negative axis.
-
-    Largest root of Ai'(u) = 0, approximately -1.0187929716.
-    """
-    return float(ai_zeros(1)[1][0])
 
 
 def fd_weights(z: float, xs, m: int) -> np.ndarray:

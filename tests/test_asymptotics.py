@@ -18,6 +18,7 @@ Oracles used here:
 import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
@@ -135,6 +136,16 @@ class TestAiryProfile:
         predicted = math.sqrt(49.0 / 50.0) * (1.0 + 1.0 / (4.0 * u ** 1.5))
         assert ratio == pytest.approx(predicted, abs=1e-4)
 
+    def test_wall_root_is_the_first_airy_maximum(self):
+        # -_WALL_ROOT is the largest zero of Ai', where Ai peaks first
+        u = -asy._WALL_ROOT
+        with mpmath.workdps(40):
+            want = float(mpmath.airyaizero(1, derivative=1))
+            slope = float(mpmath.airyai(u, derivative=1))
+        assert u == pytest.approx(want, abs=1e-14)
+        assert abs(slope) < 1e-14
+        assert asy._WALL_ROOT == pytest.approx(WALL_ROOT_LITERAL, abs=1e-10)
+
     def test_input_validation(self, desk_constants):
         with pytest.raises(DomainError):
             asy.layer_profile_airy(desk_constants, y_max=0.0)
@@ -188,6 +199,13 @@ class TestShiftedBoundary:
         s1 = t0 - asy.shifted_boundary(c, 1e-6)
         s8 = t0 - asy.shifted_boundary(c, 8e-6)
         assert s8 / s1 == pytest.approx(2.0, rel=1e-12)
+
+    def test_shifted_boundary_is_boundary_minus_shift(self, desk_band):
+        # the one statement of the law: wall_offset * eta^{1/3}, bit for bit
+        c = asy.layer_constants(desk_band, 0.0)
+        for eta in (1e-7, 1e-4, 0.3):
+            assert c.shift(eta) == c.wall_offset * eta ** (1.0 / 3.0)
+            assert asy.shifted_boundary(c, eta) == c.boundary - c.shift(eta)
 
     def test_shift_is_inward(self, desk_band):
         for x in (-0.1, 0.0, 0.15):

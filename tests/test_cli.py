@@ -97,6 +97,15 @@ class TestBand:
         assert main(["band", "--config", cfg, "--out", str(tmp_path)]) == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("count", [-1, 0, 2])
+    def test_band_count_below_three_is_config_error(self, tmp_path, capsys,
+                                                    count):
+        cfg = write_cfg(tmp_path, {
+            "model": DESK, "costs": {"gamma_lin": 2e-4},
+            "band": {"count": count}})
+        assert main(["band", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "band.count must be >= 3" in capsys.readouterr().err
+
     def test_missing_model_section(self, tmp_path):
         cfg = write_cfg(tmp_path, {"costs": {"gamma_lin": 2e-4}})
         assert main(["band", "--config", cfg, "--out", str(tmp_path)]) == 2

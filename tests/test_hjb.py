@@ -162,14 +162,18 @@ class TestClosedFormNoTrade:
 
     def test_one_sided_slopes_within_linear_cost(self, desk_params):
         # in the no-trade region the scheme keeps both one-sided
-        # differences inside [-Gamma, Gamma] by construction
+        # differences inside [-Gamma, Gamma] by construction: both node
+        # slacks stay below 1e-3 Gamma, and the missing candidates at the
+        # theta edges are disabled
         grid = Grid2D.regular(-0.134, 0.134, 21, -0.05, 0.05, 41)
         costs = CostParams(gamma_lin=500.0, coeff=1e-4)
         vg = hjb.solve_hjb(desk_params, costs, grid)
-        dp, dm = hjb._one_sided_diffs(vg.V, grid.htheta)
-        g = costs.gamma_lin * (1 + 1e-3)
-        assert np.all(dp[:, :-1] <= g)
-        assert np.all(dm[:, 1:] >= -g)
+        buy, sell = hjb._slacks(vg.V, grid.htheta, costs.gamma_lin)
+        tol = 1e-3 * costs.gamma_lin
+        assert np.all(buy[:, :-1] <= tol)
+        assert np.all(sell[:, 1:] <= tol)
+        assert np.all(buy[:, -1] == -np.inf)
+        assert np.all(sell[:, 0] == -np.inf)
 
 
 # ------------------------------------------------------ solved-field checks
@@ -183,11 +187,11 @@ class TestSolvedField:
 
     def test_no_trade_slopes_bounded(self, desk_solve, coarse_grid):
         gamma = 2e-4
-        dp, dm = hjb._one_sided_diffs(desk_solve.V, coarse_grid.htheta)
+        buy, sell = hjb._slacks(desk_solve.V, coarse_grid.htheta, gamma)
         quiet = desk_solve.v == 0.0
-        bound = gamma * (1 + 1e-3)
-        assert np.all(dp[quiet & (dp < np.inf)] <= bound)
-        assert np.all(dm[quiet & (dm > -np.inf)] >= -bound)
+        tol = 1e-3 * gamma
+        assert np.all(buy[quiet] <= tol)
+        assert np.all(sell[quiet] <= tol)
 
     def test_antisymmetry(self, desk_solve):
         # invariance under (theta, x) -> (-theta, -x)
@@ -211,12 +215,12 @@ class TestSolvedField:
         # the reported speed maximizes -Gamma|v| - eta v^2 + slope * v,
         # priced on the one-sided difference in the direction of trade
         gamma, eta = 2e-4, 1e-4
-        dp, dm = hjb._one_sided_diffs(desk_solve.V, coarse_grid.htheta)
+        s_buy, s_sell = hjb._slacks(desk_solve.V, coarse_grid.htheta, gamma)
         v = desk_solve.v
         sell = v < 0
         buy = v > 0
-        v_sell = np.minimum((dm + gamma) / (2 * eta), 0.0)
-        v_buy = np.maximum((dp - gamma) / (2 * eta), 0.0)
+        v_sell = np.minimum(-s_sell / (2 * eta), 0.0)
+        v_buy = np.maximum(s_buy / (2 * eta), 0.0)
         assert np.allclose(v[sell], v_sell[sell], rtol=1e-10, atol=1e-12)
         assert np.allclose(v[buy], v_buy[buy], rtol=1e-10, atol=1e-12)
 
@@ -781,10 +785,10 @@ class TestThreeHalvesCost:
         gamma, zeta = 2e-4, 1e-4
         costs = CostParams(gamma_lin=gamma, coeff=zeta, power=1.5)
         vg = hjb.solve_hjb(desk_params, costs, coarse_grid)
-        dp, dm = hjb._one_sided_diffs(vg.V, coarse_grid.htheta)
+        _, s_sell = hjb._slacks(vg.V, coarse_grid.htheta, gamma)
         v = vg.v
         sell = v < 0
-        slack_sell = np.maximum(-dm - gamma, 0.0)
+        slack_sell = np.maximum(s_sell, 0.0)
         expect = -((2.0 * slack_sell) / (3.0 * zeta)) ** 2
         assert np.allclose(v[sell], expect[sell], rtol=1e-10, atol=1e-12)
 

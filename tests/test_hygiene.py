@@ -8,8 +8,11 @@ a grid at one site and a sweep result at one site, the band's level
 system reads its spline tables through ``PPoly`` alone, the boundary
 layer reads its forcing at one site, the speed zones are named in one
 module and the validity gauge read in one function, the restated
-validity forms are gone, the nonlinear cost is one power-law family, and
-every attribute the benchmark's spans hook exists.
+validity forms are gone, the nonlinear cost is one power-law family, the
+generator's 2/sigma^2 is formed in one band_zero function, the layer
+shift wall_offset * eta^{1/3} in one package function, the DP's theta
+difference in one hjb function, and every attribute the benchmark's
+spans hook exists.
 
 A stdlib stand-in for a linter's unused-import rule.  A name counts as
 used when it is read anywhere in its module or listed in ``__all__``,
@@ -334,6 +337,73 @@ def test_restated_validity_forms_are_gone():
                      for field in ("id", "attr", "arg", "name")}
             hits += [f"tests/{path.name}:{node.lineno}" for _ in gone & names]
     assert not hits, f"restated validity forms named at {hits}"
+
+
+def _owners(tree, match):
+    """Top-level functions and class methods (as Class.method) of a module
+    holding a node for which ``match`` is true, one entry per node."""
+    tops = []
+    for top in tree.body:
+        if isinstance(top, ast.ClassDef):
+            tops += [(f"{top.name}.{f.name}", f) for f in top.body
+                     if isinstance(f, ast.FunctionDef)]
+        elif isinstance(top, ast.FunctionDef):
+            tops.append((top.name, top))
+    return [name for name, top in tops for node in ast.walk(top)
+            if match(node)]
+
+
+def _mentions(node, word):
+    """Whether a name or attribute under ``node`` contains ``word``."""
+    return any(word in (getattr(n, "id", None) or getattr(n, "attr", None)
+                        or "")
+               for n in ast.walk(node))
+
+
+def test_generator_inverse_diffusion_formed_once():
+    # the no-trade generator's 2/sigma^2 scales the Green's kernel and
+    # every curvature f'' = (2/sigma^2)(rho f - mu f' - source); it is
+    # formed in band_zero._inverse_diffusion alone, and _curvature, the one
+    # statement of the generator rule, reads it
+    tree = ast.parse((PACKAGE / "band_zero.py").read_text(encoding="utf-8"))
+    owners = _owners(tree, lambda n: (
+        isinstance(n, ast.BinOp) and isinstance(n.op, ast.Div)
+        and isinstance(n.left, ast.Constant) and n.left.value == 2
+        and isinstance(n.right, ast.BinOp) and isinstance(n.right.op, ast.Pow)
+        and _mentions(n.right.left, "sigma")))
+    assert owners == ["_inverse_diffusion"], owners
+    readers = _owners(tree, lambda n: (
+        isinstance(n, ast.Call)
+        and getattr(n.func, "id", None) == "_inverse_diffusion"))
+    assert sorted(readers) == ["_curvature", "greens_particular"], readers
+
+
+def test_layer_shift_formed_once():
+    # the headline law, the inward shift wall_offset * eta^{1/3}, is also
+    # the layer width; every reader calls LayerConstants.shift
+    def cube_root(node):
+        return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
+                and ast.unparse(node.right) in ("1.0 / 3.0", "1 / 3"))
+
+    owners = [f"{m}:{name}" for m in MODULES for name in _owners(
+        ast.parse((PACKAGE / m).read_text(encoding="utf-8")),
+        lambda n: (isinstance(n, ast.BinOp) and isinstance(n.op, ast.Mult)
+                   and any(cube_root(a) and _mentions(b, "offset")
+                           for a, b in ((n.left, n.right),
+                                        (n.right, n.left)))))]
+    assert owners == ["asymptotics.py:LayerConstants.shift"], owners
+
+
+def test_theta_difference_taken_once():
+    # the DP's trading slacks +-d - gamma_lin read one theta difference
+    # d of V, taken in hjb._slacks; the policy and the onset both read
+    # those node slacks (np.diff's other calls there difference index
+    # arrays, not a field)
+    tree = ast.parse((PACKAGE / "hjb.py").read_text(encoding="utf-8"))
+    owners = _owners(tree, lambda n: (
+        isinstance(n, ast.Call) and getattr(n.func, "attr", None) == "diff"
+        and any(k.arg == "axis" for k in n.keywords)))
+    assert owners == ["_slacks"], owners
 
 
 def test_benchmark_hooks_resolve():

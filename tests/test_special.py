@@ -12,8 +12,7 @@ import numpy as np
 import pytest
 
 from bandlayer.errors import ConfigError
-from bandlayer.special import (airy_first_max, airy_log_derivative,
-                               fd_weights)
+from bandlayer.special import airy_log_derivative, fd_weights
 
 # Ai(0) and Ai'(0) in closed form, through the gamma function
 AI0 = 3 ** (-2.0 / 3.0) / math.gamma(2.0 / 3.0)
@@ -55,14 +54,6 @@ class TestAiryValues:
             airy_log_derivative(float("inf"))
         with pytest.raises(ConfigError):
             airy_log_derivative(np.array([0.0, -math.inf]))
-
-    def test_first_max_location(self):
-        u = airy_first_max()
-        with mpmath.workdps(40):
-            want = float(mpmath.airyaizero(1, derivative=1))
-            slope = float(mpmath.airyai(u, derivative=1))
-        assert u == pytest.approx(want, abs=1e-14)
-        assert abs(slope) < 1e-14
 
 
 class TestAiryLogDerivative:

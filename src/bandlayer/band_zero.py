@@ -64,7 +64,7 @@ from scipy.interpolate import CubicSpline, PPoly
 
 from .errors import ConfigError, ConvergenceError, DomainError, RegimeError
 from .model import (ModelParams, default_x_domain, drift,
-                    small_cost_half_width)
+                    markowitz_position, small_cost_half_width)
 from .special import fd_weights
 
 __all__ = [
@@ -680,7 +680,7 @@ def _sweep_levels(comp, gamma_lin, x_min, x_max):
     lo_lim, hi_lim = pr.x_lo + guard, pr.x_hi - guard
     w = small_cost_half_width(p, gamma_lin)
     dtheta = _LEVEL_STEP_FRAC * w
-    m = -p.omega / (2.0 * p.lam)
+    m = markowitz_position(p, 1.0)   # slope of theta*(x)
 
     def first_stops(k, hp, hm, done, failed):
         """Each direction's first known end, as (k up, k down); +-inf

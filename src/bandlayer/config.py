@@ -19,7 +19,7 @@ Sections and their keys (* marks a required key):
 * ``band``: x_nodes or count (at least 3)
 * ``layer``: x, y_max, samples
 * ``sweep``: kind* ("eta_shift", "gamma_width" or "regime"), values
-  (required unless kind is "regime"), x
+  (required unless kind is "regime", refused when it is), x
 * ``validity``: gamma_coeff*, phi*, daily_volume*
 * ``check``: layer_table
 * ``output``: prefix
@@ -75,6 +75,8 @@ class SweepSpec:
             raise ConfigError(
                 f"sweep.kind must be eta_shift, gamma_width or regime; "
                 f"got {self.kind!r}")
+        if self.kind == "regime" and self.values is not None:
+            raise ConfigError("sweep.kind='regime' takes no sweep.values")
         if self.kind != "regime" and self.values is None:
             raise ConfigError(f"sweep.kind={self.kind!r} needs sweep.values")
 

@@ -187,8 +187,9 @@ def _study_grid(band: band_zero.Band, x: float, eta: float) -> Grid2D:
     x covers max(0.75 stationary deviations, 1.5|x|) on 31 nodes (at a
     fixed step the onset at x = 0 is the same to 7 digits on 3).  theta
     reaches 8 crossovers beyond the boundary at x, and 2 small-cost
-    half-widths beyond every node's Markowitz position, so each edge row
-    takes the analytic slope.  htheta is at most the layer width / 8.
+    half-widths beyond every node's Markowitz position, so each x row's
+    no-trade run stays off the theta edges and ``extract_band`` finds
+    both onsets.  htheta is at most the layer width / 8.
     """
     params = band.params
     c = asymptotics.layer_constants(band, x)

@@ -14,6 +14,12 @@ policy.  The x-part of the operator does not depend on the policy; it is
 built once per grid by ``_x_stencil`` and ``_assemble`` adds the
 theta-advection of each policy to it.
 
+Every node carries the optimality equation, the theta edges included:
+there the control cannot trade outward (``_slacks`` gives that side a
+-inf slack) and the outward theta-advection is dropped, so an edge row is
+the one-sided state-constraint row of the monotone scheme, and no
+far-field condition from the small-cost theory is imposed.
+
 A cold solve is seeded coarse to fine: the same problem on half the
 theta nodes, interpolated in theta, recursively down to the closed-form
 all-no-trade value, so the boundary travels mostly on cheap grids.  A
@@ -47,8 +53,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .errors import ConfigError, ConvergenceError
-from .model import (CostParams, Grid2D, ModelParams, drift,
-                    markowitz_position, nt_rhs, small_cost_half_width)
+from .model import CostParams, Grid2D, ModelParams, drift, nt_rhs
 
 __all__ = [
     "SolverConfig",
@@ -60,7 +65,7 @@ __all__ = [
 
 # smallest cost coefficient accepted at any power: below it the discrete
 # control is too stiff to trust.  A cold solve at the floor itself fails
-# at the desk point (31x751: Bellman residual 8.4e-7 against a rounding
+# at the desk point (31x751: Bellman residual 3.3e-5 against a rounding
 # floor of 1.5e-11); warm-started from eta 1e-7 it converges
 ETA_FLOOR = 1e-8
 # velocity cap, as a multiple of the speed scale the grid can call for
@@ -200,34 +205,6 @@ def _velocity_cap(params: ModelParams, costs: CostParams,
     return VELOCITY_CAP_FACTOR * max(_speed(costs, slope) + far, 1.0)
 
 
-# ----------------------------------------------------------- edge conditions
-
-def _edge_slopes(params: ModelParams, costs: CostParams, grid: Grid2D):
-    """Analytic far-field slope of V at the two theta edges, per x node.
-
-    The rebalancing asymptote gives V_theta = -+gamma_lin -+ c, the slack
-    c at which sup_v (v c - coeff v^power) is rad = lam (theta - theta*)^2
-    - lam w_est^2, theta* the cost-free position and w_est the small-cost
-    half-width estimate.  Where rad <= 0 the band may reach the edge and
-    the asymptote is meaningless; those nodes fall back to a one-sided
-    optimality row (mask False).
-    """
-    x = grid.x_nodes
-    a = costs.power
-    star = markowitz_position(params, x)
-    w_est = small_cost_half_width(params, costs.gamma_lin)
-    out = []
-    for sign, theta_e in ((1.0, float(grid.theta_nodes[0])),
-                          (-1.0, float(grid.theta_nodes[-1]))):
-        rad = params.lam * (theta_e - star) ** 2 - params.lam * w_est ** 2
-        usable = rad > 0.0
-        rad = np.where(usable, rad, 0.0)
-        extra = a * (costs.coeff ** (1.0 / (a - 1.0)) * rad
-                     / (a - 1.0)) ** ((a - 1.0) / a)
-        out.append((usable, sign * (costs.gamma_lin + extra)))
-    return tuple(out)
-
-
 # ------------------------------------------------------------- policy scheme
 
 def _x_stencil(params: ModelParams, grid: Grid2D):
@@ -267,17 +244,14 @@ def _fold_rows(grid: Grid2D) -> int:
     return (size + 1) // 2
 
 
-def _assemble(params: ModelParams, grid: Grid2D, xop, v, bc_bot, bc_top,
-              rows=None):
+def _assemble(params: ModelParams, grid: Grid2D, xop, v, rows=None):
     """Sparse operator rho I - v d/dtheta - L_x with upwind advection.
 
     ``xop`` is the :func:`_x_stencil` of the grid, and ``v`` the velocity
     on the grid's first theta columns, at least those of the kept rows.
     Unknowns are ordered x-fastest (k = i + j*nx), so the matrix has five
-    diagonals, at offsets 0, +-1 (x) and +-nx (theta).  Rows at theta
-    edges where the bc mask is set enforce the one-sided slope instead of
-    the optimality equation; the returned callback maps the reward field
-    (on the same columns as ``v``) to the rhs.
+    diagonals, at offsets 0, +-1 (x) and +-nx (theta).  Every row is the
+    optimality equation (theta edges: see the module docstring).
 
     ``rows`` = n keeps rows 0..n-1 (all N by default) and reads each
     column l >= n as column N-1-l, the mirror of node l (:func:`_fold_rows`
@@ -295,13 +269,6 @@ def _assemble(params: ModelParams, grid: Grid2D, xop, v, bc_bot, bc_top,
     ht = grid.htheta
     # per-row arrays of the kept rows; row k sits at x node k % nx
     lower, x_diag, upper = (np.tile(c, nt)[:n] for c in xop)
-    is_bc = np.zeros(size, dtype=bool)
-    is_bc[:nx] = bc_bot[0]
-    is_bc[size - nx:] = bc_top[0]
-    slope = is_bc[:n]
-    g = np.zeros(size)
-    g[:nx] = -bc_bot[1]
-    g[size - nx:] = bc_top[1]
 
     # theta-advection, upwind by velocity sign
     vk = np.ravel(v, order="F")[:n]
@@ -310,24 +277,9 @@ def _assemble(params: ModelParams, grid: Grid2D, xop, v, bc_bot, bc_top,
     t_fwd[size - nx:] = 0.0   # no forward neighbour; control never buys here
     t_bwd[:nx] = 0.0
 
-    # coefficients of V at (i, j) and at its four neighbours, per row;
-    # slope rows (V_edge - V_inner)/ht = g are written with +1 diagonal
-    free = ~slope
-    diag = np.where(free, (params.rho - x_diag) + (t_fwd + t_bwd), 1.0 / ht)
-    west = np.where(free, -lower, 0.0)
-    east = np.where(free, -upper, 0.0)
-    south = np.where(free, -t_bwd, 0.0)
-    north = np.where(free, -t_fwd, 0.0)
-    north[:nx][slope[:nx]] = -1.0 / ht
-    south[size - nx:][slope[size - nx:]] = -1.0 / ht
-
-    A = _folded_csc(size, nx, south, west, diag, east, north)
-
-    def rhs(r):
-        # bottom row reads (V[0]-V[1])/ht = -g_bot, top (V[J]-V[J-1])/ht = g_top
-        return np.where(slope, g[:n], np.ravel(r, order="F")[:n])
-
-    return A, rhs, np.reshape(is_bc, (nx, nt), order="F")
+    # coefficients of V at (i, j) and at its four neighbours, per row
+    diag = (params.rho - x_diag) + (t_fwd + t_bwd)
+    return _folded_csc(size, nx, -t_bwd, -lower, diag, -upper, -t_fwd)
 
 
 def _folded_csc(size, nx, south, west, diag, east, north):
@@ -403,17 +355,14 @@ def _nt_initial(params: ModelParams, grid: Grid2D):
 
 
 def _bellman_residual(params, costs, grid, V):
-    """Max |rho V - r - H - L_x V| over optimality rows, from the final V,
-    its rounding floor eps * max_row(|A||V| + |b|) and the policy."""
-    bc_bot, bc_top = _edge_slopes(params, costs, grid)
+    """Max |rho V - r - H - L_x V| over every node, from the final V, its
+    rounding floor eps * max_row(|A||V| + |b|) and the policy."""
     v = _policy(costs, V, grid.ntheta, grid.htheta,
                 _velocity_cap(params, costs, grid))
-    A, rhs, is_bc = _assemble(params, grid, _x_stencil(params, grid), v,
-                              bc_bot, bc_top)
+    A = _assemble(params, grid, _x_stencil(params, grid), v)
     u = np.ravel(V, order="F")
-    b = rhs(_reward(params, costs, grid, v))
-    res = np.reshape(A @ u - b, V.shape, order="F")
-    return float(np.max(np.abs(res[~is_bc]))), _rounding_floor(A, b, u), v
+    b = np.ravel(_reward(params, costs, grid, v), order="F")
+    return float(np.max(np.abs(A @ u - b))), _rounding_floor(A, b, u), v
 
 
 def _reward(params: ModelParams, costs: CostParams, grid: Grid2D, v):
@@ -458,11 +407,10 @@ def _solve_policy(params, costs, grid, cfg, V=None, seed=False):
                       _solve_policy(params, costs, coarse, cfg,
                                     seed=True)[0]])
     cap = _velocity_cap(params, costs, grid)
-    bc_bot, bc_top = _edge_slopes(params, costs, grid)
     xop = _x_stencil(params, grid)
     rows = _fold_rows(grid)
-    # the theta columns holding the kept nodes: the policy is computed on
-    # them, and _assemble and rhs read its first `rows` nodes
+    # the theta columns holding the kept nodes: the policy and the reward
+    # are computed on them, and the system reads their first `rows` nodes
     cols = -(-rows // grid.nx)
     history = []
     # the policy before the first iteration counts as "trade nowhere"
@@ -473,8 +421,8 @@ def _solve_policy(params, costs, grid, cfg, V=None, seed=False):
         sign = np.sign(np.ravel(v, order="F")[:rows]).astype(np.int8)
         settled = np.array_equal(sign, sign_prev)
         sign_prev = sign
-        A, rhs, _ = _assemble(params, grid, xop, v, bc_bot, bc_top, rows)
-        b = rhs(_reward(params, costs, grid, v))
+        A = _assemble(params, grid, xop, v, rows)
+        b = np.ravel(_reward(params, costs, grid, v), order="F")[:rows]
         # keep the x-fastest order so the factor stays in the band of
         # width nx; at nx 31 a fill-reducing order factors slower.  No
         # refinement step: it moved V by < 1e-12 relative at ETA_FLOOR.

@@ -267,6 +267,17 @@ class TestSweep:
             "sweep": {"kind": "eta_shift", "values": [1e-6]}})
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 2
 
+    def test_regime_values_are_config_error(self, tmp_path, capsys):
+        # the regime sweep solves one eta and would ignore the list
+        cfg = write_cfg(tmp_path, {
+            "model": DESK,
+            "costs": {"gamma_lin": 2e-4, "kind": "quadratic", "eta": 1e-4},
+            "sweep": {"kind": "regime", "values": [1e-4, 1e-5]}})
+        assert main(["sweep", "--config", cfg, "--out",
+                     str(tmp_path / "o")]) == EXIT_CONFIG
+        assert "takes no sweep.values" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_narrow_span_rejected(self, tmp_path):
         cfg = write_cfg(tmp_path, {
             "model": DESK, "costs": {"gamma_lin": 2e-4},
@@ -390,7 +401,6 @@ class TestValidate:
         assert "'risk_target'" in capsys.readouterr().err
 
 
-@pytest.mark.slow
 class TestCheck:
     def desk_doc(self):
         return {"model": DESK, "costs": {"gamma_lin": 2e-4, "eta": 1e-6,

@@ -11,8 +11,8 @@ module and the validity gauge read in one function, the restated
 validity forms are gone, the nonlinear cost is one power-law family, the
 generator's 2/sigma^2 is formed in one band_zero function, the layer
 shift wall_offset * eta^{1/3} in one package function, the DP's theta
-difference in one hjb function, and every attribute the benchmark's
-spans hook exists.
+difference in one hjb function, the DP oracle reads none of the band
+theory it checks, and every attribute the benchmark's spans hook exists.
 
 A stdlib stand-in for a linter's unused-import rule.  A name counts as
 used when it is read anywhere in its module or listed in ``__all__``,
@@ -404,6 +404,19 @@ def test_theta_difference_taken_once():
         isinstance(n, ast.Call) and getattr(n.func, "attr", None) == "diff"
         and any(k.arg == "axis" for k in n.keywords)))
     assert owners == ["_slacks"], owners
+
+
+def test_dp_oracle_reads_no_band_theory():
+    # hjb is the brute-force check on the exact band and its layer: it
+    # imports neither module, and no row of its scheme reads the
+    # small-cost band estimate or the cost-free position around it
+    tree = ast.parse((PACKAGE / "hjb.py").read_text(encoding="utf-8"))
+    names = set(_identifiers(tree))
+    modules = {(node.module or "").rsplit(".", 1)[-1]
+               for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    hits = ({"band_zero", "asymptotics"} & (modules | names)) | (
+        {"small_cost_half_width", "markowitz_position"} & names)
+    assert not hits, sorted(hits)
 
 
 def test_benchmark_hooks_resolve():

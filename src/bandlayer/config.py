@@ -20,8 +20,7 @@ Sections and their keys (* marks a required key):
 * ``layer``: x, y_max, samples
 * ``sweep``: kind* ("eta_shift", "gamma_width" or "regime"), values
   (required unless kind is "regime", refused when it is), x
-* ``validity``: gamma_coeff*, phi*, daily_volume*
-* ``check``: layer_table
+* ``validity``: gamma_coeff*, daily_volume*
 * ``output``: prefix
 """
 
@@ -81,11 +80,6 @@ class SweepSpec:
             raise ConfigError(f"sweep.kind={self.kind!r} needs sweep.values")
 
 
-@dataclass(frozen=True)
-class CheckSpec:
-    layer_table: str | None = None
-
-
 def _output(prefix: str = "") -> str:
     return prefix
 
@@ -115,7 +109,6 @@ class RunConfig:
     layer: LayerSpec | None = None
     sweep: SweepSpec | None = None
     validity: ValidityParams | None = None
-    check: CheckSpec | None = None
     output_prefix: str = ""
 
     def need(self, name: str):
@@ -147,9 +140,8 @@ _SECTIONS = {
     "sweep": (SweepSpec, {"kind": str, "values": tuple, "x": float},
               ("kind",)),
     "validity": (ValidityParams, dict.fromkeys(
-        ("gamma_coeff", "phi", "daily_volume"), float),
-        ("gamma_coeff", "phi", "daily_volume")),
-    "check": (CheckSpec, {"layer_table": str}, ()),
+        ("gamma_coeff", "daily_volume"), float),
+        ("gamma_coeff", "daily_volume")),
     "output": (_output, {"prefix": str}, ()),
 }
 

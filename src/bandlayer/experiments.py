@@ -402,10 +402,14 @@ def gamma_width_sweep(params: ModelParams, gamma_list,
 class RegimeReport:
     """Classification of one trading-speed profile into its four zones.
 
-    ``labels`` entries are "NT", "LAYER", "SQRT", "LINEAR" or "?" per
-    theta sample.  Slopes are medians of local log-log slopes over the
-    samples assigned to each zone, NaN (and a note with the count of a
-    non-empty zone) below ``_MIN_ZONE_SAMPLES`` samples.
+    ``labels`` entries are "NT", "BUY", "LAYER", "SQRT", "LINEAR" or "?"
+    per theta sample: "NT" where the speed is 0, the walk's zone on the
+    selling sector beyond the boundary, and "BUY" at every other trading
+    sample.  ``x`` is the grid node the profile is read at, and every
+    quantity of the report is read there.  Slopes are medians of local
+    log-log slopes over the samples assigned to each zone, NaN (and a
+    note with the count of a non-empty zone) below ``_MIN_ZONE_SAMPLES``
+    samples.
     ``v_composite`` is ``asymptotics.composite_velocity`` at the trading
     samples beyond the DP boundary and NaN elsewhere.
     """
@@ -445,15 +449,18 @@ def regime_map(params: ModelParams, costs: CostParams, x: float,
                cfg: hjb.SolverConfig | None = None) -> RegimeReport:
     """Classify the solved speed profile at ``x`` into its four zones.
 
-    The speed and the onset are read at the x node nearest ``x``.
-    Walking outward from the onset the local slope of log|v| against
-    log(distance d from the boundary) starts near 1 (layer), relaxes to
-    1/2 (square-root zone) and climbs back towards 1 in the far field,
-    where the speed is linear in theta.  The zone assignment is a
-    three-state walk in that order, which switches zone each time the
-    slope crosses 3/4: the outer speed's slope, 1/2 + lam d / (2 (lam d
-    + amp^2/4)), is 3/4 exactly at ``sqrt_linear_crossover``.
-    Boundaries between zones are recorded where the walk switches.
+    The speed, the onset and every asymptotic prediction are read at
+    the x node nearest ``x``.  Walking outward from the onset the local
+    slope of log|v| against log(distance d from the boundary) starts near
+    1 (layer), relaxes to 1/2 (square-root zone) and climbs back towards
+    1 in the far field, where the speed is linear in the distance from
+    the Markowitz position (the far-field slope is taken against that
+    distance).  The zone assignment is a three-state walk in that order,
+    which switches zone each time the slope crosses 3/4: the outer
+    speed's slope, 1/2 + lam d / (2 (lam d + amp^2/4)), is 3/4 exactly at
+    ``sqrt_linear_crossover``.  Boundaries between zones are recorded
+    where the walk switches.  Every trading sample outside the selling
+    sector is labelled "BUY".
     """
     if costs.power != 2.0:
         raise ConfigError("regime_map models the quadratic speed cost")
@@ -462,10 +469,10 @@ def regime_map(params: ModelParams, costs: CostParams, x: float,
         raise ConfigError("regime_map needs eta > 0")
 
     band = band_zero.find_band_zero(params, gamma_lin=costs.gamma_lin)
-    c = asymptotics.layer_constants(band, x)
-
     grid = grid if grid is not None else _study_grid(band, x, eta)
     i = _nearest_node(grid, x)
+    node = float(grid.x_nodes[i])
+    c = asymptotics.layer_constants(band, node)
     vg = hjb.solve_hjb(params, costs, grid, cfg)
     b = float(vg.band_plus[i])
     if not np.isfinite(b):
@@ -480,7 +487,7 @@ def regime_map(params: ModelParams, costs: CostParams, x: float,
                           "classify regimes")
     d = theta - b
     slope_d = _local_slopes(d, mag)
-    slope_t = _local_slopes(theta, mag)
+    slope_t = _local_slopes(theta - markowitz_position(params, node), mag)
 
     labels = []
     phase = "LAYER"
@@ -521,12 +528,12 @@ def regime_map(params: ModelParams, costs: CostParams, x: float,
 
     # composite prediction on the same samples (selling sector)
     v_comp = np.full(grid.ntheta, np.nan)
-    v_comp[mask] = asymptotics.composite_velocity(band, x, eta, theta)
+    v_comp[mask] = asymptotics.composite_velocity(band, node, eta, theta)
 
-    full_labels = np.full(grid.ntheta, "NT", dtype=object)
+    full_labels = np.where(v_row == 0, "NT", "BUY").astype(object)
     full_labels[mask] = labels
     return RegimeReport(
-        x=float(grid.x_nodes[i]), eta=float(eta),
+        x=node, eta=float(eta),
         theta=grid.theta_nodes, v=v_row, labels=tuple(full_labels),
         layer_slope=slopes[0], sqrt_slope=slopes[1], linear_slope=slopes[2],
         layer_width=layer_width,
@@ -548,17 +555,15 @@ class ValidityParams:
     """Desk-scale inputs for the expansion-validity calculator.
 
     gamma_coeff: dimensionless quadratic-cost number (the speed cost is
-        eta = gamma_coeff * sigma * T^{3/2} / daily_volume);
-    phi: risk as a fraction of daily volume (risk = phi * volume * sigma);
+        eta = gamma_coeff * sigma / daily_volume, quoted per day);
     daily_volume: the dimensional anchor of eta.
     """
 
     gamma_coeff: float
-    phi: float
     daily_volume: float
 
     def __post_init__(self):
-        for name in ("gamma_coeff", "phi", "daily_volume"):
+        for name in ("gamma_coeff", "daily_volume"):
             if not (getattr(self, name) > 0):
                 raise ConfigError(f"{name} must be > 0")
 
@@ -567,18 +572,10 @@ class ValidityParams:
 class ValidityReport:
     """Whether a desk's quadratic cost is small enough for the expansion.
 
-    All quantities are per unit horizon (one day).  ``ok`` is the
-    validity gauge at ``eta_implied`` alone.  ``gamma_phi``, ``threshold``
-    and ``margin_decades`` restate the paper's condition
-    gamma_coeff*phi << threshold in desk units; they are reported, not
-    judged.  They read ``phi`` and the gauge the model's ``lam``, which
-    does not follow from ``phi``, so the two can disagree by decades (a
-    0.69-decade margin beside an eta 6 decades inside the gauge).
+    ``eta_implied`` is per unit horizon (one day), and ``ok`` is the
+    validity gauge at it.
     """
 
-    gamma_phi: float
-    threshold: float
-    margin_decades: float
     eta_implied: float
     gauge: float
     ok: bool
@@ -588,28 +585,11 @@ def validity_report(band: band_zero.Band,
                     vp: ValidityParams) -> ValidityReport:
     """Judge the desk's implied eta by the validity gauge at x = 0.
 
-    eta = gamma_coeff*sigma*T^{3/2}/daily_volume with T = 1 (inputs quoted
-    per day), and the gauge is ``validity_gauge`` at that eta: the same
-    test that drops points from ``eta_shift_sweep``.  The paper's
-    threshold (gamma_lin/(sigma*sqrt(T)))^{4/3} * (omega*T)^{-5/6} on
-    gamma_coeff*phi is reported with its margin in decades; it reads
-    ``phi``, not the model's ``lam`` (see :class:`ValidityReport`).
+    eta = gamma_coeff*sigma/daily_volume (inputs quoted per day), and the
+    gauge is ``validity_gauge`` at that eta: the same test that drops
+    points from ``eta_shift_sweep``.
     """
-    params = band.params
-    if params.omega <= 0:
-        raise RegimeError("validity threshold needs omega > 0; the "
-                          "flat-signal limit has no reversion horizon")
-    T = 1.0
-    eta = vp.gamma_coeff * params.sigma * T ** 1.5 / vp.daily_volume
+    eta = vp.gamma_coeff * band.params.sigma / vp.daily_volume
     gauge, outside = validity_gauge(band, 0.0, eta)
-    lhs = vp.gamma_coeff * vp.phi
-    threshold = (band.gamma_lin / (params.sigma * math.sqrt(T))) ** (
-        4.0 / 3.0) * (params.omega * T) ** (-5.0 / 6.0)
-    return ValidityReport(
-        gamma_phi=float(lhs),
-        threshold=float(threshold),
-        margin_decades=float(math.log10(threshold / lhs)),
-        eta_implied=float(eta),
-        gauge=gauge,
-        ok=outside is None,
-    )
+    return ValidityReport(eta_implied=float(eta), gauge=gauge,
+                          ok=outside is None)

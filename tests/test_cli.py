@@ -350,34 +350,38 @@ class TestSweep:
         assert (out / "eta_shift.gp").exists()
 
     def test_regime_sweep_end_to_end(self, tmp_path):
-        cfg = write_cfg(tmp_path, {
-            "model": DESK,
-            "costs": {"gamma_lin": 2e-4, "kind": "quadratic", "eta": 1e-4},
-            "grid": {"x_min": -0.134, "x_max": 0.134, "nx": 11,
-                     "theta_min": -7.5e-3, "theta_max": 7.5e-3,
-                     "ntheta": 301},
-            "sweep": {"kind": "regime"}})
-        out = tmp_path / "o"
-        assert main(["sweep", "--config", cfg, "--out", str(out),
-                     "--quiet"]) == 0
-        lines = (out / "regime.csv").read_text().splitlines()
-        assert lines[0] == "theta,speed,composite,zone"
-        assert len(lines) == 1 + 301
-        zones = {line.rsplit(",", 1)[1] for line in lines[1:]}
-        assert "NT" in zones and zones <= {"NT", "LAYER", "SQRT", "LINEAR",
-                                           "?"}
-        summary = (out / "regime_summary.txt").read_text().splitlines()
-        keys = [line.split()[0] for line in summary
-                if not line.startswith("note:")]
-        assert keys == ["x", "eta", "boundary", "layer_slope", "sqrt_slope",
-                        "linear_slope", "layer_width",
-                        "layer_width_predicted", "crossover",
-                        "crossover_predicted"]
-        assert (out / "regime.gp").exists()
+        # x = 0.02 is off the grid's nodes, and the upper onset at the
+        # nearest node (x = 0.0268) is below theta = 0
+        for x in (0.0, 0.02):
+            cfg = write_cfg(tmp_path, {
+                "model": DESK,
+                "costs": {"gamma_lin": 2e-4, "kind": "quadratic",
+                          "eta": 1e-4},
+                "grid": {"x_min": -0.134, "x_max": 0.134, "nx": 11,
+                         "theta_min": -7.5e-3, "theta_max": 7.5e-3,
+                         "ntheta": 301},
+                "sweep": {"kind": "regime", "x": x}})
+            out = tmp_path / f"o{x:g}"
+            assert main(["sweep", "--config", cfg, "--out", str(out),
+                         "--quiet"]) == 0
+            lines = (out / "regime.csv").read_text().splitlines()
+            assert lines[0] == "theta,speed,composite,zone"
+            assert len(lines) == 1 + 301
+            zones = {line.rsplit(",", 1)[1] for line in lines[1:]}
+            assert "NT" in zones and zones <= {"NT", "BUY", "LAYER", "SQRT",
+                                               "LINEAR", "?"}
+            summary = (out / "regime_summary.txt").read_text().splitlines()
+            keys = [line.split()[0] for line in summary
+                    if not line.startswith("note:")]
+            assert keys == ["x", "eta", "boundary", "layer_slope",
+                            "sqrt_slope", "linear_slope", "layer_width",
+                            "layer_width_predicted", "crossover",
+                            "crossover_predicted"]
+            assert (out / "regime.gp").exists()
 
 
 class TestValidate:
-    VALIDITY = {"gamma_coeff": 0.3, "phi": 0.01, "daily_volume": 1e6}
+    VALIDITY = {"gamma_coeff": 0.3, "daily_volume": 1e6}
 
     def test_report_written(self, tmp_path):
         cfg = write_cfg(tmp_path, {
@@ -388,17 +392,18 @@ class TestValidate:
                      "--quiet"]) == 0
         report = (out / "validity.txt").read_text().splitlines()
         assert [line.split()[0] for line in report] == [
-            "gamma_phi", "threshold", "margin_decades", "eta_implied",
-            "gauge", "inside_domain"]
+            "eta_implied", "gauge", "inside_domain"]
 
     def test_removed_key_is_config_error(self, tmp_path, capsys):
-        # the risk target fed only the restated forms, which are gone
-        cfg = write_cfg(tmp_path, {
-            "model": DESK, "costs": {"gamma_lin": 2e-4},
-            "validity": {**self.VALIDITY, "risk_target": 1e4}})
-        assert main(["validate", "--config", cfg, "--out",
-                     str(tmp_path / "o"), "--quiet"]) == EXIT_CONFIG
-        assert "'risk_target'" in capsys.readouterr().err
+        # the risk target and phi fed only the restated forms, which are
+        # gone
+        for key, value in (("risk_target", 1e4), ("phi", 0.01)):
+            cfg = write_cfg(tmp_path, {
+                "model": DESK, "costs": {"gamma_lin": 2e-4},
+                "validity": {**self.VALIDITY, key: value}})
+            assert main(["validate", "--config", cfg, "--out",
+                         str(tmp_path / "o"), "--quiet"]) == EXIT_CONFIG
+            assert f"'{key}'" in capsys.readouterr().err
 
 
 class TestCheck:
@@ -434,62 +439,3 @@ class TestCheck:
         doc["costs"]["gamma_lin"] = 0.0
         cfg = write_cfg(tmp_path, doc)
         assert main(["check", "--config", cfg, "--out", str(tmp_path)]) == 2
-
-    def test_perturbed_layer_table_fails(self, tmp_path):
-        # generate an authentic profile, corrupt it by 1%, feed it back
-        doc = self.desk_doc()
-        doc["layer"] = {"samples": 401}
-        cfg = write_cfg(tmp_path, doc)
-        out = str(tmp_path / "o")
-        assert main(["layer", "--config", cfg, "--out", out, "--quiet"]) == 0
-        src = os.path.join(out, "layer_airy.csv")
-        t = read_csv(src)
-        bad = os.path.join(out, "perturbed.csv")
-        with open(bad, "w") as fh:
-            fh.write("y,profile,profile_slope\n")
-            for y, f, fs in zip(t["y"], t["profile"] * 1.01,
-                                t["profile_slope"]):
-                fh.write(f"{y!r},{f!r},{fs!r}\n")
-        doc["check"] = {"layer_table": bad}
-        cfg2 = write_cfg(tmp_path, doc, "check.json")
-        rc = main(["check", "--config", cfg2, "--out", out, "--quiet"])
-        assert rc == 1
-        report = Path(os.path.join(out, "check_report.txt")).read_text()
-        assert "FAIL" in report and "residual" in report
-
-    def test_ragged_layer_table_is_config_error(self, tmp_path, capsys):
-        # a row short of a column is a bad input (exit 2), not a failed
-        # check (exit 1)
-        table = tmp_path / "ragged.csv"
-        table.write_text("y,profile,profile_slope\n0,1,2\n1,2\n")
-        doc = dict(self.desk_doc(), check={"layer_table": str(table)})
-        cfg = write_cfg(tmp_path, doc)
-        rc = main(["check", "--config", cfg, "--out", str(tmp_path / "o"),
-                   "--quiet"])
-        assert rc == EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert err.startswith("config error: cannot read layer table")
-        assert "ragged.csv" in err
-
-    def test_header_only_layer_table_is_config_error(self, tmp_path, capsys):
-        # a table with its columns but no rows is a bad input too, and so
-        # is an empty file, on which numpy warns before it fails
-        table = tmp_path / "header.csv"
-        table.write_text("y,profile,profile_slope\n")
-        empty = tmp_path / "empty.csv"
-        empty.write_text("")
-        out = str(tmp_path / "o")
-        doc = dict(self.desk_doc(), check={"layer_table": str(table)})
-        rc = main(["check", "--config", write_cfg(tmp_path, doc), "--out",
-                   out, "--quiet"])
-        assert rc == EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert err == f"config error: layer table {table} has no rows\n"
-        doc = dict(self.desk_doc(), check={"layer_table": str(empty)})
-        with pytest.warns(UserWarning, match="Empty input file"):
-            rc = main(["check", "--config", write_cfg(tmp_path, doc),
-                       "--out", out, "--quiet"])
-        assert rc == EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert err.startswith("config error: cannot read layer table")
-        assert "empty.csv" in err

@@ -22,8 +22,7 @@ def full_raw():
         "band": {"count": 21},
         "layer": {"x": 0.0, "samples": 501},
         "sweep": {"kind": "eta_shift", "values": [1e-7, 1e-6, 1e-5, 1e-4]},
-        "validity": {"gamma_coeff": 0.3, "phi": 0.01, "daily_volume": 1e6},
-        "check": {},
+        "validity": {"gamma_coeff": 0.3, "daily_volume": 1e6},
         "output": {"prefix": "run1_"},
     }
 
@@ -37,7 +36,7 @@ class TestParse:
         assert cfg.solver.max_iters == 50
         assert cfg.band.count == 21
         assert cfg.sweep.values == (1e-7, 1e-6, 1e-5, 1e-4)
-        assert cfg.validity.phi == 0.01
+        assert cfg.validity.daily_volume == 1e6
         assert cfg.output_prefix == "run1_"
 
     def test_empty_document_gives_empty_config(self):
@@ -49,6 +48,11 @@ class TestParse:
         raw["modle"] = raw.pop("model")
         with pytest.raises(ConfigError, match="modle"):
             parse_config(raw)
+        # check always judges the profile it computes, so the section
+        # that named an external layer table is gone
+        raw = dict(full_raw(), check={})
+        with pytest.raises(ConfigError, match="'check'"):
+            parse_config(raw)
 
     @pytest.mark.parametrize("section,key", [
         ("model", "sigmas"), ("costs", "eta2"), ("grid", "nx_fine"),
@@ -59,6 +63,8 @@ class TestParse:
         # knobs that became constants: the same holds for them
         ("solver", "eta_floor"), ("solver", "velocity_cap_factor"),
         ("solver", "band_threshold"), ("sweep", "crossing_cells"),
+        # phi fed only the restated validity forms, which are gone
+        ("validity", "phi"),
     ])
     def test_unknown_nested_key_rejected(self, section, key):
         raw = full_raw()
@@ -229,8 +235,7 @@ REQUIRED_ONLY = {
     "band": {},
     "layer": {},
     "sweep": {"kind": "regime"},
-    "validity": {"gamma_coeff": 0.3, "phi": 0.01, "daily_volume": 1e6},
-    "check": {},
+    "validity": {"gamma_coeff": 0.3, "daily_volume": 1e6},
     "output": {},
 }
 

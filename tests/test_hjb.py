@@ -353,11 +353,29 @@ class TestRegimeMap:
         assert np.all(np.diff(mag) >= -1e-12)
 
     def test_labels_and_composite_on_the_trading_samples(self, report):
+        # "NT" exactly where the speed is 0, "BUY" on the buying sector
         labels = np.array(report.labels)
-        assert np.all(labels[report.theta <= report.boundary] == "NT")
+        np.testing.assert_array_equal(labels == "NT", report.v == 0)
+        assert np.all(labels[report.v > 0] == "BUY")
         trading = (report.theta > report.boundary) & (np.abs(report.v) > 0)
         np.testing.assert_array_equal(np.isfinite(report.v_composite),
                                       trading)
+
+    def test_theory_read_at_the_node(self, desk_params, desk_band):
+        # x = 0.02 lies between nodes (the nearest is 0.0268): the
+        # predictions are read where the DP speed and onset are
+        assert desk_band.gamma_lin == self.COSTS.gamma_lin
+        eta = self.COSTS.coeff
+        grid = Grid2D.regular(-0.134, 0.134, 11, -7.5e-3, 7.5e-3, 301)
+        report = experiments.regime_map(desk_params, self.COSTS, 0.02,
+                                        grid=grid)
+        assert report.x != 0.02
+        c = asymptotics.layer_constants(desk_band, report.x)
+        assert report.layer_width_predicted == c.shift(eta)
+        trading = np.isfinite(report.v_composite)
+        np.testing.assert_array_equal(
+            report.v_composite[trading], asymptotics.composite_velocity(
+                desk_band, report.x, eta, report.theta[trading]))
 
     def test_linear_zone_starts_at_the_crossover(self, desk_params, desk_band,
                                                  monkeypatch):

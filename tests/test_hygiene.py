@@ -8,7 +8,8 @@ a grid at one site and a sweep result at one site, the band's level
 system reads its spline tables through ``PPoly`` alone, the boundary
 layer reads its forcing at one site, the speed zones are named in one
 module and the validity gauge read in one function, the restated
-validity forms are gone, the nonlinear cost is one power-law family, the
+validity forms, their desk-unit inputs and the external layer table of
+``check`` are gone, the nonlinear cost is one power-law family, the
 generator's 2/sigma^2 is formed in one band_zero function, the layer
 shift wall_offset * eta^{1/3} in one package function, the DP's theta
 difference in one hjb function, the DP oracle reads none of the band
@@ -323,11 +324,15 @@ def test_gauge_read_in_one_function():
 
 
 def test_restated_validity_forms_are_gone():
-    # validate judges by the gauge alone; the restated forms of the
-    # validity condition, and the risk target only they read, are named
-    # nowhere in the package and by no identifier in the tests (a test
-    # may still write the old config key as data, to see it refused)
-    gone = {"model_form", "risk_form", "forms_ratio", "risk_target"}
+    # validate judges by the gauge alone, and check by the profile it
+    # computes; the restated forms of the validity condition, the inputs
+    # only they read (risk target, phi), and the external layer table
+    # check once read are named nowhere in the package and by no
+    # identifier in the tests (a test may still write an old config key
+    # as data, to see it refused)
+    gone = {"model_form", "risk_form", "forms_ratio", "risk_target",
+            "gamma_phi", "margin_decades", "layer_table", "CheckSpec",
+            "_read_layer_table"}
     hits = [f"src/bandlayer/{m}" for m in MODULES
             if gone & set(re.findall(r"\w+", (PACKAGE / m).read_text(
                 encoding="utf-8")))]

@@ -8,6 +8,11 @@ Every command reads a JSON config and writes CSV plus plain-text
 summaries under --out; gnuplot scripts are emitted next to the CSVs
 they plot.
 
+Each command imports the package modules it runs when it is dispatched,
+in one ``from . import`` that opens its function: a DP process (hjb)
+then never loads the exact band, its layers or the studies, nor the
+scipy integrate/interpolate/special/optimize stack beneath them.
+
 Exit codes: 0 success, 1 check-suite failure, 2 configuration problem
 (an --out that cannot be a directory included), 3 mathematical-regime
 problem ("regime error") or a point outside the solved domain ("domain
@@ -23,7 +28,6 @@ import sys
 
 import numpy as np
 
-from . import asymptotics, band_zero, experiments, hjb
 from .config import BandSpec, LayerSpec, RunConfig, load_config
 from .errors import (BandLayerError, ConfigError, ConvergenceError,
                      DomainError, RegimeError)
@@ -59,6 +63,7 @@ def _band_inputs(cfg: RunConfig):
 
 def cmd_band(cfg: RunConfig, out: str, quiet: bool) -> int:
     """Linear-cost no-trade boundaries."""
+    from . import band_zero
     params, costs, x_nodes = _band_inputs(cfg)
     band = band_zero.find_band_zero(params, costs.gamma_lin, x_nodes=x_nodes)
     path = os.path.join(out, cfg.output_prefix + "band.csv")
@@ -75,6 +80,7 @@ def cmd_band(cfg: RunConfig, out: str, quiet: bool) -> int:
 
 def cmd_layer(cfg: RunConfig, out: str, quiet: bool) -> int:
     """Universal boundary-layer profile."""
+    from . import asymptotics, band_zero
     params = cfg.need("model")
     costs = cfg.need("costs")
     spec = cfg.layer or LayerSpec()
@@ -116,6 +122,7 @@ def cmd_layer(cfg: RunConfig, out: str, quiet: bool) -> int:
 
 def cmd_hjb(cfg: RunConfig, out: str, quiet: bool) -> int:
     """Full grid solve."""
+    from . import hjb
     params = cfg.need("model")
     costs = cfg.need("costs")
     grid = cfg.need("grid")
@@ -159,6 +166,7 @@ _SWEEP_FITS = {
 
 def _sweep_fit(cfg, spec, out):
     """Run a scaling study; write its points, log-log plot and summary."""
+    from . import experiments
     params = cfg.need("model")
     if spec.kind == "eta_shift":
         result = experiments.eta_shift_sweep(
@@ -191,6 +199,7 @@ def _sweep_fit(cfg, spec, out):
 
 
 def _sweep_regime(cfg, spec, out, quiet):
+    from . import experiments
     params = cfg.need("model")
     costs = cfg.need("costs")
     report = experiments.regime_map(params, costs, spec.x, grid=cfg.grid,
@@ -236,6 +245,7 @@ def cmd_sweep(cfg: RunConfig, out: str, quiet: bool) -> int:
 
 def _check_rows(cfg: RunConfig):
     """Evaluate the consistency-property table. Returns (rows, all_ok)."""
+    from . import asymptotics, band_zero
     params = cfg.need("model")
     costs = cfg.need("costs")
     rows = []
@@ -300,6 +310,7 @@ def cmd_check(cfg: RunConfig, out: str, quiet: bool) -> int:
 
 def cmd_validate(cfg: RunConfig, out: str, quiet: bool) -> int:
     """Expansion-domain report."""
+    from . import band_zero, experiments
     band = band_zero.find_band_zero(cfg.need("model"),
                                     cfg.need("costs").gamma_lin)
     report = experiments.validity_report(band, cfg.need("validity"))

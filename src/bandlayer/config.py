@@ -6,8 +6,11 @@ ignored typo in a numerics config is worse than a crash.  Each section
 builds one object (ModelParams, CostParams, Grid2D, SolverConfig, ...)
 from the keys it gives, so a key left out takes that object's own
 default, and all value validation beyond types is the object's: the
-rules and the defaults live in one place.  Numbers must be finite; JSON
-``NaN`` and ``Infinity`` are rejected with the key that holds them.
+rules and the defaults live in one place.  The input dataclasses,
+ValidityParams among them, live in ``model`` and SolverConfig in
+``hjb``, so loading a config imports neither the exact band nor the
+studies.  Numbers must be finite; JSON ``NaN`` and ``Infinity`` are
+rejected with the key that holds them.
 
 Sections and their keys (* marks a required key):
 
@@ -33,8 +36,7 @@ import sys
 from dataclasses import dataclass
 
 from .errors import ConfigError
-from .model import CostParams, Grid2D, ModelParams
-from .experiments import ValidityParams
+from .model import CostParams, Grid2D, ModelParams, ValidityParams
 from .hjb import SolverConfig
 
 

@@ -49,6 +49,7 @@ from .model import (
     CostParams,
     Grid2D,
     ModelParams,
+    ValidityParams,
     markowitz_position,
     small_cost_half_width,
     stationary_std,
@@ -548,24 +549,6 @@ def regime_map(params: ModelParams, costs: CostParams, x: float,
 
 
 # --------------------------------------------------------------- validity
-
-
-@dataclass(frozen=True)
-class ValidityParams:
-    """Desk-scale inputs for the expansion-validity calculator.
-
-    gamma_coeff: dimensionless quadratic-cost number (the speed cost is
-        eta = gamma_coeff * sigma / daily_volume, quoted per day);
-    daily_volume: the dimensional anchor of eta.
-    """
-
-    gamma_coeff: float
-    daily_volume: float
-
-    def __post_init__(self):
-        for name in ("gamma_coeff", "daily_volume"):
-            if not (getattr(self, name) > 0):
-                raise ConfigError(f"{name} must be > 0")
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
-"""Problem definition: signal dynamics, cost structure, grids.
+"""Problem definition: signal dynamics, cost structure, desk validity
+inputs, grids.
 
 The state is a pair (position theta, signal x).  The signal is mean
 reverting with rate ``omega`` and volatility ``sigma`` (time unit: one
@@ -12,7 +13,7 @@ average objective is regularized by a small discount rate ``rho``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -21,6 +22,7 @@ from .errors import ConfigError, RegimeError
 __all__ = [
     "ModelParams",
     "CostParams",
+    "ValidityParams",
     "Grid2D",
     "drift",
     "nt_rhs",
@@ -29,6 +31,15 @@ __all__ = [
     "stationary_std",
     "default_x_domain",
 ]
+
+
+def _require_finite(params) -> None:
+    """Raise ConfigError naming the first field of ``params`` that is not
+    a finite number; a NaN passes every ordering test."""
+    for f in fields(params):
+        value = getattr(params, f.name)
+        if not math.isfinite(value):
+            raise ConfigError(f"{f.name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -61,6 +72,7 @@ class ModelParams:
             raise ConfigError(f"lam must be > 0, got {self.lam}")
         if not (self.rho > 0):
             raise ConfigError(f"rho must be > 0, got {self.rho}")
+        _require_finite(self)
 
 
 @dataclass(frozen=True)
@@ -78,6 +90,26 @@ class CostParams:
         if not (self.coeff >= 0 and self.power > 1):
             raise ConfigError("nonlinear cost needs coeff >= 0 and power > 1,"
                               f" got coeff={self.coeff}, power={self.power}")
+        _require_finite(self)
+
+
+@dataclass(frozen=True)
+class ValidityParams:
+    """Desk-scale inputs for the expansion-validity calculator.
+
+    gamma_coeff: dimensionless quadratic-cost number (the speed cost is
+        eta = gamma_coeff * sigma / daily_volume, quoted per day);
+    daily_volume: the dimensional anchor of eta.
+    """
+
+    gamma_coeff: float
+    daily_volume: float
+
+    def __post_init__(self):
+        for name in ("gamma_coeff", "daily_volume"):
+            if not (getattr(self, name) > 0):
+                raise ConfigError(f"{name} must be > 0")
+        _require_finite(self)
 
 
 @dataclass(frozen=True)

@@ -25,12 +25,12 @@ from scipy.integrate import solve_ivp
 
 from bandlayer.errors import (ConfigError, ConvergenceError, DomainError,
                               RegimeError)
-from bandlayer.model import ModelParams
+from bandlayer.model import ModelParams, ValidityParams
 from bandlayer.band_zero import find_band_zero
 from bandlayer.special import fd_weights
 from bandlayer import asymptotics as asy
-from bandlayer.experiments import (GAUGE_MAX, ValidityParams, eta_shift_sweep,
-                                   validity_gauge, validity_report)
+from bandlayer.experiments import (GAUGE_MAX, eta_shift_sweep, validity_gauge,
+                                   validity_report)
 
 WALL_ROOT_LITERAL = 1.0187929716  # |u| at the first Airy maximum, 10 digits
 ABEL_OFFSET_LITERAL = 1.094848850  # canonical Abel wall offset / s, 10 digits

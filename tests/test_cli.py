@@ -8,6 +8,8 @@ explicit grid.
 
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +32,54 @@ def write_cfg(tmp_path, doc, name="run.json"):
 
 def read_csv(path):
     return np.genfromtxt(path, delimiter=",", names=True)
+
+
+class TestDispatchImports:
+    # each command imports the layers it runs when it is dispatched, so a
+    # DP process never loads the exact band, its layers, the studies or
+    # the scipy stack beneath them
+    EXACT_STACK = ("scipy.integrate", "scipy.interpolate", "scipy.special",
+                   "scipy.optimize", "bandlayer.band_zero",
+                   "bandlayer.asymptotics", "bandlayer.experiments",
+                   "bandlayer.special")
+    # in a fresh interpreter: import the CLI, load the config, run one
+    # command, then print its exit code and every module loaded
+    RUN = ("import json, sys\n"
+           "import bandlayer.cli as cli\n"
+           "from bandlayer.config import load_config\n"
+           "load_config(sys.argv[2])\n"
+           "rc = cli.main([sys.argv[1], '--config', sys.argv[2], '--out',"
+           " sys.argv[3], '--quiet'])\n"
+           "print(json.dumps([rc, sorted(sys.modules)]))\n")
+
+    def loaded_modules(self, tmp_path, command, doc):
+        src = str(Path(hjb.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", self.RUN, command,
+             write_cfg(tmp_path, doc), str(tmp_path / "o")],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        rc, modules = json.loads(proc.stdout.splitlines()[-1])
+        assert rc == 0
+        return set(modules)
+
+    def test_hjb_loads_no_exact_stack(self, tmp_path):
+        modules = self.loaded_modules(tmp_path, "hjb", {
+            "model": COARSE,
+            "costs": {"gamma_lin": 0.05, "kind": "quadratic", "eta": 0.05},
+            "grid": {"x_min": -1.29, "x_max": 1.29, "nx": 7,
+                     "theta_min": -0.6, "theta_max": 0.6, "ntheta": 25}})
+        assert "bandlayer.hjb" in modules
+        loaded = [m for m in self.EXACT_STACK if m in modules]
+        assert not loaded, f"hjb loaded {loaded}"
+
+    def test_band_loads_the_band(self, tmp_path):
+        modules = self.loaded_modules(tmp_path, "band", {
+            "model": DESK, "costs": {"gamma_lin": 2e-4},
+            "band": {"count": 5}})
+        assert "bandlayer.band_zero" in modules
 
 
 class TestParsing:

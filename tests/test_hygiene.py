@@ -1,5 +1,6 @@
-"""Source hygiene: every module-level import in the package and in the
-tests is used, no function body in either imports anything, each
+"""Source hygiene: every import in the package and in the tests is used,
+no function body in either imports anything but a CLI command's opening
+``from . import`` of the package modules it runs, each
 ``__all__`` matches its module and lists only names the package itself
 reads, every third-party package imported is declared in
 ``pyproject.toml``, the tests import their conftest one way only, the
@@ -15,10 +16,15 @@ shift wall_offset * eta^{1/3} in one package function, the DP's theta
 difference in one hjb function, the DP oracle reads none of the band
 theory it checks, and every attribute the benchmark's spans hook exists.
 
-A stdlib stand-in for a linter's unused-import rule.  A name counts as
-used when it is read anywhere in its module or listed in ``__all__``,
-which is why ``__all__`` may list only names its module defines.
-Imports belong at the top of the module, where this check can see them.
+A stdlib stand-in for a linter's unused-import rule.  A name a
+module-level import binds counts as used when it is read anywhere in its
+module or listed in ``__all__``, which is why ``__all__`` may list only
+names its module defines; a name a function-body import binds must be
+read in that function.  Imports belong at the top of the module, where
+this check can see them.  The one exception is ``cli.py``: each command
+opens, after its docstring, with one ``from . import`` of the package
+modules it runs, so a process loads only the layers of the command it
+dispatches (a DP run never loads the exact band's scipy stack).
 """
 
 import ast
@@ -42,17 +48,22 @@ PYPROJECT = PACKAGE.parents[1] / "pyproject.toml"
 SPANS = PACKAGE.parents[1] / "perfbench" / "spans.py"
 # the package, the tests, and the test modules pytest puts on sys.path
 FIRST_PARTY = {"bandlayer", "tests"} | {p.stem for p in TESTS.glob("*.py")}
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _bound_names(node):
+    """Each name an import statement binds."""
+    return [alias.asname or alias.name.split(".")[0] for alias in node.names]
 
 
 def _imported_names(tree):
     """Name bound by each top-level import, with its line number."""
     for node in tree.body:
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                yield alias.asname or alias.name.split(".")[0], node.lineno
-        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
-            for alias in node.names:
-                yield alias.asname or alias.name, node.lineno
+        if isinstance(node, ast.Import) or (
+                isinstance(node, ast.ImportFrom)
+                and node.module != "__future__"):
+            for name in _bound_names(node):
+                yield name, node.lineno
 
 
 def _declared_all(tree):
@@ -75,28 +86,54 @@ def test_package_found():
     assert "cli.py" in MODULES
 
 
+def _function_imports(node, fn=None):
+    """(innermost enclosing function, import) for each import in a
+    function body under ``node``."""
+    for child in ast.iter_child_nodes(node):
+        if fn is not None and isinstance(child, (ast.Import, ast.ImportFrom)):
+            yield fn, child
+        yield from _function_imports(
+            child, child if isinstance(child, FUNCTIONS) else fn)
+
+
 @pytest.mark.parametrize("module", sorted(IMPORT_SOURCES))
 def test_module_imports_are_used(module):
     tree = ast.parse(IMPORT_SOURCES[module].read_text(encoding="utf-8"))
     used = _used_names(tree)
     unused = [f"{name} (line {line})" for name, line in _imported_names(tree)
               if name not in used]
+    for fn, node in _function_imports(tree):
+        read = {n.id for n in ast.walk(fn)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        unused += [f"{name} (line {node.lineno}, in {fn.name})"
+                   for name in _bound_names(node) if name not in read]
     assert not unused, f"{module}: unused import(s) {', '.join(unused)}"
 
 
-def _function_body_imports(tree):
-    """Line numbers of the imports inside any function body."""
-    return sorted({node.lineno
-                   for fn in ast.walk(tree)
-                   if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
-                   for node in ast.walk(fn)
-                   if isinstance(node, (ast.Import, ast.ImportFrom))})
+def _opening_statement(fn):
+    """A function's first statement after its docstring, None if none."""
+    body = fn.body[1:] if ast.get_docstring(fn) is not None else fn.body
+    return body[0] if body else None
+
+
+def _is_dispatch_import(node):
+    """``from . import m1, m2`` of package modules, unaliased."""
+    modules = {m[:-3] for m in MODULES} - {"__init__"}
+    return (isinstance(node, ast.ImportFrom) and node.level == 1
+            and node.module is None
+            and all(a.asname is None and a.name in modules
+                    for a in node.names))
 
 
 @pytest.mark.parametrize("module", sorted(IMPORT_SOURCES))
 def test_no_imports_in_function_bodies(module):
+    # a CLI command imports the layers it runs at dispatch, in the statement
+    # that opens it; everywhere else an import in a function body would hide
+    # a dependency from the top of the module
     tree = ast.parse(IMPORT_SOURCES[module].read_text(encoding="utf-8"))
-    lines = _function_body_imports(tree)
+    lines = sorted({node.lineno for fn, node in _function_imports(tree)
+                    if not (module == "cli.py" and _is_dispatch_import(node)
+                            and node is _opening_statement(fn))})
     assert not lines, f"{module}: import(s) in a function body at line(s) {lines}"
 
 

@@ -1,14 +1,20 @@
 """Parameter containers, grids, and the signal formulas."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from bandlayer.errors import ConfigError, RegimeError
-from bandlayer.model import (CostParams, Grid2D, ModelParams,
+from bandlayer.model import (CostParams, Grid2D, ModelParams, ValidityParams,
                              default_x_domain, drift, markowitz_position,
                              nt_rhs, stationary_std)
+
+# a valid instance of each input dataclass, to spoil one field at a time
+VALID_INPUTS = [ModelParams(sigma=0.02, omega=0.1, lam=1.0, rho=1e-3),
+                CostParams(gamma_lin=2e-4, coeff=1e-6, power=2.0),
+                ValidityParams(gamma_coeff=0.1, daily_volume=1e6)]
 
 
 class TestModelParams:
@@ -54,6 +60,17 @@ class TestCostParams:
     def test_rejects_power_not_above_one(self, power):
         with pytest.raises(ConfigError, match="power > 1"):
             CostParams(gamma_lin=2e-4, coeff=1e-6, power=power)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+@pytest.mark.parametrize("valid, name", [
+    pytest.param(valid, f.name, id=f"{type(valid).__name__}.{f.name}")
+    for valid in VALID_INPUTS for f in dataclasses.fields(valid)])
+def test_non_finite_field_is_refused_by_name(valid, name, bad):
+    # a NaN passes every ordering test and an infinity every lower bound;
+    # either must be refused here, naming its field, not downstream
+    with pytest.raises(ConfigError, match=rf"\b{name}\b"):
+        dataclasses.replace(valid, **{name: bad})
 
 
 class TestSignalModel:

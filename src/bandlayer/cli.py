@@ -146,8 +146,8 @@ def cmd_hjb(cfg: RunConfig, out: str, quiet: bool) -> int:
 
     res_path = os.path.join(out, cfg.output_prefix + "residuals.csv")
     hist = np.asarray(vg.history, dtype=float)
-    write_csv(res_path, ["iteration", "max_update"],
-              [np.arange(1, hist.size + 1, dtype=float), hist])
+    write_csv(res_path, ["iteration", "backward_error"],
+              [np.arange(hist.size, dtype=float), hist])
 
     _say(quiet, f"solved in {vg.iterations} iterations, "
          f"residual {vg.residual:.3e}; wrote {field_path}, {band_path}, "

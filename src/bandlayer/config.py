@@ -18,7 +18,7 @@ Sections and their keys (* marks a required key):
 * ``costs``: gamma_lin*, eta, zeta, kind: "quadratic" spells power 2 with
   coefficient eta, "three_halves" power 1.5 with coefficient zeta
 * ``grid``: x_min*, x_max*, nx*, theta_min*, theta_max*, ntheta*
-* ``solver``: max_iters, convergence_tol
+* ``solver``: max_iters, convergence_tol (inert; see SolverConfig)
 * ``band``: x_nodes or count (at least 3)
 * ``layer``: x, y_max, samples
 * ``sweep``: kind* ("eta_shift", "gamma_width" or "regime"), values

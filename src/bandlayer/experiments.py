@@ -269,10 +269,10 @@ def eta_shift_sweep(params: ModelParams, gamma_lin: float, eta_list,
     """
     etas = _as_positive_array(eta_list, "eta_list")
     _require_span(etas, 2.0, "eta_list")
-    if etas[0] <= hjb.ETA_FLOOR:
+    if not etas[0] >= hjb.ETA_FLOOR:
         raise ConfigError(
-            f"smallest eta {etas[0]:g} must exceed ETA_FLOOR "
-            f"{hjb.ETA_FLOOR:g}, the solver's floor on the cost coefficient")
+            f"smallest eta {etas[0]:g} below ETA_FLOOR {hjb.ETA_FLOOR:g}, "
+            f"the solver's floor on the cost coefficient")
 
     # asymptotic prediction (independent route, used for the gauge and
     # the reported comparison, never for the measurement)

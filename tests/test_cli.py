@@ -274,9 +274,13 @@ class TestHjb:
         band = read_csv(os.path.join(out, "hjb_band.csv"))
         assert band.shape[0] == 21
         assert np.any(band["plus_found"] == 1.0)
+        # V's backward error at each check, from the seed's (iteration 0)
+        # to the final V's
         res = read_csv(os.path.join(out, "residuals.csv"))
-        assert res.shape[0] >= 1
-        assert res["max_update"][-1] <= res["max_update"][0]
+        assert res.shape[0] >= 2
+        np.testing.assert_array_equal(res["iteration"],
+                                      np.arange(res.shape[0]))
+        assert res["backward_error"][-1] < res["backward_error"][0]
 
     def test_field_matches_float_columns(self, tmp_path):
         # the axes are written from strings formatted once per node; the

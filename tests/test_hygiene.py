@@ -14,7 +14,8 @@ validity forms, their desk-unit inputs and the external layer table of
 generator's 2/sigma^2 is formed in one band_zero function, the layer
 shift wall_offset * eta^{1/3} in one package function, the DP's theta
 difference in one hjb function, the DP oracle reads none of the band
-theory it checks, and every attribute the benchmark's spans hook exists.
+theory it checks and stops on one test, and every attribute the
+benchmark's spans hook exists.
 
 A stdlib stand-in for a linter's unused-import rule.  A name a
 module-level import binds counts as used when it is read anywhere in its
@@ -459,6 +460,23 @@ def test_dp_oracle_reads_no_band_theory():
     hits = ({"band_zero", "asymptotics"} & (modules | names)) | (
         {"small_cost_half_width", "markowitz_position"} & names)
     assert not hits, sorted(hits)
+
+
+def test_dp_stops_on_one_test():
+    # a target level of the DP stops on its backward-error test alone: the
+    # update and rounding-floor tests, the floor refusal and the record
+    # of which test fired are gone, and convergence_tol, which the
+    # benchmark's configs still write, is read nowhere in the package
+    # outside SolverConfig itself
+    names = set(_identifiers(ast.parse(
+        (PACKAGE / "hjb.py").read_text(encoding="utf-8"))))
+    gone = {"_FLOOR_FACTOR", "_FLOOR_RESIDUAL_FACTOR", "_rounding_floor",
+            "_bellman_residual", "stopped_by"}
+    assert not gone & names, sorted(gone & names)
+    readers = [f"{m}:{name}" for m in MODULES for name in _owners(
+        ast.parse((PACKAGE / m).read_text(encoding="utf-8")),
+        lambda n: getattr(n, "attr", None) == "convergence_tol")]
+    assert readers == ["hjb.py:SolverConfig.__post_init__"], readers
 
 
 def test_benchmark_hooks_resolve():

@@ -8,11 +8,12 @@ value continues with slope -+gamma_lin in theta.  The construction:
    With mu = -omega x the equation is even in x, so the solution
    decaying to the right is the mirror image of the one decaying to the
    left: psi2(x) = psi1(-x).  One LSODA pass (``odeint``) integrates
-   psi1 across the padded domain, widened to be symmetric about 0, from
-   recessive (decaying) asymptotic data at its left edge, on a grid
-   symmetric about 0 bit for bit; psi2 is the same pass reversed.  LSODA
-   writes all of the dense output nodes inside its compiled loop, where
-   a ``solve_ivp`` pass steps in Python.
+   psi1 across the span [-R, R], the padded domain widened to be
+   symmetric about 0, from recessive (decaying) asymptotic data at -R,
+   on a grid symmetric about 0 bit for bit; psi2 is the same pass
+   reversed, and the pair's table is the whole pass.  LSODA writes all
+   of the dense output nodes inside its compiled loop, where a
+   ``solve_ivp`` pass steps in Python.
    Integrating away from the recessive edge damps contamination by the
    dominant solution.  The pair's table is a cubic Hermite interpolant
    of (psi, psi') with psi'' from the equation, its coefficients written
@@ -34,19 +35,21 @@ value continues with slope -+gamma_lin in theta.  The construction:
    Jacobian in z, one entry per point.
 4. One damped Newton solves R+- = 0 in two of the three coordinates of
    z with the third pinned, at every point of a batch at once; a single
-   point is a batch of one.  With theta pinned, one batch maps out the
-   band: the levels k*dtheta of both directions, each seeded from the
-   small-cost band, out to the first level past the grid (or the domain)
-   each way.  With a grid node pinned as h+ or h-, one batch per side
-   polishes the boundary exactly onto every requested x node; each
-   node's exact slope then follows from implicit differentiation.  The
-   displacement identity solves its levels the same way, in one batch;
-   the third theta-derivative at the band is a closed form in the
-   boundary's level and slope, and solves nothing.
+   point is a batch of one.  The drift is odd and the cost even, so
+   V(x, theta) = V(-x, -theta) and only the upper half is solved.  With
+   theta pinned, one batch maps out the levels k*dtheta, k >= 0, each
+   seeded from the small-cost band, out to the first level past the grid
+   and its mirror (or the span); level -theta is level theta mirrored.
+   With h+ pinned at every requested x node and its mirror -x, one batch
+   polishes the upper boundary exactly onto both, and theta_minus(x) =
+   theta_plus(-x); each node's exact slope follows from implicit
+   differentiation.  The displacement identity solves its levels the
+   same way, in one batch; the third theta-derivative at the band is a
+   closed form in the boundary's level and slope, and solves nothing.
 
 All evaluation points, including the level endpoints that step slightly
-past the nominal x range near the domain ends, stay inside the padded
-domain of step 1.
+past the nominal x range near the domain ends, stay inside the span
+[-R, R] of step 1.
 
 The returned :class:`Band` carries its model and Green's data, so the
 diagnostics and values below take the band alone.
@@ -95,9 +98,10 @@ class HomogeneousPair:
     ``psi2`` is the mirror image of ``psi1``, the same LSODA pass read
     backwards.  Both are rescaled so the Wronskian psi1*psi2' - psi2*psi1'
     equals -1 at the domain center (it is negative throughout with this
-    orientation).  ``spline`` is one cubic Hermite interpolant
-    (``_hermite_table``) on the dense quadrature grid ``x_quad`` covering
-    the padded domain [x_lo, x_hi]; its columns are (psi1, psi2, psi1',
+    orientation).  ``span`` is (-R, R), the padded domain [x_lo, x_hi]
+    widened to be symmetric about 0.  ``spline`` is one cubic Hermite
+    interpolant (``_hermite_table``) on the dense quadrature grid
+    ``x_quad``, the whole pass; its columns are (psi1, psi2, psi1',
     psi2') and their derivatives at the knots are (psi1', psi2', psi1'',
     psi2''), psi'' from the defining equation, so no spline system is
     solved; where a second derivative is read off the knots it comes from
@@ -112,6 +116,11 @@ class HomogeneousPair:
     psi1_d_s: np.ndarray
     psi2_d_s: np.ndarray
     spline: PPoly = field(repr=False)
+
+    @property
+    def span(self):
+        r = max(-self.x_lo, self.x_hi)
+        return -r, r
 
     @property
     def wronskian_samples(self):
@@ -194,9 +203,8 @@ def solve_homogeneous(params: ModelParams, x_domain=None,
     bit, h set so that the padded domain holds about ``_QUAD_NODES``
     nodes (exactly that many when it is centred).  Read backwards it
     gives psi2(x) = psi1(-x) and psi2'(x) = -psi1'(-x); the quadrature
-    grid is the run of its nodes that covers the padded domain.  It is
-    one ``odeint`` (LSODA) call, which fills all the nodes in compiled
-    code.  Raises ConvergenceError naming the span when LSODA reports
+    grid is the whole pass.  It is one ``odeint`` (LSODA) call, which
+    fills all the nodes in compiled code.  Raises ConvergenceError naming the span when LSODA reports
     failure or the dominant growth of psi1 overflows on a wide domain.
     """
     if x_domain is None:
@@ -212,10 +220,7 @@ def solve_homogeneous(params: ModelParams, x_domain=None,
     h = r / k
     while h * k < r:                        # the grid must reach +-R
         h = math.nextafter(h, math.inf)
-    xg = h * np.arange(-k, k + 1)
-    # the last node at or below x_lo and the first at or above x_hi
-    i0 = int(np.searchsorted(xg, x_lo, side="right")) - 1
-    i1 = int(np.searchsorted(xg, x_hi, side="left"))
+    xq = h * np.arange(-k, k + 1)
 
     def rhs(t, y):
         # Python floats: the same arithmetic as numpy scalars, in less time
@@ -223,7 +228,7 @@ def solve_homogeneous(params: ModelParams, x_domain=None,
         return [dpsi, _curvature(params, t, psi, dpsi)]
 
     with np.errstate(over="ignore", invalid="ignore"):
-        y, info = odeint(rhs, [1.0, _recessive_slope(params, -r)], xg,
+        y, info = odeint(rhs, [1.0, _recessive_slope(params, -r)], xq,
                          rtol=_ODE_TOL, atol=_ODE_TOL * 1e-3, full_output=True,
                          tfirst=True)
     if info["message"] != "Integration successful.":
@@ -234,12 +239,10 @@ def solve_homogeneous(params: ModelParams, x_domain=None,
     if not finite.all():
         raise ConvergenceError(
             f"homogeneous ODE solution overflows on span {(-r, r)} past "
-            f"x={xg[np.argmin(finite)]:.6g}; narrow the x domain or "
+            f"x={xq[np.argmin(finite)]:.6g}; narrow the x domain or "
             f"its pad", history=info["tcur"])
-    run = slice(i0, i1 + 1)
-    xq = xg[run]
-    psi1_s, psi1_d_s = y[run].T
-    psi2_s, psi2_d_s = y[::-1][run].T
+    psi1_s, psi1_d_s = y.T
+    psi2_s, psi2_d_s = y[::-1].T
     psi2_d_s = -psi2_d_s
 
     # rescale so |W| = 1 at the domain center; keeps the linear systems O(1)
@@ -427,7 +430,7 @@ def _newton_batch(comp, gamma_lin, z, free, what, drop=None):
     below placement accuracy (the residual pieces cancel to the
     double-precision floor near the solution, so the step is the sharper
     measure).  Its step is halved, at most 12 times, until |R| drops at a
-    point with h+ > h- and the free endpoints inside the pair's domain;
+    point with h+ > h- and the free endpoints inside the table's span;
     when no halving does, a residual already at the cancellation floor
     (``_STALL_TOL``) is accepted.  A point that fails stops alone,
     holding its error.  No point reads another's state, so a point
@@ -440,13 +443,12 @@ def _newton_batch(comp, gamma_lin, z, free, what, drop=None):
     accepted iterate, the mask of converged points, and per point None or
     the exception that stopped it.
     """
-    pr = comp.pair
-    span = pr.x_hi - pr.x_lo
+    lo, hi = comp.pair.span
     names = ("theta", "hp", "hm")
     z = [np.array(v, dtype=float) for v in z]
     n = z[0].size
-    floor = [_NEWTON_TOL * (np.abs(z[0]) + 1e-3 * span) if k == 0
-             else np.full(n, _NEWTON_TOL * span) for k in free]
+    floor = [_NEWTON_TOL * (np.abs(z[0]) + 1e-3 * (hi - lo)) if k == 0
+             else np.full(n, _NEWTON_TOL * (hi - lo)) for k in free]
     ends = [k for k in free if k]           # free endpoints: domain test
     st = _level_state(comp, gamma_lin, *z)
     done = np.zeros(n, dtype=bool)
@@ -496,7 +498,7 @@ def _newton_batch(comp, gamma_lin, z, free, what, drop=None):
                 zn[k] = z[k] + lam_step * s
             trial = ~moved & ~dead & (zn[1] > zn[2])
             for k in ends:
-                trial &= (pr.x_lo <= zn[k]) & (zn[k] <= pr.x_hi)
+                trial &= (lo <= zn[k]) & (zn[k] <= hi)
             if trial.any():
                 st_n = _level_state(comp, gamma_lin, *(v[trial] for v in zn))
                 idx = np.flatnonzero(trial)
@@ -525,30 +527,20 @@ def _newton_batch(comp, gamma_lin, z, free, what, drop=None):
     return st, done, errors
 
 
-def _polish_node(comp, gamma_lin, x, theta, other, fixed="plus"):
-    """Pin h+ (or h- when ``fixed="minus"``) at each node x and solve for
-    (theta, the other endpoint) from the seeds (theta, other).
+def _polish_node(comp, gamma_lin, x, theta, hm):
+    """Pin h+ at each node x and solve for (theta, h-) from the seeds
+    (theta, hm).
 
     One batched Newton (:func:`_newton_batch`) polishes every node at
     once and returns the batched level state.  A node that fails raises
     with its point, the pinned x included, in the message.
     """
-    e = 2 if fixed == "plus" else 1         # z index of the free endpoint
-    z = [theta, x, x]
-    z[e] = other
-    st, _, errors = _newton_batch(comp, gamma_lin, z, (0, e),
-                                  f"node polish ({fixed} pinned)")
+    st, _, errors = _newton_batch(comp, gamma_lin, (theta, x, hm), (0, 2),
+                                  "node polish")
     for exc in errors:
         if exc is not None:
             raise exc
     return st
-
-
-def _boundary_slopes(st):
-    """(h+'(theta), h-'(theta)) by implicit differentiation at solved points."""
-    if np.any(st["sp"] == 0.0) or np.any(st["sm"] == 0.0):
-        raise RegimeError("degenerate boundary curvature; cannot differentiate")
-    return -st["jac"][0][0] / st["sp"], -st["jac"][1][0] / st["sm"]
 
 
 # ---------------------------------------------------------------------------
@@ -565,11 +557,11 @@ class Band:
     over ``x_nodes`` as the columns of one cubic spline; on the flat band
     the columns are constant, and so is the spline, extrapolation
     included.  Level tables from the sweep are retained for derivative
-    diagnostics, with ``alpha_integrals``, the cumulative integrals of
-    (alpha1_prime, alpha2_prime) over the levels anchored at level 0, as
-    one 2-column spline (None on the flat band), and ``sweep_ends``, the
-    (up, down) :class:`SweepEnd` saying why each direction of the sweep
-    ended (empty on the flat band).
+    diagnostics (those below zero mirrored), with ``alpha_integrals``,
+    the cumulative integrals of (alpha1_prime, alpha2_prime) over the
+    levels anchored at level 0, as one 2-column spline (None on the flat
+    band), and ``sweep_end``, the :class:`SweepEnd` saying why the sweep
+    of the levels theta >= 0 ended (None on the flat band).
     ``params`` is the model solved for and ``comp`` the Green's
     decomposition it was solved from, None exactly when ``flat``.
     """
@@ -592,7 +584,7 @@ class Band:
                                                 compare=False)
     comp: GreensDecomposition | None = field(default=None, repr=False,
                                              compare=False)
-    sweep_ends: tuple = ()
+    sweep_end: SweepEnd | None = None
 
     @property
     def flat(self) -> bool:
@@ -641,11 +633,11 @@ def flat_band_level(params: ModelParams, gamma_lin: float) -> float:
 
 @dataclass(frozen=True)
 class SweepEnd:
-    """Why one direction of the level sweep ended.
+    """Why the level sweep ended.
 
     Either its last level ``theta`` met the end rule (``error`` is None),
-    or the Newton of level ``theta`` failed with ``error`` and the
-    direction ends on the level before it.
+    or the Newton of level ``theta`` failed with ``error`` and the sweep
+    ends on the level before it.
     """
 
     theta: float
@@ -659,100 +651,100 @@ _LEVEL_STEP_FRAC = 0.1
 _END_MARGIN = 0.1
 
 
-def _sweep_levels(comp, gamma_lin, x_min, x_max):
-    """The level sweep of :func:`find_band_zero`, as one batched Newton.
+def _sweep_levels(comp, gamma_lin, x_far):
+    """The level sweep of :func:`find_band_zero`, as one batched Newton
+    over the levels theta = k*dtheta, k >= 0.
 
     Each level's seed h+- = (theta -+ w)/m is clamped into the guarded
-    domain.  Candidates past a known end stop iterating.  The batch holds
-    both directions and reaches 10% past the seeds' own estimate of each
-    end; if a direction has not ended there, the batch is solved again
-    with that direction's reach doubled.
+    span.  Candidates past a known end stop iterating.  The batch reaches
+    10% past the seeds' own estimate of the end; if the sweep has not
+    ended there, the batch is solved again out to twice as far.  The
+    levels below zero are the solved ones mirrored: level -theta has h+ =
+    -h-(theta), h- = -h+(theta), alpha1' = -alpha2'(theta) and alpha2' =
+    -alpha1'(theta).
 
-    Returns the swept levels' (theta, hp, hm, a1, a2) arrays, sorted by
-    theta, and the (up, down) :class:`SweepEnd`.  Raises RegimeError,
-    chained to the Newton's error, when the zero level fails: the band's
-    zero level is not on this domain.  (Restarting it from 0.3 to 3 times
-    its seed rescued none of 270 band solves over sigma, omega, gamma and
-    pad whose first Newton failed.)
+    Returns the (theta, hp, hm, a1, a2) arrays of the levels of both
+    signs, sorted by theta, and the :class:`SweepEnd`.  Raises
+    RegimeError, chained to the Newton's error, when the zero level
+    fails: the band's zero level is not on this domain.  (Restarting it
+    from 0.3 to 3 times its seed rescued none of 270 band solves over
+    sigma, omega, gamma and pad whose first Newton failed.)
     """
-    p, pr = comp.params, comp.pair
-    guard = 0.02 * (pr.x_hi - pr.x_lo)
-    lo_lim, hi_lim = pr.x_lo + guard, pr.x_hi - guard
+    p = comp.params
+    lo, hi = comp.pair.span
+    guard = 0.02 * (hi - lo)
+    lo_lim, hi_lim = lo + guard, hi - guard
     w = small_cost_half_width(p, gamma_lin)
     dtheta = _LEVEL_STEP_FRAC * w
     m = markowitz_position(p, 1.0)   # slope of theta*(x)
 
-    def first_stops(k, hp, hm, done, failed):
-        """Each direction's first known end, as (k up, k down); +-inf
-        where none is known yet."""
-        end_up = (hp <= x_min) | (hm <= lo_lim + guard)
-        end_dn = (hm >= x_max) | (hp >= hi_lim - guard)
-        up = k[((k >= 0) & failed) | ((k > 0) & done & end_up)]
-        dn = k[((k <= 0) & failed) | ((k < 0) & done & end_dn)]
-        return (up.min() if up.size else math.inf,
-                dn.max() if dn.size else -math.inf)
+    def first_stop(st, done, failed):
+        """The first known end's k; inf while none is known."""
+        end = (st["hp"] <= x_far) | (st["hm"] <= lo_lim + guard)
+        stop = k[failed | ((k > 0) & done & end)]
+        return stop.min() if stop.size else math.inf
 
     def drop(st, done, failed):
-        hi, lo = first_stops(k, st["hp"], st["hm"], done, failed)
-        return (k > hi) | (k < lo)
+        return k > first_stop(st, done, failed)
 
-    reach = (1.0 + _END_MARGIN) / dtheta
-    k_up = max(1, math.ceil(reach * min(w + m * x_min,
-                                        m * (lo_lim + guard) - w)))
-    k_dn = max(1, math.ceil(reach * min(w - m * x_max,
-                                        -m * (hi_lim - guard) - w)))
+    n = max(1, math.ceil((1.0 + _END_MARGIN) / dtheta
+                         * min(w + m * x_far, m * (lo_lim + guard) - w)))
     while True:
-        k = np.arange(-k_dn, k_up + 1)
+        k = np.arange(n + 1)
         theta = k * dtheta
         st, done, errors = _newton_level(
             comp, gamma_lin, theta,
             np.clip((theta - w) / m, lo_lim, hi_lim),
             np.clip((theta + w) / m, lo_lim, hi_lim), drop)
         failed = np.array([e is not None for e in errors])
-        hi, lo = first_stops(k, st["hp"], st["hm"], done, failed)
-        if hi < math.inf and lo > -math.inf:
+        end = first_stop(st, done, failed)
+        if end < math.inf:
             break
-        # a direction whose candidates all converged short of the end rule
-        # is solved again out to twice as far
-        k_up *= 2 if hi == math.inf else 1
-        k_dn *= 2 if lo == -math.inf else 1
+        n *= 2      # all converged short of the end rule: twice as far
 
-    if failed[k_dn]:                        # k = 0: the zero level
+    if failed[0]:                           # k = 0: the zero level
         raise RegimeError(
             "could not locate the zero level of the band; the band may not "
-            "exist on this domain for these parameters") from errors[k_dn]
-    ends = tuple(SweepEnd(float(theta[j]),
-                          None if errors[j] is None else str(errors[j]))
-                 for j in (int(hi) + k_dn, int(lo) + k_dn))
-    keep = (k >= lo) & (k <= hi) & ~failed
-    return tuple(st[key][keep] for key in ("theta", "hp", "hm", "a1",
-                                            "a2")), ends
+            "exist on this domain for these parameters") from errors[0]
+    j = int(end)
+    sweep_end = SweepEnd(float(theta[j]),
+                         None if errors[j] is None else str(errors[j]))
+    keep = (k <= end) & ~failed
+    th, hp, hm, a1, a2 = (st[key][keep] for key in ("theta", "hp", "hm",
+                                                     "a1", "a2"))
+    # the levels k < 0 mirrored from k > 0; level 0 appears once
+    return tuple(np.concatenate([-below[:0:-1], above]) for below, above in
+                 ((th, th), (hm, hp), (hp, hm), (a2, a1), (a1, a2))), sweep_end
 
 
 def find_band_zero(params: ModelParams, gamma_lin: float, x_nodes=None,
                    pad_frac: float = 0.15) -> Band:
     """Construct the linear-cost no-trade band on an x grid.
 
-    The levels theta = k*dtheta, k = 0, +-1, ..., dtheta a tenth of the
-    small-cost half-width w, are solved in one batched Newton for their
-    endpoints h+-, each seeded from the small-cost band: h+- = (theta -+
-    w)/m, m the Markowitz slope.  Sweeping up, the level interval slides
-    left, and the direction ends at its first converged level whose upper
-    endpoint clears the grid's left edge or whose lower endpoint nears
-    the domain's edge; sweeping down, the mirror rule applies.  A level
-    whose Newton fails ends its direction on the level before it.  Each
-    node is then polished onto its boundaries from the nearest level.
+    V(x, theta) = V(-x, -theta), so only the upper half is solved, over
+    the grid's symmetric hull [x_far, -x_far], x_far = min(x_min,
+    -x_max).  The levels theta = k*dtheta, k = 0, 1, ..., dtheta a tenth
+    of the small-cost half-width w, are solved in one batched Newton for
+    their endpoints h+-, each seeded from the small-cost band: h+- =
+    (theta -+ w)/m, m the Markowitz slope.  Sweeping up, the level
+    interval slides left, and the sweep ends at its first converged
+    level whose upper endpoint clears x_far or whose lower endpoint nears
+    the span's edge; a level whose Newton fails ends it on the level
+    before.  The levels below zero are the swept ones mirrored.  The
+    upper boundary is then polished onto each node x and its mirror -x
+    in one batch, each seeded from the nearest level, and theta_minus(x)
+    = theta_plus(-x), theta_minus'(x) = -theta_plus'(-x).
 
     Returns a :class:`Band` holding ``params``, the Green's data solved
-    on the grid's span padded by ``pad_frac`` and why each sweep direction
-    ended; raises :class:`RegimeError` when no band exists on the domain
-    (the level theta = 0 is not found from its small-cost seed, the sweep
-    finds too few levels, or the boundaries do not cover the grid; the
-    last two name any level whose Newton failed) and
-    :class:`ConvergenceError` when the homogeneous pair cannot be
-    integrated across the padded domain.  For ``omega == 0`` the flat
-    closed form is returned directly (the level construction needs a
-    sloped boundary).
+    on the grid's span padded by ``pad_frac`` and why the sweep ended;
+    raises :class:`RegimeError` when no band exists on the domain (the
+    level theta = 0 is not found from its small-cost seed, the sweep
+    finds too few levels, or the upper boundary does not cover the
+    grid's symmetric hull; the last two name a level whose Newton
+    failed) and :class:`ConvergenceError` when the homogeneous pair
+    cannot be integrated across the padded domain.  For ``omega == 0``
+    the flat closed form is returned directly (the level construction
+    needs a sloped boundary).
     """
     if not (gamma_lin > 0):
         raise ConfigError(f"gamma_lin must be > 0, got {gamma_lin}")
@@ -779,44 +771,40 @@ def find_band_zero(params: ModelParams, gamma_lin: float, x_nodes=None,
                     params=params)
 
     x_min, x_max = float(x_nodes[0]), float(x_nodes[-1])
+    x_far = min(x_min, -x_max)
     pair = solve_homogeneous(params, (x_min, x_max), pad_frac=pad_frac)
     comp = greens_particular(params, pair)
-    (levels, hps, hms, a1s, a2s), sweep_ends = _sweep_levels(
-        comp, gamma_lin, x_min, x_max)
+    (levels, hps, hms, a1s, a2s), sweep_end = _sweep_levels(comp, gamma_lin,
+                                                            x_far)
 
-    # a direction cut short by a failed Newton names it in these errors
-    failures = "".join(
-        f"; sweeping {way} stopped before theta={end.theta:.6g}: {end.error}"
-        for way, end in zip(("up", "down"), sweep_ends) if end.error)
+    # a sweep cut short by a failed Newton names it in these errors
+    failure = (f"; the level sweep stopped before theta={sweep_end.theta:.6g}"
+               f": {sweep_end.error}" if sweep_end.error else "")
     if levels.size < 7:
         raise RegimeError(
             "level sweep found too few band levels; domain too small or "
-            "band does not exist for these parameters" + failures)
+            "band does not exist for these parameters" + failure)
 
     # coverage check before per-node polishing
-    if hps.max() < x_max or hps.min() > x_min:
+    if hps.min() > x_far or hps.max() < -x_far:
         raise RegimeError(
             f"upper boundary only covers x in [{hps.min():.4g}, {hps.max():.4g}] "
-            f"but the grid requests [{x_min:.4g}, {x_max:.4g}]; enlarge the pad "
-            f"or shrink the grid" + failures)
-    if hms.max() < x_max or hms.min() > x_min:
-        raise RegimeError("lower boundary does not cover the requested grid"
-                          + failures)
+            f"but the grid and its mirror request [{x_far:.4g}, {-x_far:.4g}]; "
+            f"enlarge the pad or shrink the grid" + failure)
 
-    # seed each node from the swept level nearest it (h+ and h- are
-    # monotone in theta), then polish each side in one batch
-    sides = []
-    for fixed, ends, other in (("plus", hps, hms), ("minus", hms, hps)):
-        order = np.argsort(ends)
-        j = order[np.minimum(np.searchsorted(ends[order], x_nodes),
-                             levels.size - 1)]
-        sides.append(_polish_node(comp, gamma_lin, x_nodes, levels[j],
-                                  other[j], fixed))
-    stp, stm = sides
-    tp = stp["theta"]
-    tpd = 1.0 / _boundary_slopes(stp)[0]
-    tm = -stm["theta"]
-    tmd = -1.0 / _boundary_slopes(stm)[1]
+    # seed each node and its mirror from the swept level nearest it (h+ is
+    # monotone in theta), then polish them in one batch
+    xs = np.concatenate([x_nodes, -x_nodes])
+    order = np.argsort(hps)
+    j = order[np.minimum(np.searchsorted(hps[order], xs), levels.size - 1)]
+    st = _polish_node(comp, gamma_lin, xs, levels[j], hms[j])
+    if np.any(st["sp"] == 0.0):
+        raise RegimeError("degenerate boundary curvature; cannot differentiate")
+    # theta_plus' = 1 / h+'(theta), h+' by implicit differentiation
+    slope = 1.0 / (-st["jac"][0][0] / st["sp"])
+    n = x_nodes.size
+    tp, tm = st["theta"][:n], st["theta"][n:]
+    tpd, tmd = slope[:n], -slope[n:]
 
     # the sweep always contains the exact level theta = 0 (k = 0), so
     # anchoring the coefficient integrals there is a plain subtraction
@@ -830,7 +818,7 @@ def find_band_zero(params: ModelParams, gamma_lin: float, x_nodes=None,
                 alpha1_prime=a1s, alpha2_prime=a2s,
                 spline=CubicSpline(x_nodes, np.column_stack([tp, tm, tpd])),
                 params=params, alpha_integrals=CubicSpline(levels, a_int),
-                comp=comp, sweep_ends=sweep_ends)
+                comp=comp, sweep_end=sweep_end)
     if np.any(band.theta_plus + band.theta_minus <= 0):
         raise RegimeError("band has nonpositive width somewhere on the grid")
     return band

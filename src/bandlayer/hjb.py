@@ -195,15 +195,13 @@ def _nl_cost(costs: CostParams, speed):
 def _velocity_cap(params: ModelParams, costs: CostParams,
                   grid: Grid2D) -> float:
     """``VELOCITY_CAP_FACTOR`` times the speed at the reward's largest
-    theta-slope, at least 1, plus sqrt(lam / coeff) * span at power 2 only:
-    the cap binds on coarse seeding levels, so it sets their seeds."""
+    theta-slope, at least 1, one formula at every power: the cap binds
+    on coarse seeding levels, so it sets their seeds."""
     span = float(grid.theta_nodes[-1] - grid.theta_nodes[0])
     mu_max = params.omega * max(abs(float(grid.x_nodes[0])),
                                 abs(float(grid.x_nodes[-1])))
     slope = params.lam * span ** 2 + mu_max * span + costs.gamma_lin
-    far = math.sqrt(params.lam / costs.coeff) * span \
-        if costs.power == 2.0 else 0.0
-    return VELOCITY_CAP_FACTOR * max(_speed(costs, slope) + far, 1.0)
+    return VELOCITY_CAP_FACTOR * max(_speed(costs, slope), 1.0)
 
 
 # ------------------------------------------------------------- policy scheme

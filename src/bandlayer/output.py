@@ -10,7 +10,6 @@ round-trips IEEE doubles exactly.
 from __future__ import annotations
 
 import contextlib
-import math
 import os
 import tempfile
 
@@ -22,15 +21,6 @@ from .errors import ConfigError
 _CSV_BLOCK_ROWS = 4096
 # printf pattern by dtype kind: labels as they are, bools 1/0, else real
 _PATTERNS = {"U": "%s", "O": "%s", "b": "%d"}
-
-
-def _format_real(x) -> str:
-    x = float(x)
-    if math.isnan(x):
-        return "nan"
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return "%.17g" % x
 
 
 @contextlib.contextmanager
@@ -63,11 +53,11 @@ def write_csv(path: str, header, columns) -> None:
 
     ``columns`` may mix real arrays, bool arrays (written 1/0) and labels,
     string sequences or object arrays of strings; real entries get the
-    lossless 17-digit rendering, which spells nan and +-inf as
-    :func:`_format_real` does.  The rows
-    are formatted and written ``_CSV_BLOCK_ROWS`` at a time through the
-    same temp-file-plus-rename as :func:`atomic_write_text`, so an error
-    in any block leaves neither the target nor a temp file behind.
+    lossless 17-digit rendering ``%.17g``, which spells nan, inf and
+    -inf as such.  The rows are formatted and written
+    ``_CSV_BLOCK_ROWS`` at a time through the same temp-file-plus-rename
+    as :func:`atomic_write_text`, so an error in any block leaves
+    neither the target nor a temp file behind.
     """
     header = list(header)
     cols = [np.asarray(c) for c in columns]
@@ -122,8 +112,8 @@ def gnuplot_loglog_script(csv_basename: str, xcol: int, ycol: int,
         f"set title '{title}'",
         f"plot '{csv_basename}' every ::1 using {xcol}:{ycol} "
         f"with points pt 7 ps 1.4 title 'measured', "
-        f"{_format_real(prefactor)}*x**{_format_real(slope)} "
-        f"with lines lw 2 title 'fit slope {slope:.3f}'",
+        + "%.17g*x**%.17g with lines lw 2 title 'fit slope %.3f'"
+        % (prefactor, slope, slope),
     ]
     return "\n".join(lines) + "\n"
 
@@ -139,8 +129,8 @@ def gnuplot_velocity_script(csv_basename: str, theta_col: int, v_col: int,
         "set ylabel 'trading speed'",
         "set key left bottom",
         f"set title '{title}'",
-        f"set arrow from {_format_real(boundary)}, graph 0 to "
-        f"{_format_real(boundary)}, graph 1 nohead dt 2",
+        "set arrow from %.17g, graph 0 to %.17g, graph 1 nohead dt 2"
+        % (boundary, boundary),
         f"plot '{csv_basename}' every ::1 using {theta_col}:{v_col} "
         f"with lines lw 2 title 'solver', '{csv_basename}' every ::1 using "
         f"{theta_col}:{composite_col} with lines lw 2 dt 3 "

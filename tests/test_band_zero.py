@@ -152,6 +152,8 @@ class TestHomogeneousPair:
         xq = desk_pair.x_quad
         assert xq.size == band_zero._QUAD_NODES
         assert np.array_equal(-xq[::-1], xq)
+        # centred, the span is the padded domain itself, bit for bit
+        assert desk_pair.span == (desk_pair.x_lo, desk_pair.x_hi)
 
     def test_pass_writes_one_node_per_quadrature_node(self, desk_model,
                                                        monkeypatch):
@@ -170,16 +172,16 @@ class TestHomogeneousPair:
     def test_off_center_grid_is_a_run_of_the_pass(self, desk_model,
                                                   monkeypatch):
         # off centre the pass spans [-R, R] past the padded domain; the
-        # quadrature grid is the run of its nodes that just covers it
+        # quadrature grid is the whole pass, and it just covers the span
         seen = _spy_on_odeint(monkeypatch)
         pair = solve_homogeneous(desk_model, (-0.06, 0.26))
         (t,) = seen
-        xq = pair.x_quad
         assert np.array_equal(-t[::-1], t)
-        i0 = int(np.searchsorted(t, xq[0]))
-        assert np.array_equal(t[i0:i0 + xq.size], xq)
-        assert xq[0] <= pair.x_lo < xq[1]
-        assert xq[-2] < pair.x_hi <= xq[-1]
+        assert np.array_equal(t, pair.x_quad)
+        lo, hi = pair.span
+        assert (lo, hi) == (-pair.x_hi, pair.x_hi) and lo < pair.x_lo
+        assert t[0] <= lo < t[1]
+        assert t[-2] < hi <= t[-1]
 
     def test_integrator_failure_names_span(self, desk_model, monkeypatch):
         # what odeint returns when LSODA gives up, without the
@@ -352,6 +354,23 @@ class TestBandGeometry:
         np.testing.assert_allclose(up, dn, rtol=1e-10,
                                    atol=1e-10 * np.max(np.abs(up)))
 
+    def test_mirror_is_exact_on_a_self_mirrored_grid(self, desk_model):
+        # the lower half is the upper half mirrored, so on nodes that are
+        # their own negation bit for bit the band and its level tables are
+        # their own mirrors bit for bit; level 0, solved by Newton, is
+        # symmetric only to rounding
+        x = 0.268 / 90 * np.arange(-90, 91)
+        assert np.array_equal(-x[::-1], x)
+        band = find_band_zero(desk_model, DESK_GAMMA, x_nodes=x)
+        assert np.array_equal(band.theta_minus, band.theta_plus[::-1])
+        assert np.array_equal(band.theta_minus_deriv,
+                              -band.theta_plus_deriv[::-1])
+        assert np.array_equal(band.levels, -band.levels[::-1])
+        assert np.array_equal(band.alpha2_prime, -band.alpha1_prime[::-1])
+        off = band.levels != 0.0
+        assert np.count_nonzero(~off) == 1
+        assert np.array_equal(band.h_minus[off], -band.h_plus[::-1][off])
+
     def test_off_center_grid_matches_centered(self, desk_model):
         # an off-center grid makes the mirrored pass reach past the padded
         # domain on the left (R > -x_lo); the band must not notice
@@ -473,7 +492,7 @@ class TestBandDerivatives:
                      desk_band):
             nodes = band_zero._polish_node(
                 band.comp, band.gamma_lin, band.x_nodes,
-                *_nearest_level_seeds(band, "plus"))
+                *_nearest_level_seeds(band, band.x_nodes))
             i = np.abs(band.x_nodes - xs[:, None]).argmin(axis=1)
             st = band_zero._polish_node(
                 band.comp, band.gamma_lin, xs, band.theta_plus_at(xs),
@@ -494,10 +513,10 @@ class TestBandDerivatives:
                 assert c.wall_slope == pytest.approx(v * c.wall_offset,
                                                      rel=1e-14, abs=0)
                 eta = 1e-4
-                assert (band.theta_plus_at(x)
-                        - asymptotics.shifted_boundary(c, eta)) == \
-                    pytest.approx(c.wall_offset * eta ** (1 / 3),
-                                  rel=1e-14, abs=0)
+                assert c.boundary == band.theta_plus_at(x)
+                assert c.shift(eta) == c.wall_offset * eta ** (1 / 3)
+                assert (asymptotics.shifted_boundary(c, eta)
+                        == c.boundary - c.shift(eta))
 
     def test_third_derivative_small_cost_scale(self, desk_model, desk_band):
         p = desk_model
@@ -550,16 +569,18 @@ def _continuation_levels(band):
 
     Level 0 is solved from the small-cost seed (+-x0); every other level
     k*dtheta from the two levels before it by linear extrapolation,
-    clamped into the guarded domain, until a converged level meets the
-    end rule, a seed pair crosses, or a Newton fails.  Returns the
-    levels' (theta, h+, h-) sorted by theta and, per direction (up,
-    down), "end rule" or the reason it stopped short.
+    clamped into the guarded span, until a converged level meets the end
+    rule over the grid's symmetric hull [x_far, -x_far], a seed pair
+    crosses, or a Newton fails.  Both directions are solved, so the
+    levels below zero check the band's mirrored ones independently.
+    Returns the levels' (theta, h+, h-) sorted by theta and, per
+    direction (up, down), "end rule" or the reason it stopped short.
     """
     comp, gamma = band.comp, band.gamma_lin
-    p, pr = comp.params, comp.pair
-    x_min, x_max = band.x_nodes[0], band.x_nodes[-1]
-    guard = 0.02 * (pr.x_hi - pr.x_lo)
-    lo_lim, hi_lim = pr.x_lo + guard, pr.x_hi - guard
+    p, (lo, hi) = comp.params, comp.pair.span
+    x_far = min(band.x_nodes[0], -band.x_nodes[-1])
+    guard = 0.02 * (hi - lo)
+    lo_lim, hi_lim = lo + guard, hi - guard
     w = small_cost_half_width(p, gamma)
     dtheta = 0.1 * w
 
@@ -588,10 +609,10 @@ def _continuation_levels(band):
                 return out, str(exc)
             out.append(st)
             prev2, prev = prev, st
-            if direction > 0 and (st["hp"] <= x_min
+            if direction > 0 and (st["hp"] <= x_far
                                   or st["hm"] <= lo_lim + guard):
                 return out, "end rule"
-            if direction < 0 and (st["hm"] >= x_max
+            if direction < 0 and (st["hm"] >= -x_far
                                   or st["hp"] >= hi_lim - guard):
                 return out, "end rule"
         raise AssertionError("continuation exceeded its level budget")
@@ -616,33 +637,31 @@ class TestLevelNewton:
                              [c[1:] for c in _SWEEP_CASES],
                              ids=[c[0] for c in _SWEEP_CASES])
     def test_matches_scalar_continuation(self, sigma, omega, gamma_factor):
-        # the batched sweep from the small-cost seeds finds the levels the
-        # scalar continuation finds, and each direction ends as it does
+        # the batched sweep from the small-cost seeds, mirrored below
+        # zero, finds the levels the two-direction scalar continuation
+        # finds, and each direction ends as it does
         p = ModelParams(sigma=sigma, omega=omega, lam=1.0, rho=1e-3)
         band = find_band_zero(p, DESK_GAMMA * gamma_factor)
         (theta, hp, hm), ends = _continuation_levels(band)
         np.testing.assert_array_equal(band.levels, theta)
-        pr = band.comp.pair
-        tol = 1e-11 * (pr.x_hi - pr.x_lo)
+        lo, hi = band.comp.pair.span
+        tol = 1e-11 * (hi - lo)
         np.testing.assert_allclose(band.h_plus, hp, rtol=0, atol=tol)
         np.testing.assert_allclose(band.h_minus, hm, rtol=0, atol=tol)
         assert ends == ("end rule", "end rule")
-        up, down = band.sweep_ends
-        assert (up.theta, up.error) == (theta[-1], None)
-        assert (down.theta, down.error) == (theta[0], None)
+        assert band.sweep_end == band_zero.SweepEnd(theta[-1])
 
     def test_desk_sweep_ends_on_the_end_rule(self, desk_band):
-        # each direction stops at its last level, which meets the end
-        # rule, not at a failed Newton
-        up, down = desk_band.sweep_ends
-        assert up == band_zero.SweepEnd(desk_band.levels[-1])
-        assert down == band_zero.SweepEnd(desk_band.levels[0])
+        # the sweep stops at its last level, which meets the end rule, not
+        # at a failed Newton; the levels below zero end on its mirror
+        assert desk_band.sweep_end == band_zero.SweepEnd(desk_band.levels[-1])
+        assert desk_band.levels[0] == -desk_band.levels[-1]
         assert desk_band.h_plus[-1] <= desk_band.x_nodes[0]
         assert desk_band.h_minus[0] >= desk_band.x_nodes[-1]
 
     def test_short_batch_is_solved_again_further_out(self, desk_model,
                                                      desk_band, monkeypatch):
-        # a first batch that falls short of both ends is solved again out
+        # a first batch that falls short of the end is solved again out
         # to twice as far; each level's Newton is its own, so the levels
         # come out bit for bit as from a batch that reached far enough
         calls = []
@@ -658,12 +677,13 @@ class TestLevelNewton:
         assert len(calls) == 2 and calls[1] == 2 * calls[0] - 1
         for key in ("levels", "h_plus", "h_minus", "theta_plus"):
             assert np.array_equal(getattr(band, key), getattr(desk_band, key))
-        assert band.sweep_ends == desk_band.sweep_ends
+        assert band.sweep_end == desk_band.sweep_end
 
     def test_level_alone_matches_its_batch(self, desk_model, monkeypatch):
         # every level the sweep keeps, solved alone from its seed as a
         # batch of one, ends bit for bit where it ends inside the sweep's
-        # batch: the whole state, Jacobian included
+        # batch: the whole state, Jacobian included.  The batch holds the
+        # levels theta >= 0; those below zero are their mirrors
         batches = []
         real = band_zero._newton_level
 
@@ -676,7 +696,8 @@ class TestLevelNewton:
         band = find_band_zero(desk_model, DESK_GAMMA)
         ((comp, gamma, theta, hp0, hm0), (st, done, _)), = batches
         kept = np.flatnonzero(np.isin(theta, band.levels))
-        assert kept.size == band.levels.size and done[kept].all()
+        assert kept.size == np.count_nonzero(band.levels >= 0)
+        assert done[kept].all()
         for k in kept.tolist():
             one = slice(k, k + 1)
             alone, done1, _ = real(comp, gamma, theta[one], hp0[one],
@@ -686,18 +707,20 @@ class TestLevelNewton:
                 assert np.array_equal(a, b[one]), k
 
     def test_zero_level_failure_raises(self, desk_model):
-        # a grid right of the band's zero level: its seed pair clamps
-        # onto one point of the domain and the zero level cannot be solved
-        with pytest.raises(RegimeError, match="zero level") as info:
+        # a grid right of the band's zero level: the sweep's span [-R, R]
+        # holds the zero level, but the upper boundary reaches the span's
+        # guarded edge before it covers the grid's mirror, so the band is
+        # refused by the coverage check
+        with pytest.raises(RegimeError, match=re.escape(
+                "but the grid and its mirror request [-0.26, 0.26]")) as info:
             find_band_zero(desk_model, DESK_GAMMA,
                            x_nodes=np.linspace(0.05, 0.26, 33))
-        assert isinstance(info.value.__cause__, RegimeError)
-        assert "degenerate boundary pair" in str(info.value.__cause__)
+        assert str(info.value).startswith("upper boundary only covers")
 
     def test_failed_level_ends_its_direction(self, desk_model, monkeypatch):
-        # a level whose Newton fails ends its direction before it; the
-        # upper boundary then misses the grid's left end, and the error
-        # names the failed level and its Newton's error
+        # a level whose Newton fails ends the sweep before it; the upper
+        # boundary then misses the grid's left end, and the error names
+        # the failed level and its Newton's error
         real = band_zero._level_state
         bad = []
 
@@ -716,14 +739,15 @@ class TestLevelNewton:
             find_band_zero(desk_model, DESK_GAMMA)
         msg = str(info.value)
         assert msg.startswith("upper boundary only covers")
-        assert (f"; sweeping up stopped before theta={bad[0]:.6g}: singular "
-                f"level Newton Jacobian at theta={bad[0]:.6g}, h+=") in msg
-        assert "sweeping down" not in str(info.value)
+        assert (f"; the level sweep stopped before theta={bad[0]:.6g}: "
+                f"singular level Newton Jacobian at theta={bad[0]:.6g}, h+="
+                ) in msg
 
     def test_level_state_call_budget(self, desk_model, monkeypatch):
         # the desk band's sweep and node polish together evaluate the
-        # level system in at most 40 batched calls (a sweep of one scalar
-        # Newton per level made 1051)
+        # level system in at most 10 batched calls (they make 9; a sweep of
+        # both directions and a polish per side made 13, and a sweep of
+        # one scalar Newton per level 1051)
         calls = []
         real = band_zero._level_state
 
@@ -733,7 +757,7 @@ class TestLevelNewton:
 
         monkeypatch.setattr(band_zero, "_level_state", counting)
         find_band_zero(desk_model, DESK_GAMMA)
-        assert len(calls) <= 40
+        assert len(calls) <= 10
 
     @pytest.mark.parametrize("jac", [((1.0, 2.0, 4.0), (0.5, 1.0, 2.0)),
                                      ((0.0, math.nan, 1.0), (1.0, 1.0, 1.0))],
@@ -759,46 +783,44 @@ class TestLevelNewton:
         assert str(errors[0]).startswith("singular level Newton Jacobian")
 
 
-def _nearest_level_seeds(band, fixed):
+def _nearest_level_seeds(band, x):
     """Seeds of the node polish as find_band_zero takes them: the swept
-    level whose pinned endpoint is nearest each node."""
-    ends, other = ((band.h_plus, band.h_minus) if fixed == "plus"
-                   else (band.h_minus, band.h_plus))
-    order = np.argsort(ends)
-    j = order[np.minimum(np.searchsorted(ends[order], band.x_nodes),
+    level whose upper endpoint is nearest each x."""
+    order = np.argsort(band.h_plus)
+    j = order[np.minimum(np.searchsorted(band.h_plus[order], x),
                          band.levels.size - 1)]
-    return band.levels[j], other[j]
+    return band.levels[j], band.h_minus[j]
 
 
 class TestBatchedPolish:
-    """One batched Newton per side against each node polished alone."""
+    """The batched polish of the upper boundary, at the nodes (the upper
+    side) and at their mirrors (the lower side), against each node
+    polished alone."""
 
     @pytest.fixture(scope="class")
     def off_band(self, desk_model):
         return find_band_zero(desk_model, DESK_GAMMA,
                               x_nodes=np.linspace(-0.06, 0.26, 33))
 
-    @pytest.mark.parametrize("fixed", ["plus", "minus"])
+    @pytest.mark.parametrize("side", ["plus", "minus"])
     @pytest.mark.parametrize("grid", ["desk", "off_center"])
-    def test_matches_per_node_newton(self, desk_band, off_band, grid, fixed):
+    def test_matches_per_node_newton(self, desk_band, off_band, grid, side):
         band = desk_band if grid == "desk" else off_band
-        theta0, other0 = _nearest_level_seeds(band, fixed)
-        got = band_zero._polish_node(band.comp, DESK_GAMMA, band.x_nodes,
-                                     theta0, other0, fixed)
+        x = band.x_nodes if side == "plus" else -band.x_nodes
+        theta0, hm0 = _nearest_level_seeds(band, x)
+        got = band_zero._polish_node(band.comp, DESK_GAMMA, x, theta0, hm0)
         # each node polished alone, as a batch of one, ends bit for bit
         # where it ends inside the batch: the whole state, Jacobian included
-        for k in range(band.x_nodes.size):
+        for k in range(x.size):
             one = slice(k, k + 1)
-            alone = band_zero._polish_node(band.comp, DESK_GAMMA,
-                                           band.x_nodes[one], theta0[one],
-                                           other0[one], fixed)
+            alone = band_zero._polish_node(band.comp, DESK_GAMMA, x[one],
+                                           theta0[one], hm0[one])
             for a, b in zip(band_zero._leaves(alone), band_zero._leaves(got)):
                 assert np.array_equal(a, b[one]), k
-        # and the band itself holds the batch's answer
-        if fixed == "plus":
-            assert np.array_equal(band.theta_plus, got["theta"])
-        else:
-            assert np.array_equal(band.theta_minus, -got["theta"])
+        # and the band itself holds the batch's answer: the lower edge at
+        # x is the upper edge at -x
+        want = band.theta_plus if side == "plus" else band.theta_minus
+        assert np.array_equal(want, got["theta"])
 
     def _stub_node(self, monkeypatch, x_bad, **override):
         """_level_state with the entries in override forced at h+ = x_bad."""
@@ -819,24 +841,26 @@ class TestBatchedPolish:
 
     def test_node_that_never_improves_raises(self, desk_band, monkeypatch):
         x_bad = float(desk_band.x_nodes[57])
-        theta0, other0 = _nearest_level_seeds(desk_band, "plus")
+        theta0, other0 = _nearest_level_seeds(desk_band,
+                                              desk_band.x_nodes)
         self._stub_node(monkeypatch, x_bad, rp=1.0, rm=1.0, scale=1.0)
         with pytest.raises(ConvergenceError,
                            match=r"stalled at .*" + re.escape(
                                f"h+={x_bad:.6g}, ")):
             band_zero._polish_node(desk_band.comp, DESK_GAMMA,
-                                   desk_band.x_nodes, theta0, other0, "plus")
+                                   desk_band.x_nodes, theta0, other0)
 
     def test_singular_node_raises(self, desk_band, monkeypatch):
         x_bad = float(desk_band.x_nodes[120])
-        theta0, other0 = _nearest_level_seeds(desk_band, "plus")
+        theta0, other0 = _nearest_level_seeds(desk_band,
+                                              desk_band.x_nodes)
         self._stub_node(monkeypatch, x_bad, rp=1.0, rm=1.0, scale=1.0,
                         jac=1.0)
         with pytest.raises(ConvergenceError,
                            match=r"singular .*" + re.escape(
                                f"h+={x_bad:.6g}, ")):
             band_zero._polish_node(desk_band.comp, DESK_GAMMA,
-                                   desk_band.x_nodes, theta0, other0, "plus")
+                                   desk_band.x_nodes, theta0, other0)
 
 
 class TestDisplacementIdentity:

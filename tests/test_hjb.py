@@ -908,7 +908,8 @@ class TestColdStart:
     # splu calls of the cold solve on GRID, as measured with the
     # settled-policy stop on the seeding levels; seeding levels converged
     # as tightly as the target took 53 and 63.  With the optimality
-    # equation on every theta-edge row the solve takes 41 and 45
+    # equation on every theta-edge row and one velocity cap formula at
+    # every power the solve takes 41 and 45
     FACTORS = {"quadratic": 49, "three_halves": 51}
 
     def _solve_both(self, params, costs):

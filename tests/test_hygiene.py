@@ -5,7 +5,8 @@ no function body in either imports anything but a CLI command's opening
 reads, every third-party package imported is declared in
 ``pyproject.toml``, the tests import their conftest one way only, the
 package calls the sparse factor ``splu`` at one site, the studies build
-a grid at one site and a sweep result at one site, the band's level
+a grid at one site and a sweep result at one site, the exact band
+polishes its upper edge at one site with h+ pinned, the band's level
 system reads its spline tables through ``PPoly`` alone, the boundary
 layer reads its forcing at one site, the speed zones are named in one
 module and the validity gauge read in one function, the restated
@@ -253,6 +254,20 @@ def test_one_newton_in_band_zero():
                    and getattr(node.func, "id", None) == "isinstance"
                    and "ndarray" in ast.unparse(node.args[1])]
     assert not array_tests, array_tests
+
+
+def test_band_polished_once_with_h_plus_pinned():
+    # the lower band edge is the upper one mirrored, so find_band_zero
+    # polishes the upper edge once, at the nodes and their mirrors: one
+    # _polish_node call site, and no parameter that pins h- instead
+    tree = ast.parse((PACKAGE / "band_zero.py").read_text(encoding="utf-8"))
+    fns = {fn.name: fn for fn in tree.body if isinstance(fn, ast.FunctionDef)}
+    sites = [name for name, fn in fns.items() for node in ast.walk(fn)
+             if isinstance(node, ast.Call)
+             and getattr(node.func, "id", None) == "_polish_node"]
+    assert sites == ["find_band_zero"], sites
+    params = [a.arg for a in fns["_polish_node"].args.args]
+    assert params == ["comp", "gamma_lin", "x", "theta", "hm"], params
 
 
 def test_band_tables_read_through_ppoly():
